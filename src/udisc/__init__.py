@@ -31,7 +31,10 @@ from .discriminator import (
     check_covariance,
     cross_term,
     efficiency_bounds,
+    family_povm,
     known_state_optimum,
+    outcome_probabilities,
+    product_probabilities,
     program_input,
     success_prob_analytic,
     success_prob_operational,

@@ -5,7 +5,9 @@ success/pass, 1 for a semantic failure (verification fail, not
 discriminable), 2 for input errors.  ``--format kv`` switches to
 machine-readable ``key=value`` lines carrying the same numbers as the text
 mode.  The dense-storage budget defaults to the UDISC_CAP environment
-variable when set.
+variable when set; it bounds the dense elements ``build`` assembles, while
+prob, sample and mixed use the closed-form outcome probabilities of the
+built families and form no dense operator.
 """
 
 from __future__ import annotations
@@ -19,11 +21,13 @@ import numpy as np
 from . import io
 from .config import DEFAULT_ENTRY_CAP, MIN_ENTRY_CAP
 from .discriminator import (
+    auto_family,
     build_optimal_equal,
     build_trivial_antisym,
     build_universal,
     check_covariance,
     efficiency_bounds,
+    family_povm,
     known_state_optimum,
     program_input,
     success_prob_analytic,
@@ -31,7 +35,13 @@ from .discriminator import (
     verify_unambiguous,
 )
 from .errors import FormatError, ProgramNotIndependent, UdiscError, WrongRegime
-from .mixed_states import bounds_check, build_program, core_decompose, part_probabilities
+from .mixed_states import (
+    DISCRIMINABLE_TRACE_TOL,
+    bounds_check,
+    build_program,
+    core_decompose,
+    part_probabilities,
+)
 from .sampler import distribution_from_probs, outcome_distribution, sample
 from .tensor_algebra import gram_det
 
@@ -70,10 +80,6 @@ def _build_family(family: str, m: int, n: int, cap: int):
     if family == "trivial":
         return build_trivial_antisym(m, n, cap=cap)
     raise ValueError(f"unknown family {family!r}")
-
-
-def _auto_family(m: int, n: int) -> str:
-    return "optimal" if m == n else "universal"
 
 
 def cmd_build(args, emit: Emitter, cap: int) -> int:
@@ -115,11 +121,11 @@ def cmd_prob(args, emit: Emitter, cap: int) -> int:
     for w in warnings:
         emit.warn(w)
     n, m = states.shape
-    family = args.family or _auto_family(m, n)
+    family = args.family or auto_family(m, n)
     det = gram_det(states)
     if det <= DEPENDENCE_WARN_TOL:
         emit.warn("states are numerically linearly dependent; success probability is 0")
-    povm = _build_family(family, m, n, cap)
+    povm = family_povm(family, m, n, cap)
     if family == "trivial":
         p_analytic = 0.0
     else:
@@ -145,8 +151,8 @@ def cmd_sample(args, emit: Emitter, cap: int) -> int:
     for w in warnings:
         emit.warn(w)
     n, m = states.shape
-    family = args.family or _auto_family(m, n)
-    povm = _build_family(family, m, n, cap)
+    family = args.family or auto_family(m, n)
+    povm = family_povm(family, m, n, cap)
     dist = outcome_distribution(povm, program_input(states, args.which, cap=cap))
     record = sample(dist, args.shots, args.seed)
     errors = record.standard_errors(dist)
@@ -179,11 +185,11 @@ def cmd_mixed(args, emit: Emitter, cap: int) -> int:
     for i, tr in enumerate(traces, start=1):
         emit.value(f"core_trace_{i}", tr)
     emit.value("core_trace_0", float(np.trace(cores.tilde0).real))
-    verdict = all(tr > 1e-9 for tr in traces)
+    verdict = all(tr > DISCRIMINABLE_TRACE_TOL for tr in traces)
     emit.value("discriminable", verdict)
 
     try:
-        program = build_program(cores, cap=cap)
+        program = build_program(cores)
     except ProgramNotIndependent as exc:
         emit.warn(f"program construction failed: {exc}")
         emit.value("program", "not_independent")
@@ -195,7 +201,7 @@ def cmd_mixed(args, emit: Emitter, cap: int) -> int:
         emit.warn("program holds fewer than two pure states; no discriminator to run")
         return 0 if verdict else 1
 
-    probs = part_probabilities(program, rhos[args.data - 1], cap=cap)
+    probs = part_probabilities(program, rhos[args.data - 1])
     emit.value("regime", probs.regime)
     for i, p in enumerate(probs.parts):
         emit.value(f"part_prob_{i}", p)

@@ -9,12 +9,16 @@ The measurement acts on n program registers plus one data register, each of
 dimension m.  Element i >= 1 of a built POVM is c · I on register i tensored
 with the antisymmetric projector on the remaining n registers (taken in
 ascending order); element 0 is the inconclusive remainder I - Σ_i Π_i.
+A built POVM keeps only that structure: outcome probabilities of product
+inputs come from Gram determinants, and the dense elements are assembled
+only when something reads them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,16 +47,60 @@ REDUCTION_TOL = 1e-9
 REDUCTION_SPREAD_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+def auto_family(m: int, n: int) -> str:
+    """Family used when none is named: optimal when m = n, universal otherwise."""
+    return "optimal" if m == n else "universal"
+
+
+_COEFFICIENTS = {
+    "optimal": lambda n: n / (n + 1),
+    "universal": lambda n: 1.0 / n,
+    "trivial": lambda n: 1.0 / n,
+}
+
+
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class Povm:
-    """Measurement {Π_0, Π_1, …, Π_n} on n+1 registers of dimension m."""
+    """Measurement {Π_0, Π_1, …, Π_n} on n+1 registers of dimension m.
+
+    An explicit POVM holds its dense elements and has c = family = None.  A
+    built POVM (family_povm and the build_* functions) records only its
+    family and coefficient c; its dense elements are assembled on first
+    access, which is where the dense-storage cap is checked.  Outcome
+    probabilities of product inputs never need them (product_probabilities).
+    """
 
     m: int
     n: int
-    elements: tuple[np.ndarray, ...]
     layout: SubsystemLayout
-    c: float | None = None
-    family: str | None = None
+    family: str | None
+    c: float | None
+    _cap: int | None
+    _elements: tuple[np.ndarray, ...] | None
+
+    def __init__(self, m: int, n: int, elements=None, layout: SubsystemLayout | None = None,
+                 *, family: str | None = None, cap: int | None = None):
+        if (elements is None) == (family is None):
+            raise ValueError("a POVM is given either by its dense elements or by a built family")
+        values = {
+            "m": int(m),
+            "n": int(n),
+            "layout": layout if layout is not None else SubsystemLayout.uniform(m, n + 1),
+            "family": family,
+            "c": None if family is None else _COEFFICIENTS[family](int(n)),
+            "_cap": cap,
+            "_elements": None if elements is None else tuple(elements),
+        }
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    @property
+    def elements(self) -> tuple[np.ndarray, ...]:
+        """Dense (Π_0, …, Π_n); a built POVM assembles them here, under its cap."""
+        if self._elements is None:
+            dense = _assemble(self.family, self.m, self.n, self.c, self._cap)
+            object.__setattr__(self, "_elements", dense)
+        return self._elements
 
     @property
     def dim(self) -> int:
@@ -72,11 +120,24 @@ class Povm:
 
 @dataclass(frozen=True)
 class ProgramInput:
-    """Program registers loaded with the candidate states, data register with state j."""
+    """Program registers loaded with the candidate states, data register with state j.
+
+    The m^(n+1) tensor-product vector is formed (and checked against cap)
+    only when read; the closed form works on the n+1 factors.
+    """
 
     states: np.ndarray
     data_index: int
-    vector: np.ndarray
+    cap: int | None = None
+
+    @property
+    def factors(self) -> np.ndarray:
+        """The n+1 register states as rows: the candidates, then state j."""
+        return np.vstack([self.states, self.states[self.data_index - 1]])
+
+    @cached_property
+    def vector(self) -> np.ndarray:
+        return kron_chain(self.factors, cap=self.cap)
 
 
 def program_input(states, j: int, cap: int | None = None) -> ProgramInput:
@@ -85,14 +146,11 @@ def program_input(states, j: int, cap: int | None = None) -> ProgramInput:
     n = s.shape[0]
     if not 1 <= j <= n:
         raise IndexOutOfRange(f"data index {j} outside 1..{n}")
-    vec = kron_chain([s[i] for i in range(n)] + [s[j - 1]], cap=cap)
-    return ProgramInput(states=s, data_index=int(j), vector=vec)
+    return ProgramInput(states=s, data_index=int(j), cap=cap)
 
 
 def _identity_times_antisym(m: int, n: int, cap: int | None = None) -> list[np.ndarray]:
     """Blocks B_i = I on register i ⊗ antisymmetric projector on the other n registers."""
-    dim = m ** (n + 1)
-    check_square(dim, cap, "POVM element")
     phi = antisym_projector(m, n, cap=cap).matrix
     base = np.kron(np.eye(m, dtype=complex), phi)  # register order [i, rest ascending]
     dims = [m] * (n + 1)
@@ -104,18 +162,37 @@ def _identity_times_antisym(m: int, n: int, cap: int | None = None) -> list[np.n
     return blocks
 
 
-def _assemble(m: int, n: int, c: float, family: str, cap: int | None) -> Povm:
-    blocks = _identity_times_antisym(m, n, cap)
-    elements = [c * b for b in blocks]
-    pi0 = np.eye(m ** (n + 1), dtype=complex) - sum(elements)
-    return Povm(
-        m=m,
-        n=n,
-        elements=tuple([pi0] + elements),
-        layout=SubsystemLayout.uniform(m, n + 1),
-        c=c,
-        family=family,
-    )
+def _assemble(family: str, m: int, n: int, c: float, cap: int | None) -> tuple[np.ndarray, ...]:
+    """Dense elements (Π_0, Π_1, …, Π_n) of a built family."""
+    dim = m ** (n + 1)
+    check_square(dim, cap, "POVM element")
+    if family == "trivial":
+        elements = [antisym_projector(m, n + 1, cap=cap).matrix / n] * n
+    else:
+        elements = [c * b for b in _identity_times_antisym(m, n, cap)]
+    pi0 = np.eye(dim, dtype=complex) - sum(elements)
+    return tuple([pi0] + elements)
+
+
+def family_povm(family: str, m: int, n: int, cap: int | None = None) -> Povm:
+    """Built POVM of the named family for n states in dimension m.
+
+    Checks the family's regime (see the build_* functions) and returns a
+    structured POVM; cap applies only when its dense elements are read.
+    """
+    if family not in _COEFFICIENTS:
+        raise ValueError(f"unknown family {family!r}")
+    if n < 2:
+        raise WrongRegime(f"need at least two states, got n={n}")
+    if family == "optimal" and m != n:
+        raise WrongRegime(f"family 'optimal' needs m = n, got m={m}, n={n}")
+    if family == "universal" and m <= n:
+        raise WrongRegime(
+            f"universal family needs m > n, got m={m}, n={n} (use build_optimal_equal for m=n)"
+        )
+    if family == "trivial" and m < n:
+        raise WrongRegime(f"no discriminator is defined for m={m} < n={n}")
+    return Povm(m, n, family=family, cap=cap)
 
 
 def build_optimal_equal(n: int, cap: int | None = None) -> Povm:
@@ -125,9 +202,7 @@ def build_optimal_equal(n: int, cap: int | None = None) -> Povm:
     element positive; the success probability on a program with Gram matrix
     X is n·det(X)/(n+1)! for every state index.
     """
-    if n < 2:
-        raise WrongRegime(f"need at least two states, got n={n}")
-    return _assemble(n, n, n / (n + 1), "optimal", cap)
+    return family_povm("optimal", n, n, cap)
 
 
 def build_universal(m: int, n: int, cap: int | None = None) -> Povm:
@@ -137,13 +212,7 @@ def build_universal(m: int, n: int, cap: int | None = None) -> Povm:
     positive within this family; the success probability det(X)/(n·n!) does
     not depend on m.
     """
-    if n < 2:
-        raise WrongRegime(f"need at least two states, got n={n}")
-    if m <= n:
-        raise WrongRegime(
-            f"universal family needs m > n, got m={m}, n={n} (use build_optimal_equal for m=n)"
-        )
-    return _assemble(m, n, 1.0 / n, "universal", cap)
+    return family_povm("universal", m, n, cap)
 
 
 def build_trivial_antisym(m: int, n: int, cap: int | None = None) -> Povm:
@@ -152,23 +221,62 @@ def build_trivial_antisym(m: int, n: int, cap: int | None = None) -> Povm:
     Every success probability is exactly zero; for m < n+1 the antisymmetric
     projector on n+1 registers vanishes and the POVM degenerates to {I, 0, …}.
     """
-    if n < 2:
-        raise WrongRegime(f"need at least two states, got n={n}")
-    if m < n:
-        raise WrongRegime(f"no discriminator is defined for m={m} < n={n}")
-    dim = m ** (n + 1)
-    check_square(dim, cap, "POVM element")
-    phi = antisym_projector(m, n + 1, cap=cap).matrix
-    elements = [phi / n for _ in range(n)]
-    pi0 = np.eye(dim, dtype=complex) - sum(elements)
-    return Povm(
-        m=m,
-        n=n,
-        elements=tuple([pi0] + elements),
-        layout=SubsystemLayout.uniform(m, n + 1),
-        c=1.0 / n,
-        family="trivial",
-    )
+    return family_povm("trivial", m, n, cap)
+
+
+# ---------------------------------------------------------------------------
+# outcome probabilities
+
+
+def product_probabilities(povm: Povm, factors) -> np.ndarray:
+    """<v|Π_k|v> for k = 0..n of a built POVM on the product v = φ_1 ⊗ … ⊗ φ_{n+1}.
+
+    Element i ≥ 1 of the optimal and universal families is c·(I_i ⊗ Φ_rest),
+    and the squared norm of a wedge is the Gram determinant, so
+    <v|Π_i|v> = c·‖φ_i‖²·det(X_rest)/n! with X_rest the Gram matrix of the
+    other n factors.  The trivial family's elements are c·Φ on all n+1
+    registers: c·det(X)/(n+1)!, exactly 0 when m < n+1.  Outcome 0 takes
+    the rest of ‖v‖².  No operator is formed, so no cap applies.
+    """
+    if povm.family is None:
+        raise ValueError("an explicit POVM has no closed-form outcome probabilities")
+    f = np.asarray(factors, dtype=complex)
+    m, n = povm.m, povm.n
+    if f.shape != (n + 1, m):
+        raise LayoutMismatch(f"factors of shape {f.shape} do not match POVM with m={m}, n={n}")
+    norms = np.sum(np.abs(f) ** 2, axis=1)
+    if povm.family == "trivial":
+        det = gram_det(f) if m >= n + 1 else 0.0
+        probs = np.full(n, povm.c * det / math.factorial(n + 1))
+    else:
+        probs = np.array(
+            [povm.c * norms[i] * gram_det(np.delete(f, i, axis=0)) for i in range(n)]
+        ) / math.factorial(n)
+    return np.concatenate([[np.prod(norms) - probs.sum()], probs])
+
+
+def outcome_probabilities(povm: Povm, inp) -> np.ndarray:
+    """Tr(Π_k ρ_in) for k = 0..n, for a ProgramInput, a state vector or a density matrix.
+
+    A built POVM measuring a ProgramInput goes through the closed form
+    (product_probabilities); every other pairing takes the dense quadratic
+    form on the POVM's elements.
+    """
+    if isinstance(inp, ProgramInput):
+        if povm.family is not None:
+            return product_probabilities(povm, inp.factors)
+        inp = inp.vector
+    arr = np.asarray(inp, dtype=complex)
+    dim = povm.dim
+    if arr.ndim == 1:
+        if arr.shape[0] != dim:
+            raise LayoutMismatch(f"input vector of length {arr.shape[0]}, POVM dimension {dim}")
+        return np.array([(arr.conj() @ e @ arr).real for e in povm.elements])
+    if arr.ndim == 2:
+        if arr.shape != (dim, dim):
+            raise LayoutMismatch(f"input matrix of shape {arr.shape}, POVM dimension {dim}")
+        return np.array([np.trace(e @ arr).real for e in povm.elements])
+    raise ValueError("input must be a vector or a square matrix")
 
 
 # ---------------------------------------------------------------------------
@@ -255,24 +363,26 @@ def success_prob_analytic(states, regime: str) -> float:
     raise ValueError(f"unknown regime {regime!r} (expected 'equal' or 'universal')")
 
 
-def success_prob_operational(povm: Povm, states, i: int) -> float:
-    """Quadratic form <ψ_i^n| Π_i |ψ_i^n> of the actual measurement."""
+def _outcome_probability(povm: Povm, states, i: int, j: int) -> float:
+    """Probability of outcome i (1..n) with the data register in candidate state j."""
     s = require_normalized(states)
     if s.shape != (povm.n, povm.m):
         raise LayoutMismatch(
             f"state set of shape {s.shape} does not match POVM with m={povm.m}, n={povm.n}"
         )
     if not 1 <= i <= povm.n:
-        raise IndexOutOfRange(f"state index {i} outside 1..{povm.n}")
-    vec = program_input(s, i).vector
-    return float((vec.conj() @ povm.elements[i] @ vec).real)
+        raise IndexOutOfRange(f"outcome index {i} outside 1..{povm.n}")
+    return float(outcome_probabilities(povm, program_input(s, j))[i])
+
+
+def success_prob_operational(povm: Povm, states, i: int) -> float:
+    """<ψ_i^n| Π_i |ψ_i^n> of the actual measurement (closed form for built POVMs)."""
+    return _outcome_probability(povm, states, i, i)
 
 
 def cross_term(povm: Povm, states, i: int, j: int) -> float:
     """<ψ_j^n| Π_i |ψ_j^n> — must vanish for i ≠ j if the POVM is unambiguous."""
-    s = require_normalized(states)
-    vec = program_input(s, j).vector
-    return float((vec.conj() @ povm.elements[i] @ vec).real)
+    return _outcome_probability(povm, states, i, j)
 
 
 def known_state_optimum(states) -> float:

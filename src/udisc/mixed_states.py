@@ -16,13 +16,12 @@ from functools import reduce
 
 import numpy as np
 
-from .discriminator import build_optimal_equal, build_universal
+from .discriminator import auto_family, family_povm, product_probabilities
 from .errors import LayoutMismatch, ProgramNotIndependent, WrongRegime
 from .tensor_algebra import (
     Subspace,
     gram_det,
     hermitize,
-    kron_chain,
     max_abs,
     psd_sqrt,
     require_psd,
@@ -35,6 +34,9 @@ from .tensor_algebra import (
 PART_EIGENVALUE_TOL = 1e-9
 DISCRIMINABLE_TRACE_TOL = 1e-9
 PROGRAM_DET_TOL = 1e-12
+
+# Device regimes of part_probabilities and the discriminator family each runs.
+_REGIME_FAMILIES = {"equal": "optimal", "universal": "universal"}
 
 
 def require_density(rho) -> np.ndarray:
@@ -148,7 +150,6 @@ class MixedProgram:
     part_weights: tuple[np.ndarray, ...]
     part_registers: tuple[tuple[int, ...], ...]
     states: np.ndarray  # all N program states stacked in register order
-    vector: np.ndarray  # |Ψ>, dimension dim**N
     det_gram: float
 
     @property
@@ -159,7 +160,7 @@ class MixedProgram:
         return float(np.sum(self.part_weights[i]))
 
 
-def build_program(cores: CoreDecomposition, cap: int | None = None) -> MixedProgram:
+def build_program(cores: CoreDecomposition) -> MixedProgram:
     """Spectral programs: each part holds the eigenvectors of its core.
 
     Eigenvalues act as the (sub-normalized) mixing weights, so each part
@@ -193,14 +194,12 @@ def build_program(cores: CoreDecomposition, cap: int | None = None) -> MixedProg
         registers.append(tuple(range(next_register, next_register + p.shape[0])))
         next_register += p.shape[0]
 
-    vector = kron_chain([all_states[r] for r in range(total)], cap=cap)
     return MixedProgram(
         dim=cores.dim,
         part_states=tuple(part_states),
         part_weights=tuple(part_weights),
         part_registers=tuple(registers),
         states=all_states,
-        vector=vector,
         det_gram=det,
     )
 
@@ -219,18 +218,15 @@ class PartProbabilities:
         return sum(self.parts) + self.inconclusive
 
 
-def part_probabilities(
-    program: MixedProgram,
-    rho,
-    regime: str = "auto",
-    cap: int | None = None,
-) -> PartProbabilities:
+def part_probabilities(program: MixedProgram, rho, regime: str = "auto") -> PartProbabilities:
     """Measure the program with the data register in the mixed state ρ.
 
-    The probability is linear in ρ, so it is evaluated directly on the
-    eigendecomposition of ρ without purification.  Outcome j of the N-state
-    device is credited to the part owning register j; outcome 0 is the
-    inconclusive answer.
+    The probability is linear in ρ, so it is the eigenvalue-weighted sum over
+    the eigenvectors of ρ of the closed-form probabilities of the product
+    program ⊗ eigenvector; no operator is built.  Regime "equal" uses the
+    optimal device (dim == N), "universal" the universal one, "auto" picks
+    by auto_family.  Outcome j of the N-state device is credited to the part
+    owning register j; outcome 0 is the inconclusive answer.
     """
     rho = require_density(rho)
     m = program.dim
@@ -240,25 +236,16 @@ def part_probabilities(
     if n_states < 2:
         raise WrongRegime(f"the program holds {n_states} pure state(s); need at least 2")
     if regime == "auto":
-        regime = "equal" if m == n_states else "universal"
-    if regime == "equal":
-        if m != n_states:
-            raise WrongRegime(f"equal regime needs dim == N, got dim={m}, N={n_states}")
-        povm = build_optimal_equal(n_states, cap=cap)
-    elif regime == "universal":
-        povm = build_universal(m, n_states, cap=cap)
-    else:
+        regime = "equal" if auto_family(m, n_states) == "optimal" else "universal"
+    if regime not in _REGIME_FAMILIES:
         raise ValueError(f"unknown regime {regime!r}")
+    povm = family_povm(_REGIME_FAMILIES[regime], m, n_states)
 
     w, v = np.linalg.eigh(rho)
-    outcomes = np.zeros(n_states + 1)
-    for weight, column in zip(w, v.T):
-        if weight <= 1e-14:
-            continue
-        full = np.kron(program.vector, column)
-        for idx, element in enumerate(povm.elements):
-            outcomes[idx] += weight * float((full.conj() @ element @ full).real)
-
+    outcomes = sum(
+        weight * product_probabilities(povm, np.vstack([program.states, column]))
+        for weight, column in zip(w, v.T)
+    )
     parts = tuple(
         float(sum(outcomes[r] for r in regs)) for regs in program.part_registers
     )

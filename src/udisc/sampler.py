@@ -3,8 +3,12 @@
 Sampling uses numpy's PCG64 generator seeded directly from the given 64-bit
 integer, with one uniform draw per shot mapped through the inverse CDF, so
 identical (distribution, shots, seed) yield identical counts on every
-platform.  Parallel shot generation, if ever needed, must derive sub-stream
-seeds via ``numpy.random.SeedSequence(seed).spawn(k)`` to stay reproducible.
+platform.  The draws are taken in fixed chunks of CHUNK_SHOTS from that one
+stream into a reused buffer, so memory stays bounded and the counts do not
+depend on the chunk size; each chunk is counted against the CDF thresholds
+(#(outcome >= k) = #(draw >= cdf[k-1])) rather than by locating each draw.
+Parallel shot generation, if ever needed, must derive sub-stream seeds via
+``numpy.random.SeedSequence(seed).spawn(k)`` to stay reproducible.
 """
 
 from __future__ import annotations
@@ -13,11 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discriminator import Povm, ProgramInput
-from .errors import LayoutMismatch
+from .discriminator import Povm, outcome_probabilities
 
 CLAMP_TOL = 1e-12
 RESIDUAL_TOL = 1e-9
+CHUNK_SHOTS = 2**16
 
 
 @dataclass(frozen=True)
@@ -49,21 +53,7 @@ def distribution_from_probs(probs, labels=None) -> OutcomeDistribution:
 
 def outcome_distribution(povm: Povm, inp) -> OutcomeDistribution:
     """Probabilities Tr(Π_k ρ_in) for a ProgramInput, a state vector or a density matrix."""
-    if isinstance(inp, ProgramInput):
-        inp = inp.vector
-    arr = np.asarray(inp, dtype=complex)
-    dim = povm.dim
-    if arr.ndim == 1:
-        if arr.shape[0] != dim:
-            raise LayoutMismatch(f"input vector of length {arr.shape[0]}, POVM dimension {dim}")
-        probs = [float((arr.conj() @ e @ arr).real) for e in povm.elements]
-    elif arr.ndim == 2:
-        if arr.shape != (dim, dim):
-            raise LayoutMismatch(f"input matrix of shape {arr.shape}, POVM dimension {dim}")
-        probs = [float(np.trace(e @ arr).real) for e in povm.elements]
-    else:
-        raise ValueError("input must be a vector or a square matrix")
-    return distribution_from_probs(probs)
+    return distribution_from_probs(outcome_probabilities(povm, inp))
 
 
 @dataclass(frozen=True)
@@ -85,12 +75,19 @@ def sample(dist: OutcomeDistribution, shots: int, seed: int) -> SampleRecord:
     rng = np.random.Generator(np.random.PCG64(int(seed)))
     cdf = np.cumsum(dist.probabilities)
     cdf[-1] = 1.0
-    draws = rng.random(int(shots))
-    idx = np.searchsorted(cdf, draws, side="right")
-    counts = np.bincount(idx, minlength=dist.size)
+    shots = int(shots)
+    at_least = np.zeros(dist.size, dtype=np.int64)  # at_least[k] = #(outcome >= k)
+    buf = np.empty(min(shots, CHUNK_SHOTS))
+    for start in range(0, shots, CHUNK_SHOTS):
+        draws = buf[: min(CHUNK_SHOTS, shots - start)]
+        rng.random(out=draws)
+        for k in range(1, dist.size):
+            at_least[k] += np.count_nonzero(draws >= cdf[k - 1])
+    at_least[0] = shots
+    counts = at_least - np.append(at_least[1:], 0)
     return SampleRecord(
         seed=int(seed),
-        shots=int(shots),
+        shots=shots,
         counts=tuple(int(c) for c in counts),
         frequencies=tuple(float(c) / shots for c in counts),
     )

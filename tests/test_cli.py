@@ -4,6 +4,7 @@ import pytest
 from udisc.cli import main
 from udisc.discriminator import Povm
 from udisc.io import write_density, write_povm, write_states
+from udisc.random_states import rand_independent_states
 from udisc.tensor_algebra import SubsystemLayout
 
 
@@ -249,3 +250,32 @@ class TestEnvironmentCap:
         code, _, _ = run(capsys, "build", "--m", "3", "--n", "2", "--family", "universal",
                          "--out", str(tmp_path / "ok.povm"), "--cap", str(2**24))
         assert code == 0
+
+
+class TestCapScope:
+    """Only dense objects are capped; closed-form probabilities of built families are not."""
+
+    def test_prob_and_sample_beyond_dense_cap(self, tmp_path, capsys):
+        # 10 states in dimension 100: a dense device would need 100^11 x 100^11 entries
+        path = tmp_path / "big.txt"
+        write_states(path, rand_independent_states(10, 100, np.random.default_rng(81)))
+        code, out, _ = run(capsys, "prob", str(path), "--which", "4", "--format", "kv")
+        assert code == 0
+        kv = parse_kv(out)
+        assert kv["family"] == "universal"
+        assert float(kv["p_analytic"]) > 0
+        assert abs(float(kv["p_operational"]) - float(kv["p_analytic"])) <= 1e-12
+        code, out, _ = run(capsys, "sample", str(path), "--which", "4", "--shots", "1000",
+                           "--format", "kv")
+        assert code == 0
+        counts = [int(parse_kv(out)[f"count_{k}"]) for k in range(11)]
+        assert sum(counts) == 1000
+        assert all(c == 0 for k, c in enumerate(counts) if k not in (0, 4))
+
+    def test_build_beyond_dense_cap_exits_2(self, tmp_path, capsys):
+        out_file = tmp_path / "big.povm"
+        code, _, err = run(capsys, "build", "--m", "100", "--n", "10", "--family", "universal",
+                           "--out", str(out_file))
+        assert code == 2
+        assert "exceeds the cap" in err
+        assert not out_file.exists()

@@ -9,14 +9,17 @@ from udisc.discriminator import (
     check_covariance,
     cross_term,
     efficiency_bounds,
+    family_povm,
     known_state_optimum,
+    outcome_probabilities,
+    product_probabilities,
     program_input,
     success_prob_analytic,
     success_prob_operational,
     verify_unambiguous,
 )
-from udisc.errors import IndexOutOfRange, InvalidPovm, WrongRegime
-from udisc.random_states import rand_independent_states
+from udisc.errors import CapExceeded, IndexOutOfRange, InvalidPovm, LayoutMismatch, WrongRegime
+from udisc.random_states import rand_independent_states, rand_states
 from udisc.tensor_algebra import SubsystemLayout, kron_chain, max_abs
 
 
@@ -195,6 +198,106 @@ class TestSuccessProbabilities:
                 for j in range(1, n + 1):
                     if i != j:
                         assert cross_term(povm, states, i, j) <= 1e-10
+
+
+    def test_cross_term_rejects_outcome_outside_1_to_n(self):
+        povm = build_universal(3, 2)
+        states = np.eye(3, dtype=complex)[:2]
+        for i in (0, -1, 3):
+            with pytest.raises(IndexOutOfRange):
+                cross_term(povm, states, i, 1)
+            with pytest.raises(IndexOutOfRange):
+                success_prob_operational(povm, states, i)
+
+    def test_state_set_of_wrong_dimension_rejected(self):
+        povm = build_universal(3, 2)
+        states = np.eye(4, dtype=complex)[:2]
+        with pytest.raises(LayoutMismatch):
+            cross_term(povm, states, 1, 2)
+        with pytest.raises(LayoutMismatch):
+            success_prob_operational(povm, states, 1)
+
+
+def _families_at(m, n):
+    return [f for f, ok in (("optimal", m == n), ("universal", m > n), ("trivial", m >= n)) if ok]
+
+
+CLOSED_FORM_CASES = [
+    (family, m, n)
+    for m, n in ((2, 2), (3, 2), (3, 3), (4, 3), (5, 3), (4, 4))
+    for family in _families_at(m, n)
+]
+
+
+class TestClosedForm:
+    """The Gram-determinant outcome probabilities against the dense quadratic form."""
+
+    @pytest.mark.parametrize("family,m,n", CLOSED_FORM_CASES)
+    def test_random_product_factors_match_dense(self, family, m, n):
+        povm = family_povm(family, m, n)
+        rng = np.random.default_rng(56 + 7 * m + n)
+        for _ in range(4):
+            # unnormalised factors exercise the ‖φ_i‖² terms and Π_0 = ‖v‖² - Σ p_i
+            factors = rand_states(n + 1, m, rng) * rng.uniform(0.5, 1.5, size=(n + 1, 1))
+            vec = kron_chain(list(factors))
+            dense = [float((vec.conj() @ e @ vec).real) for e in povm.elements]
+            assert np.max(np.abs(product_probabilities(povm, factors) - dense)) <= 1e-12
+
+    @pytest.mark.parametrize("family,m,n", [(f, m, n) for f, m, n in CLOSED_FORM_CASES if m < 5])
+    def test_program_input_routes_match_explicit_copy(self, family, m, n):
+        built = family_povm(family, m, n)
+        explicit = Povm(m=m, n=n, elements=built.elements, layout=built.layout)
+        rng = np.random.default_rng(57 + 7 * m + n)
+        states = rand_independent_states(n, m, rng)
+        for j in range(1, n + 1):
+            inp = program_input(states, j)
+            closed = outcome_probabilities(built, inp)
+            dense = outcome_probabilities(explicit, inp)
+            assert np.max(np.abs(closed - dense)) <= 1e-12
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_trivial_is_exactly_zero_when_m_equals_n(self, m):
+        # the dense elements are exact zeros here (m < n+1 registers)
+        povm = family_povm("trivial", m, m)
+        rng = np.random.default_rng(59 + m)
+        for _ in range(10):
+            assert np.all(product_probabilities(povm, rand_states(m + 1, m, rng))[1:] == 0.0)
+
+    def test_factors_of_wrong_shape_rejected(self):
+        with pytest.raises(LayoutMismatch):
+            product_probabilities(build_universal(3, 2), np.eye(4, dtype=complex)[:3])
+
+    def test_explicit_povm_has_no_closed_form(self):
+        with pytest.raises(ValueError):
+            product_probabilities(leaky_counterexample(), np.eye(2, dtype=complex)[[0, 1, 0]])
+
+
+class TestStructuredPovm:
+    def test_built_records_structure(self):
+        povm = build_universal(4, 3)
+        assert (povm.family, povm.m, povm.n, povm.c) == ("universal", 4, 3, 1 / 3)
+        assert povm.dim == 256
+
+    def test_explicit_has_no_structure(self):
+        povm = leaky_counterexample()
+        assert povm.c is None and povm.family is None
+
+    def test_elements_and_family_are_exclusive(self):
+        with pytest.raises(ValueError):
+            Povm(m=2, n=2, elements=leaky_counterexample().elements, family="optimal")
+        with pytest.raises(ValueError):
+            Povm(m=2, n=2)
+
+    def test_cap_applies_on_first_element_access(self):
+        povm = build_universal(100, 10)
+        rng = np.random.default_rng(58)
+        states = rand_independent_states(10, 100, rng)
+        expected = success_prob_analytic(states, "universal")
+        assert abs(success_prob_operational(povm, states, 3) - expected) <= 1e-12
+        with pytest.raises(CapExceeded):
+            povm.elements
+        with pytest.raises(CapExceeded):
+            program_input(states, 1, cap=2**24).vector
 
 
 class TestKnownStateOptimum:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import ket, random_ensemble
+from udisc.discriminator import build_optimal_equal, build_universal
 from udisc.errors import LayoutMismatch, NotPositive, ProgramNotIndependent, WrongRegime
 from udisc.mixed_states import (
     bounds_check,
@@ -14,7 +15,7 @@ from udisc.mixed_states import (
     require_density,
 )
 from udisc.random_states import rand_unitary
-from udisc.tensor_algebra import max_abs, support_projector
+from udisc.tensor_algebra import kron_chain, max_abs, support_projector
 
 
 def proj(vec):
@@ -223,6 +224,47 @@ class TestPartProbabilities:
                 probs = part_probabilities(program, rhos[s - 1])
                 own.append(probs.parts[s])
             assert verdict == all(p > 1e-12 for p in own)
+
+
+def dense_outcome_probs(program, rho, devices):
+    """Oracle: the dense N-state device measured on each eigenvector of ρ in turn."""
+    n_states = program.total
+    key = (program.dim, n_states)
+    if key not in devices:
+        if program.dim == n_states:
+            devices[key] = build_optimal_equal(n_states).elements
+        else:
+            devices[key] = build_universal(program.dim, n_states).elements
+    vector = kron_chain(list(program.states))
+    w, v = np.linalg.eigh(rho)
+    outcomes = np.zeros(n_states + 1)
+    for weight, column in zip(w, v.T):
+        if weight <= 1e-14:
+            continue
+        full = np.kron(vector, column)
+        for idx, element in enumerate(devices[key]):
+            outcomes[idx] += weight * float((full.conj() @ element @ full).real)
+    return outcomes
+
+
+class TestPartProbabilitiesOracle:
+    def test_matches_dense_device_on_random_ensembles(self):
+        rng = np.random.default_rng(77)
+        devices = {}
+        checked = 0
+        while checked < 20:
+            rhos = random_ensemble(rng)
+            try:
+                program = build_program(core_decompose(rhos))
+            except ProgramNotIndependent:
+                continue
+            if program.total < 2:
+                continue
+            checked += 1
+            for rho in rhos:
+                probs = part_probabilities(program, rho)
+                dense = dense_outcome_probs(program, rho, devices)
+                assert max_abs(np.array(probs.outcome_probs) - dense) <= 1e-12
 
 
 class TestBoundsCheck:

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from udisc.discriminator import build_optimal_equal, build_universal, program_input
 from udisc.errors import LayoutMismatch
 from udisc.random_states import rand_independent_states
-from udisc.sampler import distribution_from_probs, outcome_distribution, sample
+from udisc.sampler import CHUNK_SHOTS, distribution_from_probs, outcome_distribution, sample
 
 
 class TestDistribution:
@@ -82,6 +84,33 @@ class TestSample:
     def test_rejects_zero_shots(self):
         with pytest.raises(ValueError):
             sample(distribution_from_probs([1.0]), 0, seed=1)
+
+
+def one_shot_counts(dist, shots, seed):
+    """Reference sampler: all draws at once, each located in the CDF by searchsorted."""
+    rng = np.random.Generator(np.random.PCG64(int(seed)))
+    cdf = np.cumsum(dist.probabilities)
+    cdf[-1] = 1.0
+    idx = np.searchsorted(cdf, rng.random(shots), side="right")
+    return tuple(int(c) for c in np.bincount(idx, minlength=dist.size))
+
+
+@st.composite
+def distributions_with_zeros(draw):
+    weights = draw(st.lists(st.floats(0.001, 1.0), min_size=1, max_size=7))
+    for _ in range(draw(st.integers(1, 3))):
+        weights.insert(draw(st.integers(0, len(weights))), 0.0)
+    return distribution_from_probs(np.array(weights) / sum(weights))
+
+
+class TestChunkedSampling:
+    @pytest.mark.parametrize(
+        "shots", [1, CHUNK_SHOTS - 1, CHUNK_SHOTS, CHUNK_SHOTS + 1, 3 * CHUNK_SHOTS + 7]
+    )
+    @settings(max_examples=20, deadline=None)
+    @given(dist=distributions_with_zeros(), seed=st.integers(0, 2**64 - 1))
+    def test_counts_equal_one_shot_reference(self, shots, dist, seed):
+        assert sample(dist, shots, seed).counts == one_shot_counts(dist, shots, seed)
 
 
 class TestEndToEndFrequencies:
