@@ -26,7 +26,7 @@ def pair(s, m=3):
 
 
 print("== Orthonormal pairs ==")
-print("equal regime (m=n=2):    p =",
+print("optimal (m=n=2):         p =",
       success_prob_operational(build_optimal_equal(2), np.eye(2, dtype=complex), 1),
       " (n det(X)/(n+1)! = 1/3)")
 print("universal (m=3, n=2):    p =",
@@ -58,9 +58,9 @@ for s in (0.3, 0.7):
     print(f"  overlap {s}: wrong-state outcome probability = "
           f"{cross_term(povm, states, 1, 2):.2e}")
 
-print("\n== Equal regime sweep (m = n = 2) ==")
+print("\n== Optimal family sweep (m = n = 2) ==")
 povm22 = build_optimal_equal(2)
 for s in (0.0, 0.4, 0.8):
     states = pair(s, m=2)
     print(f"  overlap {s:.1f}: p = {success_prob_operational(povm22, states, 1):.6f}"
-          f"   (n det(X)/(n+1)! = {success_prob_analytic(states, 'equal'):.6f})")
+          f"   (n det(X)/(n+1)! = {success_prob_analytic(states, 'optimal'):.6f})")

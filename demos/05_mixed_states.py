@@ -25,7 +25,7 @@ def show_ensemble(name, rhos, data_index):
     print(f"  program: N = {program.total} pure states, registers by part:",
           program.part_registers)
     probs = part_probabilities(program, rhos[data_index - 1])
-    print(f"  data = state {data_index} ({probs.regime} device):")
+    print(f"  data = state {data_index} ({probs.family} device):")
     for i, p in enumerate(probs.parts):
         print(f"    part {i}: {p:.6f}")
     print(f"    inconclusive: {probs.inconclusive:.6f}")

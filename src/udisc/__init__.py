@@ -36,6 +36,7 @@ from .discriminator import (
     outcome_probabilities,
     product_probabilities,
     program_input,
+    success_factor,
     success_prob_analytic,
     success_prob_operational,
     verify_unambiguous,

@@ -4,37 +4,35 @@ Subcommands: build, verify, prob, sample, mixed.  Exit status is 0 for
 success/pass, 1 for a semantic failure (verification fail, not
 discriminable), 2 for input errors.  ``--format kv`` switches to
 machine-readable ``key=value`` lines carrying the same numbers as the text
-mode.  The dense-storage budget defaults to the UDISC_CAP environment
-variable when set; it bounds the dense elements ``build`` assembles, while
-prob, sample and mixed use the closed-form outcome probabilities of the
-built families and form no dense operator.
+mode.  The dense-storage budget (``--cap``, else config.resolve_cap's
+UDISC_CAP or default) bounds the dense elements ``build`` assembles and
+``verify`` reads, while prob, sample and mixed use the closed-form outcome
+probabilities of the built families and form no dense operator.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
+import math
 import sys
 
 import numpy as np
 
 from . import io
-from .config import DEFAULT_ENTRY_CAP, MIN_ENTRY_CAP
+from .config import DEFAULT_ENTRY_CAP, resolve_cap
 from .discriminator import (
     auto_family,
-    build_optimal_equal,
-    build_trivial_antisym,
-    build_universal,
     check_covariance,
     efficiency_bounds,
     family_povm,
     known_state_optimum,
     program_input,
+    success_factor,
     success_prob_analytic,
     success_prob_operational,
     verify_unambiguous,
 )
-from .errors import FormatError, ProgramNotIndependent, UdiscError, WrongRegime
+from .errors import FormatError, ProgramNotIndependent, UdiscError
 from .mixed_states import (
     DISCRIMINABLE_TRACE_TOL,
     bounds_check,
@@ -70,20 +68,8 @@ class Emitter:
         print(f"warning: {message}", file=sys.stderr)
 
 
-def _build_family(family: str, m: int, n: int, cap: int):
-    if family == "optimal":
-        if m != n:
-            raise WrongRegime(f"family 'optimal' needs m = n, got m={m}, n={n}")
-        return build_optimal_equal(n, cap=cap)
-    if family == "universal":
-        return build_universal(m, n, cap=cap)
-    if family == "trivial":
-        return build_trivial_antisym(m, n, cap=cap)
-    raise ValueError(f"unknown family {family!r}")
-
-
 def cmd_build(args, emit: Emitter, cap: int) -> int:
-    povm = _build_family(args.family, args.m, args.n, cap)
+    povm = family_povm(args.family, args.m, args.n, cap)
     io.write_povm(args.out, povm)
     emit.value("family", args.family)
     emit.value("m", args.m)
@@ -96,7 +82,7 @@ def cmd_build(args, emit: Emitter, cap: int) -> int:
 
 
 def cmd_verify(args, emit: Emitter, cap: int) -> int:
-    povm = io.read_povm(args.povm)
+    povm = io.read_povm(args.povm, cap)
     report = verify_unambiguous(povm)
     emit.value("m", povm.m)
     emit.value("n", povm.n)
@@ -126,13 +112,12 @@ def cmd_prob(args, emit: Emitter, cap: int) -> int:
     if det <= DEPENDENCE_WARN_TOL:
         emit.warn("states are numerically linearly dependent; success probability is 0")
     povm = family_povm(family, m, n, cap)
-    if family == "trivial":
-        p_analytic = 0.0
-    else:
-        p_analytic = success_prob_analytic(states, "equal" if family == "optimal" else "universal")
+    p_analytic = success_prob_analytic(states, family)
     p_operational = success_prob_operational(povm, states, args.which)
     p_s = known_state_optimum(states)
-    lower, upper = efficiency_bounds(p_s, n)
+    # efficiency_bounds brackets the universal value det(X)/(n·n!); rescale to this family
+    scale = success_factor(family, n) * n * math.factorial(n)
+    lower, upper = (scale * b for b in efficiency_bounds(p_s, n))
     emit.value("m", m)
     emit.value("n", n)
     emit.value("family", family)
@@ -202,7 +187,7 @@ def cmd_mixed(args, emit: Emitter, cap: int) -> int:
         return 0 if verdict else 1
 
     probs = part_probabilities(program, rhos[args.data - 1])
-    emit.value("regime", probs.regime)
+    emit.value("family", probs.family)
     for i, p in enumerate(probs.parts):
         emit.value(f"part_prob_{i}", p)
     emit.value("inconclusive", probs.inconclusive)
@@ -280,32 +265,13 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_cap(arg_cap: int | None) -> int:
-    if arg_cap is not None:
-        cap = arg_cap
-    elif "UDISC_CAP" in os.environ:
-        try:
-            cap = int(os.environ["UDISC_CAP"])
-        except ValueError:
-            raise FormatError(f"UDISC_CAP={os.environ['UDISC_CAP']!r} is not an integer")
-    else:
-        cap = DEFAULT_ENTRY_CAP
-    if cap < MIN_ENTRY_CAP:
-        raise FormatError(f"entry cap {cap} below the minimum of {MIN_ENTRY_CAP}")
-    return cap
-
-
 def main(argv=None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
     emit = Emitter(args.format)
     try:
-        cap = _resolve_cap(args.cap)
-        return args.handler(args, emit, cap)
-    except (FormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (UdiscError, ValueError) as exc:
+        return args.handler(args, emit, resolve_cap(args.cap))
+    except (UdiscError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -4,6 +4,8 @@ All tolerances are calibrated for double-precision dense eigensolvers at
 ambient dimensions up to 4096.
 """
 
+import os
+
 from .errors import CapExceeded
 
 # Hermiticity deviation, relative to max(1, largest entry magnitude).
@@ -17,9 +19,6 @@ PSD_TOL = 1e-9
 # count as nonzero.
 SUPPORT_TOL = 1e-9
 
-# Eigendecomposition reconstruction residual, per unit of dimension.
-EIG_TOL = 1e-10
-
 # Orthonormality deviation tolerated inside a Subspace basis.
 ORTH_TOL = 1e-9
 
@@ -28,8 +27,8 @@ ORTH_TOL = 1e-9
 NULL_TOL = 1e-9
 
 # Dense matrices (and tensor-product vectors) refuse to materialise beyond
-# this many complex entries.  2**24 entries keeps square matrices at or
-# below dimension 4096.
+# this many complex entries (see resolve_cap).  2**24 entries keeps square
+# matrices at or below dimension 4096.
 DEFAULT_ENTRY_CAP = 2**24
 
 # Smallest budget accepted from run configuration.
@@ -37,9 +36,18 @@ MIN_ENTRY_CAP = 2**8
 
 
 def resolve_cap(cap: int | None = None) -> int:
-    """Return the effective entry budget, validating an explicit override."""
+    """Return the effective entry budget: cap, else UDISC_CAP, else the default.
+
+    A non-integer UDISC_CAP, or a budget below MIN_ENTRY_CAP, raises ValueError.
+    """
     if cap is None:
-        return DEFAULT_ENTRY_CAP
+        env = os.environ.get("UDISC_CAP")
+        if env is None:
+            return DEFAULT_ENTRY_CAP
+        try:
+            cap = int(env)
+        except ValueError:
+            raise ValueError(f"UDISC_CAP={env!r} is not an integer") from None
     cap = int(cap)
     if cap < MIN_ENTRY_CAP:
         raise ValueError(f"entry cap must be at least {MIN_ENTRY_CAP}, got {cap}")

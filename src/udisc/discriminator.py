@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .antisym import all_permutations, antisym_projector, permutation_operator
+from .antisym import all_permutations, antisym_projector
 from .config import check_square
 from .errors import IndexOutOfRange, InvalidPovm, LayoutMismatch, NotHermitian, WrongRegime
 from .random_states import rand_unitary
@@ -32,6 +32,7 @@ from .tensor_algebra import (
     gram_det,
     kron_chain,
     max_abs,
+    own_register_first,
     partial_trace,
     reorder_factors,
     require_hermitian,
@@ -68,6 +69,8 @@ class Povm:
     family and coefficient c; its dense elements are assembled on first
     access, which is where the dense-storage cap is checked.  Outcome
     probabilities of product inputs never need them (product_probabilities).
+    The verify and covariance checks size their own dense operators against
+    the same cap.
     """
 
     m: int
@@ -154,12 +157,7 @@ def _identity_times_antisym(m: int, n: int, cap: int | None = None) -> list[np.n
     phi = antisym_projector(m, n, cap=cap).matrix
     base = np.kron(np.eye(m, dtype=complex), phi)  # register order [i, rest ascending]
     dims = [m] * (n + 1)
-    blocks = []
-    for i in range(1, n + 1):
-        slot_labels = [i] + [r for r in range(1, n + 2) if r != i]
-        order = [slot_labels.index(j) + 1 for j in range(1, n + 2)]
-        blocks.append(reorder_factors(base, dims, order))
-    return blocks
+    return [reorder_factors(base, dims, own_register_first(i, n + 1)) for i in range(1, n + 1)]
 
 
 def _assemble(family: str, m: int, n: int, c: float, cap: int | None) -> tuple[np.ndarray, ...]:
@@ -327,7 +325,7 @@ def verify_unambiguous(povm: Povm) -> VerificationReport:
             raise InvalidPovm(f"element {idx} is not Hermitian: {exc}") from exc
 
     psd_mins, completeness = povm.residuals()
-    phi = antisym_projector(m, n).matrix
+    phi = antisym_projector(m, n, cap=povm._cap).matrix
     complement = np.eye(m**n, dtype=complex) - phi
     leakages = []
     for i in range(1, n + 1):
@@ -347,20 +345,26 @@ def verify_unambiguous(povm: Povm) -> VerificationReport:
 # success probabilities
 
 
-def success_prob_analytic(states, regime: str) -> float:
-    """Closed-form success probability for a built POVM on the given states.
+def success_factor(family: str, n: int) -> float:
+    """κ such that the named family identifies each of n states with probability κ·det(X).
 
-    regime "equal": n·det(X)/(n+1)!; regime "universal": det(X)/(n·n!).
+    Element i of the optimal and universal families is c·(I_i ⊗ Φ_rest), so
+    κ = c/n!: n/(n+1)! for optimal, 1/(n·n!) for universal.  The trivial
+    family's elements live on the antisymmetric subspace of all n+1
+    registers, which a repeated state annihilates, so κ = 0.
+    """
+    if family not in _COEFFICIENTS:
+        raise ValueError(f"unknown family {family!r}")
+    return 0.0 if family == "trivial" else _COEFFICIENTS[family](n) / math.factorial(n)
+
+
+def success_prob_analytic(states, family: str) -> float:
+    """Closed-form success probability κ·det(X) of the named family (see success_factor).
+
     Linearly dependent states give 0.
     """
     s = require_normalized(states)
-    n = s.shape[0]
-    det = gram_det(s)
-    if regime == "equal":
-        return n * det / math.factorial(n + 1)
-    if regime == "universal":
-        return det / (n * math.factorial(n))
-    raise ValueError(f"unknown regime {regime!r} (expected 'equal' or 'universal')")
+    return success_factor(family, s.shape[0]) * gram_det(s)
 
 
 def _outcome_probability(povm: Povm, states, i: int, j: int) -> float:
@@ -457,7 +461,9 @@ def check_covariance(povm: Povm, trials: int = 20, seed: int = 7) -> CovarianceR
     1. Collective unitary invariance U^⊗(n+1) Π_i U†^⊗(n+1) = Π_i, sampled
        over Haar-random U (the property is exact per U, so sampling suffices).
     2. Program-register covariance (σ_P^{-1} ⊗ I) Π_i (σ_P ⊗ I) = Π_{σ(i)}
-       for every permutation σ of the n program registers.
+       for every permutation σ of the n program registers.  The conjugation
+       only moves factor σ^{-1}(k) into slot k, so it is a reorder_factors
+       transpose.
     3. Reduction to the own register: Tr over all other registers of Π_i is
        a multiple of the identity, with the same constant for every i ≥ 1.
     """
@@ -468,17 +474,18 @@ def check_covariance(povm: Povm, trials: int = 20, seed: int = 7) -> CovarianceR
     unitary_residual = 0.0
     for _ in range(trials):
         u = rand_unitary(m, rng)
-        lifted = kron_chain([u] * (n + 1))
+        lifted = kron_chain([u] * (n + 1), cap=povm._cap)
         for e in povm.elements:
             unitary_residual = max(
                 unitary_residual, max_abs(lifted @ e @ lifted.conj().T - e)
             )
 
     permutation_residual = 0.0
+    dims = [m] * (n + 1)
     for sigma in all_permutations(n):
-        lifted = np.kron(permutation_operator(sigma, m), eye_data)
+        order = list(sigma.inverse().images) + [n + 1]
         for i in range(1, n + 1):
-            conjugated = lifted.conj().T @ povm.elements[i] @ lifted
+            conjugated = reorder_factors(povm.elements[i], dims, order)
             permutation_residual = max(
                 permutation_residual, max_abs(conjugated - povm.elements[sigma(i)])
             )

@@ -17,8 +17,9 @@ import numpy as np
 
 from .antisym import antisym_basis_vector, increasing_tuples
 from .config import check_entries
+from .discriminator import _COEFFICIENTS, auto_family
 from .errors import WrongRegime
-from .tensor_algebra import reorder_vector_factors
+from .tensor_algebra import own_register_first, reorder_vector_factors
 
 Label = tuple[int, int, tuple[int, ...]]  # (register i, level k, tuple ς)
 
@@ -86,13 +87,11 @@ def build_basis_vectors(m: int, n: int, cap: int | None = None) -> LabeledVector
     dims = [m] * (n + 1)
     eye = np.eye(m, dtype=complex)
     phi = {s: antisym_basis_vector(s, m) for s in _tuples_for(m, n)}
-    orders = {}
-    for i in range(1, n + 1):
-        slot_labels = [i] + [r for r in range(1, n + 2) if r != i]
-        orders[i] = [slot_labels.index(j) + 1 for j in range(1, n + 2)]
     vecs = np.empty((len(labels), dim), dtype=complex)
     for row, (i, k, s) in enumerate(labels):
-        vecs[row] = reorder_vector_factors(np.kron(eye[k - 1], phi[s]), dims, orders[i])
+        vecs[row] = reorder_vector_factors(
+            np.kron(eye[k - 1], phi[s]), dims, own_register_first(i, n + 1)
+        )
     return LabeledVectors(m=m, n=n, labels=tuple(labels), vectors=vecs)
 
 
@@ -186,13 +185,14 @@ def extremal_eigenvalues(gs: GramStructure) -> SpectralSummary:
 def c_optimal(m: int, n: int, cap: int | None = None) -> float:
     """Largest admissible POVM coefficient, 1/λ_max(G), computed numerically.
 
-    Cross-checked against the closed form n/(n+1) for m = n and 1/n for
-    m > n; a disagreement beyond 1e-9 raises ArithmeticError.
+    Cross-checked against the coefficient of the auto_family device (n/(n+1)
+    for m = n, 1/n for m > n); a disagreement beyond 1e-9 raises
+    ArithmeticError.
     """
     g = gram_numeric(build_basis_vectors(m, n, cap=cap))
     lam = float(np.linalg.eigvalsh(g.matrix)[-1])
     c = 1.0 / lam
-    expected = n / (n + 1) if m == n else 1.0 / n
+    expected = _COEFFICIENTS[auto_family(m, n)](n)
     if abs(c - expected) > 1e-9:
         raise ArithmeticError(
             f"numeric coefficient {c!r} disagrees with the closed form {expected!r}"

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .config import check_square
 from .discriminator import Povm
 from .errors import FormatError
 from .tensor_algebra import SubsystemLayout, max_abs
@@ -156,10 +157,12 @@ def write_povm(path, povm: Povm) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def read_povm(path) -> Povm:
+def read_povm(path, cap: int | None = None) -> Povm:
+    """Parse a POVM file; the header's element size is checked against cap before any row."""
     lines = _content_lines(path)
     m, n, k = _parse_header(lines, "povm", 3, path)
     dim = m ** (n + 1)
+    check_square(dim, cap, "POVM element")
     expected = 1 + k * (1 + dim)
     if len(lines) != expected:
         raise FormatError(f"{path}: expected {expected} content lines, found {len(lines)}")
@@ -181,4 +184,5 @@ def read_povm(path) -> Povm:
         n=n,
         elements=tuple(elements),
         layout=SubsystemLayout.uniform(m, n + 1),
+        cap=cap,
     )

@@ -10,13 +10,12 @@ land in the data state's own part or in part 0.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
-from .discriminator import auto_family, family_povm, product_probabilities
+from .discriminator import auto_family, family_povm, product_probabilities, success_factor
 from .errors import LayoutMismatch, ProgramNotIndependent, WrongRegime
 from .tensor_algebra import (
     Subspace,
@@ -34,9 +33,6 @@ from .tensor_algebra import (
 PART_EIGENVALUE_TOL = 1e-9
 DISCRIMINABLE_TRACE_TOL = 1e-9
 PROGRAM_DET_TOL = 1e-12
-
-# Device regimes of part_probabilities and the discriminator family each runs.
-_REGIME_FAMILIES = {"equal": "optimal", "universal": "universal"}
 
 
 def require_density(rho) -> np.ndarray:
@@ -211,22 +207,22 @@ class PartProbabilities:
     parts: tuple[float, ...]  # p_0 .. p_n
     inconclusive: float  # POVM outcome 0
     outcome_probs: tuple[float, ...]  # raw POVM outcomes 0..N
-    regime: str
+    family: str  # discriminator family of the N-state device
 
     @property
     def total(self) -> float:
         return sum(self.parts) + self.inconclusive
 
 
-def part_probabilities(program: MixedProgram, rho, regime: str = "auto") -> PartProbabilities:
+def part_probabilities(program: MixedProgram, rho) -> PartProbabilities:
     """Measure the program with the data register in the mixed state ρ.
 
     The probability is linear in ρ, so it is the eigenvalue-weighted sum over
     the eigenvectors of ρ of the closed-form probabilities of the product
-    program ⊗ eigenvector; no operator is built.  Regime "equal" uses the
-    optimal device (dim == N), "universal" the universal one, "auto" picks
-    by auto_family.  Outcome j of the N-state device is credited to the part
-    owning register j; outcome 0 is the inconclusive answer.
+    program ⊗ eigenvector; no operator is built.  The device is the
+    auto_family one: optimal when dim == N, universal otherwise.  Outcome j
+    of the N-state device is credited to the part owning register j;
+    outcome 0 is the inconclusive answer.
     """
     rho = require_density(rho)
     m = program.dim
@@ -235,11 +231,7 @@ def part_probabilities(program: MixedProgram, rho, regime: str = "auto") -> Part
     n_states = program.total
     if n_states < 2:
         raise WrongRegime(f"the program holds {n_states} pure state(s); need at least 2")
-    if regime == "auto":
-        regime = "equal" if auto_family(m, n_states) == "optimal" else "universal"
-    if regime not in _REGIME_FAMILIES:
-        raise ValueError(f"unknown regime {regime!r}")
-    povm = family_povm(_REGIME_FAMILIES[regime], m, n_states)
+    povm = family_povm(auto_family(m, n_states), m, n_states)
 
     w, v = np.linalg.eigh(rho)
     outcomes = sum(
@@ -253,7 +245,7 @@ def part_probabilities(program: MixedProgram, rho, regime: str = "auto") -> Part
         parts=parts,
         inconclusive=float(outcomes[0]),
         outcome_probs=tuple(float(x) for x in outcomes),
-        regime=regime,
+        family=povm.family,
     )
 
 
@@ -295,17 +287,13 @@ def bounds_check(
     """Envelope: p_s ≥ Tr(ρ̃_s)·κ and p_i ≤ δ_is Tr(ρ̃_s)·κ + δ_i0 Tr(ρ̃_0)·κ.
 
     κ is the per-outcome success probability of the device actually used,
-    det(X)·N/(N+1)! in the equal regime and det(X)/(N·N!) in the universal
-    one, with X the Gram matrix of the N program states.
+    success_factor(probs.family, N)·det(X) with X the Gram matrix of the N
+    program states.
     """
     n_parts = len(program.part_registers)
     if not 1 <= data_index <= n_parts - 1:
         raise ValueError(f"data index {data_index} outside 1..{n_parts - 1}")
-    n_states = program.total
-    if probs.regime == "equal":
-        kappa = program.det_gram * n_states / math.factorial(n_states + 1)
-    else:
-        kappa = program.det_gram / (n_states * math.factorial(n_states))
+    kappa = success_factor(probs.family, program.total) * program.det_gram
     tr_s = program.part_trace(data_index)
     tr_0 = program.part_trace(0)
     uppers = tuple(

@@ -167,6 +167,12 @@ def reorder_factors(op, factors, order) -> np.ndarray:
     return tensor.reshape(d, d)
 
 
+def own_register_first(i: int, count: int) -> list[int]:
+    """Order for reorder_factors that takes factors laid out as (register i,
+    the other registers ascending) back to registers 1..count."""
+    return list(range(2, i + 1)) + [1] + list(range(i + 1, count + 1))
+
+
 def reorder_vector_factors(vec, factors, order) -> np.ndarray:
     """Permute the tensor factors of a vector (same convention as reorder_factors)."""
     vec = np.asarray(vec, dtype=complex).reshape(-1)
@@ -186,10 +192,6 @@ def eig_hermitian(op) -> tuple[np.ndarray, np.ndarray]:
     op = require_hermitian(op)
     w, v = np.linalg.eigh(op)
     return w, v
-
-
-def min_eigenvalue(op) -> float:
-    return float(np.linalg.eigvalsh(require_hermitian(op))[0])
 
 
 def gram(states) -> np.ndarray:
@@ -245,10 +247,6 @@ class Subspace:
 
 def zero_subspace(ambient_dim: int) -> Subspace:
     return Subspace(ambient_dim, np.zeros((ambient_dim, 0), dtype=complex))
-
-
-def full_subspace(ambient_dim: int) -> Subspace:
-    return Subspace(ambient_dim, np.eye(ambient_dim, dtype=complex))
 
 
 def _orthonormal_columns(cols: np.ndarray, tol: float = NULL_TOL) -> np.ndarray:

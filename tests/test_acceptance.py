@@ -162,8 +162,8 @@ def test_criterion_08_success_probabilities():
     rng = np.random.default_rng(208)
     worst = 0.0
     for m, n, regime, povm in (
-        (2, 2, "equal", build_optimal_equal(2)),
-        (3, 3, "equal", build_optimal_equal(3)),
+        (2, 2, "optimal", build_optimal_equal(2)),
+        (3, 3, "optimal", build_optimal_equal(3)),
         (3, 2, "universal", build_universal(3, 2)),
         (4, 2, "universal", build_universal(4, 2)),
     ):

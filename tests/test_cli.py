@@ -99,6 +99,26 @@ class TestVerify:
         assert code == 2
         assert "error:" in err
 
+    def test_cap_checked_before_rows_are_read(self, tmp_path, capsys):
+        povm_file = str(tmp_path / "u.povm")
+        run(capsys, "build", "--m", "3", "--n", "2", "--family", "universal", "--out", povm_file)
+        # 27 x 27 = 729 entries per element
+        code, out, err = run(capsys, "verify", povm_file, "--cap", "256")
+        assert code == 2
+        assert "exceeds the cap" in err
+        assert "verdict" not in out
+
+    def test_cap_flag_covers_the_checks_under_a_smaller_env_cap(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        # the lifted unitaries of the covariance check are as large as an element
+        monkeypatch.setenv("UDISC_CAP", "256")
+        povm_file = str(tmp_path / "u.povm")
+        run(capsys, "build", "--m", "3", "--n", "2", "--family", "universal",
+            "--out", povm_file, "--cap", "1024")
+        code, out, _ = run(capsys, "verify", povm_file, "--trials", "1", "--cap", "1024")
+        assert code == 0
+        assert "verdict = pass" in out
+
 
 class TestProb:
     def test_orthonormal_pair_universal(self, tmp_path, capsys):
@@ -124,6 +144,28 @@ class TestProb:
         # the n = 2 upper envelope p_s(2 - p_s)/4 equals the attained p = 0.16
         assert abs(float(kv["bound_upper"]) - float(kv["p_operational"])) < 1e-12
         assert abs(float(kv["bound_upper"]) - 0.16) < 1e-12
+
+    def test_auto_optimal_bounds_match_family(self, tmp_path, capsys):
+        # m = n = 2 picks the optimal device: p = n·det(X)/(n+1)! = 1/3, and the
+        # universal envelope (both ends 1/4 at p_s = 1) scaled by c·n = 4/3
+        path = tmp_path / "pair22.txt"
+        write_states(path, np.eye(2, dtype=complex))
+        code, out, _ = run(capsys, "prob", str(path), "--format", "kv")
+        assert code == 0
+        kv = parse_kv(out)
+        assert kv["family"] == "optimal"
+        for key in ("bound_lower", "bound_upper", "p_operational"):
+            assert abs(float(kv[key]) - 1 / 3) < 1e-12
+
+    def test_trivial_bounds_are_zero(self, tmp_path, capsys):
+        states = np.array([[1, 0, 0], [0.6, 0.8, 0]], dtype=complex)
+        path = tmp_path / "overlap.txt"
+        write_states(path, states)
+        code, out, _ = run(capsys, "prob", str(path), "--family", "trivial", "--format", "kv")
+        assert code == 0
+        kv = parse_kv(out)
+        assert float(kv["p_operational"]) == 0.0
+        assert float(kv["bound_lower"]) == 0.0 and float(kv["bound_upper"]) == 0.0
 
     def test_optimal_family_needs_square_regime(self, tmp_path, capsys):
         code, _, err = run(capsys, "prob", orthonormal_pair_file(tmp_path),

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from udisc.antisym import all_permutations, permutation_operator
 from udisc.discriminator import (
     Povm,
     build_optimal_equal,
@@ -170,17 +171,17 @@ class TestVerifier:
 
 class TestSuccessProbabilities:
     def test_analytic_values(self):
-        assert abs(success_prob_analytic(np.eye(2, dtype=complex), "equal") - 1 / 3) < 1e-12
+        assert abs(success_prob_analytic(np.eye(2, dtype=complex), "optimal") - 1 / 3) < 1e-12
         states = np.eye(3, dtype=complex)[:2]
         assert abs(success_prob_analytic(states, "universal") - 0.25) < 1e-12
         assert abs(success_prob_analytic(pair_with_overlap(0.6), "universal") - 0.16) < 1e-12
 
     @pytest.mark.parametrize(
         "m,n,regime",
-        [(2, 2, "equal"), (3, 3, "equal"), (3, 2, "universal"), (4, 3, "universal")],
+        [(2, 2, "optimal"), (3, 3, "optimal"), (3, 2, "universal"), (4, 3, "universal")],
     )
     def test_operational_matches_analytic(self, m, n, regime):
-        povm = build_optimal_equal(n) if regime == "equal" else build_universal(m, n)
+        povm = build_optimal_equal(n) if regime == "optimal" else build_universal(m, n)
         rng = np.random.default_rng(53 + m + 10 * n)
         for _ in range(10):
             states = rand_independent_states(n, m, rng)
@@ -299,6 +300,11 @@ class TestStructuredPovm:
         with pytest.raises(CapExceeded):
             program_input(states, 1, cap=2**24).vector
 
+    def test_environment_cap_applies_to_library_calls(self, monkeypatch):
+        monkeypatch.setenv("UDISC_CAP", "256")
+        with pytest.raises(CapExceeded):
+            build_universal(3, 2).elements  # 27 x 27 = 729 entries
+
 
 class TestKnownStateOptimum:
     def test_orthonormal(self):
@@ -389,3 +395,23 @@ class TestCovariance:
         report = check_covariance(lopsided, trials=3, seed=2)
         assert not report.permutation_ok
         assert not report.passed
+
+    @pytest.mark.parametrize("m,n", [(2, 2), (3, 2), (3, 3)])
+    def test_permutation_residual_matches_operator_conjugation(self, m, n):
+        # oracle: (σ_P^{-1} ⊗ I) Π_i (σ_P ⊗ I) with the dense permutation operator
+        base = build_optimal_equal(n) if m == n else build_universal(m, n)
+        rng = np.random.default_rng(59 + m + 10 * n)
+        elements = [e.copy() for e in base.elements]
+        for i in range(1, n + 1):
+            a = rng.normal(size=(base.dim, base.dim)) + 1j * rng.normal(size=(base.dim, base.dim))
+            elements[i] = elements[i] + 1e-3 * (a @ a.conj().T) / base.dim
+        perturbed = Povm(m=m, n=n, elements=elements, layout=base.layout)
+        expected = 0.0
+        for sigma in all_permutations(n):
+            lifted = np.kron(permutation_operator(sigma, m), np.eye(m))
+            for i in range(1, n + 1):
+                conjugated = lifted.conj().T @ elements[i] @ lifted
+                expected = max(expected, max_abs(conjugated - elements[sigma(i)]))
+        report = check_covariance(perturbed, trials=1, seed=2)
+        assert expected > 1e-6
+        assert report.permutation_residual == expected

@@ -158,7 +158,7 @@ class TestPartProbabilities:
         cores = core_decompose([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
         program = build_program(cores)
         probs = part_probabilities(program, np.diag([1.0, 0.0]).astype(complex))
-        assert probs.regime == "equal"
+        assert probs.family == "optimal"
         assert probs.parts[1] > 0
         assert probs.parts[2] <= 1e-10
         assert abs(probs.parts[1] - 1 / 3) < 1e-10
@@ -169,7 +169,7 @@ class TestPartProbabilities:
         rhos = [np.diag([1.0, 0.0, 0.0]).astype(complex), np.diag([0.0, 1.0, 0.0]).astype(complex)]
         program = build_program(core_decompose(rhos))
         probs = part_probabilities(program, rhos[1])
-        assert probs.regime == "universal"
+        assert probs.family == "universal"
         assert abs(probs.parts[2] - 0.25) < 1e-10  # Tr(core)/(N·N!)·det = 1/4
         assert probs.parts[1] <= 1e-10
 
@@ -180,7 +180,7 @@ class TestPartProbabilities:
         program = build_program(core_decompose([rho1, rho2]))
         probs = part_probabilities(program, rho1)
         n_states = program.total
-        assert probs.regime == "universal"
+        assert probs.family == "universal"
         expected = 1.0 * program.det_gram / (n_states * math.factorial(n_states))
         assert abs(probs.parts[1] - expected) < 1e-10
         assert probs.parts[2] <= 1e-10
