@@ -16,6 +16,9 @@ import numpy as np
 from .config import check_entries, check_square
 from .tensor_algebra import as_state_set, gram_det, kron_chain, max_abs
 
+# AntisymProjector.validate: idempotency and sign-covariance deviation.
+PROJECTOR_TOL = 1e-10
+
 
 def _cycle_sign(images: tuple[int, ...]) -> int:
     """Permutation parity from the cycle decomposition: (-1)^(n - #cycles)."""
@@ -94,16 +97,16 @@ def _permuted_indices(sigma: Permutation, m: int) -> np.ndarray:
     return np.ravel_multi_index(moved, [m] * sigma.n)
 
 
-def permutation_operator(sigma: Permutation, m: int, cap: int | None = None) -> np.ndarray:
+def permutation_operator(sigma: Permutation, m: int) -> np.ndarray:
     """Unitary realigning n registers of dimension m: |ω_1..ω_n> ↦ |ω_{σ1}..ω_{σn}>."""
     dim = m**sigma.n
-    check_square(dim, cap, "permutation operator")
+    check_square(dim, "permutation operator")
     op = np.zeros((dim, dim), dtype=complex)
     op[_permuted_indices(sigma, m), np.arange(dim)] = 1.0
     return op
 
 
-def wedge(states, cap: int | None = None) -> np.ndarray:
+def wedge(states) -> np.ndarray:
     """Antisymmetrized tensor product (1/√n!) Σ_σ sgn(σ) |ψ_{σ1}>…|ψ_{σn}>.
 
     The squared norm equals det of the Gram matrix, so the result vanishes
@@ -112,10 +115,10 @@ def wedge(states, cap: int | None = None) -> np.ndarray:
     """
     s = as_state_set(states)
     n, m = s.shape
-    check_entries(m**n, cap, "wedge product vector")
+    check_entries(m**n, "wedge product vector")
     out = np.zeros(m**n, dtype=complex)
     for sigma in all_permutations(n):
-        out += sigma.sign * kron_chain([s[i - 1] for i in sigma.images], cap=cap)
+        out += sigma.sign * kron_chain([s[i - 1] for i in sigma.images])
     return out / math.sqrt(math.factorial(n))
 
 
@@ -151,20 +154,20 @@ class AntisymProjector:
     def rank(self) -> int:
         return math.comb(self.m, self.n)
 
-    def validate(self, tol: float = 1e-10) -> None:
+    def validate(self) -> None:
         """Check idempotency, trace = C(m, n) and the sign-covariance property."""
         p = self.matrix
-        if max_abs(p @ p - p) > tol:
+        if max_abs(p @ p - p) > PROJECTOR_TOL:
             raise ValueError("projector is not idempotent within tolerance")
         if abs(float(np.trace(p).real) - self.rank) > 1e-9:
             raise ValueError("projector trace differs from C(m, n)")
         for sigma in all_permutations(self.n):
             lhs = permutation_operator(sigma, self.m) @ p
-            if max_abs(lhs - sigma.sign * p) > tol:
+            if max_abs(lhs - sigma.sign * p) > PROJECTOR_TOL:
                 raise ValueError(f"sign covariance fails for permutation {sigma.images}")
 
 
-def antisym_projector(m: int, n: int, cap: int | None = None) -> AntisymProjector:
+def antisym_projector(m: int, n: int) -> AntisymProjector:
     """Projector built as (1/n!) Σ_σ sgn(σ)·σ, accumulated by index maps.
 
     For n > m the antisymmetric space is trivial and the zero operator is
@@ -173,7 +176,7 @@ def antisym_projector(m: int, n: int, cap: int | None = None) -> AntisymProjecto
     if n < 1:
         raise ValueError("need at least one register")
     dim = m**n
-    check_square(dim, cap, "antisymmetric projector")
+    check_square(dim, "antisymmetric projector")
     acc = np.zeros((dim, dim))
     if n <= m:
         cols = np.arange(dim)
@@ -186,10 +189,10 @@ def antisym_projector(m: int, n: int, cap: int | None = None) -> AntisymProjecto
     return AntisymProjector(m, n, acc.astype(complex))
 
 
-def antisym_projector_from_basis(m: int, n: int, cap: int | None = None) -> AntisymProjector:
+def antisym_projector_from_basis(m: int, n: int) -> AntisymProjector:
     """Same projector assembled as Σ_ς |φ_ς><φ_ς| over the increasing-tuple basis."""
     dim = m**n
-    check_square(dim, cap, "antisymmetric projector")
+    check_square(dim, "antisymmetric projector")
     acc = np.zeros((dim, dim), dtype=complex)
     for tup in increasing_tuples(m, n) if n <= m else []:
         v = antisym_basis_vector(tup, m)
@@ -197,15 +200,15 @@ def antisym_projector_from_basis(m: int, n: int, cap: int | None = None) -> Anti
     return AntisymProjector(m, n, acc)
 
 
-def antisym_overlap(states, cap: int | None = None) -> float:
+def antisym_overlap(states) -> float:
     """Quadratic form <ψ_1…ψ_n| Φ(n) |ψ_1…ψ_n>, cross-checked against det(X)/n!.
 
     Zero exactly when the states are linearly dependent.
     """
     s = as_state_set(states)
     n, m = s.shape
-    phi = antisym_projector(m, n, cap=cap).matrix
-    vec = kron_chain([s[i] for i in range(n)], cap=cap)
+    phi = antisym_projector(m, n).matrix
+    vec = kron_chain([s[i] for i in range(n)])
     value = float((vec.conj() @ phi @ vec).real)
     expected = gram_det(s) / math.factorial(n)
     if abs(value - expected) > 1e-10 * max(1.0, abs(expected)):

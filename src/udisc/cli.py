@@ -4,9 +4,9 @@ Subcommands: build, verify, prob, sample, mixed.  Exit status is 0 for
 success/pass, 1 for a semantic failure (verification fail, not
 discriminable), 2 for input errors.  ``--format kv`` switches to
 machine-readable ``key=value`` lines carrying the same numbers as the text
-mode.  The dense-storage budget (``--cap``, else config.resolve_cap's
-UDISC_CAP or default) bounds the dense elements ``build`` assembles and
-``verify`` reads, while prob, sample and mixed use the closed-form outcome
+mode.  ``main`` enters config.entry_cap(--cap) once.  The budget bounds
+every block an input file declares and the dense elements ``build`` and
+``verify`` form; prob, sample and mixed use the closed-form outcome
 probabilities of the built families and form no dense operator.
 """
 
@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import io
-from .config import DEFAULT_ENTRY_CAP, resolve_cap
+from .config import DEFAULT_ENTRY_CAP, entry_cap
 from .discriminator import (
     auto_family,
     check_covariance,
@@ -68,8 +68,8 @@ class Emitter:
         print(f"warning: {message}", file=sys.stderr)
 
 
-def cmd_build(args, emit: Emitter, cap: int) -> int:
-    povm = family_povm(args.family, args.m, args.n, cap)
+def cmd_build(args, emit: Emitter) -> int:
+    povm = family_povm(args.family, args.m, args.n)
     io.write_povm(args.out, povm)
     emit.value("family", args.family)
     emit.value("m", args.m)
@@ -81,9 +81,10 @@ def cmd_build(args, emit: Emitter, cap: int) -> int:
     return 0
 
 
-def cmd_verify(args, emit: Emitter, cap: int) -> int:
-    povm = io.read_povm(args.povm, cap)
+def cmd_verify(args, emit: Emitter) -> int:
+    povm = io.read_povm(args.povm)
     report = verify_unambiguous(povm)
+    cov = check_covariance(povm, trials=args.trials, seed=args.seed)
     emit.value("m", povm.m)
     emit.value("n", povm.n)
     emit.value("elements", len(povm.elements))
@@ -92,7 +93,6 @@ def cmd_verify(args, emit: Emitter, cap: int) -> int:
         emit.value(f"psd_min_{idx}", val)
     for i, val in enumerate(report.leakages, start=1):
         emit.value(f"leakage_{i}", val)
-    cov = check_covariance(povm, trials=args.trials, seed=args.seed)
     emit.value("unitary_residual", cov.unitary_residual)
     emit.value("permutation_residual", cov.permutation_residual)
     emit.value("reduction_residual", cov.reduction_residual)
@@ -102,7 +102,7 @@ def cmd_verify(args, emit: Emitter, cap: int) -> int:
     return 0 if report.passed else 1
 
 
-def cmd_prob(args, emit: Emitter, cap: int) -> int:
+def cmd_prob(args, emit: Emitter) -> int:
     states, warnings = io.read_states(args.states)
     for w in warnings:
         emit.warn(w)
@@ -111,7 +111,7 @@ def cmd_prob(args, emit: Emitter, cap: int) -> int:
     det = gram_det(states)
     if det <= DEPENDENCE_WARN_TOL:
         emit.warn("states are numerically linearly dependent; success probability is 0")
-    povm = family_povm(family, m, n, cap)
+    povm = family_povm(family, m, n)
     p_analytic = success_prob_analytic(states, family)
     p_operational = success_prob_operational(povm, states, args.which)
     p_s = known_state_optimum(states)
@@ -131,14 +131,14 @@ def cmd_prob(args, emit: Emitter, cap: int) -> int:
     return 0
 
 
-def cmd_sample(args, emit: Emitter, cap: int) -> int:
+def cmd_sample(args, emit: Emitter) -> int:
     states, warnings = io.read_states(args.states)
     for w in warnings:
         emit.warn(w)
     n, m = states.shape
     family = args.family or auto_family(m, n)
-    povm = family_povm(family, m, n, cap)
-    dist = outcome_distribution(povm, program_input(states, args.which, cap=cap))
+    povm = family_povm(family, m, n)
+    dist = outcome_distribution(povm, program_input(states, args.which))
     record = sample(dist, args.shots, args.seed)
     errors = record.standard_errors(dist)
     emit.value("m", m)
@@ -158,7 +158,7 @@ def cmd_sample(args, emit: Emitter, cap: int) -> int:
     return 0
 
 
-def cmd_mixed(args, emit: Emitter, cap: int) -> int:
+def cmd_mixed(args, emit: Emitter) -> int:
     rhos = [io.read_density(path) for path in args.rho]
     n = len(rhos)
     if not 1 <= args.data <= n:
@@ -270,7 +270,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     emit = Emitter(args.format)
     try:
-        return args.handler(args, emit, resolve_cap(args.cap))
+        with entry_cap(args.cap):
+            return args.handler(args, emit)
     except (UdiscError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,10 +1,13 @@
 """Numeric tolerances and the dense-storage budget.
 
 All tolerances are calibrated for double-precision dense eigensolvers at
-ambient dimensions up to 4096.
+ambient dimensions up to 4096.  The budget is chosen only here: by the
+entry_cap context manager, else UDISC_CAP, else the default.
 """
 
 import os
+from contextlib import contextmanager
+from contextvars import ContextVar
 
 from .errors import CapExceeded
 
@@ -34,12 +37,30 @@ DEFAULT_ENTRY_CAP = 2**24
 # Smallest budget accepted from run configuration.
 MIN_ENTRY_CAP = 2**8
 
+_ENTRY_CAP: ContextVar[int | None] = ContextVar("udisc_entry_cap", default=None)
 
-def resolve_cap(cap: int | None = None) -> int:
-    """Return the effective entry budget: cap, else UDISC_CAP, else the default.
+
+@contextmanager
+def entry_cap(cap: int | None):
+    """Run the block under a budget of `cap` entries (None: UDISC_CAP or the default).
+
+    The budget is validated on entry (see resolve_cap), and the previous one
+    returns when the block exits, also by an exception.
+    """
+    token = _ENTRY_CAP.set(None if cap is None else int(cap))
+    try:
+        resolve_cap()
+        yield
+    finally:
+        _ENTRY_CAP.reset(token)
+
+
+def resolve_cap() -> int:
+    """Return the budget in force: the innermost entry_cap, else UDISC_CAP, else the default.
 
     A non-integer UDISC_CAP, or a budget below MIN_ENTRY_CAP, raises ValueError.
     """
+    cap = _ENTRY_CAP.get()
     if cap is None:
         env = os.environ.get("UDISC_CAP")
         if env is None:
@@ -48,19 +69,18 @@ def resolve_cap(cap: int | None = None) -> int:
             cap = int(env)
         except ValueError:
             raise ValueError(f"UDISC_CAP={env!r} is not an integer") from None
-    cap = int(cap)
     if cap < MIN_ENTRY_CAP:
         raise ValueError(f"entry cap must be at least {MIN_ENTRY_CAP}, got {cap}")
     return cap
 
 
-def check_entries(count: int, cap: int | None = None, what: str = "object") -> None:
+def check_entries(count: int, what: str = "object") -> None:
     """Raise CapExceeded when a dense object of `count` entries is over budget."""
-    budget = resolve_cap(cap)
+    budget = resolve_cap()
     if count > budget:
         raise CapExceeded(f"{what} with {count} complex entries exceeds the cap of {budget}")
 
 
-def check_square(dim: int, cap: int | None = None, what: str = "matrix") -> None:
+def check_square(dim: int, what: str = "matrix") -> None:
     """Raise CapExceeded when a dense dim x dim matrix is over budget."""
-    check_entries(dim * dim, cap, f"{dim}x{dim} {what}")
+    check_entries(dim * dim, f"{dim}x{dim} {what}")

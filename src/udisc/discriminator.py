@@ -11,7 +11,8 @@ with the antisymmetric projector on the remaining n registers (taken in
 ascending order); element 0 is the inconclusive remainder I - Σ_i Π_i.
 A built POVM keeps only that structure: outcome probabilities of product
 inputs come from Gram determinants, and the dense elements are assembled
-only when something reads them.
+only when something reads them, under the dense-storage budget in force
+then (config.entry_cap).
 """
 
 from __future__ import annotations
@@ -67,10 +68,9 @@ class Povm:
     An explicit POVM holds its dense elements and has c = family = None.  A
     built POVM (family_povm and the build_* functions) records only its
     family and coefficient c; its dense elements are assembled on first
-    access, which is where the dense-storage cap is checked.  Outcome
-    probabilities of product inputs never need them (product_probabilities).
-    The verify and covariance checks size their own dense operators against
-    the same cap.
+    access, under the dense-storage budget in force then (config.entry_cap).
+    Outcome probabilities of product inputs never need them
+    (product_probabilities).
     """
 
     m: int
@@ -78,11 +78,10 @@ class Povm:
     layout: SubsystemLayout
     family: str | None
     c: float | None
-    _cap: int | None
     _elements: tuple[np.ndarray, ...] | None
 
     def __init__(self, m: int, n: int, elements=None, layout: SubsystemLayout | None = None,
-                 *, family: str | None = None, cap: int | None = None):
+                 *, family: str | None = None):
         if (elements is None) == (family is None):
             raise ValueError("a POVM is given either by its dense elements or by a built family")
         values = {
@@ -91,7 +90,6 @@ class Povm:
             "layout": layout if layout is not None else SubsystemLayout.uniform(m, n + 1),
             "family": family,
             "c": None if family is None else _COEFFICIENTS[family](int(n)),
-            "_cap": cap,
             "_elements": None if elements is None else tuple(elements),
         }
         for name, value in values.items():
@@ -99,9 +97,9 @@ class Povm:
 
     @property
     def elements(self) -> tuple[np.ndarray, ...]:
-        """Dense (Π_0, …, Π_n); a built POVM assembles them here, under its cap."""
+        """Dense (Π_0, …, Π_n); a built POVM assembles them here, under the budget in force."""
         if self._elements is None:
-            dense = _assemble(self.family, self.m, self.n, self.c, self._cap)
+            dense = _assemble(self.family, self.m, self.n, self.c)
             object.__setattr__(self, "_elements", dense)
         return self._elements
 
@@ -131,7 +129,6 @@ class ProgramInput:
 
     states: np.ndarray
     data_index: int
-    cap: int | None = None
 
     @property
     def factors(self) -> np.ndarray:
@@ -140,39 +137,39 @@ class ProgramInput:
 
     @cached_property
     def vector(self) -> np.ndarray:
-        return kron_chain(self.factors, cap=self.cap)
+        return kron_chain(self.factors)
 
 
-def program_input(states, j: int, cap: int | None = None) -> ProgramInput:
+def program_input(states, j: int) -> ProgramInput:
     """Total input |ψ_1>…|ψ_n>|ψ_j> for data register prepared in state j (1-based)."""
     s = require_normalized(states)
     n = s.shape[0]
     if not 1 <= j <= n:
         raise IndexOutOfRange(f"data index {j} outside 1..{n}")
-    return ProgramInput(states=s, data_index=int(j), cap=cap)
+    return ProgramInput(states=s, data_index=int(j))
 
 
-def _identity_times_antisym(m: int, n: int, cap: int | None = None) -> list[np.ndarray]:
+def _identity_times_antisym(m: int, n: int) -> list[np.ndarray]:
     """Blocks B_i = I on register i ⊗ antisymmetric projector on the other n registers."""
-    phi = antisym_projector(m, n, cap=cap).matrix
+    phi = antisym_projector(m, n).matrix
     base = np.kron(np.eye(m, dtype=complex), phi)  # register order [i, rest ascending]
     dims = [m] * (n + 1)
     return [reorder_factors(base, dims, own_register_first(i, n + 1)) for i in range(1, n + 1)]
 
 
-def _assemble(family: str, m: int, n: int, c: float, cap: int | None) -> tuple[np.ndarray, ...]:
+def _assemble(family: str, m: int, n: int, c: float) -> tuple[np.ndarray, ...]:
     """Dense elements (Π_0, Π_1, …, Π_n) of a built family."""
     dim = m ** (n + 1)
-    check_square(dim, cap, "POVM element")
+    check_square(dim, "POVM element")
     if family == "trivial":
-        elements = [antisym_projector(m, n + 1, cap=cap).matrix / n] * n
+        elements = [antisym_projector(m, n + 1).matrix / n] * n
     else:
-        elements = [c * b for b in _identity_times_antisym(m, n, cap)]
+        elements = [c * b for b in _identity_times_antisym(m, n)]
     pi0 = np.eye(dim, dtype=complex) - sum(elements)
     return tuple([pi0] + elements)
 
 
-def family_povm(family: str, m: int, n: int, cap: int | None = None) -> Povm:
+def family_povm(family: str, m: int, n: int) -> Povm:
     """Built POVM of the named family for n states in dimension m.
 
     Checks the family's regime (see the build_* functions) and returns a
@@ -190,36 +187,36 @@ def family_povm(family: str, m: int, n: int, cap: int | None = None) -> Povm:
         )
     if family == "trivial" and m < n:
         raise WrongRegime(f"no discriminator is defined for m={m} < n={n}")
-    return Povm(m, n, family=family, cap=cap)
+    return Povm(m, n, family=family)
 
 
-def build_optimal_equal(n: int, cap: int | None = None) -> Povm:
+def build_optimal_equal(n: int) -> Povm:
     """Optimal discriminator for n states spanning an n-dimensional space.
 
     Uses the largest coefficient c = n/(n+1) that keeps the inconclusive
     element positive; the success probability on a program with Gram matrix
     X is n·det(X)/(n+1)! for every state index.
     """
-    return family_povm("optimal", n, n, cap)
+    return family_povm("optimal", n, n)
 
 
-def build_universal(m: int, n: int, cap: int | None = None) -> Povm:
+def build_universal(m: int, n: int) -> Povm:
     """Universal discriminator for n states in dimension m > n.
 
     The coefficient c = 1/n is the largest keeping the inconclusive element
     positive within this family; the success probability det(X)/(n·n!) does
     not depend on m.
     """
-    return family_povm("universal", m, n, cap)
+    return family_povm("universal", m, n)
 
 
-def build_trivial_antisym(m: int, n: int, cap: int | None = None) -> Povm:
+def build_trivial_antisym(m: int, n: int) -> Povm:
     """Unambiguous but useless measurement: Π_i = Φ(n+1)/n for every i ≥ 1.
 
     Every success probability is exactly zero; for m < n+1 the antisymmetric
     projector on n+1 registers vanishes and the POVM degenerates to {I, 0, …}.
     """
-    return family_povm("trivial", m, n, cap)
+    return family_povm("trivial", m, n)
 
 
 # ---------------------------------------------------------------------------
@@ -288,16 +285,13 @@ class VerificationReport:
     leakages: tuple[float, ...]  # per element i >= 1
     psd_mins: tuple[float, ...]  # per element, including element 0
     completeness_residual: float
-    leakage_tol: float
-    psd_tol: float
-    completeness_tol: float
 
     @property
     def passed(self) -> bool:
         return (
-            all(l <= self.leakage_tol for l in self.leakages)
-            and all(p >= -self.psd_tol for p in self.psd_mins)
-            and self.completeness_residual <= self.completeness_tol
+            all(l <= LEAKAGE_TOL for l in self.leakages)
+            and all(p >= -PSD_RESIDUAL_TOL for p in self.psd_mins)
+            and self.completeness_residual <= COMPLETENESS_TOL
         )
 
     def max_leakage(self) -> float:
@@ -325,7 +319,7 @@ def verify_unambiguous(povm: Povm) -> VerificationReport:
             raise InvalidPovm(f"element {idx} is not Hermitian: {exc}") from exc
 
     psd_mins, completeness = povm.residuals()
-    phi = antisym_projector(m, n, cap=povm._cap).matrix
+    phi = antisym_projector(m, n).matrix
     complement = np.eye(m**n, dtype=complex) - phi
     leakages = []
     for i in range(1, n + 1):
@@ -335,9 +329,6 @@ def verify_unambiguous(povm: Povm) -> VerificationReport:
         leakages=tuple(leakages),
         psd_mins=tuple(psd_mins),
         completeness_residual=completeness,
-        leakage_tol=LEAKAGE_TOL,
-        psd_tol=PSD_RESIDUAL_TOL,
-        completeness_tol=COMPLETENESS_TOL,
     )
 
 
@@ -466,7 +457,11 @@ def check_covariance(povm: Povm, trials: int = 20, seed: int = 7) -> CovarianceR
        transpose.
     3. Reduction to the own register: Tr over all other registers of Π_i is
        a multiple of the identity, with the same constant for every i ≥ 1.
+
+    trials < 1 raises ValueError, since property 1 would pass unchecked.
     """
+    if trials < 1:
+        raise ValueError(f"covariance check needs at least one Haar trial, got trials={trials}")
     m, n = povm.m, povm.n
     rng = np.random.default_rng(seed)
     eye_data = np.eye(m, dtype=complex)
@@ -474,7 +469,7 @@ def check_covariance(povm: Povm, trials: int = 20, seed: int = 7) -> CovarianceR
     unitary_residual = 0.0
     for _ in range(trials):
         u = rand_unitary(m, rng)
-        lifted = kron_chain([u] * (n + 1), cap=povm._cap)
+        lifted = kron_chain([u] * (n + 1))
         for e in povm.elements:
             unitary_residual = max(
                 unitary_residual, max_abs(lifted @ e @ lifted.conj().T - e)

@@ -75,7 +75,7 @@ def _labels_for(m: int, n: int) -> list[Label]:
     ]
 
 
-def build_basis_vectors(m: int, n: int, cap: int | None = None) -> LabeledVectors:
+def build_basis_vectors(m: int, n: int) -> LabeledVectors:
     """Unit vectors |k>_i |φ_ς>_rest in dimension m^(n+1), one per label.
 
     For m = n the single tuple ς = (1..n) is used; for m > n all increasing
@@ -83,7 +83,7 @@ def build_basis_vectors(m: int, n: int, cap: int | None = None) -> LabeledVector
     """
     labels = _labels_for(m, n)
     dim = m ** (n + 1)
-    check_entries(dim * len(labels), cap, "labeled vector family")
+    check_entries(dim * len(labels), "labeled vector family")
     dims = [m] * (n + 1)
     eye = np.eye(m, dtype=complex)
     phi = {s: antisym_basis_vector(s, m) for s in _tuples_for(m, n)}
@@ -182,14 +182,14 @@ def extremal_eigenvalues(gs: GramStructure) -> SpectralSummary:
     return SpectralSummary(lambda_max=lam, block_maxima=maxima)
 
 
-def c_optimal(m: int, n: int, cap: int | None = None) -> float:
+def c_optimal(m: int, n: int) -> float:
     """Largest admissible POVM coefficient, 1/λ_max(G), computed numerically.
 
     Cross-checked against the coefficient of the auto_family device (n/(n+1)
     for m = n, 1/n for m > n); a disagreement beyond 1e-9 raises
     ArithmeticError.
     """
-    g = gram_numeric(build_basis_vectors(m, n, cap=cap))
+    g = gram_numeric(build_basis_vectors(m, n))
     lam = float(np.linalg.eigvalsh(g.matrix)[-1])
     c = 1.0 / lam
     expected = _COEFFICIENTS[auto_family(m, n)](n)

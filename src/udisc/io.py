@@ -9,52 +9,40 @@ density file    header ``rho d``, then d rows of d pairs ``re im``
 povm file       header ``povm m n k``, then for each of the k elements a
                 line ``element i`` followed by m^(n+1) rows of m^(n+1)
                 pairs ``re im``
+
+All three are a header and blocks of rows, written and read by one codec.
+Every block the header declares is sized against the dense-storage budget
+(config.entry_cap) before any row is read, and rows stream from the file.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .config import check_square
+from .config import check_entries
 from .discriminator import Povm
 from .errors import FormatError
 from .tensor_algebra import SubsystemLayout, max_abs
 
 
-def _format_row(row) -> str:
-    return " ".join(f"{z.real:.17g} {z.imag:.17g}" for z in row)
+def _write_blocks(path, header: str, blocks, comment: str | None = None) -> None:
+    """Write a header line, then each (label or None, matrix) block row by row."""
+    with open(path, "w", encoding="ascii") as fh:
+        if comment:
+            fh.write(f"# {comment}\n")
+        fh.write(header + "\n")
+        for label, matrix in blocks:
+            if label is not None:
+                fh.write(label + "\n")
+            a = np.ascontiguousarray(matrix, dtype=complex)
+            row_format = " ".join(["%.17g %.17g"] * a.shape[1]) + "\n"
+            fh.writelines(row_format % tuple(row.view(float).tolist()) for row in a)
 
 
-def _content_lines(path) -> list[str]:
-    with open(path, "r", encoding="ascii") as fh:
-        raw = fh.readlines()
-    lines = []
-    for line in raw:
-        stripped = line.strip()
-        if stripped and not stripped.startswith("#"):
-            lines.append(stripped)
-    return lines
-
-
-def _parse_complex_row(line: str, expected: int, path, what: str) -> np.ndarray:
-    parts = line.split()
-    if len(parts) != 2 * expected:
-        raise FormatError(
-            f"{path}: {what} needs {expected} complex pairs ({2 * expected} numbers), "
-            f"got {len(parts)}"
-        )
-    try:
-        values = [float(p) for p in parts]
-    except ValueError as exc:
-        raise FormatError(f"{path}: {what} contains a non-numeric token") from exc
-    arr = np.array(values).reshape(expected, 2)
-    return arr[:, 0] + 1j * arr[:, 1]
-
-
-def _parse_header(lines: list[str], keyword: str, fields: int, path) -> list[int]:
-    if not lines:
+def _parse_header(line: str | None, keyword: str, fields: int, path) -> list[int]:
+    if line is None:
         raise FormatError(f"{path}: empty file")
-    parts = lines[0].split()
+    parts = line.split()
     if len(parts) != fields + 1 or parts[0] != keyword:
         raise FormatError(f"{path}: expected header '{keyword} " + " ".join("<int>" for _ in range(fields)) + "'")
     try:
@@ -66,19 +54,51 @@ def _parse_header(lines: list[str], keyword: str, fields: int, path) -> list[int
     return values
 
 
+def _read_blocks(path, keyword: str, fields: int, layout) -> tuple[list[int], list[np.ndarray]]:
+    """Parse a header ``keyword <fields positive ints>`` and the blocks it declares.
+
+    ``layout(*header)`` returns (labels, rows, cols, what): one block of rows
+    x cols complex pairs per label, led by the label line unless the label
+    is None.  The blocks share one size, which is checked against the budget
+    before any row is read.
+    """
+    with open(path, "r", encoding="ascii") as fh:
+        lines = (s for s in map(str.strip, fh) if s and not s.startswith("#"))
+        header = _parse_header(next(lines, None), keyword, fields, path)
+        labels, rows, cols, what = layout(*header)
+        check_entries(rows * cols, f"{rows}x{cols} {what}")
+        blocks = []
+        for label in labels:
+            name = what if label is None else label
+            if label is not None:
+                line = next(lines, "")
+                if line.split() != label.split():
+                    raise FormatError(f"{path}: expected {label!r}, got {line!r}")
+            values = np.empty((rows, 2 * cols))
+            for r in range(rows):
+                parts = next(lines, "").split()
+                if len(parts) != 2 * cols:
+                    raise FormatError(
+                        f"{path}: {name} row {r + 1} needs {cols} complex pairs "
+                        f"({2 * cols} numbers), got {len(parts)}"
+                    )
+                try:
+                    values[r] = [float(p) for p in parts]
+                except ValueError as exc:
+                    raise FormatError(f"{path}: {name} row {r + 1} contains a non-numeric token") from exc
+            blocks.append(values[:, 0::2] + 1j * values[:, 1::2])
+        if next(lines, None) is not None:
+            raise FormatError(f"{path}: content after the last {what} row")
+    return header, blocks
+
+
 # ---------------------------------------------------------------------------
 # state sets
 
 
 def write_states(path, states, comment: str | None = None) -> None:
     s = np.asarray(states, dtype=complex)
-    lines = []
-    if comment:
-        lines.append(f"# {comment}")
-    lines.append(f"states {s.shape[1]} {s.shape[0]}")
-    lines.extend(_format_row(row) for row in s)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_blocks(path, f"states {s.shape[1]} {s.shape[0]}", [(None, s)], comment)
 
 
 def read_states(path) -> tuple[np.ndarray, list[str]]:
@@ -87,12 +107,7 @@ def read_states(path) -> tuple[np.ndarray, list[str]]:
     Returns (states, warnings).  Norm deviations above 1e-9 produce a
     warning, deviations above 1e-6 are rejected.
     """
-    lines = _content_lines(path)
-    m, n = _parse_header(lines, "states", 2, path)
-    if len(lines) != 1 + n:
-        raise FormatError(f"{path}: expected {n} state lines, found {len(lines) - 1}")
-    rows = [_parse_complex_row(lines[1 + i], m, path, f"state {i + 1}") for i in range(n)]
-    states = np.array(rows)
+    (m, n), (states,) = _read_blocks(path, "states", 2, lambda m, n: ([None], n, m, "state set"))
     warnings = []
     for i in range(n):
         norm = float(np.linalg.norm(states[i]))
@@ -112,14 +127,7 @@ def read_states(path) -> tuple[np.ndarray, list[str]]:
 
 
 def write_density(path, rho, comment: str | None = None) -> None:
-    r = np.asarray(rho, dtype=complex)
-    lines = []
-    if comment:
-        lines.append(f"# {comment}")
-    lines.append(f"rho {r.shape[0]}")
-    lines.extend(_format_row(row) for row in r)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_blocks(path, f"rho {len(rho)}", [(None, rho)], comment)
 
 
 def read_density(path) -> np.ndarray:
@@ -128,12 +136,7 @@ def read_density(path) -> np.ndarray:
     Deviations up to 1e-8 (hand-typed rounding) are repaired by symmetrizing
     and rescaling; anything beyond is rejected.
     """
-    lines = _content_lines(path)
-    (d,) = _parse_header(lines, "rho", 1, path)
-    if len(lines) != 1 + d:
-        raise FormatError(f"{path}: expected {d} rows, found {len(lines) - 1}")
-    rows = [_parse_complex_row(lines[1 + i], d, path, f"row {i + 1}") for i in range(d)]
-    rho = np.array(rows)
+    _, (rho,) = _read_blocks(path, "rho", 1, lambda d: ([None], d, d, "density matrix"))
     herm_dev = max_abs(rho - rho.conj().T)
     if herm_dev > 1e-8:
         raise FormatError(f"{path}: matrix is not Hermitian (deviation {herm_dev:.3e})")
@@ -149,40 +152,17 @@ def read_density(path) -> np.ndarray:
 
 
 def write_povm(path, povm: Povm) -> None:
-    lines = [f"povm {povm.m} {povm.n} {len(povm.elements)}"]
-    for idx, element in enumerate(povm.elements):
-        lines.append(f"element {idx}")
-        lines.extend(_format_row(row) for row in element)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    # the header reads .elements first, so a built POVM over budget fails before the file opens
+    _write_blocks(path, f"povm {povm.m} {povm.n} {len(povm.elements)}",
+                  [(f"element {i}", e) for i, e in enumerate(povm.elements)])
 
 
-def read_povm(path, cap: int | None = None) -> Povm:
-    """Parse a POVM file; the header's element size is checked against cap before any row."""
-    lines = _content_lines(path)
-    m, n, k = _parse_header(lines, "povm", 3, path)
+def _povm_layout(m: int, n: int, k: int):
     dim = m ** (n + 1)
-    check_square(dim, cap, "POVM element")
-    expected = 1 + k * (1 + dim)
-    if len(lines) != expected:
-        raise FormatError(f"{path}: expected {expected} content lines, found {len(lines)}")
-    elements = []
-    cursor = 1
-    for idx in range(k):
-        marker = lines[cursor]
-        if marker.split() != ["element", str(idx)]:
-            raise FormatError(f"{path}: expected 'element {idx}', got {marker!r}")
-        cursor += 1
-        rows = [
-            _parse_complex_row(lines[cursor + r], dim, path, f"element {idx} row {r + 1}")
-            for r in range(dim)
-        ]
-        cursor += dim
-        elements.append(np.array(rows))
-    return Povm(
-        m=m,
-        n=n,
-        elements=tuple(elements),
-        layout=SubsystemLayout.uniform(m, n + 1),
-        cap=cap,
-    )
+    return (f"element {i}" for i in range(k)), dim, dim, "POVM element"
+
+
+def read_povm(path) -> Povm:
+    """Parse a POVM file; each element's size is checked against the budget before any row."""
+    (m, n, _), elements = _read_blocks(path, "povm", 3, _povm_layout)
+    return Povm(m=m, n=n, elements=tuple(elements), layout=SubsystemLayout.uniform(m, n + 1))

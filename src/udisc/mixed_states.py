@@ -34,6 +34,9 @@ PART_EIGENVALUE_TOL = 1e-9
 DISCRIMINABLE_TRACE_TOL = 1e-9
 PROGRAM_DET_TOL = 1e-12
 
+# Slack allowed on either side of the bounds_check envelope.
+BOUNDS_TOL = 1e-9
+
 
 def require_density(rho) -> np.ndarray:
     """Validate a density operator: PSD within tolerance, unit trace within 1e-10."""
@@ -258,15 +261,14 @@ class BoundsReport:
     lower_bound: float  # on the part matching the data state
     upper_bounds: tuple[float, ...]  # per part
     parts: tuple[float, ...]
-    tolerance: float
 
     @property
     def lower_ok(self) -> bool:
-        return self.parts[self.data_index] >= self.lower_bound - self.tolerance
+        return self.parts[self.data_index] >= self.lower_bound - BOUNDS_TOL
 
     @property
     def upper_ok(self) -> bool:
-        return all(p <= u + self.tolerance for p, u in zip(self.parts, self.upper_bounds))
+        return all(p <= u + BOUNDS_TOL for p, u in zip(self.parts, self.upper_bounds))
 
     @property
     def passed(self) -> bool:
@@ -278,12 +280,7 @@ class BoundsReport:
         return max([low] + highs)
 
 
-def bounds_check(
-    program: MixedProgram,
-    data_index: int,
-    probs: PartProbabilities,
-    tol: float = 1e-9,
-) -> BoundsReport:
+def bounds_check(program: MixedProgram, data_index: int, probs: PartProbabilities) -> BoundsReport:
     """Envelope: p_s ≥ Tr(ρ̃_s)·κ and p_i ≤ δ_is Tr(ρ̃_s)·κ + δ_i0 Tr(ρ̃_0)·κ.
 
     κ is the per-outcome success probability of the device actually used,
@@ -306,5 +303,4 @@ def bounds_check(
         lower_bound=tr_s * kappa,
         upper_bounds=uppers,
         parts=probs.parts,
-        tolerance=tol,
     )

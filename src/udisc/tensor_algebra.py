@@ -19,6 +19,11 @@ import numpy as np
 from .config import HERM_TOL, NULL_TOL, ORTH_TOL, PSD_TOL, SUPPORT_TOL, check_entries
 from .errors import IndexOutOfRange, LayoutMismatch, NotHermitian, NotPositive
 
+# Largest deviation of a state-vector norm from 1, and Subspace.contains'
+# residual norm relative to max(1, ‖v‖).
+NORM_TOL = 1e-6
+CONTAINS_TOL = 1e-8
+
 
 def max_abs(a: np.ndarray) -> float:
     """Max norm: largest entry magnitude (0 for empty input)."""
@@ -46,10 +51,10 @@ def as_state_set(states) -> np.ndarray:
     return s
 
 
-def require_normalized(states, tol: float = 1e-6) -> np.ndarray:
+def require_normalized(states) -> np.ndarray:
     s = as_state_set(states)
     norms = np.linalg.norm(s, axis=1)
-    if np.any(np.abs(norms - 1.0) > tol):
+    if np.any(np.abs(norms - 1.0) > NORM_TOL):
         raise ValueError("state vectors must be normalized")
     return s
 
@@ -59,26 +64,26 @@ def hermitize(a: np.ndarray) -> np.ndarray:
     return (a + a.conj().T) / 2
 
 
-def require_hermitian(a, tol: float = HERM_TOL) -> np.ndarray:
-    """Validate A = A† within tol (relative to max(1, ‖A‖_max))."""
+def require_hermitian(a) -> np.ndarray:
+    """Validate A = A† within HERM_TOL (relative to max(1, ‖A‖_max))."""
     a = as_complex_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise NotHermitian(f"matrix of shape {a.shape} is not square")
     dev = max_abs(a - a.conj().T)
-    if dev > tol * max(1.0, max_abs(a)):
+    if dev > HERM_TOL * max(1.0, max_abs(a)):
         raise NotHermitian(f"hermiticity deviation {dev:.3e} exceeds tolerance")
     return a
 
 
-def kron(a, b, cap: int | None = None) -> np.ndarray:
+def kron(a, b) -> np.ndarray:
     """Kronecker product with the first factor owning the slowest-varying index."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    check_entries(a.size * b.size, cap, "kronecker product")
+    check_entries(a.size * b.size, "kronecker product")
     return np.kron(a, b)
 
 
-def kron_chain(factors: Iterable[np.ndarray], cap: int | None = None) -> np.ndarray:
+def kron_chain(factors: Iterable[np.ndarray]) -> np.ndarray:
     """Left-to-right Kronecker product of a sequence of vectors or matrices."""
     mats = [np.asarray(f, dtype=complex) for f in factors]
     if not mats:
@@ -86,7 +91,7 @@ def kron_chain(factors: Iterable[np.ndarray], cap: int | None = None) -> np.ndar
     total = 1
     for f in mats:
         total *= f.size
-    check_entries(total, cap, "kronecker chain")
+    check_entries(total, "kronecker chain")
     return reduce(np.kron, mats)
 
 
@@ -237,24 +242,24 @@ class Subspace:
     def complement_projector(self) -> np.ndarray:
         return np.eye(self.ambient_dim, dtype=complex) - self.projector()
 
-    def contains(self, vec, tol: float = 1e-8) -> bool:
+    def contains(self, vec) -> bool:
         v = np.asarray(vec, dtype=complex).reshape(-1)
         if v.shape[0] != self.ambient_dim:
             raise LayoutMismatch("vector dimension does not match ambient dimension")
         residual = v - self.basis @ (self.basis.conj().T @ v)
-        return float(np.linalg.norm(residual)) <= tol * max(1.0, float(np.linalg.norm(v)))
+        return float(np.linalg.norm(residual)) <= CONTAINS_TOL * max(1.0, float(np.linalg.norm(v)))
 
 
 def zero_subspace(ambient_dim: int) -> Subspace:
     return Subspace(ambient_dim, np.zeros((ambient_dim, 0), dtype=complex))
 
 
-def _orthonormal_columns(cols: np.ndarray, tol: float = NULL_TOL) -> np.ndarray:
+def _orthonormal_columns(cols: np.ndarray) -> np.ndarray:
     """Orthonormal basis for the column span, dropping near-dependent directions."""
     if cols.size == 0:
         return np.zeros((cols.shape[0], 0), dtype=complex)
     u, s, _ = np.linalg.svd(cols, full_matrices=False)
-    keep = s > tol * max(1.0, float(s[0]))
+    keep = s > NULL_TOL * max(1.0, float(s[0]))
     return u[:, keep]
 
 
@@ -289,12 +294,12 @@ def subspace_intersection(a: Subspace, b: Subspace, tol: float = NULL_TOL) -> Su
     return Subspace(a.ambient_dim, _null_space(stacked, tol))
 
 
-def subspace_preimage(s: Subspace, mat, tol: float = NULL_TOL) -> Subspace:
+def subspace_preimage(s: Subspace, mat) -> Subspace:
     """Preimage {x : M x ∈ S}, computed as the null space of (I - P_S) M."""
     mat = as_complex_matrix(mat)
     if mat.shape[0] != s.ambient_dim:
         raise LayoutMismatch("map dimension does not match subspace ambient dimension")
-    return Subspace(mat.shape[1], _null_space((np.eye(s.ambient_dim) - s.projector()) @ mat, tol))
+    return Subspace(mat.shape[1], _null_space((np.eye(s.ambient_dim) - s.projector()) @ mat))
 
 
 def _require_same_ambient(a: Subspace, b: Subspace) -> None:
@@ -304,20 +309,18 @@ def _require_same_ambient(a: Subspace, b: Subspace) -> None:
         )
 
 
-def support_projector(op, tol: float | None = None) -> Subspace:
-    """Support of a PSD operator: span of eigenvectors above tol·max(1, λ_max).
+def support_projector(op) -> Subspace:
+    """Support of a PSD operator: span of eigenvectors above SUPPORT_TOL·max(1, λ_max).
 
     The zero operator yields the zero subspace.  A negative eigenvalue beyond
     the PSD tolerance raises NotPositive.
     """
-    if tol is None:
-        tol = SUPPORT_TOL
     op = require_hermitian(op)
     w, v = np.linalg.eigh(op)
     lam_max = max(float(w[-1]), 0.0) if w.size else 0.0
     if w.size and float(w[0]) < -PSD_TOL * max(1.0, lam_max):
         raise NotPositive(f"operator has eigenvalue {float(w[0]):.3e} below -psd_tol")
-    keep = w > tol * max(1.0, lam_max)
+    keep = w > SUPPORT_TOL * max(1.0, lam_max)
     return Subspace(op.shape[0], v[:, keep])
 
 
@@ -325,11 +328,11 @@ def support_projector(op, tol: float | None = None) -> Subspace:
 # positive operators
 
 
-def require_psd(op, tol: float = PSD_TOL) -> np.ndarray:
+def require_psd(op) -> np.ndarray:
     op = require_hermitian(op)
     w = np.linalg.eigvalsh(op)
     scale = max(float(w[-1]), 0.0) if w.size else 0.0
-    if w.size and float(w[0]) < -tol * max(1.0, scale):
+    if w.size and float(w[0]) < -PSD_TOL * max(1.0, scale):
         raise NotPositive(f"operator has eigenvalue {float(w[0]):.3e} below -psd_tol")
     return op
 

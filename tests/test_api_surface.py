@@ -1,0 +1,56 @@
+"""The public API leaves the dense-storage budget and the tolerances to their modules.
+
+The budget is chosen only through config.entry_cap (or UDISC_CAP), and every
+tolerance is a named module constant; the one parameter that takes two
+values in production, subspace_intersection's null-space threshold, is the
+only ``tol`` left.
+"""
+
+import importlib
+import inspect
+import pkgutil
+
+import udisc
+
+
+def _public_callables():
+    for info in pkgutil.iter_modules(udisc.__path__):
+        module = importlib.import_module(f"udisc.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isclass(obj):
+                yield f"{module.__name__}.{name}", obj
+                for attr, member in vars(obj).items():
+                    if not attr.startswith("_") and inspect.isfunction(member):
+                        yield f"{module.__name__}.{name}.{attr}", member
+            elif callable(obj):
+                yield f"{module.__name__}.{name}", obj
+
+
+def _taking(parameter):
+    found = set()
+    for qualname, obj in _public_callables():
+        try:
+            params = inspect.signature(obj).parameters
+        except (TypeError, ValueError):
+            continue
+        if parameter in params:
+            found.add(qualname)
+    return found
+
+
+def test_walk_reaches_every_module():
+    names = {qualname for qualname, _ in _public_callables()}
+    for expected in ("udisc.config.check_entries", "udisc.io.read_povm", "udisc.cli.main",
+                     "udisc.discriminator.Povm", "udisc.tensor_algebra.Subspace.contains",
+                     "udisc.antisym.AntisymProjector.validate"):
+        assert expected in names
+
+
+def test_only_entry_cap_takes_a_cap():
+    assert _taking("cap") == {"udisc.config.entry_cap"}
+
+
+def test_only_subspace_intersection_takes_a_tolerance():
+    assert _taking("tol") == {"udisc.tensor_algebra.subspace_intersection"}

@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,15 @@ class TestBuild:
         assert code == 2
         assert "exceeds" in err
 
+    def test_cap_below_minimum_exits_2(self, tmp_path, capsys):
+        out_file = tmp_path / "x.povm"
+        code, out, err = run(capsys, "build", "--m", "2", "--n", "2", "--family", "optimal",
+                             "--out", str(out_file), "--cap", "10")
+        assert code == 2
+        assert "at least 256" in err
+        assert out == ""
+        assert not out_file.exists()
+
 
 class TestVerify:
     @pytest.mark.parametrize(
@@ -107,6 +118,26 @@ class TestVerify:
         assert code == 2
         assert "exceeds the cap" in err
         assert "verdict" not in out
+
+    def test_cap_refuses_the_header_before_undecodable_rows(self, tmp_path, capsys):
+        # 27 x 27 elements; the rows run past several read buffers before a non-ASCII byte
+        row = " ".join(["0 0"] * 27) + "\n"
+        rows = row * (4 * io.DEFAULT_BUFFER_SIZE // len(row) + 1)
+        povm_file = tmp_path / "big.povm"
+        povm_file.write_bytes(b"povm 3 2 3\nelement 0\n" + rows.encode("ascii") + b"\xff\n")
+        code, out, err = run(capsys, "verify", str(povm_file), "--cap", "256")
+        assert code == 2
+        assert "exceeds the cap" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_trials_below_one_exits_2(self, tmp_path, capsys, trials):
+        povm_file = str(tmp_path / "u.povm")
+        run(capsys, "build", "--m", "3", "--n", "2", "--family", "universal", "--out", povm_file)
+        code, out, err = run(capsys, "verify", povm_file, "--trials", trials, "--format", "kv")
+        assert code == 2
+        assert "trials" in err
+        assert "covariance" not in out and "unitary_residual" not in out
 
     def test_cap_flag_covers_the_checks_under_a_smaller_env_cap(self, tmp_path, capsys,
                                                                  monkeypatch):
@@ -256,6 +287,17 @@ class TestMixed:
         write_density(r2, np.diag([0.0, 1.0]).astype(complex))
         code, _, err = run(capsys, "mixed", r1, r2, "--data", "5")
         assert code == 2
+
+    def test_densities_are_sized_against_the_cap(self, tmp_path, capsys):
+        # 20 x 20 = 400 entries per density file
+        r1, r2 = str(tmp_path / "r1.txt"), str(tmp_path / "r2.txt")
+        write_density(r1, np.eye(20, dtype=complex) / 20)
+        write_density(r2, np.diag([1.0] + [0.0] * 19).astype(complex))
+        code, out, err = run(capsys, "mixed", r1, r2, "--data", "1", "--cap", "256",
+                             "--format", "kv")
+        assert code == 2
+        assert "exceeds the cap" in err
+        assert out == ""
 
 
 class TestMachineMode:

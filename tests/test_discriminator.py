@@ -298,7 +298,7 @@ class TestStructuredPovm:
         with pytest.raises(CapExceeded):
             povm.elements
         with pytest.raises(CapExceeded):
-            program_input(states, 1, cap=2**24).vector
+            program_input(states, 1).vector
 
     def test_environment_cap_applies_to_library_calls(self, monkeypatch):
         monkeypatch.setenv("UDISC_CAP", "256")
@@ -384,6 +384,11 @@ class TestCovariance:
         report = check_covariance(povm, trials=1, seed=2)
         expected = float(np.trace(povm.elements[1]).real) / 3
         assert abs(report.reduction_constants[0] - expected) < 1e-10
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_needs_a_sampled_unitary(self, trials):
+        with pytest.raises(ValueError, match="trials"):
+            check_covariance(build_universal(3, 2), trials=trials)
 
     def test_mismatched_coefficients_fail_permutation_check(self):
         base = build_universal(3, 2)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from udisc.config import entry_cap
 from udisc.errors import CapExceeded, IndexOutOfRange, LayoutMismatch, NotHermitian, NotPositive
 from udisc.random_states import rand_density, rand_psd, rand_state
 from udisc.tensor_algebra import (
@@ -70,10 +71,22 @@ class TestKron:
         assert max_abs(kron(kron(a, b), c) - kron(a, kron(b, c))) < 1e-12
 
     def test_cap(self):
+        with entry_cap(2**10):
+            with pytest.raises(CapExceeded):
+                kron(np.eye(64), np.eye(64))
+            with pytest.raises(CapExceeded):
+                kron_chain([np.eye(8)] * 5)
+
+    def test_budget_is_restored_when_the_block_exits(self):
+        # 64 x 64 = 4096 entries: over 2**10, under the default
+        with entry_cap(2**10):
+            with pytest.raises(CapExceeded):
+                kron(np.eye(8), np.eye(8))
+        assert kron(np.eye(8), np.eye(8)).shape == (64, 64)
         with pytest.raises(CapExceeded):
-            kron(np.eye(64), np.eye(64), cap=2**10)
-        with pytest.raises(CapExceeded):
-            kron_chain([np.eye(8)] * 5, cap=2**10)
+            with entry_cap(2**10):
+                kron(np.eye(8), np.eye(8))
+        assert kron(np.eye(8), np.eye(8)).shape == (64, 64)
 
 
 class TestPartialTrace:
