@@ -37,11 +37,11 @@ for name, povm in povms.items():
           f"-> {'pass' if report.passed else 'fail'}")
 
 print("\nA counterexample: an element that ignores the program registers.")
-from udisc import Povm, SubsystemLayout  # noqa: E402
+from udisc import Povm  # noqa: E402
 
+# an explicit POVM on registers of dims (2, 2, 2): two programs and the data
 eye = np.eye(8, dtype=complex)
-leaky = Povm(m=2, n=2, elements=(eye / 2, eye / 2, np.zeros((8, 8), dtype=complex)),
-             layout=SubsystemLayout.uniform(2, 3))
+leaky = Povm(m=2, n=2, elements=(eye / 2, eye / 2, np.zeros((8, 8), dtype=complex)))
 report = verify_unambiguous(leaky)
 print(f"valid POVM, but leakage = {report.max_leakage():.3f} -> "
       f"{'pass' if report.passed else 'fail'}")

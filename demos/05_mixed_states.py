@@ -9,7 +9,6 @@ from udisc import (
     bounds_check,
     build_program,
     core_decompose,
-    discriminable,
     part_probabilities,
 )
 
@@ -20,7 +19,7 @@ def show_ensemble(name, rhos, data_index):
     for i, tr in enumerate(cores.tilde_traces(), start=1):
         print(f"  Tr(core_{i}) = {tr:.6f}")
     print(f"  Tr(pooled remainder) = {np.trace(cores.tilde0).real:.6f}")
-    print("  discriminable:", discriminable(rhos))
+    print("  discriminable:", cores.discriminable)
     program = build_program(cores)
     print(f"  program: N = {program.total} pure states, registers by part:",
           program.part_registers)
@@ -49,7 +48,7 @@ rhos = [np.eye(2, dtype=complex) / 2, np.diag([1.0, 0.0]).astype(complex)]
 cores = core_decompose(rhos)
 print("  split of state 1: core = diag", np.round(np.diag(cores.tildes[0]).real, 3),
       ", remainder = diag", np.round(np.diag(cores.hats[0]).real, 3))
-print("  core of state 2 vanishes -> discriminable:", discriminable(rhos))
+print("  core of state 2 vanishes -> discriminable:", cores.discriminable)
 print()
 
 # A qutrit ensemble where the pooled part stays empty.

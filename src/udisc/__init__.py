@@ -73,7 +73,6 @@ from .mixed_states import (
     bounds_check,
     build_program,
     core_decompose,
-    discriminable,
     part_probabilities,
     require_density,
 )
@@ -86,12 +85,10 @@ from .sampler import (
 )
 from .tensor_algebra import (
     Subspace,
-    SubsystemLayout,
     eig_hermitian,
     fidelity,
     gram,
     gram_det,
-    kron,
     kron_chain,
     partial_trace,
     subspace_intersection,

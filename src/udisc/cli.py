@@ -33,13 +33,7 @@ from .discriminator import (
     verify_unambiguous,
 )
 from .errors import FormatError, ProgramNotIndependent, UdiscError
-from .mixed_states import (
-    DISCRIMINABLE_TRACE_TOL,
-    bounds_check,
-    build_program,
-    core_decompose,
-    part_probabilities,
-)
+from .mixed_states import bounds_check, build_program, core_decompose, part_probabilities
 from .sampler import distribution_from_probs, outcome_distribution, sample
 from .tensor_algebra import gram_det
 
@@ -166,11 +160,10 @@ def cmd_mixed(args, emit: Emitter) -> int:
     cores = core_decompose(rhos)
     emit.value("n", n)
     emit.value("dim", cores.dim)
-    traces = cores.tilde_traces()
-    for i, tr in enumerate(traces, start=1):
+    for i, tr in enumerate(cores.tilde_traces(), start=1):
         emit.value(f"core_trace_{i}", tr)
     emit.value("core_trace_0", float(np.trace(cores.tilde0).real))
-    verdict = all(tr > DISCRIMINABLE_TRACE_TOL for tr in traces)
+    verdict = cores.discriminable
     emit.value("discriminable", verdict)
 
     try:

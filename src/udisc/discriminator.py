@@ -28,7 +28,6 @@ from .config import check_square
 from .errors import IndexOutOfRange, InvalidPovm, LayoutMismatch, NotHermitian, WrongRegime
 from .random_states import rand_unitary
 from .tensor_algebra import (
-    SubsystemLayout,
     gram,
     gram_det,
     kron_chain,
@@ -75,19 +74,16 @@ class Povm:
 
     m: int
     n: int
-    layout: SubsystemLayout
     family: str | None
     c: float | None
     _elements: tuple[np.ndarray, ...] | None
 
-    def __init__(self, m: int, n: int, elements=None, layout: SubsystemLayout | None = None,
-                 *, family: str | None = None):
+    def __init__(self, m: int, n: int, elements=None, *, family: str | None = None):
         if (elements is None) == (family is None):
             raise ValueError("a POVM is given either by its dense elements or by a built family")
         values = {
             "m": int(m),
             "n": int(n),
-            "layout": layout if layout is not None else SubsystemLayout.uniform(m, n + 1),
             "family": family,
             "c": None if family is None else _COEFFICIENTS[family](int(n)),
             "_elements": None if elements is None else tuple(elements),
@@ -104,8 +100,13 @@ class Povm:
         return self._elements
 
     @property
+    def dims(self) -> tuple[int, ...]:
+        """Register dimensions (m,)*(n+1): n program registers, then the data register."""
+        return (self.m,) * (self.n + 1)
+
+    @property
     def dim(self) -> int:
-        return self.layout.dim
+        return self.m ** (self.n + 1)
 
     def residuals(self) -> tuple[list[float], float]:
         """(min eigenvalue per element, completeness residual ‖ΣΠ - I‖_max)."""
@@ -113,10 +114,6 @@ class Povm:
         total = sum(self.elements)
         comp = max_abs(total - np.eye(self.dim))
         return mins, comp
-
-    def is_valid(self) -> bool:
-        mins, comp = self.residuals()
-        return min(mins) >= -PSD_RESIDUAL_TOL and comp <= COMPLETENESS_TOL
 
 
 @dataclass(frozen=True)
@@ -306,8 +303,7 @@ def verify_unambiguous(povm: Povm) -> VerificationReport:
     carries the PSD and completeness residuals.  Structurally broken input
     (wrong count, shape or hermiticity) raises InvalidPovm.
     """
-    m, n = povm.m, povm.n
-    dim = m ** (n + 1)
+    m, n, dim = povm.m, povm.n, povm.dim
     if len(povm.elements) != n + 1:
         raise InvalidPovm(f"expected {n + 1} elements, got {len(povm.elements)}")
     for idx, e in enumerate(povm.elements):
@@ -323,7 +319,7 @@ def verify_unambiguous(povm: Povm) -> VerificationReport:
     complement = np.eye(m**n, dtype=complex) - phi
     leakages = []
     for i in range(1, n + 1):
-        reduced = partial_trace(povm.elements[i], povm.layout, {i})
+        reduced = partial_trace(povm.elements[i], povm.dims, {i})
         leakages.append(max_abs(complement @ reduced @ complement))
     return VerificationReport(
         leakages=tuple(leakages),
@@ -476,11 +472,10 @@ def check_covariance(povm: Povm, trials: int = 20, seed: int = 7) -> CovarianceR
             )
 
     permutation_residual = 0.0
-    dims = [m] * (n + 1)
     for sigma in all_permutations(n):
         order = list(sigma.inverse().images) + [n + 1]
         for i in range(1, n + 1):
-            conjugated = reorder_factors(povm.elements[i], dims, order)
+            conjugated = reorder_factors(povm.elements[i], povm.dims, order)
             permutation_residual = max(
                 permutation_residual, max_abs(conjugated - povm.elements[sigma(i)])
             )
@@ -489,7 +484,7 @@ def check_covariance(povm: Povm, trials: int = 20, seed: int = 7) -> CovarianceR
     reduction_residual = 0.0
     everything = set(range(1, n + 2))
     for i in range(1, n + 1):
-        reduced = partial_trace(povm.elements[i], povm.layout, everything - {i})
+        reduced = partial_trace(povm.elements[i], povm.dims, everything - {i})
         c = float(np.trace(reduced).real) / m
         constants.append(c)
         reduction_residual = max(reduction_residual, max_abs(reduced - c * eye_data))

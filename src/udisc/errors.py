@@ -10,7 +10,7 @@ class CapExceeded(UdiscError):
 
 
 class LayoutMismatch(UdiscError):
-    """An operator does not match the subsystem layout it was paired with."""
+    """An operator or vector does not match the factor dimensions it was paired with."""
 
 
 class NotHermitian(UdiscError):

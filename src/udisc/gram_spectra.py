@@ -19,7 +19,7 @@ from .antisym import antisym_basis_vector, increasing_tuples
 from .config import check_entries
 from .discriminator import _COEFFICIENTS, auto_family
 from .errors import WrongRegime
-from .tensor_algebra import own_register_first, reorder_vector_factors
+from .tensor_algebra import own_register_first, reorder_factors
 
 Label = tuple[int, int, tuple[int, ...]]  # (register i, level k, tuple ς)
 
@@ -89,7 +89,7 @@ def build_basis_vectors(m: int, n: int) -> LabeledVectors:
     phi = {s: antisym_basis_vector(s, m) for s in _tuples_for(m, n)}
     vecs = np.empty((len(labels), dim), dtype=complex)
     for row, (i, k, s) in enumerate(labels):
-        vecs[row] = reorder_vector_factors(
+        vecs[row] = reorder_factors(
             np.kron(eye[k - 1], phi[s]), dims, own_register_first(i, n + 1)
         )
     return LabeledVectors(m=m, n=n, labels=tuple(labels), vectors=vecs)
@@ -102,30 +102,21 @@ def gram_numeric(lv: LabeledVectors) -> GramStructure:
 
 
 def gram_closed_form(m: int, n: int) -> GramStructure:
-    """Gram matrix assembled entrywise from the closed-form rules.
+    """Gram matrix assembled from the Γ/Λ block rules.
 
-    Same-register labels are orthonormal; across registers the only nonzero
-    entries are (-1)^(i-j+1)/n for equal (k, ς) with k ∈ ς, and
-    (-1)^(j-i+pos_ξ(k)-pos_ξ(l))/n when {k} ∪ ς and {l} ∪ τ form the same
-    (n+1)-tuple ξ.
+    The labels of one block_partition() key span a copy of
+    gamma_block_matrix(n) (key ς, k ∈ ς) or lambda_block_matrix(n) (key
+    ξ = {k} ∪ ς); every entry between different keys vanishes.  Label
+    (i, k, ·) of the block keyed by κ sits at block row (i−1)·len(κ) + κ.index(k).
     """
-    labels = _labels_for(m, n)
-    size = len(labels)
-    g = np.zeros((size, size), dtype=complex)
-    for a, (i, k, s) in enumerate(labels):
-        for b, (j, l, t) in enumerate(labels):
-            if i == j:
-                if k == l and s == t:
-                    g[a, b] = 1.0
-            elif s == t and k == l and k in s:
-                g[a, b] = _sign(i - j + 1) / n
-            elif k not in s and l not in t and k != l:
-                xi = tuple(sorted(s + (k,)))
-                if xi == tuple(sorted(t + (l,))):
-                    pos_k = xi.index(k) + 1
-                    pos_l = xi.index(l) + 1
-                    g[a, b] = _sign(j - i + pos_k - pos_l) / n
-    return GramStructure(m=m, n=n, labels=tuple(labels), matrix=g)
+    labels = tuple(_labels_for(m, n))
+    gs = GramStructure(m=m, n=n, labels=labels,
+                       matrix=np.zeros((len(labels), len(labels)), dtype=complex))
+    blocks = {"gamma": gamma_block_matrix(n), "lambda": lambda_block_matrix(n)}
+    for (kind, key), idx in gs.block_partition().items():
+        rows = [(labels[a][0] - 1) * len(key) + key.index(labels[a][1]) for a in idx]
+        gs.matrix[np.ix_(idx, idx)] = blocks[kind][np.ix_(rows, rows)]
+    return gs
 
 
 def gamma_block_matrix(n: int) -> np.ndarray:
@@ -183,15 +174,17 @@ def extremal_eigenvalues(gs: GramStructure) -> SpectralSummary:
 
 
 def c_optimal(m: int, n: int) -> float:
-    """Largest admissible POVM coefficient, 1/λ_max(G), computed numerically.
+    """Largest admissible POVM coefficient, 1/λ_max(G).
 
-    Cross-checked against the coefficient of the auto_family device (n/(n+1)
-    for m = n, 1/n for m > n); a disagreement beyond 1e-9 raises
-    ArithmeticError.
+    G is a direct sum of copies of the Γ block and, when m > n, the Λ block,
+    so λ_max(G) is the larger of their largest eigenvalues; no m-dependent
+    vector is formed.  Cross-checked against the coefficient of the
+    auto_family device (n/(n+1) for m = n, 1/n for m > n); a disagreement
+    beyond 1e-9 raises ArithmeticError.
     """
-    g = gram_numeric(build_basis_vectors(m, n))
-    lam = float(np.linalg.eigvalsh(g.matrix)[-1])
-    c = 1.0 / lam
+    _tuples_for(m, n)  # WrongRegime for m < n
+    blocks = [gamma_block_matrix(n)] + ([lambda_block_matrix(n)] if m > n else [])
+    c = 1.0 / max(float(np.linalg.eigvalsh(b)[-1]) for b in blocks)
     expected = _COEFFICIENTS[auto_family(m, n)](n)
     if abs(c - expected) > 1e-9:
         raise ArithmeticError(

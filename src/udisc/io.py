@@ -6,7 +6,7 @@ with ``#`` are comments; blank lines are ignored.
 
 state file      header ``states m n``, then n lines of m pairs ``re im``
 density file    header ``rho d``, then d rows of d pairs ``re im``
-povm file       header ``povm m n k``, then for each of the k elements a
+povm file       header ``povm m n k`` with k = n+1, then for each element a
                 line ``element i`` followed by m^(n+1) rows of m^(n+1)
                 pairs ``re im``
 
@@ -22,7 +22,7 @@ import numpy as np
 from .config import check_entries
 from .discriminator import Povm
 from .errors import FormatError
-from .tensor_algebra import SubsystemLayout, max_abs
+from .tensor_algebra import max_abs
 
 
 def _write_blocks(path, header: str, blocks, comment: str | None = None) -> None:
@@ -86,7 +86,7 @@ def _read_blocks(path, keyword: str, fields: int, layout) -> tuple[list[int], li
                     values[r] = [float(p) for p in parts]
                 except ValueError as exc:
                     raise FormatError(f"{path}: {name} row {r + 1} contains a non-numeric token") from exc
-            blocks.append(values[:, 0::2] + 1j * values[:, 1::2])
+            blocks.append(values.view(complex))  # (re, im) pairs bit for bit, -0.0 included
         if next(lines, None) is not None:
             raise FormatError(f"{path}: content after the last {what} row")
     return header, blocks
@@ -158,11 +158,19 @@ def write_povm(path, povm: Povm) -> None:
 
 
 def _povm_layout(m: int, n: int, k: int):
+    if k != n + 1:
+        raise FormatError(
+            f"povm header declares {k} elements; a POVM on n={n} states has n+1 = {n + 1}"
+        )
     dim = m ** (n + 1)
     return (f"element {i}" for i in range(k)), dim, dim, "POVM element"
 
 
 def read_povm(path) -> Povm:
-    """Parse a POVM file; each element's size is checked against the budget before any row."""
+    """Parse a POVM file.
+
+    A header whose element count k is not n+1 is refused, and each element's
+    size is checked against the budget, before any row is read.
+    """
     (m, n, _), elements = _read_blocks(path, "povm", 3, _povm_layout)
-    return Povm(m=m, n=n, elements=tuple(elements), layout=SubsystemLayout.uniform(m, n + 1))
+    return Povm(m=m, n=n, elements=tuple(elements))

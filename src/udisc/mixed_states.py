@@ -66,6 +66,11 @@ class CoreDecomposition:
     def tilde_traces(self) -> list[float]:
         return [float(np.trace(t).real) for t in self.tildes]
 
+    @property
+    def discriminable(self) -> bool:
+        """True when every per-state core ρ̃_i keeps positive trace."""
+        return all(t > DISCRIMINABLE_TRACE_TOL for t in self.tilde_traces())
+
     def residuals(self, rhos) -> dict[str, float]:
         """Worst-case residuals of the three defining conditions.
 
@@ -127,12 +132,6 @@ def core_decompose(rhos) -> CoreDecomposition:
         tildes.append(hermitize(rho - hat))
     tilde0 = hermitize(sum(hats))
     return CoreDecomposition(tildes=tuple(tildes), hats=tuple(hats), tilde0=tilde0)
-
-
-def discriminable(rhos) -> bool:
-    """True when every per-state core ρ̃_i keeps positive trace."""
-    cores = core_decompose(rhos)
-    return all(t > DISCRIMINABLE_TRACE_TOL for t in cores.tilde_traces())
 
 
 @dataclass(frozen=True)

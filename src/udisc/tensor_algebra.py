@@ -2,9 +2,11 @@
 
 Tensor products, partial traces, Hermitian spectral decompositions, Gram
 matrices, subspace arithmetic and fidelity.  Operators are plain complex
-ndarrays; subsystem factors are addressed with 1-based indices throughout
-(registers 1..n, data register n+1), and the first tensor factor always owns
-the slowest-varying index, matching ``numpy.kron``.
+ndarrays, and a composite system is the plain sequence of its factor
+dimensions (``factors``, (m,)*(n+1) for the discriminators).  Factors are
+addressed with 1-based indices throughout (registers 1..n, data register
+n+1), and the first tensor factor always owns the slowest-varying index,
+matching ``numpy.kron``.
 """
 
 from __future__ import annotations
@@ -75,14 +77,6 @@ def require_hermitian(a) -> np.ndarray:
     return a
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product with the first factor owning the slowest-varying index."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    check_entries(a.size * b.size, "kronecker product")
-    return np.kron(a, b)
-
-
 def kron_chain(factors: Iterable[np.ndarray]) -> np.ndarray:
     """Left-to-right Kronecker product of a sequence of vectors or matrices."""
     mats = [np.asarray(f, dtype=complex) for f in factors]
@@ -95,81 +89,50 @@ def kron_chain(factors: Iterable[np.ndarray]) -> np.ndarray:
     return reduce(np.kron, mats)
 
 
-@dataclass(frozen=True)
-class SubsystemLayout:
-    """Ordered factor dimensions of a composite system.
-
-    Factor indices are 1-based: indices 1..n are the program registers and
-    index n+1 is the data register.
-    """
-
-    factors: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.factors or any(int(f) < 1 for f in self.factors):
-            raise ValueError(f"invalid factor list {self.factors}")
-        object.__setattr__(self, "factors", tuple(int(f) for f in self.factors))
-
-    @classmethod
-    def uniform(cls, m: int, count: int) -> "SubsystemLayout":
-        return cls(tuple([int(m)] * int(count)))
-
-    @property
-    def dim(self) -> int:
-        return math.prod(self.factors)
-
-    @property
-    def count(self) -> int:
-        return len(self.factors)
-
-    def require_matches(self, op: np.ndarray) -> None:
-        if op.shape != (self.dim, self.dim):
-            raise LayoutMismatch(
-                f"operator of shape {op.shape} does not match layout {self.factors} "
-                f"(ambient dimension {self.dim})"
-            )
-
-
-def partial_trace(op, layout: SubsystemLayout, traced) -> np.ndarray:
-    """Trace out the given 1-based factor indices.
+def partial_trace(op, factors, traced) -> np.ndarray:
+    """Trace out the given 1-based factor indices of an operator on factors ``factors``.
 
     The result acts on the remaining factors in their original relative
     order; the total trace is preserved.
     """
     op = require_hermitian(op)
-    layout.require_matches(op)
+    dims = [int(f) for f in factors]
+    dim = math.prod(dims)
+    if op.shape != (dim, dim):
+        raise LayoutMismatch(
+            f"operator of shape {op.shape} does not match factors {tuple(dims)} "
+            f"(ambient dimension {dim})"
+        )
     traced = sorted(set(int(t) for t in traced))
     if not traced:
         raise IndexOutOfRange("traced set must be non-empty")
-    if traced[0] < 1 or traced[-1] > layout.count:
-        raise IndexOutOfRange(f"traced indices {traced} outside 1..{layout.count}")
-    dims = list(layout.factors)
+    if traced[0] < 1 or traced[-1] > len(dims):
+        raise IndexOutOfRange(f"traced indices {traced} outside 1..{len(dims)}")
     tensor = op.reshape(*dims, *dims)
     for t in reversed(traced):
         ax = t - 1
         tensor = np.trace(tensor, axis1=ax, axis2=ax + len(dims))
         del dims[ax]
-    d = math.prod(dims) if dims else 1
+    d = math.prod(dims)
     return tensor.reshape(d, d)
 
 
 def reorder_factors(op, factors, order) -> np.ndarray:
-    """Permute the tensor factors of an operator.
+    """Permute the tensor factors of a vector or an operator.
 
     ``order`` lists 1-based input factor positions; output slot j carries
     input factor order[j].  If op = A_1 ⊗ ... ⊗ A_N the result is
-    A_{order[1]} ⊗ ... ⊗ A_{order[N]}.
+    A_{order[1]} ⊗ ... ⊗ A_{order[N]}; every array axis (one for a vector,
+    two for an operator) is split into the factors and permuted alike.
     """
-    op = as_complex_matrix(op)
+    op = np.asarray(op, dtype=complex)
     dims = [int(f) for f in factors]
     n = len(dims)
     perm = [int(o) - 1 for o in order]
     if sorted(perm) != list(range(n)):
         raise ValueError(f"order {order} is not a permutation of 1..{n}")
-    tensor = op.reshape(*dims, *dims)
-    tensor = np.transpose(tensor, axes=perm + [n + p for p in perm])
-    d = math.prod(dims)
-    return tensor.reshape(d, d)
+    axes = [k * n + p for k in range(op.ndim) for p in perm]
+    return op.reshape(dims * op.ndim).transpose(axes).reshape(op.shape)
 
 
 def own_register_first(i: int, count: int) -> list[int]:
@@ -178,25 +141,13 @@ def own_register_first(i: int, count: int) -> list[int]:
     return list(range(2, i + 1)) + [1] + list(range(i + 1, count + 1))
 
 
-def reorder_vector_factors(vec, factors, order) -> np.ndarray:
-    """Permute the tensor factors of a vector (same convention as reorder_factors)."""
-    vec = np.asarray(vec, dtype=complex).reshape(-1)
-    dims = [int(f) for f in factors]
-    perm = [int(o) - 1 for o in order]
-    if sorted(perm) != list(range(len(dims))):
-        raise ValueError(f"order {order} is not a permutation of 1..{len(dims)}")
-    return np.transpose(vec.reshape(dims), axes=perm).reshape(-1)
-
-
 def eig_hermitian(op) -> tuple[np.ndarray, np.ndarray]:
     """Spectral decomposition of a Hermitian matrix.
 
     Returns (eigenvalues ascending, eigenvectors as orthonormal columns)
     with A v_j = w_j v_j.
     """
-    op = require_hermitian(op)
-    w, v = np.linalg.eigh(op)
-    return w, v
+    return np.linalg.eigh(require_hermitian(op))
 
 
 def gram(states) -> np.ndarray:
@@ -248,10 +199,6 @@ class Subspace:
             raise LayoutMismatch("vector dimension does not match ambient dimension")
         residual = v - self.basis @ (self.basis.conj().T @ v)
         return float(np.linalg.norm(residual)) <= CONTAINS_TOL * max(1.0, float(np.linalg.norm(v)))
-
-
-def zero_subspace(ambient_dim: int) -> Subspace:
-    return Subspace(ambient_dim, np.zeros((ambient_dim, 0), dtype=complex))
 
 
 def _orthonormal_columns(cols: np.ndarray) -> np.ndarray:
@@ -309,19 +256,24 @@ def _require_same_ambient(a: Subspace, b: Subspace) -> None:
         )
 
 
+def _check_psd(w: np.ndarray) -> float:
+    """Raise NotPositive if the ascending eigenvalues ``w`` dip below
+    -PSD_TOL·max(1, λ_max); return max(λ_max, 0)."""
+    lam_max = max(float(w[-1]), 0.0) if w.size else 0.0
+    if w.size and float(w[0]) < -PSD_TOL * max(1.0, lam_max):
+        raise NotPositive(f"operator has eigenvalue {float(w[0]):.3e} below -psd_tol")
+    return lam_max
+
+
 def support_projector(op) -> Subspace:
     """Support of a PSD operator: span of eigenvectors above SUPPORT_TOL·max(1, λ_max).
 
     The zero operator yields the zero subspace.  A negative eigenvalue beyond
     the PSD tolerance raises NotPositive.
     """
-    op = require_hermitian(op)
-    w, v = np.linalg.eigh(op)
-    lam_max = max(float(w[-1]), 0.0) if w.size else 0.0
-    if w.size and float(w[0]) < -PSD_TOL * max(1.0, lam_max):
-        raise NotPositive(f"operator has eigenvalue {float(w[0]):.3e} below -psd_tol")
-    keep = w > SUPPORT_TOL * max(1.0, lam_max)
-    return Subspace(op.shape[0], v[:, keep])
+    w, v = eig_hermitian(op)
+    keep = w > SUPPORT_TOL * max(1.0, _check_psd(w))
+    return Subspace(v.shape[0], v[:, keep])
 
 
 # ---------------------------------------------------------------------------
@@ -330,17 +282,14 @@ def support_projector(op) -> Subspace:
 
 def require_psd(op) -> np.ndarray:
     op = require_hermitian(op)
-    w = np.linalg.eigvalsh(op)
-    scale = max(float(w[-1]), 0.0) if w.size else 0.0
-    if w.size and float(w[0]) < -PSD_TOL * max(1.0, scale):
-        raise NotPositive(f"operator has eigenvalue {float(w[0]):.3e} below -psd_tol")
+    _check_psd(np.linalg.eigvalsh(op))
     return op
 
 
 def psd_sqrt(op) -> np.ndarray:
     """Principal square root of a PSD operator (negative noise clipped to 0)."""
-    op = require_psd(op)
-    w, v = np.linalg.eigh(op)
+    w, v = eig_hermitian(op)
+    _check_psd(w)
     return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
 
 

@@ -33,10 +33,10 @@ from udisc.discriminator import (
 )
 from udisc.config import DEFAULT_ENTRY_CAP
 from udisc.gram_spectra import c_optimal, extremal_eigenvalues, gram_closed_form, gram_numeric, build_basis_vectors
-from udisc.mixed_states import bounds_check, build_program, core_decompose, discriminable, part_probabilities
+from udisc.mixed_states import bounds_check, build_program, core_decompose, part_probabilities
 from udisc.random_states import rand_independent_states, rand_psd, rand_state, rand_states
 from udisc.sampler import outcome_distribution, sample
-from udisc.tensor_algebra import SubsystemLayout, gram_det, kron, kron_chain, max_abs, partial_trace
+from udisc.tensor_algebra import gram_det, kron_chain, max_abs, partial_trace
 
 
 def report(number, ok, detail):
@@ -133,8 +133,7 @@ def test_criterion_06_unambiguity_verifier():
     dim = 8
     eye = np.eye(dim, dtype=complex)
     counterexample = Povm(m=2, n=2,
-                          elements=(eye / 2, eye / 2, np.zeros((dim, dim), dtype=complex)),
-                          layout=SubsystemLayout.uniform(2, 3))
+                          elements=(eye / 2, eye / 2, np.zeros((dim, dim), dtype=complex)))
     bad_report = verify_unambiguous(counterexample)
     ok = all_pass and (not bad_report.passed) and bad_report.max_leakage() > 1e-3
     report(6, ok, f"all three builders verify; counterexample leaks "
@@ -252,11 +251,11 @@ def test_criterion_10_covariance_invariants():
     assert ok
 
 
-def _overlap_and_marginals(omega, layout, va, vb):
-    v = kron(va, vb)
+def _overlap_and_marginals(omega, dims, va, vb):
+    v = kron_chain([va, vb])
     q = float((v.conj() @ omega @ v).real)
-    qa = float((va.conj() @ partial_trace(omega, layout, {2}) @ va).real)
-    qb = float((vb.conj() @ partial_trace(omega, layout, {1}) @ vb).real)
+    qa = float((va.conj() @ partial_trace(omega, dims, {2}) @ va).real)
+    qb = float((vb.conj() @ partial_trace(omega, dims, {1}) @ vb).real)
     return q, qa, qb
 
 
@@ -270,26 +269,26 @@ def test_criterion_11_positive_operator_inequality():
     old_violations = 0
     total = 0
     for da, db in ((2, 2), (2, 3), (3, 3)):
-        layout = SubsystemLayout((da, db))
+        dims = (da, db)
         for _ in range(67):
             total += 1
             omega = rand_psd(da * db, rng, rank=int(rng.integers(1, da * db + 1)))
             va, vb = rand_state(da, rng), rand_state(db, rng)
-            q, qa, qb = _overlap_and_marginals(omega, layout, va, vb)
+            q, qa, qb = _overlap_and_marginals(omega, dims, va, vb)
             worst = max(worst, q - qa, q - qb, q * q - qa * qb)
             # the earlier claimed <φ|Ω|φ>·Tr Ω <= product, kept as a record
             if q * float(np.trace(omega).real) > qa * qb + 1e-10:
                 old_violations += 1
-            kill_a = kron(np.eye(da) - np.outer(va, va.conj()), np.eye(db))
-            kill_b = kron(np.eye(da), np.eye(db) - np.outer(vb, vb.conj()))
-            q_a, qa_a, _ = _overlap_and_marginals(kill_a @ omega @ kill_a, layout, va, vb)
-            q_b, _, qb_b = _overlap_and_marginals(kill_b @ omega @ kill_b, layout, va, vb)
+            kill_a = kron_chain([np.eye(da) - np.outer(va, va.conj()), np.eye(db)])
+            kill_b = kron_chain([np.eye(da), np.eye(db) - np.outer(vb, vb.conj())])
+            q_a, qa_a, _ = _overlap_and_marginals(kill_a @ omega @ kill_a, dims, va, vb)
+            q_b, _, qb_b = _overlap_and_marginals(kill_b @ omega @ kill_b, dims, va, vb)
             worst_vanish = max(worst_vanish, abs(qa_a), abs(q_a), abs(qb_b), abs(q_b))
     # hand-checkable record of the false claim: Ω = |Φ+><Φ+| on 2x2, φ = |00>
     bell = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
     omega = np.outer(bell, bell.conj())
     e0 = np.array([1, 0], dtype=complex)
-    q, qa, qb = _overlap_and_marginals(omega, SubsystemLayout((2, 2)), e0, e0)
+    q, qa, qb = _overlap_and_marginals(omega, (2, 2), e0, e0)
     lhs = q * float(np.trace(omega).real)
     record = (abs(lhs - 1 / 2) <= 1e-10 and abs(qa * qb - 1 / 4) <= 1e-10
               and q * q <= qa * qb + 1e-10)
@@ -335,7 +334,7 @@ def test_criterion_12_mixed_pipeline():
                 if i not in (0, s):
                     worst_off = max(worst_off, p)
             worst_bound = max(worst_bound, bounds_check(program, s, probs).worst_violation())
-        if discriminable(rhos) == all(p > 1e-12 for p in own):
+        if cores.discriminable == all(p > 1e-12 for p in own):
             equivalences += 1
     ok = (worst_split <= 1e-10 and worst_contain <= 1e-9 and worst_inter == 0
           and worst_off <= 1e-10 and worst_bound <= 1e-9 and equivalences == checked)

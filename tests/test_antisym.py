@@ -13,7 +13,7 @@ from udisc.antisym import (
     wedge,
 )
 from udisc.random_states import rand_state, rand_states
-from udisc.tensor_algebra import gram_det, kron, max_abs
+from udisc.tensor_algebra import gram_det, kron_chain, max_abs
 
 
 def ket(index, dim):
@@ -46,8 +46,8 @@ class TestPermutation:
     def test_swap_moves_basis_vector(self):
         swap = Permutation((2, 1))
         op = permutation_operator(swap, 2)
-        v01 = kron(ket(0, 2), ket(1, 2))
-        v10 = kron(ket(1, 2), ket(0, 2))
+        v01 = kron_chain([ket(0, 2), ket(1, 2)])
+        v10 = kron_chain([ket(1, 2), ket(0, 2)])
         assert np.array_equal(op @ v01, v10)
 
     def test_unitary_exactly(self):
@@ -67,7 +67,8 @@ class TestPermutation:
 class TestWedge:
     def test_two_basis_states(self):
         v = wedge(np.eye(2))
-        expected = (kron(ket(0, 2), ket(1, 2)) - kron(ket(1, 2), ket(0, 2))) / np.sqrt(2)
+        v01, v10 = kron_chain([ket(0, 2), ket(1, 2)]), kron_chain([ket(1, 2), ket(0, 2)])
+        expected = (v01 - v10) / np.sqrt(2)
         assert np.allclose(v, expected, atol=1e-12)
 
     def test_repeated_state_vanishes(self):
@@ -113,7 +114,8 @@ class TestIncreasingTuples:
 class TestBasisVectors:
     def test_smallest_case(self):
         v = antisym_basis_vector((1, 2), 2)
-        expected = (kron(ket(0, 2), ket(1, 2)) - kron(ket(1, 2), ket(0, 2))) / np.sqrt(2)
+        v01, v10 = kron_chain([ket(0, 2), ket(1, 2)]), kron_chain([ket(1, 2), ket(0, 2)])
+        expected = (v01 - v10) / np.sqrt(2)
         assert np.allclose(v, expected, atol=1e-12)
 
     def test_orthonormal_family(self):

@@ -3,7 +3,8 @@
 The budget is chosen only through config.entry_cap (or UDISC_CAP), and every
 tolerance is a named module constant; the one parameter that takes two
 values in production, subspace_intersection's null-space threshold, is the
-only ``tol`` left.
+only ``tol`` left.  Registers are named by one convention, the plain
+sequence of factor dimensions.
 """
 
 import importlib
@@ -11,6 +12,7 @@ import inspect
 import pkgutil
 
 import udisc
+from udisc.tensor_algebra import partial_trace, reorder_factors
 
 
 def _public_callables():
@@ -54,3 +56,9 @@ def test_only_entry_cap_takes_a_cap():
 
 def test_only_subspace_intersection_takes_a_tolerance():
     assert _taking("tol") == {"udisc.tensor_algebra.subspace_intersection"}
+
+
+def test_registers_are_a_plain_dims_sequence():
+    assert _taking("layout") == set()
+    for fn in (partial_trace, reorder_factors):
+        assert list(inspect.signature(fn).parameters)[1] == "factors"

@@ -1,13 +1,16 @@
 import io
+from contextlib import redirect_stdout
+from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from udisc.cli import main
 from udisc.discriminator import Povm
 from udisc.io import write_density, write_povm, write_states
-from udisc.random_states import rand_independent_states
-from udisc.tensor_algebra import SubsystemLayout
+from udisc.random_states import rand_independent_states, rand_states
 
 
 def run(capsys, *argv):
@@ -33,8 +36,7 @@ def orthonormal_pair_file(tmp_path, m=3):
 def leaky_povm_file(tmp_path):
     dim = 8
     eye = np.eye(dim, dtype=complex)
-    povm = Povm(m=2, n=2, elements=(eye / 2, eye / 2, np.zeros((dim, dim), dtype=complex)),
-                layout=SubsystemLayout.uniform(2, 3))
+    povm = Povm(m=2, n=2, elements=(eye / 2, eye / 2, np.zeros((dim, dim), dtype=complex)))
     path = tmp_path / "leaky.povm"
     write_povm(path, povm)
     return str(path)
@@ -130,6 +132,17 @@ class TestVerify:
         assert "exceeds the cap" in err
         assert out == ""
 
+    def test_element_count_refused_from_the_header(self, tmp_path, capsys):
+        # k = 6 elements for n = 1; comments run past several read buffers before a non-ASCII byte
+        comments = "# padding\n" * (4 * io.DEFAULT_BUFFER_SIZE // 10 + 1)
+        povm_file = tmp_path / "k6.povm"
+        povm_file.write_bytes(b"povm 2 1 6\n" + comments.encode("ascii") + b"\xff\n")
+        code, out, err = run(capsys, "verify", str(povm_file))
+        assert code == 2
+        assert "6 elements" in err
+        assert "codec" not in err
+        assert out == ""
+
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_trials_below_one_exits_2(self, tmp_path, capsys, trials):
         povm_file = str(tmp_path / "u.povm")
@@ -197,6 +210,26 @@ class TestProb:
         kv = parse_kv(out)
         assert float(kv["p_operational"]) == 0.0
         assert float(kv["bound_lower"]) == 0.0 and float(kv["bound_upper"]) == 0.0
+
+    @settings(max_examples=25, deadline=None)
+    @given(case=st.sampled_from([("optimal", 2, 2), ("optimal", 3, 3), ("universal", 3, 2),
+                                 ("universal", 4, 3), ("trivial", 3, 2), ("trivial", 2, 2)]),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_bounds_bracket_p_operational(self, tmp_path_factory, case, seed, data):
+        family, m, n = case
+        which = data.draw(st.integers(1, n), label="which")
+        path = tmp_path_factory.mktemp("prob") / "states.txt"
+        write_states(path, rand_states(n, m, np.random.default_rng(seed)))
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = main(["prob", str(path), "--family", family, "--which", str(which),
+                         "--format", "kv"])
+        assert code == 0
+        kv = parse_kv(out.getvalue())
+        # compared as printed (12 significant digits), so no binary rounding enters
+        lower, p, upper = (Decimal(kv[k]) for k in ("bound_lower", "p_operational", "bound_upper"))
+        tol = Decimal("1e-12")
+        assert lower - tol <= p <= upper + tol
 
     def test_optimal_family_needs_square_regime(self, tmp_path, capsys):
         code, _, err = run(capsys, "prob", orthonormal_pair_file(tmp_path),

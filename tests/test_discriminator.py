@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from udisc.antisym import all_permutations, permutation_operator
 from udisc.discriminator import (
@@ -21,7 +23,7 @@ from udisc.discriminator import (
 )
 from udisc.errors import CapExceeded, IndexOutOfRange, InvalidPovm, LayoutMismatch, WrongRegime
 from udisc.random_states import rand_independent_states, rand_states
-from udisc.tensor_algebra import SubsystemLayout, kron_chain, max_abs
+from udisc.tensor_algebra import kron_chain, max_abs
 
 
 def ket(index, dim):
@@ -46,8 +48,14 @@ def leaky_counterexample():
         m=2,
         n=2,
         elements=(eye / 2, eye / 2, np.zeros((dim, dim), dtype=complex)),
-        layout=SubsystemLayout.uniform(2, 3),
     )
+
+
+def assert_valid(povm):
+    """POVM validity at verify's thresholds: each element PSD and the sum I, within 1e-9."""
+    mins, completeness = povm.residuals()
+    assert min(mins) >= -1e-9
+    assert completeness <= 1e-9
 
 
 class TestProgramInput:
@@ -74,7 +82,7 @@ class TestProgramInput:
 class TestBuilders:
     def test_optimal_equal_orthonormal_pair(self):
         povm = build_optimal_equal(2)
-        assert povm.is_valid()
+        assert_valid(povm)
         p = success_prob_operational(povm, np.eye(2, dtype=complex), 1)
         assert abs(p - 1 / 3) < 1e-12
 
@@ -94,7 +102,7 @@ class TestBuilders:
 
     def test_universal_orthonormal_pair(self):
         povm = build_universal(3, 2)
-        assert povm.is_valid()
+        assert_valid(povm)
         states = np.eye(3, dtype=complex)[:2]
         assert abs(success_prob_operational(povm, states, 1) - 0.25) < 1e-12
 
@@ -117,7 +125,7 @@ class TestBuilders:
 
     def test_trivial_verifies_and_never_succeeds(self):
         povm = build_trivial_antisym(3, 2)
-        assert povm.is_valid()
+        assert_valid(povm)
         assert verify_unambiguous(povm).passed
         rng = np.random.default_rng(52)
         for _ in range(5):
@@ -158,13 +166,12 @@ class TestVerifier:
 
     def test_structural_defects_raise(self):
         povm = build_universal(3, 2)
-        broken = Povm(m=3, n=2, elements=povm.elements[:2], layout=povm.layout)
+        broken = Povm(m=3, n=2, elements=povm.elements[:2])
         with pytest.raises(InvalidPovm):
             verify_unambiguous(broken)
         skew = np.zeros((27, 27), dtype=complex)
         skew[0, 1] = 1.0
-        broken = Povm(m=3, n=2, elements=(povm.elements[0], povm.elements[1], skew),
-                      layout=povm.layout)
+        broken = Povm(m=3, n=2, elements=(povm.elements[0], povm.elements[1], skew))
         with pytest.raises(InvalidPovm):
             verify_unambiguous(broken)
 
@@ -247,7 +254,7 @@ class TestClosedForm:
     @pytest.mark.parametrize("family,m,n", [(f, m, n) for f, m, n in CLOSED_FORM_CASES if m < 5])
     def test_program_input_routes_match_explicit_copy(self, family, m, n):
         built = family_povm(family, m, n)
-        explicit = Povm(m=m, n=n, elements=built.elements, layout=built.layout)
+        explicit = Povm(m=m, n=n, elements=built.elements)
         rng = np.random.default_rng(57 + 7 * m + n)
         states = rand_independent_states(n, m, rng)
         for j in range(1, n + 1):
@@ -255,6 +262,18 @@ class TestClosedForm:
             closed = outcome_probabilities(built, inp)
             dense = outcome_probabilities(explicit, inp)
             assert np.max(np.abs(closed - dense)) <= 1e-12
+
+    @settings(max_examples=25, deadline=None)
+    @given(case=st.sampled_from(CLOSED_FORM_CASES), seed=st.integers(0, 2**32 - 1))
+    def test_haar_outcomes_sum_to_one_and_never_cross(self, case, seed):
+        family, m, n = case
+        povm = family_povm(family, m, n)
+        states = rand_states(n, m, np.random.default_rng(seed))
+        for j in range(1, n + 1):
+            assert abs(outcome_probabilities(povm, program_input(states, j)).sum() - 1.0) <= 1e-12
+            for i in range(1, n + 1):
+                if i != j:
+                    assert abs(cross_term(povm, states, i, j)) <= 1e-12
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_trivial_is_exactly_zero_when_m_equals_n(self, m):
@@ -395,8 +414,8 @@ class TestCovariance:
         blocks = [e / base.c for e in base.elements[1:]]
         elements = [0.4 * blocks[0], 0.5 * blocks[1]]
         pi0 = np.eye(base.dim, dtype=complex) - sum(elements)
-        lopsided = Povm(m=3, n=2, elements=(pi0, *elements), layout=base.layout)
-        assert lopsided.is_valid()
+        lopsided = Povm(m=3, n=2, elements=(pi0, *elements))
+        assert_valid(lopsided)
         report = check_covariance(lopsided, trials=3, seed=2)
         assert not report.permutation_ok
         assert not report.passed
@@ -410,7 +429,7 @@ class TestCovariance:
         for i in range(1, n + 1):
             a = rng.normal(size=(base.dim, base.dim)) + 1j * rng.normal(size=(base.dim, base.dim))
             elements[i] = elements[i] + 1e-3 * (a @ a.conj().T) / base.dim
-        perturbed = Povm(m=m, n=n, elements=elements, layout=base.layout)
+        perturbed = Povm(m=m, n=n, elements=elements)
         expected = 0.0
         for sigma in all_permutations(n):
             lifted = np.kron(permutation_operator(sigma, m), np.eye(m))

@@ -13,7 +13,7 @@ from udisc.gram_spectra import (
     gram_numeric,
     lambda_block_matrix,
 )
-from udisc.tensor_algebra import max_abs, reorder_vector_factors
+from udisc.tensor_algebra import max_abs, reorder_factors
 
 ALL_REGIMES = [(2, 2), (3, 3), (3, 2), (4, 2), (5, 2), (4, 3), (5, 3)]
 
@@ -78,7 +78,7 @@ class TestClosedForm:
             for k in xi:
                 rest = tuple(x for x in xi if x != k)
                 vec = np.kron(eye[k - 1], antisym_basis_vector(rest, m))
-                vectors.append(reorder_vector_factors(vec, dims, order))
+                vectors.append(reorder_factors(vec, dims, order))
         vectors = np.array(vectors)
         direct = vectors.conj() @ vectors.T
         assert max_abs(direct - lambda_block_matrix(2)) < 1e-12
@@ -136,6 +136,15 @@ class TestCOptimal:
         c = c_optimal(m, n)
         assert abs(c - expected) < 1e-9
         assert abs(c * (1 / c) - 1.0) < 1e-15
+        # oracle: the largest eigenvalue of the Gram matrix of the explicit vectors
+        lam = np.linalg.eigvalsh(gram_numeric(build_basis_vectors(m, n)).matrix)[-1]
+        assert abs(c - 1 / lam) < 1e-12
+
+    def test_blocks_need_no_basis_vectors(self):
+        # 8400 vectors of length 10^5 would exceed the default dense budget
+        assert abs(c_optimal(10, 4) - 1 / 4) < 1e-12
+        with pytest.raises(WrongRegime):
+            c_optimal(3, 4)
 
     @pytest.mark.parametrize("m,n", [(2, 2), (3, 2), (4, 3)])
     def test_builders_at_c_optimal_stay_positive(self, m, n):

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from udisc.discriminator import build_optimal_equal, build_trivial_antisym, build_universal, verify_unambiguous
+from udisc.discriminator import (
+    Povm,
+    build_optimal_equal,
+    build_trivial_antisym,
+    build_universal,
+    verify_unambiguous,
+)
 from udisc.errors import FormatError
 from udisc.io import read_density, read_povm, read_states, write_density, write_povm, write_states
 from udisc.random_states import rand_density, rand_states
@@ -108,3 +117,28 @@ class TestPovmFiles:
         path.write_text("povm 3 2\nelement 0\n")
         with pytest.raises(FormatError):
             read_povm(path)
+
+
+@st.composite
+def explicit_povms(draw):
+    """Explicit POVM files' content: any finite doubles, ±0 and subnormals included."""
+    m, n = draw(st.sampled_from([(2, 1), (3, 1), (2, 2)]))
+    dim = m ** (n + 1)
+    floats = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
+    parts = draw(arrays(np.float64, (n + 1, dim, 2 * dim), elements=floats))
+    return Povm(m=m, n=n, elements=tuple(parts.view(complex)))
+
+
+class TestPovmRoundTripProperty:
+    @settings(max_examples=25, deadline=None)
+    @given(povm=explicit_povms())
+    @example(povm=Povm(m=2, n=1, elements=tuple(
+        np.resize([-0.0, 5e-324, -5e-324, 0.0, -1.5], (2, 4, 8)).view(complex))))
+    def test_bit_exact(self, tmp_path_factory, povm):
+        path = tmp_path_factory.mktemp("povm") / "explicit.povm"
+        write_povm(path, povm)
+        loaded = read_povm(path)
+        assert (loaded.m, loaded.n) == (povm.m, povm.n)
+        assert len(loaded.elements) == len(povm.elements)
+        for a, b in zip(loaded.elements, povm.elements):
+            assert a.view(float).tobytes() == b.view(float).tobytes()

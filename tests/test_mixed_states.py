@@ -10,7 +10,6 @@ from udisc.mixed_states import (
     bounds_check,
     build_program,
     core_decompose,
-    discriminable,
     part_probabilities,
     require_density,
 )
@@ -94,13 +93,13 @@ class TestCoreDecompose:
 
 class TestDiscriminable:
     def test_orthogonal_pure_pair(self):
-        assert discriminable([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+        assert core_decompose([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).discriminable
 
     def test_identical_states(self):
-        assert not discriminable([np.eye(2) / 2, np.eye(2) / 2])
+        assert not core_decompose([np.eye(2) / 2, np.eye(2) / 2]).discriminable
 
     def test_half_mixed_against_pure(self):
-        assert not discriminable([np.eye(2) / 2, np.diag([1.0, 0.0])])
+        assert not core_decompose([np.eye(2) / 2, np.diag([1.0, 0.0])]).discriminable
 
 
 class TestBuildProgram:
@@ -218,7 +217,7 @@ class TestPartProbabilities:
             if not 2 <= program.total <= 4 or program.dim < program.total:
                 continue
             checked += 1
-            verdict = discriminable(rhos)
+            verdict = cores.discriminable
             own = []
             for s in (1, 2):
                 probs = part_probabilities(program, rhos[s - 1])
