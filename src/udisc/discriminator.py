@@ -13,6 +13,16 @@ A built POVM keeps only that structure: outcome probabilities of product
 inputs come from Gram determinants, and the dense elements are assembled
 only when something reads them, under the dense-storage budget in force
 then (config.entry_cap).
+
+Verification lifts no unitary to all n+1 registers and solves no dense
+eigenproblem for a sector-diagonal element.  Every element the paper
+builds commutes with each collective unitary U^⊗(n+1), so it is
+block-diagonal over the weight sectors (basis states sharing one multiset
+of levels): the minimum eigenvalues come from the sector blocks, with one
+dense eigensolve for an element that has a nonzero entry outside them.
+The Haar samples of check_covariance apply U^⊗(n+1) as two Kronecker
+factors, each on its own axis of the reshaped element.  Hermiticity is
+checked once per element, in verify_unambiguous.
 """
 
 from __future__ import annotations
@@ -109,11 +119,41 @@ class Povm:
         return self.m ** (self.n + 1)
 
     def residuals(self) -> tuple[list[float], float]:
-        """(min eigenvalue per element, completeness residual ‖ΣΠ - I‖_max)."""
-        mins = [float(np.linalg.eigvalsh(e)[0]) for e in self.elements]
+        """(min eigenvalue per element, completeness residual ‖ΣΠ - I‖_max).
+
+        An element whose entries outside its weight sectors are exactly zero
+        is block-diagonal, so its minimum eigenvalue is the least over the
+        sector blocks; any other element takes one dense eigensolve.
+        """
+        sectors = _weight_sectors(self.m, self.n + 1)
+        mins = [_min_eigenvalue(e, sectors) for e in self.elements]
         total = sum(self.elements)
         comp = max_abs(total - np.eye(self.dim))
         return mins, comp
+
+
+def _weight_sectors(m: int, count: int) -> list[np.ndarray]:
+    """Basis indices of count registers of dimension m, grouped by weight sector.
+
+    A sector is the set of basis states sharing one multiset of levels; an
+    operator that commutes with every collective unitary U^⊗count maps each
+    sector into itself.  Returns one (sectors, size) index array per sector
+    size, so the blocks of one size are read and solved together.
+    """
+    powers = m ** np.arange(count)
+    digits = np.arange(m**count)[:, None] // powers % m
+    _, label, sizes = np.unique(np.sort(digits, axis=1) @ powers, return_inverse=True,
+                                return_counts=True)
+    sectors = np.split(np.argsort(label, kind="stable"), np.cumsum(sizes)[:-1])
+    return [np.array([s for s in sectors if len(s) == size]) for size in np.unique(sizes)]
+
+
+def _min_eigenvalue(e: np.ndarray, sectors: list[np.ndarray]) -> float:
+    """Least eigenvalue of a Hermitian element, by sector blocks when it is sector-diagonal."""
+    blocks = [e[idx[:, :, None], idx[:, None, :]] for idx in sectors]
+    if sum(np.count_nonzero(b) for b in blocks) != np.count_nonzero(e):
+        return float(np.linalg.eigvalsh(e)[0])
+    return min(float(np.linalg.eigvalsh(b).min()) for b in blocks)
 
 
 @dataclass(frozen=True)
@@ -442,6 +482,34 @@ class CovarianceReport:
         return self.unitary_ok and self.permutation_ok and self.reduction_ok
 
 
+def _unitary_residual(povm: Povm, trials: int, seed: int) -> float:
+    """Largest ‖U^⊗(n+1) Π_k U†^⊗(n+1) − Π_k‖_max over the elements and trials
+    Haar-random U drawn from default_rng(seed).
+
+    U^⊗(n+1) = A ⊗ B with A = u^⊗⌈(n+1)/2⌉ (a × a) and B = u^⊗⌊(n+1)/2⌋
+    (b × b) is never formed: each factor acts on its own axis of the
+    reshaped element, no reshape makes a copy, and two element-sized
+    buffers hold every intermediate.
+    """
+    m, n, dim = povm.m, povm.n, povm.dim
+    a, b = m ** ((n + 2) // 2), m ** ((n + 1) // 2)
+    rng = np.random.default_rng(seed)
+    one, two = np.empty((2, dim * dim), dtype=complex)
+    residual = 0.0
+    for _ in range(trials):
+        u = rand_unitary(m, rng)
+        big, small = kron_chain([u] * ((n + 2) // 2)), kron_chain([u] * ((n + 1) // 2))
+        big_conj, small_adj = big.conj(), small.conj().T
+        for e in povm.elements:
+            np.matmul(big, e.reshape(a, b * dim), out=one.reshape(a, b * dim))
+            np.matmul(small, one.reshape(a, b, dim), out=two.reshape(a, b, dim))
+            np.matmul(two.reshape(dim * a, b), small_adj, out=one.reshape(dim * a, b))
+            np.matmul(big_conj, one.reshape(dim, a, b), out=two.reshape(dim, a, b))
+            diff = np.subtract(two.reshape(dim, dim), e, out=one.reshape(dim, dim))
+            residual = max(residual, max_abs(diff))
+    return residual
+
+
 def check_covariance(povm: Povm, trials: int = 20, seed: int = 7) -> CovarianceReport:
     """Probe the three symmetries of an optimal discriminator.
 
@@ -455,21 +523,13 @@ def check_covariance(povm: Povm, trials: int = 20, seed: int = 7) -> CovarianceR
        a multiple of the identity, with the same constant for every i ≥ 1.
 
     trials < 1 raises ValueError, since property 1 would pass unchecked.
+    Hermiticity is not checked here; verify_unambiguous checks it.
     """
     if trials < 1:
         raise ValueError(f"covariance check needs at least one Haar trial, got trials={trials}")
     m, n = povm.m, povm.n
-    rng = np.random.default_rng(seed)
     eye_data = np.eye(m, dtype=complex)
-
-    unitary_residual = 0.0
-    for _ in range(trials):
-        u = rand_unitary(m, rng)
-        lifted = kron_chain([u] * (n + 1))
-        for e in povm.elements:
-            unitary_residual = max(
-                unitary_residual, max_abs(lifted @ e @ lifted.conj().T - e)
-            )
+    unitary_residual = _unitary_residual(povm, trials, seed)
 
     permutation_residual = 0.0
     for sigma in all_permutations(n):

@@ -180,8 +180,11 @@ def c_optimal(m: int, n: int) -> float:
     so λ_max(G) is the larger of their largest eigenvalues; no m-dependent
     vector is formed.  Cross-checked against the coefficient of the
     auto_family device (n/(n+1) for m = n, 1/n for m > n); a disagreement
-    beyond 1e-9 raises ArithmeticError.
+    beyond 1e-9 raises ArithmeticError.  n < 2 and m < n raise WrongRegime,
+    as family_povm does.
     """
+    if n < 2:
+        raise WrongRegime(f"need at least two states, got n={n}")
     _tuples_for(m, n)  # WrongRegime for m < n
     blocks = [gamma_block_matrix(n)] + ([lambda_block_matrix(n)] if m > n else [])
     c = 1.0 / max(float(np.linalg.eigvalsh(b)[-1]) for b in blocks)

@@ -13,9 +13,14 @@ povm file       header ``povm m n k`` with k = n+1, then for each element a
 All three are a header and blocks of rows, written and read by one codec.
 Every block the header declares is sized against the dense-storage budget
 (config.entry_cap) before any row is read, and rows stream from the file.
+Each block is parsed by one np.loadtxt call over its lines, which gives the
+same doubles as float(); a block it refuses is scanned again row by row,
+so an error names the row.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -54,6 +59,37 @@ def _parse_header(line: str | None, keyword: str, fields: int, path) -> list[int
     return values
 
 
+def _parse_block(block: list[str], rows: int, cols: int, where: str) -> np.ndarray:
+    """The rows x 2·cols floats of a block's lines.
+
+    One np.loadtxt call parses a well-formed block.  On a ValueError or a
+    wrong shape the block is scanned again row by row with float(), which
+    names the first bad row and accepts the few spellings float() takes and
+    np.loadtxt does not (digit separators such as "1_0").  Both give the
+    same double for every token both accept.
+    """
+    if len(block) == rows:
+        try:
+            values = np.loadtxt(block, dtype=np.float64, comments=None, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if values.shape == (rows, 2 * cols):
+                return values
+    values = np.empty((rows, 2 * cols))
+    for r in range(rows):
+        parts = block[r].split() if r < len(block) else []
+        if len(parts) != 2 * cols:
+            raise FormatError(
+                f"{where} row {r + 1} needs {cols} complex pairs ({2 * cols} numbers), got {len(parts)}"
+            )
+        try:
+            values[r] = [float(p) for p in parts]
+        except ValueError as exc:
+            raise FormatError(f"{where} row {r + 1} contains a non-numeric token") from exc
+    return values
+
+
 def _read_blocks(path, keyword: str, fields: int, layout) -> tuple[list[int], list[np.ndarray]]:
     """Parse a header ``keyword <fields positive ints>`` and the blocks it declares.
 
@@ -74,18 +110,7 @@ def _read_blocks(path, keyword: str, fields: int, layout) -> tuple[list[int], li
                 line = next(lines, "")
                 if line.split() != label.split():
                     raise FormatError(f"{path}: expected {label!r}, got {line!r}")
-            values = np.empty((rows, 2 * cols))
-            for r in range(rows):
-                parts = next(lines, "").split()
-                if len(parts) != 2 * cols:
-                    raise FormatError(
-                        f"{path}: {name} row {r + 1} needs {cols} complex pairs "
-                        f"({2 * cols} numbers), got {len(parts)}"
-                    )
-                try:
-                    values[r] = [float(p) for p in parts]
-                except ValueError as exc:
-                    raise FormatError(f"{path}: {name} row {r + 1} contains a non-numeric token") from exc
+            values = _parse_block(list(itertools.islice(lines, rows)), rows, cols, f"{path}: {name}")
             blocks.append(values.view(complex))  # (re, im) pairs bit for bit, -0.0 included
         if next(lines, None) is not None:
             raise FormatError(f"{path}: content after the last {what} row")
@@ -152,9 +177,14 @@ def read_density(path) -> np.ndarray:
 
 
 def write_povm(path, povm: Povm) -> None:
-    # the header reads .elements first, so a built POVM over budget fails before the file opens
-    _write_blocks(path, f"povm {povm.m} {povm.n} {len(povm.elements)}",
-                  [(f"element {i}", e) for i, e in enumerate(povm.elements)])
+    """Write a POVM file; a count other than n+1 is refused, as read_povm refuses it.
+
+    The elements are read (and a built POVM's assembled, under the budget)
+    and their count checked before the file is opened.
+    """
+    k = len(povm.elements)
+    labels, _, _, _ = _povm_layout(povm.m, povm.n, k)
+    _write_blocks(path, f"povm {povm.m} {povm.n} {k}", zip(labels, povm.elements))
 
 
 def _povm_layout(m: int, n: int, k: int):

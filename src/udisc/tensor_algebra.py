@@ -93,9 +93,10 @@ def partial_trace(op, factors, traced) -> np.ndarray:
     """Trace out the given 1-based factor indices of an operator on factors ``factors``.
 
     The result acts on the remaining factors in their original relative
-    order; the total trace is preserved.
+    order; the total trace is preserved.  Any finite square operator is
+    accepted: hermiticity is the caller's check, made once per operator.
     """
-    op = require_hermitian(op)
+    op = as_complex_matrix(op)
     dims = [int(f) for f in factors]
     dim = math.prod(dims)
     if op.shape != (dim, dim):

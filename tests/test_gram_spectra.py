@@ -146,6 +146,11 @@ class TestCOptimal:
         with pytest.raises(WrongRegime):
             c_optimal(3, 4)
 
+    @pytest.mark.parametrize("m,n", [(1, 1), (3, 1)])
+    def test_needs_two_states(self, m, n):
+        with pytest.raises(WrongRegime, match="at least two states"):
+            c_optimal(m, n)
+
     @pytest.mark.parametrize("m,n", [(2, 2), (3, 2), (4, 3)])
     def test_builders_at_c_optimal_stay_positive(self, m, n):
         povm = build_optimal_equal(n) if m == n else build_universal(m, n)

@@ -118,6 +118,31 @@ class TestPovmFiles:
         with pytest.raises(FormatError):
             read_povm(path)
 
+    def test_writer_refuses_a_count_the_reader_refuses(self, tmp_path):
+        path = tmp_path / "povm.txt"
+        povm = Povm(m=2, n=1, elements=[np.eye(4) / 3] * 3)
+        with pytest.raises(FormatError, match="declares 3 elements; a POVM on n=1 states has n"):
+            write_povm(path, povm)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("token,message", [("x", "element 1 row 3 contains a non-numeric"),
+                                               ("1 2", r"element 1 row 3 needs 8 complex pairs \(16 numbers\), got 17")])
+    def test_errors_name_the_row(self, tmp_path, token, message):
+        path = tmp_path / "povm.txt"
+        write_povm(path, build_optimal_equal(2))
+        lines = path.read_text().splitlines()
+        row = lines.index("element 1") + 3
+        lines[row] = lines[row].replace("0", token, 1)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match=message):
+            read_povm(path)
+
+    def test_spellings_only_float_accepts_still_parse(self, tmp_path):
+        # np.loadtxt refuses digit separators; the row scan reads them as float() does
+        path = tmp_path / "rho.txt"
+        path.write_text("rho 2\n5_0e-2 0 0 0\n0 0 0.5 -0\n")
+        assert np.array_equal(read_density(path), np.eye(2) / 2)
+
 
 @st.composite
 def explicit_povms(draw):

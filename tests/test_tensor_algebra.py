@@ -113,6 +113,12 @@ class TestPartialTrace:
             assert abs(np.trace(reduced) - np.trace(omega)) < 1e-10 * max(1, abs(np.trace(omega)))
             assert np.linalg.eigvalsh(reduced)[0] >= -1e-10
 
+    def test_any_square_operator(self):
+        # hermiticity is the caller's check: Tr_1(A ⊗ B) = Tr(A)·B for any A, B
+        a = np.array([[1.0, 2.0], [0.0, 3j]])
+        b = np.array([[0.0, 1.0], [-4.0, 2.0]])
+        assert np.allclose(partial_trace(kron_chain([a, b]), (2, 2), {1}), (1 + 3j) * b, atol=1e-15)
+
     def test_errors(self):
         with pytest.raises(LayoutMismatch):
             partial_trace(np.eye(4), (2, 3), {1})
