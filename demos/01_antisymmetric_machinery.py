@@ -7,11 +7,11 @@ import numpy as np
 
 from udisc import (
     Permutation,
-    antisym_overlap,
     antisym_projector,
     antisym_projector_from_basis,
     gram,
     gram_det,
+    kron_chain,
     permutation_operator,
     wedge,
 )
@@ -49,6 +49,8 @@ print("permutation-sum route vs basis route (m=3, n=2):", f"{delta:.2e}")
 print("\n== Overlap identity ==")
 pair = np.array([[1, 0, 0], [0.6, 0.8, 0]], dtype=complex)
 print("pair with overlap 0.6:")
-print("  <phi| P |phi>  =", round(antisym_overlap(pair), 12))
+phi = kron_chain(pair)
+overlap = float((phi.conj() @ antisym_projector(3, 2).matrix @ phi).real)
+print("  <phi| P |phi>  =", round(overlap, 12))
 print("  det(X)/2!      =", round(gram_det(pair) / 2, 12))
 print("  Gram matrix    =\n", np.round(gram(pair).real, 6))

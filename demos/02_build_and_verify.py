@@ -47,7 +47,7 @@ print(f"valid POVM, but leakage = {report.max_leakage():.3f} -> "
       f"{'pass' if report.passed else 'fail'}")
 
 print("\n== Symmetry properties ==")
-cov = check_covariance(povms["universal (m=3, n=2)"], trials=10, seed=0)
+cov = check_covariance(povms["universal (m=3, n=2)"])
 print("collective-unitary residual :", f"{cov.unitary_residual:.2e}")
 print("register-permutation residual:", f"{cov.permutation_residual:.2e}")
 print("reduction to own register   :", f"{cov.reduction_residual:.2e}",

@@ -12,7 +12,6 @@ from .antisym import (
     Permutation,
     all_permutations,
     antisym_basis_vector,
-    antisym_overlap,
     antisym_projector,
     antisym_projector_from_basis,
     increasing_tuples,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import check_entries, check_square
-from .tensor_algebra import as_state_set, gram_det, kron_chain, max_abs
+from .tensor_algebra import as_state_set, kron_chain, max_abs
 
 # AntisymProjector.validate: idempotency and sign-covariance deviation.
 PROJECTOR_TOL = 1e-10
@@ -198,21 +198,3 @@ def antisym_projector_from_basis(m: int, n: int) -> AntisymProjector:
         v = antisym_basis_vector(tup, m)
         acc += np.outer(v, v.conj())
     return AntisymProjector(m, n, acc)
-
-
-def antisym_overlap(states) -> float:
-    """Quadratic form <ψ_1…ψ_n| Φ(n) |ψ_1…ψ_n>, cross-checked against det(X)/n!.
-
-    Zero exactly when the states are linearly dependent.
-    """
-    s = as_state_set(states)
-    n, m = s.shape
-    phi = antisym_projector(m, n).matrix
-    vec = kron_chain([s[i] for i in range(n)])
-    value = float((vec.conj() @ phi @ vec).real)
-    expected = gram_det(s) / math.factorial(n)
-    if abs(value - expected) > 1e-10 * max(1.0, abs(expected)):
-        raise ArithmeticError(
-            f"antisymmetric overlap {value!r} disagrees with det(Gram)/n! = {expected!r}"
-        )
-    return value

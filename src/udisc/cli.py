@@ -78,7 +78,7 @@ def cmd_build(args, emit: Emitter) -> int:
 def cmd_verify(args, emit: Emitter) -> int:
     povm = io.read_povm(args.povm)
     report = verify_unambiguous(povm)
-    cov = check_covariance(povm, trials=args.trials, seed=args.seed)
+    cov = check_covariance(povm)
     emit.value("m", povm.m)
     emit.value("n", povm.n)
     emit.value("elements", len(povm.elements))
@@ -228,8 +228,8 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common], help="verify a serialized POVM")
     p.add_argument("povm", help="POVM file to verify")
-    p.add_argument("--trials", type=int, default=20, help="Haar samples for the covariance check")
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--seed", type=int, default=7,
+                   help="accepted for compatibility; no effect, the covariance check is exact")
     p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("prob", parents=[common], help="success probability for a state file")

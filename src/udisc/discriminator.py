@@ -14,15 +14,19 @@ inputs come from Gram determinants, and the dense elements are assembled
 only when something reads them, under the dense-storage budget in force
 then (config.entry_cap).
 
-Verification lifts no unitary to all n+1 registers and solves no dense
+Verification lifts no operator to all n+1 registers and solves no dense
 eigenproblem for a sector-diagonal element.  Every element the paper
 builds commutes with each collective unitary U^⊗(n+1), so it is
 block-diagonal over the weight sectors (basis states sharing one multiset
 of levels): the minimum eigenvalues come from the sector blocks, with one
 dense eigensolve for an element that has a nonzero entry outside them.
-The Haar samples of check_covariance apply U^⊗(n+1) as two Kronecker
-factors, each on its own axis of the reshaped element.  Hermiticity is
-checked once per element, in verify_unambiguous.
+check_covariance proves that invariance exactly rather than sampling it:
+an operator commutes with every U^⊗(n+1) iff it commutes with
+dΓ(E) = Σ_r E_r for the 2(m−1) generators E = E_{a,a+1}, E_{a+1,a},
+because U(m) is connected, those generators span sl(m) under commutators,
+and dΓ(I) = (n+1)·I.  Each term E_r is an index shift on one register
+axis of the element.  Hermiticity is checked once per element, in
+verify_unambiguous.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ import numpy as np
 from .antisym import all_permutations, antisym_projector
 from .config import check_square
 from .errors import IndexOutOfRange, InvalidPovm, LayoutMismatch, NotHermitian, WrongRegime
-from .random_states import rand_unitary
 from .tensor_algebra import (
     gram,
     gram_det,
@@ -462,8 +465,6 @@ class CovarianceReport:
     reduction_residual: float
     reduction_constants: tuple[float, ...]
     reduction_spread: float
-    trials: int
-    seed: int
 
     @property
     def unitary_ok(self) -> bool:
@@ -482,57 +483,58 @@ class CovarianceReport:
         return self.unitary_ok and self.permutation_ok and self.reduction_ok
 
 
-def _unitary_residual(povm: Povm, trials: int, seed: int) -> float:
-    """Largest ‖U^⊗(n+1) Π_k U†^⊗(n+1) − Π_k‖_max over the elements and trials
-    Haar-random U drawn from default_rng(seed).
+def _unitary_residual(povm: Povm) -> float:
+    """Largest entry of [dΓ(E), Π_k] over the elements and the 2(m−1) generators
+    E = |b><a| with {a, b} = {low, low+1}, where dΓ(E) = Σ_r E acting on register r.
 
-    U^⊗(n+1) = A ⊗ B with A = u^⊗⌈(n+1)/2⌉ (a × a) and B = u^⊗⌊(n+1)/2⌋
-    (b × b) is never formed: each factor acts on its own axis of the
-    reshaped element, no reshape makes a copy, and two element-sized
-    buffers hold every intermediate.
+    On the (m,)*2(n+1) view of Π_k, E_r·Π_k copies the slice a of row
+    axis r into slice b, and Π_k·E_r copies the slice b of column axis r
+    into slice a; the 2(n+1) terms accumulate into one reused buffer.
     """
-    m, n, dim = povm.m, povm.n, povm.dim
-    a, b = m ** ((n + 2) // 2), m ** ((n + 1) // 2)
-    rng = np.random.default_rng(seed)
-    one, two = np.empty((2, dim * dim), dtype=complex)
+    m, count = povm.m, povm.n + 1
+    comm = np.empty((m,) * (2 * count), dtype=complex)
     residual = 0.0
-    for _ in range(trials):
-        u = rand_unitary(m, rng)
-        big, small = kron_chain([u] * ((n + 2) // 2)), kron_chain([u] * ((n + 1) // 2))
-        big_conj, small_adj = big.conj(), small.conj().T
-        for e in povm.elements:
-            np.matmul(big, e.reshape(a, b * dim), out=one.reshape(a, b * dim))
-            np.matmul(small, one.reshape(a, b, dim), out=two.reshape(a, b, dim))
-            np.matmul(two.reshape(dim * a, b), small_adj, out=one.reshape(dim * a, b))
-            np.matmul(big_conj, one.reshape(dim, a, b), out=two.reshape(dim, a, b))
-            diff = np.subtract(two.reshape(dim, dim), e, out=one.reshape(dim, dim))
-            residual = max(residual, max_abs(diff))
+    for e in povm.elements:
+        t = e.reshape(comm.shape)
+        for low in range(m - 1):
+            for a, b in ((low + 1, low), (low, low + 1)):
+                comm.fill(0)
+                for r in range(count):
+                    row, col = (slice(None),) * r, (slice(None),) * (count + r)
+                    comm[row + (b,)] += t[row + (a,)]
+                    comm[col + (a,)] -= t[col + (b,)]
+                residual = max(residual, max_abs(comm))
     return residual
 
 
-def check_covariance(povm: Povm, trials: int = 20, seed: int = 7) -> CovarianceReport:
-    """Probe the three symmetries of an optimal discriminator.
+def check_covariance(povm: Povm) -> CovarianceReport:
+    """Check the three symmetries of an optimal discriminator.
 
-    1. Collective unitary invariance U^⊗(n+1) Π_i U†^⊗(n+1) = Π_i, sampled
-       over Haar-random U (the property is exact per U, so sampling suffices).
+    1. Collective unitary invariance U^⊗(n+1) Π_i U†^⊗(n+1) = Π_i for every
+       U ∈ U(m), exactly: U(m) is connected, so this holds iff Π_i commutes
+       with dΓ(X) for every X in its Lie algebra; dΓ(I) = (n+1)·I commutes
+       with everything, and the generators E_{a,a+1}, E_{a+1,a} span sl(m)
+       under commutators, so the 2(m−1) commutators [dΓ(E), Π_i] vanish
+       iff Π_i is invariant.  Both the raising and the lowering generators
+       are checked, since Π_i is not assumed Hermitian here.
     2. Program-register covariance (σ_P^{-1} ⊗ I) Π_i (σ_P ⊗ I) = Π_{σ(i)}
-       for every permutation σ of the n program registers.  The conjugation
-       only moves factor σ^{-1}(k) into slot k, so it is a reorder_factors
-       transpose.
+       for every permutation σ of the n program registers other than the
+       identity.  The conjugation only moves factor σ^{-1}(k) into slot k,
+       so it is a reorder_factors transpose.
     3. Reduction to the own register: Tr over all other registers of Π_i is
        a multiple of the identity, with the same constant for every i ≥ 1.
 
-    trials < 1 raises ValueError, since property 1 would pass unchecked.
     Hermiticity is not checked here; verify_unambiguous checks it.
     """
-    if trials < 1:
-        raise ValueError(f"covariance check needs at least one Haar trial, got trials={trials}")
     m, n = povm.m, povm.n
     eye_data = np.eye(m, dtype=complex)
-    unitary_residual = _unitary_residual(povm, trials, seed)
+    unitary_residual = _unitary_residual(povm)
 
+    identity = tuple(range(1, n + 1))
     permutation_residual = 0.0
     for sigma in all_permutations(n):
+        if sigma.images == identity:
+            continue
         order = list(sigma.inverse().images) + [n + 1]
         for i in range(1, n + 1):
             conjugated = reorder_factors(povm.elements[i], povm.dims, order)
@@ -556,6 +558,4 @@ def check_covariance(povm: Povm, trials: int = 20, seed: int = 7) -> CovarianceR
         reduction_residual=reduction_residual,
         reduction_constants=tuple(constants),
         reduction_spread=spread,
-        trials=trials,
-        seed=seed,
     )

@@ -27,7 +27,12 @@ import numpy as np
 from .config import check_entries
 from .discriminator import Povm
 from .errors import FormatError
-from .tensor_algebra import max_abs
+from .tensor_algebra import NORM_TOL, max_abs
+
+# read_states: a norm deviation above this (and at most NORM_TOL) is renormalized with a warning.
+RENORMALIZE_WARN_TOL = 1e-9
+# read_density: hermiticity and trace deviations up to this are repaired, beyond it rejected.
+DENSITY_REPAIR_TOL = 1e-8
 
 
 def _write_blocks(path, header: str, blocks, comment: str | None = None) -> None:
@@ -129,19 +134,18 @@ def write_states(path, states, comment: str | None = None) -> None:
 def read_states(path) -> tuple[np.ndarray, list[str]]:
     """Parse a state file; near-unit states are renormalized.
 
-    Returns (states, warnings).  Norm deviations above 1e-9 produce a
-    warning, deviations above 1e-6 are rejected.
+    Returns (states, warnings).  Norm deviations above RENORMALIZE_WARN_TOL
+    produce a warning, deviations above NORM_TOL are rejected (a zero row
+    among them).
     """
     (m, n), (states,) = _read_blocks(path, "states", 2, lambda m, n: ([None], n, m, "state set"))
     warnings = []
     for i in range(n):
         norm = float(np.linalg.norm(states[i]))
         deviation = abs(norm - 1.0)
-        if deviation > 1e-6:
+        if deviation > NORM_TOL:
             raise FormatError(f"{path}: state {i + 1} has norm {norm!r}, too far from 1")
-        if norm == 0.0:
-            raise FormatError(f"{path}: state {i + 1} is the zero vector")
-        if deviation > 1e-9:
+        if deviation > RENORMALIZE_WARN_TOL:
             warnings.append(f"state {i + 1} renormalized (norm deviation {deviation:.3e})")
         states[i] = states[i] / norm
     return states, warnings
@@ -158,16 +162,16 @@ def write_density(path, rho, comment: str | None = None) -> None:
 def read_density(path) -> np.ndarray:
     """Parse a density file, validating hermiticity and unit trace.
 
-    Deviations up to 1e-8 (hand-typed rounding) are repaired by symmetrizing
-    and rescaling; anything beyond is rejected.
+    Deviations up to DENSITY_REPAIR_TOL (hand-typed rounding) are repaired by
+    symmetrizing and rescaling; anything beyond is rejected.
     """
     _, (rho,) = _read_blocks(path, "rho", 1, lambda d: ([None], d, d, "density matrix"))
     herm_dev = max_abs(rho - rho.conj().T)
-    if herm_dev > 1e-8:
+    if herm_dev > DENSITY_REPAIR_TOL:
         raise FormatError(f"{path}: matrix is not Hermitian (deviation {herm_dev:.3e})")
     rho = (rho + rho.conj().T) / 2
     tr = float(np.trace(rho).real)
-    if abs(tr - 1.0) > 1e-8:
+    if abs(tr - 1.0) > DENSITY_REPAIR_TOL:
         raise FormatError(f"{path}: trace is {tr!r}, expected 1")
     return rho / tr
 

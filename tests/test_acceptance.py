@@ -236,16 +236,16 @@ def test_criterion_09_efficiency_sandwich():
 
 def test_criterion_10_covariance_invariants():
     reports = [
-        check_covariance(build_universal(3, 2), trials=20, seed=210),
-        check_covariance(build_optimal_equal(3), trials=20, seed=211),
-        check_covariance(build_universal(4, 3), trials=20, seed=212),
+        check_covariance(build_universal(3, 2)),
+        check_covariance(build_optimal_equal(3)),
+        check_covariance(build_universal(4, 3)),
     ]
     unitary = max(r.unitary_residual for r in reports)
     permutation = max(r.permutation_residual for r in reports)
     reduction = max(r.reduction_residual for r in reports)
     spread = max(r.reduction_spread for r in reports)
     ok = unitary <= 1e-9 and permutation <= 1e-10 and reduction <= 1e-9 and spread <= 1e-10
-    report(10, ok, f"20 Haar samples residual {unitary:.2e} (tol 1e-9); permutation "
+    report(10, ok, f"generator commutator residual {unitary:.2e} (tol 1e-9); permutation "
                    f"residual {permutation:.2e} (tol 1e-10); constant reduction "
                    f"residual {reduction:.2e}, spread {spread:.2e}")
     assert ok

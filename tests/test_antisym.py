@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,6 @@ from udisc.antisym import (
     Permutation,
     all_permutations,
     antisym_basis_vector,
-    antisym_overlap,
     antisym_projector,
     antisym_projector_from_basis,
     increasing_tuples,
@@ -155,6 +156,18 @@ class TestAntisymProjector:
         a = antisym_projector(m, n).matrix
         b = antisym_projector_from_basis(m, n).matrix
         assert max_abs(a - b) < 1e-10
+
+
+def antisym_overlap(states) -> float:
+    """Oracle: <ψ_1…ψ_n| Φ(n) |ψ_1…ψ_n> from the dense projector, cross-checked
+    against det(X)/n!.  Zero exactly when the states are linearly dependent."""
+    s = np.asarray(states, dtype=complex)
+    n, m = s.shape
+    vec = kron_chain(s)
+    value = float((vec.conj() @ antisym_projector(m, n).matrix @ vec).real)
+    expected = gram_det(s) / math.factorial(n)
+    assert abs(value - expected) <= 1e-10 * max(1.0, abs(expected))
+    return value
 
 
 class TestAntisymOverlap:

@@ -4,7 +4,8 @@ The budget is chosen only through config.entry_cap (or UDISC_CAP), and every
 tolerance is a named module constant; the one parameter that takes two
 values in production, subspace_intersection's null-space threshold, is the
 only ``tol`` left.  Registers are named by one convention, the plain
-sequence of factor dimensions.
+sequence of factor dimensions.  The covariance check is exact, so nothing
+but the shot sampler takes a seed or a trial count.
 """
 
 import importlib
@@ -62,3 +63,10 @@ def test_registers_are_a_plain_dims_sequence():
     assert _taking("layout") == set()
     for fn in (partial_trace, reorder_factors):
         assert list(inspect.signature(fn).parameters)[1] == "factors"
+
+
+def test_only_the_sampler_takes_a_seed():
+    assert _taking("trials") == set()
+    # SampleRecord takes its seed only to record which stream drew the counts
+    assert _taking("seed") == {"udisc.sampler.sample", "udisc.sampler.SampleRecord"}
+    assert not hasattr(importlib.import_module("udisc.discriminator"), "rand_unitary")

@@ -91,12 +91,12 @@ class TestVerify:
         code, _, _ = run(capsys, "build", "--m", str(m), "--n", str(n),
                          "--family", family, "--out", povm_file)
         assert code == 0
-        code, out, _ = run(capsys, "verify", povm_file, "--trials", "3")
+        code, out, _ = run(capsys, "verify", povm_file)
         assert code == 0
         assert "verdict = pass" in out
 
     def test_leaky_file_fails(self, tmp_path, capsys):
-        code, out, _ = run(capsys, "verify", leaky_povm_file(tmp_path), "--trials", "1")
+        code, out, _ = run(capsys, "verify", leaky_povm_file(tmp_path))
         assert code == 1
         assert "verdict = fail" in out
         leakage = [line for line in out.splitlines() if line.startswith("leakage_1")]
@@ -143,28 +143,34 @@ class TestVerify:
         assert "codec" not in err
         assert out == ""
 
-    @pytest.mark.parametrize("trials", ["0", "-3"])
-    def test_trials_below_one_exits_2(self, tmp_path, capsys, trials):
+    def test_seed_has_no_effect(self, tmp_path, capsys):
         povm_file = str(tmp_path / "u.povm")
         run(capsys, "build", "--m", "3", "--n", "2", "--family", "universal", "--out", povm_file)
-        code, out, err = run(capsys, "verify", povm_file, "--trials", trials, "--format", "kv")
-        assert code == 2
-        assert "trials" in err
-        assert "covariance" not in out and "unitary_residual" not in out
+        code, first, _ = run(capsys, "verify", povm_file, "--seed", "1", "--format", "kv")
+        assert code == 0
+        assert run(capsys, "verify", povm_file, "--seed", "2", "--format", "kv")[1] == first
 
     def test_cap_flag_covers_the_checks_under_a_smaller_env_cap(self, tmp_path, capsys,
                                                                  monkeypatch):
-        # the lifted unitaries of the covariance check are as large as an element
+        # the projectors and the commutator buffer of the checks are as large as an element
         monkeypatch.setenv("UDISC_CAP", "256")
         povm_file = str(tmp_path / "u.povm")
         run(capsys, "build", "--m", "3", "--n", "2", "--family", "universal",
             "--out", povm_file, "--cap", "1024")
-        code, out, _ = run(capsys, "verify", povm_file, "--trials", "1", "--cap", "1024")
+        code, out, _ = run(capsys, "verify", povm_file, "--cap", "1024")
         assert code == 0
         assert "verdict = pass" in out
 
 
 class TestProb:
+    def test_zero_state_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "zero.txt"
+        path.write_text("states 2 2\n1 0 0 0\n0 0 0 0\n")
+        code, out, err = run(capsys, "prob", str(path))
+        assert code == 2
+        assert "state 2 has norm 0.0, too far from 1" in err
+        assert out == ""
+
     def test_orthonormal_pair_universal(self, tmp_path, capsys):
         code, out, _ = run(capsys, "prob", orthonormal_pair_file(tmp_path),
                            "--family", "universal")
