@@ -13,6 +13,7 @@ probabilities of the built families and form no dense operator.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -202,7 +203,9 @@ def cmd_mixed(args, emit: Emitter) -> int:
     return 0
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args leaves it unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=("text", "kv"), default="text",

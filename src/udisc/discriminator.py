@@ -37,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .antisym import all_permutations, antisym_projector
+from .antisym import antisym_projector
 from .config import check_square
 from .errors import IndexOutOfRange, InvalidPovm, LayoutMismatch, NotHermitian, WrongRegime
 from .tensor_algebra import (
@@ -518,9 +518,14 @@ def check_covariance(povm: Povm) -> CovarianceReport:
        iff Π_i is invariant.  Both the raising and the lowering generators
        are checked, since Π_i is not assumed Hermitian here.
     2. Program-register covariance (σ_P^{-1} ⊗ I) Π_i (σ_P ⊗ I) = Π_{σ(i)}
-       for every permutation σ of the n program registers other than the
-       identity.  The conjugation only moves factor σ^{-1}(k) into slot k,
-       so it is a reorder_factors transpose.
+       for every permutation σ of the n program registers, checked on the
+       n−1 adjacent transpositions (k k+1), which generate S_n: if it holds
+       for σ and τ it holds for στ.  The conjugation only moves factor
+       σ^{-1}(k) into slot k, so it is a reorder_factors transpose, and it
+       permutes entries, so the largest-entry residual of a product of
+       transpositions is at most the sum of theirs: any σ's residual is at
+       most len(σ) ≤ n(n−1)/2 times permutation_residual, where len(σ) is
+       its number of inversions.
     3. Reduction to the own register: Tr over all other registers of Π_i is
        a multiple of the identity, with the same constant for every i ≥ 1.
 
@@ -530,16 +535,14 @@ def check_covariance(povm: Povm) -> CovarianceReport:
     eye_data = np.eye(m, dtype=complex)
     unitary_residual = _unitary_residual(povm)
 
-    identity = tuple(range(1, n + 1))
     permutation_residual = 0.0
-    for sigma in all_permutations(n):
-        if sigma.images == identity:
-            continue
-        order = list(sigma.inverse().images) + [n + 1]
+    for k in range(1, n):
+        order = list(range(1, n + 2))  # the transposition (k k+1), its own inverse
+        order[k - 1], order[k] = k + 1, k
         for i in range(1, n + 1):
             conjugated = reorder_factors(povm.elements[i], povm.dims, order)
             permutation_residual = max(
-                permutation_residual, max_abs(conjugated - povm.elements[sigma(i)])
+                permutation_residual, max_abs(conjugated - povm.elements[order[i - 1]])
             )
 
     constants = []

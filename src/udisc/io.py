@@ -11,11 +11,19 @@ povm file       header ``povm m n k`` with k = n+1, then for each element a
                 pairs ``re im``
 
 All three are a header and blocks of rows, written and read by one codec.
+The writer formats each distinct double of a block once, with "%.17g", and
+writes every row from that vocabulary; a built POVM's element holds a few
+distinct doubles and mostly +0.0, which is written "0", so a row is
+written as its runs of zeros and a few words.  Rows are turned into text
+in chunks of at most WRITE_CHUNK numbers, so beyond the vocabulary and a
+one-byte zero mask per number the writer's temporary memory is one chunk,
+whatever the block size.
 Every block the header declares is sized against the dense-storage budget
 (config.entry_cap) before any row is read, and rows stream from the file.
 Each block is parsed by one np.loadtxt call over its lines, which gives the
 same doubles as float(); a block it refuses is scanned again row by row,
-so an error names the row.
+so an error names the row.  A NaN or an infinity is refused where it is
+read, naming the file, the block and the row.
 """
 
 from __future__ import annotations
@@ -35,6 +43,10 @@ RENORMALIZE_WARN_TOL = 1e-9
 DENSITY_REPAIR_TOL = 1e-8
 
 
+# Numbers turned into text per chunk of rows (at least one row per chunk).
+WRITE_CHUNK = 1 << 16
+
+
 def _write_blocks(path, header: str, blocks, comment: str | None = None) -> None:
     """Write a header line, then each (label or None, matrix) block row by row."""
     with open(path, "w", encoding="ascii") as fh:
@@ -44,9 +56,45 @@ def _write_blocks(path, header: str, blocks, comment: str | None = None) -> None
         for label, matrix in blocks:
             if label is not None:
                 fh.write(label + "\n")
-            a = np.ascontiguousarray(matrix, dtype=complex)
-            row_format = " ".join(["%.17g %.17g"] * a.shape[1]) + "\n"
-            fh.writelines(row_format % tuple(row.view(float).tolist()) for row in a)
+            fh.writelines(_block_text(matrix))
+
+
+def _block_text(matrix):
+    """The rows of a block as text, in chunks, each distinct double formatted once.
+
+    The (re, im) doubles are taken as int64 bit patterns, so -0.0, each NaN
+    payload and each subnormal keeps its own entry.  The distinct nonzero
+    patterns (np.sort and a neighbour test, which on int64 is far quicker
+    than np.unique) are formatted by one "%.17g" operation into a
+    vocabulary of words that carry their trailing space; code 0 is "0 ",
+    for +0.0.  A chunk's codes come from np.searchsorted, and the chunk is
+    joined from one piece per nonzero number or row end: the run of zeros
+    before it and its word, with a newline for the space at a row end.  A
+    built POVM's rows are mostly zeros, so a row costs a few pieces.
+    """
+    bits = np.ascontiguousarray(matrix, dtype=complex).view(np.int64)
+    nonzero = np.sort(bits[bits != 0])
+    keep = np.ones(len(nonzero), dtype=bool)
+    keep[1:] = nonzero[1:] != nonzero[:-1]
+    distinct = nonzero[keep]
+    words = np.empty(len(distinct) + 1, dtype=object)
+    words[0] = "0 "
+    words[1:] = ("%.17g \0" * len(distinct) % tuple(distinct.view(np.float64).tolist())).split("\0")[:-1]
+    zero = np.array("0 ", dtype=object)
+    width = bits.shape[1]
+    step = max(1, WRITE_CHUNK // width)
+    for start in range(0, len(bits), step):
+        chunk = bits[start:start + step]
+        marked = chunk != 0
+        marked[:, -1] = True
+        at = np.flatnonzero(marked)
+        values = chunk.ravel()[at]
+        codes = np.searchsorted(distinct, values) + 1
+        codes[values == 0] = 0
+        pieces = zero * (np.diff(at, prepend=-1) - 1) + words[codes]
+        ends = at % width == width - 1
+        pieces[ends] = [p[:-1] + "\n" for p in pieces[ends].tolist()]
+        yield "".join(pieces.tolist())
 
 
 def _parse_header(line: str | None, keyword: str, fields: int, path) -> list[int]:
@@ -115,7 +163,11 @@ def _read_blocks(path, keyword: str, fields: int, layout) -> tuple[list[int], li
                 line = next(lines, "")
                 if line.split() != label.split():
                     raise FormatError(f"{path}: expected {label!r}, got {line!r}")
-            values = _parse_block(list(itertools.islice(lines, rows)), rows, cols, f"{path}: {name}")
+            where = f"{path}: {name}"
+            values = _parse_block(list(itertools.islice(lines, rows)), rows, cols, where)
+            finite = np.isfinite(values).all(axis=1)
+            if not finite.all():
+                raise FormatError(f"{where} row {np.argmin(finite) + 1} holds a non-finite number")
             blocks.append(values.view(complex))  # (re, im) pairs bit for bit, -0.0 included
         if next(lines, None) is not None:
             raise FormatError(f"{path}: content after the last {what} row")

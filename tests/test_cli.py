@@ -409,3 +409,61 @@ class TestCapScope:
         assert code == 2
         assert "exceeds the cap" in err
         assert not out_file.exists()
+
+
+class TestNonFiniteInput:
+    """A NaN or an infinity is refused where it is read, before any tolerance check."""
+
+    @staticmethod
+    def _states(tmp_path, token):
+        path = tmp_path / "states.txt"
+        path.write_text(f"states 2 2\n1 0 0 0\n{token} 0 0 0\n")
+        return ("prob", str(path)), "state set row 2"
+
+    @staticmethod
+    def _density(tmp_path, token):
+        good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+        write_density(good, np.eye(2) / 2)
+        bad.write_text(f"rho 2\n0.5 0 0 0\n0 0 {token} 0\n")
+        return ("mixed", str(good), str(bad), "--data", "1"), "density matrix row 2"
+
+    @staticmethod
+    def _povm(tmp_path, token):
+        path = tmp_path / "bad.povm"
+        write_povm(path, Povm(m=2, n=1, elements=(np.eye(4) / 2, np.eye(4) / 2)))
+        lines = path.read_text().splitlines()
+        row = lines.index("element 1") + 3
+        lines[row] = f"{token} " + lines[row].split(" ", 1)[1]
+        path.write_text("\n".join(lines) + "\n")
+        return ("verify", str(path)), "element 1 row 3"
+
+    @pytest.mark.filterwarnings("error")  # a RuntimeWarning would raise instead of printing
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("kind", ["_states", "_density", "_povm"])
+    def test_exits_2_naming_the_file(self, tmp_path, capsys, kind, token):
+        argv, where = getattr(self, kind)(tmp_path, token)
+        bad = argv[2] if kind == "_density" else argv[1]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [f"error: {bad}: {where} holds a non-finite number"]
+        assert "RuntimeWarning" not in err
+
+
+class TestParserReuse:
+    def test_successive_calls_are_independent(self, tmp_path, capsys):
+        from udisc.cli import _parser
+
+        out_file = str(tmp_path / "t.povm")
+        build = ("build", "--m", "3", "--n", "2", "--family", "trivial", "--out", out_file)
+        code, _, err = run(capsys, *build, "--cap", "256")
+        assert code == 2 and "exceeds" in err
+        code, out, _ = run(capsys, *build, "--format", "kv")
+        assert code == 0 and "family=trivial" in out.splitlines()
+        code, out, _ = run(capsys, "verify", out_file)  # text format and the default budget again
+        assert code == 0 and "verdict = pass" in out.splitlines()
+        code, _, err = run(capsys, "verify", out_file, "--cap", "256")
+        assert code == 2 and "exceeds" in err
+        code, out, _ = run(capsys, "prob", orthonormal_pair_file(tmp_path), "--format", "kv")
+        assert code == 0 and "family=universal" in out.splitlines()  # no family carried over
+        assert _parser() is _parser()

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from udisc.antisym import all_permutations, permutation_operator
+from udisc.antisym import Permutation, all_permutations, permutation_operator
 from udisc.discriminator import (
+    PERMUTATION_COV_TOL,
     Povm,
     build_optimal_equal,
     build_trivial_antisym,
@@ -415,9 +416,21 @@ class TestCovariance:
         assert not report.permutation_ok
         assert not report.passed
 
-    @pytest.mark.parametrize("m,n", [(2, 2), (3, 2), (3, 3)])
+    @pytest.mark.parametrize("m,n", [(2, 2), (3, 2), (3, 3), (4, 3)])
     def test_permutation_residual_matches_operator_conjugation(self, m, n):
-        # oracle: (σ_P^{-1} ⊗ I) Π_i (σ_P ⊗ I) with the dense permutation operator
+        # oracle: (σ_P^{-1} ⊗ I) Π_i (σ_P ⊗ I) with the dense permutation operator; the residual
+        # is taken over the adjacent transpositions, the verdict also over all of S_n
+        def residual(elements, sigmas):
+            worst = 0.0
+            for sigma in sigmas:
+                lifted = np.kron(permutation_operator(sigma, m), np.eye(m))
+                for i in range(1, n + 1):
+                    conjugated = lifted.conj().T @ elements[i] @ lifted
+                    worst = max(worst, max_abs(conjugated - elements[sigma(i)]))
+            return worst
+
+        transpositions = [Permutation(tuple(range(1, k)) + (k + 1, k) + tuple(range(k + 2, n + 1)))
+                          for k in range(1, n)]
         base = build_optimal_equal(n) if m == n else build_universal(m, n)
         rng = np.random.default_rng(59 + m + 10 * n)
         elements = [e.copy() for e in base.elements]
@@ -425,12 +438,9 @@ class TestCovariance:
             a = rng.normal(size=(base.dim, base.dim)) + 1j * rng.normal(size=(base.dim, base.dim))
             elements[i] = elements[i] + 1e-3 * (a @ a.conj().T) / base.dim
         perturbed = Povm(m=m, n=n, elements=elements)
-        expected = 0.0
-        for sigma in all_permutations(n):
-            lifted = np.kron(permutation_operator(sigma, m), np.eye(m))
-            for i in range(1, n + 1):
-                conjugated = lifted.conj().T @ elements[i] @ lifted
-                expected = max(expected, max_abs(conjugated - elements[sigma(i)]))
-        report = check_covariance(perturbed)
-        assert expected > 1e-6
-        assert report.permutation_residual == expected
+        for povm, covariant in ((base, True), (perturbed, False)):
+            report = check_covariance(povm)
+            assert report.permutation_residual == residual(povm.elements, transpositions)
+            everything = residual(povm.elements, all_permutations(n))
+            assert report.permutation_ok == (everything <= PERMUTATION_COV_TOL) == covariant
+        assert report.permutation_residual > 1e-6

@@ -1,14 +1,19 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from udisc import io as udisc_io
 from udisc.discriminator import (
     Povm,
     build_optimal_equal,
     build_trivial_antisym,
     build_universal,
+    family_povm,
     verify_unambiguous,
 )
 from udisc.errors import FormatError
@@ -167,3 +172,81 @@ class TestPovmRoundTripProperty:
         assert len(loaded.elements) == len(povm.elements)
         for a, b in zip(loaded.elements, povm.elements):
             assert a.view(float).tobytes() == b.view(float).tobytes()
+
+
+def row_format_write(path, header, blocks, comment=None):
+    """Oracle for io._write_blocks: one "%.17g" per number, one % operation per row."""
+    with open(path, "w", encoding="ascii") as fh:
+        if comment:
+            fh.write(f"# {comment}\n")
+        fh.write(header + "\n")
+        for label, matrix in blocks:
+            if label is not None:
+                fh.write(label + "\n")
+            a = np.ascontiguousarray(matrix, dtype=complex)
+            row_format = " ".join(["%.17g %.17g"] * a.shape[1]) + "\n"
+            fh.writelines(row_format % tuple(row.view(float).tolist()) for row in a)
+
+
+def oracle_povm_bytes(path, povm):
+    k = len(povm.elements)
+    labels = [f"element {i}" for i in range(k)]
+    row_format_write(path, f"povm {povm.m} {povm.n} {k}", zip(labels, povm.elements))
+    return path.read_bytes()
+
+
+# -0.0, ±inf, quiet and payload NaNs of both signs, the extreme subnormals and normals
+SPECIAL_BITS = np.array(
+    [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2250738585072014e-308,
+     1.7976931348623157e308, -1.7976931348623157e308, 1.0, -0.5]
+).view(np.int64).tolist() + [0x7FF0000000000001, 0x7FF8000000000123, -0x0008000000000001]
+bit_patterns = st.one_of(st.integers(-(2**63), 2**63 - 1), st.sampled_from(SPECIAL_BITS))
+
+
+@st.composite
+def bit_blocks(draw):
+    """Complex blocks of arbitrary float64 bit patterns, repeats and +0.0 frequent."""
+    rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 5))
+    fill = st.sampled_from(SPECIAL_BITS)
+    return draw(arrays(np.int64, (rows, 2 * cols), elements=bit_patterns, fill=fill)).view(complex)
+
+
+class TestInternedWriter:
+    """io._write_blocks against the row-format oracle, byte for byte."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(block=bit_blocks(), chunk=st.sampled_from([1, 3, 8, 1 << 16]))
+    @example(block=np.array(SPECIAL_BITS + [0]).view(complex).reshape(2, 4), chunk=1 << 16)
+    @example(block=np.zeros((3, 2), dtype=complex), chunk=1)
+    def test_bit_patterns_match_the_oracle(self, tmp_path_factory, block, chunk):
+        folder = tmp_path_factory.mktemp("writer")
+        blocks = [("block a", block), (None, block[::-1])]
+        with mock.patch.object(udisc_io, "WRITE_CHUNK", chunk):
+            udisc_io._write_blocks(folder / "new.txt", "head 1", blocks, comment="c")
+        row_format_write(folder / "old.txt", "head 1", blocks, comment="c")
+        assert (folder / "new.txt").read_bytes() == (folder / "old.txt").read_bytes()
+
+    @pytest.mark.parametrize("chunk", [1, 4 * 54])  # 4 rows per chunk does not divide 27 rows
+    def test_chunk_size_leaves_the_bytes(self, tmp_path, monkeypatch, chunk):
+        povm = build_universal(3, 2)
+        monkeypatch.setattr(udisc_io, "WRITE_CHUNK", chunk)
+        write_povm(tmp_path / "new.povm", povm)
+        assert (tmp_path / "new.povm").read_bytes() == oracle_povm_bytes(tmp_path / "old.povm", povm)
+
+    @pytest.mark.parametrize("family,m,n", [("universal", 3, 2), ("optimal", 3, 3), ("universal", 5, 2),
+                                            ("universal", 4, 3), ("trivial", 4, 3)])
+    def test_built_povms_match_the_oracle(self, tmp_path, family, m, n):
+        povm = family_povm(family, m, n)
+        write_povm(tmp_path / "new.povm", povm)
+        assert (tmp_path / "new.povm").read_bytes() == oracle_povm_bytes(tmp_path / "old.povm", povm)
+
+    def test_temporary_memory_is_bounded(self, tmp_path):
+        povm = family_povm("optimal", 4, 4)
+        elements = povm.elements  # assembled before tracing: the bound excludes them
+        tracemalloc.start()
+        try:
+            write_povm(tmp_path / "o44.povm", povm)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < elements[0].nbytes / 4  # 4 MiB, against 5 elements of 16 MiB
