@@ -15,9 +15,9 @@ The writer formats each distinct double of a block once, with "%.17g", and
 writes every row from that vocabulary; a built POVM's element holds a few
 distinct doubles and mostly +0.0, which is written "0", so a row is
 written as its runs of zeros and a few words.  Rows are turned into text
-in chunks of at most WRITE_CHUNK numbers, so beyond the vocabulary and a
-one-byte zero mask per number the writer's temporary memory is one chunk,
-whatever the block size.
+in chunks of at most WRITE_CHUNK numbers, so beyond the sorted nonzero
+values, their vocabulary and a one-byte zero mask per number the writer's
+temporary memory is one chunk, whatever the block size.
 Every block the header declares is sized against the dense-storage budget
 (config.entry_cap) before any row is read, and rows stream from the file.
 Each block is parsed by one np.loadtxt call over its lines, which gives the
@@ -48,7 +48,7 @@ WRITE_CHUNK = 1 << 16
 
 
 def _write_blocks(path, header: str, blocks, comment: str | None = None) -> None:
-    """Write a header line, then each (label or None, matrix) block row by row."""
+    """Write a header line, then each (label or None, matrix) block as rows of "%.17g" pairs."""
     with open(path, "w", encoding="ascii") as fh:
         if comment:
             fh.write(f"# {comment}\n")

@@ -418,14 +418,14 @@ class TestNonFiniteInput:
     def _states(tmp_path, token):
         path = tmp_path / "states.txt"
         path.write_text(f"states 2 2\n1 0 0 0\n{token} 0 0 0\n")
-        return ("prob", str(path)), "state set row 2"
+        return ("prob", str(path)), path, "state set row 2"
 
     @staticmethod
     def _density(tmp_path, token):
         good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
         write_density(good, np.eye(2) / 2)
         bad.write_text(f"rho 2\n0.5 0 0 0\n0 0 {token} 0\n")
-        return ("mixed", str(good), str(bad), "--data", "1"), "density matrix row 2"
+        return ("mixed", str(good), str(bad), "--data", "1"), bad, "density matrix row 2"
 
     @staticmethod
     def _povm(tmp_path, token):
@@ -435,19 +435,17 @@ class TestNonFiniteInput:
         row = lines.index("element 1") + 3
         lines[row] = f"{token} " + lines[row].split(" ", 1)[1]
         path.write_text("\n".join(lines) + "\n")
-        return ("verify", str(path)), "element 1 row 3"
+        return ("verify", str(path)), path, "element 1 row 3"
 
     @pytest.mark.filterwarnings("error")  # a RuntimeWarning would raise instead of printing
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("kind", ["_states", "_density", "_povm"])
     def test_exits_2_naming_the_file(self, tmp_path, capsys, kind, token):
-        argv, where = getattr(self, kind)(tmp_path, token)
-        bad = argv[2] if kind == "_density" else argv[1]
+        argv, bad, where = getattr(self, kind)(tmp_path, token)
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
         assert err.splitlines() == [f"error: {bad}: {where} holds a non-finite number"]
-        assert "RuntimeWarning" not in err
 
 
 class TestParserReuse:
