@@ -18,6 +18,8 @@ from .tensor_algebra import as_state_set, kron_chain, max_abs
 
 # AntisymProjector.validate: idempotency and sign-covariance deviation.
 PROJECTOR_TOL = 1e-10
+# Largest deviation of a projector's trace from its rank C(m, n).
+TRACE_TOL = 1e-9
 
 
 def _cycle_sign(images: tuple[int, ...]) -> int:
@@ -159,7 +161,7 @@ class AntisymProjector:
         p = self.matrix
         if max_abs(p @ p - p) > PROJECTOR_TOL:
             raise ValueError("projector is not idempotent within tolerance")
-        if abs(float(np.trace(p).real) - self.rank) > 1e-9:
+        if abs(float(np.trace(p).real) - self.rank) > TRACE_TOL:
             raise ValueError("projector trace differs from C(m, n)")
         for sigma in all_permutations(self.n):
             lhs = permutation_operator(sigma, self.m) @ p
@@ -184,7 +186,7 @@ def antisym_projector(m: int, n: int) -> AntisymProjector:
             acc[_permuted_indices(sigma, m), cols] += sigma.sign
         acc /= math.factorial(n)
     trace = float(np.trace(acc))
-    if abs(trace - math.comb(m, n)) > 1e-9:
+    if abs(trace - math.comb(m, n)) > TRACE_TOL:
         raise ArithmeticError(f"projector trace {trace!r} differs from C({m},{n})")
     return AntisymProjector(m, n, acc.astype(complex))
 

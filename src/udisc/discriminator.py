@@ -20,20 +20,24 @@ builds commutes with each collective unitary U^⊗(n+1), so it is
 block-diagonal over the weight sectors (basis states sharing one multiset
 of levels): the minimum eigenvalues come from the sector blocks, with one
 dense eigensolve for an element that has a nonzero entry outside them.
-check_covariance proves that invariance exactly rather than sampling it:
-an operator commutes with every U^⊗(n+1) iff it commutes with
-dΓ(E) = Σ_r E_r for the 2(m−1) generators E = E_{a,a+1}, E_{a+1,a},
-because U(m) is connected, those generators span sl(m) under commutators,
-and dΓ(I) = (n+1)·I.  Each term E_r is an index shift on one register
-axis of the element.  Hermiticity is checked once per element, in
-verify_unambiguous.
+check_covariance proves that invariance exactly rather than sampling it,
+from two facts on the sector support: the element is zero outside its
+sector blocks, and it commutes with dΓ(C) = Σ_r C_r for the one cyclic
+shift C = Σ_a |a+1 mod m><a| (see _unitary_residual for the proof).  On
+register r, C is a permutation of the basis indices, so that commutator
+is a sum of 2(n+1) gathers from the element's sector entries, evaluated
+only where it can be nonzero.  The index maps behind both (_sector_maps),
+the antisymmetric projector (_antisym) and its complement are built once
+per size per process and kept read-only.  Program-register covariance is
+checked on 2n−3 transposition conjugations of Π_1.  Hermiticity is
+checked once per element, in verify_unambiguous.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -59,6 +63,8 @@ UNITARY_COV_TOL = 1e-9
 PERMUTATION_COV_TOL = 1e-10
 REDUCTION_TOL = 1e-9
 REDUCTION_SPREAD_TOL = 1e-10
+# efficiency_bounds: rounding accepted outside [0, 1] before p_s is clamped.
+P_S_RANGE_TOL = 1e-12
 
 
 def auto_family(m: int, n: int) -> str:
@@ -128,8 +134,8 @@ class Povm:
         is block-diagonal, so its minimum eigenvalue is the least over the
         sector blocks; any other element takes one dense eigensolve.
         """
-        sectors = _weight_sectors(self.m, self.n + 1)
-        mins = [_min_eigenvalue(e, sectors) for e in self.elements]
+        maps = _sector_maps(self.m, self.n + 1)
+        mins = [_min_eigenvalue(e, maps) for e in self.elements]
         total = sum(self.elements)
         comp = max_abs(total - np.eye(self.dim))
         return mins, comp
@@ -147,16 +153,87 @@ def _weight_sectors(m: int, count: int) -> list[np.ndarray]:
     digits = np.arange(m**count)[:, None] // powers % m
     _, label, sizes = np.unique(np.sort(digits, axis=1) @ powers, return_inverse=True,
                                 return_counts=True)
-    sectors = np.split(np.argsort(label, kind="stable"), np.cumsum(sizes)[:-1])
-    return [np.array([s for s in sectors if len(s) == size]) for size in np.unique(sizes)]
+    size = sizes[label]
+    order = np.lexsort((label, size))  # by sector size, then sector, then index
+    distinct = np.unique(sizes)
+    runs = np.split(order, np.cumsum(np.bincount(size)[distinct])[:-1])
+    return [run.reshape(-1, s) for run, s in zip(runs, distinct)]
 
 
-def _min_eigenvalue(e: np.ndarray, sectors: list[np.ndarray]) -> float:
+@dataclass(frozen=True)
+class _SectorMaps:
+    """Index maps of operators on count registers of dimension m.
+
+    same: flat indices (row·dim + column) of every same-sector pair, the
+        sector blocks of one size contiguous and row-major, so one gather
+        reads all the blocks (a sector-diagonal operator's entries d);
+    blocks: (number of sectors, size) of each run of blocks in same;
+    raised, lowered: (count, |T|) gathers from d extended by one zero, over
+        the pairs T where [dΓ(C), D] can be nonzero for a sector-diagonal D:
+        those reached from a same-sector pair by the cyclic shift f_r of one
+        register's level, on the row or on the column.  Row r of raised
+        reads D[f_r^{-1}(a), b] and row r of lowered reads D[a, f_r(b)] for
+        each (a, b) in T; a pair outside the sectors reads the zero.
+    """
+
+    same: np.ndarray
+    blocks: tuple[tuple[int, int], ...]
+    raised: np.ndarray
+    lowered: np.ndarray
+
+
+@cache
+def _sector_maps(m: int, count: int) -> _SectorMaps:
+    """The _SectorMaps of (m, count), built once per process; the arrays are read-only."""
+    dim = m**count
+    sectors = _weight_sectors(m, count)
+    same = np.concatenate([(idx[:, :, None] * dim + idx[:, None, :]).ravel() for idx in sectors])
+    powers = m ** np.arange(count)
+    digits = np.arange(dim)[:, None] // powers % m
+    up = np.arange(dim)[:, None] + ((digits + 1) % m - digits) * powers  # column r: f_r
+    down = np.arange(dim)[:, None] + ((digits - 1) % m - digits) * powers  # f_r^{-1}
+    rows, cols = np.divmod(same, dim)
+    reached = np.unique(np.concatenate([(up[rows] * dim + cols[:, None]).ravel(),
+                                        (rows[:, None] * dim + down[cols]).ravel()]))
+    rows, cols = np.divmod(reached, dim)
+    order = np.argsort(same)
+
+    def position(flat):
+        """Position in same of each flat index, len(same) for a pair outside the sectors."""
+        at = np.minimum(np.searchsorted(same, flat, sorter=order), len(same) - 1)
+        return np.where(same[order[at]] == flat, order[at], len(same))
+
+    maps = _SectorMaps(
+        same=same,
+        blocks=tuple(idx.shape for idx in sectors),
+        raised=position(down[rows].T * dim + cols),
+        lowered=position(rows * dim + up[cols].T),
+    )
+    for a in (maps.same, maps.raised, maps.lowered):
+        a.setflags(write=False)
+    return maps
+
+
+def _nonzeros(a: np.ndarray) -> int:
+    """Number of nonzero real and imaginary parts (a signed zero counts as zero)."""
+    a = np.ravel(a)
+    return np.count_nonzero(a.view(np.float64) if a.dtype == np.complex128 else a)
+
+
+def _sector_part(e: np.ndarray, maps: _SectorMaps) -> tuple[np.ndarray, bool]:
+    """e's entries on its sector blocks (in maps.same order), and whether all others are zero."""
+    inside = np.ravel(e)[maps.same]
+    return inside, _nonzeros(inside) == _nonzeros(e)
+
+
+def _min_eigenvalue(e: np.ndarray, maps: _SectorMaps) -> float:
     """Least eigenvalue of a Hermitian element, by sector blocks when it is sector-diagonal."""
-    blocks = [e[idx[:, :, None], idx[:, None, :]] for idx in sectors]
-    if sum(np.count_nonzero(b) for b in blocks) != np.count_nonzero(e):
+    inside, diagonal = _sector_part(e, maps)
+    if not diagonal:
         return float(np.linalg.eigvalsh(e)[0])
-    return min(float(np.linalg.eigvalsh(b).min()) for b in blocks)
+    ends = np.cumsum([count * size * size for count, size in maps.blocks])
+    return min(float(np.linalg.eigvalsh(run.reshape(count, size, size)).min())
+               for run, (count, size) in zip(np.split(inside, ends[:-1]), maps.blocks))
 
 
 @dataclass(frozen=True)
@@ -189,10 +266,30 @@ def program_input(states, j: int) -> ProgramInput:
     return ProgramInput(states=s, data_index=int(j))
 
 
+@cache
+def _antisym(m: int, n: int) -> np.ndarray:
+    """Φ = antisym_projector(m, n).matrix, built once per (m, n) per process, read-only.
+
+    Every caller holds or is about to hold an element on n+1 registers, so
+    the budget check antisym_projector makes on the first build covers the
+    later ones.
+    """
+    phi = antisym_projector(m, n).matrix
+    phi.setflags(write=False)
+    return phi
+
+
+@cache
+def _antisym_complement(m: int, n: int) -> np.ndarray:
+    """I − Φ for _antisym(m, n), built once per (m, n) per process, read-only."""
+    complement = np.eye(m**n, dtype=complex) - _antisym(m, n)
+    complement.setflags(write=False)
+    return complement
+
+
 def _identity_times_antisym(m: int, n: int) -> list[np.ndarray]:
     """Blocks B_i = I on register i ⊗ antisymmetric projector on the other n registers."""
-    phi = antisym_projector(m, n).matrix
-    base = np.kron(np.eye(m, dtype=complex), phi)  # register order [i, rest ascending]
+    base = np.kron(np.eye(m, dtype=complex), _antisym(m, n))  # register order [i, rest ascending]
     dims = [m] * (n + 1)
     return [reorder_factors(base, dims, own_register_first(i, n + 1)) for i in range(1, n + 1)]
 
@@ -358,8 +455,7 @@ def verify_unambiguous(povm: Povm) -> VerificationReport:
             raise InvalidPovm(f"element {idx} is not Hermitian: {exc}") from exc
 
     psd_mins, completeness = povm.residuals()
-    phi = antisym_projector(m, n).matrix
-    complement = np.eye(m**n, dtype=complex) - phi
+    complement = _antisym_complement(m, n)
     leakages = []
     for i in range(1, n + 1):
         reduced = partial_trace(povm.elements[i], povm.dims, {i})
@@ -444,7 +540,7 @@ def efficiency_bounds(p_s: float, n: int) -> tuple[float, float]:
     for every n it is attained by sets with equal overlap s ∈ (−1/(n−1), 0],
     whose other n − 1 eigenvalues all equal 1 − s.
     """
-    if not -1e-12 <= p_s <= 1.0 + 1e-12:
+    if not -P_S_RANGE_TOL <= p_s <= 1.0 + P_S_RANGE_TOL:
         raise ValueError(f"p_s must lie in [0, 1], got {p_s}")
     p_s = min(max(p_s, 0.0), 1.0)
     denom = n * math.factorial(n)
@@ -484,26 +580,54 @@ class CovarianceReport:
 
 
 def _unitary_residual(povm: Povm) -> float:
-    """Largest entry of [dΓ(E), Π_k] over the elements and the 2(m−1) generators
-    E = |b><a| with {a, b} = {low, low+1}, where dΓ(E) = Σ_r E acting on register r.
+    """max over elements Π_k of max(δ_k, ‖[dΓ(C), D_k]‖_max), exactly 0 iff every
+    Π_k commutes with every collective unitary U^⊗N, N = n+1.
 
-    On the (m,)*2(n+1) view of Π_k, E_r·Π_k copies the slice a of row
-    axis r into slice b, and Π_k·E_r copies the slice b of column axis r
-    into slice a; the 2(n+1) terms accumulate into one reused buffer.
+    δ_k is the largest |entry| of Π_k outside its weight sectors, D_k is Π_k
+    with those entries zeroed, C = Σ_a |a+1 mod m><a| is the cyclic shift
+    and dΓ(C) = Σ_r C_r, C_r acting on register r.
+
+    Proof that δ_k = 0 and [dΓ(C), Π_k] = 0 suffice.  L = {X ∈ gl(m) :
+    [dΓ(X), Π_k] = 0} is a complex Lie algebra, since dΓ preserves brackets
+    and commutants are closed under them.  For diagonal H, dΓ(H) is diagonal
+    with entry w(H) on a basis state of weight w, so [dΓ(H), Π_k] multiplies
+    entry (i, j) by w_i(H) − w_j(H): δ_k = 0 puts the Cartan subalgebra 𝔥 in
+    L.  Then L is stable under ad_𝔥, which splits C = Σ_a E_{a+1,a} + E_{1,m}
+    into root vectors for the m distinct roots −α_1, …, −α_{m−1} and +θ
+    (at H = diag(1, 2, 4, …, 2^(m−1)) they take the distinct values
+    1, 2, …, 2^(m−2) and 1 − 2^(m−1)), so each E_{a+1,a} and E_{1,m} lies in L.
+    Their brackets give every E_{ij} with i > j, then [E_{1,m}, E_{m,j}] =
+    E_{1,j} and [E_{i,1}, E_{1,j}] = E_{ij} give those with i < j, and with
+    𝔥 that is all of gl(m).  U(m) is connected, so every U is exp(iX) with X
+    Hermitian and U^⊗N = exp(i dΓ(X)) commutes with Π_k.  Conversely, an
+    invariant Π_k commutes with dΓ of u(m), hence of its complexification
+    gl(m), so both conditions are also necessary.  For m = 2, C = E_{12} +
+    E_{21}; for m = 1 there is nothing to check, and the residual is 0.
+
+    The check reads only the sector support.  One gather takes Π_k's
+    entries d on its sector blocks, which are D_k's nonzero entries; one
+    nonzero count shows δ_k = 0, and only when δ_k > 0 is a masked copy
+    formed to find it.  On register r, C is the permutation f_r of basis
+    indices that raises that register's level by one mod m, so [dΓ(C), D_k]
+    is Σ_r D_k[f_r^{-1}(a), b] − D_k[a, f_r(b)]: 2N gathers from d, taken over
+    the pairs (a, b) one f_r away from a same-sector pair, the only ones
+    where the commutator of a sector-diagonal operator can be nonzero
+    (_sector_maps).
     """
-    m, count = povm.m, povm.n + 1
-    comm = np.empty((m,) * (2 * count), dtype=complex)
+    maps = _sector_maps(povm.m, povm.n + 1)
     residual = 0.0
     for e in povm.elements:
-        t = e.reshape(comm.shape)
-        for low in range(m - 1):
-            for a, b in ((low + 1, low), (low, low + 1)):
-                comm.fill(0)
-                for r in range(count):
-                    row, col = (slice(None),) * r, (slice(None),) * (count + r)
-                    comm[row + (b,)] += t[row + (a,)]
-                    comm[col + (a,)] -= t[col + (b,)]
-                residual = max(residual, max_abs(comm))
+        inside, diagonal = _sector_part(e, maps)
+        if not diagonal:
+            outside = np.abs(np.ravel(e))
+            outside[maps.same] = 0.0
+            residual = max(residual, float(outside.max()))
+        d = np.append(inside, 0.0)
+        raised, lowered = d[maps.raised[0]], d[maps.lowered[0]]
+        for r in range(1, len(maps.raised)):
+            raised += d[maps.raised[r]]
+            lowered += d[maps.lowered[r]]
+        residual = max(residual, max_abs(raised - lowered))
     return residual
 
 
@@ -511,21 +635,24 @@ def check_covariance(povm: Povm) -> CovarianceReport:
     """Check the three symmetries of an optimal discriminator.
 
     1. Collective unitary invariance U^⊗(n+1) Π_i U†^⊗(n+1) = Π_i for every
-       U ∈ U(m), exactly: U(m) is connected, so this holds iff Π_i commutes
-       with dΓ(X) for every X in its Lie algebra; dΓ(I) = (n+1)·I commutes
-       with everything, and the generators E_{a,a+1}, E_{a+1,a} span sl(m)
-       under commutators, so the 2(m−1) commutators [dΓ(E), Π_i] vanish
-       iff Π_i is invariant.  Both the raising and the lowering generators
-       are checked, since Π_i is not assumed Hermitian here.
+       U ∈ U(m), exactly: Π_i is zero outside its weight sectors and
+       commutes with dΓ(C) for the cyclic shift C (proof and residual in
+       _unitary_residual).  Π_i is not assumed Hermitian here.
     2. Program-register covariance (σ_P^{-1} ⊗ I) Π_i (σ_P ⊗ I) = Π_{σ(i)}
-       for every permutation σ of the n program registers, checked on the
-       n−1 adjacent transpositions (k k+1), which generate S_n: if it holds
-       for σ and τ it holds for στ.  The conjugation only moves factor
-       σ^{-1}(k) into slot k, so it is a reorder_factors transpose, and it
-       permutes entries, so the largest-entry residual of a product of
-       transpositions is at most the sum of theirs: any σ's residual is at
-       most len(σ) ≤ n(n−1)/2 times permutation_residual, where len(σ) is
-       its number of inversions.
+       for every permutation σ of the n program registers, written σ·Π_i.
+       It is checked on 2n−3 conjugations of Π_1: Π_i = (1 i)·Π_1 for
+       i = 2..n, and (k k+1)·Π_1 = Π_1 for k = 2..n−1.  These suffice: the
+       (k k+1) with k ≥ 2 generate the stabiliser of 1, and for any σ and
+       i the permutation g that applies (1 i), then σ, then (1 σ(i)) fixes
+       1, so σ·Π_i = σ·((1 i)·Π_1) = (1 σ(i))·(g·Π_1) = (1 σ(i))·Π_1 =
+       Π_{σ(i)}.  A conjugation only moves factors, so it is a
+       reorder_factors transpose that permutes entries and keeps every
+       max-norm distance.  With ε = permutation_residual,
+       Π_i = (1 i)·Π_1 + E_i with ‖E_i‖ ≤ ε, and g, a product of at most
+       (n−1)(n−2)/2 adjacent transpositions of 2..n (its inversions), moves
+       Π_1 by at most that many times ε.  So any σ's residual
+       ‖σ·Π_i − Π_{σ(i)}‖_max ≤ ‖E_i‖ + ‖g·Π_1 − Π_1‖ + ‖E_{σ(i)}‖ is at
+       most (2 + (n−1)(n−2)/2)·ε.
     3. Reduction to the own register: Tr over all other registers of Π_i is
        a multiple of the identity, with the same constant for every i ≥ 1.
 
@@ -535,15 +662,16 @@ def check_covariance(povm: Povm) -> CovarianceReport:
     eye_data = np.eye(m, dtype=complex)
     unitary_residual = _unitary_residual(povm)
 
+    # (transposition (a b) of the program registers, target element index)
+    checks = [((1, i), i) for i in range(2, n + 1)] + [((k, k + 1), 1) for k in range(2, n)]
     permutation_residual = 0.0
-    for k in range(1, n):
-        order = list(range(1, n + 2))  # the transposition (k k+1), its own inverse
-        order[k - 1], order[k] = k + 1, k
-        for i in range(1, n + 1):
-            conjugated = reorder_factors(povm.elements[i], povm.dims, order)
-            permutation_residual = max(
-                permutation_residual, max_abs(conjugated - povm.elements[order[i - 1]])
-            )
+    for (a, b), target in checks:
+        order = list(range(1, n + 2))  # a transposition is its own inverse
+        order[a - 1], order[b - 1] = b, a
+        conjugated = reorder_factors(povm.elements[1], povm.dims, order)
+        if not np.array_equal(conjugated, povm.elements[target]):  # equal: distance 0
+            permutation_residual = max(permutation_residual,
+                                       max_abs(conjugated - povm.elements[target]))
 
     constants = []
     reduction_residual = 0.0

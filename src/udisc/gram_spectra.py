@@ -21,6 +21,9 @@ from .discriminator import _COEFFICIENTS, auto_family
 from .errors import WrongRegime
 from .tensor_algebra import own_register_first, reorder_factors
 
+# c_optimal: largest disagreement between the numeric and closed-form coefficients.
+COEFFICIENT_TOL = 1e-9
+
 Label = tuple[int, int, tuple[int, ...]]  # (register i, level k, tuple ς)
 
 
@@ -180,7 +183,7 @@ def c_optimal(m: int, n: int) -> float:
     so λ_max(G) is the larger of their largest eigenvalues; no m-dependent
     vector is formed.  Cross-checked against the coefficient of the
     auto_family device (n/(n+1) for m = n, 1/n for m > n); a disagreement
-    beyond 1e-9 raises ArithmeticError.  n < 2 and m < n raise WrongRegime,
+    beyond COEFFICIENT_TOL raises ArithmeticError.  n < 2 and m < n raise WrongRegime,
     as family_povm does.
     """
     if n < 2:
@@ -189,7 +192,7 @@ def c_optimal(m: int, n: int) -> float:
     blocks = [gamma_block_matrix(n)] + ([lambda_block_matrix(n)] if m > n else [])
     c = 1.0 / max(float(np.linalg.eigvalsh(b)[-1]) for b in blocks)
     expected = _COEFFICIENTS[auto_family(m, n)](n)
-    if abs(c - expected) > 1e-9:
+    if abs(c - expected) > COEFFICIENT_TOL:
         raise ArithmeticError(
             f"numeric coefficient {c!r} disagrees with the closed form {expected!r}"
         )

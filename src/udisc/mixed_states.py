@@ -36,13 +36,15 @@ PROGRAM_DET_TOL = 1e-12
 
 # Slack allowed on either side of the bounds_check envelope.
 BOUNDS_TOL = 1e-9
+# require_density: largest deviation of the trace from 1.
+DENSITY_TRACE_TOL = 1e-10
 
 
 def require_density(rho) -> np.ndarray:
-    """Validate a density operator: PSD within tolerance, unit trace within 1e-10."""
+    """Validate a density operator: PSD within tolerance, unit trace within DENSITY_TRACE_TOL."""
     rho = require_psd(rho)
     tr = float(np.trace(rho).real)
-    if abs(tr - 1.0) > 1e-10:
+    if abs(tr - 1.0) > DENSITY_TRACE_TOL:
         raise ValueError(f"density operator has trace {tr!r}, expected 1")
     return rho
 

@@ -25,6 +25,10 @@ from .errors import IndexOutOfRange, LayoutMismatch, NotHermitian, NotPositive
 # residual norm relative to max(1, ‖v‖).
 NORM_TOL = 1e-6
 CONTAINS_TOL = 1e-8
+# fidelity: largest trace accepted above 1, and the eigenvalues of √ρ σ √ρ
+# below EIGEN_NOISE_TOL·max(1, λ_max) zeroed before the square root.
+FIDELITY_TRACE_TOL = 1e-9
+EIGEN_NOISE_TOL = 1e-13
 
 
 def max_abs(a: np.ndarray) -> float:
@@ -306,11 +310,11 @@ def fidelity(rho, sigma) -> float:
         raise LayoutMismatch("fidelity arguments must share a dimension")
     for name, op in (("rho", rho), ("sigma", sigma)):
         tr = float(np.trace(op).real)
-        if tr > 1.0 + 1e-9:
+        if tr > 1.0 + FIDELITY_TRACE_TOL:
             raise ValueError(f"{name} has trace {tr} > 1")
     sr = psd_sqrt(rho)
     inner = hermitize(sr @ sigma @ sr)
     w = np.linalg.eigvalsh(inner)
     # zero out eigensolver noise before the square root amplifies it
-    w[w < 1e-13 * max(1.0, float(w[-1]))] = 0.0
+    w[w < EIGEN_NOISE_TOL * max(1.0, float(w[-1]))] = 0.0
     return float(np.sum(np.sqrt(w)))

@@ -95,6 +95,34 @@ class TestVerify:
         assert code == 0
         assert "verdict = pass" in out
 
+    @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (2, 2)])
+    def test_hand_written_small_files(self, tmp_path, capsys, m, n):
+        # n = 1: I/2 twice; m = n = 2: the optimal device from the two-register singlet
+        dim = m ** (n + 1)
+        if n == 1:
+            elements = [np.eye(dim) / 2] * 2
+        else:
+            singlet = np.outer([0, 1, -1, 0], [0, 1, -1, 0]) / 2
+            pi1 = np.kron(np.eye(2), singlet) * 2 / 3
+            swap = np.eye(8)[[0, 1, 4, 5, 2, 3, 6, 7]]  # exchanges registers 1 and 2
+            pi2 = swap @ pi1 @ swap
+            elements = [np.eye(8) - pi1 - pi2, pi1, pi2]
+        lines = [f"povm {m} {n} {n + 1}"]
+        for k, e in enumerate(elements):
+            lines.append(f"element {k}")
+            lines += [" ".join(f"{float(x)!r} 0.0" for x in row) for row in e]
+        povm_file = tmp_path / "small.povm"
+        povm_file.write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, "verify", str(povm_file), "--format", "kv")
+        psd = ["0.5", "0.5"] if n == 1 else ["1.11022302463e-16", "0", "0"]
+        expected = ([f"m={m}", f"n={n}", f"elements={n + 1}", "completeness_residual=0"]
+                    + [f"psd_min_{k}={v}" for k, v in enumerate(psd)]
+                    + [f"leakage_{i}=0" for i in range(1, n + 1)]
+                    + ["unitary_residual=0", "permutation_residual=0", "reduction_residual=0",
+                       "reduction_spread=0", "covariance=pass", "verdict=pass"])
+        assert (code, err) == (0, "")
+        assert out.splitlines() == expected
+
     def test_leaky_file_fails(self, tmp_path, capsys):
         code, out, _ = run(capsys, "verify", leaky_povm_file(tmp_path))
         assert code == 1

@@ -419,18 +419,26 @@ class TestCovariance:
     @pytest.mark.parametrize("m,n", [(2, 2), (3, 2), (3, 3), (4, 3)])
     def test_permutation_residual_matches_operator_conjugation(self, m, n):
         # oracle: (σ_P^{-1} ⊗ I) Π_i (σ_P ⊗ I) with the dense permutation operator; the residual
-        # is taken over the adjacent transpositions, the verdict also over all of S_n
-        def residual(elements, sigmas):
+        # is taken over the 2n−3 conjugations Π_i = (1 i)·Π_1 and (k k+1)·Π_1 = Π_1, the
+        # verdict also over all of S_n, whose residual the documented bound caps
+        def residual(elements, pairs):
             worst = 0.0
-            for sigma in sigmas:
+            for sigma, i in pairs:
                 lifted = np.kron(permutation_operator(sigma, m), np.eye(m))
-                for i in range(1, n + 1):
-                    conjugated = lifted.conj().T @ elements[i] @ lifted
-                    worst = max(worst, max_abs(conjugated - elements[sigma(i)]))
+                conjugated = lifted.conj().T @ elements[i] @ lifted
+                worst = max(worst, max_abs(conjugated - elements[sigma(i)]))
             return worst
 
-        transpositions = [Permutation(tuple(range(1, k)) + (k + 1, k) + tuple(range(k + 2, n + 1)))
-                          for k in range(1, n)]
+        def transposition(a, b):
+            images = list(range(1, n + 1))
+            images[a - 1], images[b - 1] = b, a
+            return Permutation(tuple(images))
+
+        # (1 i)·Π_1 is compared with Π_{(1 i)(1)} = Π_i, (k k+1)·Π_1 with Π_1
+        checks = ([(transposition(1, i), 1) for i in range(2, n + 1)]
+                  + [(transposition(k, k + 1), 1) for k in range(2, n)])
+        assert len(checks) == 2 * n - 3
+        every = [(sigma, i) for sigma in all_permutations(n) for i in range(1, n + 1)]
         base = build_optimal_equal(n) if m == n else build_universal(m, n)
         rng = np.random.default_rng(59 + m + 10 * n)
         elements = [e.copy() for e in base.elements]
@@ -440,7 +448,8 @@ class TestCovariance:
         perturbed = Povm(m=m, n=n, elements=elements)
         for povm, covariant in ((base, True), (perturbed, False)):
             report = check_covariance(povm)
-            assert report.permutation_residual == residual(povm.elements, transpositions)
-            everything = residual(povm.elements, all_permutations(n))
+            assert report.permutation_residual == residual(povm.elements, checks)
+            everything = residual(povm.elements, every)
             assert report.permutation_ok == (everything <= PERMUTATION_COV_TOL) == covariant
+            assert everything <= (2 + (n - 1) * (n - 2) / 2) * report.permutation_residual
         assert report.permutation_residual > 1e-6

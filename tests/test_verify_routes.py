@@ -1,18 +1,22 @@
 """The verify routes against their dense oracles.
 
 ``verify`` reads minimum eigenvalues from weight-sector blocks and checks
-unitary invariance exactly, as the commutators of each element with
-dΓ(E) = Σ_r E_r for the 2(m−1) generators E = E_{a,a+1}, E_{a+1,a}, each
-term an index shift on one register axis.  The dense routes live here:
-dΓ(E) lifted by kron_chain, the Haar-random U^⊗(n+1) lifted by kron_chain,
-and one eigvalsh per element.  The routes must agree within 1e-14 (the
-Haar lift on pass/fail), take the dense fallback when an element leaves its
-sectors, and fail the same perturbed POVMs.
+unitary invariance exactly on the sector support: the off-sector mass of
+each element, and its commutator with dΓ(C) = Σ_r C_r for the cyclic shift
+C = Σ_a |a+1 mod m><a|, taken as gathers from the element.  The dense
+routes live here: the same residual with the sector mask built from
+level_multiset and dΓ(C) lifted by kron_chain (matched within 1e-14), the
+2(m−1) raising and lowering generators lifted by kron_chain, the
+Haar-random U^⊗(n+1) lifted by kron_chain (both on pass/fail), and one
+eigvalsh per element.  The routes take the dense fallback when an element
+leaves its sectors, and fail the same perturbed POVMs.
 """
 
 import dataclasses
 import importlib
 import pkgutil
+import tracemalloc
+from functools import cache
 
 import numpy as np
 import pytest
@@ -21,12 +25,14 @@ from hypothesis import strategies as st
 
 import udisc
 from udisc import tensor_algebra
-from udisc.antisym import antisym_projector
+from udisc import discriminator
+from udisc.antisym import Permutation, antisym_projector, permutation_operator
 from udisc.discriminator import (
     LEAKAGE_TOL,
     PSD_RESIDUAL_TOL,
     UNITARY_COV_TOL,
     Povm,
+    _unitary_residual,
     check_covariance,
     family_povm,
     verify_unambiguous,
@@ -87,6 +93,30 @@ def level_multiset(index, m, count):
     return sorted(index // m**k % m for k in range(count))
 
 
+@cache
+def same_sector(m, count):
+    """Mask of the basis pairs (i, j) that share a multiset of levels."""
+    labels = [tuple(level_multiset(i, m, count)) for i in range(m**count)]
+    return np.array([[a == b for b in labels] for a in labels])
+
+
+def cyclic_shift(m):
+    """C = Σ_a |a+1 mod m><a|."""
+    return np.roll(np.eye(m), 1, axis=0)
+
+
+def sector_cyclic_residual(povm):
+    """Oracle for unitary_residual: max over k of the off-sector mass δ_k and
+    max_abs([dΓ(C), D_k]), with D_k masked by level_multiset and dΓ(C) lifted by kron_chain."""
+    mask = same_sector(povm.m, povm.n + 1)
+    lifted = lift(cyclic_shift(povm.m), povm.n + 1)
+    residual = 0.0
+    for e in povm.elements:
+        d = np.where(mask, e, 0)
+        residual = max(residual, max_abs(e - d), max_abs(lifted @ d - d @ lifted))
+    return residual
+
+
 class EigvalshSpy:
     """Records the shape of every matrix np.linalg.eigvalsh is asked to solve."""
 
@@ -108,14 +138,17 @@ class EigvalshSpy:
 def test_unitary_residual_matches_dense(family, m, n):
     povm = family_povm(family, m, n)
     fast = check_covariance(povm).unitary_residual
-    assert abs(fast - generator_lift_residual(povm, raising_and_lowering(m))) <= ROUTE_TOL
-    assert fast <= UNITARY_COV_TOL and haar_lift_residual(povm, 3, 11) <= UNITARY_COV_TOL
+    assert abs(fast - sector_cyclic_residual(povm)) <= ROUTE_TOL
+    assert fast <= UNITARY_COV_TOL
+    assert generator_lift_residual(povm, raising_and_lowering(m)) <= UNITARY_COV_TOL
+    assert haar_lift_residual(povm, 3, 11) <= UNITARY_COV_TOL
 
 
 @pytest.mark.parametrize("which", range(4))
 def test_non_hermitian_element_needs_both_directions(which):
     # dΓ(E) commutes with itself but not with dΓ(E^T), so a check of only the
-    # raising (or only the lowering) generators would pass this element
+    # raising (or only the lowering) generators would pass this element; it
+    # moves weight between sectors, so the off-sector mass alone fails it
     m, n = 3, 2
     generators = raising_and_lowering(m)
     element = lift(generators[which], n + 1)
@@ -124,7 +157,89 @@ def test_non_hermitian_element_needs_both_directions(which):
     assert generator_lift_residual(povm, [generators[which]]) == 0.0
     cov = check_covariance(povm)
     assert not cov.unitary_ok
-    assert abs(cov.unitary_residual - generator_lift_residual(povm, generators)) <= ROUTE_TOL
+    assert generator_lift_residual(povm, generators) > UNITARY_COV_TOL
+    assert haar_lift_residual(povm, 2, 5) > UNITARY_COV_TOL
+    assert abs(cov.unitary_residual - sector_cyclic_residual(povm)) <= ROUTE_TOL
+
+
+def swap_first_two(m, count):
+    """The permutation operator exchanging registers 1 and 2 of count registers."""
+    return permutation_operator(Permutation((2, 1) + tuple(range(3, count + 1))), m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(CASES[:3] + [("optimal", 2, 2)]),
+       kind=st.sampled_from(["sector_diagonal", "off_sector", "non_hermitian", "covariant"]),
+       data=st.data())
+def test_unitary_residual_property(case, kind, data):
+    """On sector-diagonal, off-sector and non-Hermitian perturbations, the fast residual
+    matches the dense oracle and gives the verdict of the lifted generators."""
+    family, m, n = case
+    povm = family_povm(family, m, n)
+    count = n + 1
+    mask = same_sector(m, count)
+    value = data.draw(st.sampled_from([1e-6, 1e-3, 0.25, -0.5]), label="value")
+    k = data.draw(st.integers(0, n), label="element")
+    elements = [e.copy() for e in povm.elements]
+    if kind == "covariant":
+        # a register swap commutes with every U^⊗(n+1)
+        elements[k] += value * swap_first_two(m, count)
+    else:
+        i = data.draw(st.integers(0, povm.dim - 1), label="row")
+        inside = kind == "sector_diagonal"
+        j = data.draw(st.sampled_from(np.flatnonzero(mask[i] == inside).tolist()), label="column")
+        elements[k][i, j] += value if kind != "non_hermitian" else value * (1 + 1j)
+        if kind != "non_hermitian" and i != j:
+            elements[k][j, i] += value
+    explicit = Povm(m=m, n=n, elements=elements)
+    fast = check_covariance(explicit).unitary_residual
+    assert abs(fast - sector_cyclic_residual(explicit)) <= ROUTE_TOL
+    generators = generator_lift_residual(explicit, raising_and_lowering(m))
+    assert (fast <= UNITARY_COV_TOL) == (generators <= UNITARY_COV_TOL)
+    if kind == "covariant":
+        assert fast <= UNITARY_COV_TOL
+    elif kind != "sector_diagonal":
+        assert fast >= abs(value)
+
+
+def test_unitary_residual_allocates_no_element_sized_temporary():
+    povm = family_povm("universal", 4, 3)
+    povm.elements
+    _unitary_residual(povm)  # builds the index maps, once per process
+    tracemalloc.start()
+    try:
+        assert _unitary_residual(povm) <= UNITARY_COV_TOL
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < povm.elements[0].nbytes
+
+
+def test_sector_maps_are_built_once_and_read_only():
+    maps = discriminator._sector_maps(3, 3)
+    assert discriminator._sector_maps(3, 3) is maps
+    phi, complement = discriminator._antisym(3, 2), discriminator._antisym_complement(3, 2)
+    assert discriminator._antisym(3, 2) is phi
+    for a in (maps.same, maps.raised, maps.lowered, phi, complement):
+        with pytest.raises(ValueError):
+            a[(0,) * a.ndim] = 1
+
+
+@pytest.mark.parametrize("family,m,n", [("universal", 3, 2), ("optimal", 3, 3),
+                                        ("universal", 4, 3), ("optimal", 4, 4)])
+def test_check_covariance_reorders_2n_minus_3_times(family, m, n, monkeypatch):
+    povm = family_povm(family, m, n)
+    povm.elements  # assembly reorders too; count only the check
+    calls = []
+    real = discriminator.reorder_factors
+
+    def spy(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(discriminator, "reorder_factors", spy)
+    assert check_covariance(povm).passed
+    assert len(calls) == 2 * n - 3
 
 
 @pytest.mark.parametrize("family,m,n", CASES)
@@ -186,11 +301,13 @@ def test_perturbations_fail_on_both_routes(family, m, n, kind):
     report = verify_unambiguous(povm)
     cov = check_covariance(povm)
     oracle_report = dataclasses.replace(report, psd_mins=tuple(dense_psd_mins(povm)))
-    oracle_cov = dataclasses.replace(
+    oracle_cov = dataclasses.replace(cov, unitary_residual=sector_cyclic_residual(povm))
+    generator_cov = dataclasses.replace(
         cov, unitary_residual=generator_lift_residual(povm, raising_and_lowering(m)))
     haar_cov = dataclasses.replace(cov, unitary_residual=haar_lift_residual(povm, 2, 5))
-    assert haar_cov.unitary_ok == cov.unitary_ok
-    for r, c in ((report, cov), (oracle_report, oracle_cov), (oracle_report, haar_cov)):
+    assert generator_cov.unitary_ok == haar_cov.unitary_ok == cov.unitary_ok
+    for r, c in ((report, cov), (oracle_report, oracle_cov), (oracle_report, generator_cov),
+                 (oracle_report, haar_cov)):
         assert not (r.passed and c.passed)
         if kind == "leakage":
             assert r.max_leakage() > LEAKAGE_TOL and not r.passed
