@@ -141,28 +141,13 @@ class Povm:
         return mins, comp
 
 
-def _weight_sectors(m: int, count: int) -> list[np.ndarray]:
-    """Basis indices of count registers of dimension m, grouped by weight sector.
-
-    A sector is the set of basis states sharing one multiset of levels; an
-    operator that commutes with every collective unitary U^⊗count maps each
-    sector into itself.  Returns one (sectors, size) index array per sector
-    size, so the blocks of one size are read and solved together.
-    """
-    powers = m ** np.arange(count)
-    digits = np.arange(m**count)[:, None] // powers % m
-    _, label, sizes = np.unique(np.sort(digits, axis=1) @ powers, return_inverse=True,
-                                return_counts=True)
-    size = sizes[label]
-    order = np.lexsort((label, size))  # by sector size, then sector, then index
-    distinct = np.unique(sizes)
-    runs = np.split(order, np.cumsum(np.bincount(size)[distinct])[:-1])
-    return [run.reshape(-1, s) for run, s in zip(runs, distinct)]
-
-
 @dataclass(frozen=True)
 class _SectorMaps:
     """Index maps of operators on count registers of dimension m.
+
+    A weight sector is the set of basis states sharing one multiset of
+    levels; an operator that commutes with every collective unitary
+    U^⊗count maps each sector into itself.
 
     same: flat indices (row·dim + column) of every same-sector pair, the
         sector blocks of one size contiguous and row-major, so one gather
@@ -186,22 +171,28 @@ class _SectorMaps:
 def _sector_maps(m: int, count: int) -> _SectorMaps:
     """The _SectorMaps of (m, count), built once per process; the arrays are read-only."""
     dim = m**count
-    sectors = _weight_sectors(m, count)
-    same = np.concatenate([(idx[:, :, None] * dim + idx[:, None, :]).ravel() for idx in sectors])
     powers = m ** np.arange(count)
     digits = np.arange(dim)[:, None] // powers % m
+    _, label, sizes = np.unique(np.sort(digits, axis=1) @ powers, return_inverse=True,
+                                return_counts=True)
+    size = sizes[label]
+    order = np.lexsort((label, size))  # by sector size, then sector, then index
+    distinct = np.unique(sizes)
+    runs = np.split(order, np.cumsum(np.bincount(size)[distinct])[:-1])
+    sectors = [run.reshape(-1, s) for run, s in zip(runs, distinct)]  # (sectors, size) per size
+    same = np.concatenate([(idx[:, :, None] * dim + idx[:, None, :]).ravel() for idx in sectors])
     up = np.arange(dim)[:, None] + ((digits + 1) % m - digits) * powers  # column r: f_r
     down = np.arange(dim)[:, None] + ((digits - 1) % m - digits) * powers  # f_r^{-1}
     rows, cols = np.divmod(same, dim)
     reached = np.unique(np.concatenate([(up[rows] * dim + cols[:, None]).ravel(),
                                         (rows[:, None] * dim + down[cols]).ravel()]))
     rows, cols = np.divmod(reached, dim)
-    order = np.argsort(same)
+    by_flat = np.argsort(same)
 
     def position(flat):
         """Position in same of each flat index, len(same) for a pair outside the sectors."""
-        at = np.minimum(np.searchsorted(same, flat, sorter=order), len(same) - 1)
-        return np.where(same[order[at]] == flat, order[at], len(same))
+        at = by_flat[np.minimum(np.searchsorted(same, flat, sorter=by_flat), len(same) - 1)]
+        return np.where(same[at] == flat, at, len(same))
 
     maps = _SectorMaps(
         same=same,

@@ -162,18 +162,13 @@ def test_non_hermitian_element_needs_both_directions(which):
     assert abs(cov.unitary_residual - sector_cyclic_residual(povm)) <= ROUTE_TOL
 
 
-def swap_first_two(m, count):
-    """The permutation operator exchanging registers 1 and 2 of count registers."""
-    return permutation_operator(Permutation((2, 1) + tuple(range(3, count + 1))), m)
-
-
 @settings(max_examples=40, deadline=None)
 @given(case=st.sampled_from(CASES[:3] + [("optimal", 2, 2)]),
        kind=st.sampled_from(["sector_diagonal", "off_sector", "non_hermitian", "covariant"]),
        data=st.data())
 def test_unitary_residual_property(case, kind, data):
-    """On sector-diagonal, off-sector and non-Hermitian perturbations, the fast residual
-    matches the dense oracle and gives the verdict of the lifted generators."""
+    """On sector-diagonal, off-sector, non-Hermitian and covariant perturbations, the fast
+    residual matches the dense oracle and gives the verdict of the lifted generators."""
     family, m, n = case
     povm = family_povm(family, m, n)
     count = n + 1
@@ -183,14 +178,20 @@ def test_unitary_residual_property(case, kind, data):
     elements = [e.copy() for e in povm.elements]
     if kind == "covariant":
         # a register swap commutes with every U^⊗(n+1)
-        elements[k] += value * swap_first_two(m, count)
+        swap = Permutation((2, 1) + tuple(range(3, count + 1)))
+        elements[k] += value * permutation_operator(swap, m)
     else:
         i = data.draw(st.integers(0, povm.dim - 1), label="row")
-        inside = kind == "sector_diagonal"
-        j = data.draw(st.sampled_from(np.flatnonzero(mask[i] == inside).tolist()), label="column")
-        elements[k][i, j] += value if kind != "non_hermitian" else value * (1 + 1j)
-        if kind != "non_hermitian" and i != j:
-            elements[k][j, i] += value
+        if kind == "non_hermitian":  # one entry, inside or outside the sectors
+            j = data.draw(st.integers(0, povm.dim - 1), label="column")
+            elements[k][i, j] += value * (1 + 1j)
+        else:
+            inside = kind == "sector_diagonal"
+            j = data.draw(st.sampled_from(np.flatnonzero(mask[i] == inside).tolist()),
+                          label="column")
+            elements[k][i, j] += value
+            if i != j:
+                elements[k][j, i] += value
     explicit = Povm(m=m, n=n, elements=elements)
     fast = check_covariance(explicit).unitary_residual
     assert abs(fast - sector_cyclic_residual(explicit)) <= ROUTE_TOL
@@ -198,7 +199,7 @@ def test_unitary_residual_property(case, kind, data):
     assert (fast <= UNITARY_COV_TOL) == (generators <= UNITARY_COV_TOL)
     if kind == "covariant":
         assert fast <= UNITARY_COV_TOL
-    elif kind != "sector_diagonal":
+    elif kind == "off_sector":
         assert fast >= abs(value)
 
 
