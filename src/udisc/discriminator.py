@@ -30,7 +30,10 @@ only where it can be nonzero.  The index maps behind both (_sector_maps),
 the antisymmetric projector (_antisym) and its complement are built once
 per size per process and kept read-only.  Program-register covariance is
 checked on 2n−3 transposition conjugations of Π_1.  Hermiticity is
-checked once per element, in verify_unambiguous.
+checked once per element, in verify_unambiguous, and finiteness once per
+element in each of verify_unambiguous and check_covariance; whether an
+element is sector-diagonal is counted once per POVM and shared by the
+eigenvalue and unitary checks.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from .antisym import antisym_projector
 from .config import check_square
 from .errors import IndexOutOfRange, InvalidPovm, LayoutMismatch, NotHermitian, WrongRegime
 from .tensor_algebra import (
+    as_complex_matrix,
     gram,
     gram_det,
     kron_chain,
@@ -127,6 +131,13 @@ class Povm:
     def dim(self) -> int:
         return self.m ** (self.n + 1)
 
+    @cached_property
+    def _sector_flags(self) -> tuple[bool, ...]:
+        """_sector_diagonal of each element, counted once and shared by residuals and
+        _unitary_residual (only the flags are kept, not the sector entries)."""
+        maps = _sector_maps(self.m, self.n + 1)
+        return tuple(_sector_diagonal(e, maps) for e in self.elements)
+
     def residuals(self) -> tuple[list[float], float]:
         """(min eigenvalue per element, completeness residual ‖ΣΠ - I‖_max).
 
@@ -135,7 +146,8 @@ class Povm:
         sector blocks; any other element takes one dense eigensolve.
         """
         maps = _sector_maps(self.m, self.n + 1)
-        mins = [_min_eigenvalue(e, maps) for e in self.elements]
+        mins = [_min_eigenvalue(e, diagonal, maps)
+                for e, diagonal in zip(self.elements, self._sector_flags)]
         total = sum(self.elements)
         comp = max_abs(total - np.eye(self.dim))
         return mins, comp
@@ -211,18 +223,18 @@ def _nonzeros(a: np.ndarray) -> int:
     return np.count_nonzero(a.view(np.float64) if a.dtype == np.complex128 else a)
 
 
-def _sector_part(e: np.ndarray, maps: _SectorMaps) -> tuple[np.ndarray, bool]:
-    """e's entries on its sector blocks (in maps.same order), and whether all others are zero."""
-    inside = np.ravel(e)[maps.same]
-    return inside, _nonzeros(inside) == _nonzeros(e)
+def _sector_diagonal(e: np.ndarray, maps: _SectorMaps) -> bool:
+    """Whether e is zero outside its sector blocks: a nonzero count over all of e."""
+    return _nonzeros(np.ravel(e)[maps.same]) == _nonzeros(e)
 
 
-def _min_eigenvalue(e: np.ndarray, maps: _SectorMaps) -> float:
-    """Least eigenvalue of a Hermitian element, by sector blocks when it is sector-diagonal."""
-    inside, diagonal = _sector_part(e, maps)
+def _min_eigenvalue(e: np.ndarray, diagonal: bool, maps: _SectorMaps) -> float:
+    """Least eigenvalue of a Hermitian element, by sector blocks when it is sector-diagonal
+    (diagonal is _sector_diagonal(e, maps))."""
     if not diagonal:
         return float(np.linalg.eigvalsh(e)[0])
     ends = np.cumsum([count * size * size for count, size in maps.blocks])
+    inside = np.ravel(e)[maps.same]
     return min(float(np.linalg.eigvalsh(run.reshape(count, size, size)).min())
                for run, (count, size) in zip(np.split(inside, ends[:-1]), maps.blocks))
 
@@ -432,7 +444,9 @@ def verify_unambiguous(povm: Povm) -> VerificationReport:
     The leakage of element i is ‖(I-Φ)·Tr_i(Π_i)·(I-Φ)‖_max with Φ the
     antisymmetric projector on the n remaining registers; the report also
     carries the PSD and completeness residuals.  Structurally broken input
-    (wrong count, shape or hermiticity) raises InvalidPovm.
+    (wrong count, shape or hermiticity) raises InvalidPovm; a NaN or an
+    infinity raises ValueError from require_hermitian, which checks each
+    element once before partial_trace sees it.
     """
     m, n, dim = povm.m, povm.n, povm.dim
     if len(povm.elements) != n + 1:
@@ -607,8 +621,8 @@ def _unitary_residual(povm: Povm) -> float:
     """
     maps = _sector_maps(povm.m, povm.n + 1)
     residual = 0.0
-    for e in povm.elements:
-        inside, diagonal = _sector_part(e, maps)
+    for e, diagonal in zip(povm.elements, povm._sector_flags):
+        inside = np.ravel(e)[maps.same]
         if not diagonal:
             outside = np.abs(np.ravel(e))
             outside[maps.same] = 0.0
@@ -647,9 +661,13 @@ def check_covariance(povm: Povm) -> CovarianceReport:
     3. Reduction to the own register: Tr over all other registers of Π_i is
        a multiple of the identity, with the same constant for every i ≥ 1.
 
-    Hermiticity is not checked here; verify_unambiguous checks it.
+    Each element is checked once to be finite (a NaN or an infinity raises
+    ValueError).  Hermiticity is not checked here; verify_unambiguous
+    checks it.
     """
     m, n = povm.m, povm.n
+    for e in povm.elements:
+        as_complex_matrix(e)
     eye_data = np.eye(m, dtype=complex)
     unitary_residual = _unitary_residual(povm)
 

@@ -20,10 +20,22 @@ values, their vocabulary and a one-byte zero mask per number the writer's
 temporary memory is one chunk, whatever the block size.
 Every block the header declares is sized against the dense-storage budget
 (config.entry_cap) before any row is read, and rows stream from the file.
-Each block is parsed by one np.loadtxt call over its lines, which gives the
-same doubles as float(); a block it refuses is scanned again row by row,
-so an error names the row.  A NaN or an infinity is refused where it is
-read, naming the file, the block and the row.
+A POVM block is read in chunks of at most WRITE_CHUNK numbers, as it was
+written.  A chunk in the writer's layout (one space between tokens, one
+newline after each row) is scanned as bytes: numpy finds the bytes that
+are neither a separator nor "0", a token made only of "0" is +0.0 and is
+not parsed, and each distinct other token is parsed once by float().  So
+beyond the returned elements the reader's temporary memory is about one
+chunk, whatever the block size.  Files are read as text, so "\r\n" and
+"\r" line ends count as newlines.  Any other chunk (tabs, runs of spaces,
+a comment or blank line inside the block, a wrong token count, a token
+float() refuses) is read row by row with float(), which names the bad
+row and accepts float()'s spellings ("1_0").  A state or density
+block, whose numbers are all distinct, is parsed by one np.loadtxt call,
+which gives the same doubles as float() and is quicker on such a block;
+a block it refuses goes to the same row-by-row scan.  A NaN or an
+infinity is refused where it is read, naming the file, the block and the
+row.
 """
 
 from __future__ import annotations
@@ -43,8 +55,9 @@ RENORMALIZE_WARN_TOL = 1e-9
 DENSITY_REPAIR_TOL = 1e-8
 
 
-# Numbers turned into text per chunk of rows (at least one row per chunk).
+# Numbers turned into text, or read back, per chunk of rows (at least one row per chunk).
 WRITE_CHUNK = 1 << 16
+_ONE = np.uint64(1)
 
 
 def _write_blocks(path, header: str, blocks, comment: str | None = None) -> None:
@@ -113,13 +126,13 @@ def _parse_header(line: str | None, keyword: str, fields: int, path) -> list[int
 
 
 def _parse_block(block: list[str], rows: int, cols: int, where: str) -> np.ndarray:
-    """The rows x 2·cols floats of a block's lines.
+    """The rows x 2·cols floats of a block's lines (state and density files).
 
     One np.loadtxt call parses a well-formed block.  On a ValueError or a
-    wrong shape the block is scanned again row by row with float(), which
-    names the first bad row and accepts the few spellings float() takes and
-    np.loadtxt does not (digit separators such as "1_0").  Both give the
-    same double for every token both accept.
+    wrong shape the block goes to _scan_rows, which names the first bad row
+    and accepts the few spellings float() takes and np.loadtxt does not
+    (digit separators such as "1_0").  Both give the same double for every
+    token both accept.
     """
     if len(block) == rows:
         try:
@@ -128,28 +141,159 @@ def _parse_block(block: list[str], rows: int, cols: int, where: str) -> np.ndarr
             pass
         else:
             if values.shape == (rows, 2 * cols):
+                _check_finite(values, where)
                 return values
     values = np.empty((rows, 2 * cols))
-    for r in range(rows):
-        parts = block[r].split() if r < len(block) else []
-        if len(parts) != 2 * cols:
-            raise FormatError(
-                f"{where} row {r + 1} needs {cols} complex pairs ({2 * cols} numbers), got {len(parts)}"
-            )
-        try:
-            values[r] = [float(p) for p in parts]
-        except ValueError as exc:
-            raise FormatError(f"{where} row {r + 1} contains a non-numeric token") from exc
+    _scan_rows(block, values, where)
     return values
 
 
-def _read_blocks(path, keyword: str, fields: int, layout) -> tuple[list[int], list[np.ndarray]]:
+def _scan_rows(block: list[str], out: np.ndarray, where: str, first: int = 0) -> None:
+    """Fill the rows of out from the lines of block with float(), row by row.
+
+    The first row with the wrong number of tokens, or with a token float()
+    refuses, raises a FormatError naming it (rows are numbered from first+1);
+    then the first row holding a NaN or an infinity does.
+    """
+    rows, width = out.shape
+    for r in range(rows):
+        parts = block[r].split() if r < len(block) else []
+        if len(parts) != width:
+            raise FormatError(
+                f"{where} row {first + r + 1} needs {width // 2} complex pairs ({width} numbers), "
+                f"got {len(parts)}"
+            )
+        try:
+            out[r] = [float(p) for p in parts]
+        except ValueError as exc:
+            raise FormatError(f"{where} row {first + r + 1} contains a non-numeric token") from exc
+    _check_finite(out, where, first)
+
+
+def _check_finite(values: np.ndarray, where: str, first: int = 0) -> None:
+    """Refuse a NaN or an infinity, naming the first row that holds one (numbered from first+1)."""
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        raise FormatError(f"{where} row {first + np.argmin(finite) + 1} holds a non-finite number")
+
+
+def _scan_block(fh, lines, rows: int, cols: int, where: str) -> np.ndarray:
+    """The rows x 2·cols floats of a POVM block, read from fh in row chunks.
+
+    Each chunk holds at most WRITE_CHUNK numbers (at least one row), as the
+    writer's do.  A chunk in the writer's layout is parsed by _scan_chunk.
+    Any other chunk (other whitespace, a comment or blank line, a wrong
+    token count, a token float() refuses) has its comment and blank lines
+    dropped, is topped up to its row count from lines (the stream of
+    content lines over fh), and goes to _scan_rows, which names a bad row.
+    """
+    values = np.zeros((rows, 2 * cols))
+    step = max(1, WRITE_CHUNK // (2 * cols))
+    for start in range(0, rows, step):
+        chunk = values[start:start + step]
+        text = "".join(["\n", *itertools.islice(fh, len(chunk))]).encode("ascii")
+        if not _scan_chunk(text, chunk):
+            raw = text.decode("ascii").split("\n")
+            block = [s for s in map(str.strip, raw) if s and not s.startswith("#")]
+            block += itertools.islice(lines, len(chunk) - len(block))
+            _scan_rows(block, chunk, where, start)
+    return values
+
+
+def _scan_chunk(text: bytes, out: np.ndarray) -> bool:
+    """Parse a chunk's text into out (zeros on entry), if it is in the writer's layout.
+
+    text is a newline, then the chunk's lines.  The layout: each of the
+    len(out) lines holds out.shape[1] tokens, one space between two tokens
+    and a newline after the last.  The text is taken as a uint8 view, and
+    spaces and newlines are the separators.  Their bits, packed and counted per 64 bytes (_bit_counts), give the
+    number of separators before any position, which checks each row's
+    token count and numbers the tokens.  A token whose bytes are all "0"
+    is +0.0 and is left as out holds it.  Every other token holds a byte
+    that is neither a separator nor "0": its number is the count of
+    separators before that byte, and its bounds are the separators around
+    it, reached over "0" bytes.  Each distinct such token is parsed once by
+    float() on its bytes, which gives what float() gives _scan_rows on its
+    text, or refuses it.  Returns False, leaving out as it was, when the
+    chunk is in another layout, or float() refuses a token or gives a NaN
+    or an infinity.
+    """
+    rows, width = out.shape
+    u = np.frombuffer(text, np.uint8)
+    sep = u == ord("\n")
+    ends = np.flatnonzero(sep)[1:]  # the newline of each row, the last byte included
+    if len(ends) != rows:
+        return False
+    sep |= u == ord(" ")
+    words, before = _bit_counts(sep)
+    if (words & (words >> _ONE)).any() or (words[:-1] >> np.uint64(63) & words[1:]).any():
+        return False  # two separators in a row
+    if not (np.diff(_count_before(words, before, ends + 1), prepend=1) == width).all():
+        return False
+    hit = u != ord("0")
+    hits = np.flatnonzero(np.greater(hit, sep, out=hit))
+    del sep, hit
+    if len(hits) == 0:
+        return True
+    token = _count_before(words, before, hits)
+    new = token[1:] != token[:-1]
+    first, last = np.append(True, new), np.append(new, True)
+    start, stop = hits[first], hits[last] + 1
+    while (zero := u[start - 1] == ord("0")).any():
+        start -= zero
+    while (zero := u[stop] == ord("0")).any():
+        stop += zero
+    keys = list(map(text.__getitem__, map(slice, start.tolist(), stop.tolist())))
+    vocabulary = dict.fromkeys(keys)
+    try:
+        for key in vocabulary:
+            vocabulary[key] = float(key)
+    except ValueError:
+        return False
+    if not np.isfinite(list(vocabulary.values())).all():
+        return False  # _scan_rows names the row
+    out.ravel()[token[first] - 1] = np.fromiter(map(vocabulary.__getitem__, keys), np.float64, len(keys))
+    return True
+
+
+def _bit_counts(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """mask packed into uint64 words (bit i of word k is mask[64k + i], one zero word
+    past the end), and the number of set bits in the words before each word."""
+    packed = np.packbits(mask, bitorder="little")
+    words = np.zeros(len(packed) // 8 + 2, dtype="<u8")
+    words.view(np.uint8)[:len(packed)] = packed
+    before = np.zeros(len(words), dtype=np.intp)
+    np.cumsum(_popcount(words[:-1]), dtype=np.intp, out=before[1:])
+    return words, before
+
+
+def _count_before(words: np.ndarray, before: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """The number of set bits of the mask _bit_counts packed before each position in at."""
+    word = at >> 6
+    return before[word] + _popcount(words[word] & ((_ONE << (at & 63).astype(np.uint64)) - _ONE))
+
+
+def _popcount(x: np.ndarray) -> np.ndarray:
+    """Set bits of each uint64 as intp, summed within bit pairs, nibbles, then
+    bytes (np.bitwise_count needs numpy 2)."""
+    x = x - ((x >> _ONE) & np.uint64(0x5555555555555555))
+    x = (x & np.uint64(0x3333333333333333)) + ((x >> np.uint64(2)) & np.uint64(0x3333333333333333))
+    x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
+    return ((x * np.uint64(0x0101010101010101)) >> np.uint64(56)).astype(np.intp)
+
+
+def _read_blocks(path, keyword: str, fields: int, layout,
+                 scan: bool = False) -> tuple[list[int], list[np.ndarray]]:
     """Parse a header ``keyword <fields positive ints>`` and the blocks it declares.
 
     ``layout(*header)`` returns (labels, rows, cols, what): one block of rows
     x cols complex pairs per label, led by the label line unless the label
     is None.  The blocks share one size, which is checked against the budget
-    before any row is read.
+    before any row is read.  With scan, blocks are read by _scan_block in
+    row chunks (POVM files: mostly "0" and a few distinct other tokens);
+    otherwise each block's lines go to _parse_block (state and density
+    files, whose numbers are all distinct and parse quicker in one
+    np.loadtxt call).
     """
     with open(path, "r", encoding="ascii") as fh:
         lines = (s for s in map(str.strip, fh) if s and not s.startswith("#"))
@@ -164,10 +308,10 @@ def _read_blocks(path, keyword: str, fields: int, layout) -> tuple[list[int], li
                 if line.split() != label.split():
                     raise FormatError(f"{path}: expected {label!r}, got {line!r}")
             where = f"{path}: {name}"
-            values = _parse_block(list(itertools.islice(lines, rows)), rows, cols, where)
-            finite = np.isfinite(values).all(axis=1)
-            if not finite.all():
-                raise FormatError(f"{where} row {np.argmin(finite) + 1} holds a non-finite number")
+            if scan:
+                values = _scan_block(fh, lines, rows, cols, where)
+            else:
+                values = _parse_block(list(itertools.islice(lines, rows)), rows, cols, where)
             blocks.append(values.view(complex))  # (re, im) pairs bit for bit, -0.0 included
         if next(lines, None) is not None:
             raise FormatError(f"{path}: content after the last {what} row")
@@ -258,5 +402,5 @@ def read_povm(path) -> Povm:
     A header whose element count k is not n+1 is refused, and each element's
     size is checked against the budget, before any row is read.
     """
-    (m, n, _), elements = _read_blocks(path, "povm", 3, _povm_layout)
+    (m, n, _), elements = _read_blocks(path, "povm", 3, _povm_layout, scan=True)
     return Povm(m=m, n=n, elements=tuple(elements))

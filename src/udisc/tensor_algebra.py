@@ -97,10 +97,11 @@ def partial_trace(op, factors, traced) -> np.ndarray:
     """Trace out the given 1-based factor indices of an operator on factors ``factors``.
 
     The result acts on the remaining factors in their original relative
-    order; the total trace is preserved.  Any finite square operator is
-    accepted: hermiticity is the caller's check, made once per operator.
+    order; the total trace is preserved.  Only the shape and the indices
+    are checked: hermiticity and finiteness are the caller's checks, made
+    once per operator.
     """
-    op = as_complex_matrix(op)
+    op = np.asarray(op, dtype=complex)
     dims = [int(f) for f in factors]
     dim = math.prod(dims)
     if op.shape != (dim, dim):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from udisc import discriminator
 from udisc.antisym import Permutation, all_permutations, permutation_operator
 from udisc.discriminator import (
     PERMUTATION_COV_TOL,
@@ -175,6 +176,25 @@ class TestVerifier:
         broken = Povm(m=3, n=2, elements=(povm.elements[0], povm.elements[1], skew))
         with pytest.raises(InvalidPovm):
             verify_unambiguous(broken)
+
+
+    @pytest.mark.parametrize("check", [verify_unambiguous, check_covariance])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_element_is_refused(self, check, value):
+        elements = [e.copy() for e in build_universal(3, 2).elements]
+        elements[2][4, 4] = value  # a sector-diagonal entry, so no residual would flag it alone
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            check(Povm(m=3, n=2, elements=elements))
+
+    @pytest.mark.parametrize("m,n", [(3, 2), (4, 3)])
+    def test_sector_diagonal_is_counted_once_per_element(self, m, n, monkeypatch):
+        povm = family_povm("universal", m, n)
+        povm.elements
+        calls = []
+        real = discriminator._sector_diagonal
+        monkeypatch.setattr(discriminator, "_sector_diagonal", lambda e, maps: calls.append(e) or real(e, maps))
+        assert verify_unambiguous(povm).passed and check_covariance(povm).passed
+        assert [id(e) for e in calls] == [id(e) for e in povm.elements]
 
 
 class TestSuccessProbabilities:

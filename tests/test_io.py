@@ -250,3 +250,161 @@ class TestInternedWriter:
         finally:
             tracemalloc.stop()
         assert peak < elements[0].nbytes / 4  # 4 MiB, against 5 elements of 16 MiB
+
+
+def loadtxt_elements(path):
+    """Oracle for the POVM reader: each element block parsed by one np.loadtxt call."""
+    with open(path, encoding="ascii") as fh:
+        lines = [s for s in map(str.strip, fh) if s and not s.startswith("#")]
+    m, n, k = (int(f) for f in lines[0].split()[1:])
+    dim = m ** (n + 1)
+    return [np.loadtxt(lines[2 + i * (dim + 1):1 + (i + 1) * (dim + 1)], dtype=np.float64,
+                       comments=None, ndmin=2) for i in range(k)]
+
+
+def same_bits(a, b):
+    return np.array_equal(np.ascontiguousarray(a).view(np.int64), np.ascontiguousarray(b).view(np.int64))
+
+
+# -0.0, the extreme subnormals and normals, and a few ordinary doubles
+FINITE_SPECIALS = np.array(
+    [-0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+     1.7976931348623157e308, -1.7976931348623157e308, 1.0, -0.5, 1 / 3, 0.1]
+).view(np.int64).tolist()
+finite_bits = st.one_of(
+    st.integers(-(2**63), 2**63 - 1).filter(lambda b: (b >> 52) & 0x7FF != 0x7FF),
+    st.sampled_from(FINITE_SPECIALS),
+)
+
+
+@st.composite
+def sparse_povms(draw):
+    """Explicit POVMs of finite bit patterns, with a drawn share of +0.0 and repeated values."""
+    m, n = draw(st.sampled_from([(1, 1), (2, 1), (3, 1), (2, 2)]))
+    dim = m ** (n + 1)
+    bits = draw(arrays(np.int64, (n + 1, dim, 2 * dim), elements=finite_bits,
+                       fill=st.sampled_from(FINITE_SPECIALS)))
+    zero_share = draw(st.sampled_from([0.0, 0.5, 0.9, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bits[rng.random(bits.shape) < zero_share] = 0
+    return Povm(m=m, n=n, elements=tuple(bits.view(complex)))
+
+
+class TestPovmScanner:
+    """read_povm against the bits written and against the np.loadtxt oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(povm=sparse_povms(), chunk=st.sampled_from([1, 3, 8, 1 << 16]), final_newline=st.booleans())
+    def test_bits_match_the_written_and_the_oracle(self, tmp_path_factory, povm, chunk, final_newline):
+        path = tmp_path_factory.mktemp("scan") / "p.povm"
+        with mock.patch.object(udisc_io, "WRITE_CHUNK", chunk):
+            write_povm(path, povm)
+            if not final_newline:
+                path.write_bytes(path.read_bytes()[:-1])
+            loaded = read_povm(path)
+        oracle = loadtxt_elements(path)
+        assert len(loaded.elements) == len(povm.elements) == len(oracle)
+        for got, want, expected in zip(loaded.elements, povm.elements, oracle):
+            assert same_bits(got, want)
+            assert same_bits(got, expected)
+
+    @pytest.mark.parametrize("family,m,n", [("universal", 3, 2), ("optimal", 3, 3), ("universal", 5, 2),
+                                            ("universal", 4, 3), ("trivial", 4, 3)])
+    def test_built_files_match_the_oracle(self, tmp_path, family, m, n):
+        path = tmp_path / "b.povm"
+        write_povm(path, family_povm(family, m, n))
+        for got, expected in zip(read_povm(path).elements, loadtxt_elements(path)):
+            assert same_bits(got, expected)
+
+    @staticmethod
+    def _edit(lines, edit):
+        """Apply a hand edit that keeps every number's value to a POVM file's lines."""
+        first = lines.index("element 1") + 1
+        if edit == "tabs":
+            return [row.replace(" ", "\t", 3) if i % 2 else row for i, row in enumerate(lines)]
+        if edit == "double_spaces":
+            return [row.replace(" ", "  ") if first + 2 <= i < first + 6 else row
+                    for i, row in enumerate(lines)]
+        if edit == "surrounding_whitespace":
+            return [f"  {row}\t " if i == first + 3 else row for i, row in enumerate(lines)]
+        if edit == "comments_and_blank_lines":
+            # inside a chunk, at a chunk boundary, at a block's end and before a label
+            at = {first + 2: ["# note"], first + 4: ["", "#"], first + 27: ["  ", "# end"]}
+            out = []
+            for i, row in enumerate(lines):
+                out += at.get(i, []) + [row]
+            return out
+        if edit == "spellings":  # float() takes all of these; np.loadtxt refuses "_"
+            respell = {"0": ["0.0", "00", "+0", "0e5", "0_0", "0"], "1": ["1.0", "1_0e-1"],
+                       "-0": ["-0.0", "-0e-3"], "0.25": ["2.5e-1", ".25"], "0.5": ["5_0e-2", "0.50"]}
+            out = []
+            for i, row in enumerate(lines):
+                tokens = row.split(" ")
+                if len(tokens) > 5:
+                    for j, token in enumerate(tokens):
+                        spellings = respell.get(token, [token])
+                        tokens[j] = spellings[(i + j) % len(spellings)]
+                out.append(" ".join(tokens))
+            return out
+        raise ValueError(edit)
+
+    @pytest.mark.parametrize("chunk", [4 * 54, 1 << 16])  # 4 rows of 27 per chunk, or a whole block
+    @pytest.mark.parametrize("edit", ["tabs", "double_spaces", "surrounding_whitespace",
+                                      "comments_and_blank_lines", "spellings", "crlf"])
+    def test_hand_edited_files_read_the_same_doubles(self, tmp_path, monkeypatch, chunk, edit):
+        povm = build_universal(3, 2)
+        path = tmp_path / "e.povm"
+        write_povm(path, povm)
+        lines = path.read_text().splitlines()
+        if edit == "crlf":
+            path.write_bytes(("\r\n".join(lines) + "\r\n").encode("ascii"))
+        else:
+            path.write_text("\n".join(self._edit(lines, edit)) + "\n")
+        monkeypatch.setattr(udisc_io, "WRITE_CHUNK", chunk)
+        for got, want in zip(read_povm(path).elements, povm.elements):
+            assert same_bits(got, want)
+
+    @pytest.mark.parametrize("chunk", [4 * 54, 1 << 16])
+    @pytest.mark.parametrize("element,defect,message", [
+        (2, "x", "element 2 row 11 contains a non-numeric token"),
+        (2, "0-5", "element 2 row 11 contains a non-numeric token"),  # "-5" after its "0"
+        (2, "nan", "element 2 row 11 holds a non-finite number"),
+        (2, "inf", "element 2 row 11 holds a non-finite number"),
+        (2, "-inf", "element 2 row 11 holds a non-finite number"),
+        (2, "extra", r"element 2 row 11 needs 27 complex pairs \(54 numbers\), got 55"),
+        (2, "gap", r"element 2 row 11 needs 27 complex pairs \(54 numbers\), got 53"),
+        (2, "missing", r"element 2 row 27 needs 27 complex pairs \(54 numbers\), got 0"),
+        (1, "missing", r"element 1 row 27 needs 27 complex pairs \(54 numbers\), got 2"),
+    ])
+    def test_errors_name_the_block_and_row(self, tmp_path, monkeypatch, chunk, element, defect, message):
+        path = tmp_path / "bad.povm"
+        write_povm(path, build_universal(3, 2))
+        lines = path.read_text().splitlines()
+        row = lines.index(f"element {element}") + 11
+        if defect == "missing":
+            del lines[row]
+        elif defect == "extra":
+            lines[row] += " 0"
+        elif defect == "gap":  # a token gone and two spaces in its place: as many separators
+            tokens = lines[row].split(" ")
+            lines[row] = tokens[0] + "  " + " ".join(tokens[2:])
+        else:
+            lines[row] = lines[row].replace("0", defect, 1)
+        path.write_text("\n".join(lines) + "\n")
+        monkeypatch.setattr(udisc_io, "WRITE_CHUNK", chunk)
+        with pytest.raises(FormatError, match=message):
+            read_povm(path)
+
+    @pytest.mark.parametrize("chunk", [1 << 12, 1 << 16])
+    def test_temporary_memory_is_set_by_the_chunk(self, tmp_path, monkeypatch, chunk):
+        path = tmp_path / "u43.povm"
+        write_povm(path, family_povm("universal", 4, 3))  # 1.1 MB, four blocks of 256 rows
+        monkeypatch.setattr(udisc_io, "WRITE_CHUNK", chunk)
+        read_povm(path)
+        tracemalloc.start()
+        try:
+            povm = read_povm(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - sum(e.nbytes for e in povm.elements) < 20 * chunk + (64 << 10)

@@ -119,9 +119,16 @@ class TestPartialTrace:
         b = np.array([[0.0, 1.0], [-4.0, 2.0]])
         assert np.allclose(partial_trace(kron_chain([a, b]), (2, 2), {1}), (1 + 3j) * b, atol=1e-15)
 
+    def test_finiteness_is_the_callers_check(self):
+        # verify_unambiguous and check_covariance refuse a NaN once per element, before this
+        reduced = partial_trace(np.full((4, 4), np.nan), (2, 2), {1})
+        assert reduced.shape == (2, 2) and np.isnan(reduced).all()
+
     def test_errors(self):
         with pytest.raises(LayoutMismatch):
             partial_trace(np.eye(4), (2, 3), {1})
+        with pytest.raises(LayoutMismatch):
+            partial_trace(np.ones(16), (2, 2), {1})
         with pytest.raises(IndexOutOfRange):
             partial_trace(np.eye(4), (2, 2), set())
         with pytest.raises(IndexOutOfRange):
