@@ -45,7 +45,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .antisym import antisym_projector
-from .config import check_square
+from .config import check_tensor_square
 from .errors import IndexOutOfRange, InvalidPovm, LayoutMismatch, NotHermitian, WrongRegime
 from .tensor_algebra import (
     as_complex_matrix,
@@ -299,8 +299,7 @@ def _identity_times_antisym(m: int, n: int) -> list[np.ndarray]:
 
 def _assemble(family: str, m: int, n: int, c: float) -> tuple[np.ndarray, ...]:
     """Dense elements (Π_0, Π_1, …, Π_n) of a built family."""
-    dim = m ** (n + 1)
-    check_square(dim, "POVM element")
+    dim = check_tensor_square(m, n + 1, "POVM element")
     if family == "trivial":
         elements = [antisym_projector(m, n + 1).matrix / n] * n
     else:

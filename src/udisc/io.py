@@ -19,21 +19,24 @@ in chunks of at most WRITE_CHUNK numbers, so beyond the sorted nonzero
 values, their vocabulary and a one-byte zero mask per number the writer's
 temporary memory is one chunk, whatever the block size.
 Every block the header declares is sized against the dense-storage budget
-(config.entry_cap) before any row is read, and rows stream from the file.
+(config.entry_cap) before any row is read, and rows stream from the file;
+a POVM header's m^(n+1) is refused before it is formed when it is far over
+(config.check_tensor_square).
 A POVM block is read in chunks of at most WRITE_CHUNK numbers, as it was
 written.  A chunk in the writer's layout (one space between tokens, one
-newline after each row) is scanned as bytes: numpy finds the bytes that
-are neither a separator nor "0", a token made only of "0" is +0.0 and is
-not parsed, and each distinct other token is parsed once by float().  So
-beyond the returned elements the reader's temporary memory is about one
-chunk, whatever the block size.  Files are read as text, so "\r\n" and
-"\r" line ends count as newlines.  Any other chunk (tabs, runs of spaces,
-a comment or blank line inside the block, a wrong token count, a token
-float() refuses) is read row by row with float(), which names the bad
-row and accepts float()'s spellings ("1_0").  A state or density
-block, whose numbers are all distinct, is parsed by one np.loadtxt call,
-which gives the same doubles as float() and is quicker on such a block;
-a block it refuses goes to the same row-by-row scan.  A NaN or an
+newline after each row) is scanned as bytes: one np.flatnonzero over the
+space/newline mask numbers every token and checks the layout, a token that
+is the one byte "0" is +0.0 and is not parsed, and each distinct other
+token is parsed once by float().  So beyond the returned elements the
+reader's temporary memory is about one chunk, whatever the block size.
+Files are read as text, so "\r\n" and "\r" line ends count as newlines.
+Any other chunk (tabs, runs of spaces, a comment or blank line inside the
+block, a wrong token count, a token float() refuses) is read row by row
+with float(), which names the bad row and accepts float()'s spellings
+("1_0").  A state or density block, whose numbers are all distinct, is
+parsed by one np.loadtxt call, which gives the same doubles as float()
+and is quicker on such a block; a block it refuses goes to the same
+row-by-row scan.  A NaN or an
 infinity is refused where it is read, naming the file, the block and the
 row.
 """
@@ -44,7 +47,7 @@ import itertools
 
 import numpy as np
 
-from .config import check_entries
+from .config import check_entries, check_tensor_square
 from .discriminator import Povm
 from .errors import FormatError
 from .tensor_algebra import NORM_TOL, max_abs
@@ -57,7 +60,6 @@ DENSITY_REPAIR_TOL = 1e-8
 
 # Numbers turned into text, or read back, per chunk of rows (at least one row per chunk).
 WRITE_CHUNK = 1 << 16
-_ONE = np.uint64(1)
 
 
 def _write_blocks(path, header: str, blocks, comment: str | None = None) -> None:
@@ -203,47 +205,35 @@ def _scan_block(fh, lines, rows: int, cols: int, where: str) -> np.ndarray:
 def _scan_chunk(text: bytes, out: np.ndarray) -> bool:
     """Parse a chunk's text into out (zeros on entry), if it is in the writer's layout.
 
-    text is a newline, then the chunk's lines.  The layout: each of the
-    len(out) lines holds out.shape[1] tokens, one space between two tokens
-    and a newline after the last.  The text is taken as a uint8 view, and
-    spaces and newlines are the separators.  Their bits, packed and counted per 64 bytes (_bit_counts), give the
-    number of separators before any position, which checks each row's
-    token count and numbers the tokens.  A token whose bytes are all "0"
-    is +0.0 and is left as out holds it.  Every other token holds a byte
-    that is neither a separator nor "0": its number is the count of
-    separators before that byte, and its bounds are the separators around
-    it, reached over "0" bytes.  Each distinct such token is parsed once by
-    float() on its bytes, which gives what float() gives _scan_rows on its
-    text, or refuses it.  Returns False, leaving out as it was, when the
-    chunk is in another layout, or float() refuses a token or gives a NaN
-    or an infinity.
+    text is a newline, then the chunk's lines, taken as a uint8 view.
+    Spaces and newlines are the separators, and one np.flatnonzero numbers
+    them: token t lies between separators t and t+1.  The writer's layout
+    (len(out) lines of out.shape[1] tokens, one space between two tokens
+    and a newline after the last) is then four checks: no separator follows
+    another, the last byte is a separator, there are len(out)·out.shape[1]
+    + 1 separators, and every out.shape[1]-th separator, and only those, is
+    a newline.  A token that is the one byte "0" (a "0" followed by a
+    separator) is +0.0 and is left as out holds it.  Each distinct other
+    token is parsed once by float() on its bytes, which gives what float()
+    gives _scan_rows on its text, or refuses it.  Returns False, leaving out
+    as it was, when the chunk is in another layout, or float() refuses a
+    token or gives a NaN or an infinity.
     """
     rows, width = out.shape
     u = np.frombuffer(text, np.uint8)
-    sep = u == ord("\n")
-    ends = np.flatnonzero(sep)[1:]  # the newline of each row, the last byte included
-    if len(ends) != rows:
+    newline = u == ord("\n")
+    sep = newline | (u == ord(" "))
+    if not sep[-1] or (sep[1:] & sep[:-1]).any() or np.count_nonzero(newline) != rows + 1:
         return False
-    sep |= u == ord(" ")
-    words, before = _bit_counts(sep)
-    if (words & (words >> _ONE)).any() or (words[:-1] >> np.uint64(63) & words[1:]).any():
-        return False  # two separators in a row
-    if not (np.diff(_count_before(words, before, ends + 1), prepend=1) == width).all():
+    seps = np.flatnonzero(sep)
+    if len(seps) != rows * width + 1 or not newline[seps[::width]].all():
         return False
-    hit = u != ord("0")
-    hits = np.flatnonzero(np.greater(hit, sep, out=hit))
-    del sep, hit
-    if len(hits) == 0:
-        return True
-    token = _count_before(words, before, hits)
-    new = token[1:] != token[:-1]
-    first, last = np.append(True, new), np.append(new, True)
-    start, stop = hits[first], hits[last] + 1
-    while (zero := u[start - 1] == ord("0")).any():
-        start -= zero
-    while (zero := u[stop] == ord("0")).any():
-        stop += zero
-    keys = list(map(text.__getitem__, map(slice, start.tolist(), stop.tolist())))
+    del newline
+    zero = (u[1:-1] == ord("0")) & sep[2:]  # at p: a "0", then a separator, after byte p
+    parse = np.flatnonzero(np.greater(sep[:-2], zero, out=zero))  # the separators before other tokens
+    del sep, zero
+    token = np.searchsorted(seps, parse)
+    keys = [text[a:b] for a, b in zip((seps[token] + 1).tolist(), seps[token + 1].tolist())]
     vocabulary = dict.fromkeys(keys)
     try:
         for key in vocabulary:
@@ -252,34 +242,8 @@ def _scan_chunk(text: bytes, out: np.ndarray) -> bool:
         return False
     if not np.isfinite(list(vocabulary.values())).all():
         return False  # _scan_rows names the row
-    out.ravel()[token[first] - 1] = np.fromiter(map(vocabulary.__getitem__, keys), np.float64, len(keys))
+    out.ravel()[token] = np.fromiter(map(vocabulary.__getitem__, keys), np.float64, len(keys))
     return True
-
-
-def _bit_counts(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """mask packed into uint64 words (bit i of word k is mask[64k + i], one zero word
-    past the end), and the number of set bits in the words before each word."""
-    packed = np.packbits(mask, bitorder="little")
-    words = np.zeros(len(packed) // 8 + 2, dtype="<u8")
-    words.view(np.uint8)[:len(packed)] = packed
-    before = np.zeros(len(words), dtype=np.intp)
-    np.cumsum(_popcount(words[:-1]), dtype=np.intp, out=before[1:])
-    return words, before
-
-
-def _count_before(words: np.ndarray, before: np.ndarray, at: np.ndarray) -> np.ndarray:
-    """The number of set bits of the mask _bit_counts packed before each position in at."""
-    word = at >> 6
-    return before[word] + _popcount(words[word] & ((_ONE << (at & 63).astype(np.uint64)) - _ONE))
-
-
-def _popcount(x: np.ndarray) -> np.ndarray:
-    """Set bits of each uint64 as intp, summed within bit pairs, nibbles, then
-    bytes (np.bitwise_count needs numpy 2)."""
-    x = x - ((x >> _ONE) & np.uint64(0x5555555555555555))
-    x = (x & np.uint64(0x3333333333333333)) + ((x >> np.uint64(2)) & np.uint64(0x3333333333333333))
-    x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
-    return ((x * np.uint64(0x0101010101010101)) >> np.uint64(56)).astype(np.intp)
 
 
 def _read_blocks(path, keyword: str, fields: int, layout,
@@ -383,17 +347,21 @@ def write_povm(path, povm: Povm) -> None:
     and their count checked before the file is opened.
     """
     k = len(povm.elements)
-    labels, _, _, _ = _povm_layout(povm.m, povm.n, k)
-    _write_blocks(path, f"povm {povm.m} {povm.n} {k}", zip(labels, povm.elements))
+    _write_blocks(path, f"povm {povm.m} {povm.n} {k}", zip(_povm_labels(povm.n, k), povm.elements))
 
 
-def _povm_layout(m: int, n: int, k: int):
+def _povm_labels(n: int, k: int) -> list[str]:
     if k != n + 1:
         raise FormatError(
             f"povm header declares {k} elements; a POVM on n={n} states has n+1 = {n + 1}"
         )
-    dim = m ** (n + 1)
-    return (f"element {i}" for i in range(k)), dim, dim, "POVM element"
+    return [f"element {i}" for i in range(k)]
+
+
+def _povm_layout(m: int, n: int, k: int):
+    labels = _povm_labels(n, k)
+    dim = check_tensor_square(m, n + 1, "POVM element")  # refused before m**(n+1) is formed
+    return labels, dim, dim, "POVM element"
 
 
 def read_povm(path) -> Povm:

@@ -1,4 +1,4 @@
-"""Random quantum objects for covariance checks, demos and tests."""
+"""Random states, PSD operators and density operators, drawn from a numpy Generator."""
 
 from __future__ import annotations
 
@@ -32,14 +32,6 @@ def rand_independent_states(
         s = rand_states(n, m, rng)
         if gram_det(s) > min_det:
             return s
-
-
-def rand_unitary(m: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR of a complex Gaussian matrix."""
-    q, r = np.linalg.qr(_ginibre(m, m, rng))
-    # fix the phase ambiguity of QR so the distribution is exactly Haar
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
 
 
 def rand_psd(d: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:

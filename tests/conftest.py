@@ -16,6 +16,14 @@ def random_ensemble(rng, n_states=None, dim=None, dims=(2, 3, 4)):
     return rhos
 
 
+def rand_unitary(m, rng):
+    """Haar-distributed unitary via QR of a complex Gaussian matrix."""
+    q, r = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+    # fix the phase ambiguity of QR so the distribution is exactly Haar
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
 def ket(index, dim):
     v = np.zeros(dim, dtype=complex)
     v[index] = 1.0

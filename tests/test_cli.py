@@ -1,4 +1,5 @@
 import io
+import time
 from contextlib import redirect_stdout
 from decimal import Decimal
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from udisc.cli import main
+from udisc.config import DEFAULT_ENTRY_CAP
 from udisc.discriminator import Povm
 from udisc.io import write_density, write_povm, write_states
 from udisc.random_states import rand_independent_states, rand_states
@@ -76,6 +78,19 @@ class TestBuild:
                              "--out", str(out_file), "--cap", "10")
         assert code == 2
         assert "at least 256" in err
+        assert out == ""
+        assert not out_file.exists()
+
+    def test_oversized_size_refused_at_once(self, tmp_path, capsys):
+        # 1000^1000 is a 3001-digit dimension, refused before it is formed
+        out_file = tmp_path / "x.povm"
+        start = time.perf_counter()
+        code, out, err = run(capsys, "build", "--m", "1000", "--n", "999", "--family", "universal",
+                             "--out", str(out_file))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert err == (f"error: 1000^1000x1000^1000 POVM element exceeds the cap of {DEFAULT_ENTRY_CAP} "
+                       "complex entries\n")
         assert out == ""
         assert not out_file.exists()
 
@@ -158,6 +173,17 @@ class TestVerify:
         code, out, err = run(capsys, "verify", str(povm_file), "--cap", "256")
         assert code == 2
         assert "exceeds the cap" in err
+        assert out == ""
+
+    def test_oversized_header_refused_at_once(self, tmp_path, capsys):
+        povm_file = tmp_path / "huge.povm"
+        povm_file.write_text("povm 1000000 1000000 1000001\nelement 0\n0 0\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", str(povm_file))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert err == (f"error: 1000000^1000001x1000000^1000001 POVM element exceeds the cap of "
+                       f"{DEFAULT_ENTRY_CAP} complex entries\n")
         assert out == ""
 
     def test_element_count_refused_from_the_header(self, tmp_path, capsys):

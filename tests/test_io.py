@@ -316,6 +316,39 @@ class TestPovmScanner:
         for got, expected in zip(read_povm(path).elements, loadtxt_elements(path)):
             assert same_bits(got, expected)
 
+    @pytest.mark.parametrize("family,m,n,chunk", [
+        ("universal", 3, 2, 1 << 16), ("optimal", 3, 3, 1 << 16), ("universal", 5, 2, 1 << 16),
+        ("universal", 4, 3, 1 << 16), ("trivial", 4, 3, 1 << 16), ("optimal", 4, 4, 1 << 12),
+        ("dense", 4, 2, 1 << 16),  # standard-normal entries: no "0" token
+    ])
+    def test_writer_layout_is_read_without_the_row_scan(self, tmp_path, monkeypatch, family, m, n, chunk):
+        if family == "dense":
+            dim = m ** (n + 1)
+            bits = np.random.default_rng(12).standard_normal((n + 1, dim, 2 * dim))
+            povm = Povm(m=m, n=n, elements=tuple(bits.view(complex)))
+        else:
+            povm = family_povm(family, m, n)
+        path = tmp_path / "w.povm"
+        write_povm(path, povm)
+        monkeypatch.setattr(udisc_io, "WRITE_CHUNK", chunk)
+        monkeypatch.setattr(udisc_io, "_scan_rows", mock.Mock(side_effect=AssertionError("row scan taken")))
+        for got, expected in zip(read_povm(path).elements, loadtxt_elements(path), strict=True):
+            assert same_bits(got, expected)
+
+    @pytest.mark.parametrize("text", [
+        b"\n0 1 0 1\n1 0 1 0\n5",  # content after the last separator
+        b"\n0 1 0 1\n1 0 1\n",  # the last row one token short
+        b"\n0 1 0\n1 1 0 1 0\n",  # a row end one token early, made up in the next row
+        b"\n0 1\n0 1\n1 0 1 0\n",  # a newline in place of a space
+        b"\n0 1 0 1\n1  0 1\n",  # an empty token
+    ])
+    def test_chunks_off_the_writer_layout_are_left_to_the_row_scan(self, text):
+        out = np.zeros((2, 4))
+        assert not udisc_io._scan_chunk(text, out)
+        assert not out.any()
+        assert udisc_io._scan_chunk(b"\n0 1 0 1\n1 0 1 0\n", out)
+        assert np.array_equal(out, [[0, 1, 0, 1], [1, 0, 1, 0]])
+
     @staticmethod
     def _edit(lines, edit):
         """Apply a hand edit that keeps every number's value to a POVM file's lines."""

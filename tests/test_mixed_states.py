@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import ket, random_ensemble
+from conftest import ket, rand_unitary, random_ensemble
 from udisc.discriminator import build_optimal_equal, build_universal
 from udisc.errors import LayoutMismatch, NotPositive, ProgramNotIndependent, WrongRegime
 from udisc.mixed_states import (
@@ -13,7 +13,6 @@ from udisc.mixed_states import (
     part_probabilities,
     require_density,
 )
-from udisc.random_states import rand_unitary
 from udisc.tensor_algebra import kron_chain, max_abs, support_projector
 
 

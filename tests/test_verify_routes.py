@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import rand_unitary
 import udisc
 from udisc import tensor_algebra
 from udisc import discriminator
@@ -37,7 +38,7 @@ from udisc.discriminator import (
     family_povm,
     verify_unambiguous,
 )
-from udisc.random_states import rand_psd, rand_unitary
+from udisc.random_states import rand_psd
 from udisc.tensor_algebra import kron_chain, max_abs
 
 ROUTE_TOL = 1e-14
