@@ -75,10 +75,18 @@ def resolve_cap() -> int:
 
 
 def check_entries(count: int, what: str = "object") -> None:
-    """Raise CapExceeded when a dense object of `count` entries is over budget."""
+    """Raise CapExceeded when a dense object of `count` entries is over budget.
+
+    A count with more digits than Python converts to text is named by its
+    leading power of two instead.
+    """
     budget = resolve_cap()
     if count > budget:
-        raise CapExceeded(f"{what} with {count} complex entries exceeds the cap of {budget}")
+        try:
+            size = str(count)
+        except ValueError:  # over sys.get_int_max_str_digits()
+            size = f"at least 2^{count.bit_length() - 1}"
+        raise CapExceeded(f"{what} with {size} complex entries exceeds the cap of {budget}")
 
 
 def check_square(dim: int, what: str = "matrix") -> None:

@@ -26,14 +26,25 @@ sector blocks, and it commutes with dΓ(C) = Σ_r C_r for the one cyclic
 shift C = Σ_a |a+1 mod m><a| (see _unitary_residual for the proof).  On
 register r, C is a permutation of the basis indices, so that commutator
 is a sum of 2(n+1) gathers from the element's sector entries, evaluated
-only where it can be nonzero.  The index maps behind both (_sector_maps),
-the antisymmetric projector (_antisym) and its complement are built once
-per size per process and kept read-only.  Program-register covariance is
-checked on 2n−3 transposition conjugations of Π_1.  Hermiticity is
-checked once per element, in verify_unambiguous, and finiteness once per
-element in each of verify_unambiguous and check_covariance; whether an
-element is sector-diagonal is counted once per POVM and shared by the
-eigenvalue and unitary checks.
+only where it can be nonzero.  Program-register covariance is checked on
+2n−3 transposition conjugations of Π_1.
+
+Each element's sector entries d_k (one gather) and whether it is zero
+outside them (one nonzero count) are taken once per POVM (Povm._sectors).
+When every element is, the sector route reads the remaining checks from
+the d_k alone: finiteness, hermiticity (d against the conjugate of its
+transposed gather), completeness (Σ_k d_k against the identity's sector
+entries) and the 2n−3 conjugations (each a gather, since a transposition
+of registers maps each sector into itself).  The entries outside are
+exact zeros, so every residual and error message is the dense one bit
+for bit.  A POVM with any nonzero entry outside its sectors takes the
+dense route for these checks: require_hermitian and a dense sum per
+element, and reorder_factors conjugations.  The leakage and the
+reduction to the own register come from partial_trace on both routes.
+The index maps (_sector_maps), the antisymmetric projector (_antisym)
+and its complement are built once per size per process and kept
+read-only.  Finiteness and hermiticity are checked once per element, in
+verify_unambiguous, and finiteness once more in check_covariance.
 """
 
 from __future__ import annotations
@@ -56,6 +67,8 @@ from .tensor_algebra import (
     own_register_first,
     partial_trace,
     reorder_factors,
+    require_conjugate_pairs,
+    require_finite,
     require_hermitian,
     require_normalized,
 )
@@ -132,25 +145,42 @@ class Povm:
         return self.m ** (self.n + 1)
 
     @cached_property
-    def _sector_flags(self) -> tuple[bool, ...]:
-        """_sector_diagonal of each element, counted once and shared by residuals and
-        _unitary_residual (only the flags are kept, not the sector entries)."""
+    def _sector_split(self) -> tuple[tuple[np.ndarray, bool], ...]:
+        """_sector_diagonal of each element, (d_k, zero outside the sectors), made once
+        per POVM and shared by residuals, _unitary_residual and _sectors."""
         maps = _sector_maps(self.m, self.n + 1)
         return tuple(_sector_diagonal(e, maps) for e in self.elements)
+
+    @property
+    def _sectors(self) -> tuple[np.ndarray, ...] | None:
+        """The sector entries d_k when every element is a dim x dim matrix that is zero
+        outside its sector blocks (the sector route of the checks), else None (the
+        dense route)."""
+        if any(np.shape(e) != (self.dim, self.dim) for e in self.elements):
+            return None
+        if not all(diagonal for _, diagonal in self._sector_split):
+            return None
+        return tuple(d for d, _ in self._sector_split)
 
     def residuals(self) -> tuple[list[float], float]:
         """(min eigenvalue per element, completeness residual ‖ΣΠ - I‖_max).
 
         An element whose entries outside its weight sectors are exactly zero
         is block-diagonal, so its minimum eigenvalue is the least over the
-        sector blocks; any other element takes one dense eigensolve.
+        sector blocks; any other element takes one dense eigensolve.  When
+        every element is sector-diagonal so is ΣΠ - I, whose sector entries
+        are Σ_k d_k less 1 on the diagonal; otherwise the elements are summed
+        densely.  Both give the same bits.
         """
         maps = _sector_maps(self.m, self.n + 1)
-        mins = [_min_eigenvalue(e, diagonal, maps)
-                for e, diagonal in zip(self.elements, self._sector_flags)]
-        total = sum(self.elements)
-        comp = max_abs(total - np.eye(self.dim))
-        return mins, comp
+        mins = [_min_eigenvalue(e, d, diagonal, maps)
+                for e, (d, diagonal) in zip(self.elements, self._sector_split)]
+        sectors = self._sectors
+        if sectors is None:
+            return mins, max_abs(sum(self.elements) - np.eye(self.dim))
+        total = np.asarray(sum(sectors), dtype=complex)  # a new array: sum starts from 0
+        total[maps.diagonal] -= 1.0
+        return mins, max_abs(total)
 
 
 @dataclass(frozen=True)
@@ -165,6 +195,13 @@ class _SectorMaps:
         sector blocks of one size contiguous and row-major, so one gather
         reads all the blocks (a sector-diagonal operator's entries d);
     blocks: (number of sectors, size) of each run of blocks in same;
+    transposed: position in same of (b, a) for each pair (a, b) of same, so
+        d[transposed] is D^T's entries;
+    diagonal: positions in same of the pairs (a, a), the identity's entries;
+    swaps: (2n−3, |same|) gathers, one per _program_transpositions(n) entry
+        with n = count − 1: row t reads D[σa, σb] for each pair (a, b) of
+        same, σ swapping the levels of two registers, which maps each
+        sector into itself, so d[swaps[t]] is σ·D's entries;
     raised, lowered: (count, |T|) gathers from d extended by one zero, over
         the pairs T where [dΓ(C), D] can be nonzero for a sector-diagonal D:
         those reached from a same-sector pair by the cyclic shift f_r of one
@@ -175,6 +212,9 @@ class _SectorMaps:
 
     same: np.ndarray
     blocks: tuple[tuple[int, int], ...]
+    transposed: np.ndarray
+    diagonal: np.ndarray
+    swaps: np.ndarray
     raised: np.ndarray
     lowered: np.ndarray
 
@@ -195,10 +235,6 @@ def _sector_maps(m: int, count: int) -> _SectorMaps:
     same = np.concatenate([(idx[:, :, None] * dim + idx[:, None, :]).ravel() for idx in sectors])
     up = np.arange(dim)[:, None] + ((digits + 1) % m - digits) * powers  # column r: f_r
     down = np.arange(dim)[:, None] + ((digits - 1) % m - digits) * powers  # f_r^{-1}
-    rows, cols = np.divmod(same, dim)
-    reached = np.unique(np.concatenate([(up[rows] * dim + cols[:, None]).ravel(),
-                                        (rows[:, None] * dim + down[cols]).ravel()]))
-    rows, cols = np.divmod(reached, dim)
     by_flat = np.argsort(same)
 
     def position(flat):
@@ -206,15 +242,36 @@ def _sector_maps(m: int, count: int) -> _SectorMaps:
         at = by_flat[np.minimum(np.searchsorted(same, flat, sorter=by_flat), len(same) - 1)]
         return np.where(same[at] == flat, at, len(same))
 
+    def swap(index, a, b):
+        """index with the levels of registers a and b exchanged (register r is digit count − r)."""
+        ka, kb = count - a, count - b
+        return index + (digits[index, ka] - digits[index, kb]) * (powers[kb] - powers[ka])
+
+    rows, cols = np.divmod(same, dim)
+    swaps = [position(swap(rows, a, b) * dim + swap(cols, a, b))
+             for (a, b), _ in _program_transpositions(count - 1)]
+    transposed, diagonal = position(cols * dim + rows), np.flatnonzero(rows == cols)
+    reached = np.unique(np.concatenate([(up[rows] * dim + cols[:, None]).ravel(),
+                                        (rows[:, None] * dim + down[cols]).ravel()]))
+    rows, cols = np.divmod(reached, dim)
     maps = _SectorMaps(
         same=same,
         blocks=tuple(idx.shape for idx in sectors),
+        transposed=transposed,
+        diagonal=diagonal,
+        swaps=np.array(swaps, dtype=np.intp).reshape(len(swaps), len(same)),
         raised=position(down[rows].T * dim + cols),
         lowered=position(rows * dim + up[cols].T),
     )
-    for a in (maps.same, maps.raised, maps.lowered):
+    for a in (maps.same, maps.transposed, maps.diagonal, maps.swaps, maps.raised, maps.lowered):
         a.setflags(write=False)
     return maps
+
+
+def _program_transpositions(n: int) -> list[tuple[tuple[int, int], int]]:
+    """The 2n−3 permutation-covariance checks on n program registers: (transposition
+    (a b), index of the element (a b)·Π_1 must equal), see check_covariance."""
+    return [((1, i), i) for i in range(2, n + 1)] + [((k, k + 1), 1) for k in range(2, n)]
 
 
 def _nonzeros(a: np.ndarray) -> int:
@@ -223,18 +280,20 @@ def _nonzeros(a: np.ndarray) -> int:
     return np.count_nonzero(a.view(np.float64) if a.dtype == np.complex128 else a)
 
 
-def _sector_diagonal(e: np.ndarray, maps: _SectorMaps) -> bool:
-    """Whether e is zero outside its sector blocks: a nonzero count over all of e."""
-    return _nonzeros(np.ravel(e)[maps.same]) == _nonzeros(e)
+def _sector_diagonal(e: np.ndarray, maps: _SectorMaps) -> tuple[np.ndarray, bool]:
+    """e's entries on its sector blocks, ravel(e)[same] (read-only), and whether e is
+    zero outside them: a nonzero count over all of e."""
+    inside = np.ravel(e)[maps.same]
+    inside.setflags(write=False)
+    return inside, _nonzeros(inside) == _nonzeros(e)
 
 
-def _min_eigenvalue(e: np.ndarray, diagonal: bool, maps: _SectorMaps) -> float:
+def _min_eigenvalue(e: np.ndarray, inside: np.ndarray, diagonal: bool, maps: _SectorMaps) -> float:
     """Least eigenvalue of a Hermitian element, by sector blocks when it is sector-diagonal
-    (diagonal is _sector_diagonal(e, maps))."""
+    (inside is its sector entries, diagonal whether it is zero elsewhere)."""
     if not diagonal:
         return float(np.linalg.eigvalsh(e)[0])
     ends = np.cumsum([count * size * size for count, size in maps.blocks])
-    inside = np.ravel(e)[maps.same]
     return min(float(np.linalg.eigvalsh(run.reshape(count, size, size)).min())
                for run, (count, size) in zip(np.split(inside, ends[:-1]), maps.blocks))
 
@@ -444,8 +503,16 @@ def verify_unambiguous(povm: Povm) -> VerificationReport:
     antisymmetric projector on the n remaining registers; the report also
     carries the PSD and completeness residuals.  Structurally broken input
     (wrong count, shape or hermiticity) raises InvalidPovm; a NaN or an
-    infinity raises ValueError from require_hermitian, which checks each
-    element once before partial_trace sees it.
+    infinity raises ValueError.  Each element is checked once for both,
+    in order, before partial_trace sees it.
+
+    When every element is zero outside its weight sectors (Povm._sectors),
+    finiteness, hermiticity (d against conj(d[transposed])) and completeness
+    are read from the sector entries d_k alone, as the PSD minima always
+    are: the entries outside are exact zeros, so each residual and each
+    error message is the dense one bit for bit.  Otherwise each element is
+    checked by require_hermitian and the elements are summed densely.  The
+    leakages come from partial_trace on both routes.
     """
     m, n, dim = povm.m, povm.n, povm.dim
     if len(povm.elements) != n + 1:
@@ -453,8 +520,15 @@ def verify_unambiguous(povm: Povm) -> VerificationReport:
     for idx, e in enumerate(povm.elements):
         if e.shape != (dim, dim):
             raise InvalidPovm(f"element {idx} has shape {e.shape}, expected {(dim, dim)}")
+    sectors = povm._sectors
+    transposed = _sector_maps(m, n + 1).transposed
+    for idx, e in enumerate(povm.elements):
         try:
-            require_hermitian(e)
+            if sectors is None:
+                require_hermitian(e)
+            else:
+                require_finite(sectors[idx])
+                require_conjugate_pairs(sectors[idx], sectors[idx][transposed])
         except NotHermitian as exc:
             raise InvalidPovm(f"element {idx} is not Hermitian: {exc}") from exc
 
@@ -620,8 +694,7 @@ def _unitary_residual(povm: Povm) -> float:
     """
     maps = _sector_maps(povm.m, povm.n + 1)
     residual = 0.0
-    for e, diagonal in zip(povm.elements, povm._sector_flags):
-        inside = np.ravel(e)[maps.same]
+    for e, (inside, diagonal) in zip(povm.elements, povm._sector_split):
         if not diagonal:
             outside = np.abs(np.ravel(e))
             outside[maps.same] = 0.0
@@ -663,23 +736,40 @@ def check_covariance(povm: Povm) -> CovarianceReport:
     Each element is checked once to be finite (a NaN or an infinity raises
     ValueError).  Hermiticity is not checked here; verify_unambiguous
     checks it.
+
+    When every element is zero outside its weight sectors (Povm._sectors),
+    finiteness and the 2n−3 conjugations are read from the sector entries
+    d_k: a transposition of registers maps each sector into itself, so
+    (a b)·Π_1 has the sector entries d_1[swaps[t]] (_sector_maps) and zeros
+    elsewhere, and the residual is the dense one bit for bit.  Otherwise
+    each element is checked densely and each conjugation is a
+    reorder_factors transpose.  The reduction residual comes from
+    partial_trace on both routes.
     """
     m, n = povm.m, povm.n
-    for e in povm.elements:
-        as_complex_matrix(e)
+    sectors = povm._sectors
+    if sectors is None:
+        for e in povm.elements:
+            as_complex_matrix(e)
+    else:
+        for d in sectors:
+            require_finite(d)
     eye_data = np.eye(m, dtype=complex)
     unitary_residual = _unitary_residual(povm)
 
-    # (transposition (a b) of the program registers, target element index)
-    checks = [((1, i), i) for i in range(2, n + 1)] + [((k, k + 1), 1) for k in range(2, n)]
     permutation_residual = 0.0
-    for (a, b), target in checks:
-        order = list(range(1, n + 2))  # a transposition is its own inverse
-        order[a - 1], order[b - 1] = b, a
-        conjugated = reorder_factors(povm.elements[1], povm.dims, order)
-        if not np.array_equal(conjugated, povm.elements[target]):  # equal: distance 0
-            permutation_residual = max(permutation_residual,
-                                       max_abs(conjugated - povm.elements[target]))
+    swaps = _sector_maps(m, n + 1).swaps
+    for t, ((a, b), target) in enumerate(_program_transpositions(n)):
+        if sectors is not None:
+            distance = max_abs(sectors[1][swaps[t]] - sectors[target])
+        else:
+            order = list(range(1, n + 2))  # a transposition is its own inverse
+            order[a - 1], order[b - 1] = b, a
+            conjugated = reorder_factors(povm.elements[1], povm.dims, order)
+            if np.array_equal(conjugated, povm.elements[target]):  # equal: distance 0
+                continue
+            distance = max_abs(conjugated - povm.elements[target])
+        permutation_residual = max(permutation_residual, distance)
 
     constants = []
     reduction_residual = 0.0

@@ -42,9 +42,14 @@ def as_complex_matrix(a) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2:
         raise ValueError(f"expected a matrix, got array of shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix contains NaN or Inf entries")
+    require_finite(a)
     return a
+
+
+def require_finite(a, what: str = "matrix") -> None:
+    """Raise ValueError naming what if a holds a NaN or an infinity."""
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{what} contains NaN or Inf entries")
 
 
 def as_state_set(states) -> np.ndarray:
@@ -52,8 +57,7 @@ def as_state_set(states) -> np.ndarray:
     s = np.asarray(states, dtype=complex)
     if s.ndim != 2:
         raise ValueError(f"expected a set of state vectors, got shape {s.shape}")
-    if not np.all(np.isfinite(s)):
-        raise ValueError("state set contains NaN or Inf entries")
+    require_finite(s, "state set")
     return s
 
 
@@ -75,10 +79,24 @@ def require_hermitian(a) -> np.ndarray:
     a = as_complex_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise NotHermitian(f"matrix of shape {a.shape} is not square")
-    dev = max_abs(a - a.conj().T)
-    if dev > HERM_TOL * max(1.0, max_abs(a)):
-        raise NotHermitian(f"hermiticity deviation {dev:.3e} exceeds tolerance")
+    require_conjugate_pairs(a, a.T.copy())
     return a
+
+
+def require_conjugate_pairs(entries: np.ndarray, mirrored: np.ndarray) -> float:
+    """Validate that entries equal conj(mirrored) within HERM_TOL (relative to
+    max(1, max|entries|)), where mirrored holds, at each position, the entry of
+    the same matrix at the transposed position; return the deviation.
+
+    mirrored is overwritten: it is conjugated and subtracted in place, so the
+    deviation is max|A - conj(A^T)| bit for bit without a strided read or a
+    second temporary.
+    """
+    np.conjugate(mirrored, out=mirrored)
+    dev = max_abs(np.subtract(entries, mirrored, out=mirrored))
+    if dev > HERM_TOL * max(1.0, max_abs(entries)):
+        raise NotHermitian(f"hermiticity deviation {dev:.3e} exceeds tolerance")
+    return dev
 
 
 def kron_chain(factors: Iterable[np.ndarray]) -> np.ndarray:

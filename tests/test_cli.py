@@ -393,6 +393,40 @@ class TestMixed:
         assert out == ""
 
 
+class TestHugeHeaders:
+    """A state or density header whose entry count has more digits than Python prints
+    is refused as CapExceeded, naming the count's leading power of two and the cap."""
+
+    BIG = int("9" * 2200)
+
+    def expect_refusal(self, capsys, argv, what):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        count = self.BIG * self.BIG
+        assert err == (f"error: {self.BIG}x{self.BIG} {what} with at least 2^{count.bit_length() - 1} "
+                       f"complex entries exceeds the cap of {DEFAULT_ENTRY_CAP}\n")
+
+    def test_mixed_density_header(self, tmp_path, capsys):
+        rho = tmp_path / "huge.rho"
+        rho.write_text(f"rho {self.BIG}\n")
+        self.expect_refusal(capsys, ["mixed", str(rho), str(rho), "--data", "1"], "density matrix")
+
+    def test_prob_state_header(self, tmp_path, capsys):
+        states = tmp_path / "huge.states"
+        states.write_text(f"states {self.BIG} {self.BIG}\n")
+        self.expect_refusal(capsys, ["prob", str(states)], "state set")
+
+    def test_printable_count_keeps_its_digits(self, tmp_path, capsys):
+        states = tmp_path / "big.states"
+        states.write_text(f"states 2 {self.BIG}\n")
+        code, out, err = run(capsys, "prob", str(states))
+        assert (code, out) == (2, "")
+        assert err == (f"error: {self.BIG}x2 state set with {2 * self.BIG} complex entries exceeds "
+                       f"the cap of {DEFAULT_ENTRY_CAP}\n")
+
+
 class TestMachineMode:
     def test_kv_matches_text_numbers(self, tmp_path, capsys):
         pair = orthonormal_pair_file(tmp_path)

@@ -3,6 +3,7 @@ import pytest
 
 from udisc.config import entry_cap
 from udisc.errors import CapExceeded, IndexOutOfRange, LayoutMismatch, NotHermitian, NotPositive
+from udisc import tensor_algebra
 from udisc.random_states import rand_density, rand_psd, rand_state
 from udisc.tensor_algebra import (
     Subspace,
@@ -15,6 +16,8 @@ from udisc.tensor_algebra import (
     partial_trace,
     psd_sqrt,
     reorder_factors,
+    require_conjugate_pairs,
+    require_hermitian,
     subspace_from_vectors,
     subspace_intersection,
     subspace_preimage,
@@ -179,6 +182,30 @@ class TestEigHermitian:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitian):
             eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+class TestRequireHermitian:
+    @pytest.mark.parametrize("dim", [4, 7, 64, 256])
+    def test_deviation_is_the_direct_expression_bit_for_bit(self, dim, monkeypatch):
+        rng = np.random.default_rng(dim)
+        a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        direct = max_abs(a - a.conj().T)
+        with pytest.raises(NotHermitian) as refused:
+            require_hermitian(a)
+        assert str(refused.value) == f"hermiticity deviation {direct:.3e} exceeds tolerance"
+        monkeypatch.setattr(tensor_algebra, "HERM_TOL", np.inf)
+        assert require_conjugate_pairs(a, a.T.copy()) == direct
+
+    def test_input_is_left_as_it_was(self):
+        # a Fortran-ordered complex input is its own as_complex_matrix, and its
+        # transpose is C-contiguous: the check must still work on a copy
+        rng = np.random.default_rng(5)
+        h = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        a = np.asfortranarray(h + h.conj().T)
+        assert a.T.flags.c_contiguous
+        before = a.copy()
+        assert require_hermitian(a) is a
+        assert np.array_equal(a, before)
 
 
 class TestGram:

@@ -3,13 +3,18 @@
 ``verify`` reads minimum eigenvalues from weight-sector blocks and checks
 unitary invariance exactly on the sector support: the off-sector mass of
 each element, and its commutator with dΓ(C) = Σ_r C_r for the cyclic shift
-C = Σ_a |a+1 mod m><a|, taken as gathers from the element.  The dense
-routes live here: the same residual with the sector mask built from
+C = Σ_a |a+1 mod m><a|, taken as gathers from the element.  When every
+element is zero outside its sectors, finiteness, hermiticity, completeness
+and permutation covariance are read from the sector entries too.  The
+dense routes live here: the same residual with the sector mask built from
 level_multiset and dΓ(C) lifted by kron_chain (matched within 1e-14), the
 2(m−1) raising and lowering generators lifted by kron_chain, the
-Haar-random U^⊗(n+1) lifted by kron_chain (both on pass/fail), and one
-eigvalsh per element.  The routes take the dense fallback when an element
-leaves its sectors, and fail the same perturbed POVMs.
+Haar-random U^⊗(n+1) lifted by kron_chain (both on pass/fail), one
+eigvalsh per element, and the whole dense verify and covariance check
+(dense_verify, dense_covariance: a dense hermiticity and finiteness pass,
+ΣΠ − I, and reorder_factors conjugations).  The routes take the dense
+fallback when an element leaves its sectors, give the dense verdicts,
+errors and residuals (within 1e-14), and fail the same perturbed POVMs.
 """
 
 import dataclasses
@@ -28,18 +33,23 @@ import udisc
 from udisc import tensor_algebra
 from udisc import discriminator
 from udisc.antisym import Permutation, antisym_projector, permutation_operator
+from udisc.config import HERM_TOL
 from udisc.discriminator import (
     LEAKAGE_TOL,
+    PERMUTATION_COV_TOL,
     PSD_RESIDUAL_TOL,
     UNITARY_COV_TOL,
+    CovarianceReport,
     Povm,
+    VerificationReport,
     _unitary_residual,
     check_covariance,
     family_povm,
     verify_unambiguous,
 )
+from udisc.errors import InvalidPovm
 from udisc.random_states import rand_psd
-from udisc.tensor_algebra import kron_chain, max_abs
+from udisc.tensor_algebra import as_complex_matrix, kron_chain, max_abs, partial_trace, reorder_factors
 
 ROUTE_TOL = 1e-14
 CASES = [("universal", 3, 2), ("optimal", 3, 3), ("universal", 5, 2),
@@ -116,6 +126,76 @@ def sector_cyclic_residual(povm):
         d = np.where(mask, e, 0)
         residual = max(residual, max_abs(e - d), max_abs(lifted @ d - d @ lifted))
     return residual
+
+
+def dense_verify(povm):
+    """Oracle: verify_unambiguous on dense passes only (hermiticity by A − A†, ΣΠ − I,
+    one eigvalsh per element)."""
+    m, n, dim = povm.m, povm.n, povm.dim
+    for idx, e in enumerate(povm.elements):
+        if e.shape != (dim, dim):
+            raise InvalidPovm(f"element {idx} has shape {e.shape}, expected {(dim, dim)}")
+        a = as_complex_matrix(e)
+        dev = max_abs(a - a.conj().T)
+        if dev > HERM_TOL * max(1.0, max_abs(a)):
+            raise InvalidPovm(f"element {idx} is not Hermitian: "
+                              f"hermiticity deviation {dev:.3e} exceeds tolerance")
+    complement = np.eye(m**n) - antisym_projector(m, n).matrix
+    leakages = [max_abs(complement @ partial_trace(povm.elements[i], povm.dims, {i}) @ complement)
+                for i in range(1, n + 1)]
+    return VerificationReport(
+        leakages=tuple(leakages),
+        psd_mins=tuple(dense_psd_mins(povm)),
+        completeness_residual=max_abs(sum(povm.elements) - np.eye(dim)),
+    )
+
+
+def dense_covariance(povm):
+    """Oracle: check_covariance on dense passes only (a finiteness pass per element,
+    sector_cyclic_residual, reorder_factors conjugations, partial traces)."""
+    m, n = povm.m, povm.n
+    for e in povm.elements:
+        as_complex_matrix(e)
+    checks = [((1, i), i) for i in range(2, n + 1)] + [((k, k + 1), 1) for k in range(2, n)]
+    permutation = 0.0
+    for (a, b), target in checks:
+        order = list(range(1, n + 2))
+        order[a - 1], order[b - 1] = b, a
+        conjugated = reorder_factors(povm.elements[1], povm.dims, order)
+        permutation = max(permutation, max_abs(conjugated - povm.elements[target]))
+    reduced = [partial_trace(povm.elements[i], povm.dims, set(range(1, n + 2)) - {i})
+               for i in range(1, n + 1)]
+    constants = [float(np.trace(r).real) / m for r in reduced]
+    return CovarianceReport(
+        unitary_residual=sector_cyclic_residual(povm),
+        permutation_residual=permutation,
+        reduction_residual=max((max_abs(r - c * np.eye(m)) for r, c in zip(reduced, constants)),
+                               default=0.0),
+        reduction_constants=tuple(constants),
+        reduction_spread=max(constants) - min(constants) if constants else 0.0,
+    )
+
+
+def outcome(check, povm):
+    """check(povm), or the type and message of what it raises."""
+    try:
+        return check(povm)
+    except (InvalidPovm, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_routes_agree(povm):
+    """verify_unambiguous and check_covariance give their oracles' verdicts and errors,
+    and every residual within ROUTE_TOL."""
+    for fast, oracle in ((outcome(verify_unambiguous, povm), outcome(dense_verify, povm)),
+                         (outcome(check_covariance, povm), outcome(dense_covariance, povm))):
+        if isinstance(oracle, tuple):
+            assert fast == oracle
+            continue
+        assert fast.passed == oracle.passed
+        for field in dataclasses.fields(oracle):
+            got, expected = getattr(fast, field.name), getattr(oracle, field.name)
+            assert np.max(np.abs(np.subtract(got, expected)), initial=0.0) <= ROUTE_TOL, field.name
 
 
 class EigvalshSpy:
@@ -227,11 +307,24 @@ def test_sector_maps_are_built_once_and_read_only():
             a[(0,) * a.ndim] = 1
 
 
+def with_off_sector_mass(povm, value=1e-3):
+    """An explicit copy of povm with a Hermitian pair of entries between |0…0> and
+    |0…01>, which lie in different weight sectors, moved from Π_0 to Π_1."""
+    elements = [e.copy() for e in povm.elements]
+    for i, j in ((0, 1), (1, 0)):
+        elements[0][i, j] -= value
+        elements[1][i, j] += value
+    return Povm(m=povm.m, n=povm.n, elements=elements)
+
+
 @pytest.mark.parametrize("family,m,n", [("universal", 3, 2), ("optimal", 3, 3),
                                         ("universal", 4, 3), ("optimal", 4, 4)])
 def test_check_covariance_reorders_2n_minus_3_times(family, m, n, monkeypatch):
+    """A sector-diagonal POVM takes no reorder_factors conjugation; one with off-sector
+    mass takes the dense route's 2n−3."""
     povm = family_povm(family, m, n)
     povm.elements  # assembly reorders too; count only the check
+    leaky = with_off_sector_mass(povm)
     calls = []
     real = discriminator.reorder_factors
 
@@ -241,6 +334,8 @@ def test_check_covariance_reorders_2n_minus_3_times(family, m, n, monkeypatch):
 
     monkeypatch.setattr(discriminator, "reorder_factors", spy)
     assert check_covariance(povm).passed
+    assert calls == []
+    assert not check_covariance(leaky).unitary_ok
     assert len(calls) == 2 * n - 3
 
 
@@ -328,12 +423,15 @@ def test_perturbations_fail_on_both_routes(family, m, n, kind):
 @pytest.mark.parametrize("family", ["universal", "trivial"])
 def test_verify_forms_no_lift_and_checks_hermiticity_once(family, monkeypatch):
     """Guards the fast routes: a built (4,3) POVM is verified without an (n+1)-fold
-    kron_chain, without a dense 256 x 256 eigensolve, and with one hermiticity
-    check per element."""
+    kron_chain, without a dense 256 x 256 eigensolve, and with no dense hermiticity
+    check or reorder_factors conjugation; with off-sector mass it takes one dense
+    hermiticity check per element and 2n−3 conjugations."""
     povm = family_povm(family, 4, 3)
     povm.elements
-    kron_factors, hermitian_checks = [], []
+    leaky = with_off_sector_mass(povm)
+    kron_factors, hermitian_checks, reorders = [], [], []
     real_kron, real_herm = tensor_algebra.kron_chain, tensor_algebra.require_hermitian
+    real_reorder = tensor_algebra.reorder_factors
 
     def kron_spy(factors):
         factors = list(factors)
@@ -344,15 +442,112 @@ def test_verify_forms_no_lift_and_checks_hermiticity_once(family, monkeypatch):
         hermitian_checks.append(np.shape(a))
         return real_herm(a)
 
+    def reorder_spy(*args):
+        reorders.append(args[2])
+        return real_reorder(*args)
+
     for info in pkgutil.iter_modules(udisc.__path__):
         module = importlib.import_module(f"udisc.{info.name}")
         if getattr(module, "kron_chain", None) is real_kron:
             monkeypatch.setattr(module, "kron_chain", kron_spy)
         if getattr(module, "require_hermitian", None) is real_herm:
             monkeypatch.setattr(module, "require_hermitian", herm_spy)
+        if getattr(module, "reorder_factors", None) is real_reorder:
+            monkeypatch.setattr(module, "reorder_factors", reorder_spy)
     spy = EigvalshSpy(monkeypatch)
     assert verify_unambiguous(povm).passed
     assert check_covariance(povm).passed
     assert max(kron_factors, default=0) < povm.n + 1
     assert spy.shapes and spy.dense_calls(povm.dim) == []
+    assert hermitian_checks == [] and reorders == []
+    verify_unambiguous(leaky)
+    check_covariance(leaky)
     assert hermitian_checks == [(povm.dim, povm.dim)] * (povm.n + 1)
+    assert len(reorders) == 2 * povm.n - 3
+
+
+@pytest.mark.parametrize("family,m,n", CASES + [("optimal", 2, 2)])
+def test_routes_agree_on_built_povms(family, m, n):
+    povm = family_povm(family, m, n)
+    assert povm._sectors is not None
+    assert verify_unambiguous(povm).passed and check_covariance(povm).passed
+    assert_routes_agree(povm)
+    leaky = with_off_sector_mass(povm)
+    assert leaky._sectors is None
+    assert_routes_agree(leaky)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from(CASES[:3] + [("optimal", 2, 2)]),
+       kind=st.sampled_from(["non_hermitian", "completeness", "swap", "non_finite"]),
+       data=st.data())
+def test_routes_agree_on_perturbations(case, kind, data):
+    """A non-Hermitian sector entry, a completeness break on the diagonal, a swap of one
+    sector block between Π_1 and Π_2, and NaN or ±inf inside or outside the sectors
+    give the dense verdicts, errors and residuals on both verify_unambiguous and
+    check_covariance."""
+    family, m, n = case
+    povm = family_povm(family, m, n)
+    count, dim = n + 1, povm.dim
+    mask = same_sector(m, count)
+    elements = [e.copy() for e in povm.elements]
+    k = data.draw(st.integers(0, n), label="element")
+    i = data.draw(st.integers(0, dim - 1), label="row")
+    if kind == "non_hermitian":
+        j = data.draw(st.sampled_from(np.flatnonzero(mask[i]).tolist()), label="column")
+        value = data.draw(st.sampled_from([1e-13, 1e-6, 0.25]), label="value")
+        elements[k][i, j] += value * (1 + 1j)
+    elif kind == "completeness":
+        elements[k][i, i] += data.draw(st.sampled_from([1e-12, 1e-6, -0.5]), label="value")
+    elif kind == "swap":
+        j = data.draw(st.sampled_from(np.flatnonzero(mask[i]).tolist()), label="column")
+        swap_entries(elements, i, j)
+    else:
+        inside = data.draw(st.booleans(), label="inside")
+        j = data.draw(st.sampled_from(np.flatnonzero(mask[i] == inside).tolist() or [i]),
+                      label="column")
+        elements[k][i, j] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]), label="value")
+    explicit = Povm(m=m, n=n, elements=elements)
+    assert_routes_agree(explicit)
+    if kind == "non_finite":
+        for check in (verify_unambiguous, check_covariance):
+            with pytest.raises(ValueError, match="NaN or Inf"):
+                check(explicit)
+
+
+def swap_entries(elements, i, j):
+    """Exchange the (i, j) and (j, i) entries of Π_1 and Π_2 (Hermiticity and completeness stay)."""
+    for a, b in {(i, j), (j, i)}:
+        elements[1][a, b], elements[2][a, b] = elements[2][a, b], elements[1][a, b]
+
+
+@pytest.mark.parametrize("family,m,n", [("universal", 3, 2), ("universal", 4, 3)])
+def test_swap_inside_a_sector_breaks_permutation_covariance(family, m, n):
+    povm = family_povm(family, m, n)
+    p1, p2 = povm.elements[1], povm.elements[2]
+    # a same-sector pair where Π_1 and Π_2 differ, and whose two indices differ on register 1
+    i, j = next((i, j) for i, j in zip(*np.nonzero(same_sector(m, n + 1) & (p1 != p2)))
+                if i // m**n != j // m**n)
+    elements = [e.copy() for e in povm.elements]
+    swap_entries(elements, i, j)
+    explicit = Povm(m=m, n=n, elements=elements)
+    assert explicit._sectors is not None
+    assert check_covariance(explicit).permutation_residual > PERMUTATION_COV_TOL
+    assert dense_covariance(explicit).permutation_residual > PERMUTATION_COV_TOL
+    assert_routes_agree(explicit)
+
+
+@pytest.mark.parametrize("family,m,n", [("universal", 4, 3), ("optimal", 4, 4)])
+def test_sector_route_allocates_less_than_one_element(family, m, n):
+    built = family_povm(family, m, n)
+    verify_unambiguous(built)  # builds the index maps and I − Φ, once per process
+    check_covariance(built)
+    povm = Povm(m=m, n=n, elements=built.elements)  # its sector entries are gathered inside
+    tracemalloc.start()
+    try:
+        assert verify_unambiguous(povm).passed and check_covariance(povm).passed
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert povm._sectors is not None
+    assert peak < povm.elements[0].nbytes
