@@ -1,4 +1,4 @@
-"""Wedge products, permutation operators and the antisymmetric projector.
+"""Wedge products, permutation signs and the antisymmetric projector.
 
 Run with: python3 demos/01_antisymmetric_machinery.py
 """
@@ -12,7 +12,6 @@ from udisc import (
     gram,
     gram_det,
     kron_chain,
-    permutation_operator,
     wedge,
 )
 
@@ -30,11 +29,12 @@ print("  |wedge|^2      =", round(float(np.vdot(w, w).real), 12))
 print("  det(Gram)      =", round(gram_det(states), 12))
 print("  (equal: the squared norm of a wedge is the Gram determinant)")
 
-print("\n== Permutation operators ==")
-swap = Permutation((2, 1))
-op = permutation_operator(swap, 2)
-print("swap on two qubits maps |01> to index", int(np.argmax(op @ np.eye(4)[1])))
+print("\n== Permutation signs ==")
 print("sign of (2,3,1):", Permutation((2, 3, 1)).sign)
+print("sign of (2,1)  :", Permutation((2, 1)).sign)
+singlet = antisym_projector(2, 2).matrix.real
+print("<01|P|01> =", singlet[1, 1], " <10|P|01> =", singlet[2, 1],
+      " (sign of the swap taking |01> to |10>, over 2!)")
 
 print("\n== The antisymmetric projector ==")
 for m, n in ((2, 2), (3, 2), (4, 2), (4, 3)):
@@ -44,7 +44,7 @@ for m, n in ((2, 2), (3, 2), (4, 2), (4, 3)):
 
 delta = np.max(np.abs(antisym_projector(3, 2).matrix
                       - antisym_projector_from_basis(3, 2).matrix))
-print("permutation-sum route vs basis route (m=3, n=2):", f"{delta:.2e}")
+print("sign-identity route vs basis route (m=3, n=2):", f"{delta:.2e}")
 
 print("\n== Overlap identity ==")
 pair = np.array([[1, 0, 0], [0.6, 0.8, 0]], dtype=complex)

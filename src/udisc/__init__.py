@@ -15,7 +15,6 @@ from .antisym import (
     antisym_projector,
     antisym_projector_from_basis,
     increasing_tuples,
-    permutation_operator,
     wedge,
 )
 from .config import DEFAULT_ENTRY_CAP

@@ -1,8 +1,15 @@
 """Antisymmetric tensor machinery.
 
-Permutation operators on composite registers, wedge products, the projector
-onto the antisymmetric subspace of H^⊗n, and its increasing-tuple basis.
-Register levels and tuple entries are 1-based.
+Permutations and their signs, wedge products, the projector onto the
+antisymmetric subspace of H^⊗n, and its increasing-tuple basis.  Register
+levels and tuple entries are 1-based.
+
+The projector is built two independent ways.  antisym_projector writes it
+entry by entry from the sign identity ⟨x|Φ|y⟩ = S(x)·S(y)/n!, nonzero only
+when x and y hold the same set of n distinct levels, with S(x) the sign of
+the permutation that sorts x's levels; the same helper (_sign_projector)
+gives the built POVM elements I_i ⊗ Φ_rest.  antisym_projector_from_basis
+sums the outer products of the increasing-tuple basis vectors.
 """
 
 from __future__ import annotations
@@ -14,10 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import check_entries, check_square
-from .tensor_algebra import as_state_set, kron_chain, max_abs
+from .tensor_algebra import as_state_set, kron_chain
 
-# AntisymProjector.validate: idempotency and sign-covariance deviation.
-PROJECTOR_TOL = 1e-10
 # Largest deviation of a projector's trace from its rank C(m, n).
 TRACE_TOL = 1e-9
 
@@ -68,9 +73,8 @@ class Permutation:
         return self.images[k - 1]
 
     def compose(self, other: "Permutation") -> "Permutation":
-        """Composition matching the operator product:
-        permutation_operator(a.compose(b)) = permutation_operator(a) @ permutation_operator(b).
-        """
+        """Composition matching the operator product: the operator realigning the
+        registers by a.compose(b) is a's operator times b's."""
         if other.n != self.n:
             raise ValueError("cannot compose permutations of different degree")
         return Permutation(tuple(other.images[self.images[k] - 1] for k in range(self.n)))
@@ -90,22 +94,6 @@ def _digit_table(m: int, n: int) -> np.ndarray:
     """(m^n, n) table of the base-m digits of each index, first factor slowest."""
     idx = np.arange(m**n)
     return np.stack(np.unravel_index(idx, [m] * n), axis=1)
-
-
-def _permuted_indices(sigma: Permutation, m: int) -> np.ndarray:
-    """Index map j ↦ j' with digits ω'_k = ω_{σ(k)}; column j of the operator is e_{j'}."""
-    digits = _digit_table(m, sigma.n)
-    moved = tuple(digits[:, sigma.images[k] - 1] for k in range(sigma.n))
-    return np.ravel_multi_index(moved, [m] * sigma.n)
-
-
-def permutation_operator(sigma: Permutation, m: int) -> np.ndarray:
-    """Unitary realigning n registers of dimension m: |ω_1..ω_n> ↦ |ω_{σ1}..ω_{σn}>."""
-    dim = m**sigma.n
-    check_square(dim, "permutation operator")
-    op = np.zeros((dim, dim), dtype=complex)
-    op[_permuted_indices(sigma, m), np.arange(dim)] = 1.0
-    return op
 
 
 def wedge(states) -> np.ndarray:
@@ -156,39 +144,52 @@ class AntisymProjector:
     def rank(self) -> int:
         return math.comb(self.m, self.n)
 
-    def validate(self) -> None:
-        """Check idempotency, trace = C(m, n) and the sign-covariance property."""
-        p = self.matrix
-        if max_abs(p @ p - p) > PROJECTOR_TOL:
-            raise ValueError("projector is not idempotent within tolerance")
-        if abs(float(np.trace(p).real) - self.rank) > TRACE_TOL:
-            raise ValueError("projector trace differs from C(m, n)")
-        for sigma in all_permutations(self.n):
-            lhs = permutation_operator(sigma, self.m) @ p
-            if max_abs(lhs - sigma.sign * p) > PROJECTOR_TOL:
-                raise ValueError(f"sign covariance fails for permutation {sigma.images}")
+
+def _sign_projector(m: int, count: int, own: int | None = None) -> np.ndarray:
+    """Real dense (1/k!)·Σ_σ sgn(σ)·σ on the k registers other than own, tensored
+    with I on register own (1-based; None antisymmetrises all count registers).
+
+    Entry by entry, <x|P|y> = S(x)·S(y)/k! when x and y hold the same own
+    level and the same set of k distinct levels on the other registers, and
+    0 otherwise.  S(x) is the sign of the permutation that sorts x's levels
+    on those registers, a product of one np.sign per register pair, and 0
+    when a level repeats: the one σ taking y to x has sgn(σ) = S(x)·S(y).
+    The basis states with S ≠ 0 fall into groups of k! that share the own
+    level and the set of levels, and one fancy-index assignment writes every
+    group's block.  The caller sizes m^count against the budget.
+    """
+    digits = _digit_table(m, count)
+    rest = digits if own is None else np.delete(digits, own - 1, axis=1)
+    k = rest.shape[1]
+    sign = np.ones(len(digits))
+    for a, b in itertools.combinations(range(k), 2):
+        sign *= np.sign(rest[:, b] - rest[:, a])
+    states = np.flatnonzero(sign)
+    key = np.sort(rest[states], axis=1) @ m ** np.arange(k)
+    if own is not None:
+        key += digits[states, own - 1] * m**k
+    groups = states[np.argsort(key, kind="stable")].reshape(-1, math.factorial(k))
+    s = sign[groups]
+    out = np.zeros((len(digits), len(digits)))
+    out[groups[:, :, None], groups[:, None, :]] = s[:, :, None] * s[:, None, :] / math.factorial(k)
+    return out
 
 
 def antisym_projector(m: int, n: int) -> AntisymProjector:
-    """Projector built as (1/n!) Σ_σ sgn(σ)·σ, accumulated by index maps.
+    """Projector (1/n!) Σ_σ sgn(σ)·σ, entry by entry from the sign identity
+    (_sign_projector).
 
     For n > m the antisymmetric space is trivial and the zero operator is
     returned.
     """
     if n < 1:
         raise ValueError("need at least one register")
-    dim = m**n
-    check_square(dim, "antisymmetric projector")
-    acc = np.zeros((dim, dim))
-    if n <= m:
-        cols = np.arange(dim)
-        for sigma in all_permutations(n):
-            acc[_permuted_indices(sigma, m), cols] += sigma.sign
-        acc /= math.factorial(n)
-    trace = float(np.trace(acc))
+    check_square(m**n, "antisymmetric projector")
+    p = _sign_projector(m, n)
+    trace = float(np.trace(p))
     if abs(trace - math.comb(m, n)) > TRACE_TOL:
         raise ArithmeticError(f"projector trace {trace!r} differs from C({m},{n})")
-    return AntisymProjector(m, n, acc.astype(complex))
+    return AntisymProjector(m, n, p.astype(complex))
 
 
 def antisym_projector_from_basis(m: int, n: int) -> AntisymProjector:

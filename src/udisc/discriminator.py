@@ -12,7 +12,10 @@ ascending order); element 0 is the inconclusive remainder I - Σ_i Π_i.
 A built POVM keeps only that structure: outcome probabilities of product
 inputs come from Gram determinants, and the dense elements are assembled
 only when something reads them, under the dense-storage budget in force
-then (config.entry_cap).
+then (config.entry_cap).  Assembly writes each Π_i entry by entry from the
+sign identity ⟨x|Φ|y⟩ = S(x)·S(y)/n! (antisym._sign_projector), with no
+Kronecker product or register reordering, so entries outside an element's
+support are +0.0.
 
 Verification lifts no operator to all n+1 registers and solves no dense
 eigenproblem for a sector-diagonal element.  Every element the paper
@@ -41,8 +44,8 @@ for bit.  A POVM with any nonzero entry outside its sectors takes the
 dense route for these checks: require_hermitian and a dense sum per
 element, and reorder_factors conjugations.  The leakage and the
 reduction to the own register come from partial_trace on both routes.
-The index maps (_sector_maps), the antisymmetric projector (_antisym)
-and its complement are built once per size per process and kept
+The index maps (_sector_maps) and the complement I − Φ of the
+antisymmetric projector are built once per size per process and kept
 read-only.  Finiteness and hermiticity are checked once per element, in
 verify_unambiguous, and finiteness once more in check_covariance.
 """
@@ -55,7 +58,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .antisym import antisym_projector
+from .antisym import _sign_projector, antisym_projector
 from .config import check_tensor_square
 from .errors import IndexOutOfRange, InvalidPovm, LayoutMismatch, NotHermitian, WrongRegime
 from .tensor_algebra import (
@@ -64,7 +67,6 @@ from .tensor_algebra import (
     gram_det,
     kron_chain,
     max_abs,
-    own_register_first,
     partial_trace,
     reorder_factors,
     require_conjugate_pairs,
@@ -80,6 +82,8 @@ UNITARY_COV_TOL = 1e-9
 PERMUTATION_COV_TOL = 1e-10
 REDUCTION_TOL = 1e-9
 REDUCTION_SPREAD_TOL = 1e-10
+# _unitary_residual: commutator entries evaluated at once.
+COMMUTATOR_CHUNK = 1 << 14
 # efficiency_bounds: rounding accepted outside [0, 1] before p_s is clamped.
 P_S_RANGE_TOL = 1e-12
 
@@ -153,11 +157,9 @@ class Povm:
 
     @property
     def _sectors(self) -> tuple[np.ndarray, ...] | None:
-        """The sector entries d_k when every element is a dim x dim matrix that is zero
-        outside its sector blocks (the sector route of the checks), else None (the
-        dense route)."""
-        if any(np.shape(e) != (self.dim, self.dim) for e in self.elements):
-            return None
+        """The sector entries d_k when every element is zero outside its sector blocks
+        (the sector route of the checks), else None (the dense route).  The elements
+        must be dim x dim matrices (_require_layout)."""
         if not all(diagonal for _, diagonal in self._sector_split):
             return None
         return tuple(d for d, _ in self._sector_split)
@@ -329,40 +331,32 @@ def program_input(states, j: int) -> ProgramInput:
 
 
 @cache
-def _antisym(m: int, n: int) -> np.ndarray:
-    """Φ = antisym_projector(m, n).matrix, built once per (m, n) per process, read-only.
+def _antisym_complement(m: int, n: int) -> np.ndarray:
+    """I − Φ with Φ = antisym_projector(m, n).matrix, built once per (m, n) per process,
+    read-only.
 
     Every caller holds or is about to hold an element on n+1 registers, so
     the budget check antisym_projector makes on the first build covers the
     later ones.
     """
-    phi = antisym_projector(m, n).matrix
-    phi.setflags(write=False)
-    return phi
-
-
-@cache
-def _antisym_complement(m: int, n: int) -> np.ndarray:
-    """I − Φ for _antisym(m, n), built once per (m, n) per process, read-only."""
-    complement = np.eye(m**n, dtype=complex) - _antisym(m, n)
+    complement = np.eye(m**n, dtype=complex) - antisym_projector(m, n).matrix
     complement.setflags(write=False)
     return complement
 
 
-def _identity_times_antisym(m: int, n: int) -> list[np.ndarray]:
-    """Blocks B_i = I on register i ⊗ antisymmetric projector on the other n registers."""
-    base = np.kron(np.eye(m, dtype=complex), _antisym(m, n))  # register order [i, rest ascending]
-    dims = [m] * (n + 1)
-    return [reorder_factors(base, dims, own_register_first(i, n + 1)) for i in range(1, n + 1)]
-
-
 def _assemble(family: str, m: int, n: int, c: float) -> tuple[np.ndarray, ...]:
-    """Dense elements (Π_0, Π_1, …, Π_n) of a built family."""
+    """Dense elements (Π_0, Π_1, …, Π_n) of a built family.
+
+    Π_i = c·(I_i ⊗ Φ_rest) comes entry by entry from the sign identity
+    (_sign_projector with own register i); the trivial family's Π_i is
+    Φ/n on all n+1 registers.  Entries outside an element's support are
+    +0.0.
+    """
     dim = check_tensor_square(m, n + 1, "POVM element")
     if family == "trivial":
         elements = [antisym_projector(m, n + 1).matrix / n] * n
     else:
-        elements = [c * b for b in _identity_times_antisym(m, n)]
+        elements = [(c * _sign_projector(m, n + 1, own=i)).astype(complex) for i in range(1, n + 1)]
     pi0 = np.eye(dim, dtype=complex) - sum(elements)
     return tuple([pi0] + elements)
 
@@ -496,6 +490,17 @@ class VerificationReport:
         return max(self.leakages) if self.leakages else 0.0
 
 
+def _require_layout(povm: Povm) -> None:
+    """Refuse, with InvalidPovm, a POVM whose element count is not n+1 or that has an
+    element that is not a dim x dim matrix; the checks call it before they gather."""
+    n, dim = povm.n, povm.dim
+    if len(povm.elements) != n + 1:
+        raise InvalidPovm(f"expected {n + 1} elements, got {len(povm.elements)}")
+    for idx, e in enumerate(povm.elements):
+        if np.shape(e) != (dim, dim):
+            raise InvalidPovm(f"element {idx} has shape {np.shape(e)}, expected {(dim, dim)}")
+
+
 def verify_unambiguous(povm: Povm) -> VerificationReport:
     """Check that each Tr_i(Π_i) is supported inside the antisymmetric subspace.
 
@@ -514,12 +519,8 @@ def verify_unambiguous(povm: Povm) -> VerificationReport:
     checked by require_hermitian and the elements are summed densely.  The
     leakages come from partial_trace on both routes.
     """
-    m, n, dim = povm.m, povm.n, povm.dim
-    if len(povm.elements) != n + 1:
-        raise InvalidPovm(f"expected {n + 1} elements, got {len(povm.elements)}")
-    for idx, e in enumerate(povm.elements):
-        if e.shape != (dim, dim):
-            raise InvalidPovm(f"element {idx} has shape {e.shape}, expected {(dim, dim)}")
+    m, n = povm.m, povm.n
+    _require_layout(povm)
     sectors = povm._sectors
     transposed = _sector_maps(m, n + 1).transposed
     for idx, e in enumerate(povm.elements):
@@ -690,7 +691,9 @@ def _unitary_residual(povm: Povm) -> float:
     is Σ_r D_k[f_r^{-1}(a), b] − D_k[a, f_r(b)]: 2N gathers from d, taken over
     the pairs (a, b) one f_r away from a same-sector pair, the only ones
     where the commutator of a sector-diagonal operator can be nonzero
-    (_sector_maps).
+    (_sector_maps).  The pairs are taken COMMUTATOR_CHUNK at a time, and
+    the difference and its magnitude overwrite the raised sum, so the
+    temporary memory is a few chunks whatever the size.
     """
     maps = _sector_maps(povm.m, povm.n + 1)
     residual = 0.0
@@ -700,11 +703,14 @@ def _unitary_residual(povm: Povm) -> float:
             outside[maps.same] = 0.0
             residual = max(residual, float(outside.max()))
         d = np.append(inside, 0.0)
-        raised, lowered = d[maps.raised[0]], d[maps.lowered[0]]
-        for r in range(1, len(maps.raised)):
-            raised += d[maps.raised[r]]
-            lowered += d[maps.lowered[r]]
-        residual = max(residual, max_abs(raised - lowered))
+        for start in range(0, maps.raised.shape[1], COMMUTATOR_CHUNK):
+            part = slice(start, start + COMMUTATOR_CHUNK)
+            raised, lowered = d[maps.raised[0, part]], d[maps.lowered[0, part]]
+            for r in range(1, len(maps.raised)):
+                raised += d[maps.raised[r, part]]
+                lowered += d[maps.lowered[r, part]]
+            raised -= lowered
+            residual = max(residual, float(np.abs(raised, out=raised).real.max()))
     return residual
 
 
@@ -733,9 +739,10 @@ def check_covariance(povm: Povm) -> CovarianceReport:
     3. Reduction to the own register: Tr over all other registers of Π_i is
        a multiple of the identity, with the same constant for every i ≥ 1.
 
-    Each element is checked once to be finite (a NaN or an infinity raises
-    ValueError).  Hermiticity is not checked here; verify_unambiguous
-    checks it.
+    A wrong element count or shape raises InvalidPovm with
+    verify_unambiguous's message, before anything is gathered.  Each element
+    is checked once to be finite (a NaN or an infinity raises ValueError).
+    Hermiticity is not checked here; verify_unambiguous checks it.
 
     When every element is zero outside its weight sectors (Povm._sectors),
     finiteness and the 2n−3 conjugations are read from the sector entries
@@ -747,6 +754,7 @@ def check_covariance(povm: Povm) -> CovarianceReport:
     partial_trace on both routes.
     """
     m, n = povm.m, povm.n
+    _require_layout(povm)
     sectors = povm._sectors
     if sectors is None:
         for e in povm.elements:

@@ -33,17 +33,15 @@ Files are read as text, so "\r\n" and "\r" line ends count as newlines.
 Any other chunk (tabs, runs of spaces, a comment or blank line inside the
 block, a wrong token count, a token float() refuses) is read row by row
 with float(), which names the bad row and accepts float()'s spellings
-("1_0").  A state or density block, whose numbers are all distinct, is
-parsed by one np.loadtxt call, which gives the same doubles as float()
-and is quicker on such a block; a block it refuses goes to the same
-row-by-row scan.  A NaN or an
-infinity is refused where it is read, naming the file, the block and the
-row.
+("1_0").  A state or density block, a few rows of distinct numbers, takes
+that row-by-row scan.  A NaN or an infinity is refused where it is read,
+naming the file, the block and the row.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -124,29 +122,6 @@ def _parse_header(line: str | None, keyword: str, fields: int, path) -> list[int
         raise FormatError(f"{path}: header fields must be integers") from exc
     if any(v < 1 for v in values):
         raise FormatError(f"{path}: header fields must be positive")
-    return values
-
-
-def _parse_block(block: list[str], rows: int, cols: int, where: str) -> np.ndarray:
-    """The rows x 2·cols floats of a block's lines (state and density files).
-
-    One np.loadtxt call parses a well-formed block.  On a ValueError or a
-    wrong shape the block goes to _scan_rows, which names the first bad row
-    and accepts the few spellings float() takes and np.loadtxt does not
-    (digit separators such as "1_0").  Both give the same double for every
-    token both accept.
-    """
-    if len(block) == rows:
-        try:
-            values = np.loadtxt(block, dtype=np.float64, comments=None, ndmin=2)
-        except ValueError:
-            pass
-        else:
-            if values.shape == (rows, 2 * cols):
-                _check_finite(values, where)
-                return values
-    values = np.empty((rows, 2 * cols))
-    _scan_rows(block, values, where)
     return values
 
 
@@ -255,9 +230,8 @@ def _read_blocks(path, keyword: str, fields: int, layout,
     is None.  The blocks share one size, which is checked against the budget
     before any row is read.  With scan, blocks are read by _scan_block in
     row chunks (POVM files: mostly "0" and a few distinct other tokens);
-    otherwise each block's lines go to _parse_block (state and density
-    files, whose numbers are all distinct and parse quicker in one
-    np.loadtxt call).
+    otherwise each block's lines go to _scan_rows (state and density files,
+    a few small rows of distinct numbers).
     """
     with open(path, "r", encoding="ascii") as fh:
         lines = (s for s in map(str.strip, fh) if s and not s.startswith("#"))
@@ -275,7 +249,8 @@ def _read_blocks(path, keyword: str, fields: int, layout,
             if scan:
                 values = _scan_block(fh, lines, rows, cols, where)
             else:
-                values = _parse_block(list(itertools.islice(lines, rows)), rows, cols, where)
+                values = np.empty((rows, 2 * cols))
+                _scan_rows(list(itertools.islice(lines, rows)), values, where)
             blocks.append(values.view(complex))  # (re, im) pairs bit for bit, -0.0 included
         if next(lines, None) is not None:
             raise FormatError(f"{path}: content after the last {what} row")
@@ -350,12 +325,13 @@ def write_povm(path, povm: Povm) -> None:
     _write_blocks(path, f"povm {povm.m} {povm.n} {k}", zip(_povm_labels(povm.n, k), povm.elements))
 
 
-def _povm_labels(n: int, k: int) -> list[str]:
+def _povm_labels(n: int, k: int) -> Iterator[str]:
+    """The k element labels, made one at a time as the blocks are read or written."""
     if k != n + 1:
         raise FormatError(
             f"povm header declares {k} elements; a POVM on n={n} states has n+1 = {n + 1}"
         )
-    return [f"element {i}" for i in range(k)]
+    return (f"element {i}" for i in range(k))
 
 
 def _povm_layout(m: int, n: int, k: int):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import permutation_operator, permutation_sum_projector, validate
 from udisc.antisym import (
     Permutation,
     all_permutations,
@@ -10,7 +11,6 @@ from udisc.antisym import (
     antisym_projector,
     antisym_projector_from_basis,
     increasing_tuples,
-    permutation_operator,
     wedge,
 )
 from udisc.random_states import rand_state, rand_states
@@ -149,7 +149,14 @@ class TestAntisymProjector:
 
     @pytest.mark.parametrize("m,n", [(2, 2), (3, 2), (4, 2), (3, 3), (4, 3), (4, 4)])
     def test_invariants(self, m, n):
-        antisym_projector(m, n).validate()
+        validate(antisym_projector(m, n))
+
+    @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (2, 2), (3, 2), (2, 3), (3, 3), (4, 3), (4, 4),
+                                     (5, 3), (3, 5)])
+    def test_bits_of_the_permutation_sum(self, m, n):
+        # oracle: (1/n!) Σ_σ sgn(σ)·σ accumulated over all n! permutations
+        got = antisym_projector(m, n).matrix
+        assert np.array_equal(got.view(np.int64), permutation_sum_projector(m, n).view(np.int64))
 
     @pytest.mark.parametrize("m,n", [(2, 2), (3, 2), (3, 3), (4, 2), (4, 3)])
     def test_routes_agree(self, m, n):

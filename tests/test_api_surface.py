@@ -47,7 +47,7 @@ def test_walk_reaches_every_module():
     names = {qualname for qualname, _ in _public_callables()}
     for expected in ("udisc.config.check_entries", "udisc.io.read_povm", "udisc.cli.main",
                      "udisc.discriminator.Povm", "udisc.tensor_algebra.Subspace.contains",
-                     "udisc.antisym.AntisymProjector.validate"):
+                     "udisc.antisym.Permutation.compose"):
         assert expected in names
 
 

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import permutation_operator
 from udisc import discriminator
-from udisc.antisym import Permutation, all_permutations, permutation_operator
+from udisc.antisym import Permutation, all_permutations
 from udisc.discriminator import (
     PERMUTATION_COV_TOL,
     Povm,
@@ -176,6 +177,23 @@ class TestVerifier:
         broken = Povm(m=3, n=2, elements=(povm.elements[0], povm.elements[1], skew))
         with pytest.raises(InvalidPovm):
             verify_unambiguous(broken)
+
+    @pytest.mark.parametrize("case", ["count", "smaller", "larger", "one-d"])
+    def test_malformed_povm_refused_alike(self, case):
+        # check_covariance refuses what verify_unambiguous refuses, with the same message
+        elements = list(build_universal(3, 2).elements)
+        if case == "count":
+            del elements[2]
+        else:
+            elements[1] = {"smaller": np.eye(9), "larger": np.eye(81),
+                           "one-d": np.ones(27)}[case].astype(complex)
+        broken = Povm(m=3, n=2, elements=elements)
+        messages = []
+        for check in (verify_unambiguous, check_covariance):
+            with pytest.raises(InvalidPovm) as refused:
+                check(broken)
+            messages.append(str(refused.value))
+        assert messages[0] == messages[1]
 
 
     @pytest.mark.parametrize("check", [verify_unambiguous, check_covariance])

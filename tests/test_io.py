@@ -142,8 +142,22 @@ class TestPovmFiles:
         with pytest.raises(FormatError, match=message):
             read_povm(path)
 
+    def test_rows_parse_as_loadtxt_parses_them(self, tmp_path):
+        # oracle: np.loadtxt on the same rows, on 30 spellings it accepts
+        tokens = ["0", "-0", "+0", "0.0", "-0.0", "1", "+1", "-1", "1.", ".5", "-.5", "+.5",
+                  "1e3", "1E3", "1e+3", "1e-3", "1.5e-300", "5e-324", "-2.2250738585072014e-308",
+                  "1.7976931348623157e308", "0.1", "0.30000000000000004", "007",
+                  "1.0000000000000002", "123456789012345678901234567890", "-1.5E-07", "2.5e+10",
+                  "0.000001", "9007199254740993", "4.9406564584124654e-324"]
+        rows = [" ".join(tokens[r:r + 6]) for r in range(0, len(tokens), 6)]
+        path = tmp_path / "states.txt"
+        path.write_text("states 3 5\n" + "\n".join(rows) + "\n")
+        _, (block,) = udisc_io._read_blocks(path, "states", 2, lambda m, n: ([None], n, m, "state set"))
+        oracle = np.loadtxt(rows, dtype=np.float64, comments=None, ndmin=2)
+        assert np.array_equal(block.view(np.float64).view(np.int64), oracle.view(np.int64))
+
     def test_spellings_only_float_accepts_still_parse(self, tmp_path):
-        # np.loadtxt refuses digit separators; the row scan reads them as float() does
+        # float() takes digit separators, and state and density rows are read by float()
         path = tmp_path / "rho.txt"
         path.write_text("rho 2\n5_0e-2 0 0 0\n0 0 0.5 -0\n")
         assert np.array_equal(read_density(path), np.eye(2) / 2)

@@ -28,11 +28,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rand_unitary
+from conftest import permutation_operator, rand_unitary
 import udisc
 from udisc import tensor_algebra
 from udisc import discriminator
-from udisc.antisym import Permutation, antisym_projector, permutation_operator
+from udisc.antisym import Permutation, antisym_projector
 from udisc.config import HERM_TOL
 from udisc.discriminator import (
     LEAKAGE_TOL,
@@ -297,12 +297,26 @@ def test_unitary_residual_allocates_no_element_sized_temporary():
     assert peak < povm.elements[0].nbytes
 
 
+def test_unitary_residual_peak_is_under_an_eighth_of_an_element():
+    """At (optimal,4,4) the commutator is summed in chunks and subtracted and taken in
+    magnitude in place, so the peak stays far below the |T|-sized accumulators."""
+    povm = Povm(m=4, n=4, elements=family_povm("optimal", 4, 4).elements)
+    _unitary_residual(povm)  # gathers the sector entries and builds the index maps
+    tracemalloc.start()
+    try:
+        assert _unitary_residual(povm) <= UNITARY_COV_TOL
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < povm.elements[0].nbytes / 8
+
+
 def test_sector_maps_are_built_once_and_read_only():
     maps = discriminator._sector_maps(3, 3)
     assert discriminator._sector_maps(3, 3) is maps
-    phi, complement = discriminator._antisym(3, 2), discriminator._antisym_complement(3, 2)
-    assert discriminator._antisym(3, 2) is phi
-    for a in (maps.same, maps.raised, maps.lowered, phi, complement):
+    complement = discriminator._antisym_complement(3, 2)
+    assert discriminator._antisym_complement(3, 2) is complement
+    for a in (maps.same, maps.raised, maps.lowered, complement):
         with pytest.raises(ValueError):
             a[(0,) * a.ndim] = 1
 
