@@ -4,12 +4,12 @@ Permutations and their signs, wedge products, the projector onto the
 antisymmetric subspace of H^⊗n, and its increasing-tuple basis.  Register
 levels and tuple entries are 1-based.
 
-The projector is built two independent ways.  antisym_projector writes it
-entry by entry from the sign identity ⟨x|Φ|y⟩ = S(x)·S(y)/n!, nonzero only
-when x and y hold the same set of n distinct levels, with S(x) the sign of
-the permutation that sorts x's levels; the same helper (_sign_projector)
-gives the built POVM elements I_i ⊗ Φ_rest.  antisym_projector_from_basis
-sums the outer products of the increasing-tuple basis vectors.
+The projector is built two independent ways.  antisym_projector writes its
+weight-sector entries (_weight_sectors, the one index the builders and
+checks share) from the sign identity ⟨x|Φ|y⟩ = S(x)·S(y)/n!, with S(x) the
+sign of the permutation that sorts x's levels; _sign_entries also gives
+the built POVM elements I_i ⊗ Φ_rest.  antisym_projector_from_basis sums
+the outer products of the increasing-tuple basis vectors.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -145,39 +146,74 @@ class AntisymProjector:
         return math.comb(self.m, self.n)
 
 
-def _sign_projector(m: int, count: int, own: int | None = None) -> np.ndarray:
-    """Real dense (1/k!)·Σ_σ sgn(σ)·σ on the k registers other than own, tensored
-    with I on register own (1-based; None antisymmetrises all count registers).
+@dataclass(frozen=True)
+class _WeightSectors:
+    """Weight sectors of count registers of dimension m: the sets of basis states sharing
+    one multiset of levels, each mapped into itself by an operator commuting with U^⊗count.
 
-    Entry by entry, <x|P|y> = S(x)·S(y)/k! when x and y hold the same own
-    level and the same set of k distinct levels on the other registers, and
-    0 otherwise.  S(x) is the sign of the permutation that sorts x's levels
-    on those registers, a product of one np.sign per register pair, and 0
-    when a level repeats: the one σ taking y to x has sgn(σ) = S(x)·S(y).
-    The basis states with S ≠ 0 fall into groups of k! that share the own
-    level and the set of levels, and one fancy-index assignment writes every
-    group's block.  The caller sizes m^count against the budget.
+    digits: _digit_table(m, count), register 1 first;
+    same: flat indices (row·dim + column) of every same-sector pair, the
+        sector blocks of one size contiguous and row-major, so one gather
+        reads all the blocks (a sector-diagonal operator's entries d);
+    blocks: (number of sectors, size) of each run of blocks in same.
     """
+
+    digits: np.ndarray
+    same: np.ndarray
+    blocks: tuple[tuple[int, int], ...]
+
+    def scatter(self, entries: np.ndarray) -> np.ndarray:
+        """Complex dim x dim matrix holding entries at the pairs of same, +0.0 elsewhere."""
+        out = np.zeros((len(self.digits),) * 2, dtype=complex)
+        np.put(out, self.same, entries)
+        return out
+
+
+@cache
+def _weight_sectors(m: int, count: int) -> _WeightSectors:
+    """The _WeightSectors of (m, count), built once per process, read-only; the caller
+    sizes m^count against the budget."""
     digits = _digit_table(m, count)
+    _, label, sizes = np.unique(np.sort(digits, axis=1) @ m ** np.arange(count),
+                                return_inverse=True, return_counts=True)
+    size = sizes[label]
+    order = np.lexsort((label, size))  # by sector size, then sector, then index
+    distinct = np.unique(sizes)
+    runs = np.split(order, np.cumsum(np.bincount(size)[distinct])[:-1])
+    sectors = [run.reshape(-1, s) for run, s in zip(runs, distinct)]  # (sectors, size) per size
+    same = np.concatenate([(idx[:, :, None] * m**count + idx[:, None, :]).ravel() for idx in sectors])
+    for a in (digits, same):
+        a.setflags(write=False)
+    return _WeightSectors(digits, same, tuple(idx.shape for idx in sectors))
+
+
+def _sign_entries(m: int, count: int, own: int | None = None) -> np.ndarray:
+    """Entries on _weight_sectors(m, count).same of (1/k!)·Σ_σ sgn(σ)·σ on the k
+    registers other than own, tensored with I on register own (1-based;
+    None antisymmetrises all count registers).
+
+    <x|P|y> = S(x)·S(y)/k! when x and y hold the same own level and the same
+    set of k distinct levels on the other registers (so share a sector),
+    and 0 otherwise.  S(x) is the sign of the permutation that sorts x's
+    levels there, an integer product of one np.sign per register pair, 0
+    when a level repeats: the one σ taking y to x has sgn(σ) = S(x)·S(y).
+    Integers until the division keep −0.0 out.
+    """
+    digits = _weight_sectors(m, count).digits
     rest = digits if own is None else np.delete(digits, own - 1, axis=1)
     k = rest.shape[1]
-    sign = np.ones(len(digits))
+    sign = np.ones(len(digits), dtype=np.int64)
     for a, b in itertools.combinations(range(k), 2):
         sign *= np.sign(rest[:, b] - rest[:, a])
-    states = np.flatnonzero(sign)
-    key = np.sort(rest[states], axis=1) @ m ** np.arange(k)
+    rows, cols = np.divmod(_weight_sectors(m, count).same, len(digits))
+    product = sign[rows] * sign[cols]
     if own is not None:
-        key += digits[states, own - 1] * m**k
-    groups = states[np.argsort(key, kind="stable")].reshape(-1, math.factorial(k))
-    s = sign[groups]
-    out = np.zeros((len(digits), len(digits)))
-    out[groups[:, :, None], groups[:, None, :]] = s[:, :, None] * s[:, None, :] / math.factorial(k)
-    return out
+        product *= digits[rows, own - 1] == digits[cols, own - 1]
+    return product / math.factorial(k)
 
 
 def antisym_projector(m: int, n: int) -> AntisymProjector:
-    """Projector (1/n!) Σ_σ sgn(σ)·σ, entry by entry from the sign identity
-    (_sign_projector).
+    """Projector (1/n!) Σ_σ sgn(σ)·σ, scattered from its sector entries (_sign_entries).
 
     For n > m the antisymmetric space is trivial and the zero operator is
     returned.
@@ -185,11 +221,11 @@ def antisym_projector(m: int, n: int) -> AntisymProjector:
     if n < 1:
         raise ValueError("need at least one register")
     check_square(m**n, "antisymmetric projector")
-    p = _sign_projector(m, n)
-    trace = float(np.trace(p))
+    p = _weight_sectors(m, n).scatter(_sign_entries(m, n))
+    trace = float(np.trace(p).real)
     if abs(trace - math.comb(m, n)) > TRACE_TOL:
         raise ArithmeticError(f"projector trace {trace!r} differs from C({m},{n})")
-    return AntisymProjector(m, n, p.astype(complex))
+    return AntisymProjector(m, n, p)
 
 
 def antisym_projector_from_basis(m: int, n: int) -> AntisymProjector:

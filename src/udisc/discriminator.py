@@ -12,42 +12,18 @@ ascending order); element 0 is the inconclusive remainder I - Σ_i Π_i.
 A built POVM keeps only that structure: outcome probabilities of product
 inputs come from Gram determinants, and the dense elements are assembled
 only when something reads them, under the dense-storage budget in force
-then (config.entry_cap).  Assembly writes each Π_i entry by entry from the
-sign identity ⟨x|Φ|y⟩ = S(x)·S(y)/n! (antisym._sign_projector), with no
-Kronecker product or register reordering, so entries outside an element's
-support are +0.0.
+then (config.entry_cap).
 
-Verification lifts no operator to all n+1 registers and solves no dense
-eigenproblem for a sector-diagonal element.  Every element the paper
-builds commutes with each collective unitary U^⊗(n+1), so it is
-block-diagonal over the weight sectors (basis states sharing one multiset
-of levels): the minimum eigenvalues come from the sector blocks, with one
-dense eigensolve for an element that has a nonzero entry outside them.
-check_covariance proves that invariance exactly rather than sampling it,
-from two facts on the sector support: the element is zero outside its
-sector blocks, and it commutes with dΓ(C) = Σ_r C_r for the one cyclic
-shift C = Σ_a |a+1 mod m><a| (see _unitary_residual for the proof).  On
-register r, C is a permutation of the basis indices, so that commutator
-is a sum of 2(n+1) gathers from the element's sector entries, evaluated
-only where it can be nonzero.  Program-register covariance is checked on
-2n−3 transposition conjugations of Π_1.
-
-Each element's sector entries d_k (one gather) and whether it is zero
-outside them (one nonzero count) are taken once per POVM (Povm._sectors).
-When every element is, the sector route reads the remaining checks from
-the d_k alone: finiteness, hermiticity (d against the conjugate of its
-transposed gather), completeness (Σ_k d_k against the identity's sector
-entries) and the 2n−3 conjugations (each a gather, since a transposition
-of registers maps each sector into itself).  The entries outside are
-exact zeros, so every residual and error message is the dense one bit
-for bit.  A POVM with any nonzero entry outside its sectors takes the
-dense route for these checks: require_hermitian and a dense sum per
-element, and reorder_factors conjugations.  The leakage and the
-reduction to the own register come from partial_trace on both routes.
-The index maps (_sector_maps) and the complement I − Φ of the
-antisymmetric projector are built once per size per process and kept
-read-only.  Finiteness and hermiticity are checked once per element, in
-verify_unambiguous, and finiteness once more in check_covariance.
+Every element the paper builds commutes with each collective unitary
+U^⊗(n+1), so it is zero outside its weight sectors (antisym._weight_sectors,
+the one index both assembly and the checks read).  _assemble scatters each
+element once from its closed-form sector entries.  The checks lift no
+operator to all n+1 registers: when every element is zero outside its
+sectors, they read the sector entries d_k (Povm._sectors; see
+verify_unambiguous and check_covariance), bit for bit the dense residuals,
+and otherwise take the dense route.  Unitary invariance is proven, not
+sampled, from one cyclic generator (_unitary_residual).  The index maps
+(_sector_maps) and I − Φ are built once per size per process, read-only.
 """
 
 from __future__ import annotations
@@ -58,7 +34,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .antisym import _sign_projector, antisym_projector
+from .antisym import _sign_entries, _weight_sectors, antisym_projector
 from .config import check_tensor_square
 from .errors import IndexOutOfRange, InvalidPovm, LayoutMismatch, NotHermitian, WrongRegime
 from .tensor_algebra import (
@@ -189,14 +165,7 @@ class Povm:
 class _SectorMaps:
     """Index maps of operators on count registers of dimension m.
 
-    A weight sector is the set of basis states sharing one multiset of
-    levels; an operator that commutes with every collective unitary
-    U^⊗count maps each sector into itself.
-
-    same: flat indices (row·dim + column) of every same-sector pair, the
-        sector blocks of one size contiguous and row-major, so one gather
-        reads all the blocks (a sector-diagonal operator's entries d);
-    blocks: (number of sectors, size) of each run of blocks in same;
+    same, blocks: antisym._weight_sectors(m, count)'s own; d = ravel(D)[same];
     transposed: position in same of (b, a) for each pair (a, b) of same, so
         d[transposed] is D^T's entries;
     diagonal: positions in same of the pairs (a, a), the identity's entries;
@@ -224,17 +193,9 @@ class _SectorMaps:
 @cache
 def _sector_maps(m: int, count: int) -> _SectorMaps:
     """The _SectorMaps of (m, count), built once per process; the arrays are read-only."""
-    dim = m**count
-    powers = m ** np.arange(count)
-    digits = np.arange(dim)[:, None] // powers % m
-    _, label, sizes = np.unique(np.sort(digits, axis=1) @ powers, return_inverse=True,
-                                return_counts=True)
-    size = sizes[label]
-    order = np.lexsort((label, size))  # by sector size, then sector, then index
-    distinct = np.unique(sizes)
-    runs = np.split(order, np.cumsum(np.bincount(size)[distinct])[:-1])
-    sectors = [run.reshape(-1, s) for run, s in zip(runs, distinct)]  # (sectors, size) per size
-    same = np.concatenate([(idx[:, :, None] * dim + idx[:, None, :]).ravel() for idx in sectors])
+    sectors = _weight_sectors(m, count)
+    dim, same, powers = m**count, sectors.same, m ** np.arange(count)
+    digits = sectors.digits[:, ::-1]  # column r: the level of register count − r
     up = np.arange(dim)[:, None] + ((digits + 1) % m - digits) * powers  # column r: f_r
     down = np.arange(dim)[:, None] + ((digits - 1) % m - digits) * powers  # f_r^{-1}
     by_flat = np.argsort(same)
@@ -258,14 +219,14 @@ def _sector_maps(m: int, count: int) -> _SectorMaps:
     rows, cols = np.divmod(reached, dim)
     maps = _SectorMaps(
         same=same,
-        blocks=tuple(idx.shape for idx in sectors),
+        blocks=sectors.blocks,
         transposed=transposed,
         diagonal=diagonal,
         swaps=np.array(swaps, dtype=np.intp).reshape(len(swaps), len(same)),
         raised=position(down[rows].T * dim + cols),
         lowered=position(rows * dim + up[cols].T),
     )
-    for a in (maps.same, maps.transposed, maps.diagonal, maps.swaps, maps.raised, maps.lowered):
+    for a in (maps.transposed, maps.diagonal, maps.swaps, maps.raised, maps.lowered):
         a.setflags(write=False)
     return maps
 
@@ -345,20 +306,23 @@ def _antisym_complement(m: int, n: int) -> np.ndarray:
 
 
 def _assemble(family: str, m: int, n: int, c: float) -> tuple[np.ndarray, ...]:
-    """Dense elements (Π_0, Π_1, …, Π_n) of a built family.
+    """Dense elements (Π_0, Π_1, …, Π_n) of a built family, each scattered once from
+    its weight-sector entries (antisym._weight_sectors) into a complex zero matrix.
 
-    Π_i = c·(I_i ⊗ Φ_rest) comes entry by entry from the sign identity
-    (_sign_projector with own register i); the trivial family's Π_i is
-    Φ/n on all n+1 registers.  Entries outside an element's support are
-    +0.0.
+    Π_i = c·(I_i ⊗ Φ_rest) takes c times _sign_entries with own register i; the
+    trivial family's Π_i is c·Φ = Φ/n on all n+1 registers, one array shared by
+    all n.  Π_0's entries are the identity's less Σ_i Π_i's.  No entry is −0.0.
     """
     dim = check_tensor_square(m, n + 1, "POVM element")
+    sectors = _weight_sectors(m, n + 1)
     if family == "trivial":
-        elements = [antisym_projector(m, n + 1).matrix / n] * n
+        parts = [c * _sign_entries(m, n + 1)] * n
+        elements = [sectors.scatter(parts[0])] * n
     else:
-        elements = [(c * _sign_projector(m, n + 1, own=i)).astype(complex) for i in range(1, n + 1)]
-    pi0 = np.eye(dim, dtype=complex) - sum(elements)
-    return tuple([pi0] + elements)
+        parts = [c * _sign_entries(m, n + 1, own=i) for i in range(1, n + 1)]
+        elements = [sectors.scatter(d) for d in parts]
+    identity = np.equal(*np.divmod(sectors.same, dim))  # the identity's sector entries
+    return (sectors.scatter(identity - sum(parts)), *elements)
 
 
 def family_povm(family: str, m: int, n: int) -> Povm:

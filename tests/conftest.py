@@ -4,6 +4,8 @@ import numpy as np
 
 from udisc.antisym import TRACE_TOL, AntisymProjector, Permutation, _digit_table, all_permutations
 from udisc.config import check_square
+from udisc.discriminator import family_povm
+from udisc.gram_spectra import gamma_block_matrix, lambda_block_matrix
 from udisc.random_states import rand_density
 from udisc.tensor_algebra import max_abs
 
@@ -81,3 +83,29 @@ def permutation_sum_projector(m: int, n: int) -> np.ndarray:
             acc[_permuted_indices(sigma, m), cols] += sigma.sign
         acc /= math.factorial(n)
     return acc.astype(complex)
+
+
+def element_spectra(family, m, n):
+    """Closed-form eigenvalues, ascending, of each built element (Π_0, Π_1, …, Π_n).
+
+    For optimal and universal, Π_i = c·(I_i ⊗ Φ_rest) is c on a space of
+    dimension m·C(m, n) and 0 elsewhere.  Σ_i Π_i/c has the nonzero spectrum
+    of the Gram matrix of udisc.gram_spectra: C(m, n) copies of the Γ block
+    and, when m > n, C(m, n+1) copies of the Λ block.  So Π_0 is 1 − c·λ
+    over those blocks' eigenvalues λ and 1 on the rest.  The trivial Π_i is
+    Φ/n on all n+1 registers and Π_0 = I − Φ.
+    """
+    dim = m ** (n + 1)
+    if family == "trivial":
+        rank = math.comb(m, n + 1)
+        outcome = np.concatenate([np.zeros(dim - rank), np.full(rank, 1.0 / n)])
+        return [np.concatenate([np.zeros(rank), np.ones(dim - rank)])] + [outcome] * n
+    c = family_povm(family, m, n).c
+    rank = m * math.comb(m, n)
+    blocks = [(gamma_block_matrix(n), math.comb(m, n))]
+    if m > n:
+        blocks.append((lambda_block_matrix(n), math.comb(m, n + 1)))
+    gram = np.concatenate([np.repeat(np.linalg.eigvalsh(b), copies) for b, copies in blocks])
+    pi0 = np.concatenate([1.0 - c * gram, np.ones(dim - len(gram))])
+    outcome = np.concatenate([np.zeros(dim - rank), np.full(rank, c)])
+    return [np.sort(pi0)] + [outcome] * n

@@ -13,6 +13,7 @@ writes, hold +0.0 there.
 import importlib
 import math
 import pkgutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,17 +21,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import udisc
+from conftest import element_spectra
 from udisc import tensor_algebra
-from udisc.antisym import antisym_projector_from_basis
+from udisc.antisym import _weight_sectors, antisym_projector_from_basis
 from udisc.cli import main
-from udisc.discriminator import Povm, family_povm
+from udisc.discriminator import Povm, _assemble, family_povm, verify_unambiguous
 from udisc.io import write_povm
-from udisc.tensor_algebra import own_register_first, reorder_factors
+from udisc.tensor_algebra import max_abs, own_register_first, reorder_factors
 
 # The five (family, m, n) of the certify benchmark, with the -0 tokens the oracle's file holds.
 CERTIFY = {("universal", 3, 2): 72, ("optimal", 3, 3): 324, ("universal", 5, 2): 800,
            ("universal", 4, 3): 2592, ("trivial", 4, 3): 0}
 SIZES = [*CERTIFY, ("optimal", 2, 2), ("optimal", 4, 4)]
+# Element spectra agree with the closed form (conftest.element_spectra) within this.
+SPECTRUM_TOL = 1e-13
 
 
 def exact_antisym(m, n):
@@ -116,3 +120,41 @@ def test_assembly_takes_neither_kron_nor_reorder(family, m, n, monkeypatch):
         if getattr(module, "reorder_factors", None) is real_reorder:
             monkeypatch.setattr(module, "reorder_factors", refuse)
     assert len(family_povm(family, m, n).elements) == n + 1
+
+
+@pytest.mark.parametrize("family,m,n", [*CERTIFY, ("optimal", 2, 2), ("trivial", 3, 2)])
+def test_elements_are_zero_outside_their_weight_sectors_and_hold_no_negative_zero(family, m, n):
+    outside = np.ones(m ** (2 * (n + 1)), dtype=bool)
+    outside[_weight_sectors(m, n + 1).same] = False
+    for e in family_povm(family, m, n).elements:
+        assert not negative_zeros(e).any()
+        assert np.count_nonzero(np.ravel(e)[outside]) == 0
+
+
+@pytest.mark.parametrize("family,m,n", [*CERTIFY, ("optimal", 4, 4), ("trivial", 3, 2)])
+def test_element_spectra_match_the_closed_form(family, m, n):
+    povm = family_povm(family, m, n)
+    expected = element_spectra(family, m, n)
+    for e, spectrum in zip(povm.elements, expected, strict=True):
+        assert max_abs(np.linalg.eigvalsh(e) - spectrum) <= SPECTRUM_TOL
+    mins = verify_unambiguous(povm).psd_mins
+    assert max_abs(np.array(mins) - [s[0] for s in expected]) <= SPECTRUM_TOL
+
+
+def test_assembly_peak_beyond_the_elements_is_under_a_quarter_of_an_element():
+    """At (optimal,4,4) each element is one complex zero matrix and one scatter of its
+    sector entries, so no element-sized temporary is formed."""
+    c = family_povm("optimal", 4, 4).c
+    _weight_sectors(4, 5)  # the index is built once per process and kept
+    tracemalloc.start()
+    try:
+        elements = _assemble("optimal", 4, 4, c)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - sum(e.nbytes for e in elements) < elements[1].nbytes / 4
+
+
+def test_trivial_outcome_elements_are_one_array():
+    elements = _assemble("trivial", 4, 3, family_povm("trivial", 4, 3).c)
+    assert all(e is elements[1] for e in elements[2:])

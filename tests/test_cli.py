@@ -2,6 +2,7 @@ import io
 import time
 from contextlib import redirect_stdout
 from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -148,7 +149,7 @@ class TestVerify:
     def test_truncated_file_exits_2(self, tmp_path, capsys):
         povm_file = str(tmp_path / "p.povm")
         run(capsys, "build", "--m", "3", "--n", "2", "--family", "universal", "--out", povm_file)
-        content = open(povm_file).read().splitlines()
+        content = Path(povm_file).read_text().splitlines()
         with open(povm_file, "w") as fh:
             fh.write("\n".join(content[:10]) + "\n")
         code, _, err = run(capsys, "verify", povm_file)

@@ -32,7 +32,7 @@ from conftest import permutation_operator, rand_unitary
 import udisc
 from udisc import tensor_algebra
 from udisc import discriminator
-from udisc.antisym import Permutation, antisym_projector
+from udisc.antisym import Permutation, _weight_sectors, antisym_projector
 from udisc.config import HERM_TOL
 from udisc.discriminator import (
     LEAKAGE_TOL,
@@ -314,9 +314,12 @@ def test_unitary_residual_peak_is_under_an_eighth_of_an_element():
 def test_sector_maps_are_built_once_and_read_only():
     maps = discriminator._sector_maps(3, 3)
     assert discriminator._sector_maps(3, 3) is maps
+    index = _weight_sectors(3, 3)
+    assert _weight_sectors(3, 3) is index
+    assert maps.same is index.same and maps.blocks is index.blocks
     complement = discriminator._antisym_complement(3, 2)
     assert discriminator._antisym_complement(3, 2) is complement
-    for a in (maps.same, maps.raised, maps.lowered, complement):
+    for a in (maps.same, maps.raised, maps.lowered, complement, index.digits, index.same):
         with pytest.raises(ValueError):
             a[(0,) * a.ndim] = 1
 
