@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -146,21 +146,44 @@ class AntisymProjector:
         return math.comb(self.m, self.n)
 
 
-@dataclass(frozen=True)
+def _nonzeros(a: np.ndarray) -> int:
+    """Number of nonzero real and imaginary parts (a signed zero counts as zero)."""
+    a = np.ravel(a)
+    return np.count_nonzero(a.view(np.float64) if a.dtype == np.complex128 else a)
+
+
 class _WeightSectors:
     """Weight sectors of count registers of dimension m: the sets of basis states sharing
     one multiset of levels, each mapped into itself by an operator commuting with U^⊗count.
+    The caller sizes m^count against the budget; every array is read-only.
 
     digits: _digit_table(m, count), register 1 first;
     same: flat indices (row·dim + column) of every same-sector pair, the
         sector blocks of one size contiguous and row-major, so one gather
         reads all the blocks (a sector-diagonal operator's entries d);
-    blocks: (number of sectors, size) of each run of blocks in same.
+    blocks: (number of sectors, size) of each run of blocks in same;
+    rows, cols: the row and the column of each pair of same;
+    identity: whether each pair of same is diagonal, the identity's entries.
+
+    The check maps (transposed, swapped, shifted) are built on first use and kept.
     """
 
-    digits: np.ndarray
-    same: np.ndarray
-    blocks: tuple[tuple[int, int], ...]
+    def __init__(self, m: int, count: int):
+        digits = _digit_table(m, count)
+        _, label, sizes = np.unique(np.sort(digits, axis=1) @ m ** np.arange(count),
+                                    return_inverse=True, return_counts=True)
+        size = sizes[label]
+        order = np.lexsort((label, size))  # by sector size, then sector, then index
+        distinct = np.unique(sizes)
+        runs = np.split(order, np.cumsum(np.bincount(size)[distinct])[:-1])
+        sectors = [run.reshape(-1, s) for run, s in zip(runs, distinct)]  # (sectors, size) per size
+        same = np.concatenate([(idx[:, :, None] * m**count + idx[:, None, :]).ravel() for idx in sectors])
+        self.m, self.digits, self.same = m, digits, same
+        self.blocks = tuple(idx.shape for idx in sectors)
+        self.rows, self.cols = np.divmod(same, m**count)
+        self.identity = self.rows == self.cols
+        for a in (digits, same, self.rows, self.cols, self.identity):
+            a.setflags(write=False)
 
     def scatter(self, entries: np.ndarray) -> np.ndarray:
         """Complex dim x dim matrix holding entries at the pairs of same, +0.0 elsewhere."""
@@ -168,23 +191,73 @@ class _WeightSectors:
         np.put(out, self.same, entries)
         return out
 
+    def gather(self, e: np.ndarray) -> tuple[np.ndarray, bool]:
+        """e's entries on the sector blocks, ravel(e)[same] (read-only), and whether e is
+        zero outside them: a nonzero count over all of e."""
+        inside = np.ravel(e)[self.same]
+        inside.setflags(write=False)
+        return inside, _nonzeros(inside) == _nonzeros(e)
+
+    def block_minimum(self, d: np.ndarray) -> float:
+        """Least eigenvalue of the Hermitian operator with sector entries d and zeros
+        elsewhere: the least over its sector blocks."""
+        ends = np.cumsum([count * size * size for count, size in self.blocks])
+        return min(float(np.linalg.eigvalsh(run.reshape(count, size, size)).min())
+                   for run, (count, size) in zip(np.split(d, ends[:-1]), self.blocks))
+
+    @cached_property
+    def _by_flat(self) -> np.ndarray:
+        return np.argsort(self.same)
+
+    def _position(self, flat: np.ndarray) -> np.ndarray:
+        """Position in same of each flat index, len(same) for a pair outside the sectors;
+        read-only."""
+        at = self._by_flat[np.minimum(np.searchsorted(self.same, flat, sorter=self._by_flat),
+                                      len(self.same) - 1)]
+        out = np.where(self.same[at] == flat, at, len(self.same))
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def transposed(self) -> np.ndarray:
+        """Position in same of (y, x) for each pair (x, y) of same: d[transposed] is D^T's
+        entries."""
+        return self._position(self.cols * len(self.digits) + self.rows)
+
+    @cache  # kept per index, as every index is kept by _weight_sectors
+    def swapped(self, a: int, b: int) -> np.ndarray:
+        """Position in same of (σx, σy) for each pair (x, y) of same, σ exchanging the
+        levels of registers a and b (1-based).  σ maps each sector into itself, so
+        d[swapped(a, b)] is the entries of σDσ."""
+        count = self.digits.shape[1]
+        lift = self.m ** (count - b) - self.m ** (count - a)
+        row, col = (i + (self.digits[i, a - 1] - self.digits[i, b - 1]) * lift
+                    for i in (self.rows, self.cols))
+        return self._position(row * len(self.digits) + col)
+
+    @cached_property
+    def shifted(self) -> tuple[np.ndarray, np.ndarray]:
+        """(raised, lowered): (count, |T|) gathers from d extended by one zero, over the
+        pairs T where [dΓ(C), D] can be nonzero for a sector-diagonal D: those reached
+        from a same-sector pair by the cyclic shift f_r of one register's level, on the
+        row or on the column.  Row r of raised reads D[f_r^{-1}(x), y] and row r of
+        lowered reads D[x, f_r(y)] for each (x, y) in T, r running from the last
+        register to the first; a pair outside the sectors reads the zero."""
+        m, dim = self.m, len(self.digits)
+        digits = self.digits[:, ::-1]  # column r: the level of register count − r
+        powers = m ** np.arange(digits.shape[1])
+        up = np.arange(dim)[:, None] + ((digits + 1) % m - digits) * powers  # column r: f_r
+        down = np.arange(dim)[:, None] + ((digits - 1) % m - digits) * powers  # f_r^{-1}
+        reached = np.unique(np.concatenate([(up[self.rows] * dim + self.cols[:, None]).ravel(),
+                                            (self.rows[:, None] * dim + down[self.cols]).ravel()]))
+        rows, cols = np.divmod(reached, dim)
+        return self._position(down[rows].T * dim + cols), self._position(rows * dim + up[cols].T)
+
 
 @cache
 def _weight_sectors(m: int, count: int) -> _WeightSectors:
-    """The _WeightSectors of (m, count), built once per process, read-only; the caller
-    sizes m^count against the budget."""
-    digits = _digit_table(m, count)
-    _, label, sizes = np.unique(np.sort(digits, axis=1) @ m ** np.arange(count),
-                                return_inverse=True, return_counts=True)
-    size = sizes[label]
-    order = np.lexsort((label, size))  # by sector size, then sector, then index
-    distinct = np.unique(sizes)
-    runs = np.split(order, np.cumsum(np.bincount(size)[distinct])[:-1])
-    sectors = [run.reshape(-1, s) for run, s in zip(runs, distinct)]  # (sectors, size) per size
-    same = np.concatenate([(idx[:, :, None] * m**count + idx[:, None, :]).ravel() for idx in sectors])
-    for a in (digits, same):
-        a.setflags(write=False)
-    return _WeightSectors(digits, same, tuple(idx.shape for idx in sectors))
+    """The _WeightSectors of (m, count), built once per process."""
+    return _WeightSectors(m, count)
 
 
 def _sign_entries(m: int, count: int, own: int | None = None) -> np.ndarray:
@@ -199,13 +272,13 @@ def _sign_entries(m: int, count: int, own: int | None = None) -> np.ndarray:
     when a level repeats: the one σ taking y to x has sgn(σ) = S(x)·S(y).
     Integers until the division keep −0.0 out.
     """
-    digits = _weight_sectors(m, count).digits
+    index = _weight_sectors(m, count)
+    digits, rows, cols = index.digits, index.rows, index.cols
     rest = digits if own is None else np.delete(digits, own - 1, axis=1)
     k = rest.shape[1]
     sign = np.ones(len(digits), dtype=np.int64)
     for a, b in itertools.combinations(range(k), 2):
         sign *= np.sign(rest[:, b] - rest[:, a])
-    rows, cols = np.divmod(_weight_sectors(m, count).same, len(digits))
     product = sign[rows] * sign[cols]
     if own is not None:
         product *= digits[rows, own - 1] == digits[cols, own - 1]

@@ -22,8 +22,9 @@ operator to all n+1 registers: when every element is zero outside its
 sectors, they read the sector entries d_k (Povm._sectors; see
 verify_unambiguous and check_covariance), bit for bit the dense residuals,
 and otherwise take the dense route.  Unitary invariance is proven, not
-sampled, from one cyclic generator (_unitary_residual).  The index maps
-(_sector_maps) and I − Φ are built once per size per process, read-only.
+sampled, from one cyclic generator (_unitary_residual).  The index's check
+maps (transposed, swapped, shifted) and I − Φ are built on first use and
+kept, read-only.
 """
 
 from __future__ import annotations
@@ -126,10 +127,10 @@ class Povm:
 
     @cached_property
     def _sector_split(self) -> tuple[tuple[np.ndarray, bool], ...]:
-        """_sector_diagonal of each element, (d_k, zero outside the sectors), made once
-        per POVM and shared by residuals, _unitary_residual and _sectors."""
-        maps = _sector_maps(self.m, self.n + 1)
-        return tuple(_sector_diagonal(e, maps) for e in self.elements)
+        """The weight-sector gather of each element, (d_k, zero outside the sectors), made
+        once per POVM and shared by residuals, _unitary_residual and _sectors."""
+        index = _weight_sectors(self.m, self.n + 1)
+        return tuple(index.gather(e) for e in self.elements)
 
     @property
     def _sectors(self) -> tuple[np.ndarray, ...] | None:
@@ -150,115 +151,21 @@ class Povm:
         are Σ_k d_k less 1 on the diagonal; otherwise the elements are summed
         densely.  Both give the same bits.
         """
-        maps = _sector_maps(self.m, self.n + 1)
-        mins = [_min_eigenvalue(e, d, diagonal, maps)
+        index = _weight_sectors(self.m, self.n + 1)
+        mins = [index.block_minimum(d) if diagonal else float(np.linalg.eigvalsh(e)[0])
                 for e, (d, diagonal) in zip(self.elements, self._sector_split)]
         sectors = self._sectors
         if sectors is None:
             return mins, max_abs(sum(self.elements) - np.eye(self.dim))
         total = np.asarray(sum(sectors), dtype=complex)  # a new array: sum starts from 0
-        total[maps.diagonal] -= 1.0
+        total[index.identity] -= 1.0
         return mins, max_abs(total)
-
-
-@dataclass(frozen=True)
-class _SectorMaps:
-    """Index maps of operators on count registers of dimension m.
-
-    same, blocks: antisym._weight_sectors(m, count)'s own; d = ravel(D)[same];
-    transposed: position in same of (b, a) for each pair (a, b) of same, so
-        d[transposed] is D^T's entries;
-    diagonal: positions in same of the pairs (a, a), the identity's entries;
-    swaps: (2n−3, |same|) gathers, one per _program_transpositions(n) entry
-        with n = count − 1: row t reads D[σa, σb] for each pair (a, b) of
-        same, σ swapping the levels of two registers, which maps each
-        sector into itself, so d[swaps[t]] is σ·D's entries;
-    raised, lowered: (count, |T|) gathers from d extended by one zero, over
-        the pairs T where [dΓ(C), D] can be nonzero for a sector-diagonal D:
-        those reached from a same-sector pair by the cyclic shift f_r of one
-        register's level, on the row or on the column.  Row r of raised
-        reads D[f_r^{-1}(a), b] and row r of lowered reads D[a, f_r(b)] for
-        each (a, b) in T; a pair outside the sectors reads the zero.
-    """
-
-    same: np.ndarray
-    blocks: tuple[tuple[int, int], ...]
-    transposed: np.ndarray
-    diagonal: np.ndarray
-    swaps: np.ndarray
-    raised: np.ndarray
-    lowered: np.ndarray
-
-
-@cache
-def _sector_maps(m: int, count: int) -> _SectorMaps:
-    """The _SectorMaps of (m, count), built once per process; the arrays are read-only."""
-    sectors = _weight_sectors(m, count)
-    dim, same, powers = m**count, sectors.same, m ** np.arange(count)
-    digits = sectors.digits[:, ::-1]  # column r: the level of register count − r
-    up = np.arange(dim)[:, None] + ((digits + 1) % m - digits) * powers  # column r: f_r
-    down = np.arange(dim)[:, None] + ((digits - 1) % m - digits) * powers  # f_r^{-1}
-    by_flat = np.argsort(same)
-
-    def position(flat):
-        """Position in same of each flat index, len(same) for a pair outside the sectors."""
-        at = by_flat[np.minimum(np.searchsorted(same, flat, sorter=by_flat), len(same) - 1)]
-        return np.where(same[at] == flat, at, len(same))
-
-    def swap(index, a, b):
-        """index with the levels of registers a and b exchanged (register r is digit count − r)."""
-        ka, kb = count - a, count - b
-        return index + (digits[index, ka] - digits[index, kb]) * (powers[kb] - powers[ka])
-
-    rows, cols = np.divmod(same, dim)
-    swaps = [position(swap(rows, a, b) * dim + swap(cols, a, b))
-             for (a, b), _ in _program_transpositions(count - 1)]
-    transposed, diagonal = position(cols * dim + rows), np.flatnonzero(rows == cols)
-    reached = np.unique(np.concatenate([(up[rows] * dim + cols[:, None]).ravel(),
-                                        (rows[:, None] * dim + down[cols]).ravel()]))
-    rows, cols = np.divmod(reached, dim)
-    maps = _SectorMaps(
-        same=same,
-        blocks=sectors.blocks,
-        transposed=transposed,
-        diagonal=diagonal,
-        swaps=np.array(swaps, dtype=np.intp).reshape(len(swaps), len(same)),
-        raised=position(down[rows].T * dim + cols),
-        lowered=position(rows * dim + up[cols].T),
-    )
-    for a in (maps.transposed, maps.diagonal, maps.swaps, maps.raised, maps.lowered):
-        a.setflags(write=False)
-    return maps
 
 
 def _program_transpositions(n: int) -> list[tuple[tuple[int, int], int]]:
     """The 2n−3 permutation-covariance checks on n program registers: (transposition
     (a b), index of the element (a b)·Π_1 must equal), see check_covariance."""
     return [((1, i), i) for i in range(2, n + 1)] + [((k, k + 1), 1) for k in range(2, n)]
-
-
-def _nonzeros(a: np.ndarray) -> int:
-    """Number of nonzero real and imaginary parts (a signed zero counts as zero)."""
-    a = np.ravel(a)
-    return np.count_nonzero(a.view(np.float64) if a.dtype == np.complex128 else a)
-
-
-def _sector_diagonal(e: np.ndarray, maps: _SectorMaps) -> tuple[np.ndarray, bool]:
-    """e's entries on its sector blocks, ravel(e)[same] (read-only), and whether e is
-    zero outside them: a nonzero count over all of e."""
-    inside = np.ravel(e)[maps.same]
-    inside.setflags(write=False)
-    return inside, _nonzeros(inside) == _nonzeros(e)
-
-
-def _min_eigenvalue(e: np.ndarray, inside: np.ndarray, diagonal: bool, maps: _SectorMaps) -> float:
-    """Least eigenvalue of a Hermitian element, by sector blocks when it is sector-diagonal
-    (inside is its sector entries, diagonal whether it is zero elsewhere)."""
-    if not diagonal:
-        return float(np.linalg.eigvalsh(e)[0])
-    ends = np.cumsum([count * size * size for count, size in maps.blocks])
-    return min(float(np.linalg.eigvalsh(run.reshape(count, size, size)).min())
-               for run, (count, size) in zip(np.split(inside, ends[:-1]), maps.blocks))
 
 
 @dataclass(frozen=True)
@@ -313,16 +220,15 @@ def _assemble(family: str, m: int, n: int, c: float) -> tuple[np.ndarray, ...]:
     trivial family's Π_i is c·Φ = Φ/n on all n+1 registers, one array shared by
     all n.  Π_0's entries are the identity's less Σ_i Π_i's.  No entry is −0.0.
     """
-    dim = check_tensor_square(m, n + 1, "POVM element")
-    sectors = _weight_sectors(m, n + 1)
+    check_tensor_square(m, n + 1, "POVM element")
+    index = _weight_sectors(m, n + 1)
     if family == "trivial":
         parts = [c * _sign_entries(m, n + 1)] * n
-        elements = [sectors.scatter(parts[0])] * n
+        elements = [index.scatter(parts[0])] * n
     else:
         parts = [c * _sign_entries(m, n + 1, own=i) for i in range(1, n + 1)]
-        elements = [sectors.scatter(d) for d in parts]
-    identity = np.equal(*np.divmod(sectors.same, dim))  # the identity's sector entries
-    return (sectors.scatter(identity - sum(parts)), *elements)
+        elements = [index.scatter(d) for d in parts]
+    return (index.scatter(index.identity - sum(parts)), *elements)
 
 
 def family_povm(family: str, m: int, n: int) -> Povm:
@@ -486,7 +392,7 @@ def verify_unambiguous(povm: Povm) -> VerificationReport:
     m, n = povm.m, povm.n
     _require_layout(povm)
     sectors = povm._sectors
-    transposed = _sector_maps(m, n + 1).transposed
+    transposed = _weight_sectors(m, n + 1).transposed
     for idx, e in enumerate(povm.elements):
         try:
             if sectors is None:
@@ -655,24 +561,25 @@ def _unitary_residual(povm: Povm) -> float:
     is Σ_r D_k[f_r^{-1}(a), b] − D_k[a, f_r(b)]: 2N gathers from d, taken over
     the pairs (a, b) one f_r away from a same-sector pair, the only ones
     where the commutator of a sector-diagonal operator can be nonzero
-    (_sector_maps).  The pairs are taken COMMUTATOR_CHUNK at a time, and
-    the difference and its magnitude overwrite the raised sum, so the
-    temporary memory is a few chunks whatever the size.
+    (_WeightSectors.shifted).  The pairs are taken COMMUTATOR_CHUNK at a
+    time, and the difference and its magnitude overwrite the raised sum, so
+    the temporary memory is a few chunks whatever the size.
     """
-    maps = _sector_maps(povm.m, povm.n + 1)
+    index = _weight_sectors(povm.m, povm.n + 1)
+    raised_at, lowered_at = index.shifted
     residual = 0.0
     for e, (inside, diagonal) in zip(povm.elements, povm._sector_split):
         if not diagonal:
             outside = np.abs(np.ravel(e))
-            outside[maps.same] = 0.0
+            outside[index.same] = 0.0
             residual = max(residual, float(outside.max()))
         d = np.append(inside, 0.0)
-        for start in range(0, maps.raised.shape[1], COMMUTATOR_CHUNK):
+        for start in range(0, raised_at.shape[1], COMMUTATOR_CHUNK):
             part = slice(start, start + COMMUTATOR_CHUNK)
-            raised, lowered = d[maps.raised[0, part]], d[maps.lowered[0, part]]
-            for r in range(1, len(maps.raised)):
-                raised += d[maps.raised[r, part]]
-                lowered += d[maps.lowered[r, part]]
+            raised, lowered = d[raised_at[0, part]], d[lowered_at[0, part]]
+            for r in range(1, len(raised_at)):
+                raised += d[raised_at[r, part]]
+                lowered += d[lowered_at[r, part]]
             raised -= lowered
             residual = max(residual, float(np.abs(raised, out=raised).real.max()))
     return residual
@@ -711,9 +618,9 @@ def check_covariance(povm: Povm) -> CovarianceReport:
     When every element is zero outside its weight sectors (Povm._sectors),
     finiteness and the 2n−3 conjugations are read from the sector entries
     d_k: a transposition of registers maps each sector into itself, so
-    (a b)·Π_1 has the sector entries d_1[swaps[t]] (_sector_maps) and zeros
-    elsewhere, and the residual is the dense one bit for bit.  Otherwise
-    each element is checked densely and each conjugation is a
+    (a b)·Π_1 has the sector entries d_1[swapped(a, b)] (_WeightSectors)
+    and zeros elsewhere, and the residual is the dense one bit for bit.
+    Otherwise each element is checked densely and each conjugation is a
     reorder_factors transpose.  The reduction residual comes from
     partial_trace on both routes.
     """
@@ -730,10 +637,10 @@ def check_covariance(povm: Povm) -> CovarianceReport:
     unitary_residual = _unitary_residual(povm)
 
     permutation_residual = 0.0
-    swaps = _sector_maps(m, n + 1).swaps
-    for t, ((a, b), target) in enumerate(_program_transpositions(n)):
+    index = _weight_sectors(m, n + 1)
+    for (a, b), target in _program_transpositions(n):
         if sectors is not None:
-            distance = max_abs(sectors[1][swaps[t]] - sectors[target])
+            distance = max_abs(sectors[1][index.swapped(a, b)] - sectors[target])
         else:
             order = list(range(1, n + 2))  # a transposition is its own inverse
             order[a - 1], order[b - 1] = b, a

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from conftest import random_ensemble
+from conftest import rand_independent_states, rand_psd, rand_state, rand_states, random_ensemble
 from udisc.antisym import antisym_projector
 from udisc.discriminator import (
     Povm,
@@ -34,7 +34,6 @@ from udisc.discriminator import (
 from udisc.config import DEFAULT_ENTRY_CAP
 from udisc.gram_spectra import c_optimal, extremal_eigenvalues, gram_closed_form, gram_numeric, build_basis_vectors
 from udisc.mixed_states import bounds_check, build_program, core_decompose, part_probabilities
-from udisc.random_states import rand_independent_states, rand_psd, rand_state, rand_states
 from udisc.sampler import outcome_distribution, sample
 from udisc.tensor_algebra import gram_det, kron_chain, max_abs, partial_trace
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import permutation_operator, permutation_sum_projector, validate
+from conftest import permutation_operator, permutation_sum_projector, rand_state, rand_states, validate
 from udisc.antisym import (
     Permutation,
     all_permutations,
@@ -13,7 +13,6 @@ from udisc.antisym import (
     increasing_tuples,
     wedge,
 )
-from udisc.random_states import rand_state, rand_states
 from udisc.tensor_algebra import gram_det, kron_chain, max_abs
 
 

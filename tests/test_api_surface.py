@@ -10,7 +10,11 @@ but the shot sampler takes a seed or a trial count.
 
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import udisc
 from udisc.tensor_algebra import partial_trace, reorder_factors
@@ -70,3 +74,15 @@ def test_only_the_sampler_takes_a_seed():
     # SampleRecord takes its seed only to record which stream drew the counts
     assert _taking("seed") == {"udisc.sampler.sample", "udisc.sampler.SampleRecord"}
     assert not hasattr(importlib.import_module("udisc.discriminator"), "rand_unitary")
+
+
+def test_every_module_has_a_production_caller():
+    """Importing udisc and udisc.cli in a fresh interpreter loads every module of the
+    package, so none is kept alive only by the tests."""
+    code = ("import pkgutil, sys, udisc, udisc.cli; print(*(info.name for info in "
+            "pkgutil.iter_modules(udisc.__path__) if f'udisc.{info.name}' not in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(Path(udisc.__file__).resolve().parents[1]))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                            timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == []

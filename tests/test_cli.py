@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import rand_independent_states, rand_states
 from udisc.cli import main
 from udisc.config import DEFAULT_ENTRY_CAP
 from udisc.discriminator import Povm
 from udisc.io import write_density, write_povm, write_states
-from udisc.random_states import rand_independent_states, rand_states
 
 
 def run(capsys, *argv):

@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import permutation_operator
-from udisc import discriminator
-from udisc.antisym import Permutation, all_permutations
+from conftest import permutation_operator, rand_independent_states, rand_states
+from udisc.antisym import Permutation, _WeightSectors, all_permutations
 from udisc.discriminator import (
     PERMUTATION_COV_TOL,
     Povm,
@@ -25,7 +24,6 @@ from udisc.discriminator import (
     verify_unambiguous,
 )
 from udisc.errors import CapExceeded, IndexOutOfRange, InvalidPovm, LayoutMismatch, WrongRegime
-from udisc.random_states import rand_independent_states, rand_states
 from udisc.tensor_algebra import kron_chain, max_abs
 
 
@@ -205,12 +203,12 @@ class TestVerifier:
             check(Povm(m=3, n=2, elements=elements))
 
     @pytest.mark.parametrize("m,n", [(3, 2), (4, 3)])
-    def test_sector_diagonal_is_counted_once_per_element(self, m, n, monkeypatch):
+    def test_sector_gather_is_counted_once_per_element(self, m, n, monkeypatch):
         povm = family_povm("universal", m, n)
         povm.elements
         calls = []
-        real = discriminator._sector_diagonal
-        monkeypatch.setattr(discriminator, "_sector_diagonal", lambda e, maps: calls.append(e) or real(e, maps))
+        real = _WeightSectors.gather
+        monkeypatch.setattr(_WeightSectors, "gather", lambda index, e: calls.append(e) or real(index, e))
         assert verify_unambiguous(povm).passed and check_covariance(povm).passed
         assert [id(e) for e in calls] == [id(e) for e in povm.elements]
 

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import rand_density, rand_states
 from udisc import io as udisc_io
 from udisc.discriminator import (
     Povm,
@@ -18,7 +19,6 @@ from udisc.discriminator import (
 )
 from udisc.errors import FormatError
 from udisc.io import read_density, read_povm, read_states, write_density, write_povm, write_states
-from udisc.random_states import rand_density, rand_states
 from udisc.tensor_algebra import max_abs
 
 

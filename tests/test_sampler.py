@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import rand_independent_states
 from udisc.discriminator import build_optimal_equal, build_universal, program_input
 from udisc.errors import LayoutMismatch
-from udisc.random_states import rand_independent_states
 from udisc.sampler import CHUNK_SHOTS, distribution_from_probs, outcome_distribution, sample
 
 

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from conftest import rand_density, rand_psd, rand_state
 from udisc.config import entry_cap
 from udisc.errors import CapExceeded, IndexOutOfRange, LayoutMismatch, NotHermitian, NotPositive
 from udisc import tensor_algebra
-from udisc.random_states import rand_density, rand_psd, rand_state
 from udisc.tensor_algebra import (
     Subspace,
     eig_hermitian,

@@ -28,7 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import permutation_operator, rand_unitary
+from conftest import permutation_operator, rand_psd, rand_unitary
 import udisc
 from udisc import tensor_algebra
 from udisc import discriminator
@@ -48,7 +48,6 @@ from udisc.discriminator import (
     verify_unambiguous,
 )
 from udisc.errors import InvalidPovm
-from udisc.random_states import rand_psd
 from udisc.tensor_algebra import as_complex_matrix, kron_chain, max_abs, partial_trace, reorder_factors
 
 ROUTE_TOL = 1e-14
@@ -311,17 +310,40 @@ def test_unitary_residual_peak_is_under_an_eighth_of_an_element():
     assert peak < povm.elements[0].nbytes / 8
 
 
-def test_sector_maps_are_built_once_and_read_only():
-    maps = discriminator._sector_maps(3, 3)
-    assert discriminator._sector_maps(3, 3) is maps
+def test_weight_sector_index_is_built_once_and_read_only():
     index = _weight_sectors(3, 3)
     assert _weight_sectors(3, 3) is index
-    assert maps.same is index.same and maps.blocks is index.blocks
+    assert index.swapped(1, 2) is index.swapped(1, 2)
+    for name in ("transposed", "shifted", "identity", "rows", "cols", "digits", "same"):
+        assert getattr(index, name) is getattr(index, name), name
     complement = discriminator._antisym_complement(3, 2)
     assert discriminator._antisym_complement(3, 2) is complement
-    for a in (maps.same, maps.raised, maps.lowered, complement, index.digits, index.same):
+    for a in (index.transposed, index.swapped(1, 2), *index.shifted, index.identity, index.rows,
+              index.cols, index.digits, index.same, complement):
         with pytest.raises(ValueError):
             a[(0,) * a.ndim] = 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(size=st.sampled_from([(2, 5), (5, 2), (3, 4)]), seed=st.integers(0, 2**32 - 1))
+def test_weight_sector_maps_are_the_dense_operations_they_stand_for(size, seed):
+    """For D the scatter of random Hermitian sector entries d: d[transposed] is D^T's,
+    d[swapped(a, b)] is the reorder_factors conjugation's for every register pair, and
+    identity marks the identity's entries, all exactly."""
+    m, count = size
+    index = _weight_sectors(m, count)
+    rng = np.random.default_rng(seed)
+    raw = index.scatter(rng.standard_normal(len(index.same)) + 1j * rng.standard_normal(len(index.same)))
+    dense = raw + raw.conj().T
+    d = np.ravel(dense)[index.same]
+    assert np.array_equal(d[index.transposed], np.ravel(dense.T)[index.same])
+    for a in range(1, count + 1):
+        for b in range(a + 1, count + 1):
+            order = list(range(1, count + 1))
+            order[a - 1], order[b - 1] = b, a
+            conjugated = reorder_factors(dense, (m,) * count, order)
+            assert np.array_equal(d[index.swapped(a, b)], np.ravel(conjugated)[index.same])
+    assert np.array_equal(index.identity, np.ravel(np.eye(m**count))[index.same] == 1)
 
 
 def with_off_sector_mass(povm, value=1e-3):
