@@ -22,7 +22,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .config import check_entries, check_square
-from .tensor_algebra import as_state_set, kron_chain
+from .tensor_algebra import as_state_set, kron_chain, sorted_distinct
 
 # Largest deviation of a projector's trace from its rank C(m, n).
 TRACE_TOL = 1e-9
@@ -165,7 +165,9 @@ class _WeightSectors:
     rows, cols: the row and the column of each pair of same;
     identity: whether each pair of same is diagonal, the identity's entries.
 
-    The check maps (transposed, swapped, shifted) are built on first use and kept.
+    position maps pairs to their place in same by three per-state arrays.
+    The writer's row_major order and the checks' maps (transposed, swapped,
+    shifted, traced, diagonal) are built on first use and kept.
     """
 
     def __init__(self, m: int, count: int):
@@ -182,7 +184,18 @@ class _WeightSectors:
         self.blocks = tuple(idx.shape for idx in sectors)
         self.rows, self.cols = np.divmod(same, m**count)
         self.identity = self.rows == self.cols
-        for a in (digits, same, self.rows, self.cols, self.identity):
+        # per basis state: where its sector's block starts in same (the sector's key), where
+        # its row of that block starts, and its place in the sector, so (x, y) is at
+        # _row[x] + _local[y] when _block[x] == _block[y] (_position)
+        self._block, self._row, self._local = (np.empty(len(digits), dtype=np.int64) for _ in range(3))
+        begin = 0
+        for idx in sectors:
+            number, size = idx.shape
+            self._block[idx] = begin + size * size * np.arange(number)[:, None]
+            self._local[idx] = np.arange(size)
+            self._row[idx] = self._block[idx] + size * np.arange(size)
+            begin += number * size * size
+        for a in (digits, same, self.rows, self.cols, self.identity, self._block, self._row, self._local):
             a.setflags(write=False)
 
     def scatter(self, entries: np.ndarray) -> np.ndarray:
@@ -198,23 +211,38 @@ class _WeightSectors:
         inside.setflags(write=False)
         return inside, _nonzeros(inside) == _nonzeros(e)
 
+    def runs(self, d: np.ndarray) -> list[np.ndarray]:
+        """Sector entries d as stacks of blocks, one (sectors, size, size) view per size."""
+        return [d[begin:begin + count * size * size].reshape(count, size, size)
+                for begin, (count, size) in zip(self._run_begins, self.blocks)]
+
+    @cached_property
+    def _run_begins(self) -> list[int]:
+        return np.cumsum([0] + [count * size * size for count, size in self.blocks]).tolist()
+
     def block_minimum(self, d: np.ndarray) -> float:
         """Least eigenvalue of the Hermitian operator with sector entries d and zeros
         elsewhere: the least over its sector blocks."""
-        ends = np.cumsum([count * size * size for count, size in self.blocks])
-        return min(float(np.linalg.eigvalsh(run.reshape(count, size, size)).min())
-                   for run, (count, size) in zip(np.split(d, ends[:-1]), self.blocks))
+        return min(float(np.linalg.eigvalsh(blocks).min()) for blocks in self.runs(d))
 
     @cached_property
-    def _by_flat(self) -> np.ndarray:
-        return np.argsort(self.same)
+    def row_major(self) -> tuple[np.ndarray, np.ndarray]:
+        """(order, flat): d[order] lists the sector entries in row-major order, at the
+        ascending flat indices flat = same[order]."""
+        order = np.argsort(self.same)
+        flat = self.same[order]
+        for a in (order, flat):
+            a.setflags(write=False)
+        return order, flat
 
-    def _position(self, flat: np.ndarray) -> np.ndarray:
+    def position(self, flat: np.ndarray) -> np.ndarray:
         """Position in same of each flat index, len(same) for a pair outside the sectors;
         read-only."""
-        at = self._by_flat[np.minimum(np.searchsorted(self.same, flat, sorter=self._by_flat),
-                                      len(self.same) - 1)]
-        out = np.where(self.same[at] == flat, at, len(self.same))
+        return self._position(*np.divmod(flat, len(self.digits)))
+
+    def _position(self, row: np.ndarray, col: np.ndarray) -> np.ndarray:
+        """position of the pairs (row, col), broadcast together."""
+        out = np.where(self._block[row] == self._block[col], self._row[row] + self._local[col], len(self.same))
         out.setflags(write=False)
         return out
 
@@ -222,7 +250,7 @@ class _WeightSectors:
     def transposed(self) -> np.ndarray:
         """Position in same of (y, x) for each pair (x, y) of same: d[transposed] is D^T's
         entries."""
-        return self._position(self.cols * len(self.digits) + self.rows)
+        return self._position(self.cols, self.rows)
 
     @cache  # kept per index, as every index is kept by _weight_sectors
     def swapped(self, a: int, b: int) -> np.ndarray:
@@ -231,9 +259,8 @@ class _WeightSectors:
         d[swapped(a, b)] is the entries of σDσ."""
         count = self.digits.shape[1]
         lift = self.m ** (count - b) - self.m ** (count - a)
-        row, col = (i + (self.digits[i, a - 1] - self.digits[i, b - 1]) * lift
-                    for i in (self.rows, self.cols))
-        return self._position(row * len(self.digits) + col)
+        return self._position(*(i + (self.digits[i, a - 1] - self.digits[i, b - 1]) * lift
+                                for i in (self.rows, self.cols)))
 
     @cached_property
     def shifted(self) -> tuple[np.ndarray, np.ndarray]:
@@ -242,16 +269,40 @@ class _WeightSectors:
         from a same-sector pair by the cyclic shift f_r of one register's level, on the
         row or on the column.  Row r of raised reads D[f_r^{-1}(x), y] and row r of
         lowered reads D[x, f_r(y)] for each (x, y) in T, r running from the last
-        register to the first; a pair outside the sectors reads the zero."""
+        register to the first; a pair outside the sectors reads the zero.  T is
+        taken in ascending flat order, by a sort and a neighbour test."""
         m, dim = self.m, len(self.digits)
         digits = self.digits[:, ::-1]  # column r: the level of register count − r
         powers = m ** np.arange(digits.shape[1])
         up = np.arange(dim)[:, None] + ((digits + 1) % m - digits) * powers  # column r: f_r
         down = np.arange(dim)[:, None] + ((digits - 1) % m - digits) * powers  # f_r^{-1}
-        reached = np.unique(np.concatenate([(up[self.rows] * dim + self.cols[:, None]).ravel(),
-                                            (self.rows[:, None] * dim + down[self.cols]).ravel()]))
+        reached = sorted_distinct(np.concatenate([(up[self.rows] * dim + self.cols[:, None]).ravel(),
+                                                  (self.rows[:, None] * dim + down[self.cols]).ravel()]))
         rows, cols = np.divmod(reached, dim)
-        return self._position(down[rows].T * dim + cols), self._position(rows * dim + up[cols].T)
+        return self._position(down[rows].T, cols), self._position(rows, up[cols].T)
+
+    @cached_property
+    def diagonal(self) -> np.ndarray:
+        """Position in same of the diagonal pair (x, x) for each basis state x."""
+        out = self._row + self._local
+        out.setflags(write=False)
+        return out
+
+    @cache  # kept per index, as every index is kept by _weight_sectors
+    def traced(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """(source, target) of the partial trace over register i (1-based), for
+        sector-diagonal operators: source lists the positions in same of the pairs
+        (x, y) whose levels on register i agree, and target the position of (x', y'),
+        x and y with register i removed, in _weight_sectors(m, count − 1).same.  Such
+        x' and y' share a sector, so Tr_i(D) has the entries
+        bincount(target, weights=d[source])."""
+        count = self.digits.shape[1]
+        lower = _weight_sectors(self.m, count - 1)
+        reduced = np.delete(self.digits, i - 1, axis=1) @ self.m ** np.arange(count - 2, -1, -1)
+        source = np.flatnonzero(self.digits[self.rows, i - 1] == self.digits[self.cols, i - 1])
+        target = lower._position(reduced[self.rows[source]], reduced[self.cols[source]])
+        source.setflags(write=False)
+        return source, target
 
 
 @cache

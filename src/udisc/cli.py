@@ -5,9 +5,11 @@ success/pass, 1 for a semantic failure (verification fail, not
 discriminable), 2 for input errors.  ``--format kv`` switches to
 machine-readable ``key=value`` lines carrying the same numbers as the text
 mode.  ``main`` enters config.entry_cap(--cap) once.  The budget bounds
-every block an input file declares and the dense elements ``build`` and
-``verify`` form; prob, sample and mixed use the closed-form outcome
-probabilities of the built families and form no dense operator.
+every block an input file declares and the elements ``build`` writes.
+``build`` and ``verify`` form no dense element for a built family or a
+file with no off-sector mass (they work on weight-sector entries); prob,
+sample and mixed use the closed-form outcome probabilities of the built
+families and form no dense operator.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ def cmd_build(args, emit: Emitter) -> int:
     emit.value("m", args.m)
     emit.value("n", args.n)
     emit.value("c", float(povm.c))
-    emit.value("elements", len(povm.elements))
+    emit.value("elements", povm.n + 1)
     emit.value("dim", povm.dim)
     emit.value("out", args.out)
     return 0
@@ -82,7 +84,7 @@ def cmd_verify(args, emit: Emitter) -> int:
     cov = check_covariance(povm)
     emit.value("m", povm.m)
     emit.value("n", povm.n)
-    emit.value("elements", len(povm.elements))
+    emit.value("elements", povm.n + 1)
     emit.value("completeness_residual", report.completeness_residual)
     for idx, val in enumerate(report.psd_mins):
         emit.value(f"psd_min_{idx}", val)

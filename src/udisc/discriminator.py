@@ -9,22 +9,22 @@ The measurement acts on n program registers plus one data register, each of
 dimension m.  Element i >= 1 of a built POVM is c · I on register i tensored
 with the antisymmetric projector on the remaining n registers (taken in
 ascending order); element 0 is the inconclusive remainder I - Σ_i Π_i.
-A built POVM keeps only that structure: outcome probabilities of product
-inputs come from Gram determinants, and the dense elements are assembled
-only when something reads them, under the dense-storage budget in force
-then (config.entry_cap).
+Outcome probabilities of product inputs come from Gram determinants.
 
 Every element the paper builds commutes with each collective unitary
 U^⊗(n+1), so it is zero outside its weight sectors (antisym._weight_sectors,
-the one index both assembly and the checks read).  _assemble scatters each
-element once from its closed-form sector entries.  The checks lift no
-operator to all n+1 registers: when every element is zero outside its
-sectors, they read the sector entries d_k (Povm._sectors; see
-verify_unambiguous and check_covariance), bit for bit the dense residuals,
-and otherwise take the dense route.  Unitary invariance is proven, not
-sampled, from one cyclic generator (_unitary_residual).  The index's check
-maps (transposed, swapped, shifted) and I − Φ are built on first use and
-kept, read-only.
+the one index the builders, the checks and the POVM file codec read).  A
+built POVM, and a file read_povm finds zero outside the sectors, holds
+only its weight-sector entries d_k (Povm): the writer writes them, and
+every check reads them (verify_unambiguous, check_covariance), with the
+dense residuals bit for bit except the leakage and the reduction, whose
+sums run in another order.  Dense elements are scattered from d_k only
+when something reads Povm.elements, under the dense-storage budget in
+force then (config.entry_cap).  An explicit POVM with a nonzero entry
+outside its sectors takes the dense route of every check.  Unitary
+invariance is proven, not sampled, from one cyclic generator
+(_unitary_residual).  The index's maps and the entries of I − Φ are built
+on first use and kept, read-only.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .antisym import _sign_entries, _weight_sectors, antisym_projector
+from .antisym import _sign_entries, _weight_sectors
 from .config import check_tensor_square
 from .errors import IndexOutOfRange, InvalidPovm, LayoutMismatch, NotHermitian, WrongRegime
 from .tensor_algebra import (
@@ -60,7 +60,7 @@ PERMUTATION_COV_TOL = 1e-10
 REDUCTION_TOL = 1e-9
 REDUCTION_SPREAD_TOL = 1e-10
 # _unitary_residual: commutator entries evaluated at once.
-COMMUTATOR_CHUNK = 1 << 14
+COMMUTATOR_CHUNK = 1 << 13
 # efficiency_bounds: rounding accepted outside [0, 1] before p_s is clamped.
 P_S_RANGE_TOL = 1e-12
 
@@ -81,12 +81,17 @@ _COEFFICIENTS = {
 class Povm:
     """Measurement {Π_0, Π_1, …, Π_n} on n+1 registers of dimension m.
 
-    An explicit POVM holds its dense elements and has c = family = None.  A
-    built POVM (family_povm and the build_* functions) records only its
-    family and coefficient c; its dense elements are assembled on first
-    access, under the dense-storage budget in force then (config.entry_cap).
-    Outcome probabilities of product inputs never need them
-    (product_probabilities).
+    A POVM is given in one of three forms:
+    - explicit: its dense elements, with c = family = None;
+    - built (family_povm and the build_* functions): its family and
+      coefficient c, whose weight-sector entries are formed on first use;
+    - sector: the weight-sector entries d_k of each element (sectors), zero
+      outside them, as read_povm keeps a file with no off-sector mass.
+    A built or sector POVM is zero outside its weight sectors, and the checks
+    and the writer read its d_k; its dense elements are scattered from them
+    only when something reads elements, under the dense-storage budget in
+    force then (config.entry_cap).  Outcome probabilities of product inputs
+    of a built POVM need neither (product_probabilities).
     """
 
     m: int
@@ -94,26 +99,38 @@ class Povm:
     family: str | None
     c: float | None
     _elements: tuple[np.ndarray, ...] | None
+    _entries: tuple[np.ndarray, ...] | None
 
-    def __init__(self, m: int, n: int, elements=None, *, family: str | None = None):
-        if (elements is None) == (family is None):
-            raise ValueError("a POVM is given either by its dense elements or by a built family")
+    def __init__(self, m: int, n: int, elements=None, *, family: str | None = None, sectors=None):
+        if sum(given is not None for given in (elements, family, sectors)) != 1:
+            raise ValueError("a POVM is given by one of its dense elements, its weight-sector "
+                             "entries or a built family")
+        m, n = int(m), int(n)
+        if sectors is not None:
+            sectors = tuple(np.asarray(d, dtype=complex).view() for d in sectors)  # shared, read-only
+            check_tensor_square(m, n + 1, "POVM element")
+            size = len(_weight_sectors(m, n + 1).same)
+            if len(sectors) != n + 1 or any(d.shape != (size,) for d in sectors):
+                raise ValueError(f"sector entries must be n+1 = {n + 1} arrays of {size} entries")
+            for d in sectors:
+                d.setflags(write=False)
         values = {
-            "m": int(m),
-            "n": int(n),
+            "m": m,
+            "n": n,
             "family": family,
-            "c": None if family is None else _COEFFICIENTS[family](int(n)),
+            "c": None if family is None else _COEFFICIENTS[family](n),
             "_elements": None if elements is None else tuple(elements),
+            "_entries": sectors,
         }
         for name, value in values.items():
             object.__setattr__(self, name, value)
 
     @property
     def elements(self) -> tuple[np.ndarray, ...]:
-        """Dense (Π_0, …, Π_n); a built POVM assembles them here, under the budget in force."""
+        """Dense (Π_0, …, Π_n); a built or sector POVM scatters them here, under the budget
+        in force."""
         if self._elements is None:
-            dense = _assemble(self.family, self.m, self.n, self.c)
-            object.__setattr__(self, "_elements", dense)
+            object.__setattr__(self, "_elements", _assemble(self.m, self.n, self._sectors))
         return self._elements
 
     @property
@@ -125,18 +142,28 @@ class Povm:
     def dim(self) -> int:
         return self.m ** (self.n + 1)
 
+    @property
+    def _explicit(self) -> bool:
+        """Whether the POVM was given by its dense elements."""
+        return self.family is None and self._entries is None
+
     @cached_property
     def _sector_split(self) -> tuple[tuple[np.ndarray, bool], ...]:
-        """The weight-sector gather of each element, (d_k, zero outside the sectors), made
-        once per POVM and shared by residuals, _unitary_residual and _sectors."""
+        """Each element's weight-sector entries d_k (read-only) with whether it is zero
+        outside its sectors, shared by residuals, _unitary_residual and _sectors.  A
+        built or sector POVM holds its d_k, all zero outside; an explicit one is
+        gathered once, with a nonzero count over each element."""
+        if not self._explicit:
+            entries = self._entries or _family_entries(self.family, self.m, self.n, self.c)
+            return tuple((d, True) for d in entries)
         index = _weight_sectors(self.m, self.n + 1)
         return tuple(index.gather(e) for e in self.elements)
 
     @property
     def _sectors(self) -> tuple[np.ndarray, ...] | None:
         """The sector entries d_k when every element is zero outside its sector blocks
-        (the sector route of the checks), else None (the dense route).  The elements
-        must be dim x dim matrices (_require_layout)."""
+        (the sector route of the checks), else None (the dense route).  An explicit
+        POVM's elements must be dim x dim matrices (_require_layout)."""
         if not all(diagonal for _, diagonal in self._sector_split):
             return None
         return tuple(d for d, _ in self._sector_split)
@@ -152,8 +179,8 @@ class Povm:
         densely.  Both give the same bits.
         """
         index = _weight_sectors(self.m, self.n + 1)
-        mins = [index.block_minimum(d) if diagonal else float(np.linalg.eigvalsh(e)[0])
-                for e, (d, diagonal) in zip(self.elements, self._sector_split)]
+        mins = [index.block_minimum(d) if diagonal else float(np.linalg.eigvalsh(self.elements[k])[0])
+                for k, (d, diagonal) in enumerate(self._sector_split)]
         sectors = self._sectors
         if sectors is None:
             return mins, max_abs(sum(self.elements) - np.eye(self.dim))
@@ -199,22 +226,23 @@ def program_input(states, j: int) -> ProgramInput:
 
 
 @cache
-def _antisym_complement(m: int, n: int) -> np.ndarray:
-    """I − Φ with Φ = antisym_projector(m, n).matrix, built once per (m, n) per process,
-    read-only.
-
-    Every caller holds or is about to hold an element on n+1 registers, so
-    the budget check antisym_projector makes on the first build covers the
-    later ones.
-    """
-    complement = np.eye(m**n, dtype=complex) - antisym_projector(m, n).matrix
-    complement.setflags(write=False)
-    return complement
+def _complement_entries(m: int, n: int) -> np.ndarray:
+    """Sector entries of I − Φ on n registers, Φ = antisym_projector(m, n), built once per
+    (m, n) per process, read-only.  Every caller holds an element on n+1 registers, whose
+    budget covers this index."""
+    index = _weight_sectors(m, n)
+    return _frozen_complex(index.identity - _sign_entries(m, n))
 
 
-def _assemble(family: str, m: int, n: int, c: float) -> tuple[np.ndarray, ...]:
-    """Dense elements (Π_0, Π_1, …, Π_n) of a built family, each scattered once from
-    its weight-sector entries (antisym._weight_sectors) into a complex zero matrix.
+@cache
+def _complement_runs(m: int, n: int) -> list[np.ndarray]:
+    """_complement_entries(m, n) as stacks of sector blocks (_WeightSectors.runs)."""
+    return _weight_sectors(m, n).runs(_complement_entries(m, n))
+
+
+def _family_entries(family: str, m: int, n: int, c: float) -> tuple[np.ndarray, ...]:
+    """Weight-sector entries (d_0, d_1, …, d_n) of a built family, read-only, each sized
+    as its dense element is against the budget.
 
     Π_i = c·(I_i ⊗ Φ_rest) takes c times _sign_entries with own register i; the
     trivial family's Π_i is c·Φ = Φ/n on all n+1 registers, one array shared by
@@ -223,12 +251,29 @@ def _assemble(family: str, m: int, n: int, c: float) -> tuple[np.ndarray, ...]:
     check_tensor_square(m, n + 1, "POVM element")
     index = _weight_sectors(m, n + 1)
     if family == "trivial":
-        parts = [c * _sign_entries(m, n + 1)] * n
-        elements = [index.scatter(parts[0])] * n
+        parts = [_frozen_complex(c * _sign_entries(m, n + 1))] * n
     else:
-        parts = [c * _sign_entries(m, n + 1, own=i) for i in range(1, n + 1)]
-        elements = [index.scatter(d) for d in parts]
-    return (index.scatter(index.identity - sum(parts)), *elements)
+        parts = [_frozen_complex(c * _sign_entries(m, n + 1, own=i)) for i in range(1, n + 1)]
+    return (_frozen_complex(index.identity - sum(p.real for p in parts)), *parts)
+
+
+def _frozen_complex(d: np.ndarray) -> np.ndarray:
+    out = d.astype(complex)
+    out.setflags(write=False)
+    return out
+
+
+def _assemble(m: int, n: int, entries) -> tuple[np.ndarray, ...]:
+    """Dense elements scattered once each from their weight-sector entries
+    (antisym._weight_sectors) into a complex zero matrix, under the budget in force;
+    entries shared by several elements give them one array."""
+    check_tensor_square(m, n + 1, "POVM element")
+    index = _weight_sectors(m, n + 1)
+    scattered = {}
+    for d in entries:
+        if id(d) not in scattered:
+            scattered[id(d)] = index.scatter(d)
+    return tuple(scattered[id(d)] for d in entries)
 
 
 def family_povm(family: str, m: int, n: int) -> Povm:
@@ -361,8 +406,11 @@ class VerificationReport:
 
 
 def _require_layout(povm: Povm) -> None:
-    """Refuse, with InvalidPovm, a POVM whose element count is not n+1 or that has an
-    element that is not a dim x dim matrix; the checks call it before they gather."""
+    """Refuse, with InvalidPovm, an explicit POVM whose element count is not n+1 or that
+    has an element that is not a dim x dim matrix; the checks call it before they
+    gather.  A built or sector POVM has its layout by construction."""
+    if not povm._explicit:
+        return
     n, dim = povm.n, povm.dim
     if len(povm.elements) != n + 1:
         raise InvalidPovm(f"expected {n + 1} elements, got {len(povm.elements)}")
@@ -379,41 +427,60 @@ def verify_unambiguous(povm: Povm) -> VerificationReport:
     carries the PSD and completeness residuals.  Structurally broken input
     (wrong count, shape or hermiticity) raises InvalidPovm; a NaN or an
     infinity raises ValueError.  Each element is checked once for both,
-    in order, before partial_trace sees it.
+    in order, before its leakage is taken.
 
     When every element is zero outside its weight sectors (Povm._sectors),
-    finiteness, hermiticity (d against conj(d[transposed])) and completeness
-    are read from the sector entries d_k alone, as the PSD minima always
-    are: the entries outside are exact zeros, so each residual and each
-    error message is the dense one bit for bit.  Otherwise each element is
-    checked by require_hermitian and the elements are summed densely.  The
-    leakages come from partial_trace on both routes.
+    every residual is read from the sector entries d_k alone.  Finiteness,
+    hermiticity (d against conj(d[transposed])), completeness and the PSD
+    minima are the dense residuals bit for bit, as are the error messages:
+    the entries outside are exact zeros.  Tr_i maps each same-sector pair
+    whose levels on register i agree to a same-sector pair on the other n
+    registers, so Tr_i(Π_i) is one scatter-add of d_i
+    (_WeightSectors.traced); I − Φ is zero outside its sectors too, so the
+    leakage is a batch of products of sector blocks (_sector_leakage).  Its
+    sums run in another order than the dense ones, so it may differ from
+    them in the last bits.  Otherwise each element is checked by
+    require_hermitian, the elements are summed densely and the leakages
+    come from partial_trace.
     """
     m, n = povm.m, povm.n
     _require_layout(povm)
     sectors = povm._sectors
-    transposed = _weight_sectors(m, n + 1).transposed
-    for idx, e in enumerate(povm.elements):
+    for idx in range(n + 1):
         try:
             if sectors is None:
-                require_hermitian(e)
+                require_hermitian(povm.elements[idx])
             else:
-                require_finite(sectors[idx])
-                require_conjugate_pairs(sectors[idx], sectors[idx][transposed])
+                d = sectors[idx]
+                require_finite(d)
+                require_conjugate_pairs(d, d[_weight_sectors(m, n + 1).transposed])
         except NotHermitian as exc:
             raise InvalidPovm(f"element {idx} is not Hermitian: {exc}") from exc
 
     psd_mins, completeness = povm.residuals()
-    complement = _antisym_complement(m, n)
-    leakages = []
-    for i in range(1, n + 1):
-        reduced = partial_trace(povm.elements[i], povm.dims, {i})
-        leakages.append(max_abs(complement @ reduced @ complement))
+    if sectors is None:
+        complement = _weight_sectors(m, n).scatter(_complement_entries(m, n))
+        leakages = [max_abs(complement @ partial_trace(povm.elements[i], povm.dims, {i}) @ complement)
+                    for i in range(1, n + 1)]
+    else:
+        leakages = [_sector_leakage(m, n, sectors[i], i) for i in range(1, n + 1)]
     return VerificationReport(
         leakages=tuple(leakages),
         psd_mins=tuple(psd_mins),
         completeness_residual=completeness,
     )
+
+
+def _sector_leakage(m: int, n: int, d: np.ndarray, i: int) -> float:
+    """‖(I−Φ)·Tr_i(D)·(I−Φ)‖_max for the sector-diagonal D with entries d: Tr_i(D) is
+    one scatter-add onto the sector entries on n registers, then one batch of block
+    products per sector size."""
+    source, target = _weight_sectors(m, n + 1).traced(i)
+    lower = _weight_sectors(m, n)
+    traced = d[source]
+    reduced = np.bincount(target, traced.real, len(lower.same)) + 1j * np.bincount(
+        target, traced.imag, len(lower.same))
+    return max(float(np.abs(c @ r @ c).max()) for c, r in zip(_complement_runs(m, n), lower.runs(reduced)))
 
 
 # ---------------------------------------------------------------------------
@@ -553,10 +620,11 @@ def _unitary_residual(povm: Povm) -> float:
     gl(m), so both conditions are also necessary.  For m = 2, C = E_{12} +
     E_{21}; for m = 1 there is nothing to check, and the residual is 0.
 
-    The check reads only the sector support.  One gather takes Π_k's
-    entries d on its sector blocks, which are D_k's nonzero entries; one
-    nonzero count shows δ_k = 0, and only when δ_k > 0 is a masked copy
-    formed to find it.  On register r, C is the permutation f_r of basis
+    The check reads only the sector support: Π_k's entries d on its
+    sector blocks, which are D_k's nonzero entries.  A built or sector POVM
+    holds d and has δ_k = 0; an explicit element is gathered once, one
+    nonzero count shows whether δ_k = 0, and only when δ_k > 0 is a masked
+    copy formed to find it.  On register r, C is the permutation f_r of basis
     indices that raises that register's level by one mod m, so [dΓ(C), D_k]
     is Σ_r D_k[f_r^{-1}(a), b] − D_k[a, f_r(b)]: 2N gathers from d, taken over
     the pairs (a, b) one f_r away from a same-sector pair, the only ones
@@ -568,9 +636,9 @@ def _unitary_residual(povm: Povm) -> float:
     index = _weight_sectors(povm.m, povm.n + 1)
     raised_at, lowered_at = index.shifted
     residual = 0.0
-    for e, (inside, diagonal) in zip(povm.elements, povm._sector_split):
+    for k, (inside, diagonal) in enumerate(povm._sector_split):
         if not diagonal:
-            outside = np.abs(np.ravel(e))
+            outside = np.abs(np.ravel(povm.elements[k]))
             outside[index.same] = 0.0
             residual = max(residual, float(outside.max()))
         d = np.append(inside, 0.0)
@@ -620,9 +688,12 @@ def check_covariance(povm: Povm) -> CovarianceReport:
     d_k: a transposition of registers maps each sector into itself, so
     (a b)·Π_1 has the sector entries d_1[swapped(a, b)] (_WeightSectors)
     and zeros elsewhere, and the residual is the dense one bit for bit.
-    Otherwise each element is checked densely and each conjugation is a
-    reorder_factors transpose.  The reduction residual comes from
-    partial_trace on both routes.
+    The reduction to register i pairs only equal levels of register i, so
+    it is diagonal, an m-vector of sums over the diagonal entries of d_i
+    (exact zeros elsewhere), in another summation order than the dense
+    partial trace.  Otherwise each element is checked densely, each
+    conjugation is a reorder_factors transpose and the reduction comes from
+    partial_trace.
     """
     m, n = povm.m, povm.n
     _require_layout(povm)
@@ -633,14 +704,14 @@ def check_covariance(povm: Povm) -> CovarianceReport:
     else:
         for d in sectors:
             require_finite(d)
-    eye_data = np.eye(m, dtype=complex)
     unitary_residual = _unitary_residual(povm)
 
     permutation_residual = 0.0
     index = _weight_sectors(m, n + 1)
     for (a, b), target in _program_transpositions(n):
         if sectors is not None:
-            distance = max_abs(sectors[1][index.swapped(a, b)] - sectors[target])
+            conjugated = sectors[1][index.swapped(a, b)]
+            distance = max_abs(np.subtract(conjugated, sectors[target], out=conjugated))
         else:
             order = list(range(1, n + 2))  # a transposition is its own inverse
             order[a - 1], order[b - 1] = b, a
@@ -652,12 +723,19 @@ def check_covariance(povm: Povm) -> CovarianceReport:
 
     constants = []
     reduction_residual = 0.0
-    everything = set(range(1, n + 2))
     for i in range(1, n + 1):
-        reduced = partial_trace(povm.elements[i], povm.dims, everything - {i})
-        c = float(np.trace(reduced).real) / m
+        if sectors is None:
+            reduced = partial_trace(povm.elements[i], povm.dims, set(range(1, n + 2)) - {i})
+            c = float(np.trace(reduced).real) / m
+            residual = max_abs(reduced - c * np.eye(m))
+        else:
+            # Tr over the other registers pairs only equal levels on register i: diagonal
+            levels, d = index.digits[:, i - 1], sectors[i][index.diagonal]
+            reduced = np.bincount(levels, d.real, m) + 1j * np.bincount(levels, d.imag, m)
+            c = float(reduced.sum().real) / m
+            residual = max_abs(reduced - c)
         constants.append(c)
-        reduction_residual = max(reduction_residual, max_abs(reduced - c * eye_data))
+        reduction_residual = max(reduction_residual, residual)
     spread = max(constants) - min(constants) if constants else 0.0
 
     return CovarianceReport(

@@ -22,8 +22,8 @@ from hypothesis import strategies as st
 
 import udisc
 from conftest import element_spectra
-from udisc import tensor_algebra
-from udisc.antisym import _weight_sectors, antisym_projector_from_basis
+from udisc import discriminator, tensor_algebra
+from udisc.antisym import _WeightSectors, _weight_sectors, antisym_projector_from_basis
 from udisc.cli import main
 from udisc.discriminator import Povm, _assemble, family_povm, verify_unambiguous
 from udisc.io import write_povm
@@ -108,6 +108,24 @@ def test_build_file_differs_from_the_oracle_file_only_at_negative_zeros(family, 
     assert np.count_nonzero(differ) == np.count_nonzero(expected == "-0") == CERTIFY[family, m, n]
 
 
+@pytest.mark.parametrize("family,m,n", list(CERTIFY))
+def test_build_and_verify_form_no_dense_element(family, m, n, tmp_path, capsys, monkeypatch):
+    """udisc build writes, and udisc verify reads and checks, the weight-sector entries:
+    neither scatters an element nor assembles one, and both count n+1 elements."""
+    calls = []
+    real_scatter, real_assemble = _WeightSectors.scatter, discriminator._assemble
+    monkeypatch.setattr(_WeightSectors, "scatter",
+                        lambda index, d: calls.append("scatter") or real_scatter(index, d))
+    monkeypatch.setattr(discriminator, "_assemble",
+                        lambda *args: calls.append("_assemble") or real_assemble(*args))
+    path = str(tmp_path / "b.povm")
+    for argv in (["build", "--m", str(m), "--n", str(n), "--family", family, "--out", path],
+                 ["verify", path]):
+        assert main([*argv, "--format", "kv"]) == 0
+        assert f"elements={n + 1}" in capsys.readouterr().out.splitlines()
+    assert calls == []
+
+
 @pytest.mark.parametrize("family,m,n", [("universal", 4, 3), ("optimal", 3, 3), ("trivial", 4, 3)])
 def test_assembly_takes_neither_kron_nor_reorder(family, m, n, monkeypatch):
     def refuse(*args, **kwargs):
@@ -144,11 +162,11 @@ def test_element_spectra_match_the_closed_form(family, m, n):
 def test_assembly_peak_beyond_the_elements_is_under_a_quarter_of_an_element():
     """At (optimal,4,4) each element is one complex zero matrix and one scatter of its
     sector entries, so no element-sized temporary is formed."""
-    c = family_povm("optimal", 4, 4).c
-    _weight_sectors(4, 5)  # the index is built once per process and kept
+    povm = family_povm("optimal", 4, 4)
+    povm._sectors  # the index and the sector entries are formed once and kept
     tracemalloc.start()
     try:
-        elements = _assemble("optimal", 4, 4, c)
+        elements = povm.elements
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -156,5 +174,7 @@ def test_assembly_peak_beyond_the_elements_is_under_a_quarter_of_an_element():
 
 
 def test_trivial_outcome_elements_are_one_array():
-    elements = _assemble("trivial", 4, 3, family_povm("trivial", 4, 3).c)
+    povm = family_povm("trivial", 4, 3)
+    assert all(d is povm._sectors[1] for d in povm._sectors[2:])
+    elements = _assemble(4, 3, povm._sectors)
     assert all(e is elements[1] for e in elements[2:])

@@ -24,6 +24,7 @@ from udisc.discriminator import (
     verify_unambiguous,
 )
 from udisc.errors import CapExceeded, IndexOutOfRange, InvalidPovm, LayoutMismatch, WrongRegime
+from udisc.io import read_povm, write_povm
 from udisc.tensor_algebra import kron_chain, max_abs
 
 
@@ -203,14 +204,28 @@ class TestVerifier:
             check(Povm(m=3, n=2, elements=elements))
 
     @pytest.mark.parametrize("m,n", [(3, 2), (4, 3)])
-    def test_sector_gather_is_counted_once_per_element(self, m, n, monkeypatch):
-        povm = family_povm("universal", m, n)
-        povm.elements
-        calls = []
-        real = _WeightSectors.gather
-        monkeypatch.setattr(_WeightSectors, "gather", lambda index, e: calls.append(e) or real(index, e))
-        assert verify_unambiguous(povm).passed and check_covariance(povm).passed
-        assert [id(e) for e in calls] == [id(e) for e in povm.elements]
+    def test_sector_gather_is_counted_once_per_element(self, m, n, monkeypatch, tmp_path):
+        """An explicit dense POVM is gathered once per element; a built POVM and a file
+        read on the sector route hold their sector entries, so verify and covariance
+        gather and scatter nothing."""
+        explicit = Povm(m=m, n=n, elements=family_povm("universal", m, n).elements)
+        path = tmp_path / "u.povm"
+        write_povm(path, family_povm("universal", m, n))
+        built, read = family_povm("universal", m, n), read_povm(path)
+        gathers, scatters = [], []
+        real_gather, real_scatter = _WeightSectors.gather, _WeightSectors.scatter
+        monkeypatch.setattr(_WeightSectors, "gather",
+                            lambda index, e: gathers.append(e) or real_gather(index, e))
+        monkeypatch.setattr(_WeightSectors, "scatter",
+                            lambda index, d: scatters.append(d) or real_scatter(index, d))
+        assert verify_unambiguous(explicit).passed and check_covariance(explicit).passed
+        assert [id(e) for e in gathers] == [id(e) for e in explicit.elements]
+        assert scatters == []
+        gathers.clear()
+        for povm in (built, read):
+            assert verify_unambiguous(povm).passed and check_covariance(povm).passed
+            assert gathers == [] and scatters == []
+        assert built._elements is None and read._elements is None
 
 
 class TestSuccessProbabilities:

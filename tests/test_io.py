@@ -9,11 +9,13 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import rand_density, rand_states
 from udisc import io as udisc_io
+from udisc.antisym import _weight_sectors
 from udisc.discriminator import (
     Povm,
     build_optimal_equal,
     build_trivial_antisym,
     build_universal,
+    check_covariance,
     family_povm,
     verify_unambiguous,
 )
@@ -236,7 +238,8 @@ class TestInternedWriter:
         folder = tmp_path_factory.mktemp("writer")
         blocks = [("block a", block), (None, block[::-1])]
         with mock.patch.object(udisc_io, "WRITE_CHUNK", chunk):
-            udisc_io._write_blocks(folder / "new.txt", "head 1", blocks, comment="c")
+            udisc_io._write_blocks(folder / "new.txt", "head 1",
+                                   [(label, udisc_io._dense_numbers(b)) for label, b in blocks], comment="c")
         row_format_write(folder / "old.txt", "head 1", blocks, comment="c")
         assert (folder / "new.txt").read_bytes() == (folder / "old.txt").read_bytes()
 
@@ -357,11 +360,13 @@ class TestPovmScanner:
         b"\n0 1 0 1\n1  0 1\n",  # an empty token
     ])
     def test_chunks_off_the_writer_layout_are_left_to_the_row_scan(self, text):
-        out = np.zeros((2, 4))
-        assert not udisc_io._scan_chunk(text, out)
-        assert not out.any()
-        assert udisc_io._scan_chunk(b"\n0 1 0 1\n1 0 1 0\n", out)
-        assert np.array_equal(out, [[0, 1, 0, 1], [1, 0, 1, 0]])
+        assert udisc_io._scan_chunk(text, 0, len(text) - 1, 2, 4) is None
+        good = b"# label\n0 1 0 1\n1 0 1 0\n"
+        tokens, values = udisc_io._scan_chunk(good, 7, len(good) - 1, 2, 4)
+        out = np.zeros(8)
+        out[tokens] = values
+        assert np.array_equal(out.reshape(2, 4), [[0, 1, 0, 1], [1, 0, 1, 0]])
+        assert tokens.tolist() == [1, 3, 4, 6]  # the "0" tokens are left out
 
     @staticmethod
     def _edit(lines, edit):
@@ -454,4 +459,85 @@ class TestPovmScanner:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak - sum(e.nbytes for e in povm.elements) < 20 * chunk + (64 << 10)
+        assert not povm._explicit  # a built file keeps its sector entries only
+        assert peak - sum(d.nbytes for d in povm._sectors) < 20 * chunk + (64 << 10)
+
+
+CERTIFY = [("universal", 3, 2), ("optimal", 3, 3), ("universal", 5, 2), ("universal", 4, 3), ("trivial", 4, 3)]
+
+
+def with_off_sector_token(path, element, row, value="1e-3"):
+    """Edit one "0" token of a built file, the real part of the first pair of the row that
+    lies outside the row's weight sector, into value; returns its (row, column)."""
+    povm = read_povm(path)
+    index = _weight_sectors(povm.m, povm.n + 1)
+    dim = povm.dim
+    inside = index.same[(index.same // dim) == row] % dim
+    column = int(np.setdiff1d(np.arange(dim), inside)[0])
+    lines = path.read_text().split("\n")
+    at = lines.index(f"element {element}") + 1 + row
+    tokens = lines[at].split(" ")
+    assert tokens[2 * column] == "0"
+    tokens[2 * column] = value
+    lines[at] = " ".join(tokens)
+    path.write_text("\n".join(lines))
+    return row, column
+
+
+class TestSectorRoute:
+    """A built file is read as weight-sector entries; any off-sector mass sends it dense."""
+
+    @pytest.mark.parametrize("family,m,n", CERTIFY + [("optimal", 2, 2), ("optimal", 4, 4)])
+    def test_read_back_and_written_again_gives_the_same_bytes(self, tmp_path, family, m, n):
+        path = tmp_path / "built.povm"
+        write_povm(path, family_povm(family, m, n))
+        povm = read_povm(path)
+        assert not povm._explicit and povm._elements is None
+        write_povm(tmp_path / "again.povm", povm)
+        assert povm._elements is None
+        assert (tmp_path / "again.povm").read_bytes() == path.read_bytes()
+        assert oracle_povm_bytes(tmp_path / "oracle.povm", povm) == path.read_bytes()
+
+    @pytest.mark.parametrize("family,m,n", CERTIFY)
+    @pytest.mark.parametrize("element,row", [(0, 0), (-1, -1), (1, 5)])
+    def test_both_reader_routes_match_loadtxt(self, tmp_path, family, m, n, element, row):
+        path = tmp_path / "built.povm"
+        write_povm(path, family_povm(family, m, n))
+        sector = read_povm(path)
+        for got, expected in zip(sector.elements, loadtxt_elements(path), strict=True):
+            assert same_bits(got, expected)
+        element, row = element % (n + 1), row % m ** (n + 1)
+        with_off_sector_token(path, element, row)
+        dense = read_povm(path)
+        assert dense._explicit
+        for got, expected in zip(dense.elements, loadtxt_elements(path), strict=True):
+            assert same_bits(got, expected)
+
+    @pytest.mark.parametrize("value", ["-0", "-0.0", "0.0", "+0"])
+    def test_signed_zero_off_the_sectors_goes_dense_and_plus_zero_does_not(self, tmp_path, value):
+        path = tmp_path / "built.povm"
+        write_povm(path, family_povm("universal", 3, 2))
+        with_off_sector_token(path, 2, 26, value)
+        povm = read_povm(path)
+        assert povm._explicit == value.startswith("-")
+        for got, expected in zip(povm.elements, loadtxt_elements(path), strict=True):
+            assert same_bits(got, expected)
+
+    def test_write_read_verify_peak_is_under_a_quarter_of_an_element(self, tmp_path):
+        """At (optimal,4,4) a built POVM is written, read back, verified and checked for
+        covariance on its weight-sector entries, with no 16 MiB dense element."""
+        povm = family_povm("optimal", 4, 4)
+        path = tmp_path / "o44.povm"
+        write_povm(path, povm)  # forms the sector entries and the index maps, once per process
+        check_covariance(read_povm(path))
+        verify_unambiguous(read_povm(path))
+        tracemalloc.start()
+        try:
+            write_povm(path, povm)
+            loaded = read_povm(path)
+            assert verify_unambiguous(loaded).passed and check_covariance(loaded).passed
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert loaded._elements is None
+        assert peak < (16 << 20) / 4

@@ -17,8 +17,10 @@ fallback when an element leaves its sectors, give the dense verdicts,
 errors and residuals (within 1e-14), and fail the same perturbed POVMs.
 """
 
+import contextlib
 import dataclasses
 import importlib
+import io
 import pkgutil
 import tracemalloc
 from functools import cache
@@ -47,7 +49,9 @@ from udisc.discriminator import (
     family_povm,
     verify_unambiguous,
 )
+from udisc.cli import main
 from udisc.errors import InvalidPovm
+from udisc.io import read_povm
 from udisc.tensor_algebra import as_complex_matrix, kron_chain, max_abs, partial_trace, reorder_factors
 
 ROUTE_TOL = 1e-14
@@ -314,12 +318,15 @@ def test_weight_sector_index_is_built_once_and_read_only():
     index = _weight_sectors(3, 3)
     assert _weight_sectors(3, 3) is index
     assert index.swapped(1, 2) is index.swapped(1, 2)
-    for name in ("transposed", "shifted", "identity", "rows", "cols", "digits", "same"):
+    assert index.traced(2) is index.traced(2)
+    for name in ("transposed", "shifted", "identity", "rows", "cols", "digits", "same", "diagonal",
+                 "row_major"):
         assert getattr(index, name) is getattr(index, name), name
-    complement = discriminator._antisym_complement(3, 2)
-    assert discriminator._antisym_complement(3, 2) is complement
+    complement = discriminator._complement_entries(3, 2)
+    assert discriminator._complement_entries(3, 2) is complement
     for a in (index.transposed, index.swapped(1, 2), *index.shifted, index.identity, index.rows,
-              index.cols, index.digits, index.same, complement):
+              index.cols, index.digits, index.same, index.diagonal, *index.row_major,
+              *index.traced(2), complement):
         with pytest.raises(ValueError):
             a[(0,) * a.ndim] = 1
 
@@ -329,7 +336,8 @@ def test_weight_sector_index_is_built_once_and_read_only():
 def test_weight_sector_maps_are_the_dense_operations_they_stand_for(size, seed):
     """For D the scatter of random Hermitian sector entries d: d[transposed] is D^T's,
     d[swapped(a, b)] is the reorder_factors conjugation's for every register pair, and
-    identity marks the identity's entries, all exactly."""
+    identity and diagonal mark the identity's entries and D's diagonal, all exactly;
+    traced(i) scatter-adds d onto the entries of partial_trace(D) over register i."""
     m, count = size
     index = _weight_sectors(m, count)
     rng = np.random.default_rng(seed)
@@ -344,6 +352,41 @@ def test_weight_sector_maps_are_the_dense_operations_they_stand_for(size, seed):
             conjugated = reorder_factors(dense, (m,) * count, order)
             assert np.array_equal(d[index.swapped(a, b)], np.ravel(conjugated)[index.same])
     assert np.array_equal(index.identity, np.ravel(np.eye(m**count))[index.same] == 1)
+    assert np.array_equal(d[index.diagonal], np.diagonal(dense))
+    lower = _weight_sectors(m, count - 1)
+    for i in range(1, count + 1):
+        source, target = index.traced(i)
+        reduced = np.zeros(len(lower.same), dtype=complex)
+        np.add.at(reduced, target, d[source])
+        expected = partial_trace(dense, (m,) * count, {i})
+        assert max_abs(lower.scatter(reduced) - expected) <= ROUTE_TOL * max(1.0, max_abs(expected))
+
+
+def unique_shifted(index):
+    """Oracle for _WeightSectors.shifted: the reached pairs by np.unique, and each pair's
+    position in same by a searchsorted through the argsort of same."""
+    m, dim = index.m, len(index.digits)
+    by_flat = np.argsort(index.same)
+
+    def position(flat):
+        at = by_flat[np.minimum(np.searchsorted(index.same, flat, sorter=by_flat), len(index.same) - 1)]
+        return np.where(index.same[at] == flat, at, len(index.same))
+
+    digits = index.digits[:, ::-1]
+    powers = m ** np.arange(digits.shape[1])
+    up = np.arange(dim)[:, None] + ((digits + 1) % m - digits) * powers
+    down = np.arange(dim)[:, None] + ((digits - 1) % m - digits) * powers
+    reached = np.unique(np.concatenate([(up[index.rows] * dim + index.cols[:, None]).ravel(),
+                                        (index.rows[:, None] * dim + down[index.cols]).ravel()]))
+    rows, cols = np.divmod(reached, dim)
+    return position(down[rows].T * dim + cols), position(rows * dim + up[cols].T)
+
+
+@pytest.mark.parametrize("m,count", [(3, 4), (4, 4), (2, 5)])
+def test_shifted_matches_the_unique_construction(m, count):
+    raised, lowered = _weight_sectors(m, count).shifted
+    oracle_raised, oracle_lowered = unique_shifted(_weight_sectors(m, count))
+    assert np.array_equal(raised, oracle_raised) and np.array_equal(lowered, oracle_lowered)
 
 
 def with_off_sector_mass(povm, value=1e-3):
@@ -590,3 +633,43 @@ def test_sector_route_allocates_less_than_one_element(family, m, n):
         tracemalloc.stop()
     assert povm._sectors is not None
     assert peak < povm.elements[0].nbytes
+
+
+def built_file(tmp_path, family, m, n):
+    path = tmp_path / f"{family}_{m}_{n}.povm"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["build", "--m", str(m), "--n", str(n), "--family", family, "--out", str(path)]) == 0
+    return path
+
+
+@pytest.mark.parametrize("family,m,n", CASES)
+def test_routes_agree_on_built_files(family, m, n, tmp_path):
+    povm = read_povm(built_file(tmp_path, family, m, n))
+    assert not povm._explicit and povm._sectors is not None
+    assert verify_unambiguous(povm).passed and check_covariance(povm).passed
+    assert_routes_agree(povm)
+
+
+@pytest.mark.parametrize("family,m,n", CASES)
+@pytest.mark.parametrize("last", [True, False], ids=["last_row_of_last_element", "first_row_of_element_0"])
+@pytest.mark.parametrize("value", ["1e-300", "0.25"])
+def test_routes_agree_on_built_files_with_an_off_sector_token(family, m, n, last, value, tmp_path):
+    """One nonzero token between two weight sectors sends the file to the dense route, at
+    its first row or after every other block was read as sector entries."""
+    path = built_file(tmp_path, family, m, n)
+    k, row = (n, m ** (n + 1) - 1) if last else (0, 0)
+    column = int(np.flatnonzero(~same_sector(m, n + 1)[row])[0])
+    lines = path.read_text().split("\n")
+    at = lines.index(f"element {k}") + 1 + row
+    tokens = lines[at].split(" ")
+    assert tokens[2 * column] == "0"
+    tokens[2 * column] = value
+    lines[at] = " ".join(tokens)
+    path.write_text("\n".join(lines))
+    povm = read_povm(path)
+    assert povm._explicit and povm._sectors is None
+    expected = [e.copy() for e in family_povm(family, m, n).elements]
+    expected[k][row, column] = float(value)
+    for got, want in zip(povm.elements, expected, strict=True):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert_routes_agree(povm)
