@@ -226,14 +226,12 @@ class _WeightSectors:
         return min(float(np.linalg.eigvalsh(blocks).min()) for blocks in self.runs(d))
 
     @cached_property
-    def row_major(self) -> tuple[np.ndarray, np.ndarray]:
-        """(order, flat): d[order] lists the sector entries in row-major order, at the
-        ascending flat indices flat = same[order]."""
+    def row_major(self) -> np.ndarray:
+        """The order of same by flat index: d[row_major] lists the sector entries in
+        row-major order, row by row and in ascending column within a row."""
         order = np.argsort(self.same)
-        flat = self.same[order]
-        for a in (order, flat):
-            a.setflags(write=False)
-        return order, flat
+        order.setflags(write=False)
+        return order
 
     def position(self, flat: np.ndarray) -> np.ndarray:
         """Position in same of each flat index, len(same) for a pair outside the sectors;

@@ -15,10 +15,11 @@ Every element the paper builds commutes with each collective unitary
 U^⊗(n+1), so it is zero outside its weight sectors (antisym._weight_sectors,
 the one index the builders, the checks and the POVM file codec read).  A
 built POVM, and a file read_povm finds zero outside the sectors, holds
-only its weight-sector entries d_k (Povm): the writer writes them, and
-every check reads them (verify_unambiguous, check_covariance), with the
-dense residuals bit for bit except the leakage and the reduction, whose
-sums run in another order.  Dense elements are scattered from d_k only
+only its weight-sector entries d_k (Povm): the writer writes them, in
+the sector-row file layout (io), and every check reads them
+(verify_unambiguous, check_covariance), with the dense residuals bit for
+bit except the leakage and the reduction, whose sums run in another
+order.  Dense elements are scattered from d_k only
 when something reads Povm.elements, under the dense-storage budget in
 force then (config.entry_cap).  An explicit POVM with a nonzero entry
 outside its sectors takes the dense route of every check.  Unitary
@@ -86,7 +87,8 @@ class Povm:
     - built (family_povm and the build_* functions): its family and
       coefficient c, whose weight-sector entries are formed on first use;
     - sector: the weight-sector entries d_k of each element (sectors), zero
-      outside them, as read_povm keeps a file with no off-sector mass.
+      outside them, as read_povm keeps a sector-row file or a dense file
+      with no off-sector mass.
     A built or sector POVM is zero outside its weight sectors, and the checks
     and the writer read its d_k; its dense elements are scattered from them
     only when something reads elements, under the dense-storage budget in

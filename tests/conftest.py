@@ -151,3 +151,21 @@ def element_spectra(family, m, n):
     pi0 = np.concatenate([1.0 - c * gram, np.ones(dim - len(gram))])
     outcome = np.concatenate([np.zeros(dim - rank), np.full(rank, c)])
     return [np.sort(pi0)] + [outcome] * n
+
+
+# Oracle for the sector-row POVM layout of udisc.io.
+
+
+def sector_columns(m, count):
+    """For each basis state x of count registers of dimension m, the y whose levels are a
+    permutation of x's (its weight sector), ascending."""
+    dim = m**count
+    levels = np.sort(np.array(np.unravel_index(np.arange(dim), (m,) * count)).T, axis=1)
+    return [np.flatnonzero((levels == levels[x]).all(axis=1)) for x in range(dim)]
+
+
+def sector_rows(m, count, element):
+    """The rows of the sector-row layout of a dense element on count registers: row x holds
+    its entries (x, y) for the y of sector_columns, ascending."""
+    element = np.asarray(element)
+    return [element[x, columns] for x, columns in enumerate(sector_columns(m, count))]

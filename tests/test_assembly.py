@@ -21,12 +21,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import udisc
-from conftest import element_spectra
+from conftest import element_spectra, sector_rows
 from udisc import discriminator, tensor_algebra
 from udisc.antisym import _WeightSectors, _weight_sectors, antisym_projector_from_basis
 from udisc.cli import main
 from udisc.discriminator import Povm, _assemble, family_povm, verify_unambiguous
-from udisc.io import write_povm
+from udisc.io import read_povm, write_povm
 from udisc.tensor_algebra import max_abs, own_register_first, reorder_factors
 
 # The five (family, m, n) of the certify benchmark, with the -0 tokens the oracle's file holds.
@@ -93,12 +93,24 @@ def test_drawn_sizes_match_the_kron_reorder_oracle(size):
     assert_matches_oracle(*size)
 
 
+def oracle_tokens(header, blocks):
+    """The tokens of a POVM file: the header's, then per element its label's and one "%.17g"
+    per double of its rows."""
+    tokens = header.split()
+    for i, rows in enumerate(blocks):
+        tokens += ["element", str(i)] + ["%.17g" % v for row in rows for v in row.view(np.float64)]
+    return np.array(tokens)
+
+
 @pytest.mark.parametrize("family,m,n", list(CERTIFY))
 def test_build_file_differs_from_the_oracle_file_only_at_negative_zeros(family, m, n, tmp_path, capsys):
+    """The POVM udisc build writes, written again in the dense layout, against the
+    oracle's elements in that layout."""
     built, oracle = tmp_path / "built.povm", tmp_path / "oracle.povm"
     assert main(["build", "--m", str(m), "--n", str(n), "--family", family,
                  "--out", str(built), "--format", "kv"]) == 0
     capsys.readouterr()
+    write_povm(built, Povm(m=m, n=n, elements=read_povm(built).elements))
     write_povm(oracle, Povm(m=m, n=n, elements=kron_reorder_elements(family, m, n)))
     got, expected = (np.array(p.read_text().split()) for p in (built, oracle))
     assert got.shape == expected.shape
@@ -106,6 +118,20 @@ def test_build_file_differs_from_the_oracle_file_only_at_negative_zeros(family, 
     differ = got != expected
     assert (expected[differ] == "-0").all() and (got[differ] == "0").all()
     assert np.count_nonzero(differ) == np.count_nonzero(expected == "-0") == CERTIFY[family, m, n]
+
+
+@pytest.mark.parametrize("family,m,n", list(CERTIFY))
+def test_sector_row_build_file_is_the_oracle_token_for_token(family, m, n, tmp_path, capsys):
+    """The sector-row file udisc build writes against the oracle's elements cut into sector
+    rows (conftest.sector_rows) and formatted with "%.17g": every −0.0 np.kron leaves lies
+    outside the weight sectors, so the two agree token for token."""
+    built = tmp_path / "built.povm"
+    assert main(["build", "--m", str(m), "--n", str(n), "--family", family,
+                 "--out", str(built), "--format", "kv"]) == 0
+    capsys.readouterr()
+    expected = oracle_tokens(f"povm-sectors {m} {n} {n + 1}",
+                             [sector_rows(m, n + 1, e) for e in kron_reorder_elements(family, m, n)])
+    assert np.array_equal(np.array(built.read_text().split()), expected)
 
 
 @pytest.mark.parametrize("family,m,n", list(CERTIFY))
@@ -178,3 +204,24 @@ def test_trivial_outcome_elements_are_one_array():
     assert all(d is povm._sectors[1] for d in povm._sectors[2:])
     elements = _assemble(4, 3, povm._sectors)
     assert all(e is elements[1] for e in elements[2:])
+
+
+def test_build_and_verify_at_universal_8_3_write_a_small_file_and_form_no_dense_element(tmp_path, capsys,
+                                                                                        monkeypatch):
+    """The north star: udisc build and udisc verify at (universal,8,3), 4096 x 4096
+    elements, write and read a sector-row file under 4 MB (270 MB in the dense layout)
+    and pass, without scattering or assembling an element."""
+    calls = []
+    real_scatter, real_assemble = _WeightSectors.scatter, discriminator._assemble
+    monkeypatch.setattr(_WeightSectors, "scatter",
+                        lambda index, d: calls.append("scatter") or real_scatter(index, d))
+    monkeypatch.setattr(discriminator, "_assemble",
+                        lambda *args: calls.append("_assemble") or real_assemble(*args))
+    path = tmp_path / "u83.povm"
+    assert main(["build", "--m", "8", "--n", "3", "--family", "universal", "--out", str(path),
+                 "--format", "kv"]) == 0
+    assert path.stat().st_size < 4_000_000
+    assert main(["verify", str(path), "--format", "kv"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "elements=4" in out and "verdict=pass" in out and "covariance=pass" in out
+    assert calls == []

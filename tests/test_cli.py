@@ -187,6 +187,17 @@ class TestVerify:
                        f"{DEFAULT_ENTRY_CAP} complex entries\n")
         assert out == ""
 
+    def test_oversized_sector_header_refused_at_once(self, tmp_path, capsys):
+        povm_file = tmp_path / "huge.povm"
+        povm_file.write_text("povm-sectors 1000000 1000000 1000001\nelement 0\n0 0\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", str(povm_file))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert err == (f"error: 1000000^1000001x1000000^1000001 POVM element exceeds the cap of "
+                       f"{DEFAULT_ENTRY_CAP} complex entries\n")
+        assert out == ""
+
     def test_element_count_refused_from_the_header(self, tmp_path, capsys):
         # k = 6 elements for n = 1; comments run past several read buffers before a non-ASCII byte
         comments = "# padding\n" * (4 * io.DEFAULT_BUFFER_SIZE // 10 + 1)

@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 from unittest import mock
 
@@ -7,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import rand_density, rand_states
+from conftest import rand_density, rand_states, sector_columns, sector_rows
 from udisc import io as udisc_io
 from udisc.antisym import _weight_sectors
 from udisc.discriminator import (
@@ -19,9 +20,19 @@ from udisc.discriminator import (
     family_povm,
     verify_unambiguous,
 )
-from udisc.errors import FormatError
+from udisc.config import DEFAULT_ENTRY_CAP, entry_cap
+from udisc.errors import CapExceeded, FormatError
 from udisc.io import read_density, read_povm, read_states, write_density, write_povm, write_states
 from udisc.tensor_algebra import max_abs
+
+# The two POVM file layouts: "dense" rows of m^(n+1) pairs, "sector" rows of the row's weight sector.
+LAYOUTS = ["dense", "sector"]
+
+
+def in_layout(layout, povm):
+    """What write_povm writes in the named layout: povm's explicit dense copy for "dense",
+    a built or sector POVM itself for "sector"."""
+    return Povm(povm.m, povm.n, elements=povm.elements) if layout == "dense" else povm
 
 
 class TestStateFiles:
@@ -110,10 +121,11 @@ class TestPovmFiles:
             assert np.array_equal(a, b)  # 17 significant digits round-trip exactly
         assert verify_unambiguous(loaded).passed
 
-    def test_truncated_povm(self, tmp_path):
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_truncated_povm(self, tmp_path, layout):
         povm = build_universal(3, 2)
         path = tmp_path / "povm.txt"
-        write_povm(path, povm)
+        write_povm(path, in_layout(layout, povm))
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-3]) + "\n")
         with pytest.raises(FormatError):
@@ -132,11 +144,15 @@ class TestPovmFiles:
             write_povm(path, povm)
         assert not path.exists()
 
-    @pytest.mark.parametrize("token,message", [("x", "element 1 row 3 contains a non-numeric"),
-                                               ("1 2", r"element 1 row 3 needs 8 complex pairs \(16 numbers\), got 17")])
-    def test_errors_name_the_row(self, tmp_path, token, message):
+    @pytest.mark.parametrize("layout,token,message", [
+        ("dense", "x", "element 1 row 3 contains a non-numeric"),
+        ("dense", "1 2", r"element 1 row 3 needs 8 complex pairs \(16 numbers\), got 17"),
+        ("sector", "x", "element 1 row 3 contains a non-numeric"),
+        ("sector", "1 2", r"element 1 row 3 needs 3 complex pairs \(6 numbers\), got 7"),  # sector {001, 010, 100}
+    ])
+    def test_errors_name_the_row(self, tmp_path, layout, token, message):
         path = tmp_path / "povm.txt"
-        write_povm(path, build_optimal_equal(2))
+        write_povm(path, in_layout(layout, build_optimal_equal(2)))
         lines = path.read_text().splitlines()
         row = lines.index("element 1") + 3
         lines[row] = lines[row].replace("0", token, 1)
@@ -154,7 +170,7 @@ class TestPovmFiles:
         rows = [" ".join(tokens[r:r + 6]) for r in range(0, len(tokens), 6)]
         path = tmp_path / "states.txt"
         path.write_text("states 3 5\n" + "\n".join(rows) + "\n")
-        _, (block,) = udisc_io._read_blocks(path, "states", 2, lambda m, n: ([None], n, m, "state set"))
+        _, (block,) = udisc_io._read_blocks(path, {"states": lambda m, n: ([None], n, m, "state set")}, 2)
         oracle = np.loadtxt(rows, dtype=np.float64, comments=None, ndmin=2)
         assert np.array_equal(block.view(np.float64).view(np.int64), oracle.view(np.int64))
 
@@ -191,23 +207,30 @@ class TestPovmRoundTripProperty:
 
 
 def row_format_write(path, header, blocks, comment=None):
-    """Oracle for io._write_blocks: one "%.17g" per number, one % operation per row."""
+    """Oracle for io._write_blocks: one "%.17g" per number, one % operation per row; a block
+    is a matrix or a list of rows of differing widths, each a 1-d complex array."""
     with open(path, "w", encoding="ascii") as fh:
         if comment:
             fh.write(f"# {comment}\n")
         fh.write(header + "\n")
-        for label, matrix in blocks:
+        for label, rows in blocks:
             if label is not None:
                 fh.write(label + "\n")
-            a = np.ascontiguousarray(matrix, dtype=complex)
-            row_format = " ".join(["%.17g %.17g"] * a.shape[1]) + "\n"
-            fh.writelines(row_format % tuple(row.view(float).tolist()) for row in a)
+            for row in rows:
+                row = np.ascontiguousarray(row, dtype=complex)
+                fh.write(" ".join(["%.17g %.17g"] * len(row)) % tuple(row.view(float).tolist()) + "\n")
 
 
-def oracle_povm_bytes(path, povm):
+def oracle_povm_bytes(path, povm, layout="dense"):
+    """The bytes of povm's elements in the named layout, written by row_format_write, with
+    the sector-row rows cut from the dense elements by conftest.sector_rows."""
     k = len(povm.elements)
     labels = [f"element {i}" for i in range(k)]
-    row_format_write(path, f"povm {povm.m} {povm.n} {k}", zip(labels, povm.elements))
+    if layout == "dense":
+        keyword, blocks = "povm", povm.elements
+    else:
+        keyword, blocks = "povm-sectors", [sector_rows(povm.m, povm.n + 1, e) for e in povm.elements]
+    row_format_write(path, f"{keyword} {povm.m} {povm.n} {k}", zip(labels, blocks))
     return path.read_bytes()
 
 
@@ -227,6 +250,17 @@ def bit_blocks(draw):
     return draw(arrays(np.int64, (rows, 2 * cols), elements=bit_patterns, fill=fill)).view(complex)
 
 
+@st.composite
+def ragged_blocks(draw):
+    """(bounds, bits): rows of 1 to 5 complex pairs, one pair (a sector of size 1) frequent,
+    row r holding the doubles bounds[r] to bounds[r + 1] of bits, arbitrary bit patterns
+    with repeats and +0.0 frequent."""
+    pairs = draw(st.lists(st.sampled_from([1, 1, 2, 3, 5]), min_size=1, max_size=12))
+    bounds = np.concatenate([[0], np.cumsum(2 * np.array(pairs))])
+    fill = st.sampled_from(SPECIAL_BITS)
+    return bounds, draw(arrays(np.int64, int(bounds[-1]), elements=bit_patterns, fill=fill))
+
+
 class TestInternedWriter:
     """io._write_blocks against the row-format oracle, byte for byte."""
 
@@ -243,22 +277,57 @@ class TestInternedWriter:
         row_format_write(folder / "old.txt", "head 1", blocks, comment="c")
         assert (folder / "new.txt").read_bytes() == (folder / "old.txt").read_bytes()
 
-    @pytest.mark.parametrize("chunk", [1, 4 * 54])  # 4 rows per chunk does not divide 27 rows
-    def test_chunk_size_leaves_the_bytes(self, tmp_path, monkeypatch, chunk):
+    @settings(max_examples=80, deadline=None)
+    @given(block=ragged_blocks(), chunk=st.sampled_from([1, 3, 8, 1 << 16]))
+    @example(block=(np.array([0, 2, 4, 10, 12, 16]), np.array(SPECIAL_BITS + [0])), chunk=3)
+    @example(block=(np.array([0, 2, 4, 6]), np.array([0, 0, -0x8000000000000000, 1, 0, 0])), chunk=1)
+    def test_ragged_rows_match_the_oracle_and_read_back(self, tmp_path_factory, block, chunk):
+        """Rows of differing widths: _block_text writes the oracle's bytes, and _scan_chunk
+        reads every chunk of finite doubles back bit for bit and leaves a chunk with a NaN
+        or an infinity to the row scan."""
+        bounds, bits = block
+        folder = tmp_path_factory.mktemp("ragged")
+        at = np.flatnonzero(bits)
+        rows = [bits[lo:hi].view(complex) for lo, hi in zip(bounds, bounds[1:])]
+        with mock.patch.object(udisc_io, "WRITE_CHUNK", chunk):
+            udisc_io._write_blocks(folder / "new.txt", "head 1", [("block a", (bounds, at, bits[at]))])
+            row_format_write(folder / "old.txt", "head 1", [("block a", rows)])
+            assert (folder / "new.txt").read_bytes() == (folder / "old.txt").read_bytes()
+            with open(folder / "new.txt", "rb") as fh:
+                lines = udisc_io._Lines(fh)
+                assert [lines.content_line(), lines.content_line()] == ["head 1", "block a"]
+                for first, stop in udisc_io._chunks(bounds):
+                    assert stop - first == 1 or bounds[stop] - bounds[first] <= chunk
+                    parsed = udisc_io._scan_chunk(*lines.take(stop - first), bounds[first:stop + 1] - bounds[first])
+                    written = bits[bounds[first]:bounds[stop]]
+                    if not np.isfinite(written.view(np.float64)).all():
+                        assert parsed is None
+                        continue
+                    tokens, values = parsed
+                    got = np.zeros(len(written))
+                    got[tokens] = values
+                    assert np.array_equal(got.view(np.int64), written)
+                assert lines.content_line() is None
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("chunk", [1, 4 * 54])  # 4 dense rows per chunk does not divide 27 rows
+    def test_chunk_size_leaves_the_bytes(self, tmp_path, monkeypatch, layout, chunk):
         povm = build_universal(3, 2)
         monkeypatch.setattr(udisc_io, "WRITE_CHUNK", chunk)
-        write_povm(tmp_path / "new.povm", povm)
-        assert (tmp_path / "new.povm").read_bytes() == oracle_povm_bytes(tmp_path / "old.povm", povm)
+        write_povm(tmp_path / "new.povm", in_layout(layout, povm))
+        assert (tmp_path / "new.povm").read_bytes() == oracle_povm_bytes(tmp_path / "old.povm", povm, layout)
 
+    @pytest.mark.parametrize("layout", LAYOUTS)
     @pytest.mark.parametrize("family,m,n", [("universal", 3, 2), ("optimal", 3, 3), ("universal", 5, 2),
                                             ("universal", 4, 3), ("trivial", 4, 3)])
-    def test_built_povms_match_the_oracle(self, tmp_path, family, m, n):
+    def test_built_povms_match_the_oracle(self, tmp_path, family, m, n, layout):
         povm = family_povm(family, m, n)
-        write_povm(tmp_path / "new.povm", povm)
-        assert (tmp_path / "new.povm").read_bytes() == oracle_povm_bytes(tmp_path / "old.povm", povm)
+        write_povm(tmp_path / "new.povm", in_layout(layout, povm))
+        assert (tmp_path / "new.povm").read_bytes() == oracle_povm_bytes(tmp_path / "old.povm", povm, layout)
 
-    def test_temporary_memory_is_bounded(self, tmp_path):
-        povm = family_povm("optimal", 4, 4)
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_temporary_memory_is_bounded(self, tmp_path, layout):
+        povm = in_layout(layout, family_povm("optimal", 4, 4))
         elements = povm.elements  # assembled before tracing: the bound excludes them
         tracemalloc.start()
         try:
@@ -270,13 +339,25 @@ class TestInternedWriter:
 
 
 def loadtxt_elements(path):
-    """Oracle for the POVM reader: each element block parsed by one np.loadtxt call."""
+    """Oracle for the POVM reader: each element of a dense file parsed by one np.loadtxt
+    call; each row of a sector-row file by one, put at its sector's columns
+    (conftest.sector_columns) of a dense element."""
     with open(path, encoding="ascii") as fh:
         lines = [s for s in map(str.strip, fh) if s and not s.startswith("#")]
-    m, n, k = (int(f) for f in lines[0].split()[1:])
+    keyword, m, n, k = lines[0].split()
+    m, n, k = int(m), int(n), int(k)
     dim = m ** (n + 1)
-    return [np.loadtxt(lines[2 + i * (dim + 1):1 + (i + 1) * (dim + 1)], dtype=np.float64,
-                       comments=None, ndmin=2) for i in range(k)]
+    blocks = [lines[2 + i * (dim + 1):1 + (i + 1) * (dim + 1)] for i in range(k)]
+    if keyword == "povm":
+        return [np.loadtxt(rows, dtype=np.float64, comments=None, ndmin=2) for rows in blocks]
+    columns = sector_columns(m, n + 1)
+    elements = []
+    for rows in blocks:
+        element = np.zeros((dim, dim), dtype=complex)
+        for x, row in enumerate(rows):
+            element[x, columns[x]] = np.loadtxt([row], dtype=np.float64, comments=None, ndmin=1).view(complex)
+        elements.append(element.view(np.float64))
+    return elements
 
 
 def same_bits(a, b):
@@ -307,6 +388,20 @@ def sparse_povms(draw):
     return Povm(m=m, n=n, elements=tuple(bits.view(complex)))
 
 
+@st.composite
+def sparse_sector_povms(draw):
+    """Sector POVMs (weight-sector entries d_k) of finite bit patterns, with a drawn share of
+    +0.0 and repeated values."""
+    m, n = draw(st.sampled_from([(1, 1), (2, 1), (3, 1), (2, 2), (3, 2)]))
+    size = len(_weight_sectors(m, n + 1).same)
+    bits = draw(arrays(np.int64, (n + 1, 2 * size), elements=finite_bits,
+                       fill=st.sampled_from(FINITE_SPECIALS)))
+    zero_share = draw(st.sampled_from([0.0, 0.5, 0.9, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bits[rng.random(bits.shape) < zero_share] = 0
+    return Povm(m=m, n=n, sectors=tuple(bits.view(complex)))
+
+
 class TestPovmScanner:
     """read_povm against the bits written and against the np.loadtxt oracle."""
 
@@ -325,26 +420,49 @@ class TestPovmScanner:
             assert same_bits(got, want)
             assert same_bits(got, expected)
 
+    @settings(max_examples=60, deadline=None)
+    @given(povm=sparse_sector_povms(), chunk=st.sampled_from([1, 3, 8, 1 << 16]), final_newline=st.booleans())
+    def test_sector_rows_match_the_written_and_the_oracle(self, tmp_path_factory, povm, chunk, final_newline):
+        path = tmp_path_factory.mktemp("scan") / "s.povm"
+        with mock.patch.object(udisc_io, "WRITE_CHUNK", chunk):
+            write_povm(path, povm)
+            if not final_newline:
+                path.write_bytes(path.read_bytes()[:-1])
+            loaded = read_povm(path)
+        assert path.read_text().startswith(f"povm-sectors {povm.m} {povm.n} {povm.n + 1}\n")
+        assert not loaded._explicit and loaded._elements is None
+        for got, want in zip(loaded._sectors, povm._sectors, strict=True):
+            assert same_bits(got, want)
+        for got, expected in zip(loaded.elements, loadtxt_elements(path), strict=True):
+            assert same_bits(got, expected)
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
     @pytest.mark.parametrize("family,m,n", [("universal", 3, 2), ("optimal", 3, 3), ("universal", 5, 2),
                                             ("universal", 4, 3), ("trivial", 4, 3)])
-    def test_built_files_match_the_oracle(self, tmp_path, family, m, n):
+    def test_built_files_match_the_oracle(self, tmp_path, family, m, n, layout):
         path = tmp_path / "b.povm"
-        write_povm(path, family_povm(family, m, n))
+        write_povm(path, in_layout(layout, family_povm(family, m, n)))
         for got, expected in zip(read_povm(path).elements, loadtxt_elements(path)):
             assert same_bits(got, expected)
 
+    @pytest.mark.parametrize("layout", LAYOUTS)
     @pytest.mark.parametrize("family,m,n,chunk", [
         ("universal", 3, 2, 1 << 16), ("optimal", 3, 3, 1 << 16), ("universal", 5, 2, 1 << 16),
         ("universal", 4, 3, 1 << 16), ("trivial", 4, 3, 1 << 16), ("optimal", 4, 4, 1 << 12),
-        ("dense", 4, 2, 1 << 16),  # standard-normal entries: no "0" token
+        ("random", 4, 2, 1 << 16),  # standard-normal entries: no "0" token
     ])
-    def test_writer_layout_is_read_without_the_row_scan(self, tmp_path, monkeypatch, family, m, n, chunk):
-        if family == "dense":
-            dim = m ** (n + 1)
-            bits = np.random.default_rng(12).standard_normal((n + 1, dim, 2 * dim))
-            povm = Povm(m=m, n=n, elements=tuple(bits.view(complex)))
+    def test_writer_layout_is_read_without_the_row_scan(self, tmp_path, monkeypatch, family, m, n, chunk,
+                                                        layout):
+        if family == "random":
+            rng = np.random.default_rng(12)
+            if layout == "dense":
+                dim = m ** (n + 1)
+                povm = Povm(m=m, n=n, elements=tuple(rng.standard_normal((n + 1, dim, 2 * dim)).view(complex)))
+            else:
+                size = len(_weight_sectors(m, n + 1).same)
+                povm = Povm(m=m, n=n, sectors=tuple(rng.standard_normal((n + 1, 2 * size)).view(complex)))
         else:
-            povm = family_povm(family, m, n)
+            povm = in_layout(layout, family_povm(family, m, n))
         path = tmp_path / "w.povm"
         write_povm(path, povm)
         monkeypatch.setattr(udisc_io, "WRITE_CHUNK", chunk)
@@ -352,21 +470,27 @@ class TestPovmScanner:
         for got, expected in zip(read_povm(path).elements, loadtxt_elements(path), strict=True):
             assert same_bits(got, expected)
 
-    @pytest.mark.parametrize("text", [
-        b"\n0 1 0 1\n1 0 1 0\n5",  # content after the last separator
-        b"\n0 1 0 1\n1 0 1\n",  # the last row one token short
-        b"\n0 1 0\n1 1 0 1 0\n",  # a row end one token early, made up in the next row
-        b"\n0 1\n0 1\n1 0 1 0\n",  # a newline in place of a space
-        b"\n0 1 0 1\n1  0 1\n",  # an empty token
+    @pytest.mark.parametrize("text,bounds", [
+        (b"\n0 1 0 1\n1 0 1 0\n5", [0, 4, 8]),  # content after the last separator
+        (b"\n0 1 0 1\n1 0 1\n", [0, 4, 8]),  # the last row one token short
+        (b"\n0 1 0\n1 1 0 1 0\n", [0, 4, 8]),  # a row end one token early, made up in the next row
+        (b"\n0 1\n0 1\n1 0 1 0\n", [0, 4, 8]),  # a newline in place of a space
+        (b"\n0 1 0 1\n1  0 1\n", [0, 4, 8]),  # an empty token
+        (b"\n0 1 0 1\n1 0\n", [0, 2, 8]),  # ragged rows swapped: the widths of another layout
+        (b"\n0 1\n1 0 1 0 1 0\n", [0, 2, 6]),  # the second row one pair long
+        (b"\n0 1\n", [0, 2, 4]),  # a row missing
     ])
-    def test_chunks_off_the_writer_layout_are_left_to_the_row_scan(self, text):
-        assert udisc_io._scan_chunk(text, 0, len(text) - 1, 2, 4) is None
+    def test_chunks_off_the_writer_layout_are_left_to_the_row_scan(self, text, bounds):
+        assert udisc_io._scan_chunk(text, 0, len(text) - 1, np.array(bounds)) is None
         good = b"# label\n0 1 0 1\n1 0 1 0\n"
-        tokens, values = udisc_io._scan_chunk(good, 7, len(good) - 1, 2, 4)
+        tokens, values = udisc_io._scan_chunk(good, 7, len(good) - 1, np.array([0, 4, 8]))
         out = np.zeros(8)
         out[tokens] = values
         assert np.array_equal(out.reshape(2, 4), [[0, 1, 0, 1], [1, 0, 1, 0]])
         assert tokens.tolist() == [1, 3, 4, 6]  # the "0" tokens are left out
+        ragged = b"\n0 1\n1 0 1 0 0 2\n0 0\n"
+        tokens, values = udisc_io._scan_chunk(ragged, 0, len(ragged) - 1, np.array([0, 2, 8, 10]))
+        assert tokens.tolist() == [1, 2, 4, 7] and values.tolist() == [1, 1, 1, 2]
 
     @staticmethod
     def _edit(lines, edit):
@@ -400,43 +524,75 @@ class TestPovmScanner:
             return out
         raise ValueError(edit)
 
-    @pytest.mark.parametrize("chunk", [4 * 54, 1 << 16])  # 4 rows of 27 per chunk, or a whole block
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("chunk", [4 * 54, 1 << 16])  # 4 dense rows of 27 per chunk, or a whole block
     @pytest.mark.parametrize("edit", ["tabs", "double_spaces", "surrounding_whitespace",
                                       "comments_and_blank_lines", "spellings", "crlf"])
-    def test_hand_edited_files_read_the_same_doubles(self, tmp_path, monkeypatch, chunk, edit):
+    def test_hand_edited_files_read_the_same_doubles(self, tmp_path, monkeypatch, chunk, edit, layout):
         povm = build_universal(3, 2)
         path = tmp_path / "e.povm"
-        write_povm(path, povm)
+        write_povm(path, in_layout(layout, povm))
         lines = path.read_text().splitlines()
         if edit == "crlf":
             path.write_bytes(("\r\n".join(lines) + "\r\n").encode("ascii"))
         else:
             path.write_text("\n".join(self._edit(lines, edit)) + "\n")
         monkeypatch.setattr(udisc_io, "WRITE_CHUNK", chunk)
-        for got, want in zip(read_povm(path).elements, povm.elements):
+        row_scan = mock.Mock(wraps=udisc_io._scan_rows)
+        monkeypatch.setattr(udisc_io, "_scan_rows", row_scan)
+        loaded = read_povm(path)
+        assert loaded._elements is None  # no off-sector mass, on either layout
+        for got, want in zip(loaded.elements, povm.elements, strict=True):
             assert same_bits(got, want)
+        if edit == "crlf":
+            assert not row_scan.called
+        elif edit != "spellings":
+            assert row_scan.called
 
-    @pytest.mark.parametrize("chunk", [4 * 54, 1 << 16])
-    @pytest.mark.parametrize("element,defect,message", [
+    # universal (3,2): row 11 is |101>, of the sector {011, 101, 110}; row 12 is |102>, of a
+    # sector of 6; row 27 is |222>, a sector of its own
+    DENSE_ROW_ERRORS = [
         (2, "x", "element 2 row 11 contains a non-numeric token"),
         (2, "0-5", "element 2 row 11 contains a non-numeric token"),  # "-5" after its "0"
         (2, "nan", "element 2 row 11 holds a non-finite number"),
         (2, "inf", "element 2 row 11 holds a non-finite number"),
         (2, "-inf", "element 2 row 11 holds a non-finite number"),
         (2, "extra", r"element 2 row 11 needs 27 complex pairs \(54 numbers\), got 55"),
+        (2, "short", r"element 2 row 11 needs 27 complex pairs \(54 numbers\), got 53"),
         (2, "gap", r"element 2 row 11 needs 27 complex pairs \(54 numbers\), got 53"),
         (2, "missing", r"element 2 row 27 needs 27 complex pairs \(54 numbers\), got 0"),
         (1, "missing", r"element 1 row 27 needs 27 complex pairs \(54 numbers\), got 2"),
-    ])
-    def test_errors_name_the_block_and_row(self, tmp_path, monkeypatch, chunk, element, defect, message):
+        (2, "last", r"element 2 row 27 needs 27 complex pairs \(54 numbers\), got 0"),
+    ]
+    SECTOR_ROW_ERRORS = [
+        (2, "x", "element 2 row 11 contains a non-numeric token"),
+        (2, "0-5", "element 2 row 11 contains a non-numeric token"),
+        (2, "nan", "element 2 row 11 holds a non-finite number"),
+        (2, "inf", "element 2 row 11 holds a non-finite number"),
+        (2, "-inf", "element 2 row 11 holds a non-finite number"),
+        (2, "extra", r"element 2 row 11 needs 3 complex pairs \(6 numbers\), got 7"),
+        (2, "short", r"element 2 row 11 needs 3 complex pairs \(6 numbers\), got 5"),
+        (2, "gap", r"element 2 row 11 needs 3 complex pairs \(6 numbers\), got 5"),
+        (2, "missing", r"element 2 row 11 needs 3 complex pairs \(6 numbers\), got 12"),
+        (1, "missing", r"element 1 row 11 needs 3 complex pairs \(6 numbers\), got 12"),
+        (2, "last", r"element 2 row 27 needs 1 complex pairs \(2 numbers\), got 0"),
+        (1, "last", "element 1 row 27 contains a non-numeric token"),  # "element 2", two tokens
+    ]
+
+    @pytest.mark.parametrize("chunk", [4 * 54, 1 << 16])
+    @pytest.mark.parametrize("layout,element,defect,message", [("dense", *e) for e in DENSE_ROW_ERRORS]
+                             + [("sector", *e) for e in SECTOR_ROW_ERRORS])
+    def test_errors_name_the_block_and_row(self, tmp_path, monkeypatch, chunk, layout, element, defect, message):
         path = tmp_path / "bad.povm"
-        write_povm(path, build_universal(3, 2))
+        write_povm(path, in_layout(layout, build_universal(3, 2)))
         lines = path.read_text().splitlines()
-        row = lines.index(f"element {element}") + 11
-        if defect == "missing":
+        row = lines.index(f"element {element}") + (27 if defect == "last" else 11)
+        if defect in ("missing", "last"):
             del lines[row]
         elif defect == "extra":
             lines[row] += " 0"
+        elif defect == "short":
+            lines[row] = lines[row].rsplit(" ", 1)[0]
         elif defect == "gap":  # a token gone and two spaces in its place: as many separators
             tokens = lines[row].split(" ")
             lines[row] = tokens[0] + "  " + " ".join(tokens[2:])
@@ -447,10 +603,12 @@ class TestPovmScanner:
         with pytest.raises(FormatError, match=message):
             read_povm(path)
 
+    @pytest.mark.parametrize("layout", LAYOUTS)
     @pytest.mark.parametrize("chunk", [1 << 12, 1 << 16])
-    def test_temporary_memory_is_set_by_the_chunk(self, tmp_path, monkeypatch, chunk):
+    def test_temporary_memory_is_set_by_the_chunk(self, tmp_path, monkeypatch, chunk, layout):
         path = tmp_path / "u43.povm"
-        write_povm(path, family_povm("universal", 4, 3))  # 1.1 MB, four blocks of 256 rows
+        # dense: 1.1 MB, four blocks of 256 rows of 512 numbers; sector rows: 105 KB
+        write_povm(path, in_layout(layout, family_povm("universal", 4, 3)))
         monkeypatch.setattr(udisc_io, "WRITE_CHUNK", chunk)
         read_povm(path)
         tracemalloc.start()
@@ -484,25 +642,57 @@ def with_off_sector_token(path, element, row, value="1e-3"):
     return row, column
 
 
-class TestSectorRoute:
-    """A built file is read as weight-sector entries; any off-sector mass sends it dense."""
+def with_sector_token(path, element, row, value):
+    """Edit one token of a sector-row file, the imaginary part of the row's first pair (row,
+    y), y the least of the row's weight sector ("0" in a built file), into value; returns
+    its (row, column)."""
+    povm = read_povm(path)
+    column = int(sector_columns(povm.m, povm.n + 1)[row][0])
+    lines = path.read_text().split("\n")
+    at = lines.index(f"element {element}") + 1 + row
+    tokens = lines[at].split(" ")
+    assert tokens[1] == "0"
+    tokens[1] = value
+    lines[at] = " ".join(tokens)
+    path.write_text("\n".join(lines))
+    return row, column
 
+
+class TestSectorRoute:
+    """A built file is read as weight-sector entries, in either layout; any off-sector mass
+    sends a dense file dense."""
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
     @pytest.mark.parametrize("family,m,n", CERTIFY + [("optimal", 2, 2), ("optimal", 4, 4)])
-    def test_read_back_and_written_again_gives_the_same_bytes(self, tmp_path, family, m, n):
+    def test_read_back_and_written_again_gives_the_same_bytes(self, tmp_path, family, m, n, layout):
         path = tmp_path / "built.povm"
-        write_povm(path, family_povm(family, m, n))
+        write_povm(path, in_layout(layout, family_povm(family, m, n)))
         povm = read_povm(path)
         assert not povm._explicit and povm._elements is None
-        write_povm(tmp_path / "again.povm", povm)
+        write_povm(tmp_path / "sector.povm", povm)  # a sector POVM: the sector-row layout
         assert povm._elements is None
+        write_povm(tmp_path / "again.povm", in_layout(layout, povm))
         assert (tmp_path / "again.povm").read_bytes() == path.read_bytes()
-        assert oracle_povm_bytes(tmp_path / "oracle.povm", povm) == path.read_bytes()
+        assert oracle_povm_bytes(tmp_path / "oracle.povm", povm, layout) == path.read_bytes()
+        sector_bytes = oracle_povm_bytes(tmp_path / "oracle.povm", povm, "sector")
+        assert (tmp_path / "sector.povm").read_bytes() == sector_bytes
+
+    @pytest.mark.parametrize("family,m,n", CERTIFY + [("optimal", 2, 2), ("optimal", 4, 4)])
+    def test_both_layouts_read_to_the_same_sector_entries(self, tmp_path, family, m, n):
+        built = family_povm(family, m, n)
+        write_povm(tmp_path / "s.povm", built)
+        write_povm(tmp_path / "d.povm", Povm(m, n, elements=built.elements))
+        assert (tmp_path / "s.povm").stat().st_size < (tmp_path / "d.povm").stat().st_size
+        sector, dense = read_povm(tmp_path / "s.povm"), read_povm(tmp_path / "d.povm")
+        for a, b, c in zip(sector._sectors, dense._sectors, built._sectors, strict=True):
+            assert same_bits(a, b) and same_bits(a, c)
 
     @pytest.mark.parametrize("family,m,n", CERTIFY)
     @pytest.mark.parametrize("element,row", [(0, 0), (-1, -1), (1, 5)])
     def test_both_reader_routes_match_loadtxt(self, tmp_path, family, m, n, element, row):
         path = tmp_path / "built.povm"
-        write_povm(path, family_povm(family, m, n))
+        built = family_povm(family, m, n)
+        write_povm(path, Povm(m, n, elements=built.elements))
         sector = read_povm(path)
         for got, expected in zip(sector.elements, loadtxt_elements(path), strict=True):
             assert same_bits(got, expected)
@@ -513,15 +703,43 @@ class TestSectorRoute:
         for got, expected in zip(dense.elements, loadtxt_elements(path), strict=True):
             assert same_bits(got, expected)
 
+    @pytest.mark.parametrize("family,m,n", CERTIFY)
+    @pytest.mark.parametrize("element,row", [(0, 0), (-1, -1), (1, 5)])
+    def test_sector_rows_with_an_edited_token_match_loadtxt(self, tmp_path, family, m, n, element, row):
+        path = tmp_path / "built.povm"
+        write_povm(path, family_povm(family, m, n))
+        for got, expected in zip(read_povm(path).elements, loadtxt_elements(path), strict=True):
+            assert same_bits(got, expected)
+        element, row = element % (n + 1), row % m ** (n + 1)
+        row, column = with_sector_token(path, element, row, "1e-3")
+        edited = read_povm(path)
+        assert not edited._explicit and edited.elements[element][row, column].imag == 1e-3
+        for got, expected in zip(edited.elements, loadtxt_elements(path), strict=True):
+            assert same_bits(got, expected)
+
     @pytest.mark.parametrize("value", ["-0", "-0.0", "0.0", "+0"])
     def test_signed_zero_off_the_sectors_goes_dense_and_plus_zero_does_not(self, tmp_path, value):
         path = tmp_path / "built.povm"
-        write_povm(path, family_povm("universal", 3, 2))
+        write_povm(path, Povm(3, 2, elements=family_povm("universal", 3, 2).elements))
         with_off_sector_token(path, 2, 26, value)
         povm = read_povm(path)
         assert povm._explicit == value.startswith("-")
         for got, expected in zip(povm.elements, loadtxt_elements(path), strict=True):
             assert same_bits(got, expected)
+
+    @pytest.mark.parametrize("value", ["-0", "-0.0", "0.0", "+0"])
+    def test_signed_zero_in_a_sector_row_file_keeps_its_sign(self, tmp_path, value):
+        path = tmp_path / "built.povm"
+        write_povm(path, family_povm("universal", 3, 2))
+        built = path.read_bytes()
+        row, column = with_sector_token(path, 2, 26, value)
+        povm = read_povm(path)
+        assert not povm._explicit
+        assert np.signbit(povm.elements[2][row, column].imag) == value.startswith("-")
+        for got, expected in zip(povm.elements, loadtxt_elements(path), strict=True):
+            assert same_bits(got, expected)
+        write_povm(tmp_path / "again.povm", povm)
+        assert ((tmp_path / "again.povm").read_bytes() == built) != value.startswith("-")
 
     def test_write_read_verify_peak_is_under_a_quarter_of_an_element(self, tmp_path):
         """At (optimal,4,4) a built POVM is written, read back, verified and checked for
@@ -541,3 +759,39 @@ class TestSectorRoute:
             tracemalloc.stop()
         assert loaded._elements is None
         assert peak < (16 << 20) / 4
+
+
+class TestSectorRowFiles:
+    """Headers of the sector-row layout, refused before any row is read."""
+
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_element_count_other_than_n_plus_1_is_refused(self, tmp_path, k):
+        path = tmp_path / "k.povm"
+        path.write_text(f"povm-sectors 3 2 {k}\nelement 0\n1 0\n")
+        with pytest.raises(FormatError, match=rf"declares {k} elements; a POVM on n=2 states has n\+1 = 3"):
+            read_povm(path)
+
+    def test_oversized_header_is_refused_before_its_dimension_is_formed(self, tmp_path):
+        path = tmp_path / "huge.povm"
+        path.write_text("povm-sectors 1000000 1000000 1000001\nelement 0\n0 0\n")
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded, match=rf"^1000000\^1000001x1000000\^1000001 POVM element exceeds "
+                                              rf"the cap of {DEFAULT_ENTRY_CAP} complex entries$"):
+            read_povm(path)
+        assert time.perf_counter() - start < 1.0
+
+    def test_element_size_is_checked_against_the_budget(self, tmp_path):
+        path = tmp_path / "u32.povm"
+        write_povm(path, build_universal(3, 2))  # 27 x 27 = 729 entries per element, 1585 bytes
+        with entry_cap(728), pytest.raises(CapExceeded, match="27x27 POVM element"):
+            read_povm(path)
+        with entry_cap(729):
+            assert verify_unambiguous(read_povm(path)).passed
+
+    @pytest.mark.parametrize("header", ["povm-sector 3 2 3", "sectors 3 2 3", "povm-sectors 3 2"])
+    def test_unknown_header_names_both_layouts(self, tmp_path, header):
+        path = tmp_path / "h.povm"
+        path.write_text(header + "\nelement 0\n1 0\n")
+        with pytest.raises(FormatError, match="expected header 'povm <int> <int> <int>' or "
+                                              "'povm-sectors <int> <int> <int>'"):
+            read_povm(path)

@@ -30,7 +30,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import permutation_operator, rand_psd, rand_unitary
+from conftest import permutation_operator, rand_psd, rand_unitary, sector_columns
 import udisc
 from udisc import tensor_algebra
 from udisc import discriminator
@@ -51,7 +51,7 @@ from udisc.discriminator import (
 )
 from udisc.cli import main
 from udisc.errors import InvalidPovm
-from udisc.io import read_povm
+from udisc.io import read_povm, write_povm
 from udisc.tensor_algebra import as_complex_matrix, kron_chain, max_abs, partial_trace, reorder_factors
 
 ROUTE_TOL = 1e-14
@@ -325,7 +325,7 @@ def test_weight_sector_index_is_built_once_and_read_only():
     complement = discriminator._complement_entries(3, 2)
     assert discriminator._complement_entries(3, 2) is complement
     for a in (index.transposed, index.swapped(1, 2), *index.shifted, index.identity, index.rows,
-              index.cols, index.digits, index.same, index.diagonal, *index.row_major,
+              index.cols, index.digits, index.same, index.diagonal, index.row_major,
               *index.traced(2), complement):
         with pytest.raises(ValueError):
             a[(0,) * a.ndim] = 1
@@ -635,41 +635,76 @@ def test_sector_route_allocates_less_than_one_element(family, m, n):
     assert peak < povm.elements[0].nbytes
 
 
-def built_file(tmp_path, family, m, n):
+def built_file(tmp_path, family, m, n, layout="sector"):
+    """The file udisc build writes (the sector-row layout), or for layout "dense" its POVM
+    written again explicitly, as Povm(m, n, elements=...)."""
     path = tmp_path / f"{family}_{m}_{n}.povm"
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["build", "--m", str(m), "--n", str(n), "--family", family, "--out", str(path)]) == 0
+    if layout == "dense":
+        write_povm(path, Povm(m=m, n=n, elements=read_povm(path).elements))
     return path
 
 
+@pytest.mark.parametrize("layout", ["dense", "sector"])
 @pytest.mark.parametrize("family,m,n", CASES)
-def test_routes_agree_on_built_files(family, m, n, tmp_path):
-    povm = read_povm(built_file(tmp_path, family, m, n))
+def test_routes_agree_on_built_files(family, m, n, layout, tmp_path):
+    povm = read_povm(built_file(tmp_path, family, m, n, layout))
     assert not povm._explicit and povm._sectors is not None
     assert verify_unambiguous(povm).passed and check_covariance(povm).passed
     assert_routes_agree(povm)
+
+
+def with_token(path, element, row, column, part, value):
+    """Edit the token of a POVM file holding the real (part 0) or imaginary (part 1) part of
+    pair (row, column) of an element, at its place in either layout, into value."""
+    lines = path.read_text().split("\n")
+    at = lines.index(f"element {element}") + 1 + row
+    if lines[0].startswith("povm-sectors"):
+        m, n = (int(f) for f in lines[0].split()[1:3])
+        column = list(sector_columns(m, n + 1)[row]).index(column)
+    tokens = lines[at].split(" ")
+    assert tokens[2 * column + part] == "0"
+    tokens[2 * column + part] = value
+    lines[at] = " ".join(tokens)
+    path.write_text("\n".join(lines))
 
 
 @pytest.mark.parametrize("family,m,n", CASES)
 @pytest.mark.parametrize("last", [True, False], ids=["last_row_of_last_element", "first_row_of_element_0"])
 @pytest.mark.parametrize("value", ["1e-300", "0.25"])
 def test_routes_agree_on_built_files_with_an_off_sector_token(family, m, n, last, value, tmp_path):
-    """One nonzero token between two weight sectors sends the file to the dense route, at
-    its first row or after every other block was read as sector entries."""
-    path = built_file(tmp_path, family, m, n)
+    """One nonzero token between two weight sectors sends a dense file to the dense route,
+    at its first row or after every other block was read as sector entries."""
+    path = built_file(tmp_path, family, m, n, "dense")
     k, row = (n, m ** (n + 1) - 1) if last else (0, 0)
     column = int(np.flatnonzero(~same_sector(m, n + 1)[row])[0])
-    lines = path.read_text().split("\n")
-    at = lines.index(f"element {k}") + 1 + row
-    tokens = lines[at].split(" ")
-    assert tokens[2 * column] == "0"
-    tokens[2 * column] = value
-    lines[at] = " ".join(tokens)
-    path.write_text("\n".join(lines))
+    with_token(path, k, row, column, 0, value)
     povm = read_povm(path)
     assert povm._explicit and povm._sectors is None
     expected = [e.copy() for e in family_povm(family, m, n).elements]
     expected[k][row, column] = float(value)
+    for got, want in zip(povm.elements, expected, strict=True):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert_routes_agree(povm)
+
+
+@pytest.mark.parametrize("layout", ["dense", "sector"])
+@pytest.mark.parametrize("family,m,n", CASES)
+@pytest.mark.parametrize("last", [True, False], ids=["last_row_of_last_element", "first_row_of_element_0"])
+@pytest.mark.parametrize("value", ["1e-300", "0.25"])
+def test_routes_agree_on_built_files_with_an_in_sector_token(family, m, n, last, value, layout, tmp_path):
+    """One token inside a weight sector, the imaginary part of the row's first same-sector
+    pair, keeps either layout on the sector route, at its first row or in its last block;
+    a non-Hermitian element then gives the dense route's error."""
+    path = built_file(tmp_path, family, m, n, layout)
+    k, row = (n, m ** (n + 1) - 1) if last else (0, 0)
+    column = int(np.flatnonzero(same_sector(m, n + 1)[row])[0])
+    with_token(path, k, row, column, 1, value)
+    povm = read_povm(path)
+    assert not povm._explicit and povm._sectors is not None
+    expected = [e.copy() for e in family_povm(family, m, n).elements]
+    expected[k][row, column] += 1j * float(value)
     for got, want in zip(povm.elements, expected, strict=True):
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
     assert_routes_agree(povm)
