@@ -165,9 +165,9 @@ class _WeightSectors:
     rows, cols: the row and the column of each pair of same;
     identity: whether each pair of same is diagonal, the identity's entries.
 
-    position maps pairs to their place in same by three per-state arrays.
-    The writer's row_major order and the checks' maps (transposed, swapped,
-    shifted, traced, diagonal) are built on first use and kept.
+    _position maps pairs to their place in same by three per-state arrays.
+    The POVM file codec's row_major order and the checks' maps (transposed,
+    swapped, shifted, traced, diagonal) are built on first use and kept.
     """
 
     def __init__(self, m: int, count: int):
@@ -176,7 +176,7 @@ class _WeightSectors:
                                     return_inverse=True, return_counts=True)
         size = sizes[label]
         order = np.lexsort((label, size))  # by sector size, then sector, then index
-        distinct = np.unique(sizes)
+        distinct = sorted_distinct(sizes)
         runs = np.split(order, np.cumsum(np.bincount(size)[distinct])[:-1])
         sectors = [run.reshape(-1, s) for run, s in zip(runs, distinct)]  # (sectors, size) per size
         same = np.concatenate([(idx[:, :, None] * m**count + idx[:, None, :]).ravel() for idx in sectors])
@@ -233,13 +233,9 @@ class _WeightSectors:
         order.setflags(write=False)
         return order
 
-    def position(self, flat: np.ndarray) -> np.ndarray:
-        """Position in same of each flat index, len(same) for a pair outside the sectors;
-        read-only."""
-        return self._position(*np.divmod(flat, len(self.digits)))
-
     def _position(self, row: np.ndarray, col: np.ndarray) -> np.ndarray:
-        """position of the pairs (row, col), broadcast together."""
+        """Position in same of the pairs (row, col), broadcast together, len(same) for a
+        pair outside the sectors; read-only."""
         out = np.where(self._block[row] == self._block[col], self._row[row] + self._local[col], len(self.same))
         out.setflags(write=False)
         return out

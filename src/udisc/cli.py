@@ -7,10 +7,12 @@ machine-readable ``key=value`` lines carrying the same numbers as the text
 mode.  ``main`` enters config.entry_cap(--cap) once.  The budget bounds
 every block an input file declares and the elements ``build`` writes.
 ``build`` and ``verify`` form no dense element for a built family or a
-file with no off-sector mass (they work on weight-sector entries, and
-``build`` writes them in io's sector-row layout); prob,
-sample and mixed use the closed-form outcome probabilities of the built
-families and form no dense operator.
+sector-row file (they work on weight-sector entries, and ``build`` writes
+them in io's sector-row layout); ``verify`` reads a dense file as its
+dense elements and checks them on the sector route when they are zero
+outside their weight sectors, with the same output.  prob, sample and
+mixed use the closed-form outcome probabilities of the built families and
+form no dense operator.
 """
 
 from __future__ import annotations

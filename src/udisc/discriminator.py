@@ -14,15 +14,17 @@ Outcome probabilities of product inputs come from Gram determinants.
 Every element the paper builds commutes with each collective unitary
 U^⊗(n+1), so it is zero outside its weight sectors (antisym._weight_sectors,
 the one index the builders, the checks and the POVM file codec read).  A
-built POVM, and a file read_povm finds zero outside the sectors, holds
-only its weight-sector entries d_k (Povm): the writer writes them, in
-the sector-row file layout (io), and every check reads them
+built POVM, and one read_povm reads from a sector-row file, holds only
+its weight-sector entries d_k (Povm): the writer writes them, in the
+sector-row file layout (io), and every check reads them
 (verify_unambiguous, check_covariance), with the dense residuals bit for
 bit except the leakage and the reduction, whose sums run in another
-order.  Dense elements are scattered from d_k only
-when something reads Povm.elements, under the dense-storage budget in
-force then (config.entry_cap).  An explicit POVM with a nonzero entry
-outside its sectors takes the dense route of every check.  Unitary
+order.  Dense elements are scattered from d_k only when something reads
+Povm.elements, under the dense-storage budget in force then
+(config.entry_cap).  An explicit POVM, as read_povm reads a dense file,
+is gathered once into d_k (Povm._sector_split): with no nonzero entry
+outside its sectors it takes the same sector route, and otherwise the
+dense route of every check.  Unitary
 invariance is proven, not sampled, from one cyclic generator
 (_unitary_residual).  The index's maps and the entries of I − Φ are built
 on first use and kept, read-only.
@@ -87,8 +89,8 @@ class Povm:
     - built (family_povm and the build_* functions): its family and
       coefficient c, whose weight-sector entries are formed on first use;
     - sector: the weight-sector entries d_k of each element (sectors), zero
-      outside them, as read_povm keeps a sector-row file or a dense file
-      with no off-sector mass.
+      outside them, as read_povm reads a sector-row file (a dense file is
+      read as an explicit POVM).
     A built or sector POVM is zero outside its weight sectors, and the checks
     and the writer read its d_k; its dense elements are scattered from them
     only when something reads elements, under the dense-storage budget in

@@ -17,7 +17,10 @@ sector file     header ``povm-sectors m n k`` with k = n+1, then for each
 
 write_povm writes a built or sector POVM (discriminator.Povm) in the
 sector-row layout and an explicit one in the dense layout; read_povm reads
-both.
+a sector-row file into a sector POVM and a dense file into an explicit one,
+so writing what was read gives back the file's bytes in either layout.  The
+writers refuse a NaN or an infinity, which the readers refuse, before the
+file is opened.
 
 All are a header and blocks of rows, written and read by one codec, for
 which row r of a block holds the numbers bounds[r] to bounds[r + 1]: a
@@ -44,25 +47,22 @@ that is the one byte "0" is +0.0 and is not parsed, and each distinct other
 token is parsed once by float().  Any other chunk (tabs, runs of spaces, a
 comment or blank line inside the block, a wrong token count, a token
 float() refuses) is read row by row with float(), which names the bad row
-and accepts float()'s spellings ("1_0").  A state or density block, a few
-rows of distinct numbers, takes that row-by-row scan.  A NaN or an infinity
-is refused where it is read, naming the file, the block and the row.
+and accepts float()'s spellings ("1_0").  Each block's numbers go into one
+array in the file's order.  A state or density block, a few rows of
+distinct numbers, takes that row-by-row scan.  A NaN or an infinity is
+refused where it is read, naming the file, the block and the row.
 
-A sector-row block holds only weight-sector entries, so its numbers go
-straight into the sector entries d_k, with no dense fallback: the budget
-bounds the m^(n+1) x m^(n+1) element the header declares, which is never
-formed, and the reader holds n+1 arrays of |same| entries plus one block's
-numbers and about one chunk.  In a dense block each nonzero number is
-mapped to its flat pair and to that pair's position in the weight-sector
-index.  While every one lies on a same-sector pair, read_povm keeps only
-the sector entries d_k, as on the sector-row layout.  At the first nonzero
-number outside the sectors, what has been read is scattered into dense
-elements and the file is finished on the dense route, which holds n+1
-elements of m^(n+1) x m^(n+1) entries, each within the budget.
+The header word alone picks what a POVM file becomes.  A dense block is
+one explicit element of m^(n+1) x m^(n+1) entries, within the budget.  A
+sector-row block holds only weight-sector entries, which go into its d_k as
+soon as the block is read: the budget bounds the element the header
+declares, which is never formed, and the reader holds n+1 arrays of |same|
+entries plus one block's numbers and about one chunk.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from functools import cache, partial
 
@@ -290,39 +290,31 @@ class _Lines:
                 return line
 
 
-def _read_rows(lines: _Lines, rows: int, cols: int, where: str) -> np.ndarray:
-    """A block as a rows x cols complex array, from its next rows content lines, by
-    _scan_rows: (re, im) pairs bit for bit, -0.0 included."""
-    values = np.empty((rows, 2 * cols))
-    _scan_rows(lines.content(rows), values.reshape(-1), np.arange(rows + 1) * 2 * cols, where)
-    return values.view(complex)
-
-
-def _scan_block(lines: _Lines, bounds: np.ndarray, where: str):
-    """Yield (tokens, values) for each row chunk (_chunks) of a POVM block whose row r holds
-    numbers bounds[r] to bounds[r + 1]: the numbers of the chunk, numbered in the block,
-    that are not the token "0", and their doubles (the +0.0 of a token such as "0.0"
-    among them).
+def _scan_block(lines: _Lines, bounds: np.ndarray, where: str) -> np.ndarray:
+    """The numbers of a POVM block whose row r holds numbers bounds[r] to bounds[r + 1], as
+    one float64 array, read from its next content lines in row chunks (_chunks): (re, im)
+    pairs bit for bit, -0.0 included.
 
     A chunk holds at most WRITE_CHUNK numbers (at least one row), as the
-    writer's do.  A chunk in the writer's layout is parsed by _scan_chunk.
-    Any other chunk (other whitespace, a comment or blank line, a wrong
-    token count, a token float() refuses) has its comment and blank lines
-    dropped, is topped up to its row count from the content lines that
-    follow, and goes to _scan_rows, which names a bad row; its tokens are
-    then its nonzero doubles, -0.0 included.
+    writer's do.  A chunk in the writer's layout is parsed by _scan_chunk,
+    whose tokens other than "0" are put at their places.  Any other chunk
+    (other whitespace, a comment or blank line, a wrong token count, a token
+    float() refuses) has its comment and blank lines dropped, is topped up
+    to its row count from the content lines that follow, and goes to
+    _scan_rows, which writes its numbers in place or names a bad row.
     """
+    numbers = np.zeros(bounds[-1])
     for first, stop in _chunks(bounds):
         rows = bounds[first:stop + 1] - bounds[first]
+        chunk = numbers[bounds[first]:bounds[stop]]
         taken = lines.take(stop - first)
         parsed = _scan_chunk(*taken, rows)
         if parsed is None:
-            chunk = np.empty(rows[-1])
             _scan_rows(lines.content(stop - first, taken), chunk, rows, where, first)
-            tokens = np.flatnonzero(chunk.view(np.int64))
-            parsed = tokens, chunk[tokens]
-        tokens, values = parsed
-        yield tokens + bounds[first], values
+        else:
+            tokens, values = parsed
+            chunk[tokens] = values
+    return numbers
 
 
 def _scan_chunk(buf: bytes, start: int, end: int, bounds: np.ndarray):
@@ -379,24 +371,19 @@ def _scan_chunk(buf: bytes, start: int, end: int, bounds: np.ndarray):
     return (begin - units[:-1]) // 2 + np.arange(len(begin)), values
 
 
-def _read_blocks(path, layouts: dict, fields: int, read=_read_rows) -> tuple[list[int], list]:
+def _read_blocks(path, layouts: dict, fields: int) -> tuple[str, list[int], list]:
     """Parse a header ``keyword <fields positive ints>``, keyword one of layouts' keys, and
-    the blocks it declares.
+    the blocks it declares: (keyword, fields, blocks).
 
-    ``layouts[keyword](*header)`` returns (labels, rows, cols, what): one
-    block of rows x cols complex pairs per label, led by the label line
-    unless the label is None.  The blocks share one size, which is checked
-    against the budget before any row is read.  ``read(lines, rows, cols,
-    where)`` reads each block from the _Lines of the file and gives what the
-    returned list holds: by default the block as a rows x cols complex array
-    (_read_rows, for state and density files, a few small rows of distinct
-    numbers).
+    ``layouts[keyword](*header)`` sizes the blocks against the budget and
+    returns (labels, what, read): one block per label, led by the label line
+    unless the label is None, which read(lines, where) reads from the _Lines
+    of the file into what the returned list holds for it.
     """
     with open(path, "rb") as fh:
         lines = _Lines(fh)
         keyword, header = _parse_header(lines.content_line(), layouts, fields, path)
-        labels, rows, cols, what = layouts[keyword](*header)
-        check_entries(rows * cols, f"{rows}x{cols} {what}")
+        labels, what, read = layouts[keyword](*header)
         blocks = []
         for label in labels:
             if label is not None:
@@ -404,10 +391,25 @@ def _read_blocks(path, layouts: dict, fields: int, read=_read_rows) -> tuple[lis
                 if line.split() != label.split():
                     raise FormatError(f"{path}: expected {label!r}, got {line!r}")
             where = f"{path}: {what if label is None else label}"
-            blocks.append(read(lines, rows, cols, where))
+            blocks.append(read(lines, where))
         if lines.content_line() is not None:
             raise FormatError(f"{path}: content after the last {what} row")
-    return header, blocks
+    return keyword, header, blocks
+
+
+def _row_layout(rows: int, cols: int, what: str):
+    """The _read_blocks layout of one block of rows x cols complex pairs, checked against
+    the budget before anything of that size is formed, read as a complex array from its
+    next rows content lines by _scan_rows: a state or density block is a few rows of
+    distinct numbers, which _scan_block's fixed numpy cost reads about twice as slowly."""
+    check_entries(rows * cols, f"{rows}x{cols} {what}")
+
+    def read(lines: _Lines, where: str) -> np.ndarray:
+        values = np.empty((rows, 2 * cols))
+        _scan_rows(lines.content(rows), values.reshape(-1), np.arange(rows + 1) * 2 * cols, where)
+        return values.view(complex)
+
+    return [None], what, read
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +417,9 @@ def _read_blocks(path, layouts: dict, fields: int, read=_read_rows) -> tuple[lis
 
 
 def write_states(path, states, comment: str | None = None) -> None:
+    """Write a state file; a NaN or an infinity is refused before the file is opened."""
     s = np.asarray(states, dtype=complex)
+    _refuse_non_finite(s, f"{path}: state set")
     _write_blocks(path, f"states {s.shape[1]} {s.shape[0]}", [(None, _dense_numbers(s))], comment)
 
 
@@ -426,7 +430,7 @@ def read_states(path) -> tuple[np.ndarray, list[str]]:
     produce a warning, deviations above NORM_TOL are rejected (a zero row
     among them).
     """
-    (m, n), (states,) = _read_blocks(path, {"states": lambda m, n: ([None], n, m, "state set")}, 2)
+    _, (m, n), (states,) = _read_blocks(path, {"states": lambda m, n: _row_layout(n, m, "state set")}, 2)
     warnings = []
     for i in range(n):
         norm = float(np.linalg.norm(states[i]))
@@ -444,6 +448,9 @@ def read_states(path) -> tuple[np.ndarray, list[str]]:
 
 
 def write_density(path, rho, comment: str | None = None) -> None:
+    """Write a density file; a NaN or an infinity is refused before the file is opened."""
+    rho = np.asarray(rho, dtype=complex)
+    _refuse_non_finite(rho, f"{path}: density matrix")
     _write_blocks(path, f"rho {len(rho)}", [(None, _dense_numbers(rho))], comment)
 
 
@@ -453,7 +460,7 @@ def read_density(path) -> np.ndarray:
     Deviations up to DENSITY_REPAIR_TOL (hand-typed rounding) are repaired by
     symmetrizing and rescaling; anything beyond is rejected.
     """
-    _, (rho,) = _read_blocks(path, {"rho": lambda d: ([None], d, d, "density matrix")}, 1)
+    _, _, (rho,) = _read_blocks(path, {"rho": lambda d: _row_layout(d, d, "density matrix")}, 1)
     herm_dev = max_abs(rho - rho.conj().T)
     if herm_dev > DENSITY_REPAIR_TOL:
         raise FormatError(f"{path}: matrix is not Hermitian (deviation {herm_dev:.3e})")
@@ -469,29 +476,46 @@ def read_density(path) -> np.ndarray:
 
 
 def write_povm(path, povm: Povm) -> None:
-    """Write a POVM file; a count other than n+1 is refused, as read_povm refuses it.
+    """Write a POVM file; what read_povm would refuse is refused before the file is opened:
+    an element count other than n+1, and a NaN or an infinity, named by its block and row.
 
     A built or sector POVM is written in the sector-row layout (header
     ``povm-sectors``) from its weight-sector entries (_sector_numbers), with
-    no dense element; its elements are sized against the budget before the
-    file is opened, as the reader sizes them from the header.  An explicit
-    POVM is written in the dense layout (header ``povm``), its count checked
-    before the file is opened.  Library code that wants a dense file of a
-    built POVM writes Povm(m, n, elements=povm.elements).
+    no dense element; its elements are sized against the budget first, as
+    the reader sizes them from the header.  An explicit POVM is written in
+    the dense layout (header ``povm``).  read_povm gives back each
+    representation, so write_povm(path, read_povm(path)) rewrites a file
+    written by write_povm byte for byte.  Library code that wants a dense
+    file of a built POVM writes Povm(m, n, elements=povm.elements).
     """
     m, n = povm.m, povm.n
     if povm._explicit:
-        keyword, k = "povm", len(povm.elements)
-        blocks = map(_dense_numbers, povm.elements)
+        keyword, k, blocks, rows = "povm", len(povm.elements), povm.elements, None
     else:
-        keyword, k = "povm-sectors", n + 1
-        sectors = povm._sectors  # sized against the budget before the layout is formed
-        blocks = (_sector_numbers(m, n + 1, d) for d in sectors)
-    _write_blocks(path, f"{keyword} {m} {n} {k}", zip(_povm_labels(n, k), blocks))
+        # sized against the budget before the layout is formed
+        keyword, k, blocks, rows = "povm-sectors", n + 1, povm._sectors, _weight_sectors(m, n + 1).rows
+    labels = list(_povm_labels(n, k))
+    for label, block in zip(labels, blocks):
+        _refuse_non_finite(block, f"{path}: {label}", rows)
+    numbers = (_dense_numbers(b) if rows is None else _sector_numbers(m, n + 1, b) for b in blocks)
+    _write_blocks(path, f"{keyword} {m} {n} {k}", zip(labels, numbers))
+
+
+def _refuse_non_finite(block, where: str, rows: np.ndarray | None = None) -> None:
+    """Refuse, as the reader would, a block holding a NaN or an infinity: FormatError naming
+    the first row that holds one, row r + 1 for the entries of block[r], or for sector
+    entries d (rows given, _WeightSectors.rows) for the entries d[p] with rows[p] = r."""
+    block = np.ascontiguousarray(block, dtype=complex)
+    parts = block.view(np.float64)
+    if not parts.size or math.isfinite(parts.min()) and math.isfinite(parts.max()):  # no temporary
+        return
+    bad = ~np.isfinite(block)
+    row = np.nonzero(bad)[0].min() if rows is None else rows[bad].min()
+    raise FormatError(f"{where} row {row + 1} holds a non-finite number")
 
 
 def _povm_labels(n: int, k: int) -> Iterator[str]:
-    """The k element labels, made one at a time as the blocks are read or written."""
+    """The k element labels, one at a time, once a count other than n+1 is refused."""
     if k != n + 1:
         raise FormatError(
             f"povm header declares {k} elements; a POVM on n={n} states has n+1 = {n + 1}"
@@ -499,77 +523,44 @@ def _povm_labels(n: int, k: int) -> Iterator[str]:
     return (f"element {i}" for i in range(k))
 
 
-class _PovmBlocks:
-    """The elements of a POVM file, block by block: the layout its header declares, and
-    each block kept as weight-sector entries (complex arrays on _weight_sectors(m,
-    n+1).same) or, from the first nonzero number of a dense block outside the sectors,
-    as dense blocks of (re, im) doubles."""
+def _povm_layout(m: int, n: int, k: int, sector_rows: bool = False):
+    """The _read_blocks layout of a POVM header, each block read by _scan_block: the dense
+    layout's complex elements, or with sector_rows each block's weight-sector entries
+    d_k, scattered from its numbers through _sector_rows' order as soon as it is read."""
+    labels = _povm_labels(n, k)
+    dim = check_tensor_square(m, n + 1, "POVM element")  # refused before m**(n+1) is formed
+    if not sector_rows:
+        bounds = np.arange(dim + 1) * 2 * dim
+        return labels, "POVM element", lambda lines, where: (
+            _scan_block(lines, bounds, where).view(complex).reshape(dim, dim))
+    order, bounds = _sector_rows(m, n + 1)
 
-    def layouts(self) -> dict:
-        """The layout of each POVM header word, for _read_blocks."""
-        return {"povm": partial(self._layout, False), "povm-sectors": partial(self._layout, True)}
+    def entries(lines: _Lines, where: str) -> np.ndarray:
+        numbers = _scan_block(lines, bounds, where)  # its chunk's temporaries freed before d
+        d = np.empty(len(order), dtype=complex)
+        d[order] = numbers.view(complex)
+        return d
 
-    def _layout(self, sector_rows: bool, m: int, n: int, k: int):
-        labels = _povm_labels(n, k)
-        dim = check_tensor_square(m, n + 1, "POVM element")  # refused before m**(n+1) is formed
-        self.m, self.n, self.index = m, n, _weight_sectors(m, n + 1)
-        self.rows = _sector_rows(m, n + 1) if sector_rows else None
-        self.entries, self.dense = [], None
-        return labels, dim, dim, "POVM element"
-
-    def read(self, lines: _Lines, rows: int, cols: int, where: str) -> None:
-        if self.rows is not None:  # the sector-row layout: no number lies outside the sectors
-            order, bounds = self.rows
-            numbers = np.zeros(bounds[-1])
-            for tokens, values in _scan_block(lines, bounds, where):
-                numbers[tokens] = values
-            d = np.empty(len(order), dtype=complex)
-            d[order] = numbers.view(complex)
-            self.entries.append(d)
-            return
-        size = len(self.index.same)
-        if self.dense is None:
-            self.entries.append(np.zeros(size, dtype=complex))
-        else:
-            self.dense.append(np.zeros((rows, 2 * cols)))
-        for at, values in _scan_block(lines, np.arange(rows + 1) * 2 * cols, where):
-            nonzero = values.view(np.int64) != 0
-            if not nonzero.all():  # a token such as "0.0" is no mass
-                at, values = at[nonzero], values[nonzero]
-            if self.dense is None:
-                pair = self.index.position(at >> 1)
-                if (pair < size).all():
-                    self.entries[-1].view(np.float64)[2 * pair + (at & 1)] = values
-                    continue
-                # off-sector mass: this block and the ones before go dense (sized by layout)
-                self.dense = [self.index.scatter(d).view(np.float64) for d in self.entries]
-            self.dense[-1].ravel()[at] = values
-
-    def povm(self) -> Povm:
-        if self.dense is None:
-            return Povm(self.m, self.n, sectors=self.entries)
-        return Povm(self.m, self.n, elements=[b.view(complex) for b in self.dense])
+    return labels, "POVM element", entries
 
 
 def read_povm(path) -> Povm:
-    """Parse a POVM file, in the dense or the sector-row layout.
+    """Parse a POVM file: a dense file (header ``povm``) gives an explicit POVM, a
+    sector-row file (header ``povm-sectors``) a sector POVM (Povm, sectors=...).
 
     A header whose element count k is not n+1 is refused, and the element
     size m^(n+1) x m^(n+1) is checked against the budget (after
-    config.check_tensor_square), before any row is read, whichever layout
-    and route the file then takes.  Each block is read in row chunks
-    (_scan_block).  A sector-row block goes straight into its sector
-    entries d_k: the budget bounds an element that is never formed, and the
-    reader holds n+1 arrays of |same| complex entries and one block's
-    numbers, far less than the budget allows.  In a dense block each
-    nonzero number is mapped to its flat pair and to that pair's position
-    in the weight-sector index.  While every nonzero number lies on a
-    same-sector pair, only the sector entries d_k are kept (a sector POVM,
-    as from a sector-row file).  At the first nonzero number outside the
-    sectors (off-sector mass, -0.0 included), the blocks read so far are
-    scattered into dense elements and the file is finished on the dense
-    route, which holds n+1 dense elements, each within the budget.
+    config.check_tensor_square), before any row is read, in either layout.
+    Each block is read in row chunks (_scan_block).  A dense file holds n+1
+    dense elements, each within the budget; the checks still take the
+    sector route on them when they are zero outside their weight sectors
+    (Povm._sectors).  A sector-row block goes into its sector entries d_k as
+    soon as it is read: the budget bounds an element that is never formed,
+    and the reader holds n+1 arrays of |same| complex entries and one
+    block's numbers, far less than the budget allows.
     """
-    blocks = _PovmBlocks()
-    _read_blocks(path, blocks.layouts(), 3, blocks.read)
-    return blocks.povm()
+    layouts = {"povm": _povm_layout, "povm-sectors": partial(_povm_layout, sector_rows=True)}
+    keyword, (m, n, _), blocks = _read_blocks(path, layouts, 3)
+    if keyword == "povm":
+        return Povm(m, n, elements=blocks)
+    return Povm(m, n, sectors=blocks)

@@ -84,6 +84,11 @@ def ket(index, dim):
 # validate: idempotency and sign-covariance deviation.
 PROJECTOR_TOL = 1e-10
 
+# The five (family, m, n) of the certify workload, then the other points at which a built
+# POVM file, in either layout, must read back and be written again byte for byte.
+ROUND_TRIP = [("universal", 3, 2), ("optimal", 3, 3), ("universal", 5, 2), ("universal", 4, 3),
+              ("trivial", 4, 3), ("optimal", 2, 2), ("optimal", 4, 4), ("trivial", 3, 3), ("universal", 6, 2)]
+
 
 def _permuted_indices(sigma: Permutation, m: int) -> np.ndarray:
     """Index map j ↦ j' with digits ω'_k = ω_{σ(k)}; column j of the operator is e_{j'}."""

@@ -1,4 +1,8 @@
+import argparse
 import io
+import os
+import subprocess
+import sys
 import time
 from contextlib import redirect_stdout
 from decimal import Decimal
@@ -9,11 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rand_independent_states, rand_states
-from udisc.cli import main
+from conftest import ROUND_TRIP, rand_independent_states, rand_states
+from udisc.cli import _parser, main
 from udisc.config import DEFAULT_ENTRY_CAP
 from udisc.discriminator import Povm
-from udisc.io import write_density, write_povm, write_states
+from udisc.io import read_povm, write_density, write_povm, write_states
 
 
 def run(capsys, *argv):
@@ -110,6 +114,19 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", povm_file)
         assert code == 0
         assert "verdict = pass" in out
+
+    @pytest.mark.parametrize("family,m,n", ROUND_TRIP)
+    def test_kv_output_is_the_same_on_both_layouts(self, tmp_path, capsys, family, m, n):
+        """verify prints the same bytes and exit code on a built file and on its dense copy,
+        which is read as an explicit POVM."""
+        built, dense = tmp_path / "built.povm", tmp_path / "dense.povm"
+        assert run(capsys, "build", "--m", str(m), "--n", str(n), "--family", family,
+                   "--out", str(built))[0] == 0
+        write_povm(dense, Povm(m, n, elements=read_povm(built).elements))
+        assert read_povm(dense)._explicit and not read_povm(built)._explicit
+        code, out, err = run(capsys, "verify", str(built), "--format", "kv")
+        assert err == "" and parse_kv(out)["m"] == str(m)
+        assert run(capsys, "verify", str(dense), "--format", "kv") == (code, out, err)
 
     @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (2, 2)])
     def test_hand_written_small_files(self, tmp_path, capsys, m, n):
@@ -546,6 +563,49 @@ class TestNonFiniteInput:
         assert code == 2
         assert out == ""
         assert err.splitlines() == [f"error: {bad}: {where} holds a non-finite number"]
+
+
+class TestParserOptions:
+    """Each subcommand's exact option set, so that a new flag fails a test."""
+
+    COMMON = {"-h", "--help", "--format", "--cap"}
+    OPTIONS = {
+        "build": {"--m", "--n", "--family", "--out"},
+        "verify": {"povm", "--seed"},  # --seed is a no-op kept for existing callers
+        "prob": {"states", "--family", "--which"},
+        "sample": {"states", "--family", "--which", "--shots", "--seed"},
+        "mixed": {"rho", "--data", "--shots", "--seed"},
+    }
+
+    def test_each_subcommand_takes_exactly_its_options(self):
+        parser = _parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert {s for a in parser._actions for s in a.option_strings} == {"-h", "--help"}
+        assert set(sub.choices) == set(self.OPTIONS)
+        for name, command in sub.choices.items():
+            taken = {s for a in command._actions for s in a.option_strings or [a.dest]}
+            assert taken == self.COMMON | self.OPTIONS[name], name
+
+    def test_verify_seed_is_documented_as_a_no_op(self):
+        (sub,) = [a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        (seed,) = [a for a in sub.choices["verify"]._actions if "--seed" in a.option_strings]
+        assert "no effect" in seed.help
+
+
+class TestFreshProcess:
+    def test_build_and_verify_leave_numpy_ma_unloaded(self, tmp_path):
+        """numpy.ma costs about 13 ms to import; nothing build or verify calls needs it."""
+        code = ("import contextlib, io, sys; from udisc.cli import main\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    assert main(['build', '--m', '4', '--n', '3', '--family', 'universal', "
+                f"'--out', {str(tmp_path / 'u43.povm')!r}]) == 0\n"
+                f"    assert main(['verify', {str(tmp_path / 'u43.povm')!r}]) == 0\n"
+                "print('numpy.ma' in sys.modules)")
+        src = Path(__file__).resolve().parents[1] / "src"
+        result = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["False"]
 
 
 class TestParserReuse:

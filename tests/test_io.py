@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import rand_density, rand_states, sector_columns, sector_rows
+from conftest import ROUND_TRIP, rand_density, rand_states, sector_columns, sector_rows
 from udisc import io as udisc_io
 from udisc.antisym import _weight_sectors
 from udisc.discriminator import (
@@ -170,7 +170,8 @@ class TestPovmFiles:
         rows = [" ".join(tokens[r:r + 6]) for r in range(0, len(tokens), 6)]
         path = tmp_path / "states.txt"
         path.write_text("states 3 5\n" + "\n".join(rows) + "\n")
-        _, (block,) = udisc_io._read_blocks(path, {"states": lambda m, n: ([None], n, m, "state set")}, 2)
+        layouts = {"states": lambda m, n: udisc_io._row_layout(n, m, "state set")}
+        _, _, (block,) = udisc_io._read_blocks(path, layouts, 2)
         oracle = np.loadtxt(rows, dtype=np.float64, comments=None, ndmin=2)
         assert np.array_equal(block.view(np.float64).view(np.int64), oracle.view(np.int64))
 
@@ -541,7 +542,9 @@ class TestPovmScanner:
         row_scan = mock.Mock(wraps=udisc_io._scan_rows)
         monkeypatch.setattr(udisc_io, "_scan_rows", row_scan)
         loaded = read_povm(path)
-        assert loaded._elements is None  # no off-sector mass, on either layout
+        assert loaded._explicit == (layout == "dense")  # the header word picks the representation
+        assert loaded._explicit or loaded._elements is None
+        assert loaded._sectors is not None  # no off-sector mass, on either layout
         for got, want in zip(loaded.elements, povm.elements, strict=True):
             assert same_bits(got, want)
         if edit == "crlf":
@@ -617,8 +620,10 @@ class TestPovmScanner:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert not povm._explicit  # a built file keeps its sector entries only
-        assert peak - sum(d.nbytes for d in povm._sectors) < 20 * chunk + (64 << 10)
+        # a sector-row file keeps its sector entries only, a dense file its dense elements
+        assert povm._explicit == (layout == "dense")
+        held = povm.elements if povm._explicit else povm._sectors
+        assert peak - sum(a.nbytes for a in held) < 20 * chunk + (64 << 10)
 
 
 CERTIFY = [("universal", 3, 2), ("optimal", 3, 3), ("universal", 5, 2), ("universal", 4, 3), ("trivial", 4, 3)]
@@ -659,20 +664,21 @@ def with_sector_token(path, element, row, value):
 
 
 class TestSectorRoute:
-    """A built file is read as weight-sector entries, in either layout; any off-sector mass
-    sends a dense file dense."""
+    """A sector-row file is read as weight-sector entries and a dense file as its explicit
+    elements; the checks take the sector route on both while nothing lies off the sectors."""
 
     @pytest.mark.parametrize("layout", LAYOUTS)
-    @pytest.mark.parametrize("family,m,n", CERTIFY + [("optimal", 2, 2), ("optimal", 4, 4)])
+    @pytest.mark.parametrize("family,m,n", ROUND_TRIP)
     def test_read_back_and_written_again_gives_the_same_bytes(self, tmp_path, family, m, n, layout):
         path = tmp_path / "built.povm"
         write_povm(path, in_layout(layout, family_povm(family, m, n)))
         povm = read_povm(path)
-        assert not povm._explicit and povm._elements is None
-        write_povm(tmp_path / "sector.povm", povm)  # a sector POVM: the sector-row layout
-        assert povm._elements is None
-        write_povm(tmp_path / "again.povm", in_layout(layout, povm))
+        assert povm._explicit == (layout == "dense")  # the header word picks the representation
+        assert povm._explicit or povm._elements is None
+        write_povm(tmp_path / "again.povm", povm)  # in the layout it was read from
+        assert povm._explicit or povm._elements is None
         assert (tmp_path / "again.povm").read_bytes() == path.read_bytes()
+        write_povm(tmp_path / "sector.povm", Povm(m, n, sectors=povm._sectors))
         assert oracle_povm_bytes(tmp_path / "oracle.povm", povm, layout) == path.read_bytes()
         sector_bytes = oracle_povm_bytes(tmp_path / "oracle.povm", povm, "sector")
         assert (tmp_path / "sector.povm").read_bytes() == sector_bytes
@@ -718,14 +724,20 @@ class TestSectorRoute:
             assert same_bits(got, expected)
 
     @pytest.mark.parametrize("value", ["-0", "-0.0", "0.0", "+0"])
-    def test_signed_zero_off_the_sectors_goes_dense_and_plus_zero_does_not(self, tmp_path, value):
+    def test_signed_zero_off_the_sectors_keeps_its_sign(self, tmp_path, value):
+        """A dense file's elements keep a signed zero off the sectors; it is no mass, so
+        the checks keep the sector route."""
         path = tmp_path / "built.povm"
         write_povm(path, Povm(3, 2, elements=family_povm("universal", 3, 2).elements))
-        with_off_sector_token(path, 2, 26, value)
+        built = path.read_bytes()
+        row, column = with_off_sector_token(path, 2, 26, value)
         povm = read_povm(path)
-        assert povm._explicit == value.startswith("-")
+        assert povm._explicit and povm._sectors is not None
+        assert np.signbit(povm.elements[2][row, column].real) == value.startswith("-")
         for got, expected in zip(povm.elements, loadtxt_elements(path), strict=True):
             assert same_bits(got, expected)
+        write_povm(tmp_path / "again.povm", povm)
+        assert ((tmp_path / "again.povm").read_bytes() == built) != value.startswith("-")
 
     @pytest.mark.parametrize("value", ["-0", "-0.0", "0.0", "+0"])
     def test_signed_zero_in_a_sector_row_file_keeps_its_sign(self, tmp_path, value):
@@ -759,6 +771,56 @@ class TestSectorRoute:
             tracemalloc.stop()
         assert loaded._elements is None
         assert peak < (16 << 20) / 4
+
+
+class TestWritersRefuseNonFinite:
+    """A NaN or an infinity, which every reader refuses, is refused by its writer before the
+    file is opened, with the reader's message: the block and the first row holding one."""
+
+    @staticmethod
+    def _set(array, row, column, part, value):
+        array.view(np.float64)[row, 2 * column + part] = value
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("part", [0, 1])
+    @pytest.mark.parametrize("kind", ["states", "density"])
+    def test_states_and_density(self, tmp_path, kind, part, value):
+        if kind == "states":
+            block, write, where = np.eye(3, dtype=complex)[:2].copy(), write_states, "state set"
+        else:
+            block, write, where = np.eye(2, dtype=complex) / 2, write_density, "density matrix"
+        path = tmp_path / f"{kind}.txt"
+        write(path, block)
+        before = path.read_bytes()
+        self._set(block, 1, 0, part, value)
+        with pytest.raises(FormatError, match=f"{where} row 2 holds a non-finite number$"):
+            write(path, block)
+        assert path.read_bytes() == before
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("part", [0, 1])
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_povm(self, tmp_path, layout, part, value):
+        built = build_universal(3, 2)
+        path = tmp_path / "u32.povm"
+        write_povm(path, in_layout(layout, built))
+        before = path.read_bytes()
+        if layout == "dense":
+            elements = [e.copy() for e in built.elements]
+            self._set(elements[1], 20, 20, part, value)
+            self._set(elements[1], 4, 10, part, value)
+            bad = Povm(3, 2, elements=elements)
+        else:
+            sectors = [d.copy() for d in built._sectors]
+            # the first sector entries hold row 26 (|222>), the last ones a row before it
+            sectors[1][[2, -1]] = [complex(value, 0), complex(0, value)][part]
+            bad = Povm(3, 2, sectors=sectors)
+        # the oracle: the first row of the dense element that holds a non-finite number
+        row = np.flatnonzero(~np.isfinite(bad.elements[1]).all(axis=1))[0] + 1
+        assert row == (5 if layout == "dense" else 22)
+        with pytest.raises(FormatError, match=f"element 1 row {row} holds a non-finite number$"):
+            write_povm(path, bad)
+        assert path.read_bytes() == before
 
 
 class TestSectorRowFiles:

@@ -650,7 +650,7 @@ def built_file(tmp_path, family, m, n, layout="sector"):
 @pytest.mark.parametrize("family,m,n", CASES)
 def test_routes_agree_on_built_files(family, m, n, layout, tmp_path):
     povm = read_povm(built_file(tmp_path, family, m, n, layout))
-    assert not povm._explicit and povm._sectors is not None
+    assert povm._explicit == (layout == "dense") and povm._sectors is not None
     assert verify_unambiguous(povm).passed and check_covariance(povm).passed
     assert_routes_agree(povm)
 
@@ -674,8 +674,8 @@ def with_token(path, element, row, column, part, value):
 @pytest.mark.parametrize("last", [True, False], ids=["last_row_of_last_element", "first_row_of_element_0"])
 @pytest.mark.parametrize("value", ["1e-300", "0.25"])
 def test_routes_agree_on_built_files_with_an_off_sector_token(family, m, n, last, value, tmp_path):
-    """One nonzero token between two weight sectors sends a dense file to the dense route,
-    at its first row or after every other block was read as sector entries."""
+    """One nonzero token between two weight sectors sends a dense file's POVM to the dense
+    route of the checks, in its first row or in its last block."""
     path = built_file(tmp_path, family, m, n, "dense")
     k, row = (n, m ** (n + 1) - 1) if last else (0, 0)
     column = int(np.flatnonzero(~same_sector(m, n + 1)[row])[0])
@@ -702,7 +702,7 @@ def test_routes_agree_on_built_files_with_an_in_sector_token(family, m, n, last,
     column = int(np.flatnonzero(same_sector(m, n + 1)[row])[0])
     with_token(path, k, row, column, 1, value)
     povm = read_povm(path)
-    assert not povm._explicit and povm._sectors is not None
+    assert povm._explicit == (layout == "dense") and povm._sectors is not None
     expected = [e.copy() for e in family_povm(family, m, n).elements]
     expected[k][row, column] += 1j * float(value)
     for got, want in zip(povm.elements, expected, strict=True):
