@@ -35,22 +35,24 @@ few words.  Rows are turned into text in chunks of at most WRITE_CHUNK
 numbers, so beyond the nonzero doubles and their vocabulary the writer's
 temporary memory is one chunk, whatever the block size.
 
-Files are read in binary mode, in blocks of bytes; "\r\n" and "\r" line
-ends count as newlines.  Every block the header declares is sized against
-the dense-storage budget (config.entry_cap) before any row is read; a POVM
-header's m^(n+1) is refused before it is formed when it is far over
+Files are read in text mode, where "\r\n" and "\r" line ends read as
+newlines and a byte outside ASCII reads as U+FFFD, which float() refuses.
+Every block the header declares is sized against the dense-storage budget
+(config.entry_cap) before any row is read; a POVM header's m^(n+1) is
+refused before it is formed when it is far over
 (config.check_tensor_square), on either layout.  A POVM block is read in
-chunks of at most WRITE_CHUNK numbers, as it was written, cut from the
-buffer at newlines.  A chunk in the writer's layout (one space between
-tokens, one newline after each row) is scanned as bytes with numpy: a token
-that is the one byte "0" is +0.0 and is not parsed, and each distinct other
-token is parsed once by float().  Any other chunk (tabs, runs of spaces, a
-comment or blank line inside the block, a wrong token count, a token
-float() refuses) is read row by row with float(), which names the bad row
-and accepts float()'s spellings ("1_0").  Each block's numbers go into one
-array in the file's order.  A state or density block, a few rows of
-distinct numbers, takes that row-by-row scan.  A NaN or an infinity is
-refused where it is read, naming the file, the block and the row.
+chunks of at most WRITE_CHUNK numbers, as it was written, each chunk's
+lines joined and encoded into one bytes object.  A chunk in the writer's
+layout (one space between tokens, one newline after each row) is scanned
+as bytes with numpy: a token that is the one byte "0" is +0.0 and is not
+parsed, and each distinct other token is parsed once by float().  Any
+other chunk (tabs, runs of spaces, a comment or blank line inside the
+block, a wrong token count, a token float() refuses) is read row by row
+with float(), which names the bad row and accepts float()'s spellings
+("1_0").  Each block's numbers go into one array in the file's order.  A
+state or density block, a few rows of distinct numbers, takes that
+row-by-row scan.  A NaN or an infinity is refused where it is read,
+naming the file, the block and the row.
 
 The header word alone picks what a POVM file becomes.  A dense block is
 one explicit element of m^(n+1) x m^(n+1) entries, within the budget.  A
@@ -62,6 +64,7 @@ entries plus one block's numbers and about one chunk.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Iterator
 from functools import cache, partial
@@ -220,83 +223,34 @@ def _scan_rows(block: list[str], out: np.ndarray, bounds: np.ndarray, where: str
         raise FormatError(f"{where} row {first + row} holds a non-finite number")
 
 
-class _Lines:
-    """The lines of a file opened in binary mode, read into one buffer 8 KiB at first and
-    twice as much each time after, up to 2·WRITE_CHUNK bytes when that is more (a small
-    state or density file takes one small read), with "\r\n" and "\r" taken as "\n" as
-    text mode takes them, and a newline supplied after a last line that lacks one."""
-
-    def __init__(self, fh):
-        self.fh = fh
-        self.buf = b"\n"  # the newline before the first line
-        self.pos = 0  # the newline before the next line
-        self.size = 1 << 13
-
-    def _read(self) -> bool:
-        """Drop the buffer before pos and append the next read; False at the end of the file."""
-        data = self.fh.read(self.size)
-        self.size = max(self.size, min(2 * self.size, 2 * WRITE_CHUNK))
-        while data.endswith(b"\r") and (more := self.fh.read(1)):
-            data += more
-        if not data:
-            if self.buf.endswith(b"\n"):
-                return False
-            data = b"\n"
-        if b"\r" in data:
-            data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        self.buf = b"".join((memoryview(self.buf)[self.pos:], data))  # one copy
-        self.pos = 0
-        return True
-
-    def take(self, count: int) -> tuple[bytes, int, int]:
-        """The next count lines, or as many as are left: (buf, start, end) with buf[start]
-        the newline before them and buf[end] the newline that ends the last (end = start
-        when none is left)."""
-        end = self.pos
-        while True:
-            find = self.buf.find
-            for count in range(count, 0, -1):  # the lines still to find
-                found = find(b"\n", end + 1)
-                if found < 0:
-                    break
-                end = found
-            else:
-                break
-            shift = self.pos
-            if not self._read():
-                break
-            end -= shift
-        start, self.pos = self.pos, end
-        return self.buf, start, end
-
-    def content(self, count: int, taken: tuple[bytes, int, int] | None = None) -> list[str]:
-        """The next count lines that are neither blank nor a comment, stripped (fewer at
-        the end of the file): those of taken, the count lines take gave, topped up."""
-        buf, start, end = self.take(count) if taken is None else taken
-        raw = buf[start + 1:end].decode("ascii", "replace").split("\n")
-        block = [s for s in map(str.strip, raw) if s and not s.startswith("#")]
-        while len(block) < count and (line := self.content_line()) is not None:
-            block.append(line)
-        return block
-
-    def content_line(self) -> str | None:
-        """The next line that is neither blank nor a comment, stripped; None at the end."""
-        while True:
-            buf, start, end = self.take(1)
-            if start == end:
-                return None
-            line = buf[start + 1:end].decode("ascii", "replace").strip()
-            if line and not line.startswith("#"):
-                return line
+def _content(fh, count: int, text: str | None = None) -> list[str]:
+    """The next count lines of fh that are neither blank nor a comment, stripped (fewer at
+    the end of the file): those of text, the count lines a chunk took, topped up."""
+    if text is None:
+        text = "".join(itertools.islice(fh, count))
+    block = [s for s in map(str.strip, text.split("\n")) if s and not s.startswith("#")]
+    while len(block) < count and (line := _content_line(fh)) is not None:
+        block.append(line)
+    return block
 
 
-def _scan_block(lines: _Lines, bounds: np.ndarray, where: str) -> np.ndarray:
+def _content_line(fh) -> str | None:
+    """The next line of fh that is neither blank nor a comment, stripped; None at the end."""
+    for line in fh:
+        line = line.strip()
+        if line and not line.startswith("#"):
+            return line
+    return None
+
+
+def _scan_block(fh, bounds: np.ndarray, where: str) -> np.ndarray:
     """The numbers of a POVM block whose row r holds numbers bounds[r] to bounds[r + 1], as
-    one float64 array, read from its next content lines in row chunks (_chunks): (re, im)
-    pairs bit for bit, -0.0 included.
+    one float64 array, read from the next content lines of fh in row chunks (_chunks):
+    (re, im) pairs bit for bit, -0.0 included.
 
     A chunk holds at most WRITE_CHUNK numbers (at least one row), as the
-    writer's do.  A chunk in the writer's layout is parsed by _scan_chunk,
+    writer's do: its lines, after a newline, are joined and encoded into one
+    bytes object.  A chunk in the writer's layout is parsed by _scan_chunk,
     whose tokens other than "0" are put at their places.  Any other chunk
     (other whitespace, a comment or blank line, a wrong token count, a token
     float() refuses) has its comment and blank lines dropped, is topped up
@@ -307,19 +261,19 @@ def _scan_block(lines: _Lines, bounds: np.ndarray, where: str) -> np.ndarray:
     for first, stop in _chunks(bounds):
         rows = bounds[first:stop + 1] - bounds[first]
         chunk = numbers[bounds[first]:bounds[stop]]
-        taken = lines.take(stop - first)
-        parsed = _scan_chunk(*taken, rows)
+        buf = "".join(itertools.chain("\n", itertools.islice(fh, stop - first))).encode()
+        parsed = _scan_chunk(buf, rows)
         if parsed is None:
-            _scan_rows(lines.content(stop - first, taken), chunk, rows, where, first)
+            _scan_rows(_content(fh, stop - first, buf.decode()), chunk, rows, where, first)
         else:
             tokens, values = parsed
             chunk[tokens] = values
     return numbers
 
 
-def _scan_chunk(buf: bytes, start: int, end: int, bounds: np.ndarray):
-    """Parse buf[start:end + 1], a newline and then a chunk's lines, if it is in the
-    writer's layout: (tokens, values) of the tokens other than "0", else None.
+def _scan_chunk(buf: bytes, bounds: np.ndarray):
+    """Parse buf, a newline and then a chunk's lines, if it is in the writer's layout:
+    (tokens, values) of the tokens other than "0", else None.
 
     The bytes are taken as a uint8 view, with no copy; spaces and newlines
     are the separators.  The writer's layout is one line per row, row r of
@@ -339,7 +293,7 @@ def _scan_chunk(buf: bytes, start: int, end: int, bounds: np.ndarray):
     the chunk is in another layout, or float() refuses a token or gives a
     NaN or an infinity.
     """
-    u = np.frombuffer(buf, np.uint8, end + 1 - start, start)
+    u = np.frombuffer(buf, np.uint8)
     sep = u == ord("\n")
     lines = sep.nonzero()[0]
     if len(lines) != len(bounds) or lines[-1] != len(u) - 1:
@@ -358,7 +312,7 @@ def _scan_chunk(buf: bytes, start: int, end: int, bounds: np.ndarray):
     ahead = begin.searchsorted(lines)
     if ((lines - units[ahead]) // 2 + ahead != bounds).any():
         return None  # a row of another length
-    keys = [buf[a:b] for a, b in zip((begin + (start + 1)).tolist(), (after + start).tolist())]
+    keys = [buf[a:b] for a, b in zip((begin + 1).tolist(), after.tolist())]
     vocabulary = dict.fromkeys(keys)
     try:
         for key in vocabulary:
@@ -377,22 +331,21 @@ def _read_blocks(path, layouts: dict, fields: int) -> tuple[str, list[int], list
 
     ``layouts[keyword](*header)`` sizes the blocks against the budget and
     returns (labels, what, read): one block per label, led by the label line
-    unless the label is None, which read(lines, where) reads from the _Lines
-    of the file into what the returned list holds for it.
+    unless the label is None, which read(fh, where) reads from the file, open
+    in text mode, into what the returned list holds for it.
     """
-    with open(path, "rb") as fh:
-        lines = _Lines(fh)
-        keyword, header = _parse_header(lines.content_line(), layouts, fields, path)
+    with open(path, encoding="ascii", errors="replace") as fh:
+        keyword, header = _parse_header(_content_line(fh), layouts, fields, path)
         labels, what, read = layouts[keyword](*header)
         blocks = []
         for label in labels:
             if label is not None:
-                line = lines.content_line() or ""
+                line = _content_line(fh) or ""
                 if line.split() != label.split():
                     raise FormatError(f"{path}: expected {label!r}, got {line!r}")
             where = f"{path}: {what if label is None else label}"
-            blocks.append(read(lines, where))
-        if lines.content_line() is not None:
+            blocks.append(read(fh, where))
+        if _content_line(fh) is not None:
             raise FormatError(f"{path}: content after the last {what} row")
     return keyword, header, blocks
 
@@ -404,9 +357,9 @@ def _row_layout(rows: int, cols: int, what: str):
     distinct numbers, which _scan_block's fixed numpy cost reads about twice as slowly."""
     check_entries(rows * cols, f"{rows}x{cols} {what}")
 
-    def read(lines: _Lines, where: str) -> np.ndarray:
+    def read(fh, where: str) -> np.ndarray:
         values = np.empty((rows, 2 * cols))
-        _scan_rows(lines.content(rows), values.reshape(-1), np.arange(rows + 1) * 2 * cols, where)
+        _scan_rows(_content(fh, rows), values.reshape(-1), np.arange(rows + 1) * 2 * cols, where)
         return values.view(complex)
 
     return [None], what, read
@@ -531,12 +484,12 @@ def _povm_layout(m: int, n: int, k: int, sector_rows: bool = False):
     dim = check_tensor_square(m, n + 1, "POVM element")  # refused before m**(n+1) is formed
     if not sector_rows:
         bounds = np.arange(dim + 1) * 2 * dim
-        return labels, "POVM element", lambda lines, where: (
-            _scan_block(lines, bounds, where).view(complex).reshape(dim, dim))
+        return labels, "POVM element", lambda fh, where: (
+            _scan_block(fh, bounds, where).view(complex).reshape(dim, dim))
     order, bounds = _sector_rows(m, n + 1)
 
-    def entries(lines: _Lines, where: str) -> np.ndarray:
-        numbers = _scan_block(lines, bounds, where)  # its chunk's temporaries freed before d
+    def entries(fh, where: str) -> np.ndarray:
+        numbers = _scan_block(fh, bounds, where)  # its chunk's temporaries freed before d
         d = np.empty(len(order), dtype=complex)
         d[order] = numbers.view(complex)
         return d

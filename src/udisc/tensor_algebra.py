@@ -251,16 +251,6 @@ def _null_space(mat: np.ndarray, tol: float = NULL_TOL) -> np.ndarray:
     return vh[rank:].conj().T
 
 
-def subspace_from_vectors(vectors, ambient_dim: int | None = None) -> Subspace:
-    """Span of a family of (possibly dependent) vectors."""
-    v = np.asarray(vectors, dtype=complex)
-    if v.ndim == 1:
-        v = v[None, :]
-    if ambient_dim is None:
-        ambient_dim = v.shape[1]
-    return Subspace(ambient_dim, _orthonormal_columns(v.T))
-
-
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     """Span of the union of two subspaces, via combined orthonormalization."""
     _require_same_ambient(a, b)

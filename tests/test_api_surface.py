@@ -8,12 +8,14 @@ sequence of factor dimensions.  The covariance check is exact, so nothing
 but the shot sampler takes a seed or a trial count.
 """
 
+import ast
 import importlib
 import inspect
 import os
 import pkgutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import udisc
@@ -86,3 +88,43 @@ def test_every_module_has_a_production_caller():
                             timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == []
+
+
+def _private_definitions(tree):
+    """(name, node) of each module-level function, class or constant named with one "_"."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def _code_names(node):
+    """The names node's code uses: variables, attributes and imported names, not strings."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, ast.alias):
+            yield n.name
+
+
+def test_every_private_helper_has_a_caller_in_the_package():
+    """A module-level name with one leading underscore is used by the code of the package
+    outside its own definition; docstring mentions do not count, nor do the tests."""
+    trees = {path.name: ast.parse(path.read_text()) for path in Path(udisc.__file__).parent.glob("*.py")}
+    used = Counter(name for tree in trees.values() for name in _code_names(tree))
+    orphans = []
+    for module, tree in sorted(trees.items()):
+        for name, node in _private_definitions(tree):
+            if used[name] == Counter(_code_names(node))[name]:
+                orphans.append(f"{module}: {name}")
+    assert orphans == []
+    assert "_weight_sectors" in {name for name, _ in _private_definitions(trees["antisym.py"])}

@@ -18,12 +18,17 @@ from udisc.tensor_algebra import (
     reorder_factors,
     require_conjugate_pairs,
     require_hermitian,
-    subspace_from_vectors,
     subspace_intersection,
     subspace_preimage,
     subspace_sum,
     support_projector,
 )
+
+
+def subspace_from_vectors(vectors) -> Subspace:
+    """Span of a family of (possibly dependent) vectors."""
+    v = np.atleast_2d(np.asarray(vectors, dtype=complex))
+    return Subspace(v.shape[1], tensor_algebra._orthonormal_columns(v.T))
 
 
 def ket(index, dim):
