@@ -166,8 +166,8 @@ class _WeightSectors:
     identity: whether each pair of same is diagonal, the identity's entries.
 
     _position maps pairs to their place in same by three per-state arrays.
-    The POVM file codec's row_major order and the checks' maps (transposed,
-    swapped, shifted, traced, diagonal) are built on first use and kept.
+    The checks' maps (transposed, swapped, shifted, traced, diagonal) are built
+    on first use and kept; the POVM file codec's row order is io._sector_rows'.
     """
 
     def __init__(self, m: int, count: int):
@@ -188,13 +188,13 @@ class _WeightSectors:
         # its row of that block starts, and its place in the sector, so (x, y) is at
         # _row[x] + _local[y] when _block[x] == _block[y] (_position)
         self._block, self._row, self._local = (np.empty(len(digits), dtype=np.int64) for _ in range(3))
-        begin = 0
+        self._begins = [0]  # where each run of blocks starts in same (runs)
         for idx in sectors:
             number, size = idx.shape
-            self._block[idx] = begin + size * size * np.arange(number)[:, None]
+            self._block[idx] = self._begins[-1] + size * size * np.arange(number)[:, None]
             self._local[idx] = np.arange(size)
             self._row[idx] = self._block[idx] + size * np.arange(size)
-            begin += number * size * size
+            self._begins.append(self._begins[-1] + number * size * size)
         for a in (digits, same, self.rows, self.cols, self.identity, self._block, self._row, self._local):
             a.setflags(write=False)
 
@@ -214,24 +214,12 @@ class _WeightSectors:
     def runs(self, d: np.ndarray) -> list[np.ndarray]:
         """Sector entries d as stacks of blocks, one (sectors, size, size) view per size."""
         return [d[begin:begin + count * size * size].reshape(count, size, size)
-                for begin, (count, size) in zip(self._run_begins, self.blocks)]
-
-    @cached_property
-    def _run_begins(self) -> list[int]:
-        return np.cumsum([0] + [count * size * size for count, size in self.blocks]).tolist()
+                for begin, (count, size) in zip(self._begins, self.blocks)]
 
     def block_minimum(self, d: np.ndarray) -> float:
         """Least eigenvalue of the Hermitian operator with sector entries d and zeros
         elsewhere: the least over its sector blocks."""
         return min(float(np.linalg.eigvalsh(blocks).min()) for blocks in self.runs(d))
-
-    @cached_property
-    def row_major(self) -> np.ndarray:
-        """The order of same by flat index: d[row_major] lists the sector entries in
-        row-major order, row by row and in ascending column within a row."""
-        order = np.argsort(self.same)
-        order.setflags(write=False)
-        return order
 
     def _position(self, row: np.ndarray, col: np.ndarray) -> np.ndarray:
         """Position in same of the pairs (row, col), broadcast together, len(same) for a
@@ -264,14 +252,17 @@ class _WeightSectors:
         row or on the column.  Row r of raised reads D[f_r^{-1}(x), y] and row r of
         lowered reads D[x, f_r(y)] for each (x, y) in T, r running from the last
         register to the first; a pair outside the sectors reads the zero.  T is
-        taken in ascending flat order, by a sort and a neighbour test."""
+        taken in ascending flat order, by a sort and a neighbour test.
+
+        T is the row-side reach {(f_r(x), y)} alone: the column side adds no pair.  Take
+        (x, y) in a sector and l, y's level on register r: x holds l on some register s,
+        so x' = f_s^{-1}(x) shares f_r^{-1}(y)'s sector and (x, f_r^{-1}(y)) = (f_s(x'), ·)."""
         m, dim = self.m, len(self.digits)
         digits = self.digits[:, ::-1]  # column r: the level of register count − r
         powers = m ** np.arange(digits.shape[1])
         up = np.arange(dim)[:, None] + ((digits + 1) % m - digits) * powers  # column r: f_r
         down = np.arange(dim)[:, None] + ((digits - 1) % m - digits) * powers  # f_r^{-1}
-        reached = sorted_distinct(np.concatenate([(up[self.rows] * dim + self.cols[:, None]).ravel(),
-                                                  (self.rows[:, None] * dim + down[self.cols]).ravel()]))
+        reached = sorted_distinct((up[self.rows] * dim + self.cols[:, None]).ravel())
         rows, cols = np.divmod(reached, dim)
         return self._position(down[rows].T, cols), self._position(rows, up[cols].T)
 

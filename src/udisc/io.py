@@ -87,12 +87,10 @@ DENSITY_REPAIR_TOL = 1e-8
 WRITE_CHUNK = 1 << 16
 
 
-def _write_blocks(path, header: str, blocks, comment: str | None = None) -> None:
+def _write_blocks(path, header: str, blocks) -> None:
     """Write a header line, then each (label or None, numbers) block as rows of "%.17g"
     pairs; numbers is what _block_text takes (_dense_numbers, _sector_numbers)."""
     with open(path, "w", encoding="ascii") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
         fh.write(header + "\n")
         for label, numbers in blocks:
             if label is not None:
@@ -114,14 +112,17 @@ def _dense_numbers(matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _sector_rows(m: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     """The sector-row layout of count registers of dimension m, as (order, bounds): d[order]
     lists the sector entries d row after row, row x holding (x, y) for the y of x's
-    sector in ascending y (_WeightSectors.row_major), and row x holds numbers bounds[x]
-    to bounds[x + 1], 2·|sector of x| of them.  Built once per (m, count), read-only."""
+    sector in ascending y, which is the order of _weight_sectors(m, count).same by flat
+    index, and row x holds numbers bounds[x] to bounds[x + 1], 2·|sector of x| of them.
+    The codec's one copy of the layout, built once per (m, count), read-only."""
     index = _weight_sectors(m, count)
     dim = len(index.digits)
+    order = np.argsort(index.same)
     bounds = np.zeros(dim + 1, dtype=np.int64)
     np.cumsum(2 * np.bincount(index.rows, minlength=dim), out=bounds[1:])
+    order.setflags(write=False)
     bounds.setflags(write=False)
-    return index.row_major, bounds
+    return order, bounds
 
 
 def _sector_numbers(m: int, count: int, d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -369,11 +370,11 @@ def _row_layout(rows: int, cols: int, what: str):
 # state sets
 
 
-def write_states(path, states, comment: str | None = None) -> None:
+def write_states(path, states) -> None:
     """Write a state file; a NaN or an infinity is refused before the file is opened."""
     s = np.asarray(states, dtype=complex)
     _refuse_non_finite(s, f"{path}: state set")
-    _write_blocks(path, f"states {s.shape[1]} {s.shape[0]}", [(None, _dense_numbers(s))], comment)
+    _write_blocks(path, f"states {s.shape[1]} {s.shape[0]}", [(None, _dense_numbers(s))])
 
 
 def read_states(path) -> tuple[np.ndarray, list[str]]:
@@ -400,11 +401,11 @@ def read_states(path) -> tuple[np.ndarray, list[str]]:
 # density operators
 
 
-def write_density(path, rho, comment: str | None = None) -> None:
+def write_density(path, rho) -> None:
     """Write a density file; a NaN or an infinity is refused before the file is opened."""
     rho = np.asarray(rho, dtype=complex)
     _refuse_non_finite(rho, f"{path}: density matrix")
-    _write_blocks(path, f"rho {len(rho)}", [(None, _dense_numbers(rho))], comment)
+    _write_blocks(path, f"rho {len(rho)}", [(None, _dense_numbers(rho))])
 
 
 def read_density(path) -> np.ndarray:

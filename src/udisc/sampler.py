@@ -72,6 +72,8 @@ def sample(dist: OutcomeDistribution, shots: int, seed: int) -> SampleRecord:
     """Inverse-CDF sampling with a PCG64 stream; deterministic in (dist, shots, seed)."""
     if shots < 1:
         raise ValueError("shots must be at least 1")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     rng = np.random.Generator(np.random.PCG64(int(seed)))
     cdf = np.cumsum(dist.probabilities)
     cdf[-1] = 1.0

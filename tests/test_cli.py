@@ -361,6 +361,27 @@ class TestSample:
         assert "family = optimal" in out
 
 
+@pytest.mark.parametrize("command", [("prob",), ("sample", "--shots", "100")])
+def test_near_unit_state_is_renormalized_with_a_warning(tmp_path, capsys, command):
+    path = tmp_path / "near.txt"
+    path.write_text("states 2 2\n1.0000001 0 0 0\n0 0 1 0\n")
+    code, out, err = run(capsys, command[0], str(path), *command[1:])
+    assert code == 0
+    assert err == "warning: state 1 renormalized (norm deviation 1.000e-07)\n"
+    assert "family = optimal" in out
+
+
+def test_negative_seed_is_refused_naming_the_seed(tmp_path, capsys):
+    r1, r2 = str(tmp_path / "r1.txt"), str(tmp_path / "r2.txt")
+    write_density(r1, np.diag([1.0, 0.0]).astype(complex))
+    write_density(r2, np.diag([0.0, 1.0]).astype(complex))
+    for argv in (("sample", orthonormal_pair_file(tmp_path), "--seed", "-1"),
+                 ("mixed", r1, r2, "--data", "1", "--seed", "-1")):
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert err == "error: seed must be non-negative, got -1\n", argv
+
+
 class TestMixed:
     def test_orthogonal_pair(self, tmp_path, capsys):
         r1, r2 = str(tmp_path / "r1.txt"), str(tmp_path / "r2.txt")
@@ -409,6 +430,13 @@ class TestMixed:
         write_density(r2, np.diag([0.0, 1.0]).astype(complex))
         code, _, err = run(capsys, "mixed", r1, r2, "--data", "5")
         assert code == 2
+
+    def test_single_density_exits_2(self, tmp_path, capsys):
+        r1 = str(tmp_path / "r1.txt")
+        write_density(r1, np.diag([1.0, 0.0]).astype(complex))
+        code, _, err = run(capsys, "mixed", r1, "--data", "1")
+        assert code == 2
+        assert err == "error: need at least two states to decompose\n"
 
     def test_densities_are_sized_against_the_cap(self, tmp_path, capsys):
         # 20 x 20 = 400 entries per density file

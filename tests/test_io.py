@@ -1,4 +1,5 @@
 import itertools
+import re
 import time
 import tracemalloc
 from unittest import mock
@@ -41,7 +42,7 @@ class TestStateFiles:
         rng = np.random.default_rng(90)
         states = rand_states(3, 4, rng)
         path = tmp_path / "states.txt"
-        write_states(path, states, comment="fixture")
+        write_states(path, states)
         loaded, warnings = read_states(path)
         assert warnings == []
         assert max_abs(loaded - states) < 1e-15
@@ -208,12 +209,10 @@ class TestPovmRoundTripProperty:
             assert a.view(float).tobytes() == b.view(float).tobytes()
 
 
-def row_format_write(path, header, blocks, comment=None):
+def row_format_write(path, header, blocks):
     """Oracle for io._write_blocks: one "%.17g" per number, one % operation per row; a block
     is a matrix or a list of rows of differing widths, each a 1-d complex array."""
     with open(path, "w", encoding="ascii") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
         fh.write(header + "\n")
         for label, rows in blocks:
             if label is not None:
@@ -275,8 +274,8 @@ class TestInternedWriter:
         blocks = [("block a", block), (None, block[::-1])]
         with mock.patch.object(udisc_io, "WRITE_CHUNK", chunk):
             udisc_io._write_blocks(folder / "new.txt", "head 1",
-                                   [(label, udisc_io._dense_numbers(b)) for label, b in blocks], comment="c")
-        row_format_write(folder / "old.txt", "head 1", blocks, comment="c")
+                                   [(label, udisc_io._dense_numbers(b)) for label, b in blocks])
+        row_format_write(folder / "old.txt", "head 1", blocks)
         assert (folder / "new.txt").read_bytes() == (folder / "old.txt").read_bytes()
 
     @settings(max_examples=80, deadline=None)
@@ -825,6 +824,21 @@ class TestWritersRefuseNonFinite:
         with pytest.raises(FormatError, match=f"element 1 row {row} holds a non-finite number$"):
             write_povm(path, bad)
         assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize("reader,text,message", [
+    (read_states, "", "empty file"),
+    (read_states, "# only a comment\n\n", "empty file"),
+    (read_states, "states x 2\n1 0 0 0\n", "header fields must be integers"),
+    (read_states, "states 0 2\n", "header fields must be positive"),
+    (read_povm, "povm-sectors 1 2 3\nelem 0\n1 0\n", "expected 'element 0', got 'elem 0'"),
+    (read_states, "states 2 1\n1 0 0 0\n0 0 1 0\n", "content after the last state set row"),
+])
+def test_file_structure_refusals_name_the_defect(tmp_path, reader, text, message):
+    path = tmp_path / "file.txt"
+    path.write_text(text)
+    with pytest.raises(FormatError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        reader(path)
 
 
 class TestSectorRowFiles:

@@ -85,6 +85,11 @@ class TestSample:
         with pytest.raises(ValueError):
             sample(distribution_from_probs([1.0]), 0, seed=1)
 
+    def test_rejects_a_negative_seed_naming_it(self):
+        with pytest.raises(ValueError, match=r"^seed must be non-negative, got -1$"):
+            sample(distribution_from_probs([1.0]), 10, seed=-1)
+        assert sample(distribution_from_probs([1.0]), 10, seed=0).counts == (10,)
+
 
 def one_shot_counts(dist, shots, seed):
     """Reference sampler: all draws at once, each located in the CDF by searchsorted."""

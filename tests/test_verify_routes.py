@@ -51,7 +51,7 @@ from udisc.discriminator import (
 )
 from udisc.cli import main
 from udisc.errors import InvalidPovm
-from udisc.io import read_povm, write_povm
+from udisc.io import _sector_rows, read_povm, write_povm
 from udisc.tensor_algebra import as_complex_matrix, kron_chain, max_abs, partial_trace, reorder_factors
 
 ROUTE_TOL = 1e-14
@@ -319,13 +319,14 @@ def test_weight_sector_index_is_built_once_and_read_only():
     assert _weight_sectors(3, 3) is index
     assert index.swapped(1, 2) is index.swapped(1, 2)
     assert index.traced(2) is index.traced(2)
-    for name in ("transposed", "shifted", "identity", "rows", "cols", "digits", "same", "diagonal",
-                 "row_major"):
+    for name in ("transposed", "shifted", "identity", "rows", "cols", "digits", "same", "diagonal"):
         assert getattr(index, name) is getattr(index, name), name
+    sector_rows = _sector_rows(3, 3)
+    assert _sector_rows(3, 3) is sector_rows
     complement = discriminator._complement_entries(3, 2)
     assert discriminator._complement_entries(3, 2) is complement
     for a in (index.transposed, index.swapped(1, 2), *index.shifted, index.identity, index.rows,
-              index.cols, index.digits, index.same, index.diagonal, index.row_major,
+              index.cols, index.digits, index.same, index.diagonal, *sector_rows,
               *index.traced(2), complement):
         with pytest.raises(ValueError):
             a[(0,) * a.ndim] = 1
@@ -382,7 +383,7 @@ def unique_shifted(index):
     return position(down[rows].T * dim + cols), position(rows * dim + up[cols].T)
 
 
-@pytest.mark.parametrize("m,count", [(3, 4), (4, 4), (2, 5)])
+@pytest.mark.parametrize("m,count", [(1, 3), (2, 3), (5, 3), (3, 4), (4, 4), (2, 5)])
 def test_shifted_matches_the_unique_construction(m, count):
     raised, lowered = _weight_sectors(m, count).shifted
     oracle_raised, oracle_lowered = unique_shifted(_weight_sectors(m, count))
