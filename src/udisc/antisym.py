@@ -21,7 +21,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .config import check_entries, check_square
+from .config import check_entries, check_tensor_square
 from .tensor_algebra import as_state_set, kron_chain, sorted_distinct
 
 # Largest deviation of a projector's trace from its rank C(m, n).
@@ -329,7 +329,7 @@ def antisym_projector(m: int, n: int) -> AntisymProjector:
     """
     if n < 1:
         raise ValueError("need at least one register")
-    check_square(m**n, "antisymmetric projector")
+    check_tensor_square(int(m), int(n), "antisymmetric projector")  # int: a numpy m**n wraps
     p = _weight_sectors(m, n).scatter(_sign_entries(m, n))
     trace = float(np.trace(p).real)
     if abs(trace - math.comb(m, n)) > TRACE_TOL:
@@ -339,10 +339,9 @@ def antisym_projector(m: int, n: int) -> AntisymProjector:
 
 def antisym_projector_from_basis(m: int, n: int) -> AntisymProjector:
     """Same projector assembled as Σ_ς |φ_ς><φ_ς| over the increasing-tuple basis."""
-    dim = m**n
-    check_square(dim, "antisymmetric projector")
+    dim = check_tensor_square(int(m), int(n), "antisymmetric projector")
     acc = np.zeros((dim, dim), dtype=complex)
-    for tup in increasing_tuples(m, n) if n <= m else []:
+    for tup in increasing_tuples(m, n):
         v = antisym_basis_vector(tup, m)
         acc += np.outer(v, v.conj())
     return AntisymProjector(m, n, acc)

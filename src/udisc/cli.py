@@ -40,7 +40,7 @@ from .discriminator import (
 )
 from .errors import FormatError, ProgramNotIndependent, UdiscError
 from .mixed_states import bounds_check, build_program, core_decompose, part_probabilities
-from .sampler import distribution_from_probs, outcome_distribution, sample
+from .sampler import _check_run, distribution_from_probs, outcome_distribution, sample
 from .tensor_algebra import gram_det
 
 DEPENDENCE_WARN_TOL = 1e-12
@@ -132,6 +132,7 @@ def cmd_prob(args, emit: Emitter) -> int:
 
 
 def cmd_sample(args, emit: Emitter) -> int:
+    _check_run(args.shots, args.seed)
     states, warnings = io.read_states(args.states)
     for w in warnings:
         emit.warn(w)
@@ -159,6 +160,7 @@ def cmd_sample(args, emit: Emitter) -> int:
 
 
 def cmd_mixed(args, emit: Emitter) -> int:
+    _check_run(args.shots, args.seed)
     rhos = [io.read_density(path) for path in args.rho]
     n = len(rhos)
     if not 1 <= args.data <= n:

@@ -89,14 +89,9 @@ def check_entries(count: int, what: str = "object") -> None:
         raise CapExceeded(f"{what} with {size} complex entries exceeds the cap of {budget}")
 
 
-def check_square(dim: int, what: str = "matrix") -> None:
-    """Raise CapExceeded when a dense dim x dim matrix is over budget."""
-    check_entries(dim * dim, f"{dim}x{dim} {what}")
-
-
 def check_tensor_square(m: int, k: int, what: str = "matrix") -> int:
     """Return dim = m**k, for a dense dim x dim operator on k registers of dimension m,
-    after check_square(dim, what).
+    after sizing its dim·dim entries against the budget (check_entries).
 
     When m's bit length b alone puts dim·dim over budget (m >= 2**(b-1), so
     dim·dim >= 2**(2k(b-1))), CapExceeded is raised before m**k is formed,
@@ -106,5 +101,5 @@ def check_tensor_square(m: int, k: int, what: str = "matrix") -> int:
     if 2 * k * (m.bit_length() - 1) > budget.bit_length():
         raise CapExceeded(f"{m}^{k}x{m}^{k} {what} exceeds the cap of {budget} complex entries")
     dim = m**k
-    check_square(dim, what)
+    check_entries(dim * dim, f"{dim}x{dim} {what}")
     return dim

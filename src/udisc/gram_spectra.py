@@ -11,14 +11,15 @@ admissible coefficient c.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .antisym import antisym_basis_vector, increasing_tuples
-from .config import check_entries
-from .discriminator import _COEFFICIENTS, auto_family
-from .errors import WrongRegime
+from .config import check_entries, resolve_cap
+from .discriminator import auto_family, family_povm
+from .errors import CapExceeded, WrongRegime
 from .tensor_algebra import own_register_first, reorder_factors
 
 # c_optimal: largest disagreement between the numeric and closed-form coefficients.
@@ -56,41 +57,45 @@ class GramStructure:
         return groups
 
 
-def _sign(exponent: int) -> float:
-    return -1.0 if exponent % 2 else 1.0
-
-
-def _tuples_for(m: int, n: int) -> list[tuple[int, ...]]:
+def _labels_for(m: int, n: int) -> list[Label]:
     if m < n:
         raise WrongRegime(f"no basis family is defined for m={m} < n={n}")
-    if m == n:
-        return [tuple(range(1, n + 1))]
-    return increasing_tuples(m, n)
-
-
-def _labels_for(m: int, n: int) -> list[Label]:
+    tuples = increasing_tuples(m, n)
     # canonical order: lexicographic by (i, ς, k)
-    return [
-        (i, k, s)
-        for i in range(1, n + 1)
-        for s in _tuples_for(m, n)
-        for k in range(1, m + 1)
-    ]
+    return [(i, k, s) for i in range(1, n + 1) for s in tuples for k in range(1, m + 1)]
+
+
+def _sized_labels(m: int, n: int, square: bool, what: str) -> list[Label]:
+    """_labels_for(m, n), listed only after the object they index is sized against the
+    budget: L = n·m·C(m, n) vectors of m^(n+1) entries, or (square) the L x L Gram matrix.
+
+    For m >= n >= 1, L >= m² and L >= C(m, n) >= 2^min(n, m−n).  With m >= 2^b these
+    bounds put the entries at 2^bits or more, so when bits exceeds the budget's bit
+    length CapExceeded is raised before C(m, n) or m^(n+1) is formed, however large m is.
+    """
+    if m >= n >= 1:
+        budget = resolve_cap()
+        b = m.bit_length() - 1
+        bits = max(2 * b, min(n, m - n))
+        bits = 2 * bits if square else bits + (n + 1) * b
+        if bits > budget.bit_length():
+            raise CapExceeded(f"{what} with at least 2^{bits} complex entries exceeds the cap of {budget}")
+        count = n * m * math.comb(m, n)
+        check_entries(count * (count if square else m ** (n + 1)), what)
+    return _labels_for(m, n)
 
 
 def build_basis_vectors(m: int, n: int) -> LabeledVectors:
-    """Unit vectors |k>_i |φ_ς>_rest in dimension m^(n+1), one per label.
-
-    For m = n the single tuple ς = (1..n) is used; for m > n all increasing
-    n-tuples appear.
+    """Unit vectors |k>_i |φ_ς>_rest in dimension m^(n+1), one per label (i, k, ς):
+    every register i, level k and increasing n-tuple ς (the one tuple (1..n) when
+    m = n).  Their n·m·C(m, n)·m^(n+1) entries are sized against the budget before
+    any label is listed.
     """
-    labels = _labels_for(m, n)
-    dim = m ** (n + 1)
-    check_entries(dim * len(labels), "labeled vector family")
+    labels = _sized_labels(m, n, False, "labeled vector family")
     dims = [m] * (n + 1)
     eye = np.eye(m, dtype=complex)
-    phi = {s: antisym_basis_vector(s, m) for s in _tuples_for(m, n)}
-    vecs = np.empty((len(labels), dim), dtype=complex)
+    phi = {s: antisym_basis_vector(s, m) for s in increasing_tuples(m, n)}
+    vecs = np.empty((len(labels), m ** (n + 1)), dtype=complex)
     for row, (i, k, s) in enumerate(labels):
         vecs[row] = reorder_factors(
             np.kron(eye[k - 1], phi[s]), dims, own_register_first(i, n + 1)
@@ -105,17 +110,19 @@ def gram_numeric(lv: LabeledVectors) -> GramStructure:
 
 
 def gram_closed_form(m: int, n: int) -> GramStructure:
-    """Gram matrix assembled from the Γ/Λ block rules.
+    """Gram matrix assembled from the Γ/Λ block rules, its (n·m·C(m, n))² entries
+    sized against the budget before any label is listed.
 
     The labels of one block_partition() key span a copy of
     gamma_block_matrix(n) (key ς, k ∈ ς) or lambda_block_matrix(n) (key
-    ξ = {k} ∪ ς); every entry between different keys vanishes.  Label
-    (i, k, ·) of the block keyed by κ sits at block row (i−1)·len(κ) + κ.index(k).
+    ξ = {k} ∪ ς, present when m > n); every entry between different keys
+    vanishes.  Label (i, k, ·) of the block keyed by κ sits at block row
+    (i−1)·len(κ) + κ.index(k).
     """
-    labels = tuple(_labels_for(m, n))
+    labels = tuple(_sized_labels(m, n, True, "Gram matrix"))
     gs = GramStructure(m=m, n=n, labels=labels,
                        matrix=np.zeros((len(labels), len(labels)), dtype=complex))
-    blocks = {"gamma": gamma_block_matrix(n), "lambda": lambda_block_matrix(n)}
+    blocks = {"gamma": gamma_block_matrix(n), "lambda": lambda_block_matrix(n) if m > n else None}
     for (kind, key), idx in gs.block_partition().items():
         rows = [(labels[a][0] - 1) * len(key) + key.index(labels[a][1]) for a in idx]
         gs.matrix[np.ix_(idx, idx)] = blocks[kind][np.ix_(rows, rows)]
@@ -123,35 +130,28 @@ def gram_closed_form(m: int, n: int) -> GramStructure:
 
 
 def gamma_block_matrix(n: int) -> np.ndarray:
-    """The n² × n² Γ block: (i, j) sub-block I δ_ij + (-1)^(i-j+1)/n I (i ≠ j)."""
-    eye = np.eye(n)
-    g = np.zeros((n * n, n * n))
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            block = eye if i == j else _sign(i - j + 1) / n * eye
-            g[(i - 1) * n : i * n, (j - 1) * n : j * n] = block
-    return g.astype(complex)
+    """The n² × n² Γ block: (i, j) sub-block I δ_ij + (-1)^(i-j+1)/n I (i ≠ j).
+
+    Its n⁴ entries are sized against the budget first; a zero of a negative
+    sub-block is −0.0 (the coefficient times I)."""
+    check_entries(n**4, "Γ block")
+    i, k, j, l = np.ix_(range(n), range(n), range(n), range(n))
+    g = np.where(i == j, 1.0, np.where((i - j + 1) % 2, -1.0, 1.0) / n) * (k == l)
+    return g.reshape(n * n, n * n).astype(complex)
 
 
 def lambda_block_matrix(n: int) -> np.ndarray:
     """The n(n+1) × n(n+1) Λ block over (register i, position k in ξ).
 
-    Entry ((i,k),(j,l)) = δ_ij δ_kl + (-1)^(i-j+k-l)/n (1-δ_kl)(1-δ_ij).
+    Entry ((i,k),(j,l)) = δ_ij δ_kl + (-1)^(i-j+k-l)/n (1-δ_kl)(1-δ_ij).  Its
+    (n(n+1))² entries are sized against the budget first.
     """
-    width = n + 1
-    size = n * width
-    g = np.zeros((size, size))
-    for i in range(1, n + 1):
-        for k in range(1, width + 1):
-            for j in range(1, n + 1):
-                for l in range(1, width + 1):
-                    a = (i - 1) * width + (k - 1)
-                    b = (j - 1) * width + (l - 1)
-                    if i == j and k == l:
-                        g[a, b] = 1.0
-                    elif i != j and k != l:
-                        g[a, b] = _sign(i - j + k - l) / n
-    return g.astype(complex)
+    size = n * (n + 1)
+    check_entries(size * size, "Λ block")
+    i, k, j, l = np.ix_(range(n), range(n + 1), range(n), range(n + 1))
+    g = np.where((i == j) & (k == l), 1.0,
+                 np.where((i != j) & (k != l), np.where((i - j + k - l) % 2, -1.0, 1.0) / n, 0.0))
+    return g.reshape(size, size).astype(complex)
 
 
 @dataclass(frozen=True)
@@ -180,18 +180,15 @@ def c_optimal(m: int, n: int) -> float:
     """Largest admissible POVM coefficient, 1/λ_max(G).
 
     G is a direct sum of copies of the Γ block and, when m > n, the Λ block,
-    so λ_max(G) is the larger of their largest eigenvalues; no m-dependent
-    vector is formed.  Cross-checked against the coefficient of the
-    auto_family device (n/(n+1) for m = n, 1/n for m > n); a disagreement
-    beyond COEFFICIENT_TOL raises ArithmeticError.  n < 2 and m < n raise WrongRegime,
-    as family_povm does.
+    so λ_max(G) is the larger of their largest eigenvalues; no label and no
+    m-dependent vector is formed.  Cross-checked against the coefficient c of
+    family_povm(auto_family(m, n), m, n) (n/(n+1) for m = n, 1/n for m > n),
+    which also decides the regime: n < 2 and m < n raise its WrongRegime.  A
+    disagreement beyond COEFFICIENT_TOL raises ArithmeticError.
     """
-    if n < 2:
-        raise WrongRegime(f"need at least two states, got n={n}")
-    _tuples_for(m, n)  # WrongRegime for m < n
+    expected = family_povm(auto_family(m, n), m, n).c
     blocks = [gamma_block_matrix(n)] + ([lambda_block_matrix(n)] if m > n else [])
     c = 1.0 / max(float(np.linalg.eigvalsh(b)[-1]) for b in blocks)
-    expected = _COEFFICIENTS[auto_family(m, n)](n)
     if abs(c - expected) > COEFFICIENT_TOL:
         raise ArithmeticError(
             f"numeric coefficient {c!r} disagrees with the closed form {expected!r}"

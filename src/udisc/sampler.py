@@ -5,8 +5,9 @@ integer, with one uniform draw per shot mapped through the inverse CDF, so
 identical (distribution, shots, seed) yield identical counts on every
 platform.  The draws are taken in fixed chunks of CHUNK_SHOTS from that one
 stream into a reused buffer, so memory stays bounded and the counts do not
-depend on the chunk size; each chunk is counted against the CDF thresholds
-(#(outcome >= k) = #(draw >= cdf[k-1])) rather than by locating each draw.
+depend on the chunk size; each chunk is counted against the distinct CDF
+thresholds (#(outcome >= k) = #(draw >= cdf[k-1])) rather than by locating
+each draw.
 Parallel shot generation, if ever needed, must derive sub-stream seeds via
 ``numpy.random.SeedSequence(seed).spawn(k)`` to stay reproducible.
 """
@@ -68,24 +69,31 @@ class SampleRecord:
         return tuple(float(np.sqrt(q * (1 - q) / self.shots)) for q in p)
 
 
-def sample(dist: OutcomeDistribution, shots: int, seed: int) -> SampleRecord:
-    """Inverse-CDF sampling with a PCG64 stream; deterministic in (dist, shots, seed)."""
+def _check_run(shots: int, seed: int) -> None:
+    """Refuse a shot count below 1 or a negative seed (ValueError naming the option)."""
     if shots < 1:
         raise ValueError("shots must be at least 1")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
+
+
+def sample(dist: OutcomeDistribution, shots: int, seed: int) -> SampleRecord:
+    """Inverse-CDF sampling with a PCG64 stream; deterministic in (dist, shots, seed)."""
+    _check_run(shots, seed)
     rng = np.random.Generator(np.random.PCG64(int(seed)))
     cdf = np.cumsum(dist.probabilities)
     cdf[-1] = 1.0
+    # outcomes of probability 0 repeat a threshold: count each distinct one once
+    thresholds, which = np.unique(cdf[:-1], return_inverse=True)
+    above = np.zeros(len(thresholds), dtype=np.int64)  # above[j] = #(draw >= thresholds[j])
     shots = int(shots)
-    at_least = np.zeros(dist.size, dtype=np.int64)  # at_least[k] = #(outcome >= k)
     buf = np.empty(min(shots, CHUNK_SHOTS))
     for start in range(0, shots, CHUNK_SHOTS):
         draws = buf[: min(CHUNK_SHOTS, shots - start)]
         rng.random(out=draws)
-        for k in range(1, dist.size):
-            at_least[k] += np.count_nonzero(draws >= cdf[k - 1])
-    at_least[0] = shots
+        for j, threshold in enumerate(thresholds):
+            above[j] += np.count_nonzero(draws >= threshold)
+    at_least = np.concatenate(([shots], above[which]))  # at_least[k] = #(outcome >= k)
     counts = at_least - np.append(at_least[1:], 0)
     return SampleRecord(
         seed=int(seed),

@@ -3,7 +3,7 @@ import math
 import numpy as np
 
 from udisc.antisym import TRACE_TOL, AntisymProjector, Permutation, _digit_table, all_permutations
-from udisc.config import check_square
+from udisc.config import check_tensor_square
 from udisc.discriminator import family_povm
 from udisc.gram_spectra import gamma_block_matrix, lambda_block_matrix
 from udisc.tensor_algebra import gram_det, hermitize, max_abs
@@ -99,8 +99,7 @@ def _permuted_indices(sigma: Permutation, m: int) -> np.ndarray:
 
 def permutation_operator(sigma: Permutation, m: int) -> np.ndarray:
     """Unitary realigning n registers of dimension m: |ω_1..ω_n> ↦ |ω_{σ1}..ω_{σn}>."""
-    dim = m**sigma.n
-    check_square(dim, "permutation operator")
+    dim = check_tensor_square(m, sigma.n, "permutation operator")
     op = np.zeros((dim, dim), dtype=complex)
     op[_permuted_indices(sigma, m), np.arange(dim)] = 1.0
     return op

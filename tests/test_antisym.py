@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from udisc.antisym import (
     increasing_tuples,
     wedge,
 )
+from udisc.config import entry_cap
+from udisc.errors import CapExceeded
 from udisc.tensor_algebra import gram_det, kron_chain, max_abs
 
 
@@ -193,3 +196,30 @@ class TestAntisymOverlap:
             s = complex(np.vdot(a, b))
             expected = (1 - abs(s) ** 2) / 2
             assert abs(antisym_overlap(np.array([a, b])) - expected) < 1e-10
+
+
+@pytest.mark.parametrize("build", [antisym_projector, antisym_projector_from_basis])
+class TestProjectorSizing:
+    def test_dimension_past_the_text_limit_is_refused(self, build):
+        # 10^4301 has more digits than Python converts to text
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded, match=r"10\^4301x10\^4301 antisymmetric projector"):
+            build(10, 4301)
+        assert time.perf_counter() - start < 1.0
+
+    def test_numpy_integers_are_sized_as_python_integers(self, build):
+        # np.int64(2) ** 40 squared wraps to 0 in int64
+        with pytest.raises(CapExceeded):
+            build(np.int64(2), np.int64(40))
+        with entry_cap(256):
+            assert build(np.int64(2), np.int64(4)).matrix.shape == (16, 16)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: Permutation((2, 1)).compose(Permutation((1, 2, 3))), "cannot compose permutations of different degree"),
+    (lambda: increasing_tuples(3, 0), "tuple length must be at least 1"),
+    (lambda: antisym_projector(2, 0), "need at least one register"),
+], ids=["compose-degrees", "empty-tuple", "no-register"])
+def test_refusals_name_the_defect(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -377,9 +377,25 @@ def test_negative_seed_is_refused_naming_the_seed(tmp_path, capsys):
     write_density(r2, np.diag([0.0, 1.0]).astype(complex))
     for argv in (("sample", orthonormal_pair_file(tmp_path), "--seed", "-1"),
                  ("mixed", r1, r2, "--data", "1", "--seed", "-1")):
-        code, _, err = run(capsys, *argv)
+        code, out, err = run(capsys, *argv)
         assert code == 2, argv
+        assert out == "", argv
         assert err == "error: seed must be non-negative, got -1\n", argv
+
+
+def test_zero_shots_are_refused_before_any_file_is_read(tmp_path, capsys):
+    r1, r2 = str(tmp_path / "r1.txt"), str(tmp_path / "r2.txt")
+    write_density(r1, np.diag([1.0, 0.0]).astype(complex))
+    write_density(r2, np.diag([0.0, 1.0]).astype(complex))
+    missing = str(tmp_path / "missing.txt")
+    for argv in (("sample", orthonormal_pair_file(tmp_path), "--shots", "0"),
+                 ("mixed", r1, r2, "--data", "1", "--shots", "0"),
+                 ("sample", missing, "--shots", "0"),
+                 ("mixed", missing, missing, "--data", "1", "--shots", "0")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == "", argv
+        assert err == "error: shots must be at least 1\n", argv
 
 
 class TestMixed:

@@ -20,6 +20,7 @@ from udisc.discriminator import (
     product_probabilities,
     program_input,
     success_prob_analytic,
+    success_factor,
     success_prob_operational,
     verify_unambiguous,
 )
@@ -504,3 +505,21 @@ class TestCovariance:
             assert report.permutation_ok == (everything <= PERMUTATION_COV_TOL) == covariant
             assert everything <= (2 + (n - 1) * (n - 2) / 2) * report.permutation_residual
         assert report.permutation_residual > 1e-6
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: Povm(2, 2, sectors=[np.zeros(3)] * 3), ValueError,
+     r"sector entries must be n\+1 = 3 arrays of \d+ entries"),
+    (lambda: family_povm("best", 3, 2), ValueError, "unknown family 'best'"),
+    (lambda: family_povm("universal", 3, 1), WrongRegime, "need at least two states, got n=1"),
+    (lambda: family_povm("trivial", 2, 3), WrongRegime, "no discriminator is defined for m=2 < n=3"),
+    (lambda: outcome_probabilities(build_universal(3, 2), np.eye(9)), LayoutMismatch,
+     r"input matrix of shape \(9, 9\), POVM dimension 27"),
+    (lambda: outcome_probabilities(build_universal(3, 2), np.zeros((3, 3, 3))), ValueError,
+     "input must be a vector or a square matrix"),
+    (lambda: success_factor("best", 2), ValueError, "unknown family 'best'"),
+], ids=["sector-count", "unknown-family", "one-state", "trivial-m<n", "input-shape", "input-rank",
+        "success-factor-family"])
+def test_refusals_name_the_defect(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -1,9 +1,15 @@
+import itertools
+import re
+import time
+
 import numpy as np
 import pytest
 
+from udisc import gram_spectra
 from udisc.antisym import antisym_basis_vector
-from udisc.discriminator import build_optimal_equal, build_universal
-from udisc.errors import WrongRegime
+from udisc.config import entry_cap
+from udisc.discriminator import auto_family, build_optimal_equal, build_universal, family_povm
+from udisc.errors import CapExceeded, WrongRegime
 from udisc.gram_spectra import (
     build_basis_vectors,
     c_optimal,
@@ -156,3 +162,79 @@ class TestCOptimal:
         povm = build_optimal_equal(n) if m == n else build_universal(m, n)
         assert abs(povm.c - c_optimal(m, n)) < 1e-9
         assert min(povm.residuals()[0]) >= -1e-9
+
+    @pytest.mark.parametrize("m,n", [(3, 4), (2, 5)])
+    def test_regime_refusal_is_family_povms(self, m, n):
+        with pytest.raises(WrongRegime) as refused:
+            family_povm(auto_family(m, n), m, n)
+        with pytest.raises(WrongRegime, match=re.escape(str(refused.value))):
+            c_optimal(m, n)
+
+
+def entrywise_gamma(n):
+    """Γ block from its entry rule, one entry at a time."""
+    g = np.zeros((n * n, n * n))
+    for i, j in itertools.product(range(n), repeat=2):
+        sub = np.eye(n) if i == j else (-1.0 if (i - j + 1) % 2 else 1.0) / n * np.eye(n)
+        g[i * n:(i + 1) * n, j * n:(j + 1) * n] = sub
+    return g.astype(complex)
+
+
+def entrywise_lambda(n):
+    """Λ block from its entry rule, one entry at a time."""
+    width = n + 1
+    g = np.zeros((n * width, n * width))
+    for i, k, j, l in itertools.product(range(n), range(width), range(n), range(width)):
+        if i == j and k == l:
+            g[i * width + k, j * width + l] = 1.0
+        elif i != j and k != l:
+            g[i * width + k, j * width + l] = (-1.0 if (i - j + k - l) % 2 else 1.0) / n
+    return g.astype(complex)
+
+
+class TestSizedFromMN:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_blocks_match_the_entry_rules_bit_for_bit(self, n):
+        # the Γ block's zeros off the sub-block diagonals carry the sign of their coefficient
+        assert np.array_equal(gamma_block_matrix(n).view(np.int64), entrywise_gamma(n).view(np.int64))
+        assert np.array_equal(lambda_block_matrix(n).view(np.int64), entrywise_lambda(n).view(np.int64))
+
+    @pytest.mark.parametrize("build,args,entries", [
+        (gamma_block_matrix, (5,), 625),
+        (lambda_block_matrix, (4,), 400),
+        (gram_closed_form, (3, 2), 324),
+    ])
+    def test_refused_over_a_small_cap(self, build, args, entries):
+        with entry_cap(256), pytest.raises(CapExceeded, match=f"with {entries} complex entries"):
+            build(*args)
+
+    def test_equal_regime_forms_no_lambda_block(self):
+        # (4, 4): 16 labels, a 256-entry Gram matrix; the 400-entry Λ block is not needed
+        with entry_cap(256):
+            assert gram_closed_form(4, 4).matrix.shape == (16, 16)
+
+    def test_nothing_is_listed_to_size_or_to_decide_the_regime(self, monkeypatch):
+        def unlisted(m, n):
+            raise AssertionError(f"increasing_tuples({m}, {n}) called")
+
+        monkeypatch.setattr(gram_spectra, "increasing_tuples", unlisted)
+        with pytest.raises(CapExceeded):
+            build_basis_vectors(40, 3)  # 1,185,600 labels
+        assert abs(c_optimal(24, 12) - 1 / 12) < 1e-9  # C(24, 12) = 2,704,156 tuples
+
+    @pytest.mark.parametrize("build", [build_basis_vectors, gram_closed_form])
+    @pytest.mark.parametrize("m,n", [(10**6, 10**6 - 1), (10**6, 5 * 10**5)])
+    def test_huge_m_is_refused_by_bit_length(self, build, m, n):
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded, match=r"at least 2\^"):
+            build(m, n)
+        assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: extremal_eigenvalues(gram_closed_form(2, 2)).max_over("lambda"), KeyError,
+     "no 'lambda' blocks present"),
+], ids=["no-lambda-block"])
+def test_refusals_name_the_defect(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -301,3 +301,20 @@ class TestBoundsCheck:
             probs = part_probabilities(program, rhos[s - 1])
             report = bounds_check(program, s, probs)
             assert report.passed, f"violation {report.worst_violation():.3e}"
+
+
+def _orthogonal_pair_program():
+    rhos = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
+    program = build_program(core_decompose(rhos))
+    return program, part_probabilities(program, rhos[0])
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda program, _: part_probabilities(program, np.eye(3) / 3), LayoutMismatch,
+     r"data state of shape \(3, 3\) does not match dimension 2"),
+    (lambda program, probs: bounds_check(program, 3, probs), ValueError, r"data index 3 outside 1\.\.2"),
+    (lambda program, probs: bounds_check(program, 0, probs), ValueError, r"data index 0 outside 1\.\.2"),
+], ids=["data-dimension", "data-index-past", "data-index-zero"])
+def test_refusals_name_the_defect(call, error, message):
+    with pytest.raises(error, match=message):
+        call(*_orthogonal_pair_program())

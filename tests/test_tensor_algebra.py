@@ -7,6 +7,7 @@ from udisc.errors import CapExceeded, IndexOutOfRange, LayoutMismatch, NotHermit
 from udisc import tensor_algebra
 from udisc.tensor_algebra import (
     Subspace,
+    as_state_set,
     eig_hermitian,
     fidelity,
     gram,
@@ -18,6 +19,7 @@ from udisc.tensor_algebra import (
     reorder_factors,
     require_conjugate_pairs,
     require_hermitian,
+    require_normalized,
     subspace_intersection,
     subspace_preimage,
     subspace_sum,
@@ -365,3 +367,34 @@ class TestPositiveOperatorInequalities:
         vb = rand_state(2, rng)
         v = kron_chain([va, vb])
         assert float((v.conj() @ omega @ v).real) < 1e-12
+
+
+def _line(ambient):
+    return Subspace(ambient, np.eye(ambient, 1, dtype=complex))
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: require_hermitian(np.zeros(3)), ValueError, r"expected a matrix, got array of shape \(3,\)"),
+    (lambda: as_state_set(np.zeros((2, 2, 2))), ValueError,
+     r"expected a set of state vectors, got shape \(2, 2, 2\)"),
+    (lambda: require_normalized([[2.0, 0.0]]), ValueError, "state vectors must be normalized"),
+    (lambda: require_hermitian(np.zeros((2, 3))), NotHermitian, r"matrix of shape \(2, 3\) is not square"),
+    (lambda: kron_chain([]), ValueError, "kron_chain needs at least one factor"),
+    (lambda: reorder_factors(np.zeros(4), [2, 2], [1, 1]), ValueError,
+     r"order \[1, 1\] is not a permutation of 1\.\.2"),
+    (lambda: Subspace(3, np.zeros((2, 1))), ValueError, r"basis shape \(2, 1\) does not match ambient 3"),
+    (lambda: _line(2).contains(np.zeros(3)), LayoutMismatch,
+     "vector dimension does not match ambient dimension"),
+    (lambda: subspace_preimage(_line(2), np.eye(3)), LayoutMismatch,
+     "map dimension does not match subspace ambient dimension"),
+    (lambda: subspace_sum(_line(2), _line(3)), LayoutMismatch,
+     r"subspaces live in different ambient dimensions \(2 vs 3\)"),
+    (lambda: fidelity(np.eye(2) / 2, np.eye(3) / 3), LayoutMismatch, "fidelity arguments must share a dimension"),
+    (lambda: fidelity(np.eye(2), np.eye(2) / 2), ValueError, r"rho has trace 2\.0 > 1"),
+    (lambda: fidelity(np.eye(2) / 2, np.eye(2)), ValueError, r"sigma has trace 2\.0 > 1"),
+], ids=["not-a-matrix", "not-a-state-set", "unnormalized", "not-square", "empty-chain", "bad-order",
+        "basis-shape", "contains-dimension", "preimage-dimension", "sum-dimensions",
+        "fidelity-dimensions", "rho-trace", "sigma-trace"])
+def test_refusals_name_the_defect(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
