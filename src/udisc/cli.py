@@ -68,6 +68,12 @@ class Emitter:
         print(f"warning: {message}", file=sys.stderr)
 
 
+def _check_index(option: str, value: int, n: int) -> None:
+    """Refuse a 1-based option value outside 1..n, naming the option."""
+    if not 1 <= value <= n:
+        raise FormatError(f"{option} {value} outside 1..{n}")
+
+
 def cmd_build(args, emit: Emitter) -> int:
     povm = family_povm(args.family, args.m, args.n)
     io.write_povm(args.out, povm)
@@ -104,6 +110,7 @@ def cmd_verify(args, emit: Emitter) -> int:
 
 def cmd_prob(args, emit: Emitter) -> int:
     states, warnings = io.read_states(args.states)
+    _check_index("--which", args.which, len(states))
     for w in warnings:
         emit.warn(w)
     n, m = states.shape
@@ -134,6 +141,7 @@ def cmd_prob(args, emit: Emitter) -> int:
 def cmd_sample(args, emit: Emitter) -> int:
     _check_run(args.shots, args.seed)
     states, warnings = io.read_states(args.states)
+    _check_index("--which", args.which, len(states))
     for w in warnings:
         emit.warn(w)
     n, m = states.shape
@@ -161,10 +169,9 @@ def cmd_sample(args, emit: Emitter) -> int:
 
 def cmd_mixed(args, emit: Emitter) -> int:
     _check_run(args.shots, args.seed)
+    _check_index("--data", args.data, len(args.rho))
     rhos = [io.read_density(path) for path in args.rho]
     n = len(rhos)
-    if not 1 <= args.data <= n:
-        raise FormatError(f"--data {args.data} outside 1..{n}")
     cores = core_decompose(rhos)
     emit.value("n", n)
     emit.value("dim", cores.dim)

@@ -342,10 +342,11 @@ def product_probabilities(povm: Povm, factors) -> np.ndarray:
     <v|Π_i|v> = c·‖φ_i‖²·det(X_rest)/n! with X_rest the Gram matrix of the
     other n factors.  The trivial family's elements are c·Φ on all n+1
     registers: c·det(X)/(n+1)!, exactly 0 when m < n+1.  Outcome 0 takes
-    the rest of ‖v‖².  No operator is formed, so no cap applies.
+    the rest of ‖v‖².  No operator is formed, so no cap applies.  An
+    explicit or sector POVM, which has no built family, is refused.
     """
     if povm.family is None:
-        raise ValueError("an explicit POVM has no closed-form outcome probabilities")
+        raise ValueError("a POVM with no built family has no closed-form outcome probabilities")
     f = np.asarray(factors, dtype=complex)
     m, n = povm.m, povm.n
     if f.shape != (n + 1, m):

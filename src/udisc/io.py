@@ -24,16 +24,17 @@ file is opened.
 
 All are a header and blocks of rows, written and read by one codec, for
 which row r of a block holds the numbers bounds[r] to bounds[r + 1]: a
-dense block's rows are all one width, a sector-row block's row x holds
-2·|sector of x| numbers (_sector_rows).  The writer takes each block as the
-positions and bit patterns of its nonzero doubles: a dense block gives them
-from its nonzero mask, and a built or sector POVM from its weight-sector
-entries in row-major order, with no dense element.  It formats each
-distinct double of a block once, with "%.17g", and writes every row from
-that vocabulary; +0.0 is written "0", so a row is its runs of zeros and a
-few words.  Rows are turned into text in chunks of at most WRITE_CHUNK
-numbers, so beyond the nonzero doubles and their vocabulary the writer's
-temporary memory is one chunk, whatever the block size.
+dense block's rows are all one width (_dense_bounds), a sector-row block's
+row x holds 2·|sector of x| numbers (_sector_rows); reader and writer take
+a POVM block's layout from one place (_povm_rows).  The writer takes each
+block's complex entries in file order, a dense matrix or a built or sector
+POVM's weight-sector entries d[order] with no dense element, as the
+positions and bit patterns of their nonzero doubles (_numbers).  It
+formats each distinct double of a block once, with "%.17g", and writes
+every row from that vocabulary; +0.0 is written "0", so a row is its runs
+of zeros and a few words.  Rows are turned into text in chunks of at most
+WRITE_CHUNK numbers, so beyond the nonzero doubles and their vocabulary
+the writer's temporary memory is one chunk, whatever the block size.
 
 Files are read in text mode, where "\r\n" and "\r" line ends read as
 newlines and a byte outside ASCII reads as U+FFFD, which float() refuses.
@@ -49,7 +50,9 @@ parsed, and each distinct other token is parsed once by float().  Any
 other chunk (tabs, runs of spaces, a comment or blank line inside the
 block, a wrong token count, a token float() refuses) is read row by row
 with float(), which names the bad row and accepts float()'s spellings
-("1_0").  Each block's numbers go into one array in the file's order.  A
+("1_0").  Each block's numbers go into one array in the file's order.  Each
+reader opens its file and parses the header in _blocks, which refuses
+content after the last block, and sizes and reads the blocks itself.  A
 state or density block, a few rows of distinct numbers, takes that
 row-by-row scan.  A NaN or an infinity is refused where it is read,
 naming the file, the block and the row.
@@ -67,7 +70,8 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterator
-from functools import cache, partial
+from contextlib import contextmanager
+from functools import cache
 
 import numpy as np
 
@@ -89,7 +93,7 @@ WRITE_CHUNK = 1 << 16
 
 def _write_blocks(path, header: str, blocks) -> None:
     """Write a header line, then each (label or None, numbers) block as rows of "%.17g"
-    pairs; numbers is what _block_text takes (_dense_numbers, _sector_numbers)."""
+    pairs; numbers is what _block_text takes (_numbers)."""
     with open(path, "w", encoding="ascii") as fh:
         fh.write(header + "\n")
         for label, numbers in blocks:
@@ -98,14 +102,19 @@ def _write_blocks(path, header: str, blocks) -> None:
             fh.writelines(_block_text(*numbers))
 
 
-def _dense_numbers(matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A block's (bounds, at, bits) in the dense layout: its rows x width (re, im) doubles,
-    row r holding numbers r·width to (r + 1)·width, the positions row·width + column of
-    the nonzero ones, ascending, and their int64 bit patterns."""
-    bits = np.ascontiguousarray(matrix, dtype=complex).view(np.int64)
+def _dense_bounds(rows: int, cols: int) -> np.ndarray:
+    """The row bounds of a dense block of rows x cols complex pairs: row r holds numbers
+    bounds[r] to bounds[r + 1], 2·cols of them."""
+    return np.arange(rows + 1) * 2 * cols
+
+
+def _numbers(entries, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A block's (bounds, at, bits) from its complex entries in file order (a dense matrix,
+    or sector entries d[order]), entry p holding numbers 2p and 2p + 1: the positions of
+    its nonzero doubles, ascending, and their int64 bit patterns."""
+    bits = np.ascontiguousarray(entries, dtype=complex).view(np.int64).ravel()
     at = np.flatnonzero(bits)
-    rows, width = bits.shape
-    return np.arange(rows + 1) * width, at, bits.ravel()[at]
+    return bounds, at, bits[at]
 
 
 @cache
@@ -125,13 +134,14 @@ def _sector_rows(m: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     return order, bounds
 
 
-def _sector_numbers(m: int, count: int, d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_dense_numbers's (bounds, at, bits) of the sector-row block of the weight-sector
-    entries d: the entry at place p of the rows (_sector_rows) holds numbers 2p, 2p + 1."""
-    order, bounds = _sector_rows(m, count)
-    bits = d[order].view(np.int64)
-    at = np.flatnonzero(bits)
-    return bounds, at, bits[at]
+def _povm_rows(keyword: str, m: int, n: int) -> tuple[np.ndarray | None, np.ndarray]:
+    """The (order, bounds) of each block of a POVM file, shared by reader and writer: a
+    dense block (``povm``) holds an element's rows as they are (order None), a sector-row
+    block (``povm-sectors``) the weight-sector entries d[order] (_sector_rows)."""
+    if keyword == "povm":
+        dim = m ** (n + 1)
+        return None, _dense_bounds(dim, dim)
+    return _sector_rows(m, n + 1)
 
 
 def _chunks(bounds: np.ndarray) -> Iterator[tuple[int, int]]:
@@ -149,12 +159,12 @@ def _block_text(bounds: np.ndarray, at: np.ndarray, bits: np.ndarray):
 
     Row r holds numbers bounds[r] to bounds[r + 1]; at and bits are the
     positions and int64 bit patterns of the block's nonzero doubles
-    (_dense_numbers, _sector_numbers), so -0.0, each NaN payload and each
-    subnormal keeps its own entry and every other double is +0.0.  The
-    distinct patterns (tensor_algebra.sorted_distinct) are formatted by one
-    "%.17g" operation into a vocabulary of words that carry their trailing
-    separator, a space or, at a row end, a newline; code 0 is "0 " and
-    code 1 + len(distinct) is "0\n", for +0.0.  A chunk is joined from two
+    (_numbers), so -0.0, each NaN payload and each subnormal keeps its own
+    entry and every other double is +0.0.  The distinct patterns
+    (tensor_algebra.sorted_distinct) are formatted by one "%.17g" operation
+    into a vocabulary of words that carry their trailing separator, a space
+    or, at a row end, a newline; code 0 is "0 " and code 1 + len(distinct)
+    is "0\n", for +0.0.  A chunk is joined from two
     pieces per nonzero number or row end: the run of zeros before it, and
     its word.  A built POVM's rows are mostly zeros in the dense layout, so
     a row costs a few pieces, and the work follows the nonzero numbers and
@@ -180,21 +190,28 @@ def _block_text(bounds: np.ndarray, at: np.ndarray, bits: np.ndarray):
         yield "".join(pieces.tolist())
 
 
-def _parse_header(line: str | None, keywords, fields: int, path) -> tuple[str, list[int]]:
-    """(keyword, fields) of a header ``keyword <fields positive ints>``, keyword one of keywords."""
-    if line is None:
-        raise FormatError(f"{path}: empty file")
-    parts = line.split()
-    if len(parts) != fields + 1 or parts[0] not in keywords:
-        ints = " ".join("<int>" for _ in range(fields))
-        raise FormatError(f"{path}: expected header " + " or ".join(f"'{word} {ints}'" for word in keywords))
-    try:
-        values = [int(p) for p in parts[1:]]
-    except ValueError as exc:
-        raise FormatError(f"{path}: header fields must be integers") from exc
-    if any(v < 1 for v in values):
-        raise FormatError(f"{path}: header fields must be positive")
-    return parts[0], values
+@contextmanager
+def _blocks(path, keywords, fields: int, what: str):
+    """Open path in text mode and parse its header ``keyword <fields positive ints>``,
+    keyword one of keywords: yields (fh, keyword, fields) for the caller to read its
+    blocks from fh, then refuses content after them ("content after the last {what} row")."""
+    with open(path, encoding="ascii", errors="replace") as fh:
+        line = _content_line(fh)
+        if line is None:
+            raise FormatError(f"{path}: empty file")
+        parts = line.split()
+        if len(parts) != fields + 1 or parts[0] not in keywords:
+            ints = " ".join("<int>" for _ in range(fields))
+            raise FormatError(f"{path}: expected header " + " or ".join(f"'{word} {ints}'" for word in keywords))
+        try:
+            values = [int(p) for p in parts[1:]]
+        except ValueError as exc:
+            raise FormatError(f"{path}: header fields must be integers") from exc
+        if any(v < 1 for v in values):
+            raise FormatError(f"{path}: header fields must be positive")
+        yield fh, parts[0], values
+        if _content_line(fh) is not None:
+            raise FormatError(f"{path}: content after the last {what} row")
 
 
 def _scan_rows(block: list[str], out: np.ndarray, bounds: np.ndarray, where: str, first: int = 0) -> None:
@@ -326,46 +343,6 @@ def _scan_chunk(buf: bytes, bounds: np.ndarray):
     return (begin - units[:-1]) // 2 + np.arange(len(begin)), values
 
 
-def _read_blocks(path, layouts: dict, fields: int) -> tuple[str, list[int], list]:
-    """Parse a header ``keyword <fields positive ints>``, keyword one of layouts' keys, and
-    the blocks it declares: (keyword, fields, blocks).
-
-    ``layouts[keyword](*header)`` sizes the blocks against the budget and
-    returns (labels, what, read): one block per label, led by the label line
-    unless the label is None, which read(fh, where) reads from the file, open
-    in text mode, into what the returned list holds for it.
-    """
-    with open(path, encoding="ascii", errors="replace") as fh:
-        keyword, header = _parse_header(_content_line(fh), layouts, fields, path)
-        labels, what, read = layouts[keyword](*header)
-        blocks = []
-        for label in labels:
-            if label is not None:
-                line = _content_line(fh) or ""
-                if line.split() != label.split():
-                    raise FormatError(f"{path}: expected {label!r}, got {line!r}")
-            where = f"{path}: {what if label is None else label}"
-            blocks.append(read(fh, where))
-        if _content_line(fh) is not None:
-            raise FormatError(f"{path}: content after the last {what} row")
-    return keyword, header, blocks
-
-
-def _row_layout(rows: int, cols: int, what: str):
-    """The _read_blocks layout of one block of rows x cols complex pairs, checked against
-    the budget before anything of that size is formed, read as a complex array from its
-    next rows content lines by _scan_rows: a state or density block is a few rows of
-    distinct numbers, which _scan_block's fixed numpy cost reads about twice as slowly."""
-    check_entries(rows * cols, f"{rows}x{cols} {what}")
-
-    def read(fh, where: str) -> np.ndarray:
-        values = np.empty((rows, 2 * cols))
-        _scan_rows(_content(fh, rows), values.reshape(-1), np.arange(rows + 1) * 2 * cols, where)
-        return values.view(complex)
-
-    return [None], what, read
-
-
 # ---------------------------------------------------------------------------
 # state sets
 
@@ -374,7 +351,7 @@ def write_states(path, states) -> None:
     """Write a state file; a NaN or an infinity is refused before the file is opened."""
     s = np.asarray(states, dtype=complex)
     _refuse_non_finite(s, f"{path}: state set")
-    _write_blocks(path, f"states {s.shape[1]} {s.shape[0]}", [(None, _dense_numbers(s))])
+    _write_blocks(path, f"states {s.shape[1]} {s.shape[0]}", [(None, _numbers(s, _dense_bounds(*s.shape)))])
 
 
 def read_states(path) -> tuple[np.ndarray, list[str]]:
@@ -384,7 +361,10 @@ def read_states(path) -> tuple[np.ndarray, list[str]]:
     produce a warning, deviations above NORM_TOL are rejected (a zero row
     among them).
     """
-    _, (m, n), (states,) = _read_blocks(path, {"states": lambda m, n: _row_layout(n, m, "state set")}, 2)
+    with _blocks(path, ("states",), 2, "state set") as (fh, _, (m, n)):
+        check_entries(n * m, f"{n}x{m} state set")
+        states = np.empty((n, m), dtype=complex)
+        _scan_rows(_content(fh, n), states.view(float).reshape(-1), _dense_bounds(n, m), f"{path}: state set")
     warnings = []
     for i in range(n):
         norm = float(np.linalg.norm(states[i]))
@@ -405,7 +385,7 @@ def write_density(path, rho) -> None:
     """Write a density file; a NaN or an infinity is refused before the file is opened."""
     rho = np.asarray(rho, dtype=complex)
     _refuse_non_finite(rho, f"{path}: density matrix")
-    _write_blocks(path, f"rho {len(rho)}", [(None, _dense_numbers(rho))])
+    _write_blocks(path, f"rho {len(rho)}", [(None, _numbers(rho, _dense_bounds(*rho.shape)))])
 
 
 def read_density(path) -> np.ndarray:
@@ -414,7 +394,10 @@ def read_density(path) -> np.ndarray:
     Deviations up to DENSITY_REPAIR_TOL (hand-typed rounding) are repaired by
     symmetrizing and rescaling; anything beyond is rejected.
     """
-    _, _, (rho,) = _read_blocks(path, {"rho": lambda d: _row_layout(d, d, "density matrix")}, 1)
+    with _blocks(path, ("rho",), 1, "density matrix") as (fh, _, (d,)):
+        check_entries(d * d, f"{d}x{d} density matrix")
+        rho = np.empty((d, d), dtype=complex)
+        _scan_rows(_content(fh, d), rho.view(float).reshape(-1), _dense_bounds(d, d), f"{path}: density matrix")
     herm_dev = max_abs(rho - rho.conj().T)
     if herm_dev > DENSITY_REPAIR_TOL:
         raise FormatError(f"{path}: matrix is not Hermitian (deviation {herm_dev:.3e})")
@@ -434,8 +417,8 @@ def write_povm(path, povm: Povm) -> None:
     an element count other than n+1, and a NaN or an infinity, named by its block and row.
 
     A built or sector POVM is written in the sector-row layout (header
-    ``povm-sectors``) from its weight-sector entries (_sector_numbers), with
-    no dense element; its elements are sized against the budget first, as
+    ``povm-sectors``) from its weight-sector entries d[order] (_povm_rows),
+    with no dense element; its elements are sized against the budget first, as
     the reader sizes them from the header.  An explicit POVM is written in
     the dense layout (header ``povm``).  read_povm gives back each
     representation, so write_povm(path, read_povm(path)) rewrites a file
@@ -451,7 +434,8 @@ def write_povm(path, povm: Povm) -> None:
     labels = list(_povm_labels(n, k))
     for label, block in zip(labels, blocks):
         _refuse_non_finite(block, f"{path}: {label}", rows)
-    numbers = (_dense_numbers(b) if rows is None else _sector_numbers(m, n + 1, b) for b in blocks)
+    order, bounds = _povm_rows(keyword, m, n)
+    numbers = (_numbers(b if order is None else b[order], bounds) for b in blocks)
     _write_blocks(path, f"{keyword} {m} {n} {k}", zip(labels, numbers))
 
 
@@ -477,25 +461,19 @@ def _povm_labels(n: int, k: int) -> Iterator[str]:
     return (f"element {i}" for i in range(k))
 
 
-def _povm_layout(m: int, n: int, k: int, sector_rows: bool = False):
-    """The _read_blocks layout of a POVM header, each block read by _scan_block: the dense
-    layout's complex elements, or with sector_rows each block's weight-sector entries
-    d_k, scattered from its numbers through _sector_rows' order as soon as it is read."""
-    labels = _povm_labels(n, k)
-    dim = check_tensor_square(m, n + 1, "POVM element")  # refused before m**(n+1) is formed
-    if not sector_rows:
-        bounds = np.arange(dim + 1) * 2 * dim
-        return labels, "POVM element", lambda fh, where: (
-            _scan_block(fh, bounds, where).view(complex).reshape(dim, dim))
-    order, bounds = _sector_rows(m, n + 1)
-
-    def entries(fh, where: str) -> np.ndarray:
-        numbers = _scan_block(fh, bounds, where)  # its chunk's temporaries freed before d
-        d = np.empty(len(order), dtype=complex)
-        d[order] = numbers.view(complex)
-        return d
-
-    return labels, "POVM element", entries
+def _read_element(fh, label: str, order: np.ndarray | None, bounds: np.ndarray, path) -> np.ndarray:
+    """The POVM block led by the line label, read by _scan_block: the dense element, or
+    with an order the sector entries d_k, scattered from the block's numbers through it;
+    the numbers are freed on return, before the next block is read."""
+    line = _content_line(fh) or ""
+    if line.split() != label.split():
+        raise FormatError(f"{path}: expected {label!r}, got {line!r}")
+    numbers = _scan_block(fh, bounds, f"{path}: {label}").view(complex)
+    if order is None:
+        return numbers.reshape(len(bounds) - 1, -1)
+    d = np.empty(len(order), dtype=complex)
+    d[order] = numbers
+    return d
 
 
 def read_povm(path) -> Povm:
@@ -513,8 +491,11 @@ def read_povm(path) -> Povm:
     and the reader holds n+1 arrays of |same| complex entries and one
     block's numbers, far less than the budget allows.
     """
-    layouts = {"povm": _povm_layout, "povm-sectors": partial(_povm_layout, sector_rows=True)}
-    keyword, (m, n, _), blocks = _read_blocks(path, layouts, 3)
-    if keyword == "povm":
+    with _blocks(path, ("povm", "povm-sectors"), 3, "POVM element") as (fh, keyword, (m, n, k)):
+        labels = _povm_labels(n, k)
+        check_tensor_square(m, n + 1, "POVM element")  # refused before m**(n+1) is formed
+        order, bounds = _povm_rows(keyword, m, n)
+        blocks = [_read_element(fh, label, order, bounds, path) for label in labels]
+    if order is None:
         return Povm(m, n, elements=blocks)
     return Povm(m, n, sectors=blocks)

@@ -398,6 +398,23 @@ def test_zero_shots_are_refused_before_any_file_is_read(tmp_path, capsys):
         assert err == "error: shots must be at least 1\n", argv
 
 
+def test_out_of_range_index_is_refused_naming_the_option(tmp_path, capsys):
+    pair = orthonormal_pair_file(tmp_path)
+    r1, missing = str(tmp_path / "r1.txt"), str(tmp_path / "missing.txt")
+    write_density(r1, np.diag([1.0, 0.0]).astype(complex))
+    for argv, option, value in ((("prob", pair, "--which", "0"), "--which", 0),
+                                (("prob", pair, "--which", "3"), "--which", 3),
+                                (("sample", pair, "--which", "0", "--shots", "100"), "--which", 0),
+                                (("sample", pair, "--which", "3", "--shots", "100"), "--which", 3),
+                                # refused before any density file is read, the missing one included
+                                (("mixed", r1, missing, "--data", "0"), "--data", 0),
+                                (("mixed", r1, missing, "--data", "3"), "--data", 3)):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == "", argv
+        assert err == f"error: {option} {value} outside 1..2\n", argv
+
+
 class TestMixed:
     def test_orthogonal_pair(self, tmp_path, capsys):
         r1, r2 = str(tmp_path / "r1.txt"), str(tmp_path / "r2.txt")

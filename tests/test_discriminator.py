@@ -341,8 +341,14 @@ class TestClosedForm:
             product_probabilities(build_universal(3, 2), np.eye(4, dtype=complex)[:3])
 
     def test_explicit_povm_has_no_closed_form(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^a POVM with no built family has no closed-form outcome probabilities$"):
             product_probabilities(leaky_counterexample(), np.eye(2, dtype=complex)[[0, 1, 0]])
+
+    def test_sector_povm_has_no_closed_form(self):
+        # what read_povm gives for a file written by udisc build
+        povm = Povm(3, 2, sectors=build_universal(3, 2)._sectors)
+        with pytest.raises(ValueError, match="^a POVM with no built family has no closed-form outcome probabilities$"):
+            product_probabilities(povm, np.eye(3, dtype=complex))
 
 
 class TestStructuredPovm:

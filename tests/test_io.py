@@ -172,8 +172,10 @@ class TestPovmFiles:
         rows = [" ".join(tokens[r:r + 6]) for r in range(0, len(tokens), 6)]
         path = tmp_path / "states.txt"
         path.write_text("states 3 5\n" + "\n".join(rows) + "\n")
-        layouts = {"states": lambda m, n: udisc_io._row_layout(n, m, "state set")}
-        _, _, (block,) = udisc_io._read_blocks(path, layouts, 2)
+        block = np.empty((5, 6))
+        with open(path) as fh:
+            assert udisc_io._content_line(fh) == "states 3 5"
+            udisc_io._scan_rows(udisc_io._content(fh, 5), block.reshape(-1), udisc_io._dense_bounds(5, 3), "rows")
         oracle = np.loadtxt(rows, dtype=np.float64, comments=None, ndmin=2)
         assert np.array_equal(block.view(np.float64).view(np.int64), oracle.view(np.int64))
 
@@ -274,7 +276,8 @@ class TestInternedWriter:
         blocks = [("block a", block), (None, block[::-1])]
         with mock.patch.object(udisc_io, "WRITE_CHUNK", chunk):
             udisc_io._write_blocks(folder / "new.txt", "head 1",
-                                   [(label, udisc_io._dense_numbers(b)) for label, b in blocks])
+                                   [(label, udisc_io._numbers(b, udisc_io._dense_bounds(*b.shape)))
+                                    for label, b in blocks])
         row_format_write(folder / "old.txt", "head 1", blocks)
         assert (folder / "new.txt").read_bytes() == (folder / "old.txt").read_bytes()
 
@@ -833,9 +836,22 @@ class TestWritersRefuseNonFinite:
     (read_states, "states 0 2\n", "header fields must be positive"),
     (read_povm, "povm-sectors 1 2 3\nelem 0\n1 0\n", "expected 'element 0', got 'elem 0'"),
     (read_states, "states 2 1\n1 0 0 0\n0 0 1 0\n", "content after the last state set row"),
+    (read_density, "", "empty file"),
+    (read_density, "rho x\n", "header fields must be integers"),
+    (read_density, "rho 1\n1 0\n1 0\n", "content after the last density matrix row"),
+    (read_povm, "rho 2\n1 0 0 0\n0 0 1 0\n",
+     "expected header 'povm <int> <int> <int>' or 'povm-sectors <int> <int> <int>'"),
+    (read_povm, "povm 1 1 2\nelem 0\n1 0\n", "expected 'element 0', got 'elem 0'"),
+    # a built (universal, 3, 2) file in the named layout, then a row too many
+    (read_povm, ("dense", "0 0\n"), "content after the last POVM element row"),
+    (read_povm, ("sector", "0 0\n"), "content after the last POVM element row"),
 ])
 def test_file_structure_refusals_name_the_defect(tmp_path, reader, text, message):
     path = tmp_path / "file.txt"
+    if isinstance(text, tuple):
+        layout, text = text
+        write_povm(path, in_layout(layout, build_universal(3, 2)))
+        text = path.read_text() + text
     path.write_text(text)
     with pytest.raises(FormatError, match=f"^{re.escape(f'{path}: {message}')}$"):
         reader(path)
