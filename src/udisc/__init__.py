@@ -82,17 +82,12 @@ from .sampler import (
     sample,
 )
 from .tensor_algebra import (
-    Subspace,
     eig_hermitian,
     fidelity,
     gram,
     gram_det,
     kron_chain,
     partial_trace,
-    subspace_intersection,
-    subspace_preimage,
-    subspace_sum,
-    support_projector,
 )
 
 __version__ = "0.1.0"

@@ -22,9 +22,6 @@ PSD_TOL = 1e-9
 # count as nonzero.
 SUPPORT_TOL = 1e-9
 
-# Orthonormality deviation tolerated inside a Subspace basis.
-ORTH_TOL = 1e-9
-
 # Singular values below NULL_TOL * max(1, sigma_max) are treated as zero in
 # rank / null-space decisions.
 NULL_TOL = 1e-9

@@ -19,8 +19,8 @@ write_povm writes a built or sector POVM (discriminator.Povm) in the
 sector-row layout and an explicit one in the dense layout; read_povm reads
 a sector-row file into a sector POVM and a dense file into an explicit one,
 so writing what was read gives back the file's bytes in either layout.  The
-writers refuse a NaN or an infinity, which the readers refuse, before the
-file is opened.
+writers refuse a NaN or an infinity, and a block of a shape, which the
+readers refuse, before the file is opened.
 
 All are a header and blocks of rows, written and read by one codec, for
 which row r of a block holds the numbers bounds[r] to bounds[r + 1]: a
@@ -77,9 +77,9 @@ import numpy as np
 
 from .antisym import _weight_sectors
 from .config import check_entries, check_tensor_square
-from .discriminator import Povm
+from .discriminator import Povm, _require_layout
 from .errors import FormatError
-from .tensor_algebra import NORM_TOL, max_abs, sorted_distinct
+from .tensor_algebra import NORM_TOL, hermitize, max_abs, sorted_distinct
 
 # read_states: a norm deviation above this (and at most NORM_TOL) is renormalized with a warning.
 RENORMALIZE_WARN_TOL = 1e-9
@@ -347,9 +347,19 @@ def _scan_chunk(buf: bytes, bounds: np.ndarray):
 # state sets
 
 
+def _refuse_shape(block: np.ndarray, where: str, square: bool) -> None:
+    """Refuse, as the reader would, a block that is not a matrix with at least one row and
+    one column, or (square) not a square one: FormatError naming where and the shape."""
+    if block.ndim != 2 or 0 in block.shape or square and block.shape[0] != block.shape[1]:
+        expected = "d x d" if square else "n x m"
+        raise FormatError(f"{where} of shape {block.shape}, expected {expected} with every size at least 1")
+
+
 def write_states(path, states) -> None:
-    """Write a state file; a NaN or an infinity is refused before the file is opened."""
+    """Write a state file; a shape other than n x m with n, m >= 1, and a NaN or an
+    infinity, are refused before the file is opened."""
     s = np.asarray(states, dtype=complex)
+    _refuse_shape(s, f"{path}: state set", square=False)
     _refuse_non_finite(s, f"{path}: state set")
     _write_blocks(path, f"states {s.shape[1]} {s.shape[0]}", [(None, _numbers(s, _dense_bounds(*s.shape)))])
 
@@ -382,8 +392,10 @@ def read_states(path) -> tuple[np.ndarray, list[str]]:
 
 
 def write_density(path, rho) -> None:
-    """Write a density file; a NaN or an infinity is refused before the file is opened."""
+    """Write a density file; a shape other than d x d with d >= 1, and a NaN or an
+    infinity, are refused before the file is opened."""
     rho = np.asarray(rho, dtype=complex)
+    _refuse_shape(rho, f"{path}: density matrix", square=True)
     _refuse_non_finite(rho, f"{path}: density matrix")
     _write_blocks(path, f"rho {len(rho)}", [(None, _numbers(rho, _dense_bounds(*rho.shape)))])
 
@@ -401,7 +413,7 @@ def read_density(path) -> np.ndarray:
     herm_dev = max_abs(rho - rho.conj().T)
     if herm_dev > DENSITY_REPAIR_TOL:
         raise FormatError(f"{path}: matrix is not Hermitian (deviation {herm_dev:.3e})")
-    rho = (rho + rho.conj().T) / 2
+    rho = hermitize(rho)
     tr = float(np.trace(rho).real)
     if abs(tr - 1.0) > DENSITY_REPAIR_TOL:
         raise FormatError(f"{path}: trace is {tr!r}, expected 1")
@@ -414,7 +426,9 @@ def read_density(path) -> np.ndarray:
 
 def write_povm(path, povm: Povm) -> None:
     """Write a POVM file; what read_povm would refuse is refused before the file is opened:
-    an element count other than n+1, and a NaN or an infinity, named by its block and row.
+    an element count other than n+1 (FormatError), an explicit element that is not
+    m^(n+1) x m^(n+1) (InvalidPovm, as verify_unambiguous says it), and a NaN or an
+    infinity, named by its block and row.
 
     A built or sector POVM is written in the sector-row layout (header
     ``povm-sectors``) from its weight-sector entries d[order] (_povm_rows),
@@ -432,6 +446,7 @@ def write_povm(path, povm: Povm) -> None:
         # sized against the budget before the layout is formed
         keyword, k, blocks, rows = "povm-sectors", n + 1, povm._sectors, _weight_sectors(m, n + 1).rows
     labels = list(_povm_labels(n, k))
+    _require_layout(povm)
     for label, block in zip(labels, blocks):
         _refuse_non_finite(block, f"{path}: {label}", rows)
     order, bounds = _povm_rows(keyword, m, n)

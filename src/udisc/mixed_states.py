@@ -2,33 +2,25 @@
 
 Each density operator ρ_i splits uniquely as ρ_i = ρ̃_i + ρ̂_i where ρ̂_i is
 supported inside the span of the other states' supports and the support of
-ρ̃_i avoids that span entirely.  The ρ̃_i (plus ρ̃_0 = Σ ρ̂_i) are realised
-by linearly independent pure-state parts of a single product program, which
-an N-state discriminator then measures; outcomes grouped by part can only
-land in the data state's own part or in part 0.
+ρ̃_i avoids that span entirely.  Each ρ̂_i is computed in ρ_i's own
+eigenbasis, from one SVD for the span of the other supports and one for
+the null space that fixes ρ̂_i (core_decompose).  The ρ̃_i (plus
+ρ̃_0 = Σ ρ̂_i) are realised by linearly independent pure-state parts of a
+single product program, which an N-state discriminator then measures;
+outcomes grouped by part can only land in the data state's own part or in
+part 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
+from .config import NULL_TOL, SUPPORT_TOL
 from .discriminator import auto_family, family_povm, product_probabilities, success_factor
 from .errors import LayoutMismatch, ProgramNotIndependent, WrongRegime
-from .tensor_algebra import (
-    Subspace,
-    gram_det,
-    hermitize,
-    max_abs,
-    psd_sqrt,
-    require_psd,
-    subspace_intersection,
-    subspace_preimage,
-    subspace_sum,
-    support_projector,
-)
+from .tensor_algebra import gram_det, hermitize, require_psd
 
 PART_EIGENVALUE_TOL = 1e-9
 DISCRIMINABLE_TRACE_TOL = 1e-9
@@ -73,37 +65,19 @@ class CoreDecomposition:
         """True when every per-state core ρ̃_i keeps positive trace."""
         return all(t > DISCRIMINABLE_TRACE_TOL for t in self.tilde_traces())
 
-    def residuals(self, rhos) -> dict[str, float]:
-        """Worst-case residuals of the three defining conditions.
 
-        split: ‖ρ_i - ρ̃_i - ρ̂_i‖_max.
-        containment: ρ̂_i sandwiched by the complement of Σ_{j≠i} supp(ρ_j).
-        intersection_dim: largest dimension of supp(ρ̃_i) ∩ Σ_{j≠i} supp(ρ_j),
-        computed at threshold 1e-7.
-        """
-        mats = [np.asarray(r, dtype=complex) for r in rhos]
-        split = 0.0
-        containment = 0.0
-        inter_dim = 0
-        supports = [support_projector(r) for r in mats]
-        for i in range(self.n):
-            split = max(split, max_abs(mats[i] - self.tildes[i] - self.hats[i]))
-            others = _support_union(supports, skip=i)
-            comp = others.complement_projector()
-            containment = max(containment, max_abs(comp @ self.hats[i] @ comp))
-            tilde_supp = support_projector(self.tildes[i])
-            inter = subspace_intersection(tilde_supp, others, tol=1e-7)
-            inter_dim = max(inter_dim, inter.dim)
-        return {
-            "split": split,
-            "containment": containment,
-            "intersection_dim": float(inter_dim),
-        }
+def _support(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(W, W diag(√λ)): the eigenvectors of ρ with eigenvalue λ above
+    SUPPORT_TOL·max(1, λ_max) as orthonormal columns, and those columns scaled by √λ."""
+    w, v = np.linalg.eigh(rho)
+    keep = w > SUPPORT_TOL * max(1.0, float(w[-1]))
+    basis = v[:, keep]
+    return basis, basis * np.sqrt(w[keep])
 
 
-def _support_union(supports: list[Subspace], skip: int) -> Subspace:
-    rest = [s for j, s in enumerate(supports) if j != skip]
-    return reduce(subspace_sum, rest)
+def _rank(s: np.ndarray) -> int:
+    """Number of singular values (descending) above NULL_TOL·max(1, σ_max)."""
+    return int(np.sum(s > NULL_TOL * max(1.0, float(s[0]))))
 
 
 def core_decompose(rhos) -> CoreDecomposition:
@@ -113,6 +87,20 @@ def core_decompose(rhos) -> CoreDecomposition:
     into S_i, the projector Q onto V gives ρ̂_i = √ρ_i Q √ρ_i (supported in
     S_i by construction) and ρ̃_i = ρ_i - ρ̂_i, whose support cannot meet S_i:
     any vector of it pulls back under √ρ_i to V ∩ V^⊥ = {0}.
+
+    Q is found in ρ_i's own eigenbasis.  Write ρ_i = W diag(λ) W† over the
+    eigenvalues above SUPPORT_TOL·max(1, λ_max), so W is an orthonormal
+    basis of supp ρ_i and √ρ_i W = W diag(√λ).  Let B be an orthonormal
+    basis of S_i (one SVD of the other densities' support vectors) and
+    M = (I - BB†) W diag(√λ).  A vector x of supp ρ_i is W y, and
+    √ρ_i x = W diag(√λ) y lies in S_i exactly when M y = 0: the pull-back of
+    S_i under √ρ_i meets supp ρ_i in V = W·null(M).  With K an orthonormal
+    basis of null(M), W K is one of V, so Q = W K K† W† and
+    ρ̂_i = √ρ_i Q √ρ_i = (W diag(√λ) K)(W diag(√λ) K)†.  Ranks count the
+    singular values above NULL_TOL·max(1, σ_max).  √ρ_i itself is never
+    formed, so an eigenvalue of rounding size (1e-17), which it would raise
+    to a component of about 1e-9 outside supp ρ_i, cannot enter the rank of
+    M and drop a direction of V.
     """
     mats = [require_density(r) for r in rhos]
     if len(mats) < 2:
@@ -121,15 +109,16 @@ def core_decompose(rhos) -> CoreDecomposition:
     if any(r.shape != (dim, dim) for r in mats):
         raise LayoutMismatch("all density operators must share one dimension")
 
-    supports = [support_projector(r) for r in mats]
+    supports = [_support(r) for r in mats]
     tildes, hats = [], []
     for i, rho in enumerate(mats):
-        others = _support_union(supports, skip=i)
-        root = psd_sqrt(rho)
-        pulled_back = subspace_preimage(others, root)
-        v = subspace_intersection(pulled_back, supports[i])
-        q = v.projector()
-        hat = hermitize(root @ q @ root)
+        others = [basis for j, (basis, _) in enumerate(supports) if j != i]
+        u, s, _ = np.linalg.svd(np.hstack(others), full_matrices=False)
+        b = u[:, :_rank(s)]
+        scaled = supports[i][1]
+        _, s, vh = np.linalg.svd((np.eye(dim) - b @ b.conj().T) @ scaled)
+        a = scaled @ vh[_rank(s):].conj().T
+        hat = hermitize(a @ a.conj().T)
         hats.append(hat)
         tildes.append(hermitize(rho - hat))
     tilde0 = hermitize(sum(hats))

@@ -1,30 +1,27 @@
 """Dense complex linear algebra substrate.
 
 Tensor products, partial traces, Hermitian spectral decompositions, Gram
-matrices, subspace arithmetic and fidelity.  Operators are plain complex
-ndarrays, and a composite system is the plain sequence of its factor
-dimensions (``factors``, (m,)*(n+1) for the discriminators).  Factors are
-addressed with 1-based indices throughout (registers 1..n, data register
-n+1), and the first tensor factor always owns the slowest-varying index,
-matching ``numpy.kron``.
+matrices, positive-operator checks and square roots, and fidelity.
+Operators are plain complex ndarrays, and a composite system is the plain
+sequence of its factor dimensions (``factors``, (m,)*(n+1) for the
+discriminators).  Factors are addressed with 1-based indices throughout
+(registers 1..n, data register n+1), and the first tensor factor always
+owns the slowest-varying index, matching ``numpy.kron``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable
 
 import numpy as np
 
-from .config import HERM_TOL, NULL_TOL, ORTH_TOL, PSD_TOL, SUPPORT_TOL, check_entries
+from .config import HERM_TOL, PSD_TOL, check_entries
 from .errors import IndexOutOfRange, LayoutMismatch, NotHermitian, NotPositive
 
-# Largest deviation of a state-vector norm from 1, and Subspace.contains'
-# residual norm relative to max(1, ‖v‖).
+# Largest deviation of a state-vector norm from 1.
 NORM_TOL = 1e-6
-CONTAINS_TOL = 1e-8
 # fidelity: largest trace accepted above 1, and the eigenvalues of √ρ σ √ρ
 # below EIGEN_NOISE_TOL·max(1, λ_max) zeroed before the square root.
 FIDELITY_TRACE_TOL = 1e-9
@@ -196,111 +193,15 @@ def gram_det(states) -> float:
 
 
 # ---------------------------------------------------------------------------
-# subspaces
+# positive operators
 
 
-@dataclass(frozen=True)
-class Subspace:
-    """A subspace given by an orthonormal basis (columns of ``basis``)."""
-
-    ambient_dim: int
-    basis: np.ndarray  # shape (ambient_dim, k)
-
-    def __post_init__(self):
-        b = np.asarray(self.basis, dtype=complex)
-        if b.ndim != 2 or b.shape[0] != self.ambient_dim:
-            raise ValueError(f"basis shape {b.shape} does not match ambient {self.ambient_dim}")
-        if b.shape[1]:
-            dev = max_abs(b.conj().T @ b - np.eye(b.shape[1]))
-            if dev > ORTH_TOL:
-                raise ValueError(f"basis is not orthonormal (deviation {dev:.3e})")
-        object.__setattr__(self, "basis", b)
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[1]
-
-    def projector(self) -> np.ndarray:
-        return self.basis @ self.basis.conj().T
-
-    def complement_projector(self) -> np.ndarray:
-        return np.eye(self.ambient_dim, dtype=complex) - self.projector()
-
-    def contains(self, vec) -> bool:
-        v = np.asarray(vec, dtype=complex).reshape(-1)
-        if v.shape[0] != self.ambient_dim:
-            raise LayoutMismatch("vector dimension does not match ambient dimension")
-        residual = v - self.basis @ (self.basis.conj().T @ v)
-        return float(np.linalg.norm(residual)) <= CONTAINS_TOL * max(1.0, float(np.linalg.norm(v)))
-
-
-def _orthonormal_columns(cols: np.ndarray) -> np.ndarray:
-    """Orthonormal basis for the column span, dropping near-dependent directions."""
-    if cols.size == 0:
-        return np.zeros((cols.shape[0], 0), dtype=complex)
-    u, s, _ = np.linalg.svd(cols, full_matrices=False)
-    keep = s > NULL_TOL * max(1.0, float(s[0]))
-    return u[:, keep]
-
-
-def _null_space(mat: np.ndarray, tol: float = NULL_TOL) -> np.ndarray:
-    """Orthonormal basis of the right null space of ``mat``."""
-    _, s, vh = np.linalg.svd(mat, full_matrices=True)
-    smax = float(s[0]) if s.size else 0.0
-    rank = int(np.sum(s > tol * max(1.0, smax)))
-    return vh[rank:].conj().T
-
-
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    """Span of the union of two subspaces, via combined orthonormalization."""
-    _require_same_ambient(a, b)
-    return Subspace(a.ambient_dim, _orthonormal_columns(np.hstack([a.basis, b.basis])))
-
-
-def subspace_intersection(a: Subspace, b: Subspace, tol: float = NULL_TOL) -> Subspace:
-    """Intersection, as the joint null space of the stacked complement projectors."""
-    _require_same_ambient(a, b)
-    stacked = np.vstack([a.complement_projector(), b.complement_projector()])
-    return Subspace(a.ambient_dim, _null_space(stacked, tol))
-
-
-def subspace_preimage(s: Subspace, mat) -> Subspace:
-    """Preimage {x : M x ∈ S}, computed as the null space of (I - P_S) M."""
-    mat = as_complex_matrix(mat)
-    if mat.shape[0] != s.ambient_dim:
-        raise LayoutMismatch("map dimension does not match subspace ambient dimension")
-    return Subspace(mat.shape[1], _null_space((np.eye(s.ambient_dim) - s.projector()) @ mat))
-
-
-def _require_same_ambient(a: Subspace, b: Subspace) -> None:
-    if a.ambient_dim != b.ambient_dim:
-        raise LayoutMismatch(
-            f"subspaces live in different ambient dimensions ({a.ambient_dim} vs {b.ambient_dim})"
-        )
-
-
-def _check_psd(w: np.ndarray) -> float:
+def _check_psd(w: np.ndarray) -> None:
     """Raise NotPositive if the ascending eigenvalues ``w`` dip below
-    -PSD_TOL·max(1, λ_max); return max(λ_max, 0)."""
+    -PSD_TOL·max(1, λ_max)."""
     lam_max = max(float(w[-1]), 0.0) if w.size else 0.0
     if w.size and float(w[0]) < -PSD_TOL * max(1.0, lam_max):
         raise NotPositive(f"operator has eigenvalue {float(w[0]):.3e} below -psd_tol")
-    return lam_max
-
-
-def support_projector(op) -> Subspace:
-    """Support of a PSD operator: span of eigenvectors above SUPPORT_TOL·max(1, λ_max).
-
-    The zero operator yields the zero subspace.  A negative eigenvalue beyond
-    the PSD tolerance raises NotPositive.
-    """
-    w, v = eig_hermitian(op)
-    keep = w > SUPPORT_TOL * max(1.0, _check_psd(w))
-    return Subspace(v.shape[0], v[:, keep])
-
-
-# ---------------------------------------------------------------------------
-# positive operators
 
 
 def require_psd(op) -> np.ndarray:

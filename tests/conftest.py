@@ -1,12 +1,24 @@
 import math
+from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from udisc.antisym import TRACE_TOL, AntisymProjector, Permutation, _digit_table, all_permutations
-from udisc.config import check_tensor_square
+from udisc.config import NULL_TOL, SUPPORT_TOL, check_tensor_square
 from udisc.discriminator import family_povm
+from udisc.errors import LayoutMismatch
 from udisc.gram_spectra import gamma_block_matrix, lambda_block_matrix
-from udisc.tensor_algebra import gram_det, hermitize, max_abs
+from udisc.mixed_states import CoreDecomposition, require_density
+from udisc.tensor_algebra import (
+    as_complex_matrix,
+    eig_hermitian,
+    gram_det,
+    hermitize,
+    max_abs,
+    psd_sqrt,
+    require_psd,
+)
 
 
 # Random states, PSD operators and density operators, drawn from a numpy Generator.
@@ -173,3 +185,157 @@ def sector_rows(m, count, element):
     its entries (x, y) for the y of sector_columns, ascending."""
     element = np.asarray(element)
     return [element[x, columns] for x, columns in enumerate(sector_columns(m, count))]
+
+
+# Oracle for udisc.mixed_states: a subspace algebra, the cores computed through it (the
+# pull-back of the others' span intersected with each support) and their residuals.
+
+# Orthonormality deviation tolerated inside a Subspace basis, and Subspace.contains'
+# residual norm relative to max(1, ‖v‖).
+ORTH_TOL = 1e-9
+CONTAINS_TOL = 1e-8
+
+
+@dataclass(frozen=True)
+class Subspace:
+    """A subspace given by an orthonormal basis (columns of ``basis``)."""
+
+    ambient_dim: int
+    basis: np.ndarray  # shape (ambient_dim, k)
+
+    def __post_init__(self):
+        b = np.asarray(self.basis, dtype=complex)
+        if b.ndim != 2 or b.shape[0] != self.ambient_dim:
+            raise ValueError(f"basis shape {b.shape} does not match ambient {self.ambient_dim}")
+        if b.shape[1]:
+            dev = max_abs(b.conj().T @ b - np.eye(b.shape[1]))
+            if dev > ORTH_TOL:
+                raise ValueError(f"basis is not orthonormal (deviation {dev:.3e})")
+        object.__setattr__(self, "basis", b)
+
+    @property
+    def dim(self) -> int:
+        return self.basis.shape[1]
+
+    def projector(self) -> np.ndarray:
+        return self.basis @ self.basis.conj().T
+
+    def complement_projector(self) -> np.ndarray:
+        return np.eye(self.ambient_dim, dtype=complex) - self.projector()
+
+    def contains(self, vec) -> bool:
+        v = np.asarray(vec, dtype=complex).reshape(-1)
+        if v.shape[0] != self.ambient_dim:
+            raise LayoutMismatch("vector dimension does not match ambient dimension")
+        residual = v - self.basis @ (self.basis.conj().T @ v)
+        return float(np.linalg.norm(residual)) <= CONTAINS_TOL * max(1.0, float(np.linalg.norm(v)))
+
+
+def _orthonormal_columns(cols: np.ndarray) -> np.ndarray:
+    """Orthonormal basis for the column span, dropping near-dependent directions."""
+    if cols.size == 0:
+        return np.zeros((cols.shape[0], 0), dtype=complex)
+    u, s, _ = np.linalg.svd(cols, full_matrices=False)
+    keep = s > NULL_TOL * max(1.0, float(s[0]))
+    return u[:, keep]
+
+
+def _null_space(mat: np.ndarray, tol: float = NULL_TOL) -> np.ndarray:
+    """Orthonormal basis of the right null space of ``mat``."""
+    _, s, vh = np.linalg.svd(mat, full_matrices=True)
+    smax = float(s[0]) if s.size else 0.0
+    rank = int(np.sum(s > tol * max(1.0, smax)))
+    return vh[rank:].conj().T
+
+
+def subspace_from_vectors(vectors) -> Subspace:
+    """Span of a family of (possibly dependent) vectors."""
+    v = np.atleast_2d(np.asarray(vectors, dtype=complex))
+    return Subspace(v.shape[1], _orthonormal_columns(v.T))
+
+
+def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
+    """Span of the union of two subspaces, via combined orthonormalization."""
+    _require_same_ambient(a, b)
+    return Subspace(a.ambient_dim, _orthonormal_columns(np.hstack([a.basis, b.basis])))
+
+
+def subspace_intersection(a: Subspace, b: Subspace, tol: float = NULL_TOL) -> Subspace:
+    """Intersection, as the joint null space of the stacked complement projectors."""
+    _require_same_ambient(a, b)
+    stacked = np.vstack([a.complement_projector(), b.complement_projector()])
+    return Subspace(a.ambient_dim, _null_space(stacked, tol))
+
+
+def subspace_preimage(s: Subspace, mat) -> Subspace:
+    """Preimage {x : M x ∈ S}, computed as the null space of (I - P_S) M."""
+    mat = as_complex_matrix(mat)
+    if mat.shape[0] != s.ambient_dim:
+        raise LayoutMismatch("map dimension does not match subspace ambient dimension")
+    return Subspace(mat.shape[1], _null_space((np.eye(s.ambient_dim) - s.projector()) @ mat))
+
+
+def _require_same_ambient(a: Subspace, b: Subspace) -> None:
+    if a.ambient_dim != b.ambient_dim:
+        raise LayoutMismatch(
+            f"subspaces live in different ambient dimensions ({a.ambient_dim} vs {b.ambient_dim})"
+        )
+
+
+def support_projector(op) -> Subspace:
+    """Support of a PSD operator: span of eigenvectors above SUPPORT_TOL·max(1, λ_max).
+
+    The zero operator yields the zero subspace.  A negative eigenvalue beyond
+    the PSD tolerance raises NotPositive.
+    """
+    w, v = eig_hermitian(require_psd(op))
+    keep = w > SUPPORT_TOL * max(1.0, float(w[-1]) if w.size else 0.0)
+    return Subspace(v.shape[0], v[:, keep])
+
+
+def _support_union(supports: list[Subspace], skip: int) -> Subspace:
+    return reduce(subspace_sum, [s for j, s in enumerate(supports) if j != skip])
+
+
+def subspace_cores(rhos) -> CoreDecomposition:
+    """core_decompose by subspaces: with S_i the sum of the others' supports, V is the
+    preimage of S_i under √ρ_i intersected with supp ρ_i, Q its projector,
+    ρ̂_i = √ρ_i Q √ρ_i and ρ̃_i = ρ_i - ρ̂_i."""
+    mats = [require_density(r) for r in rhos]
+    supports = [support_projector(r) for r in mats]
+    tildes, hats = [], []
+    for i, rho in enumerate(mats):
+        root = psd_sqrt(rho)
+        pulled_back = subspace_preimage(_support_union(supports, skip=i), root)
+        q = subspace_intersection(pulled_back, supports[i]).projector()
+        hat = hermitize(root @ q @ root)
+        hats.append(hat)
+        tildes.append(hermitize(rho - hat))
+    return CoreDecomposition(tildes=tuple(tildes), hats=tuple(hats), tilde0=hermitize(sum(hats)))
+
+
+def core_residuals(cores: CoreDecomposition, rhos) -> dict[str, float]:
+    """Worst-case residuals of the three defining conditions of a core decomposition.
+
+    split: ‖ρ_i - ρ̃_i - ρ̂_i‖_max.
+    containment: ρ̂_i sandwiched by the complement of Σ_{j≠i} supp(ρ_j).
+    intersection_dim: largest dimension of supp(ρ̃_i) ∩ Σ_{j≠i} supp(ρ_j),
+    computed at threshold 1e-7.
+    """
+    mats = [np.asarray(r, dtype=complex) for r in rhos]
+    split = 0.0
+    containment = 0.0
+    inter_dim = 0
+    supports = [support_projector(r) for r in mats]
+    for i in range(cores.n):
+        split = max(split, max_abs(mats[i] - cores.tildes[i] - cores.hats[i]))
+        others = _support_union(supports, skip=i)
+        comp = others.complement_projector()
+        containment = max(containment, max_abs(comp @ cores.hats[i] @ comp))
+        inter = subspace_intersection(support_projector(cores.tildes[i]), others, tol=1e-7)
+        inter_dim = max(inter_dim, inter.dim)
+    return {
+        "split": split,
+        "containment": containment,
+        "intersection_dim": float(inter_dim),
+    }

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from conftest import rand_independent_states, rand_psd, rand_state, rand_states, random_ensemble
+from conftest import core_residuals, rand_independent_states, rand_psd, rand_state, rand_states, random_ensemble
 from udisc.antisym import antisym_projector
 from udisc.discriminator import (
     Povm,
@@ -309,7 +309,7 @@ def test_criterion_12_mixed_pipeline():
     for _ in range(100):
         rhos = random_ensemble(rng)
         cores = core_decompose(rhos)
-        res = cores.residuals(rhos)
+        res = core_residuals(cores, rhos)
         worst_split = max(worst_split, res["split"])
         worst_contain = max(worst_contain, res["containment"])
         worst_inter = max(worst_inter, int(res["intersection_dim"]))

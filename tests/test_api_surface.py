@@ -1,11 +1,10 @@
 """The public API leaves the dense-storage budget and the tolerances to their modules.
 
 The budget is chosen only through config.entry_cap (or UDISC_CAP), and every
-tolerance is a named module constant; the one parameter that takes two
-values in production, subspace_intersection's null-space threshold, is the
-only ``tol`` left.  Registers are named by one convention, the plain
-sequence of factor dimensions.  The covariance check is exact, so nothing
-but the shot sampler takes a seed or a trial count.
+tolerance is a named module constant: no public callable takes a ``tol``.
+Registers are named by one convention, the plain sequence of factor
+dimensions.  The covariance check is exact, so nothing but the shot sampler
+takes a seed or a trial count.
 """
 
 import ast
@@ -52,7 +51,7 @@ def _taking(parameter):
 def test_walk_reaches_every_module():
     names = {qualname for qualname, _ in _public_callables()}
     for expected in ("udisc.config.check_entries", "udisc.io.read_povm", "udisc.cli.main",
-                     "udisc.discriminator.Povm", "udisc.tensor_algebra.Subspace.contains",
+                     "udisc.discriminator.Povm", "udisc.mixed_states.CoreDecomposition.tilde_traces",
                      "udisc.antisym.Permutation.compose"):
         assert expected in names
 
@@ -61,8 +60,8 @@ def test_only_entry_cap_takes_a_cap():
     assert _taking("cap") == {"udisc.config.entry_cap"}
 
 
-def test_only_subspace_intersection_takes_a_tolerance():
-    assert _taking("tol") == {"udisc.tensor_algebra.subspace_intersection"}
+def test_nothing_takes_a_tolerance():
+    assert _taking("tol") == set()
 
 
 def test_registers_are_a_plain_dims_sequence():

@@ -23,7 +23,7 @@ from udisc.discriminator import (
     verify_unambiguous,
 )
 from udisc.config import DEFAULT_ENTRY_CAP, entry_cap
-from udisc.errors import CapExceeded, FormatError
+from udisc.errors import CapExceeded, FormatError, InvalidPovm
 from udisc.io import read_density, read_povm, read_states, write_density, write_povm, write_states
 from udisc.tensor_algebra import max_abs
 
@@ -143,6 +143,13 @@ class TestPovmFiles:
         path = tmp_path / "povm.txt"
         povm = Povm(m=2, n=1, elements=[np.eye(4) / 3] * 3)
         with pytest.raises(FormatError, match="declares 3 elements; a POVM on n=1 states has n"):
+            write_povm(path, povm)
+        assert not path.exists()
+
+    def test_writer_refuses_an_element_shape_the_reader_refuses(self, tmp_path):
+        path = tmp_path / "povm.txt"
+        povm = Povm(m=2, n=2, elements=[np.eye(4)] * 3)
+        with pytest.raises(InvalidPovm, match=r"^element 0 has shape \(4, 4\), expected \(8, 8\)$"):
             write_povm(path, povm)
         assert not path.exists()
 
@@ -827,6 +834,24 @@ class TestWritersRefuseNonFinite:
         with pytest.raises(FormatError, match=f"element 1 row {row} holds a non-finite number$"):
             write_povm(path, bad)
         assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize("write,block,message", [
+    (write_states, np.ones(2) / np.sqrt(2), "state set of shape (2,), expected n x m"),
+    (write_states, np.ones((1, 1, 1)), "state set of shape (1, 1, 1), expected n x m"),
+    (write_states, np.ones((0, 2)), "state set of shape (0, 2), expected n x m"),
+    (write_states, np.ones((1, 0)), "state set of shape (1, 0), expected n x m"),
+    (write_density, np.full((2, 3), 0.5), "density matrix of shape (2, 3), expected d x d"),
+    (write_density, np.eye(2)[None] / 2, "density matrix of shape (1, 2, 2), expected d x d"),
+    (write_density, np.ones(1), "density matrix of shape (1,), expected d x d"),
+    (write_density, np.ones((0, 0)), "density matrix of shape (0, 0), expected d x d"),
+], ids=["states-vector", "states-3d", "states-none", "states-empty", "density-2x3", "density-3d",
+        "density-vector", "density-empty"])
+def test_writers_refuse_a_shape_the_reader_refuses(tmp_path, write, block, message):
+    path = tmp_path / "file.txt"
+    with pytest.raises(FormatError, match=f"^{re.escape(f'{path}: {message}')} with every size at least 1$"):
+        write(path, block)
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("reader,text,message", [

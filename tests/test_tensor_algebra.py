@@ -1,12 +1,21 @@
 import numpy as np
 import pytest
 
-from conftest import rand_density, rand_psd, rand_state
+from conftest import (
+    Subspace,
+    rand_density,
+    rand_psd,
+    rand_state,
+    subspace_from_vectors,
+    subspace_intersection,
+    subspace_preimage,
+    subspace_sum,
+    support_projector,
+)
 from udisc.config import entry_cap
 from udisc.errors import CapExceeded, IndexOutOfRange, LayoutMismatch, NotHermitian, NotPositive
 from udisc import tensor_algebra
 from udisc.tensor_algebra import (
-    Subspace,
     as_state_set,
     eig_hermitian,
     fidelity,
@@ -20,17 +29,7 @@ from udisc.tensor_algebra import (
     require_conjugate_pairs,
     require_hermitian,
     require_normalized,
-    subspace_intersection,
-    subspace_preimage,
-    subspace_sum,
-    support_projector,
 )
-
-
-def subspace_from_vectors(vectors) -> Subspace:
-    """Span of a family of (possibly dependent) vectors."""
-    v = np.atleast_2d(np.asarray(vectors, dtype=complex))
-    return Subspace(v.shape[1], tensor_algebra._orthonormal_columns(v.T))
 
 
 def ket(index, dim):
@@ -242,6 +241,8 @@ class TestGram:
 
 
 class TestSupportAndSubspaces:
+    """The subspace algebra of conftest, the oracle that core_decompose is compared against."""
+
     def test_rank_one_support(self):
         sub = support_projector(np.diag([1.0, 0.0]))
         assert sub.dim == 1
