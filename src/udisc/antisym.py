@@ -158,44 +158,35 @@ class _WeightSectors:
     The caller sizes m^count against the budget; every array is read-only.
 
     digits: _digit_table(m, count), register 1 first;
-    same: flat indices (row·dim + column) of every same-sector pair, the
-        sector blocks of one size contiguous and row-major, so one gather
-        reads all the blocks (a sector-diagonal operator's entries d);
-    blocks: (number of sectors, size) of each run of blocks in same;
+    same: flat indices (row·dim + column) of every same-sector pair, ascending, so one
+        gather reads a sector-diagonal operator's entries d in io's sector-row file order;
+    row_bounds: 2·(where each row starts in same, then len(same)), that file's row bounds;
     rows, cols: the row and the column of each pair of same;
     identity: whether each pair of same is diagonal, the identity's entries.
 
     _position maps pairs to their place in same by three per-state arrays.
-    The checks' maps (transposed, swapped, shifted, traced, diagonal) are built
-    on first use and kept; the POVM file codec's row order is io._sector_rows'.
+    The checks' maps (transposed, swapped, shifted, traced, diagonal) and the
+    block gathers of runs are built on first use and kept.
     """
 
     def __init__(self, m: int, count: int):
         digits = _digit_table(m, count)
-        _, label, sizes = np.unique(np.sort(digits, axis=1) @ m ** np.arange(count),
-                                    return_inverse=True, return_counts=True)
-        size = sizes[label]
-        order = np.lexsort((label, size))  # by sector size, then sector, then index
-        distinct = sorted_distinct(sizes)
-        runs = np.split(order, np.cumsum(np.bincount(size)[distinct])[:-1])
-        sectors = [run.reshape(-1, s) for run, s in zip(runs, distinct)]  # (sectors, size) per size
-        same = np.concatenate([(idx[:, :, None] * m**count + idx[:, None, :]).ravel() for idx in sectors])
-        self.m, self.digits, self.same = m, digits, same
-        self.blocks = tuple(idx.shape for idx in sectors)
-        self.rows, self.cols = np.divmod(same, m**count)
+        dim = len(digits)
+        _, sector, sizes = np.unique(np.sort(digits, axis=1) @ m ** np.arange(count),
+                                     return_inverse=True, return_counts=True)
+        members = np.argsort(sector, kind="stable")  # each sector's states ascending, sector after sector
+        first, size = (np.cumsum(sizes) - sizes)[sector], sizes[sector]  # where x's sector starts in members
+        # per basis state: its sector, where its row starts in same (then the end) and its place in
+        # its sector, so (x, y) is at _row[x] + _local[y] when _sector[x] == _sector[y] (_position)
+        self._sector, self._row, self._local = sector, np.append(0, np.cumsum(size)), np.empty_like(sector)
+        self._local[members] = np.arange(dim)
+        self._local -= first
+        self.rows = np.repeat(np.arange(dim), size)
+        self.cols = members[np.repeat(first - self._row[:-1], size) + np.arange(len(self.rows))]
+        self.m, self.digits, self.same, self.row_bounds = m, digits, self.rows * dim + self.cols, 2 * self._row
         self.identity = self.rows == self.cols
-        # per basis state: where its sector's block starts in same (the sector's key), where
-        # its row of that block starts, and its place in the sector, so (x, y) is at
-        # _row[x] + _local[y] when _block[x] == _block[y] (_position)
-        self._block, self._row, self._local = (np.empty(len(digits), dtype=np.int64) for _ in range(3))
-        self._begins = [0]  # where each run of blocks starts in same (runs)
-        for idx in sectors:
-            number, size = idx.shape
-            self._block[idx] = self._begins[-1] + size * size * np.arange(number)[:, None]
-            self._local[idx] = np.arange(size)
-            self._row[idx] = self._block[idx] + size * np.arange(size)
-            self._begins.append(self._begins[-1] + number * size * size)
-        for a in (digits, same, self.rows, self.cols, self.identity, self._block, self._row, self._local):
+        for a in (digits, self.same, self.row_bounds, self.rows, self.cols, self.identity, sector, self._row,
+                  self._local):
             a.setflags(write=False)
 
     def scatter(self, entries: np.ndarray) -> np.ndarray:
@@ -211,10 +202,19 @@ class _WeightSectors:
         inside.setflags(write=False)
         return inside, _nonzeros(inside) == _nonzeros(e)
 
+    @cached_property
+    def run_positions(self) -> tuple[np.ndarray, ...]:
+        """Per sector size, ascending, the (sectors, size, size) positions in same of the
+        blocks of that size: sectors in order, each block row-major; read-only."""
+        size = np.diff(self._row)
+        order = np.lexsort((self._sector, size))  # by sector size, then sector, then state
+        runs = np.split(order, np.cumsum(np.bincount(size)[sorted_distinct(size)])[:-1])
+        blocks = [run.reshape(-1, size[run[0]]) for run in runs]  # (sectors, size) states per size
+        return tuple(self._position(b[:, :, None], b[:, None, :]) for b in blocks)
+
     def runs(self, d: np.ndarray) -> list[np.ndarray]:
-        """Sector entries d as stacks of blocks, one (sectors, size, size) view per size."""
-        return [d[begin:begin + count * size * size].reshape(count, size, size)
-                for begin, (count, size) in zip(self._begins, self.blocks)]
+        """Sector entries d as stacks of blocks, one (sectors, size, size) gather per size."""
+        return [d[positions] for positions in self.run_positions]
 
     def block_minimum(self, d: np.ndarray) -> float:
         """Least eigenvalue of the Hermitian operator with sector entries d and zeros
@@ -224,7 +224,7 @@ class _WeightSectors:
     def _position(self, row: np.ndarray, col: np.ndarray) -> np.ndarray:
         """Position in same of the pairs (row, col), broadcast together, len(same) for a
         pair outside the sectors; read-only."""
-        out = np.where(self._block[row] == self._block[col], self._row[row] + self._local[col], len(self.same))
+        out = np.where(self._sector[row] == self._sector[col], self._row[row] + self._local[col], len(self.same))
         out.setflags(write=False)
         return out
 
@@ -269,7 +269,7 @@ class _WeightSectors:
     @cached_property
     def diagonal(self) -> np.ndarray:
         """Position in same of the diagonal pair (x, x) for each basis state x."""
-        out = self._row + self._local
+        out = self._row[:-1] + self._local
         out.setflags(write=False)
         return out
 

@@ -22,8 +22,6 @@ import functools
 import math
 import sys
 
-import numpy as np
-
 from . import io
 from .config import DEFAULT_ENTRY_CAP, entry_cap
 from .discriminator import (
@@ -177,7 +175,7 @@ def cmd_mixed(args, emit: Emitter) -> int:
     emit.value("dim", cores.dim)
     for i, tr in enumerate(cores.tilde_traces(), start=1):
         emit.value(f"core_trace_{i}", tr)
-    emit.value("core_trace_0", float(np.trace(cores.tilde0).real))
+    emit.value("core_trace_0", cores.tilde0_trace())
     verdict = cores.discriminable
     emit.value("discriminable", verdict)
 

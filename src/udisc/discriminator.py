@@ -89,8 +89,8 @@ class Povm:
     - built (family_povm and the build_* functions): its family and
       coefficient c, whose weight-sector entries are formed on first use;
     - sector: the weight-sector entries d_k of each element (sectors), zero
-      outside them, as read_povm reads a sector-row file (a dense file is
-      read as an explicit POVM).
+      outside them, in a sector-row file's order, as read_povm reads one (a
+      dense file is read as an explicit POVM).
     A built or sector POVM is zero outside its weight sectors, and the checks
     and the writer read its d_k; its dense elements are scattered from them
     only when something reads elements, under the dense-storage budget in
@@ -236,12 +236,6 @@ def _complement_entries(m: int, n: int) -> np.ndarray:
     budget covers this index."""
     index = _weight_sectors(m, n)
     return _frozen_complex(index.identity - _sign_entries(m, n))
-
-
-@cache
-def _complement_runs(m: int, n: int) -> list[np.ndarray]:
-    """_complement_entries(m, n) as stacks of sector blocks (_WeightSectors.runs)."""
-    return _weight_sectors(m, n).runs(_complement_entries(m, n))
 
 
 def _family_entries(family: str, m: int, n: int, c: float) -> tuple[np.ndarray, ...]:
@@ -485,7 +479,8 @@ def _sector_leakage(m: int, n: int, d: np.ndarray, i: int) -> float:
     traced = d[source]
     reduced = np.bincount(target, traced.real, len(lower.same)) + 1j * np.bincount(
         target, traced.imag, len(lower.same))
-    return max(float(np.abs(c @ r @ c).max()) for c, r in zip(_complement_runs(m, n), lower.runs(reduced)))
+    complement = lower.runs(_complement_entries(m, n))
+    return max(float(np.abs(c @ r @ c).max()) for c, r in zip(complement, lower.runs(reduced)))
 
 
 # ---------------------------------------------------------------------------

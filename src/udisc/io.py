@@ -19,50 +19,43 @@ write_povm writes a built or sector POVM (discriminator.Povm) in the
 sector-row layout and an explicit one in the dense layout; read_povm reads
 a sector-row file into a sector POVM and a dense file into an explicit one,
 so writing what was read gives back the file's bytes in either layout.  The
-writers refuse a NaN or an infinity, and a block of a shape, which the
-readers refuse, before the file is opened.
+writers refuse what the readers refuse, by the readers' checks and before
+the file is opened, and write what the readers repair as given.
 
 All are a header and blocks of rows, written and read by one codec, for
 which row r of a block holds the numbers bounds[r] to bounds[r + 1]: a
 dense block's rows are all one width (_dense_bounds), a sector-row block's
-row x holds 2·|sector of x| numbers (_sector_rows); reader and writer take
-a POVM block's layout from one place (_povm_rows).  The writer takes each
-block's complex entries in file order, a dense matrix or a built or sector
-POVM's weight-sector entries d[order] with no dense element, as the
-positions and bit patterns of their nonzero doubles (_numbers).  It
-formats each distinct double of a block once, with "%.17g", and writes
-every row from that vocabulary; +0.0 is written "0", so a row is its runs
-of zeros and a few words.  Rows are turned into text in chunks of at most
-WRITE_CHUNK numbers, so beyond the nonzero doubles and their vocabulary
-the writer's temporary memory is one chunk, whatever the block size.
+row x holds 2·|sector of x| numbers (_WeightSectors.row_bounds); reader
+and writer take a POVM block's layout from one place (_povm_rows).  The
+writer takes each block's complex entries in file order, a dense matrix or
+a built or sector POVM's weight-sector entries d_k with no dense element,
+as the positions and bit patterns of their nonzero doubles (_numbers), and
+turns its rows into text in chunks of at most WRITE_CHUNK numbers, each
+distinct double formatted once with "%.17g" and +0.0 written "0"
+(_block_text): beyond the nonzero doubles, its temporary memory is one
+chunk, whatever the block size.
 
 Files are read in text mode, where "\r\n" and "\r" line ends read as
 newlines and a byte outside ASCII reads as U+FFFD, which float() refuses.
-Every block the header declares is sized against the dense-storage budget
+Each reader parses its header in _blocks, which refuses content after the
+last block, and sizes every block against the dense-storage budget
 (config.entry_cap) before any row is read; a POVM header's m^(n+1) is
 refused before it is formed when it is far over
-(config.check_tensor_square), on either layout.  A POVM block is read in
-chunks of at most WRITE_CHUNK numbers, as it was written, each chunk's
-lines joined and encoded into one bytes object.  A chunk in the writer's
-layout (one space between tokens, one newline after each row) is scanned
-as bytes with numpy: a token that is the one byte "0" is +0.0 and is not
-parsed, and each distinct other token is parsed once by float().  Any
-other chunk (tabs, runs of spaces, a comment or blank line inside the
-block, a wrong token count, a token float() refuses) is read row by row
-with float(), which names the bad row and accepts float()'s spellings
-("1_0").  Each block's numbers go into one array in the file's order.  Each
-reader opens its file and parses the header in _blocks, which refuses
-content after the last block, and sizes and reads the blocks itself.  A
-state or density block, a few rows of distinct numbers, takes that
-row-by-row scan.  A NaN or an infinity is refused where it is read,
-naming the file, the block and the row.
+(config.check_tensor_square).  A POVM block is read in chunks of at most
+WRITE_CHUNK numbers (_scan_block): a chunk in the writer's layout is
+scanned as bytes with numpy (_scan_chunk), and any other chunk (tabs, a
+comment line inside the block, a bad token), like a state or density
+block, is read row by row with float() (_scan_rows), which accepts
+float()'s spellings ("1_0").  A bad token, a wrong count or a NaN or an
+infinity is refused naming the file, the block and the row.  Each block's
+numbers go into one array in the file's order.
 
 The header word alone picks what a POVM file becomes.  A dense block is
 one explicit element of m^(n+1) x m^(n+1) entries, within the budget.  A
-sector-row block holds only weight-sector entries, which go into its d_k as
-soon as the block is read: the budget bounds the element the header
-declares, which is never formed, and the reader holds n+1 arrays of |same|
-entries plus one block's numbers and about one chunk.
+sector-row block's numbers, viewed as complex, are its d_k as they stand,
+since _WeightSectors.same is ascending in flat index.  The budget bounds
+the element the header declares, which is never formed, and the reader
+holds n+1 arrays of |same| entries and about one chunk.
 """
 
 from __future__ import annotations
@@ -71,7 +64,6 @@ import itertools
 import math
 from collections.abc import Iterator
 from contextlib import contextmanager
-from functools import cache
 
 import numpy as np
 
@@ -110,38 +102,21 @@ def _dense_bounds(rows: int, cols: int) -> np.ndarray:
 
 def _numbers(entries, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A block's (bounds, at, bits) from its complex entries in file order (a dense matrix,
-    or sector entries d[order]), entry p holding numbers 2p and 2p + 1: the positions of
+    or sector entries d_k), entry p holding numbers 2p and 2p + 1: the positions of
     its nonzero doubles, ascending, and their int64 bit patterns."""
     bits = np.ascontiguousarray(entries, dtype=complex).view(np.int64).ravel()
     at = np.flatnonzero(bits)
     return bounds, at, bits[at]
 
 
-@cache
-def _sector_rows(m: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The sector-row layout of count registers of dimension m, as (order, bounds): d[order]
-    lists the sector entries d row after row, row x holding (x, y) for the y of x's
-    sector in ascending y, which is the order of _weight_sectors(m, count).same by flat
-    index, and row x holds numbers bounds[x] to bounds[x + 1], 2·|sector of x| of them.
-    The codec's one copy of the layout, built once per (m, count), read-only."""
-    index = _weight_sectors(m, count)
-    dim = len(index.digits)
-    order = np.argsort(index.same)
-    bounds = np.zeros(dim + 1, dtype=np.int64)
-    np.cumsum(2 * np.bincount(index.rows, minlength=dim), out=bounds[1:])
-    order.setflags(write=False)
-    bounds.setflags(write=False)
-    return order, bounds
-
-
-def _povm_rows(keyword: str, m: int, n: int) -> tuple[np.ndarray | None, np.ndarray]:
-    """The (order, bounds) of each block of a POVM file, shared by reader and writer: a
-    dense block (``povm``) holds an element's rows as they are (order None), a sector-row
-    block (``povm-sectors``) the weight-sector entries d[order] (_sector_rows)."""
+def _povm_rows(keyword: str, m: int, n: int) -> np.ndarray:
+    """The row bounds of each block of a POVM file, shared by reader and writer: a dense
+    block (``povm``) holds an element's rows, a sector-row block (``povm-sectors``) the
+    weight-sector entries d_k as they stand (_WeightSectors.row_bounds)."""
     if keyword == "povm":
         dim = m ** (n + 1)
-        return None, _dense_bounds(dim, dim)
-    return _sector_rows(m, n + 1)
+        return _dense_bounds(dim, dim)
+    return _weight_sectors(m, n + 1).row_bounds
 
 
 def _chunks(bounds: np.ndarray) -> Iterator[tuple[int, int]]:
@@ -235,10 +210,7 @@ def _scan_rows(block: list[str], out: np.ndarray, bounds: np.ndarray, where: str
             out[lo:hi] = [float(p) for p in parts]
         except ValueError as exc:
             raise FormatError(f"{where} row {first + r + 1} contains a non-numeric token") from exc
-    finite = np.isfinite(out)
-    if not finite.all():
-        row = np.searchsorted(bounds, np.argmin(finite), "right")
-        raise FormatError(f"{where} row {first + row} holds a non-finite number")
+    _refuse_non_finite(out.view(complex), where, bounds, first)
 
 
 def _content(fh, count: int, text: str | None = None) -> list[str]:
@@ -347,20 +319,24 @@ def _scan_chunk(buf: bytes, bounds: np.ndarray):
 # state sets
 
 
-def _refuse_shape(block: np.ndarray, where: str, square: bool) -> None:
-    """Refuse, as the reader would, a block that is not a matrix with at least one row and
-    one column, or (square) not a square one: FormatError naming where and the shape."""
+def _matrix_block(block, where: str, square: bool) -> np.ndarray:
+    """block as a complex array, refusing as the reader would one that is not a matrix with
+    at least one row and one column, or (square) not a square one (FormatError naming
+    where and the shape), and a NaN or an infinity (_refuse_non_finite)."""
+    block = np.asarray(block, dtype=complex)
     if block.ndim != 2 or 0 in block.shape or square and block.shape[0] != block.shape[1]:
         expected = "d x d" if square else "n x m"
         raise FormatError(f"{where} of shape {block.shape}, expected {expected} with every size at least 1")
+    _refuse_non_finite(block, where, _dense_bounds(*block.shape))
+    return block
 
 
 def write_states(path, states) -> None:
-    """Write a state file; a shape other than n x m with n, m >= 1, and a NaN or an
-    infinity, are refused before the file is opened."""
-    s = np.asarray(states, dtype=complex)
-    _refuse_shape(s, f"{path}: state set", square=False)
-    _refuse_non_finite(s, f"{path}: state set")
+    """Write a state file; a shape other than n x m with n, m >= 1, a NaN or an infinity,
+    and a norm read_states refuses are refused before the file is opened.  The states
+    are written as given, not renormalized."""
+    s = _matrix_block(states, f"{path}: state set", square=False)
+    _state_norms(s, path)
     _write_blocks(path, f"states {s.shape[1]} {s.shape[0]}", [(None, _numbers(s, _dense_bounds(*s.shape)))])
 
 
@@ -375,16 +351,20 @@ def read_states(path) -> tuple[np.ndarray, list[str]]:
         check_entries(n * m, f"{n}x{m} state set")
         states = np.empty((n, m), dtype=complex)
         _scan_rows(_content(fh, n), states.view(float).reshape(-1), _dense_bounds(n, m), f"{path}: state set")
-    warnings = []
-    for i in range(n):
-        norm = float(np.linalg.norm(states[i]))
-        deviation = abs(norm - 1.0)
-        if deviation > NORM_TOL:
+    norms = _state_norms(states, path)
+    warnings = [f"state {i + 1} renormalized (norm deviation {abs(norm - 1.0):.3e})"
+                for i, norm in enumerate(norms) if abs(norm - 1.0) > RENORMALIZE_WARN_TOL]
+    return states / np.array(norms)[:, None], warnings
+
+
+def _state_norms(states: np.ndarray, path) -> list[float]:
+    """The norm of each state, refusing one more than NORM_TOL from 1 (a zero row among
+    them): read_states' rule, which write_states applies before opening its file."""
+    norms = [float(np.linalg.norm(row)) for row in states]
+    for i, norm in enumerate(norms):
+        if abs(norm - 1.0) > NORM_TOL:
             raise FormatError(f"{path}: state {i + 1} has norm {norm!r}, too far from 1")
-        if deviation > RENORMALIZE_WARN_TOL:
-            warnings.append(f"state {i + 1} renormalized (norm deviation {deviation:.3e})")
-        states[i] = states[i] / norm
-    return states, warnings
+    return norms
 
 
 # ---------------------------------------------------------------------------
@@ -392,11 +372,11 @@ def read_states(path) -> tuple[np.ndarray, list[str]]:
 
 
 def write_density(path, rho) -> None:
-    """Write a density file; a shape other than d x d with d >= 1, and a NaN or an
-    infinity, are refused before the file is opened."""
-    rho = np.asarray(rho, dtype=complex)
-    _refuse_shape(rho, f"{path}: density matrix", square=True)
-    _refuse_non_finite(rho, f"{path}: density matrix")
+    """Write a density file; a shape other than d x d with d >= 1, a NaN or an infinity,
+    and a deviation from hermiticity or unit trace that read_density refuses are refused
+    before the file is opened.  rho is written as given, not repaired."""
+    rho = _matrix_block(rho, f"{path}: density matrix", square=True)
+    _repaired_density(rho, path)
     _write_blocks(path, f"rho {len(rho)}", [(None, _numbers(rho, _dense_bounds(*rho.shape)))])
 
 
@@ -410,6 +390,13 @@ def read_density(path) -> np.ndarray:
         check_entries(d * d, f"{d}x{d} density matrix")
         rho = np.empty((d, d), dtype=complex)
         _scan_rows(_content(fh, d), rho.view(float).reshape(-1), _dense_bounds(d, d), f"{path}: density matrix")
+    return _repaired_density(rho, path)
+
+
+def _repaired_density(rho: np.ndarray, path) -> np.ndarray:
+    """rho symmetrized and rescaled to unit trace, refusing a deviation from hermiticity or
+    from unit trace beyond DENSITY_REPAIR_TOL: read_density's rule, which write_density
+    applies before opening its file."""
     herm_dev = max_abs(rho - rho.conj().T)
     if herm_dev > DENSITY_REPAIR_TOL:
         raise FormatError(f"{path}: matrix is not Hermitian (deviation {herm_dev:.3e})")
@@ -431,8 +418,8 @@ def write_povm(path, povm: Povm) -> None:
     infinity, named by its block and row.
 
     A built or sector POVM is written in the sector-row layout (header
-    ``povm-sectors``) from its weight-sector entries d[order] (_povm_rows),
-    with no dense element; its elements are sized against the budget first, as
+    ``povm-sectors``) from its weight-sector entries d_k as they stand, with
+    no dense element; its elements are sized against the budget first, as
     the reader sizes them from the header.  An explicit POVM is written in
     the dense layout (header ``povm``).  read_povm gives back each
     representation, so write_povm(path, read_povm(path)) rewrites a file
@@ -441,30 +428,26 @@ def write_povm(path, povm: Povm) -> None:
     """
     m, n = povm.m, povm.n
     if povm._explicit:
-        keyword, k, blocks, rows = "povm", len(povm.elements), povm.elements, None
+        keyword, k, blocks = "povm", len(povm.elements), povm.elements
     else:
-        # sized against the budget before the layout is formed
-        keyword, k, blocks, rows = "povm-sectors", n + 1, povm._sectors, _weight_sectors(m, n + 1).rows
+        keyword, k, blocks = "povm-sectors", n + 1, povm._sectors  # sized against the budget
     labels = list(_povm_labels(n, k))
     _require_layout(povm)
+    bounds = _povm_rows(keyword, m, n)
     for label, block in zip(labels, blocks):
-        _refuse_non_finite(block, f"{path}: {label}", rows)
-    order, bounds = _povm_rows(keyword, m, n)
-    numbers = (_numbers(b if order is None else b[order], bounds) for b in blocks)
-    _write_blocks(path, f"{keyword} {m} {n} {k}", zip(labels, numbers))
+        _refuse_non_finite(block, f"{path}: {label}", bounds)
+    _write_blocks(path, f"{keyword} {m} {n} {k}", zip(labels, (_numbers(b, bounds) for b in blocks)))
 
 
-def _refuse_non_finite(block, where: str, rows: np.ndarray | None = None) -> None:
-    """Refuse, as the reader would, a block holding a NaN or an infinity: FormatError naming
-    the first row that holds one, row r + 1 for the entries of block[r], or for sector
-    entries d (rows given, _WeightSectors.rows) for the entries d[p] with rows[p] = r."""
-    block = np.ascontiguousarray(block, dtype=complex)
-    parts = block.view(np.float64)
+def _refuse_non_finite(block, where: str, bounds, first: int = 0) -> None:
+    """Refuse a block of complex entries holding a NaN or an infinity, for the readers and
+    the writers: FormatError naming the first row that holds one, row r (numbered from
+    first+1) holding the numbers bounds[r] to bounds[r + 1] (real and imaginary parts)."""
+    parts = np.ascontiguousarray(block, dtype=complex).view(np.float64).ravel()
     if not parts.size or math.isfinite(parts.min()) and math.isfinite(parts.max()):  # no temporary
         return
-    bad = ~np.isfinite(block)
-    row = np.nonzero(bad)[0].min() if rows is None else rows[bad].min()
-    raise FormatError(f"{where} row {row + 1} holds a non-finite number")
+    row = np.searchsorted(bounds, np.argmin(np.isfinite(parts)), "right")
+    raise FormatError(f"{where} row {first + row} holds a non-finite number")
 
 
 def _povm_labels(n: int, k: int) -> Iterator[str]:
@@ -474,21 +457,6 @@ def _povm_labels(n: int, k: int) -> Iterator[str]:
             f"povm header declares {k} elements; a POVM on n={n} states has n+1 = {n + 1}"
         )
     return (f"element {i}" for i in range(k))
-
-
-def _read_element(fh, label: str, order: np.ndarray | None, bounds: np.ndarray, path) -> np.ndarray:
-    """The POVM block led by the line label, read by _scan_block: the dense element, or
-    with an order the sector entries d_k, scattered from the block's numbers through it;
-    the numbers are freed on return, before the next block is read."""
-    line = _content_line(fh) or ""
-    if line.split() != label.split():
-        raise FormatError(f"{path}: expected {label!r}, got {line!r}")
-    numbers = _scan_block(fh, bounds, f"{path}: {label}").view(complex)
-    if order is None:
-        return numbers.reshape(len(bounds) - 1, -1)
-    d = np.empty(len(order), dtype=complex)
-    d[order] = numbers
-    return d
 
 
 def read_povm(path) -> Povm:
@@ -501,16 +469,21 @@ def read_povm(path) -> Povm:
     Each block is read in row chunks (_scan_block).  A dense file holds n+1
     dense elements, each within the budget; the checks still take the
     sector route on them when they are zero outside their weight sectors
-    (Povm._sectors).  A sector-row block goes into its sector entries d_k as
-    soon as it is read: the budget bounds an element that is never formed,
-    and the reader holds n+1 arrays of |same| complex entries and one
-    block's numbers, far less than the budget allows.
+    (Povm._sectors).  A sector-row block's numbers, viewed as complex, are
+    its sector entries d_k: the budget bounds an element that is never
+    formed, and the reader holds n+1 arrays of |same| complex entries, far
+    less than the budget allows.
     """
     with _blocks(path, ("povm", "povm-sectors"), 3, "POVM element") as (fh, keyword, (m, n, k)):
         labels = _povm_labels(n, k)
         check_tensor_square(m, n + 1, "POVM element")  # refused before m**(n+1) is formed
-        order, bounds = _povm_rows(keyword, m, n)
-        blocks = [_read_element(fh, label, order, bounds, path) for label in labels]
-    if order is None:
-        return Povm(m, n, elements=blocks)
+        bounds = _povm_rows(keyword, m, n)
+        blocks = []
+        for label in labels:  # each block's complex entries in file order (_scan_block)
+            line = _content_line(fh) or ""
+            if line.split() != label.split():
+                raise FormatError(f"{path}: expected {label!r}, got {line!r}")
+            blocks.append(_scan_block(fh, bounds, f"{path}: {label}").view(complex))
+    if keyword == "povm":
+        return Povm(m, n, elements=[b.reshape(len(bounds) - 1, -1) for b in blocks])
     return Povm(m, n, sectors=blocks)

@@ -58,7 +58,14 @@ class CoreDecomposition:
         return self.tilde0.shape[0]
 
     def tilde_traces(self) -> list[float]:
-        return [float(np.trace(t).real) for t in self.tildes]
+        """Tr ρ̃_i per state, clamped at 0 as is tilde0_trace: ρ̃_i = √ρ_i (I − Q) √ρ_i and
+        ρ̂_i = √ρ_i Q √ρ_i, Q a projector, are PSD, and so is ρ̃_0 = Σ ρ̂_i, so each
+        trace is ≥ 0 exactly and a negative computed one is rounding."""
+        return [max(0.0, float(np.trace(t).real)) for t in self.tildes]
+
+    def tilde0_trace(self) -> float:
+        """Tr ρ̃_0, clamped at 0 (proof in tilde_traces)."""
+        return max(0.0, float(np.trace(self.tilde0).real))
 
     @property
     def discriminable(self) -> bool:

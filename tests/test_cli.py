@@ -436,6 +436,20 @@ class TestMixed:
         assert "core_trace_2 = 0" in out
         assert "discriminable = false" in out
 
+    def test_core_traces_of_nested_supports_are_never_negative(self, tmp_path, capsys):
+        """ρ_1 = |v><v| inside supp ρ_2 leaves a core of trace 0, printed as 0 or a positive
+        rounding, never negative."""
+        r1, r2 = str(tmp_path / "r1.txt"), str(tmp_path / "r2.txt")
+        v = np.array([0.6, 0.8j, 0.0])
+        write_density(r1, np.outer(v, v.conj()))
+        write_density(r2, np.diag([0.5, 0.5, 0.0]).astype(complex))
+        code, out, _ = run(capsys, "mixed", r1, r2, "--data", "1", "--format", "kv")
+        kv = parse_kv(out)
+        assert code == 1 and kv["discriminable"] == "false"
+        traces = {key: value for key, value in kv.items() if key.startswith("core_trace_")}
+        assert len(traces) == 3 and not any(value.startswith("-") for value in traces.values())
+        assert float(traces["core_trace_1"]) < 1e-15
+
     def test_identical_densities(self, tmp_path, capsys):
         r1, r2 = str(tmp_path / "r1.txt"), str(tmp_path / "r2.txt")
         write_density(r1, np.diag([1.0, 0.0]).astype(complex))

@@ -825,8 +825,9 @@ class TestWritersRefuseNonFinite:
             bad = Povm(3, 2, elements=elements)
         else:
             sectors = [d.copy() for d in built._sectors]
-            # the first sector entries hold row 26 (|222>), the last ones a row before it
-            sectors[1][[2, -1]] = [complex(value, 0), complex(0, value)][part]
+            # the first entry of row 26, then the first of row 22
+            first_of_rows = _weight_sectors(3, 3).row_bounds[[25, 21]] // 2
+            sectors[1][first_of_rows] = [complex(value, 0), complex(0, value)][part]
             bad = Povm(3, 2, sectors=sectors)
         # the oracle: the first row of the dense element that holds a non-finite number
         row = np.flatnonzero(~np.isfinite(bad.elements[1]).all(axis=1))[0] + 1
@@ -835,23 +836,63 @@ class TestWritersRefuseNonFinite:
             write_povm(path, bad)
         assert path.read_bytes() == before
 
+    @pytest.mark.parametrize("row", [0, 13, 26])
+    def test_writer_names_the_row_read_povm_names_in_an_edited_sector_file(self, tmp_path, row):
+        """A NaN typed into one row of a sector-row file is named by read_povm; the writer,
+        given the entries with that NaN in the same place, refuses with the same message."""
+        built = build_universal(3, 2)
+        path = tmp_path / "u32.povm"
+        write_povm(path, built)
+        with_sector_token(path, 1, row, "nan")
+        with pytest.raises(FormatError, match=f"element 1 row {row + 1} holds a non-finite number$") as read:
+            read_povm(path)
+        edited = path.read_bytes()
+        sectors = [d.copy() for d in built._sectors]
+        sectors[1].view(np.float64)[_weight_sectors(3, 3).row_bounds[row] + 1] = np.nan  # the token's number
+        with pytest.raises(FormatError) as written:
+            write_povm(path, Povm(3, 2, sectors=sectors))
+        assert str(written.value) == str(read.value)
+        assert path.read_bytes() == edited
+
+
+SHAPE = " with every size at least 1"
+
 
 @pytest.mark.parametrize("write,block,message", [
-    (write_states, np.ones(2) / np.sqrt(2), "state set of shape (2,), expected n x m"),
-    (write_states, np.ones((1, 1, 1)), "state set of shape (1, 1, 1), expected n x m"),
-    (write_states, np.ones((0, 2)), "state set of shape (0, 2), expected n x m"),
-    (write_states, np.ones((1, 0)), "state set of shape (1, 0), expected n x m"),
-    (write_density, np.full((2, 3), 0.5), "density matrix of shape (2, 3), expected d x d"),
-    (write_density, np.eye(2)[None] / 2, "density matrix of shape (1, 2, 2), expected d x d"),
-    (write_density, np.ones(1), "density matrix of shape (1,), expected d x d"),
-    (write_density, np.ones((0, 0)), "density matrix of shape (0, 0), expected d x d"),
-], ids=["states-vector", "states-3d", "states-none", "states-empty", "density-2x3", "density-3d",
-        "density-vector", "density-empty"])
+    (write_states, np.ones(2) / np.sqrt(2), "state set of shape (2,), expected n x m" + SHAPE),
+    (write_states, np.ones((1, 1, 1)), "state set of shape (1, 1, 1), expected n x m" + SHAPE),
+    (write_states, np.ones((0, 2)), "state set of shape (0, 2), expected n x m" + SHAPE),
+    (write_states, np.ones((1, 0)), "state set of shape (1, 0), expected n x m" + SHAPE),
+    (write_states, [[2.0, 0.0]], "state 1 has norm 2.0, too far from 1"),
+    (write_states, [[1.0, 0.0], [0.0, 0.0]], "state 2 has norm 0.0, too far from 1"),
+    (write_density, np.full((2, 3), 0.5), "density matrix of shape (2, 3), expected d x d" + SHAPE),
+    (write_density, np.eye(2)[None] / 2, "density matrix of shape (1, 2, 2), expected d x d" + SHAPE),
+    (write_density, np.ones(1), "density matrix of shape (1,), expected d x d" + SHAPE),
+    (write_density, np.ones((0, 0)), "density matrix of shape (0, 0), expected d x d" + SHAPE),
+    (write_density, np.eye(2), "trace is 2.0, expected 1"),
+    (write_density, [[0.5, 1], [0, 0.5]], "matrix is not Hermitian (deviation 1.000e+00)"),
+], ids=["states-vector", "states-3d", "states-none", "states-empty", "states-norm", "states-zero",
+        "density-2x3", "density-3d", "density-vector", "density-empty", "density-trace", "density-hermitian"])
 def test_writers_refuse_a_shape_the_reader_refuses(tmp_path, write, block, message):
+    """What a reader refuses, its writer refuses with the reader's message, and no file
+    is created."""
     path = tmp_path / "file.txt"
-    with pytest.raises(FormatError, match=f"^{re.escape(f'{path}: {message}')} with every size at least 1$"):
+    with pytest.raises(FormatError, match=f"^{re.escape(f'{path}: {message}')}$"):
         write(path, block)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("write,read,block", [
+    (write_states, read_states, [[1 + 1e-8, 0.0]]),
+    (write_density, read_density, [[0.5 + 1e-9, 1e-9], [0.0, 0.5]]),
+], ids=["states", "density"])
+def test_writers_write_as_given_what_the_reader_repairs(tmp_path, write, read, block):
+    """A norm or a trace within the reader's repair tolerance is written unrepaired."""
+    path = tmp_path / "file.txt"
+    write(path, block)
+    rows = path.read_text().splitlines()[1:]
+    assert np.array_equal(np.array([r.split() for r in rows], dtype=float).view(complex), np.asarray(block))
+    read(path)
 
 
 @pytest.mark.parametrize("reader,text,message", [

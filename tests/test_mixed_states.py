@@ -187,6 +187,24 @@ class TestBuildProgram:
                 assert abs(program.part_trace(i + 1) - cores.tilde_traces()[i]) < 1e-10
             assert abs(program.part_trace(0) - float(np.trace(cores.tilde0).real)) < 1e-10
 
+    def test_nested_support_core_traces_are_never_negative(self):
+        """A rank-1 ρ_1 inside supp ρ_2 has a vanishing core, whose computed trace is
+        rounding of either sign; the traces are clamped at 0, as ρ̃_i and ρ̃_0 are PSD."""
+        rng = np.random.default_rng(74)
+        rho2 = np.diag([0.5, 0.5, 0.0]).astype(complex)
+        clamped = 0
+        for _ in range(50):
+            v = np.zeros(3, dtype=complex)
+            v[:2] = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            v /= np.linalg.norm(v)
+            cores = core_decompose([np.outer(v, v.conj()), rho2])
+            raw = [float(np.trace(t).real) for t in cores.tildes]
+            assert cores.tilde_traces() == [max(0.0, t) for t in raw]
+            assert cores.tilde0_trace() == max(0.0, float(np.trace(cores.tilde0).real))
+            assert abs(raw[0]) < 1e-15 and not cores.discriminable
+            clamped += raw[0] < 0
+        assert clamped  # the rounding the clamp is for occurs
+
     def test_parts_reconstruct_cores(self):
         rng = np.random.default_rng(73)
         rhos = random_ensemble(rng, n_states=2, dim=3)

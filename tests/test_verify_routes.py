@@ -21,6 +21,7 @@ import contextlib
 import dataclasses
 import importlib
 import io
+import itertools
 import pkgutil
 import tracemalloc
 from functools import cache
@@ -51,7 +52,7 @@ from udisc.discriminator import (
 )
 from udisc.cli import main
 from udisc.errors import InvalidPovm
-from udisc.io import _sector_rows, read_povm, write_povm
+from udisc.io import read_povm, write_povm
 from udisc.tensor_algebra import as_complex_matrix, kron_chain, max_abs, partial_trace, reorder_factors
 
 ROUTE_TOL = 1e-14
@@ -319,17 +320,59 @@ def test_weight_sector_index_is_built_once_and_read_only():
     assert _weight_sectors(3, 3) is index
     assert index.swapped(1, 2) is index.swapped(1, 2)
     assert index.traced(2) is index.traced(2)
-    for name in ("transposed", "shifted", "identity", "rows", "cols", "digits", "same", "diagonal"):
+    for name in ("transposed", "shifted", "identity", "rows", "cols", "digits", "same", "diagonal",
+                 "row_bounds", "run_positions"):
         assert getattr(index, name) is getattr(index, name), name
-    sector_rows = _sector_rows(3, 3)
-    assert _sector_rows(3, 3) is sector_rows
     complement = discriminator._complement_entries(3, 2)
     assert discriminator._complement_entries(3, 2) is complement
     for a in (index.transposed, index.swapped(1, 2), *index.shifted, index.identity, index.rows,
-              index.cols, index.digits, index.same, index.diagonal, *sector_rows,
+              index.cols, index.digits, index.same, index.diagonal, index.row_bounds, *index.run_positions,
               *index.traced(2), complement):
         with pytest.raises(ValueError):
             a[(0,) * a.ndim] = 1
+
+
+def oracle_sectors(m, count):
+    """Each weight sector of count registers of dimension m, its basis states ascending,
+    grouped by the sorted levels of itertools.product."""
+    sectors = {}
+    for x, levels in enumerate(itertools.product(range(m), repeat=count)):
+        sectors.setdefault(tuple(sorted(levels)), []).append(x)
+    return list(sectors.values())
+
+
+@pytest.mark.parametrize("m, count", [(2, 5), (5, 2), (3, 4)])
+def test_same_is_every_same_sector_pair_in_the_file_row_order(m, count):
+    """same is strictly ascending and holds exactly the pairs of one sector; row_bounds
+    is twice where each row starts in it."""
+    index = _weight_sectors(m, count)
+    dim = m**count
+    mask = np.zeros((dim, dim), dtype=bool)
+    for members in oracle_sectors(m, count):
+        mask[np.ix_(members, members)] = True
+    assert (np.diff(index.same) > 0).all()
+    assert np.array_equal(index.same, np.flatnonzero(mask))
+    assert np.array_equal(index.row_bounds, 2 * np.concatenate([[0], np.cumsum(mask.sum(axis=1))]))
+
+
+@pytest.mark.parametrize("m, count", [(2, 5), (5, 2), (3, 4)])
+def test_runs_are_the_dense_sector_blocks(m, count):
+    """runs(d) stacks, size after size ascending, blocks that are each one sector's
+    ix_ block of the dense operator, every sector once, its states ascending."""
+    index = _weight_sectors(m, count)
+    rng = np.random.default_rng(count)
+    d = rng.standard_normal(len(index.same)) + 1j * rng.standard_normal(len(index.same))
+    dense = index.scatter(d)
+    runs = index.runs(d)
+    assert [blocks.shape[1] for blocks in runs] == sorted({blocks.shape[1] for blocks in runs})
+    seen = []
+    for blocks, positions in zip(runs, index.run_positions, strict=True):
+        assert blocks.shape == positions.shape and blocks.shape[1] == blocks.shape[2]
+        for block, at in zip(blocks, positions):
+            members = index.rows[at[:, 0]].tolist()
+            seen.append(members)
+            assert np.array_equal(block, dense[np.ix_(members, members)])
+    assert sorted(seen) == sorted(oracle_sectors(m, count))
 
 
 @settings(max_examples=30, deadline=None)
