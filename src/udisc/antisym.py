@@ -165,7 +165,7 @@ class _WeightSectors:
     identity: whether each pair of same is diagonal, the identity's entries.
 
     _position maps pairs to their place in same by three per-state arrays.
-    The checks' maps (transposed, swapped, shifted, traced, diagonal) and the
+    The checks' maps (transposed, permuted, lowered, traced, diagonal) and the
     block gathers of runs are built on first use and kept.
     """
 
@@ -221,10 +221,11 @@ class _WeightSectors:
         elsewhere: the least over its sector blocks."""
         return min(float(np.linalg.eigvalsh(blocks).min()) for blocks in self.runs(d))
 
-    def _position(self, row: np.ndarray, col: np.ndarray) -> np.ndarray:
-        """Position in same of the pairs (row, col), broadcast together, len(same) for a
-        pair outside the sectors; read-only."""
-        out = np.where(self._sector[row] == self._sector[col], self._row[row] + self._local[col], len(self.same))
+    def _position(self, row: np.ndarray, col: np.ndarray, read=True) -> np.ndarray:
+        """Position in same of the pairs (row, col), broadcast together with read, len(same)
+        for a pair outside the sectors or not read; read-only."""
+        out = np.where(read & (self._sector[row] == self._sector[col]), self._row[row] + self._local[col],
+                       len(self.same))
         out.setflags(write=False)
         return out
 
@@ -235,36 +236,33 @@ class _WeightSectors:
         return self._position(self.cols, self.rows)
 
     @cache  # kept per index, as every index is kept by _weight_sectors
-    def swapped(self, a: int, b: int) -> np.ndarray:
-        """Position in same of (σx, σy) for each pair (x, y) of same, σ exchanging the
-        levels of registers a and b (1-based).  σ maps each sector into itself, so
-        d[swapped(a, b)] is the entries of σDσ."""
-        count = self.digits.shape[1]
-        lift = self.m ** (count - b) - self.m ** (count - a)
-        return self._position(*(i + (self.digits[i, a - 1] - self.digits[i, b - 1]) * lift
-                                for i in (self.rows, self.cols)))
+    def permuted(self, registers: tuple[int, ...], levels: tuple[int, ...]) -> np.ndarray:
+        """Position in same of (σx, σy) for each pair (x, y) of same, σx holding level
+        levels[x_j] on register registers[j] (1-based, reorder_factors' order).  σ maps
+        sectors onto sectors, so d[permuted(registers, levels)] is the entries of D[σx, σy]."""
+        states = np.take(levels, self.digits[:, np.argsort(registers)]) @ self.m ** np.arange(len(registers))[::-1]
+        return self._position(states[self.rows], states[self.cols])
 
     @cached_property
-    def shifted(self) -> tuple[np.ndarray, np.ndarray]:
-        """(raised, lowered): (count, |T|) gathers from d extended by one zero, over the
-        pairs T where [dΓ(C), D] can be nonzero for a sector-diagonal D: those reached
-        from a same-sector pair by the cyclic shift f_r of one register's level, on the
-        row or on the column.  Row r of raised reads D[f_r^{-1}(x), y] and row r of
-        lowered reads D[x, f_r(y)] for each (x, y) in T, r running from the last
-        register to the first; a pair outside the sectors reads the zero.  T is
+    def lowered(self) -> tuple[np.ndarray, np.ndarray]:
+        """(left, right): (count, |T|) gathers from d extended by one zero, over the pairs T
+        where [dΓ(E), D] can be nonzero for a sector-diagonal D, E = |0><1|: those reached
+        from a same-sector pair (x, y) by lowering a level 1 of x to 0.  Row r of left
+        reads D[x + m^r, y] where x holds 0 on register r, row r of right D[x, y − m^r]
+        where y holds 1 there, for each (x, y) in T, r running from the last register to
+        the first; any other read, and a pair outside the sectors, reads the zero.  T is
         taken in ascending flat order, by a sort and a neighbour test.
 
-        T is the row-side reach {(f_r(x), y)} alone: the column side adds no pair.  Take
-        (x, y) in a sector and l, y's level on register r: x holds l on some register s,
-        so x' = f_s^{-1}(x) shares f_r^{-1}(y)'s sector and (x, f_r^{-1}(y)) = (f_s(x'), ·)."""
+        The column side {(a, b) : (a, b − m^r) in same, b_r = 1} adds no pair to T: a,
+        in the sector of b − m^r, holds 0 on some register s, and x = a + m^s shares b's
+        sector, so (a, b) is reached from (x, b)."""
         m, dim = self.m, len(self.digits)
-        digits = self.digits[:, ::-1]  # column r: the level of register count − r
-        powers = m ** np.arange(digits.shape[1])
-        up = np.arange(dim)[:, None] + ((digits + 1) % m - digits) * powers  # column r: f_r
-        down = np.arange(dim)[:, None] + ((digits - 1) % m - digits) * powers  # f_r^{-1}
-        reached = sorted_distinct((up[self.rows] * dim + self.cols[:, None]).ravel())
+        levels = self.digits[:, ::-1].T  # row r: each state's level on register count − r
+        step = m ** np.arange(len(levels))[:, None]
+        reached = sorted_distinct(((self.rows - step) * dim + self.cols)[levels[:, self.rows] == 1])
         rows, cols = np.divmod(reached, dim)
-        return self._position(down[rows].T, cols), self._position(rows, up[cols].T)
+        zero, one = levels[:, rows] == 0, levels[:, cols] == 1
+        return self._position(rows + step * zero, cols, zero), self._position(rows, cols - step * one, one)
 
     @cached_property
     def diagonal(self) -> np.ndarray:

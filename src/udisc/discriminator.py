@@ -24,10 +24,10 @@ Povm.elements, under the dense-storage budget in force then
 (config.entry_cap).  An explicit POVM, as read_povm reads a dense file,
 is gathered once into d_k (Povm._sector_split): with no nonzero entry
 outside its sectors it takes the same sector route, and otherwise the
-dense route of every check.  Unitary
-invariance is proven, not sampled, from one cyclic generator
-(_unitary_residual).  The index's maps and the entries of I − Φ are built
-on first use and kept, read-only.
+dense route of every check.  Unitary invariance is proven, not sampled,
+from two level permutations and one lowering generator (_unitary_residual).
+The index's maps and the entries of I − Φ are built on first use and kept,
+read-only.
 """
 
 from __future__ import annotations
@@ -193,10 +193,11 @@ class Povm:
         return mins, max_abs(total)
 
 
-def _program_transpositions(n: int) -> list[tuple[tuple[int, int], int]]:
-    """The 2n−3 permutation-covariance checks on n program registers: (transposition
-    (a b), index of the element (a b)·Π_1 must equal), see check_covariance."""
-    return [((1, i), i) for i in range(2, n + 1)] + [((k, k + 1), 1) for k in range(2, n)]
+def _program_transpositions(n: int) -> list[tuple[tuple[int, ...], int]]:
+    """The 2n−3 permutation-covariance checks on n program registers: (the reorder_factors
+    order of a transposition (a b), index of the element (a b)·Π_1 must equal)."""
+    swaps = [((1, i), i) for i in range(2, n + 1)] + [((k, k + 1), 1) for k in range(2, n)]
+    return [(tuple({a: b, b: a}.get(r, r) for r in range(1, n + 2)), target) for (a, b), target in swaps]
 
 
 @dataclass(frozen=True)
@@ -596,60 +597,55 @@ class CovarianceReport:
 
 
 def _unitary_residual(povm: Povm) -> float:
-    """max over elements Π_k of max(δ_k, ‖[dΓ(C), D_k]‖_max), exactly 0 iff every
+    """max over elements Π_k of max(δ_k, ρ_k, ‖[dΓ(E), D_k]‖_max), exactly 0 iff every
     Π_k commutes with every collective unitary U^⊗N, N = n+1.
 
     δ_k is the largest |entry| of Π_k outside its weight sectors, D_k is Π_k
-    with those entries zeroed, C = Σ_a |a+1 mod m><a| is the cyclic shift
-    and dΓ(C) = Σ_r C_r, C_r acting on register r.
+    with those entries zeroed, ρ_k = max_P ‖P^⊗N D_k P^⊗N† − D_k‖_max over the
+    level permutations P = (0 1) and (0 1 … m−1), which generate S_m, and
+    dΓ(E) = Σ_r E_r for E = |0><1|, E_r acting on register r.
 
-    Proof that δ_k = 0 and [dΓ(C), Π_k] = 0 suffice.  L = {X ∈ gl(m) :
-    [dΓ(X), Π_k] = 0} is a complex Lie algebra, since dΓ preserves brackets
-    and commutants are closed under them.  For diagonal H, dΓ(H) is diagonal
-    with entry w(H) on a basis state of weight w, so [dΓ(H), Π_k] multiplies
-    entry (i, j) by w_i(H) − w_j(H): δ_k = 0 puts the Cartan subalgebra 𝔥 in
-    L.  Then L is stable under ad_𝔥, which splits C = Σ_a E_{a+1,a} + E_{1,m}
-    into root vectors for the m distinct roots −α_1, …, −α_{m−1} and +θ
-    (at H = diag(1, 2, 4, …, 2^(m−1)) they take the distinct values
-    1, 2, …, 2^(m−2) and 1 − 2^(m−1)), so each E_{a+1,a} and E_{1,m} lies in L.
-    Their brackets give every E_{ij} with i > j, then [E_{1,m}, E_{m,j}] =
-    E_{1,j} and [E_{i,1}, E_{1,j}] = E_{ij} give those with i < j, and with
-    𝔥 that is all of gl(m).  U(m) is connected, so every U is exp(iX) with X
-    Hermitian and U^⊗N = exp(i dΓ(X)) commutes with Π_k.  Conversely, an
-    invariant Π_k commutes with dΓ of u(m), hence of its complexification
-    gl(m), so both conditions are also necessary.  For m = 2, C = E_{12} +
-    E_{21}; for m = 1 there is nothing to check, and the residual is 0.
+    Proof that the three vanishing suffice.  L = {X ∈ gl(m) : [dΓ(X), Π_k] = 0}
+    is a linear space.  δ_k = 0 puts every diagonal H in L: dΓ(H) is diagonal,
+    constant on each sector.  ρ_k = 0 makes Π_k invariant under P^⊗N for every
+    permutation matrix P, and dΓ(PXP†) = P^⊗N dΓ(X) P^⊗N†, so L is closed under
+    conjugation by P, which takes E = E_01 to every E_ab, a ≠ b.  So L = gl(m);
+    U(m) is connected, so every U is exp(iX) with X Hermitian and U^⊗N =
+    exp(i dΓ(X)) commutes with Π_k.  Conversely, an invariant Π_k commutes with
+    dΓ of u(m), hence of gl(m), and with each P^⊗N.  For m = 1 there is nothing
+    to check, and the residual is 0.
 
-    The check reads only the sector support: Π_k's entries d on its
-    sector blocks, which are D_k's nonzero entries.  A built or sector POVM
-    holds d and has δ_k = 0; an explicit element is gathered once, one
-    nonzero count shows whether δ_k = 0, and only when δ_k > 0 is a masked
-    copy formed to find it.  On register r, C is the permutation f_r of basis
-    indices that raises that register's level by one mod m, so [dΓ(C), D_k]
-    is Σ_r D_k[f_r^{-1}(a), b] − D_k[a, f_r(b)]: 2N gathers from d, taken over
-    the pairs (a, b) one f_r away from a same-sector pair, the only ones
-    where the commutator of a sector-diagonal operator can be nonzero
-    (_WeightSectors.shifted).  The pairs are taken COMMUTATOR_CHUNK at a
-    time, and the difference and its magnitude overwrite the raised sum, so
-    the temporary memory is a few chunks whatever the size.
+    The check reads only Π_k's entries d on its sector blocks.  A built or
+    sector POVM holds d and has δ_k = 0; an explicit element is gathered once,
+    one nonzero count shows whether δ_k = 0, and only when δ_k > 0 is a masked
+    copy formed to find it.  P^⊗N maps sectors onto sectors, so ρ_k is one
+    gather of d (_WeightSectors.permuted).  [dΓ(E), D_k] at (x, y) is
+    Σ_r D_k[x + m^r, y] over the registers where x holds 0, less
+    Σ_r D_k[x, y − m^r] over those where y holds 1: 2N masked gathers from d,
+    over the pairs where the commutator of a sector-diagonal operator can be
+    nonzero (_WeightSectors.lowered).  The pairs are taken COMMUTATOR_CHUNK at a
+    time, and the difference and its magnitude overwrite the left sum, so the
+    temporary memory is a few chunks whatever the size.
     """
     index = _weight_sectors(povm.m, povm.n + 1)
-    raised_at, lowered_at = index.shifted
-    residual = 0.0
+    left_at, right_at = index.lowered
+    registers, levels = tuple(range(1, povm.n + 2)), tuple(range(povm.m))
+    moves = [index.permuted(registers, p) for p in (levels[1::-1] + levels[2:], levels[1:] + levels[:1])]
+    residual = max(max_abs(inside[move] - inside) for inside, _ in povm._sector_split for move in moves)
     for k, (inside, diagonal) in enumerate(povm._sector_split):
         if not diagonal:
             outside = np.abs(np.ravel(povm.elements[k]))
             outside[index.same] = 0.0
             residual = max(residual, float(outside.max()))
         d = np.append(inside, 0.0)
-        for start in range(0, raised_at.shape[1], COMMUTATOR_CHUNK):
+        for start in range(0, left_at.shape[1], COMMUTATOR_CHUNK):
             part = slice(start, start + COMMUTATOR_CHUNK)
-            raised, lowered = d[raised_at[0, part]], d[lowered_at[0, part]]
-            for r in range(1, len(raised_at)):
-                raised += d[raised_at[r, part]]
-                lowered += d[lowered_at[r, part]]
-            raised -= lowered
-            residual = max(residual, float(np.abs(raised, out=raised).real.max()))
+            left, right = d[left_at[0, part]], d[right_at[0, part]]
+            for r in range(1, len(left_at)):
+                left += d[left_at[r, part]]
+                right += d[right_at[r, part]]
+            left -= right
+            residual = max(residual, float(np.abs(left, out=left).real.max()))
     return residual
 
 
@@ -657,8 +653,9 @@ def check_covariance(povm: Povm) -> CovarianceReport:
     """Check the three symmetries of an optimal discriminator.
 
     1. Collective unitary invariance U^⊗(n+1) Π_i U†^⊗(n+1) = Π_i for every
-       U ∈ U(m), exactly: Π_i is zero outside its weight sectors and
-       commutes with dΓ(C) for the cyclic shift C (proof and residual in
+       U ∈ U(m), exactly: Π_i is zero outside its weight sectors, invariant
+       under P^⊗(n+1) for the level permutations P = (0 1) and (0 1 … m−1),
+       and commutes with dΓ(E) for E = |0><1| (proof and residual in
        _unitary_residual).  Π_i is not assumed Hermitian here.
     2. Program-register covariance (σ_P^{-1} ⊗ I) Π_i (σ_P ⊗ I) = Π_{σ(i)}
        for every permutation σ of the n program registers, written σ·Π_i.
@@ -685,8 +682,8 @@ def check_covariance(povm: Povm) -> CovarianceReport:
 
     When every element is zero outside its weight sectors (Povm._sectors),
     finiteness and the 2n−3 conjugations are read from the sector entries
-    d_k: a transposition of registers maps each sector into itself, so
-    (a b)·Π_1 has the sector entries d_1[swapped(a, b)] (_WeightSectors)
+    d_k: a transposition of registers maps each sector into itself, so (a b)·Π_1
+    has the sector entries d_1[permuted(order, levels unmoved)] (_WeightSectors)
     and zeros elsewhere, and the residual is the dense one bit for bit.
     The reduction to register i pairs only equal levels of register i, so
     it is diagonal, an m-vector of sums over the diagonal entries of d_i
@@ -708,13 +705,11 @@ def check_covariance(povm: Povm) -> CovarianceReport:
 
     permutation_residual = 0.0
     index = _weight_sectors(m, n + 1)
-    for (a, b), target in _program_transpositions(n):
+    for order, target in _program_transpositions(n):
         if sectors is not None:
-            conjugated = sectors[1][index.swapped(a, b)]
+            conjugated = sectors[1][index.permuted(order, tuple(range(m)))]
             distance = max_abs(np.subtract(conjugated, sectors[target], out=conjugated))
         else:
-            order = list(range(1, n + 2))  # a transposition is its own inverse
-            order[a - 1], order[b - 1] = b, a
             conjugated = reorder_factors(povm.elements[1], povm.dims, order)
             if np.array_equal(conjugated, povm.elements[target]):  # equal: distance 0
                 continue

@@ -62,6 +62,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import stat
 from collections.abc import Iterator
 from contextlib import contextmanager
 
@@ -85,13 +87,16 @@ WRITE_CHUNK = 1 << 16
 
 def _write_blocks(path, header: str, blocks) -> None:
     """Write a header line, then each (label or None, numbers) block as rows of "%.17g"
-    pairs; numbers is what _block_text takes (_numbers)."""
-    with open(path, "w", encoding="ascii") as fh:
+    pairs; numbers is what _block_text takes (_numbers).  A regular file is overwritten,
+    then cut to what was written (ext4 flushes one truncated to zero at close)."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="ascii") as fh:
         fh.write(header + "\n")
         for label, numbers in blocks:
             if label is not None:
                 fh.write(label + "\n")
             fh.writelines(_block_text(*numbers))
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()
 
 
 def _dense_bounds(rows: int, cols: int) -> np.ndarray:

@@ -65,6 +65,12 @@ class TestBuild:
         assert code == 0
         assert "c = 0.666666666667" in out
 
+    def test_out_to_a_device_is_written_and_not_truncated(self, capsys):
+        code, out, err = run(capsys, "build", "--m", "3", "--n", "2", "--family", "universal",
+                             "--out", "/dev/null")
+        assert code == 0 and err == ""
+        assert "out = /dev/null" in out
+
     def test_wrong_regime_exits_2(self, tmp_path, capsys):
         code, _, err = run(capsys, "build", "--m", "2", "--n", "3",
                            "--family", "universal", "--out", str(tmp_path / "x.povm"))

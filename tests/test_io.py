@@ -133,6 +133,16 @@ class TestPovmFiles:
         with pytest.raises(FormatError):
             read_povm(path)
 
+    @pytest.mark.parametrize("write, value", [(write_povm, build_universal(3, 2)),
+                                              (write_states, np.eye(3)[:2]),
+                                              (write_density, np.eye(2) / 2)])
+    def test_overwriting_a_longer_file_leaves_exactly_the_new_bytes(self, tmp_path, write, value):
+        fresh, path = tmp_path / "fresh.txt", tmp_path / "old.txt"
+        write(fresh, value)
+        path.write_bytes(b"9" * (3 * fresh.stat().st_size) + b"\n")
+        write(path, value)
+        assert path.read_bytes() == fresh.read_bytes()
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "povm.txt"
         path.write_text("povm 3 2\nelement 0\n")

@@ -2,14 +2,16 @@
 
 ``verify`` reads minimum eigenvalues from weight-sector blocks and checks
 unitary invariance exactly on the sector support: the off-sector mass of
-each element, and its commutator with dΓ(C) = Σ_r C_r for the cyclic shift
-C = Σ_a |a+1 mod m><a|, taken as gathers from the element.  When every
-element is zero outside its sectors, finiteness, hermiticity, completeness
-and permutation covariance are read from the sector entries too.  The
-dense routes live here: the same residual with the sector mask built from
-level_multiset and dΓ(C) lifted by kron_chain (matched within 1e-14), the
+each element, its change under the level permutations (0 1) and
+(0 1 … m−1) on every register, and its commutator with dΓ(E) = Σ_r E_r for
+E = |0><1|, taken as gathers from the element.  When every element is zero
+outside its sectors, finiteness, hermiticity, completeness and permutation
+covariance are read from the sector entries too.  The dense routes live
+here: the same residual with the sector mask built from level_multiset and
+P^⊗(n+1) and dΓ(E) lifted by kron_chain (matched within 1e-14), the
+earlier criterion's commutator with dΓ(C) for the cyclic shift C, the
 2(m−1) raising and lowering generators lifted by kron_chain, the
-Haar-random U^⊗(n+1) lifted by kron_chain (both on pass/fail), one
+Haar-random U^⊗(n+1) lifted by kron_chain (these three on pass/fail), one
 eigvalsh per element, and the whole dense verify and covariance check
 (dense_verify, dense_covariance: a dense hermiticity and finiteness pass,
 ΣΠ − I, and reorder_factors conjugations).  The routes take the dense
@@ -35,7 +37,7 @@ from conftest import permutation_operator, rand_psd, rand_unitary, sector_column
 import udisc
 from udisc import tensor_algebra
 from udisc import discriminator
-from udisc.antisym import Permutation, _weight_sectors, antisym_projector
+from udisc.antisym import Permutation, _weight_sectors, all_permutations, antisym_projector
 from udisc.config import HERM_TOL
 from udisc.discriminator import (
     LEAKAGE_TOL,
@@ -121,7 +123,7 @@ def cyclic_shift(m):
 
 
 def sector_cyclic_residual(povm):
-    """Oracle for unitary_residual: max over k of the off-sector mass δ_k and
+    """Verdict oracle for unitary_residual: max over k of the off-sector mass δ_k and
     max_abs([dΓ(C), D_k]), with D_k masked by level_multiset and dΓ(C) lifted by kron_chain."""
     mask = same_sector(povm.m, povm.n + 1)
     lifted = lift(cyclic_shift(povm.m), povm.n + 1)
@@ -129,6 +131,28 @@ def sector_cyclic_residual(povm):
     for e in povm.elements:
         d = np.where(mask, e, 0)
         residual = max(residual, max_abs(e - d), max_abs(lifted @ d - d @ lifted))
+    return residual
+
+
+def level_permutations(m):
+    """The level permutations (0 1) and (0 1 … m−1) as matrices P|a> = |p(a)>."""
+    levels = list(range(m))
+    return [np.eye(m)[:, p] for p in (levels[1::-1] + levels[2:], levels[1:] + levels[:1])]
+
+
+def sector_generator_residual(povm):
+    """Oracle for unitary_residual: max over k of the off-sector mass δ_k,
+    max_abs(P^⊗N D_k P^⊗N† − D_k) over level_permutations and max_abs([dΓ(E), D_k]) for
+    E = |0><1|, with D_k masked by level_multiset and P^⊗N and dΓ(E) lifted by kron_chain."""
+    count = povm.n + 1
+    mask = same_sector(povm.m, count)
+    moves = [kron_chain([p] * count) for p in level_permutations(povm.m)]
+    lifted = lift(matrix_unit(povm.m, 0, 1), count)
+    residual = 0.0
+    for e in povm.elements:
+        d = np.where(mask, e, 0)
+        residual = max(residual, max_abs(e - d), max_abs(lifted @ d - d @ lifted),
+                       *(max_abs(q @ d @ q.T - d) for q in moves))
     return residual
 
 
@@ -156,7 +180,7 @@ def dense_verify(povm):
 
 def dense_covariance(povm):
     """Oracle: check_covariance on dense passes only (a finiteness pass per element,
-    sector_cyclic_residual, reorder_factors conjugations, partial traces)."""
+    sector_generator_residual, reorder_factors conjugations, partial traces)."""
     m, n = povm.m, povm.n
     for e in povm.elements:
         as_complex_matrix(e)
@@ -171,7 +195,7 @@ def dense_covariance(povm):
                for i in range(1, n + 1)]
     constants = [float(np.trace(r).real) / m for r in reduced]
     return CovarianceReport(
-        unitary_residual=sector_cyclic_residual(povm),
+        unitary_residual=sector_generator_residual(povm),
         permutation_residual=permutation,
         reduction_residual=max((max_abs(r - c * np.eye(m)) for r, c in zip(reduced, constants)),
                                default=0.0),
@@ -223,8 +247,9 @@ class EigvalshSpy:
 def test_unitary_residual_matches_dense(family, m, n):
     povm = family_povm(family, m, n)
     fast = check_covariance(povm).unitary_residual
-    assert abs(fast - sector_cyclic_residual(povm)) <= ROUTE_TOL
+    assert abs(fast - sector_generator_residual(povm)) <= ROUTE_TOL
     assert fast <= UNITARY_COV_TOL
+    assert sector_cyclic_residual(povm) <= UNITARY_COV_TOL
     assert generator_lift_residual(povm, raising_and_lowering(m)) <= UNITARY_COV_TOL
     assert haar_lift_residual(povm, 3, 11) <= UNITARY_COV_TOL
 
@@ -244,7 +269,8 @@ def test_non_hermitian_element_needs_both_directions(which):
     assert not cov.unitary_ok
     assert generator_lift_residual(povm, generators) > UNITARY_COV_TOL
     assert haar_lift_residual(povm, 2, 5) > UNITARY_COV_TOL
-    assert abs(cov.unitary_residual - sector_cyclic_residual(povm)) <= ROUTE_TOL
+    assert sector_cyclic_residual(povm) > UNITARY_COV_TOL
+    assert abs(cov.unitary_residual - sector_generator_residual(povm)) <= ROUTE_TOL
 
 
 @settings(max_examples=40, deadline=None)
@@ -253,7 +279,8 @@ def test_non_hermitian_element_needs_both_directions(which):
        data=st.data())
 def test_unitary_residual_property(case, kind, data):
     """On sector-diagonal, off-sector, non-Hermitian and covariant perturbations, the fast
-    residual matches the dense oracle and gives the verdict of the lifted generators."""
+    residual matches the dense oracle and gives the verdicts of the lifted generators and
+    of the cyclic criterion."""
     family, m, n = case
     povm = family_povm(family, m, n)
     count = n + 1
@@ -279,13 +306,99 @@ def test_unitary_residual_property(case, kind, data):
                 elements[k][j, i] += value
     explicit = Povm(m=m, n=n, elements=elements)
     fast = check_covariance(explicit).unitary_residual
-    assert abs(fast - sector_cyclic_residual(explicit)) <= ROUTE_TOL
+    assert abs(fast - sector_generator_residual(explicit)) <= ROUTE_TOL
     generators = generator_lift_residual(explicit, raising_and_lowering(m))
     assert (fast <= UNITARY_COV_TOL) == (generators <= UNITARY_COV_TOL)
+    assert (fast <= UNITARY_COV_TOL) == (sector_cyclic_residual(explicit) <= UNITARY_COV_TOL)
     if kind == "covariant":
         assert fast <= UNITARY_COV_TOL
     elif kind == "off_sector":
         assert fast >= abs(value)
+
+
+def register_permutation_entries(m, count):
+    """Sector entries of each register permutation P_σ of count registers, as rows."""
+    same = _weight_sectors(m, count).same
+    return np.array([np.ravel(permutation_operator(sigma, m))[same] for sigma in all_permutations(count)])
+
+
+def type_representative_constraints(index):
+    """Rows of the linear conditions 'the block of each sector equals its type's
+    representative' on sector entries: a level relabelling by (multiplicity descending,
+    level) takes each pair (x, y) to the representative's pair, whose entry must match."""
+    m, count = index.m, index.digits.shape[1]
+    relabelled = np.empty_like(index.digits)
+    for x, levels in enumerate(index.digits):
+        counts = np.bincount(levels, minlength=m)
+        order = sorted(set(levels.tolist()), key=lambda a: (-counts[a], a))
+        relabelled[x] = [order.index(a) for a in levels]
+    states = relabelled @ m ** np.arange(count - 1, -1, -1)
+    position = {flat: p for p, flat in enumerate(index.same.tolist())}
+    rows = []
+    for p, (x, y) in enumerate(zip(index.rows, index.cols)):
+        q = position[int(states[x]) * len(index.digits) + int(states[y])]
+        if q != p:
+            row = np.zeros(len(index.same))
+            row[p], row[q] = 1.0, -1.0
+            rows.append(row)
+    return np.array(rows)
+
+
+def test_type_blocks_and_one_lowering_generator_do_not_prove_covariance():
+    """Counterexample to the criterion 'every sector block equals its type's
+    representative and [dΓ(E_12), D] = 0': at (m, n) = (3, 2) the sector-diagonal
+    operators meeting it form a 14-dimensional space, the span of the register
+    permutations P_σ, which commute with every U^⊗3, only a 6-dimensional one.  A
+    solution outside that span fails check_covariance and every oracle."""
+    m, n = 3, 2
+    count = n + 1
+    index = _weight_sectors(m, count)
+    assert len(index.same) == 93
+    lifted = lift(matrix_unit(m, 0, 1), count)
+    commutator = np.array([np.ravel(lifted @ unit - unit @ lifted)
+                           for unit in (index.scatter(e) for e in np.eye(len(index.same)))]).T
+    conditions = np.vstack([type_representative_constraints(index), commutator.real, commutator.imag])
+    _, singular, vh = np.linalg.svd(conditions)
+    rank = int(np.sum(singular > 1e-10))
+    solutions = vh[rank:].T
+    assert solutions.shape[1] == 14
+    permutations = register_permutation_entries(m, count).real.T
+    assert np.linalg.matrix_rank(permutations) == 6
+    assert np.linalg.matrix_rank(np.hstack([solutions, permutations])) == 14  # the P_σ solve it too
+    span = np.linalg.qr(permutations)[0]
+    outside = solutions - span @ (span.T @ solutions)
+    v = outside[:, np.argmax(np.linalg.norm(outside, axis=0))]
+    v /= np.abs(v).max()
+    assert max_abs(conditions @ v) <= 1e-12
+    povm = Povm(m, n, sectors=[v] * count)
+    assert not check_covariance(povm).unitary_ok
+    assert sector_cyclic_residual(povm) > UNITARY_COV_TOL
+    assert generator_lift_residual(povm, raising_and_lowering(m)) > UNITARY_COV_TOL
+    assert haar_lift_residual(povm, 2, 5) > UNITARY_COV_TOL
+
+
+@settings(max_examples=60, deadline=None)
+@given(size=st.sampled_from([(2, 2), (3, 2), (2, 3), (3, 3), (4, 3), (5, 2)]),
+       kind=st.sampled_from(["covariant", "random", "sparse"]), seed=st.integers(0, 2**32 - 1))
+def test_covariance_verdict_matches_the_cyclic_criterion_on_sector_entries(size, kind, seed):
+    """Complex combinations of the register permutations P_σ pass check_covariance; random
+    sector entries and sparsely perturbed combinations get the cyclic criterion's verdict."""
+    m, n = size
+    rng = np.random.default_rng(seed)
+    permutations = register_permutation_entries(m, n + 1)
+    weights = rng.standard_normal(len(permutations)) + 1j * rng.standard_normal(len(permutations))
+    d = weights @ permutations
+    if kind == "random":
+        d = rng.standard_normal(len(d)) + 1j * rng.standard_normal(len(d))
+    elif kind == "sparse":
+        at = rng.choice(len(d), size=rng.integers(1, 4), replace=False)
+        scale = rng.choice([1e-6, 0.25, -1.0])
+        d[at] += scale * (rng.standard_normal(len(at)) + 1j * rng.standard_normal(len(at)))
+    povm = Povm(m, n, sectors=[d] * (n + 1))
+    fast = check_covariance(povm).unitary_ok
+    assert fast == (sector_cyclic_residual(povm) <= UNITARY_COV_TOL)
+    if kind == "covariant":
+        assert fast
 
 
 def test_unitary_residual_allocates_no_element_sized_temporary():
@@ -318,14 +431,14 @@ def test_unitary_residual_peak_is_under_an_eighth_of_an_element():
 def test_weight_sector_index_is_built_once_and_read_only():
     index = _weight_sectors(3, 3)
     assert _weight_sectors(3, 3) is index
-    assert index.swapped(1, 2) is index.swapped(1, 2)
+    assert index.permuted((2, 1, 3), (1, 0, 2)) is index.permuted((2, 1, 3), (1, 0, 2))
     assert index.traced(2) is index.traced(2)
-    for name in ("transposed", "shifted", "identity", "rows", "cols", "digits", "same", "diagonal",
+    for name in ("transposed", "lowered", "identity", "rows", "cols", "digits", "same", "diagonal",
                  "row_bounds", "run_positions"):
         assert getattr(index, name) is getattr(index, name), name
     complement = discriminator._complement_entries(3, 2)
     assert discriminator._complement_entries(3, 2) is complement
-    for a in (index.transposed, index.swapped(1, 2), *index.shifted, index.identity, index.rows,
+    for a in (index.transposed, index.permuted((2, 1, 3), (1, 0, 2)), *index.lowered, index.identity, index.rows,
               index.cols, index.digits, index.same, index.diagonal, index.row_bounds, *index.run_positions,
               *index.traced(2), complement):
         with pytest.raises(ValueError):
@@ -379,9 +492,11 @@ def test_runs_are_the_dense_sector_blocks(m, count):
 @given(size=st.sampled_from([(2, 5), (5, 2), (3, 4)]), seed=st.integers(0, 2**32 - 1))
 def test_weight_sector_maps_are_the_dense_operations_they_stand_for(size, seed):
     """For D the scatter of random Hermitian sector entries d: d[transposed] is D^T's,
-    d[swapped(a, b)] is the reorder_factors conjugation's for every register pair, and
-    identity and diagonal mark the identity's entries and D's diagonal, all exactly;
-    traced(i) scatter-adds d onto the entries of partial_trace(D) over register i."""
+    d[permuted(order, identity)] is the reorder_factors conjugation's for every register
+    permutation, d[permuted(identity, p)] is P^⊗count† D P^⊗count's for every level
+    permutation p and d[permuted(order, p)] the two composed, and identity and diagonal
+    mark the identity's entries and D's diagonal, all exactly; traced(i) scatter-adds d
+    onto the entries of partial_trace(D) over register i."""
     m, count = size
     index = _weight_sectors(m, count)
     rng = np.random.default_rng(seed)
@@ -389,12 +504,17 @@ def test_weight_sector_maps_are_the_dense_operations_they_stand_for(size, seed):
     dense = raw + raw.conj().T
     d = np.ravel(dense)[index.same]
     assert np.array_equal(d[index.transposed], np.ravel(dense.T)[index.same])
-    for a in range(1, count + 1):
-        for b in range(a + 1, count + 1):
-            order = list(range(1, count + 1))
-            order[a - 1], order[b - 1] = b, a
-            conjugated = reorder_factors(dense, (m,) * count, order)
-            assert np.array_equal(d[index.swapped(a, b)], np.ravel(conjugated)[index.same])
+    registers = tuple(range(1, count + 1))
+    for p in itertools.permutations(range(m)):
+        lifted = kron_chain([np.eye(m)[:, p]] * count)
+        relabelled = lifted.T @ dense @ lifted  # a 0/1 permutation: every entry moved exactly
+        assert np.array_equal(d[index.permuted(registers, p)], np.ravel(relabelled)[index.same])
+        order = tuple(rng.permutation(registers).tolist())
+        conjugated = reorder_factors(relabelled, (m,) * count, order)
+        assert np.array_equal(d[index.permuted(order, p)], np.ravel(conjugated)[index.same])
+    for order in itertools.permutations(registers):
+        conjugated = reorder_factors(dense, (m,) * count, order)
+        assert np.array_equal(d[index.permuted(order, tuple(range(m)))], np.ravel(conjugated)[index.same])
     assert np.array_equal(index.identity, np.ravel(np.eye(m**count))[index.same] == 1)
     assert np.array_equal(d[index.diagonal], np.diagonal(dense))
     lower = _weight_sectors(m, count - 1)
@@ -406,31 +526,35 @@ def test_weight_sector_maps_are_the_dense_operations_they_stand_for(size, seed):
         assert max_abs(lower.scatter(reduced) - expected) <= ROUTE_TOL * max(1.0, max_abs(expected))
 
 
-def unique_shifted(index):
-    """Oracle for _WeightSectors.shifted: the reached pairs by np.unique, and each pair's
-    position in same by a searchsorted through the argsort of same."""
-    m, dim = index.m, len(index.digits)
+def unique_lowered(index):
+    """Oracle for _WeightSectors.lowered: the pairs reached by lowering a 1 to 0 on either
+    side of a same-sector pair, by np.unique, and each read's position in same by a
+    searchsorted through the argsort of same, the zero's for a masked read."""
+    m, dim, none = index.m, len(index.digits), len(index.same)
     by_flat = np.argsort(index.same)
 
-    def position(flat):
-        at = by_flat[np.minimum(np.searchsorted(index.same, flat, sorter=by_flat), len(index.same) - 1)]
-        return np.where(index.same[at] == flat, at, len(index.same))
+    def position(flat, read):
+        at = by_flat[np.minimum(np.searchsorted(index.same, flat, sorter=by_flat), none - 1)]
+        return np.where(read & (index.same[at] == flat), at, none)
 
     digits = index.digits[:, ::-1]
     powers = m ** np.arange(digits.shape[1])
-    up = np.arange(dim)[:, None] + ((digits + 1) % m - digits) * powers
-    down = np.arange(dim)[:, None] + ((digits - 1) % m - digits) * powers
-    reached = np.unique(np.concatenate([(up[index.rows] * dim + index.cols[:, None]).ravel(),
-                                        (index.rows[:, None] * dim + down[index.cols]).ravel()]))
+    down = np.arange(dim)[:, None] - powers  # column r: the state with register count − r lowered
+    row_side = (down[index.rows] * dim + index.cols[:, None])[digits[index.rows] == 1]
+    raised = index.rows[:, None] * dim + index.cols[:, None] + powers  # a 0 of the column raised
+    column_side = raised[(digits[index.cols] == 0) & (m > 1)]
+    reached = np.unique(np.concatenate([row_side, column_side]))
     rows, cols = np.divmod(reached, dim)
-    return position(down[rows].T * dim + cols), position(rows * dim + up[cols].T)
+    zero, one = digits[rows].T == 0, digits[cols].T == 1
+    return (position((rows + powers[:, None]) * dim + cols, zero),
+            position(rows * dim + cols - powers[:, None], one))
 
 
 @pytest.mark.parametrize("m,count", [(1, 3), (2, 3), (5, 3), (3, 4), (4, 4), (2, 5)])
-def test_shifted_matches_the_unique_construction(m, count):
-    raised, lowered = _weight_sectors(m, count).shifted
-    oracle_raised, oracle_lowered = unique_shifted(_weight_sectors(m, count))
-    assert np.array_equal(raised, oracle_raised) and np.array_equal(lowered, oracle_lowered)
+def test_lowered_matches_the_unique_construction(m, count):
+    left, right = _weight_sectors(m, count).lowered
+    oracle_left, oracle_right = unique_lowered(_weight_sectors(m, count))
+    assert np.array_equal(left, oracle_left) and np.array_equal(right, oracle_right)
 
 
 def with_off_sector_mass(povm, value=1e-3):
@@ -524,13 +648,14 @@ def test_perturbations_fail_on_both_routes(family, m, n, kind):
     report = verify_unambiguous(povm)
     cov = check_covariance(povm)
     oracle_report = dataclasses.replace(report, psd_mins=tuple(dense_psd_mins(povm)))
-    oracle_cov = dataclasses.replace(cov, unitary_residual=sector_cyclic_residual(povm))
+    oracle_cov = dataclasses.replace(cov, unitary_residual=sector_generator_residual(povm))
+    cyclic_cov = dataclasses.replace(cov, unitary_residual=sector_cyclic_residual(povm))
     generator_cov = dataclasses.replace(
         cov, unitary_residual=generator_lift_residual(povm, raising_and_lowering(m)))
     haar_cov = dataclasses.replace(cov, unitary_residual=haar_lift_residual(povm, 2, 5))
-    assert generator_cov.unitary_ok == haar_cov.unitary_ok == cov.unitary_ok
-    for r, c in ((report, cov), (oracle_report, oracle_cov), (oracle_report, generator_cov),
-                 (oracle_report, haar_cov)):
+    assert cyclic_cov.unitary_ok == generator_cov.unitary_ok == haar_cov.unitary_ok == cov.unitary_ok
+    for r, c in ((report, cov), (oracle_report, oracle_cov), (oracle_report, cyclic_cov),
+                 (oracle_report, generator_cov), (oracle_report, haar_cov)):
         assert not (r.passed and c.passed)
         if kind == "leakage":
             assert r.max_leakage() > LEAKAGE_TOL and not r.passed
