@@ -162,10 +162,11 @@ class _WeightSectors:
         gather reads a sector-diagonal operator's entries d in io's sector-row file order;
     row_bounds: 2·(where each row starts in same, then len(same)), that file's row bounds;
     rows, cols: the row and the column of each pair of same;
-    identity: whether each pair of same is diagonal, the identity's entries.
+    identity: whether each pair of same is diagonal, the identity's entries; each row
+        holds one pair (x, x), so d[identity] is the operator's diagonal, x ascending.
 
     _position maps pairs to their place in same by three per-state arrays.
-    The checks' maps (transposed, permuted, lowered, traced, diagonal) and the
+    The checks' maps (transposed, permuted, lowered, traced) and the
     block gathers of runs are built on first use and kept.
     """
 
@@ -263,13 +264,6 @@ class _WeightSectors:
         rows, cols = np.divmod(reached, dim)
         zero, one = levels[:, rows] == 0, levels[:, cols] == 1
         return self._position(rows + step * zero, cols, zero), self._position(rows, cols - step * one, one)
-
-    @cached_property
-    def diagonal(self) -> np.ndarray:
-        """Position in same of the diagonal pair (x, x) for each basis state x."""
-        out = self._row[:-1] + self._local
-        out.setflags(write=False)
-        return out
 
     @cache  # kept per index, as every index is kept by _weight_sectors
     def traced(self, i: int) -> tuple[np.ndarray, np.ndarray]:

@@ -1,10 +1,13 @@
 """Command-line interface.
 
-Subcommands: build, verify, prob, sample, mixed.  Exit status is 0 for
-success/pass, 1 for a semantic failure (verification fail, not
-discriminable), 2 for input errors.  ``--format kv`` switches to
-machine-readable ``key=value`` lines carrying the same numbers as the text
-mode.  ``main`` enters config.entry_cap(--cap) once.  The budget bounds
+Subcommands: build, verify, prob, sample, mixed.  Each handler ``cmd_*``
+returns ``(exit status, [(key, value), ...])``, and ``main`` prints those
+lines in one place, as ``key = value`` or, with ``--format kv``, as
+machine-readable ``key=value`` lines carrying the same numbers.  Warnings
+go to stderr as they arise.  Exit status is 0 for success/pass, 1 for a
+semantic failure (verification fail, not discriminable), 2 for input
+errors, which print nothing to stdout.  ``main`` enters
+config.entry_cap(--cap) once.  The budget bounds
 every block an input file declares and the elements ``build`` writes.
 ``build`` and ``verify`` form no dense element for a built family or a
 sector-row file (they work on weight-sector entries, and ``build`` writes
@@ -42,6 +45,7 @@ from .sampler import _check_run, distribution_from_probs, outcome_distribution, 
 from .tensor_algebra import gram_det
 
 DEPENDENCE_WARN_TOL = 1e-12
+FAMILIES = ("optimal", "universal", "trivial")
 
 
 def _fmt(value) -> str:
@@ -52,18 +56,13 @@ def _fmt(value) -> str:
     return str(value)
 
 
-class Emitter:
-    """Uniform printing for text ('key = value') and kv ('key=value') modes."""
+def _warn(message: str) -> None:
+    print(f"warning: {message}", file=sys.stderr)
 
-    def __init__(self, fmt: str):
-        self.kv = fmt == "kv"
 
-    def value(self, key: str, value) -> None:
-        sep = "=" if self.kv else " = "
-        print(f"{key}{sep}{_fmt(value)}")
-
-    def warn(self, message: str) -> None:
-        print(f"warning: {message}", file=sys.stderr)
+def _numbered(key: str, values, start: int = 0) -> list:
+    """The lines key_k = value for k = start, start + 1, ..."""
+    return [(f"{key}_{k}", value) for k, value in enumerate(values, start)]
 
 
 def _check_index(option: str, value: int, n: int) -> None:
@@ -72,50 +71,51 @@ def _check_index(option: str, value: int, n: int) -> None:
         raise FormatError(f"{option} {value} outside 1..{n}")
 
 
-def cmd_build(args, emit: Emitter) -> int:
-    povm = family_povm(args.family, args.m, args.n)
-    io.write_povm(args.out, povm)
-    emit.value("family", args.family)
-    emit.value("m", args.m)
-    emit.value("n", args.n)
-    emit.value("c", float(povm.c))
-    emit.value("elements", povm.n + 1)
-    emit.value("dim", povm.dim)
-    emit.value("out", args.out)
-    return 0
+def _state_set(args):
+    """Read prob's or sample's state file, check --which, warn, and pick the family.
 
-
-def cmd_verify(args, emit: Emitter) -> int:
-    povm = io.read_povm(args.povm)
-    report = verify_unambiguous(povm)
-    cov = check_covariance(povm)
-    emit.value("m", povm.m)
-    emit.value("n", povm.n)
-    emit.value("elements", povm.n + 1)
-    emit.value("completeness_residual", report.completeness_residual)
-    for idx, val in enumerate(report.psd_mins):
-        emit.value(f"psd_min_{idx}", val)
-    for i, val in enumerate(report.leakages, start=1):
-        emit.value(f"leakage_{i}", val)
-    emit.value("unitary_residual", cov.unitary_residual)
-    emit.value("permutation_residual", cov.permutation_residual)
-    emit.value("reduction_residual", cov.reduction_residual)
-    emit.value("reduction_spread", cov.reduction_spread)
-    emit.value("covariance", "pass" if cov.passed else "fail")
-    emit.value("verdict", "pass" if report.passed else "fail")
-    return 0 if report.passed else 1
-
-
-def cmd_prob(args, emit: Emitter) -> int:
+    Returns (states, family, the m n family which lines both commands print first).
+    """
     states, warnings = io.read_states(args.states)
     _check_index("--which", args.which, len(states))
     for w in warnings:
-        emit.warn(w)
+        _warn(w)
     n, m = states.shape
     family = args.family or auto_family(m, n)
+    return states, family, [("m", m), ("n", n), ("family", family), ("which", args.which)]
+
+
+def cmd_build(args):
+    povm = family_povm(args.family, args.m, args.n)
+    io.write_povm(args.out, povm)
+    return 0, [("family", args.family), ("m", args.m), ("n", args.n), ("c", float(povm.c)),
+               ("elements", povm.n + 1), ("dim", povm.dim), ("out", args.out)]
+
+
+def cmd_verify(args):
+    povm = io.read_povm(args.povm)
+    report = verify_unambiguous(povm)
+    cov = check_covariance(povm)
+    return (0 if report.passed else 1), [
+        ("m", povm.m), ("n", povm.n), ("elements", povm.n + 1),
+        ("completeness_residual", report.completeness_residual),
+        *_numbered("psd_min", report.psd_mins),
+        *_numbered("leakage", report.leakages, 1),
+        ("unitary_residual", cov.unitary_residual),
+        ("permutation_residual", cov.permutation_residual),
+        ("reduction_residual", cov.reduction_residual),
+        ("reduction_spread", cov.reduction_spread),
+        ("covariance", "pass" if cov.passed else "fail"),
+        ("verdict", "pass" if report.passed else "fail"),
+    ]
+
+
+def cmd_prob(args):
+    states, family, lines = _state_set(args)
+    n, m = states.shape
     det = gram_det(states)
     if det <= DEPENDENCE_WARN_TOL:
-        emit.warn("states are numerically linearly dependent; success probability is 0")
+        _warn("states are numerically linearly dependent; success probability is 0")
     povm = family_povm(family, m, n)
     p_analytic = success_prob_analytic(states, family)
     p_operational = success_prob_operational(povm, states, args.which)
@@ -123,96 +123,68 @@ def cmd_prob(args, emit: Emitter) -> int:
     # efficiency_bounds brackets the universal value det(X)/(n·n!); rescale to this family
     scale = success_factor(family, n) * n * math.factorial(n)
     lower, upper = (scale * b for b in efficiency_bounds(p_s, n))
-    emit.value("m", m)
-    emit.value("n", n)
-    emit.value("family", family)
-    emit.value("which", args.which)
-    emit.value("det_gram", det)
-    emit.value("p_analytic", p_analytic)
-    emit.value("p_operational", p_operational)
-    emit.value("p_s", p_s)
-    emit.value("bound_lower", lower)
-    emit.value("bound_upper", upper)
-    return 0
+    return 0, lines + [("det_gram", det), ("p_analytic", p_analytic), ("p_operational", p_operational),
+                       ("p_s", p_s), ("bound_lower", lower), ("bound_upper", upper)]
 
 
-def cmd_sample(args, emit: Emitter) -> int:
+def cmd_sample(args):
     _check_run(args.shots, args.seed)
-    states, warnings = io.read_states(args.states)
-    _check_index("--which", args.which, len(states))
-    for w in warnings:
-        emit.warn(w)
+    states, family, lines = _state_set(args)
     n, m = states.shape
-    family = args.family or auto_family(m, n)
-    povm = family_povm(family, m, n)
-    dist = outcome_distribution(povm, program_input(states, args.which))
+    dist = outcome_distribution(family_povm(family, m, n), program_input(states, args.which))
     record = sample(dist, args.shots, args.seed)
-    errors = record.standard_errors(dist)
-    emit.value("m", m)
-    emit.value("n", n)
-    emit.value("family", family)
-    emit.value("which", args.which)
-    emit.value("shots", args.shots)
-    emit.value("seed", args.seed)
-    for k in range(dist.size):
-        emit.value(f"p_{k}", float(dist.probabilities[k]))
-    for k in range(dist.size):
-        emit.value(f"count_{k}", record.counts[k])
-    for k in range(dist.size):
-        emit.value(f"freq_{k}", record.frequencies[k])
-    for k in range(dist.size):
-        emit.value(f"se_{k}", errors[k])
-    return 0
+    return 0, lines + [
+        ("shots", args.shots), ("seed", args.seed),
+        *_numbered("p", dist.probabilities),
+        *_numbered("count", record.counts),
+        *_numbered("freq", record.frequencies),
+        *_numbered("se", record.standard_errors(dist)),
+    ]
 
 
-def cmd_mixed(args, emit: Emitter) -> int:
+def cmd_mixed(args):
     _check_run(args.shots, args.seed)
     _check_index("--data", args.data, len(args.rho))
     rhos = [io.read_density(path) for path in args.rho]
-    n = len(rhos)
     cores = core_decompose(rhos)
-    emit.value("n", n)
-    emit.value("dim", cores.dim)
-    for i, tr in enumerate(cores.tilde_traces(), start=1):
-        emit.value(f"core_trace_{i}", tr)
-    emit.value("core_trace_0", cores.tilde0_trace())
     verdict = cores.discriminable
-    emit.value("discriminable", verdict)
-
+    lines = [("n", len(rhos)), ("dim", cores.dim), *_numbered("core_trace", cores.tilde_traces(), 1),
+             ("core_trace_0", cores.tilde0_trace()), ("discriminable", verdict)]
     try:
         program = build_program(cores)
     except ProgramNotIndependent as exc:
-        emit.warn(f"program construction failed: {exc}")
-        emit.value("program", "not_independent")
-        return 1
-    emit.value("N", program.total)
-    emit.value("det_program_gram", program.det_gram)
-
+        _warn(f"program construction failed: {exc}")
+        return 1, lines + [("program", "not_independent")]
+    lines += [("N", program.total), ("det_program_gram", program.det_gram)]
     if program.total < 2:
-        emit.warn("program holds fewer than two pure states; no discriminator to run")
-        return 0 if verdict else 1
+        _warn("program holds fewer than two pure states; no discriminator to run")
+        return (0 if verdict else 1), lines
 
     probs = part_probabilities(program, rhos[args.data - 1])
-    emit.value("family", probs.family)
-    for i, p in enumerate(probs.parts):
-        emit.value(f"part_prob_{i}", p)
-    emit.value("inconclusive", probs.inconclusive)
-
     report = bounds_check(program, args.data, probs)
-    emit.value("bound_lower", report.lower_bound)
-    for i, u in enumerate(report.upper_bounds):
-        emit.value(f"bound_upper_{i}", u)
-    emit.value("bounds", "pass" if report.passed else "fail")
-
     labels = [f"part_{i}" for i in range(len(probs.parts))] + ["inconclusive"]
     dist = distribution_from_probs(list(probs.parts) + [probs.inconclusive], labels)
     record = sample(dist, args.shots, args.seed)
-    for label, count in zip(labels, record.counts):
-        emit.value(f"count_{label}", count)
+    return (0 if verdict and report.passed else 1), lines + [
+        ("family", probs.family), *_numbered("part_prob", probs.parts), ("inconclusive", probs.inconclusive),
+        ("bound_lower", report.lower_bound), *_numbered("bound_upper", report.upper_bounds),
+        ("bounds", "pass" if report.passed else "fail"),
+        *((f"count_{label}", count) for label, count in zip(labels, record.counts)),
+    ]
 
-    if not verdict or not report.passed:
-        return 1
-    return 0
+
+def _state_set_options(p) -> None:
+    """The state file, --family and --which, shared by prob and sample."""
+    p.add_argument("states", help="state file")
+    p.add_argument("--family", choices=FAMILIES, default=None,
+                   help="default: optimal when m = n, else universal")
+    p.add_argument("--which", type=int, default=1, help="1-based index of the data state")
+
+
+def _run_options(p) -> None:
+    """--shots and --seed, shared by sample and mixed."""
+    p.add_argument("--shots", type=int, default=100000)
+    p.add_argument("--seed", type=int, default=0)
 
 
 @functools.cache
@@ -237,7 +209,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", parents=[common], help="construct a POVM and write it to a file")
     p.add_argument("--m", type=int, required=True, help="single-system dimension")
     p.add_argument("--n", type=int, required=True, help="number of states")
-    p.add_argument("--family", choices=("optimal", "universal", "trivial"), required=True)
+    p.add_argument("--family", choices=FAMILIES, required=True)
     p.add_argument("--out", required=True, help="output POVM file")
     p.set_defaults(handler=cmd_build)
 
@@ -248,38 +220,33 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("prob", parents=[common], help="success probability for a state file")
-    p.add_argument("states", help="state file")
-    p.add_argument("--family", choices=("optimal", "universal", "trivial"), default=None,
-                   help="default: optimal when m = n, else universal")
-    p.add_argument("--which", type=int, default=1, help="1-based index of the data state")
+    _state_set_options(p)
     p.set_defaults(handler=cmd_prob)
 
     p = sub.add_parser("sample", parents=[common], help="simulate measurement shots")
-    p.add_argument("states", help="state file")
-    p.add_argument("--family", choices=("optimal", "universal", "trivial"), default=None,
-                   help="default: optimal when m = n, else universal")
-    p.add_argument("--which", type=int, default=1, help="1-based index of the data state")
-    p.add_argument("--shots", type=int, default=100000)
-    p.add_argument("--seed", type=int, default=0)
+    _state_set_options(p)
+    _run_options(p)
     p.set_defaults(handler=cmd_sample)
 
     p = sub.add_parser("mixed", parents=[common], help="mixed-state discrimination pipeline")
     p.add_argument("rho", nargs="+", help="density operator files (at least two)")
     p.add_argument("--data", type=int, required=True, help="1-based index of the data state")
-    p.add_argument("--shots", type=int, default=100000)
-    p.add_argument("--seed", type=int, default=0)
+    _run_options(p)
     p.set_defaults(handler=cmd_mixed)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _parser()
-    args = parser.parse_args(argv)
-    emit = Emitter(args.format)
+    args = _parser().parse_args(argv)
+    sep = "=" if args.format == "kv" else " = "
     try:
         with entry_cap(args.cap):
-            return args.handler(args, emit)
+            status, lines = args.handler(args)
+        # inside the try: a closed stdout (BrokenPipeError) exits 2 like any OSError
+        for key, value in lines:
+            print(f"{key}{sep}{_fmt(value)}")
+        return status
     except (UdiscError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

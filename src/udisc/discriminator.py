@@ -725,7 +725,7 @@ def check_covariance(povm: Povm) -> CovarianceReport:
             residual = max_abs(reduced - c * np.eye(m))
         else:
             # Tr over the other registers pairs only equal levels on register i: diagonal
-            levels, d = index.digits[:, i - 1], sectors[i][index.diagonal]
+            levels, d = index.digits[:, i - 1], sectors[i][index.identity]
             reduced = np.bincount(levels, d.real, m) + 1j * np.bincount(levels, d.imag, m)
             c = float(reduced.sum().real) / m
             residual = max_abs(reduced - c)

@@ -1,6 +1,7 @@
 import argparse
 import io
 import os
+import re
 import subprocess
 import sys
 import time
@@ -556,6 +557,66 @@ class TestMachineMode:
                         "--out", out_file, "--format", "kv")
         for line in out.strip().splitlines():
             assert line.count("=") == 1
+
+    def test_closed_stdout_exits_2(self, tmp_path, capsys, monkeypatch):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        pair = orthonormal_pair_file(tmp_path)
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        code = main(["prob", pair])
+        monkeypatch.undo()
+        assert code == 2
+        assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+
+
+def readme_keys() -> dict[str, list[str]]:
+    """Each subcommand's kv keys from README's command-line section, in its order, as
+    regular expressions: <k> and <i> stand for a number."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = re.findall(r"^  - `(\w+)`: `([^`]+)`$", text, re.MULTILINE)
+    return {command: [re.sub(r"<[ki]>", r"\\d+", key) for key in keys.split()]
+            for command, keys in listed}
+
+
+def test_every_printed_kv_key_is_listed_in_readme(tmp_path, capsys):
+    """Each key a subcommand prints matches README's list for it, in the listed order, and
+    each listed key is printed by one of these runs: verify passing and failing, and mixed
+    on its normal, not-independent and fewer-than-two paths."""
+    povm, pair = str(tmp_path / "u.povm"), orthonormal_pair_file(tmp_path)
+    rho = {name: str(tmp_path / f"{name}.txt") for name in ("x", "y", "near_x")}
+    write_density(rho["x"], np.diag([1.0, 0.0]).astype(complex))
+    write_density(rho["y"], np.diag([0.0, 1.0]).astype(complex))
+    b = np.array([np.cos(1e-7), np.sin(1e-7)], dtype=complex)
+    write_density(rho["near_x"], np.outer(b, b.conj()))
+    runs = [
+        ("build", "--m", "3", "--n", "2", "--family", "universal", "--out", povm),
+        ("verify", povm),
+        ("verify", leaky_povm_file(tmp_path)),
+        ("prob", pair),
+        ("sample", pair, "--shots", "100"),
+        ("mixed", rho["x"], rho["y"], "--data", "1", "--shots", "100"),
+        ("mixed", rho["x"], rho["near_x"], "--data", "1"),
+        ("mixed", rho["x"], rho["x"], "--data", "1"),
+    ]
+    listed = readme_keys()
+    assert set(listed) == set(TestParserOptions.OPTIONS)
+    unseen = {(command, key) for command, keys in listed.items() for key in keys}
+    warnings = ""
+    for argv in runs:
+        code, out, err = run(capsys, *argv, "--format", "kv")
+        assert code in (0, 1), err
+        warnings += err
+        positions = []
+        for key in parse_kv(out):
+            matches = [i for i, pattern in enumerate(listed[argv[0]]) if re.fullmatch(pattern, key)]
+            assert matches, f"{argv[0]} prints {key}, which README does not list"
+            positions.append(matches[0])
+            unseen -= {(argv[0], listed[argv[0]][i]) for i in matches}
+        assert positions == sorted(positions), argv
+    assert not unseen
+    assert "fewer than two pure states" in warnings
 
 
 class TestEnvironmentCap:

@@ -433,13 +433,13 @@ def test_weight_sector_index_is_built_once_and_read_only():
     assert _weight_sectors(3, 3) is index
     assert index.permuted((2, 1, 3), (1, 0, 2)) is index.permuted((2, 1, 3), (1, 0, 2))
     assert index.traced(2) is index.traced(2)
-    for name in ("transposed", "lowered", "identity", "rows", "cols", "digits", "same", "diagonal",
+    for name in ("transposed", "lowered", "identity", "rows", "cols", "digits", "same",
                  "row_bounds", "run_positions"):
         assert getattr(index, name) is getattr(index, name), name
     complement = discriminator._complement_entries(3, 2)
     assert discriminator._complement_entries(3, 2) is complement
     for a in (index.transposed, index.permuted((2, 1, 3), (1, 0, 2)), *index.lowered, index.identity, index.rows,
-              index.cols, index.digits, index.same, index.diagonal, index.row_bounds, *index.run_positions,
+              index.cols, index.digits, index.same, index.row_bounds, *index.run_positions,
               *index.traced(2), complement):
         with pytest.raises(ValueError):
             a[(0,) * a.ndim] = 1
@@ -494,8 +494,8 @@ def test_weight_sector_maps_are_the_dense_operations_they_stand_for(size, seed):
     """For D the scatter of random Hermitian sector entries d: d[transposed] is D^T's,
     d[permuted(order, identity)] is the reorder_factors conjugation's for every register
     permutation, d[permuted(identity, p)] is P^⊗count† D P^⊗count's for every level
-    permutation p and d[permuted(order, p)] the two composed, and identity and diagonal
-    mark the identity's entries and D's diagonal, all exactly; traced(i) scatter-adds d
+    permutation p and d[permuted(order, p)] the two composed, and identity marks the
+    identity's entries and d[identity] is D's diagonal, all exactly; traced(i) scatter-adds d
     onto the entries of partial_trace(D) over register i."""
     m, count = size
     index = _weight_sectors(m, count)
@@ -516,7 +516,7 @@ def test_weight_sector_maps_are_the_dense_operations_they_stand_for(size, seed):
         conjugated = reorder_factors(dense, (m,) * count, order)
         assert np.array_equal(d[index.permuted(order, tuple(range(m)))], np.ravel(conjugated)[index.same])
     assert np.array_equal(index.identity, np.ravel(np.eye(m**count))[index.same] == 1)
-    assert np.array_equal(d[index.diagonal], np.diagonal(dense))
+    assert np.array_equal(d[index.identity], np.diagonal(dense))
     lower = _weight_sectors(m, count - 1)
     for i in range(1, count + 1):
         source, target = index.traced(i)
