@@ -96,6 +96,11 @@ class Povm:
     only when something reads elements, under the dense-storage budget in
     force then (config.entry_cap).  Outcome probabilities of product inputs
     of a built POVM need neither (product_probabilities).
+
+    Layout, size and regime are checked here, so the checks, the writer and
+    residuals read any Povm as it is: a family outside its regime raises
+    WrongRegime, and m or n below 1, a count other than n+1 or an element
+    that is not m^(n+1) x m^(n+1) raises InvalidPovm.
     """
 
     m: int
@@ -110,6 +115,26 @@ class Povm:
             raise ValueError("a POVM is given by one of its dense elements, its weight-sector "
                              "entries or a built family")
         m, n = int(m), int(n)
+        if family is not None:
+            if family not in _COEFFICIENTS:
+                raise ValueError(f"unknown family {family!r}")
+            if n < 2:
+                raise WrongRegime(f"need at least two states, got n={n}")
+            if family == "optimal" and m != n:
+                raise WrongRegime(f"family 'optimal' needs m = n, got m={m}, n={n}")
+            if family == "universal" and m <= n:
+                raise WrongRegime(f"universal family needs m > n, got m={m}, n={n} (use build_optimal_equal for m=n)")
+            if family == "trivial" and m < n:
+                raise WrongRegime(f"no discriminator is defined for m={m} < n={n}")
+        elif m < 1 or n < 1:
+            raise InvalidPovm(f"m and n must be positive, got m={m}, n={n}")
+        if elements is not None:
+            elements, dim = tuple(elements), m ** (n + 1)
+            if len(elements) != n + 1:
+                raise InvalidPovm(f"expected {n + 1} elements, got {len(elements)}")
+            for idx, e in enumerate(elements):
+                if np.shape(e) != (dim, dim):
+                    raise InvalidPovm(f"element {idx} has shape {np.shape(e)}, expected {(dim, dim)}")
         if sectors is not None:
             sectors = tuple(np.asarray(d, dtype=complex).view() for d in sectors)  # shared, read-only
             check_tensor_square(m, n + 1, "POVM element")
@@ -123,7 +148,7 @@ class Povm:
             "n": n,
             "family": family,
             "c": None if family is None else _COEFFICIENTS[family](n),
-            "_elements": None if elements is None else tuple(elements),
+            "_elements": elements,
             "_entries": sectors,
         }
         for name, value in values.items():
@@ -166,8 +191,7 @@ class Povm:
     @property
     def _sectors(self) -> tuple[np.ndarray, ...] | None:
         """The sector entries d_k when every element is zero outside its sector blocks
-        (the sector route of the checks), else None (the dense route).  An explicit
-        POVM's elements must be dim x dim matrices (_require_layout)."""
+        (the sector route of the checks), else None (the dense route)."""
         if not all(diagonal for _, diagonal in self._sector_split):
             return None
         return tuple(d for d, _ in self._sector_split)
@@ -278,21 +302,9 @@ def _assemble(m: int, n: int, entries) -> tuple[np.ndarray, ...]:
 def family_povm(family: str, m: int, n: int) -> Povm:
     """Built POVM of the named family for n states in dimension m.
 
-    Checks the family's regime (see the build_* functions) and returns a
-    structured POVM; cap applies only when its dense elements are read.
+    The constructor refuses a family outside its regime (see the build_*
+    functions); cap applies only when its dense elements are read.
     """
-    if family not in _COEFFICIENTS:
-        raise ValueError(f"unknown family {family!r}")
-    if n < 2:
-        raise WrongRegime(f"need at least two states, got n={n}")
-    if family == "optimal" and m != n:
-        raise WrongRegime(f"family 'optimal' needs m = n, got m={m}, n={n}")
-    if family == "universal" and m <= n:
-        raise WrongRegime(
-            f"universal family needs m > n, got m={m}, n={n} (use build_optimal_equal for m=n)"
-        )
-    if family == "trivial" and m < n:
-        raise WrongRegime(f"no discriminator is defined for m={m} < n={n}")
     return Povm(m, n, family=family)
 
 
@@ -377,7 +389,7 @@ def outcome_probabilities(povm: Povm, inp) -> np.ndarray:
     if arr.ndim == 2:
         if arr.shape != (dim, dim):
             raise LayoutMismatch(f"input matrix of shape {arr.shape}, POVM dimension {dim}")
-        return np.array([np.trace(e @ arr).real for e in povm.elements])
+        return np.array([np.einsum("ij,ji->", e, arr).real for e in povm.elements])  # Tr(Π_k ρ)
     raise ValueError("input must be a vector or a square matrix")
 
 
@@ -405,29 +417,15 @@ class VerificationReport:
         return max(self.leakages) if self.leakages else 0.0
 
 
-def _require_layout(povm: Povm) -> None:
-    """Refuse, with InvalidPovm, an explicit POVM whose element count is not n+1 or that
-    has an element that is not a dim x dim matrix; the checks call it before they
-    gather.  A built or sector POVM has its layout by construction."""
-    if not povm._explicit:
-        return
-    n, dim = povm.n, povm.dim
-    if len(povm.elements) != n + 1:
-        raise InvalidPovm(f"expected {n + 1} elements, got {len(povm.elements)}")
-    for idx, e in enumerate(povm.elements):
-        if np.shape(e) != (dim, dim):
-            raise InvalidPovm(f"element {idx} has shape {np.shape(e)}, expected {(dim, dim)}")
-
-
 def verify_unambiguous(povm: Povm) -> VerificationReport:
     """Check that each Tr_i(Π_i) is supported inside the antisymmetric subspace.
 
     The leakage of element i is ‖(I-Φ)·Tr_i(Π_i)·(I-Φ)‖_max with Φ the
     antisymmetric projector on the n remaining registers; the report also
-    carries the PSD and completeness residuals.  Structurally broken input
-    (wrong count, shape or hermiticity) raises InvalidPovm; a NaN or an
-    infinity raises ValueError.  Each element is checked once for both,
-    in order, before its leakage is taken.
+    carries the PSD and completeness residuals.  A wrong element count or
+    shape is refused when the Povm is made; here a non-Hermitian element
+    raises InvalidPovm and a NaN or an infinity ValueError.  Each element is
+    checked once for both, in order, before its leakage is taken.
 
     When every element is zero outside its weight sectors (Povm._sectors),
     every residual is read from the sector entries d_k alone.  Finiteness,
@@ -444,7 +442,6 @@ def verify_unambiguous(povm: Povm) -> VerificationReport:
     come from partial_trace.
     """
     m, n = povm.m, povm.n
-    _require_layout(povm)
     sectors = povm._sectors
     for idx in range(n + 1):
         try:
@@ -498,13 +495,15 @@ def success_factor(family: str, n: int) -> float:
     """
     if family not in _COEFFICIENTS:
         raise ValueError(f"unknown family {family!r}")
+    if n < 1:
+        raise ValueError(f"need at least one state, got n={n}")
     return 0.0 if family == "trivial" else _COEFFICIENTS[family](n) / math.factorial(n)
 
 
 def success_prob_analytic(states, family: str) -> float:
     """Closed-form success probability κ·det(X) of the named family (see success_factor).
 
-    Linearly dependent states give 0.
+    Linearly dependent states give 0; an empty state set is refused.
     """
     s = require_normalized(states)
     return success_factor(family, s.shape[0]) * gram_det(s)
@@ -557,6 +556,8 @@ def efficiency_bounds(p_s: float, n: int) -> tuple[float, float]:
     for every n it is attained by sets with equal overlap s ∈ (−1/(n−1), 0],
     whose other n − 1 eigenvalues all equal 1 − s.
     """
+    if n < 1:
+        raise ValueError(f"need at least one state, got n={n}")
     if not -P_S_RANGE_TOL <= p_s <= 1.0 + P_S_RANGE_TOL:
         raise ValueError(f"p_s must lie in [0, 1], got {p_s}")
     p_s = min(max(p_s, 0.0), 1.0)
@@ -675,10 +676,9 @@ def check_covariance(povm: Povm) -> CovarianceReport:
     3. Reduction to the own register: Tr over all other registers of Π_i is
        a multiple of the identity, with the same constant for every i ≥ 1.
 
-    A wrong element count or shape raises InvalidPovm with
-    verify_unambiguous's message, before anything is gathered.  Each element
-    is checked once to be finite (a NaN or an infinity raises ValueError).
-    Hermiticity is not checked here; verify_unambiguous checks it.
+    A wrong element count or shape is refused when the Povm is made.  Each
+    element is checked once to be finite (a NaN or an infinity raises
+    ValueError); hermiticity is verify_unambiguous's to check.
 
     When every element is zero outside its weight sectors (Povm._sectors),
     finiteness and the 2n−3 conjugations are read from the sector entries
@@ -693,7 +693,6 @@ def check_covariance(povm: Povm) -> CovarianceReport:
     partial_trace.
     """
     m, n = povm.m, povm.n
-    _require_layout(povm)
     sectors = povm._sectors
     if sectors is None:
         for e in povm.elements:

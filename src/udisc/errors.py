@@ -30,7 +30,7 @@ class IndexOutOfRange(UdiscError, IndexError):
 
 
 class InvalidPovm(UdiscError):
-    """A POVM value is structurally broken (wrong element count, shape or hermiticity)."""
+    """A POVM value is structurally broken (m or n below 1, wrong element count, shape or hermiticity)."""
 
 
 class ProgramNotIndependent(UdiscError):

@@ -71,7 +71,7 @@ import numpy as np
 
 from .antisym import _weight_sectors
 from .config import check_entries, check_tensor_square
-from .discriminator import Povm, _require_layout
+from .discriminator import Povm
 from .errors import FormatError
 from .tensor_algebra import NORM_TOL, hermitize, max_abs, sorted_distinct
 
@@ -417,10 +417,9 @@ def _repaired_density(rho: np.ndarray, path) -> np.ndarray:
 
 
 def write_povm(path, povm: Povm) -> None:
-    """Write a POVM file; what read_povm would refuse is refused before the file is opened:
-    an element count other than n+1 (FormatError), an explicit element that is not
-    m^(n+1) x m^(n+1) (InvalidPovm, as verify_unambiguous says it), and a NaN or an
-    infinity, named by its block and row.
+    """Write a POVM file of n+1 blocks.  Its layout was checked when the Povm was made, so
+    the one thing read_povm would refuse is a NaN or an infinity, refused before the file
+    is opened and named by its block and row.
 
     A built or sector POVM is written in the sector-row layout (header
     ``povm-sectors``) from its weight-sector entries d_k as they stand, with
@@ -433,15 +432,14 @@ def write_povm(path, povm: Povm) -> None:
     """
     m, n = povm.m, povm.n
     if povm._explicit:
-        keyword, k, blocks = "povm", len(povm.elements), povm.elements
+        keyword, blocks = "povm", povm.elements
     else:
-        keyword, k, blocks = "povm-sectors", n + 1, povm._sectors  # sized against the budget
-    labels = list(_povm_labels(n, k))
-    _require_layout(povm)
+        keyword, blocks = "povm-sectors", povm._sectors  # sized against the budget
+    labels = [f"element {i}" for i in range(n + 1)]
     bounds = _povm_rows(keyword, m, n)
     for label, block in zip(labels, blocks):
         _refuse_non_finite(block, f"{path}: {label}", bounds)
-    _write_blocks(path, f"{keyword} {m} {n} {k}", zip(labels, (_numbers(b, bounds) for b in blocks)))
+    _write_blocks(path, f"{keyword} {m} {n} {n + 1}", zip(labels, (_numbers(b, bounds) for b in blocks)))
 
 
 def _refuse_non_finite(block, where: str, bounds, first: int = 0) -> None:
@@ -453,15 +451,6 @@ def _refuse_non_finite(block, where: str, bounds, first: int = 0) -> None:
         return
     row = np.searchsorted(bounds, np.argmin(np.isfinite(parts)), "right")
     raise FormatError(f"{where} row {first + row} holds a non-finite number")
-
-
-def _povm_labels(n: int, k: int) -> Iterator[str]:
-    """The k element labels, one at a time, once a count other than n+1 is refused."""
-    if k != n + 1:
-        raise FormatError(
-            f"povm header declares {k} elements; a POVM on n={n} states has n+1 = {n + 1}"
-        )
-    return (f"element {i}" for i in range(k))
 
 
 def read_povm(path) -> Povm:
@@ -480,11 +469,12 @@ def read_povm(path) -> Povm:
     less than the budget allows.
     """
     with _blocks(path, ("povm", "povm-sectors"), 3, "POVM element") as (fh, keyword, (m, n, k)):
-        labels = _povm_labels(n, k)
+        if k != n + 1:
+            raise FormatError(f"povm header declares {k} elements; a POVM on n={n} states has n+1 = {n + 1}")
         check_tensor_square(m, n + 1, "POVM element")  # refused before m**(n+1) is formed
         bounds = _povm_rows(keyword, m, n)
         blocks = []
-        for label in labels:  # each block's complex entries in file order (_scan_block)
+        for label in (f"element {i}" for i in range(k)):  # each block's entries in file order
             line = _content_line(fh) or ""
             if line.split() != label.split():
                 raise FormatError(f"{path}: expected {label!r}, got {line!r}")

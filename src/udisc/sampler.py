@@ -36,14 +36,18 @@ class OutcomeDistribution:
 
 
 def distribution_from_probs(probs, labels=None) -> OutcomeDistribution:
-    """Validate, clamp tiny negatives to zero, fold the unit-sum residual into outcome 0."""
+    """Validate (a NaN or an infinity is refused naming its outcome), clamp tiny negatives to
+    zero, fold the unit-sum residual into outcome 0."""
     p = np.asarray(probs, dtype=float).copy()
+    if not np.isfinite(p).all():
+        k = int(np.argmin(np.isfinite(p)))
+        raise ValueError(f"probability of outcome {k} is {float(p[k])}, not finite")
     if np.any(p < -CLAMP_TOL):
-        raise ValueError(f"probability {p.min()!r} below the clamping tolerance")
+        raise ValueError(f"probability {float(p.min())} below the clamping tolerance")
     p[p < 0] = 0.0
     residual = 1.0 - float(p.sum())
     if abs(residual) > RESIDUAL_TOL:
-        raise ValueError(f"probabilities sum to {p.sum()!r}, residual exceeds tolerance")
+        raise ValueError(f"probabilities sum to {float(p.sum())}, residual exceeds tolerance")
     p[0] += residual
     if p[0] < 0:
         p[0] = 0.0

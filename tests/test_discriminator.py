@@ -169,31 +169,30 @@ class TestVerifier:
 
     def test_structural_defects_raise(self):
         povm = build_universal(3, 2)
-        broken = Povm(m=3, n=2, elements=povm.elements[:2])
-        with pytest.raises(InvalidPovm):
-            verify_unambiguous(broken)
+        with pytest.raises(InvalidPovm):  # a wrong count is refused when the Povm is made
+            Povm(m=3, n=2, elements=povm.elements[:2])
         skew = np.zeros((27, 27), dtype=complex)
         skew[0, 1] = 1.0
         broken = Povm(m=3, n=2, elements=(povm.elements[0], povm.elements[1], skew))
         with pytest.raises(InvalidPovm):
             verify_unambiguous(broken)
 
-    @pytest.mark.parametrize("case", ["count", "smaller", "larger", "one-d"])
-    def test_malformed_povm_refused_alike(self, case):
-        # check_covariance refuses what verify_unambiguous refuses, with the same message
+    @pytest.mark.parametrize("case,message", [
+        ("count", "expected 3 elements, got 2"),
+        ("smaller", r"element 1 has shape \(9, 9\), expected \(27, 27\)"),
+        ("larger", r"element 1 has shape \(81, 81\), expected \(27, 27\)"),
+        ("one-d", r"element 1 has shape \(27,\), expected \(27, 27\)"),
+    ], ids=["count", "smaller", "larger", "one-d"])
+    def test_malformed_povm_refused_alike(self, case, message):
+        # refused when the Povm is made, so verify_unambiguous and check_covariance never see it
         elements = list(build_universal(3, 2).elements)
         if case == "count":
             del elements[2]
         else:
             elements[1] = {"smaller": np.eye(9), "larger": np.eye(81),
                            "one-d": np.ones(27)}[case].astype(complex)
-        broken = Povm(m=3, n=2, elements=elements)
-        messages = []
-        for check in (verify_unambiguous, check_covariance):
-            with pytest.raises(InvalidPovm) as refused:
-                check(broken)
-            messages.append(str(refused.value))
-        assert messages[0] == messages[1]
+        with pytest.raises(InvalidPovm, match=f"^{message}$"):
+            Povm(m=3, n=2, elements=elements)
 
 
     @pytest.mark.parametrize("check", [verify_unambiguous, check_covariance])
@@ -290,6 +289,23 @@ CLOSED_FORM_CASES = [
 ]
 
 
+def rotated(povm, rng):
+    """The explicit POVM V·Π_k·V† for a random unitary V: complex entries off every sector."""
+    v, _ = np.linalg.qr(rng.normal(size=(povm.dim, povm.dim, 2)) @ [1, 1j])
+    return Povm(povm.m, povm.n, elements=[v @ e @ v.conj().T for e in povm.elements])
+
+
+@pytest.mark.parametrize("povm", [build_universal(3, 2), rotated(build_universal(3, 2), np.random.default_rng(30))],
+                         ids=["built", "explicit"])
+def test_density_probabilities_match_the_product_trace(povm):
+    # oracle: Tr(Π_k ρ) from the dim x dim product, on a random full-rank ρ
+    a = np.random.default_rng(31).normal(size=(povm.dim, povm.dim, 2)) @ [1, 1j]
+    rho = a @ a.conj().T
+    rho /= np.trace(rho).real
+    expected = [np.trace(e @ rho).real for e in povm.elements]
+    assert max_abs(outcome_probabilities(povm, rho) - expected) <= 1e-12
+
+
 class TestClosedForm:
     """The Gram-determinant outcome probabilities against the dense quadratic form."""
 
@@ -367,6 +383,11 @@ class TestStructuredPovm:
         with pytest.raises(ValueError):
             Povm(m=2, n=2)
 
+    @pytest.mark.parametrize("elements", [[np.eye(27)] * 2, [np.eye(4)] * 3, [np.eye(27)] * 4])
+    def test_residuals_cannot_be_reached_on_a_malformed_povm(self, elements):
+        with pytest.raises(InvalidPovm):
+            Povm(3, 2, elements=elements).residuals()
+
     def test_cap_applies_on_first_element_access(self):
         povm = build_universal(100, 10)
         rng = np.random.default_rng(58)
@@ -440,6 +461,17 @@ class TestEfficiencyBounds:
 
     def test_single_state_has_no_division_by_zero(self):
         assert efficiency_bounds(0.5, 1) == (0.5, 0.5)
+
+    @pytest.mark.parametrize("call", [
+        lambda: efficiency_bounds(0.5, 0),
+        lambda: efficiency_bounds(0.5, -1),
+        lambda: success_factor("universal", 0),
+        lambda: success_factor("trivial", 0),
+        lambda: success_prob_analytic(np.zeros((0, 3), dtype=complex), "optimal"),
+    ], ids=["bounds-0", "bounds-negative", "factor-0", "factor-trivial-0", "analytic-empty"])
+    def test_fewer_than_one_state_is_refused_naming_n(self, call):
+        with pytest.raises(ValueError, match=r"^need at least one state, got n=-?\d+$"):
+            call()
 
 
 class TestCovariance:
@@ -524,8 +556,22 @@ class TestCovariance:
     (lambda: outcome_probabilities(build_universal(3, 2), np.zeros((3, 3, 3))), ValueError,
      "input must be a vector or a square matrix"),
     (lambda: success_factor("best", 2), ValueError, "unknown family 'best'"),
+    # every rule a POVM value obeys is checked when the Povm is made
+    (lambda: Povm(3, 2, family="bogus"), ValueError, r"^unknown family 'bogus'$"),
+    (lambda: Povm(3, 2, family="optimal"), WrongRegime, r"^family 'optimal' needs m = n, got m=3, n=2$"),
+    (lambda: Povm(2, 3, family="universal"), WrongRegime, r"^universal family needs m > n, got m=2, n=3"),
+    (lambda: Povm(3, 1, family="trivial"), WrongRegime, r"^need at least two states, got n=1$"),
+    (lambda: Povm(3, 2, elements=[np.eye(27)] * 2), InvalidPovm, r"^expected 3 elements, got 2$"),
+    (lambda: Povm(3, 2, elements=[np.eye(4)] * 3), InvalidPovm,
+     r"^element 0 has shape \(4, 4\), expected \(27, 27\)$"),
+    (lambda: Povm(2, 0, elements=[np.eye(2)]), InvalidPovm, r"^m and n must be positive, got m=2, n=0$"),
+    (lambda: Povm(-2, 1, elements=[np.eye(4)] * 2), InvalidPovm, r"^m and n must be positive, got m=-2, n=1$"),
+    (lambda: Povm(0, 2, sectors=[np.zeros(1)] * 3), InvalidPovm, r"^m and n must be positive, got m=0, n=2$"),
+    (lambda: Povm(2, -1, sectors=[]), InvalidPovm, r"^m and n must be positive, got m=2, n=-1$"),
 ], ids=["sector-count", "unknown-family", "one-state", "trivial-m<n", "input-shape", "input-rank",
-        "success-factor-family"])
+        "success-factor-family", "povm-unknown-family", "povm-optimal-m!=n", "povm-universal-m<=n",
+        "povm-trivial-one-state", "povm-count", "povm-shape", "povm-n=0", "povm-m<0", "povm-sector-m=0",
+        "povm-sector-n<0"])
 def test_refusals_name_the_defect(call, error, message):
     with pytest.raises(error, match=message):
         call()

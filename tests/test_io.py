@@ -23,7 +23,7 @@ from udisc.discriminator import (
     verify_unambiguous,
 )
 from udisc.config import DEFAULT_ENTRY_CAP, entry_cap
-from udisc.errors import CapExceeded, FormatError, InvalidPovm
+from udisc.errors import CapExceeded, FormatError, InvalidPovm, WrongRegime
 from udisc.io import read_density, read_povm, read_states, write_density, write_povm, write_states
 from udisc.tensor_algebra import max_abs
 
@@ -150,18 +150,17 @@ class TestPovmFiles:
             read_povm(path)
 
     def test_writer_refuses_a_count_the_reader_refuses(self, tmp_path):
+        # the count is refused when the Povm is made, so no POVM the writer gets has it
+        with pytest.raises(InvalidPovm, match=r"^expected 2 elements, got 3$"):
+            Povm(m=2, n=1, elements=[np.eye(4) / 3] * 3)
         path = tmp_path / "povm.txt"
-        povm = Povm(m=2, n=1, elements=[np.eye(4) / 3] * 3)
+        path.write_text("povm 2 1 3\n")
         with pytest.raises(FormatError, match="declares 3 elements; a POVM on n=1 states has n"):
-            write_povm(path, povm)
-        assert not path.exists()
+            read_povm(path)
 
-    def test_writer_refuses_an_element_shape_the_reader_refuses(self, tmp_path):
-        path = tmp_path / "povm.txt"
-        povm = Povm(m=2, n=2, elements=[np.eye(4)] * 3)
+    def test_writer_refuses_an_element_shape_the_reader_refuses(self):
         with pytest.raises(InvalidPovm, match=r"^element 0 has shape \(4, 4\), expected \(8, 8\)$"):
-            write_povm(path, povm)
-        assert not path.exists()
+            Povm(m=2, n=2, elements=[np.eye(4)] * 3)
 
     @pytest.mark.parametrize("layout,token,message", [
         ("dense", "x", "element 1 row 3 contains a non-numeric"),
@@ -931,6 +930,37 @@ def test_file_structure_refusals_name_the_defect(tmp_path, reader, text, message
     path.write_text(text)
     with pytest.raises(FormatError, match=f"^{re.escape(f'{path}: {message}')}$"):
         reader(path)
+
+
+def _povm_attempts():
+    """(name, m, n, the form's keyword) over m, n in -1..3 and every form: explicit and sector
+    ones with n, n+1 or n+2 blocks of the right or a wrong size, and each family by name."""
+    for m, n in itertools.product(range(-1, 4), range(-1, 3)):
+        dim = m ** (n + 1) if m > 0 and n > 0 else 1
+        size = len(_weight_sectors(m, n + 1).same) if m > 0 and n > 0 else 1
+        for count, grow in itertools.product((n, n + 1, n + 2), (0, 1)):
+            blocks = max(count, 0)
+            yield f"explicit-{m}-{n}-{count}-{grow}", m, n, {"elements": [np.eye(dim + grow) / max(blocks, 1)] * blocks}
+            yield f"sector-{m}-{n}-{count}-{grow}", m, n, {"sectors": [np.zeros(size + grow)] * blocks}
+        for family in ("optimal", "universal", "trivial", "bogus"):
+            yield f"{family}-{m}-{n}", m, n, {"family": family}
+
+
+def test_no_povm_the_writer_takes_has_a_header_the_reader_refuses(tmp_path):
+    written = set()
+    for name, m, n, form in _povm_attempts():
+        try:
+            povm = Povm(m, n, **form)
+        except (InvalidPovm, WrongRegime, ValueError):
+            continue
+        path = tmp_path / f"{name}.povm"
+        write_povm(path, povm)
+        header = path.read_text().split("\n", 1)[0].split()
+        assert [int(v) for v in header[1:]] == [m, n, n + 1] and m >= 1 and n >= 1
+        again = read_povm(path)
+        assert (again.m, again.n, again._explicit) == (m, n, povm._explicit)
+        written.add(name.split("-")[0])
+    assert written == {"explicit", "sector", "optimal", "universal", "trivial"}
 
 
 class TestSectorRowFiles:

@@ -53,6 +53,20 @@ class TestDistribution:
         with pytest.raises(ValueError):
             distribution_from_probs([0.5, 0.4])
 
+    @pytest.mark.parametrize("value,text", [(np.nan, "nan"), (np.inf, "inf"), (-np.inf, "-inf")])
+    @pytest.mark.parametrize("at", [0, 2])
+    def test_rejects_non_finite_naming_the_outcome(self, value, text, at):
+        probs = [0.5, 0.5, 0.0]
+        probs[at] = value
+        with pytest.raises(ValueError, match=f"^probability of outcome {at} is {text}, not finite$"):
+            distribution_from_probs(probs)
+
+    def test_messages_print_plain_floats(self):
+        with pytest.raises(ValueError, match=r"^probability -0\.25 below the clamping tolerance$"):
+            distribution_from_probs(np.array([1.25, -0.25]))
+        with pytest.raises(ValueError, match=r"^probabilities sum to 0\.75, residual exceeds tolerance$"):
+            distribution_from_probs(np.array([0.5, 0.25]))
+
 
 class TestSample:
     def test_deterministic_distribution(self):
