@@ -42,7 +42,7 @@ from .antisym import _sign_entries, _weight_sectors
 from .config import check_tensor_square
 from .errors import IndexOutOfRange, InvalidPovm, LayoutMismatch, NotHermitian, WrongRegime
 from .tensor_algebra import (
-    as_complex_matrix,
+    all_finite,
     gram,
     gram_det,
     kron_chain,
@@ -50,8 +50,6 @@ from .tensor_algebra import (
     partial_trace,
     reorder_factors,
     require_conjugate_pairs,
-    require_finite,
-    require_hermitian,
     require_normalized,
 )
 
@@ -97,10 +95,11 @@ class Povm:
     force then (config.entry_cap).  Outcome probabilities of product inputs
     of a built POVM need neither (product_probabilities).
 
-    Layout, size and regime are checked here, so the checks, the writer and
-    residuals read any Povm as it is: a family outside its regime raises
-    WrongRegime, and m or n below 1, a count other than n+1 or an element
-    that is not m^(n+1) x m^(n+1) raises InvalidPovm.
+    Layout, size, regime and finiteness are checked here, so the checks, the
+    writer and residuals read any Povm as it is: a family outside its regime
+    raises WrongRegime, and m or n below 1, a wrong count or shape, or a NaN
+    or an infinity in the elements or sector entries raises InvalidPovm (a
+    built family is finite as made).  Hermiticity is residuals' to require.
     """
 
     m: int
@@ -140,9 +139,12 @@ class Povm:
             check_tensor_square(m, n + 1, "POVM element")
             size = len(_weight_sectors(m, n + 1).same)
             if len(sectors) != n + 1 or any(d.shape != (size,) for d in sectors):
-                raise ValueError(f"sector entries must be n+1 = {n + 1} arrays of {size} entries")
+                raise InvalidPovm(f"sector entries must be n+1 = {n + 1} arrays of {size} entries")
             for d in sectors:
                 d.setflags(write=False)
+        for idx, e in enumerate(elements or sectors or ()):
+            if not all_finite(e):
+                raise InvalidPovm(f"element {idx} holds a NaN or an infinity")
         values = {
             "m": m,
             "n": n,
@@ -199,14 +201,23 @@ class Povm:
     def residuals(self) -> tuple[list[float], float]:
         """(min eigenvalue per element, completeness residual ‖ΣΠ - I‖_max).
 
-        An element whose entries outside its weight sectors are exactly zero
-        is block-diagonal, so its minimum eigenvalue is the least over the
-        sector blocks; any other element takes one dense eigensolve.  When
-        every element is sector-diagonal so is ΣΠ - I, whose sector entries
-        are Σ_k d_k less 1 on the diagonal; otherwise the elements are summed
-        densely.  Both give the same bits.
+        Each element is required to be Hermitian, in order, before any
+        eigenvalue is read (InvalidPovm).  An element whose entries outside
+        its weight sectors are exactly zero is checked on its sector entries,
+        d against conj(d[transposed]), and is block-diagonal, so its minimum
+        eigenvalue is the least over the sector blocks; any other element is
+        checked and takes one eigensolve densely.  When every element is
+        sector-diagonal so is ΣΠ - I, whose sector entries are Σ_k d_k less 1
+        on the diagonal; otherwise the elements are summed densely.  Both give
+        the dense bits, the hermiticity deviation too.
         """
         index = _weight_sectors(self.m, self.n + 1)
+        for k, (d, diagonal) in enumerate(self._sector_split):
+            e = d if diagonal else np.asarray(self.elements[k])
+            try:
+                require_conjugate_pairs(e, d[index.transposed] if diagonal else e.T.copy())
+            except NotHermitian as exc:
+                raise InvalidPovm(f"element {k} is not Hermitian: {exc}") from exc
         mins = [index.block_minimum(d) if diagonal else float(np.linalg.eigvalsh(self.elements[k])[0])
                 for k, (d, diagonal) in enumerate(self._sector_split)]
         sectors = self._sectors
@@ -423,38 +434,24 @@ def verify_unambiguous(povm: Povm) -> VerificationReport:
     The leakage of element i is ‖(I-Φ)·Tr_i(Π_i)·(I-Φ)‖_max with Φ the
     antisymmetric projector on the n remaining registers; the report also
     carries the PSD and completeness residuals.  A wrong element count or
-    shape is refused when the Povm is made; here a non-Hermitian element
-    raises InvalidPovm and a NaN or an infinity ValueError.  Each element is
-    checked once for both, in order, before its leakage is taken.
+    shape, a NaN or an infinity is refused when the Povm is made; a
+    non-Hermitian element raises InvalidPovm from Povm.residuals, which runs
+    first, before any leakage is taken.
 
     When every element is zero outside its weight sectors (Povm._sectors),
-    every residual is read from the sector entries d_k alone.  Finiteness,
-    hermiticity (d against conj(d[transposed])), completeness and the PSD
-    minima are the dense residuals bit for bit, as are the error messages:
-    the entries outside are exact zeros.  Tr_i maps each same-sector pair
+    every residual is read from the sector entries d_k alone.  Completeness
+    and the PSD minima are the dense residuals bit for bit: the entries
+    outside are exact zeros.  Tr_i maps each same-sector pair
     whose levels on register i agree to a same-sector pair on the other n
     registers, so Tr_i(Π_i) is one scatter-add of d_i
     (_WeightSectors.traced); I − Φ is zero outside its sectors too, so the
     leakage is a batch of products of sector blocks (_sector_leakage).  Its
     sums run in another order than the dense ones, so it may differ from
-    them in the last bits.  Otherwise each element is checked by
-    require_hermitian, the elements are summed densely and the leakages
-    come from partial_trace.
+    them in the last bits.  Otherwise the leakages come from partial_trace.
     """
     m, n = povm.m, povm.n
-    sectors = povm._sectors
-    for idx in range(n + 1):
-        try:
-            if sectors is None:
-                require_hermitian(povm.elements[idx])
-            else:
-                d = sectors[idx]
-                require_finite(d)
-                require_conjugate_pairs(d, d[_weight_sectors(m, n + 1).transposed])
-        except NotHermitian as exc:
-            raise InvalidPovm(f"element {idx} is not Hermitian: {exc}") from exc
-
     psd_mins, completeness = povm.residuals()
+    sectors = povm._sectors
     if sectors is None:
         complement = _weight_sectors(m, n).scatter(_complement_entries(m, n))
         leakages = [max_abs(complement @ partial_trace(povm.elements[i], povm.dims, {i}) @ complement)
@@ -676,30 +673,23 @@ def check_covariance(povm: Povm) -> CovarianceReport:
     3. Reduction to the own register: Tr over all other registers of Π_i is
        a multiple of the identity, with the same constant for every i ≥ 1.
 
-    A wrong element count or shape is refused when the Povm is made.  Each
-    element is checked once to be finite (a NaN or an infinity raises
-    ValueError); hermiticity is verify_unambiguous's to check.
+    A wrong element count or shape, a NaN or an infinity is refused when the
+    Povm is made; hermiticity is Povm.residuals' to check, so a non-Hermitian
+    element is read here as it is.
 
     When every element is zero outside its weight sectors (Povm._sectors),
-    finiteness and the 2n−3 conjugations are read from the sector entries
+    the 2n−3 conjugations are read from the sector entries
     d_k: a transposition of registers maps each sector into itself, so (a b)·Π_1
     has the sector entries d_1[permuted(order, levels unmoved)] (_WeightSectors)
     and zeros elsewhere, and the residual is the dense one bit for bit.
     The reduction to register i pairs only equal levels of register i, so
     it is diagonal, an m-vector of sums over the diagonal entries of d_i
     (exact zeros elsewhere), in another summation order than the dense
-    partial trace.  Otherwise each element is checked densely, each
-    conjugation is a reorder_factors transpose and the reduction comes from
-    partial_trace.
+    partial trace.  Otherwise each conjugation is a reorder_factors
+    transpose and the reduction comes from partial_trace.
     """
     m, n = povm.m, povm.n
     sectors = povm._sectors
-    if sectors is None:
-        for e in povm.elements:
-            as_complex_matrix(e)
-    else:
-        for d in sectors:
-            require_finite(d)
     unitary_residual = _unitary_residual(povm)
 
     permutation_residual = 0.0

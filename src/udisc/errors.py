@@ -30,7 +30,8 @@ class IndexOutOfRange(UdiscError, IndexError):
 
 
 class InvalidPovm(UdiscError):
-    """A POVM value is structurally broken (m or n below 1, wrong element count, shape or hermiticity)."""
+    """A POVM value is broken (m or n below 1, wrong element count or shape, a NaN or an
+    infinity, or a non-Hermitian element where eigenvalues are read)."""
 
 
 class ProgramNotIndependent(UdiscError):

@@ -19,8 +19,9 @@ write_povm writes a built or sector POVM (discriminator.Povm) in the
 sector-row layout and an explicit one in the dense layout; read_povm reads
 a sector-row file into a sector POVM and a dense file into an explicit one,
 so writing what was read gives back the file's bytes in either layout.  The
-writers refuse what the readers refuse, by the readers' checks and before
-the file is opened, and write what the readers repair as given.
+state and density writers refuse what their readers refuse, by the readers'
+checks and before the file is opened, and write what the readers repair as
+given; a Povm holds nothing read_povm refuses, as its constructor checks.
 
 All are a header and blocks of rows, written and read by one codec, for
 which row r of a block holds the numbers bounds[r] to bounds[r + 1]: a
@@ -61,7 +62,6 @@ holds n+1 arrays of |same| entries and about one chunk.
 from __future__ import annotations
 
 import itertools
-import math
 import os
 import stat
 from collections.abc import Iterator
@@ -73,7 +73,7 @@ from .antisym import _weight_sectors
 from .config import check_entries, check_tensor_square
 from .discriminator import Povm
 from .errors import FormatError
-from .tensor_algebra import NORM_TOL, hermitize, max_abs, sorted_distinct
+from .tensor_algebra import NORM_TOL, all_finite, hermitize, max_abs, sorted_distinct
 
 # read_states: a norm deviation above this (and at most NORM_TOL) is renormalized with a warning.
 RENORMALIZE_WARN_TOL = 1e-9
@@ -417,9 +417,8 @@ def _repaired_density(rho: np.ndarray, path) -> np.ndarray:
 
 
 def write_povm(path, povm: Povm) -> None:
-    """Write a POVM file of n+1 blocks.  Its layout was checked when the Povm was made, so
-    the one thing read_povm would refuse is a NaN or an infinity, refused before the file
-    is opened and named by its block and row.
+    """Write a POVM file of n+1 blocks.  Its layout and finiteness were checked when the
+    Povm was made, so read_povm refuses nothing it writes, and nothing is checked here.
 
     A built or sector POVM is written in the sector-row layout (header
     ``povm-sectors``) from its weight-sector entries d_k as they stand, with
@@ -437,18 +436,16 @@ def write_povm(path, povm: Povm) -> None:
         keyword, blocks = "povm-sectors", povm._sectors  # sized against the budget
     labels = [f"element {i}" for i in range(n + 1)]
     bounds = _povm_rows(keyword, m, n)
-    for label, block in zip(labels, blocks):
-        _refuse_non_finite(block, f"{path}: {label}", bounds)
     _write_blocks(path, f"{keyword} {m} {n} {n + 1}", zip(labels, (_numbers(b, bounds) for b in blocks)))
 
 
 def _refuse_non_finite(block, where: str, bounds, first: int = 0) -> None:
     """Refuse a block of complex entries holding a NaN or an infinity, for the readers and
-    the writers: FormatError naming the first row that holds one, row r (numbered from
-    first+1) holding the numbers bounds[r] to bounds[r + 1] (real and imaginary parts)."""
-    parts = np.ascontiguousarray(block, dtype=complex).view(np.float64).ravel()
-    if not parts.size or math.isfinite(parts.min()) and math.isfinite(parts.max()):  # no temporary
+    the state and density writers: FormatError naming the first row that holds one, row r
+    (numbered from first+1) holding the numbers bounds[r] to bounds[r + 1]."""
+    if all_finite(block):
         return
+    parts = np.ascontiguousarray(block, dtype=complex).view(np.float64).ravel()
     row = np.searchsorted(bounds, np.argmin(np.isfinite(parts)), "right")
     raise FormatError(f"{where} row {first + row} holds a non-finite number")
 

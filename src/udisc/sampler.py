@@ -36,9 +36,12 @@ class OutcomeDistribution:
 
 
 def distribution_from_probs(probs, labels=None) -> OutcomeDistribution:
-    """Validate (a NaN or an infinity is refused naming its outcome), clamp tiny negatives to
-    zero, fold the unit-sum residual into outcome 0."""
+    """Validate (a NaN or an infinity is refused naming its outcome, and labels of another
+    count), clamp tiny negatives to zero, fold the unit-sum residual into outcome 0."""
     p = np.asarray(probs, dtype=float).copy()
+    labels = tuple(str(k) for k in range(len(p))) if labels is None else tuple(labels)
+    if len(labels) != len(p):
+        raise ValueError(f"{len(labels)} labels for {len(p)} probabilities")
     if not np.isfinite(p).all():
         k = int(np.argmin(np.isfinite(p)))
         raise ValueError(f"probability of outcome {k} is {float(p[k])}, not finite")
@@ -51,9 +54,7 @@ def distribution_from_probs(probs, labels=None) -> OutcomeDistribution:
     p[0] += residual
     if p[0] < 0:
         p[0] = 0.0
-    if labels is None:
-        labels = tuple(str(k) for k in range(len(p)))
-    return OutcomeDistribution(labels=tuple(labels), probabilities=p)
+    return OutcomeDistribution(labels=labels, probabilities=p)
 
 
 def outcome_distribution(povm: Povm, inp) -> OutcomeDistribution:

@@ -52,9 +52,17 @@ def as_complex_matrix(a) -> np.ndarray:
     return a
 
 
+def all_finite(a) -> bool:
+    """Whether a holds no NaN and no infinity: the least and largest of its real and
+    imaginary parts are finite (a NaN is what min and max give).  A contiguous complex
+    array is read in place, as one float64 view; other input is made one first."""
+    parts = np.ascontiguousarray(a, dtype=complex).view(np.float64)
+    return parts.size == 0 or math.isfinite(parts.min()) and math.isfinite(parts.max())
+
+
 def require_finite(a, what: str = "matrix") -> None:
     """Raise ValueError naming what if a holds a NaN or an infinity."""
-    if not np.all(np.isfinite(a)):
+    if not all_finite(a):
         raise ValueError(f"{what} contains NaN or Inf entries")
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -198,10 +200,38 @@ class TestVerifier:
     @pytest.mark.parametrize("check", [verify_unambiguous, check_covariance])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_element_is_refused(self, check, value):
+        # refused when the Povm is made, so neither check is reached
         elements = [e.copy() for e in build_universal(3, 2).elements]
         elements[2][4, 4] = value  # a sector-diagonal entry, so no residual would flag it alone
-        with pytest.raises(ValueError, match="NaN or Inf"):
+        with pytest.raises(InvalidPovm, match=r"^element 2 holds a NaN or an infinity$"):
             check(Povm(m=3, n=2, elements=elements))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("part", ["real", "imag"])
+    @pytest.mark.parametrize("form", ["explicit", "sector"])
+    def test_constructor_refuses_non_finite_entries_naming_the_element(self, form, part, value):
+        built = build_universal(3, 2)
+        entry = complex(value, 0) if part == "real" else complex(0, value)
+        for k in range(3):
+            if form == "explicit":
+                entries = [e.copy() for e in built.elements]
+                entries[k][5, 7] = entry  # outside the sectors: a dense-route element
+            else:
+                entries = [d.copy() for d in built._sectors]
+                entries[k][-1] = entry
+            with pytest.raises(InvalidPovm, match=f"^element {k} holds a NaN or an infinity$"):
+                Povm(3, 2, **{"elements" if form == "explicit" else "sectors": entries})
+
+    def test_constructor_checks_finiteness_without_a_temporary(self):
+        # the least and largest parts are read in place: no bool or complex copy of an element
+        elements = [np.asarray(e) for e in build_universal(4, 3).elements]
+        tracemalloc.start()
+        try:
+            Povm(4, 3, elements=elements)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < elements[0].size
 
     @pytest.mark.parametrize("m,n", [(3, 2), (4, 3)])
     def test_sector_gather_is_counted_once_per_element(self, m, n, monkeypatch, tmp_path):
@@ -546,8 +576,8 @@ class TestCovariance:
 
 
 @pytest.mark.parametrize("call,error,message", [
-    (lambda: Povm(2, 2, sectors=[np.zeros(3)] * 3), ValueError,
-     r"sector entries must be n\+1 = 3 arrays of \d+ entries"),
+    (lambda: Povm(2, 2, sectors=[np.zeros(3)] * 3), InvalidPovm,
+     r"^sector entries must be n\+1 = 3 arrays of \d+ entries$"),
     (lambda: family_povm("best", 3, 2), ValueError, "unknown family 'best'"),
     (lambda: family_povm("universal", 3, 1), WrongRegime, "need at least two states, got n=1"),
     (lambda: family_povm("trivial", 2, 3), WrongRegime, "no discriminator is defined for m=2 < n=3"),

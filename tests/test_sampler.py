@@ -61,6 +61,13 @@ class TestDistribution:
         with pytest.raises(ValueError, match=f"^probability of outcome {at} is {text}, not finite$"):
             distribution_from_probs(probs)
 
+    @pytest.mark.parametrize("labels", [["a"], ["a", "b", "c"], []])
+    def test_rejects_a_label_count_other_than_the_probability_count(self, labels):
+        with pytest.raises(ValueError, match=f"^{len(labels)} labels for 2 probabilities$"):
+            distribution_from_probs([0.5, 0.5], labels=labels)
+        dist = distribution_from_probs([0.5, 0.5], labels=["a", "b"])
+        assert dist.labels == ("a", "b") and len(sample(dist, 10, seed=0).counts) == dist.size == 2
+
     def test_messages_print_plain_floats(self):
         with pytest.raises(ValueError, match=r"^probability -0\.25 below the clamping tolerance$"):
             distribution_from_probs(np.array([1.25, -0.25]))

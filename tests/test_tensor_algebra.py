@@ -16,6 +16,7 @@ from udisc.config import entry_cap
 from udisc.errors import CapExceeded, IndexOutOfRange, LayoutMismatch, NotHermitian, NotPositive
 from udisc import tensor_algebra
 from udisc.tensor_algebra import (
+    all_finite,
     as_state_set,
     eig_hermitian,
     fidelity,
@@ -129,7 +130,7 @@ class TestPartialTrace:
         assert np.allclose(partial_trace(kron_chain([a, b]), (2, 2), {1}), (1 + 3j) * b, atol=1e-15)
 
     def test_finiteness_is_the_callers_check(self):
-        # verify_unambiguous and check_covariance refuse a NaN once per element, before this
+        # a Povm refuses a NaN once per element when it is made, before any check reaches this
         reduced = partial_trace(np.full((4, 4), np.nan), (2, 2), {1})
         assert reduced.shape == (2, 2) and np.isnan(reduced).all()
 
@@ -142,6 +143,20 @@ class TestPartialTrace:
             partial_trace(np.eye(4), (2, 2), set())
         with pytest.raises(IndexOutOfRange):
             partial_trace(np.eye(4), (2, 2), {3})
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_all_finite_agrees_with_isfinite(value):
+    rng = np.random.default_rng(5)
+    for a in (rng.normal(size=(6, 6)), rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)),
+              np.asfortranarray(np.eye(6, dtype=complex))[::2, 1::2]):
+        assert all_finite(a)
+        for at in ((0, 0), (-1, -1)):
+            for imag in (False, True) if np.iscomplexobj(a) else (False,):
+                bad = a.copy()
+                bad[at] = complex(bad[at].real, value) if imag else value
+                assert not all_finite(bad) and not np.isfinite(bad).all()
+    assert all_finite(np.arange(4)) and all_finite(np.zeros(0)) and all_finite([[1.0, 2j]])
 
 
 class TestReorderFactors:

@@ -4,9 +4,10 @@
 unitary invariance exactly on the sector support: the off-sector mass of
 each element, its change under the level permutations (0 1) and
 (0 1 … m−1) on every register, and its commutator with dΓ(E) = Σ_r E_r for
-E = |0><1|, taken as gathers from the element.  When every element is zero
-outside its sectors, finiteness, hermiticity, completeness and permutation
-covariance are read from the sector entries too.  The dense routes live
+E = |0><1|, taken as gathers from the element.  Each element zero outside
+its sectors is checked for hermiticity on its sector entries, and when every
+element is, completeness and permutation covariance are read from the sector
+entries too.  The dense routes live
 here: the same residual with the sector mask built from level_multiset and
 P^⊗(n+1) and dΓ(E) lifted by kron_chain (matched within 1e-14), the
 earlier criterion's commutator with dΓ(C) for the cyclic shift C, the
@@ -567,6 +568,46 @@ def with_off_sector_mass(povm, value=1e-3):
     return Povm(m=povm.m, n=povm.n, elements=elements)
 
 
+@pytest.mark.parametrize("form", ["dense", "sector", "sector-form"])
+def test_residuals_refuses_a_non_hermitian_element(form):
+    """Povm.residuals checks hermiticity before it reads an eigenvalue, with dense_verify's
+    message: 0.5 added at [0, 1] of Π_1 (|000> and |001> lie in different sectors) takes
+    the dense check, 0.5 added at [1, 3] (|001> and |010>, one sector) the sector check,
+    on an explicit POVM and on its sector form.  eigvalsh alone would read only the
+    lower triangle and report nothing."""
+    built = family_povm("universal", 3, 2)
+    elements = [e.copy() for e in built.elements]
+    elements[1][(0, 1) if form == "dense" else (1, 3)] += 0.5
+    explicit = Povm(m=3, n=2, elements=elements)
+    assert explicit._sector_split[1][1] == (form != "dense")
+    povm = Povm(m=3, n=2, sectors=[d for d, _ in explicit._sector_split]) if form == "sector-form" else explicit
+    with pytest.raises(InvalidPovm) as got:
+        povm.residuals()
+    message = "element 1 is not Hermitian: hermiticity deviation 5.000e-01 exceeds tolerance"
+    assert str(got.value) == message
+    assert outcome(dense_verify, explicit) == outcome(verify_unambiguous, povm) == (InvalidPovm, message)
+
+
+@pytest.mark.parametrize("family,m,n", [("universal", 3, 2), ("optimal", 3, 3), ("universal", 4, 3)])
+@pytest.mark.parametrize("value", [1e-6, 0.25])
+def test_hermiticity_route_per_element_matches_dense_on_leaky_povms(family, m, n, value):
+    """With off-sector mass in Π_0 and Π_1, those two are checked densely and the others on
+    their sector entries; a non-Hermitian same-sector entry in any element gives
+    dense_verify's error bit for bit."""
+    leaky = with_off_sector_mass(family_povm(family, m, n))
+    routes = [diagonal for _, diagonal in leaky._sector_split]
+    assert routes == [False, False] + [True] * (n - 1)
+    i, j = (int(a) for a in np.argwhere(same_sector(m, n + 1) & ~np.eye(leaky.dim, dtype=bool))[-1])
+    for k in range(n + 1):
+        elements = [e.copy() for e in leaky.elements]
+        elements[k][i, j] += value * 1j
+        povm = Povm(m=m, n=n, elements=elements)
+        assert [diagonal for _, diagonal in povm._sector_split] == routes
+        got = outcome(verify_unambiguous, povm)
+        assert got == outcome(dense_verify, povm)
+        assert got[0] is InvalidPovm and got[1].startswith(f"element {k} is not Hermitian: ")
+
+
 @pytest.mark.parametrize("family,m,n", [("universal", 3, 2), ("optimal", 3, 3),
                                         ("universal", 4, 3), ("optimal", 4, 4)])
 def test_check_covariance_reorders_2n_minus_3_times(family, m, n, monkeypatch):
@@ -675,13 +716,14 @@ def test_perturbations_fail_on_both_routes(family, m, n, kind):
 def test_verify_forms_no_lift_and_checks_hermiticity_once(family, monkeypatch):
     """Guards the fast routes: a built (4,3) POVM is verified without an (n+1)-fold
     kron_chain, without a dense 256 x 256 eigensolve, and with no dense hermiticity
-    check or reorder_factors conjugation; with off-sector mass it takes one dense
-    hermiticity check per element and 2n−3 conjugations."""
+    check or reorder_factors conjugation; with off-sector mass in Π_0 and Π_1 it takes
+    one dense hermiticity check for each of those two, a sector check for the others,
+    and 2n−3 conjugations."""
     povm = family_povm(family, 4, 3)
     povm.elements
     leaky = with_off_sector_mass(povm)
     kron_factors, hermitian_checks, reorders = [], [], []
-    real_kron, real_herm = tensor_algebra.kron_chain, tensor_algebra.require_hermitian
+    real_kron, real_herm = tensor_algebra.kron_chain, tensor_algebra.require_conjugate_pairs
     real_reorder = tensor_algebra.reorder_factors
 
     def kron_spy(factors):
@@ -689,9 +731,9 @@ def test_verify_forms_no_lift_and_checks_hermiticity_once(family, monkeypatch):
         kron_factors.append(len(factors))
         return real_kron(factors)
 
-    def herm_spy(a):
-        hermitian_checks.append(np.shape(a))
-        return real_herm(a)
+    def herm_spy(entries, mirrored):
+        hermitian_checks.append(np.shape(entries))
+        return real_herm(entries, mirrored)
 
     def reorder_spy(*args):
         reorders.append(args[2])
@@ -701,8 +743,8 @@ def test_verify_forms_no_lift_and_checks_hermiticity_once(family, monkeypatch):
         module = importlib.import_module(f"udisc.{info.name}")
         if getattr(module, "kron_chain", None) is real_kron:
             monkeypatch.setattr(module, "kron_chain", kron_spy)
-        if getattr(module, "require_hermitian", None) is real_herm:
-            monkeypatch.setattr(module, "require_hermitian", herm_spy)
+        if getattr(module, "require_conjugate_pairs", None) is real_herm:
+            monkeypatch.setattr(module, "require_conjugate_pairs", herm_spy)
         if getattr(module, "reorder_factors", None) is real_reorder:
             monkeypatch.setattr(module, "reorder_factors", reorder_spy)
     spy = EigvalshSpy(monkeypatch)
@@ -710,10 +752,12 @@ def test_verify_forms_no_lift_and_checks_hermiticity_once(family, monkeypatch):
     assert check_covariance(povm).passed
     assert max(kron_factors, default=0) < povm.n + 1
     assert spy.shapes and spy.dense_calls(povm.dim) == []
-    assert hermitian_checks == [] and reorders == []
+    sector = (len(povm._sectors[0]),)
+    assert hermitian_checks == [sector] * (povm.n + 1) and reorders == []
+    hermitian_checks.clear()
     verify_unambiguous(leaky)
     check_covariance(leaky)
-    assert hermitian_checks == [(povm.dim, povm.dim)] * (povm.n + 1)
+    assert hermitian_checks == [(povm.dim, povm.dim)] * 2 + [sector] * (povm.n - 1)
     assert len(reorders) == 2 * povm.n - 3
 
 
@@ -733,10 +777,10 @@ def test_routes_agree_on_built_povms(family, m, n):
        kind=st.sampled_from(["non_hermitian", "completeness", "swap", "non_finite"]),
        data=st.data())
 def test_routes_agree_on_perturbations(case, kind, data):
-    """A non-Hermitian sector entry, a completeness break on the diagonal, a swap of one
-    sector block between Π_1 and Π_2, and NaN or ±inf inside or outside the sectors
-    give the dense verdicts, errors and residuals on both verify_unambiguous and
-    check_covariance."""
+    """A non-Hermitian sector entry, a completeness break on the diagonal and a swap of one
+    sector block between Π_1 and Π_2 give the dense verdicts, errors and residuals on both
+    verify_unambiguous and check_covariance; a NaN or ±inf inside or outside the sectors
+    is refused when the Povm is made, naming its element."""
     family, m, n = case
     povm = family_povm(family, m, n)
     count, dim = n + 1, povm.dim
@@ -758,12 +802,11 @@ def test_routes_agree_on_perturbations(case, kind, data):
         j = data.draw(st.sampled_from(np.flatnonzero(mask[i] == inside).tolist() or [i]),
                       label="column")
         elements[k][i, j] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]), label="value")
-    explicit = Povm(m=m, n=n, elements=elements)
-    assert_routes_agree(explicit)
-    if kind == "non_finite":
-        for check in (verify_unambiguous, check_covariance):
-            with pytest.raises(ValueError, match="NaN or Inf"):
-                check(explicit)
+    if kind == "non_finite":  # refused when the Povm is made, so no check can read it
+        with pytest.raises(InvalidPovm, match=f"^element {k} holds a NaN or an infinity$"):
+            Povm(m=m, n=n, elements=elements)
+        return
+    assert_routes_agree(Povm(m=m, n=n, elements=elements))
 
 
 def swap_entries(elements, i, j):
