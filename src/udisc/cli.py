@@ -28,6 +28,7 @@ import sys
 from . import io
 from .config import DEFAULT_ENTRY_CAP, entry_cap
 from .discriminator import (
+    FAMILIES,
     auto_family,
     check_covariance,
     efficiency_bounds,
@@ -45,7 +46,6 @@ from .sampler import _check_run, distribution_from_probs, outcome_distribution, 
 from .tensor_algebra import gram_det
 
 DEPENDENCE_WARN_TOL = 1e-12
-FAMILIES = ("optimal", "universal", "trivial")
 
 
 def _fmt(value) -> str:

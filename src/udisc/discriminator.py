@@ -6,10 +6,13 @@ the unambiguity verifier, success probabilities, and the covariance checks
 an optimal discriminator must satisfy.
 
 The measurement acts on n program registers plus one data register, each of
-dimension m.  Element i >= 1 of a built POVM is c · I on register i tensored
-with the antisymmetric projector on the remaining n registers (taken in
-ascending order); element 0 is the inconclusive remainder I - Σ_i Π_i.
-Outcome probabilities of product inputs come from Gram determinants.
+dimension m.  Element i >= 1 of a built POVM is a·Φ + b·(I_i ⊗ Φ_rest − Φ),
+with Φ the antisymmetric projector on all n+1 registers and I_i ⊗ Φ_rest the
+identity on register i tensored with Φ on the remaining n (taken in
+ascending order); element 0 is the inconclusive remainder I - Σ_i Π_i.  Each
+family is one row of FAMILIES: its weights (a, b), its regime and its
+refusal.  Its coefficient c, sector entries, product-input probabilities
+(from Gram determinants) and success factor all follow from that row.
 
 Every element the paper builds commutes with each collective unitary
 U^⊗(n+1), so it is zero outside its weight sectors (antisym._weight_sectors,
@@ -19,7 +22,8 @@ its weight-sector entries d_k (Povm): the writer writes them, in the
 sector-row file layout (io), and every check reads them
 (verify_unambiguous, check_covariance), with the dense residuals bit for
 bit except the leakage and the reduction, whose sums run in another
-order.  Dense elements are scattered from d_k only when something reads
+order; so do the outcome probabilities of a vector or a density.  Dense
+elements are scattered from d_k only when something reads
 Povm.elements, under the dense-storage budget in force then
 (config.entry_cap).  An explicit POVM, as read_povm reads a dense file,
 is gathered once into d_k (Povm._sector_split): with no nonzero entry
@@ -35,6 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -71,10 +76,46 @@ def auto_family(m: int, n: int) -> str:
     return "optimal" if m == n else "universal"
 
 
-_COEFFICIENTS = {
-    "optimal": lambda n: n / (n + 1),
-    "universal": lambda n: 1.0 / n,
-    "trivial": lambda n: 1.0 / n,
+class _Family(NamedTuple):
+    """A built family: for i ≥ 1, Π_i = a·Φ + b·(I_i ⊗ Φ_rest − Φ), with Φ the
+    antisymmetric projector on all n+1 registers; its regime, and its refusal outside it.
+
+    Every unambiguous Π_i that commutes with each collective unitary U^⊗(n+1)
+    is such an (a, b) point.  Unambiguity puts supp Π_i inside
+    V_i ⊗ Λⁿ(rest): the swaps of the data register with each register j ≠ i
+    generate the symmetric group on the other n registers.  As a U(m)
+    representation V ⊗ ΛⁿV = Λⁿ⁺¹V ⊕ S₍₂,₁ⁿ⁻¹₎V is multiplicity-free, so by
+    Schur's lemma a covariant Π_i there is a multiple of each summand's
+    projector, Φ and I_i ⊗ Φ_rest − Φ.
+
+    Φ ≤ I_i ⊗ Φ_rest, so the two are orthogonal projectors and Π_i's largest
+    eigenvalue is c = max(a, b) when neither projector is 0 (m > n).  On a product
+    v = φ_1 ⊗ … ⊗ φ_{n+1} with Gram matrix G, ⟨v|Φ|v⟩ = det(G)/(n+1)! (the
+    squared norm of a wedge is the Gram determinant) and
+    ⟨v|I_i ⊗ Φ_rest|v⟩ = ‖φ_i‖²·det(G₋ᵢ)/n!.  A valid input repeats a program
+    state in the data register, so det(G) = 0 and Π_i identifies state i with
+    probability b·det(X)/n!: κ = b/n!, whatever a is.
+
+    Π_i ≥ 0 and Σ_i Π_i ≤ I hold exactly when 0 ≤ a ≤ 1/n and
+    0 ≤ b ≤ n/(n+1): Σ_i Π_i is n·a on Λⁿ⁺¹, and Σ_i (I_i ⊗ Φ_rest − Φ) is
+    zero there and has largest eigenvalue (n+1)/n, the Γ block's
+    (gram_spectra), on the rest.  When m = n, Φ = 0 and a is free: optimal
+    takes a = b, which keeps one term.  A weight of 0 contributes no term
+    (_family_entries, product_probabilities).
+    """
+
+    weights: Callable[[int], tuple[float, float]]  # n ↦ (a, b)
+    admits: Callable[[int, int], bool]  # (m, n) ↦ whether (m, n) is in the regime
+    refusal: str  # WrongRegime's message outside it, formatted with m and n
+
+
+# The built families, in the CLI's order.  n ≥ 2 is every family's rule (Povm).
+FAMILIES = {
+    "optimal": _Family(lambda n: (n / (n + 1),) * 2, lambda m, n: m == n,
+                       "family 'optimal' needs m = n, got m={m}, n={n}"),
+    "universal": _Family(lambda n: (1.0 / n,) * 2, lambda m, n: m > n,
+                         "universal family needs m > n, got m={m}, n={n} (use build_optimal_equal for m=n)"),
+    "trivial": _Family(lambda n: (1.0 / n, 0.0), lambda m, n: m >= n, "no discriminator is defined for m={m} < n={n}"),
 }
 
 
@@ -84,16 +125,18 @@ class Povm:
 
     A POVM is given in one of three forms:
     - explicit: its dense elements, with c = family = None;
-    - built (family_povm and the build_* functions): its family and
-      coefficient c, whose weight-sector entries are formed on first use;
+    - built (family_povm and the build_* functions): its family, a row of
+      FAMILIES, and c = max(a, b) of that row's weights; its weight-sector
+      entries are formed on first use;
     - sector: the weight-sector entries d_k of each element (sectors), zero
       outside them, in a sector-row file's order, as read_povm reads one (a
       dense file is read as an explicit POVM).
-    A built or sector POVM is zero outside its weight sectors, and the checks
-    and the writer read its d_k; its dense elements are scattered from them
-    only when something reads elements, under the dense-storage budget in
-    force then (config.entry_cap).  Outcome probabilities of product inputs
-    of a built POVM need neither (product_probabilities).
+    A built or sector POVM is zero outside its weight sectors, and the checks,
+    the writer and outcome_probabilities read its d_k; its dense elements are
+    scattered from them only when something reads elements, under the
+    dense-storage budget in force then (config.entry_cap).  Outcome
+    probabilities of product inputs of a built POVM need neither
+    (product_probabilities).
 
     Layout, size, regime and finiteness are checked here, so the checks, the
     writer and residuals read any Povm as it is: a family outside its regime
@@ -115,16 +158,12 @@ class Povm:
                              "entries or a built family")
         m, n = int(m), int(n)
         if family is not None:
-            if family not in _COEFFICIENTS:
+            if family not in FAMILIES:
                 raise ValueError(f"unknown family {family!r}")
             if n < 2:
                 raise WrongRegime(f"need at least two states, got n={n}")
-            if family == "optimal" and m != n:
-                raise WrongRegime(f"family 'optimal' needs m = n, got m={m}, n={n}")
-            if family == "universal" and m <= n:
-                raise WrongRegime(f"universal family needs m > n, got m={m}, n={n} (use build_optimal_equal for m=n)")
-            if family == "trivial" and m < n:
-                raise WrongRegime(f"no discriminator is defined for m={m} < n={n}")
+            if not FAMILIES[family].admits(m, n):
+                raise WrongRegime(FAMILIES[family].refusal.format(m=m, n=n))
         elif m < 1 or n < 1:
             raise InvalidPovm(f"m and n must be positive, got m={m}, n={n}")
         if elements is not None:
@@ -145,15 +184,9 @@ class Povm:
         for idx, e in enumerate(elements or sectors or ()):
             if not all_finite(e):
                 raise InvalidPovm(f"element {idx} holds a NaN or an infinity")
-        values = {
-            "m": m,
-            "n": n,
-            "family": family,
-            "c": None if family is None else _COEFFICIENTS[family](n),
-            "_elements": elements,
-            "_entries": sectors,
-        }
-        for name, value in values.items():
+        c = None if family is None else max(FAMILIES[family].weights(n))
+        fields = ("m", "n", "family", "c", "_elements", "_entries")
+        for name, value in zip(fields, (m, n, family, c, elements, sectors)):
             object.__setattr__(self, name, value)
 
     @property
@@ -185,7 +218,7 @@ class Povm:
         built or sector POVM holds its d_k, all zero outside; an explicit one is
         gathered once, with a nonzero count over each element."""
         if not self._explicit:
-            entries = self._entries or _family_entries(self.family, self.m, self.n, self.c)
+            entries = self._entries or _family_entries(self.family, self.m, self.n)
             return tuple((d, True) for d in entries)
         index = _weight_sectors(self.m, self.n + 1)
         return tuple(index.gather(e) for e in self.elements)
@@ -274,21 +307,22 @@ def _complement_entries(m: int, n: int) -> np.ndarray:
     return _frozen_complex(index.identity - _sign_entries(m, n))
 
 
-def _family_entries(family: str, m: int, n: int, c: float) -> tuple[np.ndarray, ...]:
+def _family_entries(family: str, m: int, n: int) -> tuple[np.ndarray, ...]:
     """Weight-sector entries (d_0, d_1, …, d_n) of a built family, read-only, each sized
     as its dense element is against the budget.
 
-    Π_i = c·(I_i ⊗ Φ_rest) takes c times _sign_entries with own register i; the
-    trivial family's Π_i is c·Φ = Φ/n on all n+1 registers, one array shared by
-    all n.  Π_0's entries are the identity's less Σ_i Π_i's.  No entry is −0.0.
+    Π_i = b·(I_i ⊗ Φ_rest) + (a−b)·Φ takes b times _sign_entries with own register i
+    plus a−b times _sign_entries on all n+1 registers, a weight of 0 contributing no
+    term (_Family): trivial's n elements (b = 0) are one shared array, and optimal's
+    and universal's (a = b) are b·(I_i ⊗ Φ_rest).  Π_0's entries are the identity's
+    less Σ_i Π_i's.  No entry is −0.0.
     """
     check_tensor_square(m, n + 1, "POVM element")
-    index = _weight_sectors(m, n + 1)
-    if family == "trivial":
-        parts = [_frozen_complex(c * _sign_entries(m, n + 1))] * n
-    else:
-        parts = [_frozen_complex(c * _sign_entries(m, n + 1, own=i)) for i in range(1, n + 1)]
-    return (_frozen_complex(index.identity - sum(p.real for p in parts)), *parts)
+    a, b = FAMILIES[family].weights(n)
+    shared = [(a - b) * _sign_entries(m, n + 1)] if a != b else []  # sum(shared, x) is x when empty
+    parts = ([_frozen_complex(sum(shared, b * _sign_entries(m, n + 1, own=i))) for i in range(1, n + 1)] if b
+             else [_frozen_complex(*shared)] * n)
+    return (_frozen_complex(_weight_sectors(m, n + 1).identity - sum(p.real for p in parts)), *parts)
 
 
 def _frozen_complex(d: np.ndarray) -> np.ndarray:
@@ -313,8 +347,8 @@ def _assemble(m: int, n: int, entries) -> tuple[np.ndarray, ...]:
 def family_povm(family: str, m: int, n: int) -> Povm:
     """Built POVM of the named family for n states in dimension m.
 
-    The constructor refuses a family outside its regime (see the build_*
-    functions); cap applies only when its dense elements are read.
+    The constructor refuses a family outside its regime (FAMILIES); cap
+    applies only when its dense elements are read.
     """
     return Povm(m, n, family=family)
 
@@ -355,13 +389,14 @@ def build_trivial_antisym(m: int, n: int) -> Povm:
 def product_probabilities(povm: Povm, factors) -> np.ndarray:
     """<v|Π_k|v> for k = 0..n of a built POVM on the product v = φ_1 ⊗ … ⊗ φ_{n+1}.
 
-    Element i ≥ 1 of the optimal and universal families is c·(I_i ⊗ Φ_rest),
-    and the squared norm of a wedge is the Gram determinant, so
-    <v|Π_i|v> = c·‖φ_i‖²·det(X_rest)/n! with X_rest the Gram matrix of the
-    other n factors.  The trivial family's elements are c·Φ on all n+1
-    registers: c·det(X)/(n+1)!, exactly 0 when m < n+1.  Outcome 0 takes
-    the rest of ‖v‖².  No operator is formed, so no cap applies.  An
-    explicit or sector POVM, which has no built family, is refused.
+    Element i ≥ 1 is a·Φ + b·(I_i ⊗ Φ_rest − Φ), and the squared norm of a
+    wedge is the Gram determinant (_Family), so
+    <v|Π_i|v> = b·‖φ_i‖²·det(G₋ᵢ)/n! + (a−b)·det(G)/(n+1)!, with G the Gram
+    matrix of the n+1 factors and G₋ᵢ that of the other n.  A weight of 0
+    contributes no term, and det(G) is taken only when m > n: Φ = 0 on fewer
+    than n+1 levels.  Outcome 0 takes the rest of ‖v‖².  No operator is
+    formed, so no cap applies.  An explicit or sector POVM, which has no built
+    family, is refused.
     """
     if povm.family is None:
         raise ValueError("a POVM with no built family has no closed-form outcome probabilities")
@@ -370,13 +405,11 @@ def product_probabilities(povm: Povm, factors) -> np.ndarray:
     if f.shape != (n + 1, m):
         raise LayoutMismatch(f"factors of shape {f.shape} do not match POVM with m={m}, n={n}")
     norms = np.sum(np.abs(f) ** 2, axis=1)
-    if povm.family == "trivial":
-        det = gram_det(f) if m >= n + 1 else 0.0
-        probs = np.full(n, povm.c * det / math.factorial(n + 1))
-    else:
-        probs = np.array(
-            [povm.c * norms[i] * gram_det(np.delete(f, i, axis=0)) for i in range(n)]
-        ) / math.factorial(n)
+    a, b = FAMILIES[povm.family].weights(n)
+    probs = (np.array([b * norms[i] * gram_det(np.delete(f, i, axis=0)) for i in range(n)]) / math.factorial(n)
+             if b else np.zeros(n))
+    if a != b and m > n:
+        probs = probs + (a - b) * gram_det(f) / math.factorial(n + 1)
     return np.concatenate([[np.prod(norms) - probs.sum()], probs])
 
 
@@ -384,8 +417,12 @@ def outcome_probabilities(povm: Povm, inp) -> np.ndarray:
     """Tr(Π_k ρ_in) for k = 0..n, for a ProgramInput, a state vector or a density matrix.
 
     A built POVM measuring a ProgramInput goes through the closed form
-    (product_probabilities); every other pairing takes the dense quadratic
-    form on the POVM's elements.
+    (product_probabilities); any other POVM takes a ProgramInput's vector.
+    When every element is zero outside its weight sectors (Povm._sectors),
+    the sector entries d_k are read against the input's entries at the same
+    pairs, Σ d·conj(v[rows])·v[cols] for a vector and Σ d·ρ[cols, rows] for
+    a density, and no dense element is formed; otherwise each takes the dense
+    quadratic form on the POVM's elements.
     """
     if isinstance(inp, ProgramInput):
         if povm.family is not None:
@@ -393,15 +430,19 @@ def outcome_probabilities(povm: Povm, inp) -> np.ndarray:
         inp = inp.vector
     arr = np.asarray(inp, dtype=complex)
     dim = povm.dim
+    if arr.ndim not in (1, 2):
+        raise ValueError("input must be a vector or a square matrix")
+    if arr.shape != (dim,) * arr.ndim:
+        what = f"vector of length {arr.shape[0]}" if arr.ndim == 1 else f"matrix of shape {arr.shape}"
+        raise LayoutMismatch(f"input {what}, POVM dimension {dim}")
+    sectors = povm._sectors
+    if sectors is not None:
+        index = _weight_sectors(povm.m, povm.n + 1)
+        pairs = arr[index.rows].conj() * arr[index.cols] if arr.ndim == 1 else arr[index.cols, index.rows]
+        return np.array([(d @ pairs).real for d in sectors])
     if arr.ndim == 1:
-        if arr.shape[0] != dim:
-            raise LayoutMismatch(f"input vector of length {arr.shape[0]}, POVM dimension {dim}")
         return np.array([(arr.conj() @ e @ arr).real for e in povm.elements])
-    if arr.ndim == 2:
-        if arr.shape != (dim, dim):
-            raise LayoutMismatch(f"input matrix of shape {arr.shape}, POVM dimension {dim}")
-        return np.array([np.einsum("ij,ji->", e, arr).real for e in povm.elements])  # Tr(Π_k ρ)
-    raise ValueError("input must be a vector or a square matrix")
+    return np.array([np.einsum("ij,ji->", e, arr).real for e in povm.elements])  # Tr(Π_k ρ)
 
 
 # ---------------------------------------------------------------------------
@@ -483,18 +524,14 @@ def _sector_leakage(m: int, n: int, d: np.ndarray, i: int) -> float:
 
 
 def success_factor(family: str, n: int) -> float:
-    """κ such that the named family identifies each of n states with probability κ·det(X).
-
-    Element i of the optimal and universal families is c·(I_i ⊗ Φ_rest), so
-    κ = c/n!: n/(n+1)! for optimal, 1/(n·n!) for universal.  The trivial
-    family's elements live on the antisymmetric subspace of all n+1
-    registers, which a repeated state annihilates, so κ = 0.
+    """κ = b/n! such that the named family identifies each of n states with probability
+    κ·det(X) (_Family): n/(n+1)! for optimal, 1/(n·n!) for universal and 0 for trivial.
     """
-    if family not in _COEFFICIENTS:
+    if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     if n < 1:
         raise ValueError(f"need at least one state, got n={n}")
-    return 0.0 if family == "trivial" else _COEFFICIENTS[family](n) / math.factorial(n)
+    return FAMILIES[family].weights(n)[1] / math.factorial(n)
 
 
 def success_prob_analytic(states, family: str) -> float:

@@ -177,7 +177,11 @@ def extremal_eigenvalues(gs: GramStructure) -> SpectralSummary:
 
 
 def c_optimal(m: int, n: int) -> float:
-    """Largest admissible POVM coefficient, 1/λ_max(G).
+    """Largest admissible POVM coefficient within c·(I_i ⊗ Φ_rest), 1/λ_max(G).
+
+    Outside that form it is not the largest when m > n: the unambiguous
+    covariant Π_i = b·(I_i ⊗ Φ_rest − Φ), Φ on all n+1 registers, is
+    admissible up to b = n/(n+1) (discriminator._Family).
 
     G is a direct sum of copies of the Γ block and, when m > n, the Λ block,
     so λ_max(G) is the larger of their largest eigenvalues; no label and no

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from conftest import ROUND_TRIP, rand_independent_states, rand_states
 from udisc.cli import _parser, main
 from udisc.config import DEFAULT_ENTRY_CAP
-from udisc.discriminator import Povm
+from udisc.discriminator import FAMILIES, Povm
 from udisc.io import read_povm, write_density, write_povm, write_states
 
 
@@ -727,6 +727,12 @@ class TestParserOptions:
         for name, command in sub.choices.items():
             taken = {s for a in command._actions for s in a.option_strings or [a.dest]}
             assert taken == self.COMMON | self.OPTIONS[name], name
+
+    def test_family_choices_are_the_discriminator_table(self):
+        (sub,) = [a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        for name in ("build", "prob", "sample"):
+            (family,) = [a for a in sub.choices[name]._actions if "--family" in a.option_strings]
+            assert list(family.choices) == ["optimal", "universal", "trivial"] == list(FAMILIES), name
 
     def test_verify_seed_is_documented_as_a_no_op(self):
         (sub,) = [a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction)]

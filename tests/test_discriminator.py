@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -6,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import permutation_operator, rand_independent_states, rand_states
-from udisc.antisym import Permutation, _WeightSectors, all_permutations
+from udisc.antisym import Permutation, _WeightSectors, _sign_entries, _weight_sectors, all_permutations
 from udisc.discriminator import (
+    FAMILIES,
     PERMUTATION_COV_TOL,
     Povm,
     build_optimal_equal,
@@ -325,8 +327,15 @@ def rotated(povm, rng):
     return Povm(povm.m, povm.n, elements=[v @ e @ v.conj().T for e in povm.elements])
 
 
-@pytest.mark.parametrize("povm", [build_universal(3, 2), rotated(build_universal(3, 2), np.random.default_rng(30))],
-                         ids=["built", "explicit"])
+# built and sector POVMs, and an explicit one zero outside its sectors, read d_k; the
+# explicit rotated one has entries off every sector and takes the dense forms
+PROBABILITY_POVMS = [build_universal(3, 2), rotated(build_universal(3, 2), np.random.default_rng(30)),
+                     Povm(3, 2, sectors=build_universal(3, 2)._sectors),
+                     Povm(3, 2, elements=build_universal(3, 2).elements)]
+PROBABILITY_IDS = ["built", "explicit", "sector", "explicit-in-sectors"]
+
+
+@pytest.mark.parametrize("povm", PROBABILITY_POVMS, ids=PROBABILITY_IDS)
 def test_density_probabilities_match_the_product_trace(povm):
     # oracle: Tr(Π_k ρ) from the dim x dim product, on a random full-rank ρ
     a = np.random.default_rng(31).normal(size=(povm.dim, povm.dim, 2)) @ [1, 1j]
@@ -334,6 +343,72 @@ def test_density_probabilities_match_the_product_trace(povm):
     rho /= np.trace(rho).real
     expected = [np.trace(e @ rho).real for e in povm.elements]
     assert max_abs(outcome_probabilities(povm, rho) - expected) <= 1e-12
+
+
+@pytest.mark.parametrize("povm", PROBABILITY_POVMS, ids=PROBABILITY_IDS)
+def test_vector_probabilities_match_the_quadratic_form(povm):
+    # oracle: <v|Π_k|v> on the dense elements, for a random unit vector
+    v = np.random.default_rng(33).normal(size=(povm.dim, 2)) @ [1, 1j]
+    v /= np.linalg.norm(v)
+    expected = [(v.conj() @ e @ v).real for e in povm.elements]
+    assert max_abs(outcome_probabilities(povm, v) - expected) <= 1e-12
+
+
+def test_sector_probabilities_scatter_no_dense_element():
+    p = build_universal(4, 3)
+    rng = np.random.default_rng(34)
+    v, a = rng.normal(size=(256, 2)) @ [1, 1j], rng.normal(size=(256, 256, 2)) @ [1, 1j]
+    explicit = Povm(4, 3, elements=build_universal(4, 3).elements)
+    for inp in (v / np.linalg.norm(v), a @ a.conj().T / np.trace(a @ a.conj().T).real, np.eye(256) / 256):
+        assert max_abs(outcome_probabilities(p, inp) - outcome_probabilities(explicit, inp)) <= 1e-12
+    assert p._elements is None
+    # a ProgramInput on a sector POVM goes through its vector, against the built closed form
+    sector = Povm(4, 3, sectors=p._sectors)
+    states = rand_independent_states(3, 4, np.random.default_rng(35))
+    for j in range(1, 4):
+        inp = program_input(states, j)
+        assert max_abs(outcome_probabilities(sector, inp) - outcome_probabilities(p, inp)) <= 1e-12
+    assert sector._elements is None and p._elements is None
+
+
+class TestFamilyTable:
+    """Π_i = a·Φ + b·(I_i ⊗ Φ_rest − Φ): the region of (a, b) and the built families' rows."""
+
+    @staticmethod
+    def weighted(m, n, a, b):
+        """Sector POVM with Π_i = b·(I_i ⊗ Φ_rest) + (a − b)·Φ and Π_0 = I − Σ_i Π_i."""
+        parts = [b * _sign_entries(m, n + 1, own=i) + (a - b) * _sign_entries(m, n + 1) for i in range(1, n + 1)]
+        return Povm(m, n, sectors=[_weight_sectors(m, n + 1).identity - sum(parts), *parts])
+
+    @pytest.mark.parametrize("m,n", [(4, 2), (4, 3), (5, 2), (5, 3), (6, 3)])
+    def test_verify_passes_exactly_inside_the_region(self, m, n):
+        # 0 ≤ a ≤ 1/n and 0 ≤ b ≤ n/(n+1) when m > n; every point is covariant
+        for a in (-0.01, 0.0, 1 / (2 * n), 1 / n, 1 / n + 0.01):
+            for b in (-0.01, 0.0, n / (2 * (n + 1)), n / (n + 1), n / (n + 1) + 0.01):
+                povm = self.weighted(m, n, a, b)
+                inside = 0 <= a <= 1 / n and 0 <= b <= n / (n + 1)
+                assert verify_unambiguous(povm).passed == inside, (a, b)
+                assert check_covariance(povm).passed, (a, b)
+
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_every_row_lies_inside_the_region(self, family, n):
+        row = FAMILIES[family]
+        a, b = row.weights(n)
+        assert 0 <= b <= n / (n + 1)
+        # a weighs Φ on all n+1 registers, which is 0 unless m > n
+        if any(row.admits(m, n) for m in range(n + 1, n + 4)):
+            assert 0 <= a <= 1 / n
+        m = next(m for m in range(n, n + 4) if row.admits(m, n))
+        assert family_povm(family, m, n).c == max(a, b)
+        assert success_factor(family, n) == b / math.factorial(n)
+
+    @pytest.mark.parametrize("family,m,n", [("optimal", 3, 3), ("universal", 4, 3), ("trivial", 4, 3),
+                                            ("trivial", 3, 3), ("universal", 5, 2)])
+    def test_rows_build_the_weighted_entries(self, family, m, n):
+        a, b = FAMILIES[family].weights(n)
+        for built, weighted in zip(family_povm(family, m, n)._sectors, self.weighted(m, n, a, b)._sectors):
+            assert max_abs(built - weighted) <= 1e-15
 
 
 class TestClosedForm:
