@@ -28,28 +28,18 @@ from .tensor_algebra import as_state_set, kron_chain, sorted_distinct
 TRACE_TOL = 1e-9
 
 
-def _cycle_sign(images: tuple[int, ...]) -> int:
-    """Permutation parity from the cycle decomposition: (-1)^(n - #cycles)."""
-    n = len(images)
-    seen = [False] * n
-    sign = 1
-    for start in range(n):
-        if seen[start]:
-            continue
-        length = 0
-        k = start
-        while not seen[k]:
-            seen[k] = True
-            k = images[k] - 1
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
+def _sorting_signs(rows: np.ndarray) -> np.ndarray:
+    """Per row of an integer array, the sign of the permutation that sorts it: the product
+    of one np.sign per pair of places, −1 for each inversion and 0 when an entry repeats."""
+    sign = np.ones(len(rows), dtype=np.int64)
+    for a, b in itertools.combinations(range(rows.shape[1]), 2):
+        sign *= np.sign(rows[:, b] - rows[:, a])
     return sign
 
 
 @dataclass(frozen=True)
 class Permutation:
-    """A permutation of {1..n}, position k ↦ images[k-1], with its parity."""
+    """A permutation of {1..n}, position k ↦ images[k-1], with its parity (_sorting_signs)."""
 
     images: tuple[int, ...]
     sign: int = field(init=False)
@@ -60,7 +50,7 @@ class Permutation:
         if n < 1 or sorted(images) != list(range(1, n + 1)):
             raise ValueError(f"{images} is not a permutation of 1..{n}")
         object.__setattr__(self, "images", images)
-        object.__setattr__(self, "sign", _cycle_sign(images))
+        object.__setattr__(self, "sign", int(_sorting_signs(np.array([images]))[0]))
 
     @property
     def n(self) -> int:
@@ -147,9 +137,8 @@ class AntisymProjector:
 
 
 def _nonzeros(a: np.ndarray) -> int:
-    """Number of nonzero real and imaginary parts (a signed zero counts as zero)."""
-    a = np.ravel(a)
-    return np.count_nonzero(a.view(np.float64) if a.dtype == np.complex128 else a)
+    """Number of nonzero real and imaginary parts of a complex array (−0.0 counts as zero)."""
+    return np.count_nonzero(np.ravel(a).view(np.float64))
 
 
 class _WeightSectors:
@@ -296,21 +285,18 @@ def _sign_entries(m: int, count: int, own: int | None = None) -> np.ndarray:
     <x|P|y> = S(x)·S(y)/k! when x and y hold the same own level and the same
     set of k distinct levels on the other registers (so share a sector),
     and 0 otherwise.  S(x) is the sign of the permutation that sorts x's
-    levels there, an integer product of one np.sign per register pair, 0
-    when a level repeats: the one σ taking y to x has sgn(σ) = S(x)·S(y).
+    levels there (_sorting_signs, Permutation's rule too), 0 when a level
+    repeats: the one σ taking y to x has sgn(σ) = S(x)·S(y).
     Integers until the division keep −0.0 out.
     """
     index = _weight_sectors(m, count)
     digits, rows, cols = index.digits, index.rows, index.cols
     rest = digits if own is None else np.delete(digits, own - 1, axis=1)
-    k = rest.shape[1]
-    sign = np.ones(len(digits), dtype=np.int64)
-    for a, b in itertools.combinations(range(k), 2):
-        sign *= np.sign(rest[:, b] - rest[:, a])
+    sign = _sorting_signs(rest)
     product = sign[rows] * sign[cols]
     if own is not None:
         product *= digits[rows, own - 1] == digits[cols, own - 1]
-    return product / math.factorial(k)
+    return product / math.factorial(rest.shape[1])
 
 
 def antisym_projector(m: int, n: int) -> AntisymProjector:

@@ -31,7 +31,10 @@ outside its sectors it takes the same sector route, and otherwise the
 dense route of every check.  Unitary invariance is proven, not sampled,
 from two level permutations and one lowering generator (_unitary_residual).
 The index's maps and the entries of I − Φ are built on first use and kept,
-read-only.
+read-only.  A Povm's three forms (explicit, built, sector) share one storage
+rule: every array it holds or hands out is a complex, read-only ndarray
+(_frozen_complex).  A complex array the caller gives is shared, so the caller
+must not change it afterwards; any other input is copied once.
 """
 
 from __future__ import annotations
@@ -127,7 +130,9 @@ class Povm:
     - explicit: its dense elements, with c = family = None;
     - built (family_povm and the build_* functions): its family, a row of
       FAMILIES, and c = max(a, b) of that row's weights; its weight-sector
-      entries are formed on first use;
+      entries are formed on first use.  c is Π_i's largest eigenvalue only
+      when m > n or a = b: at m = n, Φ = 0, so trivial's Π_1..Π_n are 0
+      while its c is 1/n;
     - sector: the weight-sector entries d_k of each element (sectors), zero
       outside them, in a sector-row file's order, as read_povm reads one (a
       dense file is read as an explicit POVM).
@@ -137,6 +142,11 @@ class Povm:
     dense-storage budget in force then (config.entry_cap).  Outcome
     probabilities of product inputs of a built POVM need neither
     (product_probabilities).
+
+    Every array a Povm holds or hands out is a complex, read-only ndarray, so
+    the checks, the writer and every probability route read one operator: a
+    complex ndarray given is shared (the caller must not change it), a real
+    array or a nested list copied once.
 
     Layout, size, regime and finiteness are checked here, so the checks, the
     writer and residuals read any Povm as it is: a family outside its regime
@@ -166,27 +176,23 @@ class Povm:
                 raise WrongRegime(FAMILIES[family].refusal.format(m=m, n=n))
         elif m < 1 or n < 1:
             raise InvalidPovm(f"m and n must be positive, got m={m}, n={n}")
-        if elements is not None:
-            elements, dim = tuple(elements), m ** (n + 1)
-            if len(elements) != n + 1:
-                raise InvalidPovm(f"expected {n + 1} elements, got {len(elements)}")
-            for idx, e in enumerate(elements):
-                if np.shape(e) != (dim, dim):
-                    raise InvalidPovm(f"element {idx} has shape {np.shape(e)}, expected {(dim, dim)}")
-        if sectors is not None:
-            sectors = tuple(np.asarray(d, dtype=complex).view() for d in sectors)  # shared, read-only
-            check_tensor_square(m, n + 1, "POVM element")
-            size = len(_weight_sectors(m, n + 1).same)
-            if len(sectors) != n + 1 or any(d.shape != (size,) for d in sectors):
-                raise InvalidPovm(f"sector entries must be n+1 = {n + 1} arrays of {size} entries")
-            for d in sectors:
-                d.setflags(write=False)
-        for idx, e in enumerate(elements or sectors or ()):
-            if not all_finite(e):
-                raise InvalidPovm(f"element {idx} holds a NaN or an infinity")
+        arrays = None if family is not None else tuple(elements if sectors is None else sectors)
+        if arrays is not None:
+            if sectors is not None:
+                check_tensor_square(m, n + 1, "POVM element")
+            shape = (m ** (n + 1),) * 2 if sectors is None else (len(_weight_sectors(m, n + 1).same),)
+            if len(arrays) != n + 1:
+                raise InvalidPovm(f"expected {n + 1} elements, got {len(arrays)}")
+            arrays = tuple(map(_frozen_complex, arrays))
+            for idx, d in enumerate(arrays):
+                if d.shape != shape:
+                    raise InvalidPovm(f"element {idx} has shape {d.shape}, expected {shape}")
+                if not all_finite(d):
+                    raise InvalidPovm(f"element {idx} holds a NaN or an infinity")
         c = None if family is None else max(FAMILIES[family].weights(n))
         fields = ("m", "n", "family", "c", "_elements", "_entries")
-        for name, value in zip(fields, (m, n, family, c, elements, sectors)):
+        for name, value in zip(fields, (m, n, family, c, arrays if sectors is None else None,
+                                        arrays if sectors is not None else None)):
             object.__setattr__(self, name, value)
 
     @property
@@ -246,7 +252,7 @@ class Povm:
         """
         index = _weight_sectors(self.m, self.n + 1)
         for k, (d, diagonal) in enumerate(self._sector_split):
-            e = d if diagonal else np.asarray(self.elements[k])
+            e = d if diagonal else self.elements[k]
             try:
                 require_conjugate_pairs(e, d[index.transposed] if diagonal else e.T.copy())
             except NotHermitian as exc:
@@ -256,7 +262,7 @@ class Povm:
         sectors = self._sectors
         if sectors is None:
             return mins, max_abs(sum(self.elements) - np.eye(self.dim))
-        total = np.asarray(sum(sectors), dtype=complex)  # a new array: sum starts from 0
+        total = sum(sectors)  # a new array: sum starts from 0
         total[index.identity] -= 1.0
         return mins, max_abs(total)
 
@@ -273,20 +279,24 @@ class ProgramInput:
     """Program registers loaded with the candidate states, data register with state j.
 
     The m^(n+1) tensor-product vector is formed (and checked against cap)
-    only when read; the closed form works on the n+1 factors.
+    only when read; the closed form works on the n+1 factors.  The states are
+    a read-only copy, and the factors and the vector are read-only.
     """
 
     states: np.ndarray
     data_index: int
 
+    def __post_init__(self):
+        object.__setattr__(self, "states", _frozen_complex(np.array(self.states, dtype=complex)))
+
     @property
     def factors(self) -> np.ndarray:
         """The n+1 register states as rows: the candidates, then state j."""
-        return np.vstack([self.states, self.states[self.data_index - 1]])
+        return _frozen_complex(np.vstack([self.states, self.states[self.data_index - 1]]))
 
     @cached_property
     def vector(self) -> np.ndarray:
-        return kron_chain(self.factors)
+        return _frozen_complex(kron_chain(self.factors))
 
 
 def program_input(states, j: int) -> ProgramInput:
@@ -325,8 +335,9 @@ def _family_entries(family: str, m: int, n: int) -> tuple[np.ndarray, ...]:
     return (_frozen_complex(_weight_sectors(m, n + 1).identity - sum(p.real for p in parts)), *parts)
 
 
-def _frozen_complex(d: np.ndarray) -> np.ndarray:
-    out = d.astype(complex)
+def _frozen_complex(d) -> np.ndarray:
+    """d as a read-only complex ndarray (Povm's storage rule): a view of a complex d, else a copy."""
+    out = np.asarray(d, dtype=complex).view()
     out.setflags(write=False)
     return out
 
@@ -340,7 +351,7 @@ def _assemble(m: int, n: int, entries) -> tuple[np.ndarray, ...]:
     scattered = {}
     for d in entries:
         if id(d) not in scattered:
-            scattered[id(d)] = index.scatter(d)
+            scattered[id(d)] = _frozen_complex(index.scatter(d))
     return tuple(scattered[id(d)] for d in entries)
 
 

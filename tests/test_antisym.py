@@ -37,6 +37,14 @@ class TestPermutation:
     def test_sign(self, images, sign):
         assert Permutation(images).sign == sign
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_sign_is_the_determinant_of_the_permutation_matrix(self, n):
+        # an oracle apart from both parity rules: det of the matrix taking e_k to e_images[k]
+        for sigma in all_permutations(n):
+            matrix = np.zeros((n, n))
+            matrix[np.array(sigma.images) - 1, np.arange(n)] = 1.0
+            assert sigma.sign == round(np.linalg.det(matrix))
+
     def test_inverse(self):
         p = Permutation((2, 3, 1))
         q = p.inverse()

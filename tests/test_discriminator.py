@@ -12,6 +12,7 @@ from udisc.discriminator import (
     FAMILIES,
     PERMUTATION_COV_TOL,
     Povm,
+    ProgramInput,
     build_optimal_equal,
     build_trivial_antisym,
     build_universal,
@@ -84,6 +85,21 @@ class TestProgramInput:
     def test_index_out_of_range(self):
         with pytest.raises(IndexOutOfRange):
             program_input(np.eye(2, dtype=complex), 3)
+
+    @pytest.mark.parametrize("make", [lambda s: program_input(s, 1), lambda s: ProgramInput(s, 1)],
+                             ids=["program_input", "direct"])
+    def test_keeps_a_read_only_copy_of_its_states(self, make):
+        states = np.eye(3, dtype=complex)[:2].copy()
+        inp = make(states)
+        povm = build_universal(3, 2)
+        sector = Povm(3, 2, sectors=povm._sectors)
+        outcome_probabilities(sector, inp)  # the sector form reads, and keeps, inp.vector
+        states[1] = np.array([1, 1, 0]) / np.sqrt(2)
+        assert np.allclose(outcome_probabilities(povm, inp), [0.75, 0.25, 0], atol=1e-15)
+        assert np.allclose(outcome_probabilities(sector, inp), [0.75, 0.25, 0], atol=1e-15)
+        for array in (inp.states, inp.factors, inp.vector):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
 
 
 class TestBuilders:
@@ -652,7 +668,7 @@ class TestCovariance:
 
 @pytest.mark.parametrize("call,error,message", [
     (lambda: Povm(2, 2, sectors=[np.zeros(3)] * 3), InvalidPovm,
-     r"^sector entries must be n\+1 = 3 arrays of \d+ entries$"),
+     r"^element 0 has shape \(3,\), expected \(20,\)$"),
     (lambda: family_povm("best", 3, 2), ValueError, "unknown family 'best'"),
     (lambda: family_povm("universal", 3, 1), WrongRegime, "need at least two states, got n=1"),
     (lambda: family_povm("trivial", 2, 3), WrongRegime, "no discriminator is defined for m=2 < n=3"),

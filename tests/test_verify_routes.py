@@ -51,6 +51,7 @@ from udisc.discriminator import (
     _unitary_residual,
     check_covariance,
     family_povm,
+    outcome_probabilities,
     verify_unambiguous,
 )
 from udisc.cli import main
@@ -566,6 +567,51 @@ def with_off_sector_mass(povm, value=1e-3):
         elements[0][i, j] -= value
         elements[1][i, j] += value
     return Povm(m=povm.m, n=povm.n, elements=elements)
+
+
+class TestStorageRule:
+    """Every array a Povm holds or hands out is a complex, read-only ndarray, so each form
+    of the same operator takes the same route to the same bits."""
+
+    @pytest.mark.parametrize("m,n", [(3, 2), (4, 3)])
+    def test_complex_real_and_nested_list_elements_agree_bit_for_bit(self, m, n, tmp_path):
+        elements = with_off_sector_mass(family_povm("universal", m, n)).elements
+        forms = [elements, [e.real.copy() for e in elements], [e.real.tolist() for e in elements]]
+        rng = np.random.default_rng(m * 10 + n)
+        vector = rng.normal(size=m ** (n + 1)) + 1j * rng.normal(size=m ** (n + 1))
+        density = np.outer(vector, vector.conj()) / np.vdot(vector, vector).real
+        seen = set()
+        for k, form in enumerate(forms):
+            povm = Povm(m, n, elements=form)
+            assert povm._sectors is None  # the dense route
+            write_povm(tmp_path / f"{k}.povm", povm)
+            seen.add((repr(verify_unambiguous(povm)), repr(check_covariance(povm)),
+                      outcome_probabilities(povm, vector).tobytes(),
+                      outcome_probabilities(povm, density).tobytes(), (tmp_path / f"{k}.povm").read_bytes()))
+        assert len(seen) == 1
+
+    def test_a_complex_input_is_shared_and_other_input_copied(self):
+        elements = [e.copy() for e in with_off_sector_mass(family_povm("universal", 3, 2)).elements]
+        shared, copied = Povm(3, 2, elements=elements), Povm(3, 2, elements=[e.real for e in elements])
+        for original, e, f in zip(elements, shared.elements, copied.elements, strict=True):
+            assert np.shares_memory(original, e) and original.flags.writeable
+            assert f.dtype == complex and not np.shares_memory(original, f)
+
+    @pytest.mark.parametrize("form", ["explicit", "real", "built", "sector", "read"])
+    def test_writes_into_held_arrays_are_refused(self, form, tmp_path):
+        built = family_povm("universal", 3, 2)
+        write_povm(tmp_path / "u.povm", built)
+        povm = {"explicit": lambda: Povm(3, 2, elements=[e.copy() for e in built.elements]),
+                "real": lambda: Povm(3, 2, elements=[e.real.copy() for e in built.elements]),
+                "built": lambda: built, "sector": lambda: Povm(3, 2, sectors=built._sectors),
+                "read": lambda: read_povm(tmp_path / "u.povm")}[form]()
+        for k in range(3):
+            with pytest.raises(ValueError):
+                povm.elements[k][1, 1] += 0.5
+            with pytest.raises(ValueError):
+                povm._sectors[k][0] = np.nan
+        write_povm(tmp_path / "again.povm", built)
+        assert (tmp_path / "again.povm").read_bytes() == (tmp_path / "u.povm").read_bytes()
 
 
 @pytest.mark.parametrize("form", ["dense", "sector", "sector-form"])
