@@ -22,7 +22,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .config import check_entries, check_tensor_square
-from .tensor_algebra import as_state_set, kron_chain, sorted_distinct
+from .tensor_algebra import as_state_set, frozen, kron_chain, sorted_distinct
 
 # Largest deviation of a projector's trace from its rank C(m, n).
 TRACE_TOL = 1e-9
@@ -188,8 +188,7 @@ class _WeightSectors:
     def gather(self, e: np.ndarray) -> tuple[np.ndarray, bool]:
         """e's entries on the sector blocks, ravel(e)[same] (read-only), and whether e is
         zero outside them: a nonzero count over all of e."""
-        inside = np.ravel(e)[self.same]
-        inside.setflags(write=False)
+        inside = frozen(np.ravel(e)[self.same])
         return inside, _nonzeros(inside) == _nonzeros(e)
 
     @cached_property
@@ -214,10 +213,8 @@ class _WeightSectors:
     def _position(self, row: np.ndarray, col: np.ndarray, read=True) -> np.ndarray:
         """Position in same of the pairs (row, col), broadcast together with read, len(same)
         for a pair outside the sectors or not read; read-only."""
-        out = np.where(read & (self._sector[row] == self._sector[col]), self._row[row] + self._local[col],
-                       len(self.same))
-        out.setflags(write=False)
-        return out
+        inside = read & (self._sector[row] == self._sector[col])
+        return frozen(np.where(inside, self._row[row] + self._local[col], len(self.same)))
 
     @cached_property
     def transposed(self) -> np.ndarray:
@@ -266,9 +263,7 @@ class _WeightSectors:
         lower = _weight_sectors(self.m, count - 1)
         reduced = np.delete(self.digits, i - 1, axis=1) @ self.m ** np.arange(count - 2, -1, -1)
         source = np.flatnonzero(self.digits[self.rows, i - 1] == self.digits[self.cols, i - 1])
-        target = lower._position(reduced[self.rows[source]], reduced[self.cols[source]])
-        source.setflags(write=False)
-        return source, target
+        return frozen(source), lower._position(reduced[self.rows[source]], reduced[self.cols[source]])
 
 
 @cache
@@ -312,7 +307,7 @@ def antisym_projector(m: int, n: int) -> AntisymProjector:
     trace = float(np.trace(p).real)
     if abs(trace - math.comb(m, n)) > TRACE_TOL:
         raise ArithmeticError(f"projector trace {trace!r} differs from C({m},{n})")
-    return AntisymProjector(m, n, p)
+    return AntisymProjector(m, n, frozen(p))
 
 
 def antisym_projector_from_basis(m: int, n: int) -> AntisymProjector:
@@ -322,4 +317,4 @@ def antisym_projector_from_basis(m: int, n: int) -> AntisymProjector:
     for tup in increasing_tuples(m, n):
         v = antisym_basis_vector(tup, m)
         acc += np.outer(v, v.conj())
-    return AntisymProjector(m, n, acc)
+    return AntisymProjector(m, n, frozen(acc))

@@ -42,7 +42,12 @@ def entry_cap(cap: int | None):
     """Run the block under a budget of `cap` entries (None: UDISC_CAP or the default).
 
     The budget is validated on entry (see resolve_cap), and the previous one
-    returns when the block exits, also by an exception.
+    returns when the block exits, also by an exception.  It is kept in a
+    ContextVar, so a threading.Thread started inside the block does not see it
+    (a new thread starts from an empty context unless the interpreter sets
+    sys.flags.thread_inherit_context) and reads UDISC_CAP or the default; run
+    the thread's work as contextvars.copy_context().run(work, ...) to carry the
+    budget into it.
     """
     token = _ENTRY_CAP.set(None if cap is None else int(cap))
     try:

@@ -32,9 +32,10 @@ dense route of every check.  Unitary invariance is proven, not sampled,
 from two level permutations and one lowering generator (_unitary_residual).
 The index's maps and the entries of I − Φ are built on first use and kept,
 read-only.  A Povm's three forms (explicit, built, sector) share one storage
-rule: every array it holds or hands out is a complex, read-only ndarray
-(_frozen_complex).  A complex array the caller gives is shared, so the caller
-must not change it afterwards; any other input is copied once.
+rule: every array it holds or hands out is a complex, read-only ndarray, made
+by udisc's one read-only rule (tensor_algebra.frozen).  A complex array the
+caller gives is shared, so the caller must not change it afterwards; any
+other input is copied once.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from .config import check_tensor_square
 from .errors import IndexOutOfRange, InvalidPovm, LayoutMismatch, NotHermitian, WrongRegime
 from .tensor_algebra import (
     all_finite,
+    frozen,
     gram,
     gram_det,
     kron_chain,
@@ -105,6 +107,22 @@ class _Family(NamedTuple):
     (gram_spectra), on the rest.  When m = n, Φ = 0 and a is free: optimal
     takes a = b, which keeps one term.  A weight of 0 contributes no term
     (_family_entries, product_probabilities).
+
+    Twirling reduces the worst case to these points.  For g = (U, σ) in
+    U(m) × S_n let W_g = U^⊗(n+1)·P_σ, where P_σ permutes the program
+    registers, and (g·Π)_i = W_g† Π_σ(i) W_g.  Then g·Π is again an
+    unambiguous POVM, and its success for data index i on a program ψ equals
+    Π's success for data index σ(i) on the rotated, reordered program g·ψ.
+    The Haar average Π̄ of g·Π over U(m) × S_n is therefore unambiguous and
+    covariant, so it is an (a, b) point, with success
+    b·det(X)/n! ≤ n·det(X)/(n+1)! (det(X) does not change under g).  That
+    success is an average of Π's successes, so it is at least Π's least
+    success over i, U and σ: no unambiguous programmable discriminator
+    guarantees more than n·det(X)/(n+1)! over every collective rotation and
+    reordering of a program.  optimal attains that bound at m = n.  At m > n,
+    universal reaches det(X)/(n·n!), which is (n+1)/n² of the bound; only the
+    points with b = n/(n+1) attain it, the one with a = 0 among them (no
+    built family yet).
     """
 
     weights: Callable[[int], tuple[float, float]]  # n ↦ (a, b)
@@ -183,7 +201,7 @@ class Povm:
             shape = (m ** (n + 1),) * 2 if sectors is None else (len(_weight_sectors(m, n + 1).same),)
             if len(arrays) != n + 1:
                 raise InvalidPovm(f"expected {n + 1} elements, got {len(arrays)}")
-            arrays = tuple(map(_frozen_complex, arrays))
+            arrays = tuple(frozen(d, complex) for d in arrays)
             for idx, d in enumerate(arrays):
                 if d.shape != shape:
                     raise InvalidPovm(f"element {idx} has shape {d.shape}, expected {shape}")
@@ -287,16 +305,16 @@ class ProgramInput:
     data_index: int
 
     def __post_init__(self):
-        object.__setattr__(self, "states", _frozen_complex(np.array(self.states, dtype=complex)))
+        object.__setattr__(self, "states", frozen(np.array(self.states, dtype=complex)))
 
     @property
     def factors(self) -> np.ndarray:
         """The n+1 register states as rows: the candidates, then state j."""
-        return _frozen_complex(np.vstack([self.states, self.states[self.data_index - 1]]))
+        return frozen(np.vstack([self.states, self.states[self.data_index - 1]]))
 
     @cached_property
     def vector(self) -> np.ndarray:
-        return _frozen_complex(kron_chain(self.factors))
+        return frozen(kron_chain(self.factors))
 
 
 def program_input(states, j: int) -> ProgramInput:
@@ -314,7 +332,7 @@ def _complement_entries(m: int, n: int) -> np.ndarray:
     (m, n) per process, read-only.  Every caller holds an element on n+1 registers, whose
     budget covers this index."""
     index = _weight_sectors(m, n)
-    return _frozen_complex(index.identity - _sign_entries(m, n))
+    return frozen(index.identity - _sign_entries(m, n), complex)
 
 
 def _family_entries(family: str, m: int, n: int) -> tuple[np.ndarray, ...]:
@@ -330,16 +348,9 @@ def _family_entries(family: str, m: int, n: int) -> tuple[np.ndarray, ...]:
     check_tensor_square(m, n + 1, "POVM element")
     a, b = FAMILIES[family].weights(n)
     shared = [(a - b) * _sign_entries(m, n + 1)] if a != b else []  # sum(shared, x) is x when empty
-    parts = ([_frozen_complex(sum(shared, b * _sign_entries(m, n + 1, own=i))) for i in range(1, n + 1)] if b
-             else [_frozen_complex(*shared)] * n)
-    return (_frozen_complex(_weight_sectors(m, n + 1).identity - sum(p.real for p in parts)), *parts)
-
-
-def _frozen_complex(d) -> np.ndarray:
-    """d as a read-only complex ndarray (Povm's storage rule): a view of a complex d, else a copy."""
-    out = np.asarray(d, dtype=complex).view()
-    out.setflags(write=False)
-    return out
+    parts = ([frozen(sum(shared, b * _sign_entries(m, n + 1, own=i)), complex) for i in range(1, n + 1)]
+             if b else [frozen(*shared, complex)] * n)
+    return (frozen(_weight_sectors(m, n + 1).identity - sum(p.real for p in parts), complex), *parts)
 
 
 def _assemble(m: int, n: int, entries) -> tuple[np.ndarray, ...]:
@@ -351,7 +362,7 @@ def _assemble(m: int, n: int, entries) -> tuple[np.ndarray, ...]:
     scattered = {}
     for d in entries:
         if id(d) not in scattered:
-            scattered[id(d)] = _frozen_complex(index.scatter(d))
+            scattered[id(d)] = frozen(index.scatter(d))
     return tuple(scattered[id(d)] for d in entries)
 
 

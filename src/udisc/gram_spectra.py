@@ -20,12 +20,13 @@ from .antisym import antisym_basis_vector, increasing_tuples
 from .config import check_entries, resolve_cap
 from .discriminator import auto_family, family_povm
 from .errors import CapExceeded, WrongRegime
-from .tensor_algebra import own_register_first, reorder_factors
+from .tensor_algebra import frozen, own_register_first, reorder_factors
 
 # c_optimal: largest disagreement between the numeric and closed-form coefficients.
 COEFFICIENT_TOL = 1e-9
 
 Label = tuple[int, int, tuple[int, ...]]  # (register i, level k, tuple ς)
+BlockKey = tuple[str, tuple[int, ...]]  # ("gamma", ς) or ("lambda", ξ)
 
 
 @dataclass(frozen=True)
@@ -45,16 +46,22 @@ class GramStructure:
     labels: tuple[Label, ...]
     matrix: np.ndarray
 
-    def block_partition(self) -> dict[tuple[str, tuple[int, ...]], list[int]]:
+    def block_partition(self) -> dict[BlockKey, list[int]]:
         """Label indices grouped into Γ_ς blocks (k ∈ ς) and Λ_ξ blocks (k ∉ ς)."""
-        groups: dict[tuple[str, tuple[int, ...]], list[int]] = {}
-        for idx, (_, k, s) in enumerate(self.labels):
-            if k in s:
-                key = ("gamma", s)
-            else:
-                key = ("lambda", tuple(sorted(s + (k,))))
-            groups.setdefault(key, []).append(idx)
-        return groups
+        return _block_partition(self.labels)
+
+
+def _block_partition(labels) -> dict[BlockKey, list[int]]:
+    """GramStructure.block_partition of these labels, which gram_closed_form reads
+    before its value is made."""
+    groups: dict[BlockKey, list[int]] = {}
+    for idx, (_, k, s) in enumerate(labels):
+        if k in s:
+            key = ("gamma", s)
+        else:
+            key = ("lambda", tuple(sorted(s + (k,))))
+        groups.setdefault(key, []).append(idx)
+    return groups
 
 
 def _labels_for(m: int, n: int) -> list[Label]:
@@ -100,13 +107,13 @@ def build_basis_vectors(m: int, n: int) -> LabeledVectors:
         vecs[row] = reorder_factors(
             np.kron(eye[k - 1], phi[s]), dims, own_register_first(i, n + 1)
         )
-    return LabeledVectors(m=m, n=n, labels=tuple(labels), vectors=vecs)
+    return LabeledVectors(m=m, n=n, labels=tuple(labels), vectors=frozen(vecs))
 
 
 def gram_numeric(lv: LabeledVectors) -> GramStructure:
     """Gram matrix from explicit inner products, in label order."""
     g = lv.vectors.conj() @ lv.vectors.T
-    return GramStructure(m=lv.m, n=lv.n, labels=lv.labels, matrix=g)
+    return GramStructure(m=lv.m, n=lv.n, labels=lv.labels, matrix=frozen(g))
 
 
 def gram_closed_form(m: int, n: int) -> GramStructure:
@@ -120,13 +127,12 @@ def gram_closed_form(m: int, n: int) -> GramStructure:
     (i−1)·len(κ) + κ.index(k).
     """
     labels = tuple(_sized_labels(m, n, True, "Gram matrix"))
-    gs = GramStructure(m=m, n=n, labels=labels,
-                       matrix=np.zeros((len(labels), len(labels)), dtype=complex))
+    g = np.zeros((len(labels), len(labels)), dtype=complex)
     blocks = {"gamma": gamma_block_matrix(n), "lambda": lambda_block_matrix(n) if m > n else None}
-    for (kind, key), idx in gs.block_partition().items():
+    for (kind, key), idx in _block_partition(labels).items():
         rows = [(labels[a][0] - 1) * len(key) + key.index(labels[a][1]) for a in idx]
-        gs.matrix[np.ix_(idx, idx)] = blocks[kind][np.ix_(rows, rows)]
-    return gs
+        g[np.ix_(idx, idx)] = blocks[kind][np.ix_(rows, rows)]
+    return GramStructure(m=m, n=n, labels=labels, matrix=frozen(g))
 
 
 def gamma_block_matrix(n: int) -> np.ndarray:
@@ -156,11 +162,13 @@ def lambda_block_matrix(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectralSummary:
+    """λ_max of the whole Gram matrix, and (key, λ_max) per block in block_partition() order."""
+
     lambda_max: float
-    block_maxima: dict[tuple[str, tuple[int, ...]], float]
+    block_maxima: tuple[tuple[BlockKey, float], ...]
 
     def max_over(self, kind: str) -> float:
-        vals = [v for (k, _), v in self.block_maxima.items() if k == kind]
+        vals = [v for (k, _), v in self.block_maxima if k == kind]
         if not vals:
             raise KeyError(f"no {kind!r} blocks present")
         return max(vals)
@@ -169,10 +177,8 @@ class SpectralSummary:
 def extremal_eigenvalues(gs: GramStructure) -> SpectralSummary:
     """Largest eigenvalue of the whole Gram matrix and of each Γ/Λ block."""
     lam = float(np.linalg.eigvalsh(gs.matrix)[-1])
-    maxima = {}
-    for key, idx in gs.block_partition().items():
-        sub = gs.matrix[np.ix_(idx, idx)]
-        maxima[key] = float(np.linalg.eigvalsh(sub)[-1])
+    maxima = tuple((key, float(np.linalg.eigvalsh(gs.matrix[np.ix_(idx, idx)])[-1]))
+                   for key, idx in gs.block_partition().items())
     return SpectralSummary(lambda_max=lam, block_maxima=maxima)
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from .config import NULL_TOL, SUPPORT_TOL
 from .discriminator import auto_family, family_povm, product_probabilities, success_factor
 from .errors import LayoutMismatch, ProgramNotIndependent, WrongRegime
-from .tensor_algebra import gram_det, hermitize, require_psd
+from .tensor_algebra import frozen, gram_det, hermitize, require_psd
 
 PART_EIGENVALUE_TOL = 1e-9
 DISCRIMINABLE_TRACE_TOL = 1e-9
@@ -125,10 +125,10 @@ def core_decompose(rhos) -> CoreDecomposition:
         scaled = supports[i][1]
         _, s, vh = np.linalg.svd((np.eye(dim) - b @ b.conj().T) @ scaled)
         a = scaled @ vh[_rank(s):].conj().T
-        hat = hermitize(a @ a.conj().T)
+        hat = frozen(hermitize(a @ a.conj().T))
         hats.append(hat)
-        tildes.append(hermitize(rho - hat))
-    tilde0 = hermitize(sum(hats))
+        tildes.append(frozen(hermitize(rho - hat)))
+    tilde0 = frozen(hermitize(sum(hats)))
     return CoreDecomposition(tildes=tuple(tildes), hats=tuple(hats), tilde0=tilde0)
 
 
@@ -170,8 +170,8 @@ def build_program(cores: CoreDecomposition) -> MixedProgram:
         w, v = np.linalg.eigh(hermitize(op))
         sel = w > PART_EIGENVALUE_TOL
         vecs = v[:, sel][:, ::-1].T  # descending weight order
-        part_states.append(vecs)
-        part_weights.append(w[sel][::-1])
+        part_states.append(frozen(vecs))
+        part_weights.append(frozen(w[sel][::-1]))
 
     all_states = np.vstack([p for p in part_states if p.size] or [np.zeros((0, cores.dim))])
     total = all_states.shape[0]
@@ -195,7 +195,7 @@ def build_program(cores: CoreDecomposition) -> MixedProgram:
         part_states=tuple(part_states),
         part_weights=tuple(part_weights),
         part_registers=tuple(registers),
-        states=all_states,
+        states=frozen(all_states),
         det_gram=det,
     )
 

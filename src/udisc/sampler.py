@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discriminator import Povm, outcome_probabilities
+from .tensor_algebra import frozen
 
 CLAMP_TOL = 1e-12
 RESIDUAL_TOL = 1e-9
@@ -54,7 +55,7 @@ def distribution_from_probs(probs, labels=None) -> OutcomeDistribution:
     p[0] += residual
     if p[0] < 0:
         p[0] = 0.0
-    return OutcomeDistribution(labels=labels, probabilities=p)
+    return OutcomeDistribution(labels=labels, probabilities=frozen(p))
 
 
 def outcome_distribution(povm: Povm, inp) -> OutcomeDistribution:

@@ -7,6 +7,13 @@ sequence of its factor dimensions (``factors``, (m,)*(n+1) for the
 discriminators).  Factors are addressed with 1-based indices throughout
 (registers 1..n, data register n+1), and the first tensor factor always
 owns the slowest-varying index, matching ``numpy.kron``.
+
+frozen is the home of udisc's one read-only rule: every array held by a
+value a udisc function returns (a Povm, a ProgramInput, a projector, a
+distribution, a Gram structure, a core decomposition, a program) and every
+array the sector index keeps goes through it.  A function that returns a
+bare array (kron_chain, partial_trace, gram, …) returns a fresh, writable
+one that belongs to the caller.
 """
 
 from __future__ import annotations
@@ -32,6 +39,15 @@ def max_abs(a: np.ndarray) -> float:
     """Max norm: largest entry magnitude (0 for empty input)."""
     a = np.asarray(a)
     return 0.0 if a.size == 0 else float(np.max(np.abs(a)))
+
+
+def frozen(a, dtype=None) -> np.ndarray:
+    """a as a read-only ndarray of dtype (a's own when None): a read-only view of an
+    ndarray that already has it, so the caller's name for the array stays writable
+    and the caller must not change it afterwards; anything else is copied once."""
+    out = np.asarray(a, dtype=dtype).view()
+    out.setflags(write=False)
+    return out
 
 
 def sorted_distinct(a: np.ndarray) -> np.ndarray:

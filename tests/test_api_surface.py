@@ -4,10 +4,12 @@ The budget is chosen only through config.entry_cap (or UDISC_CAP), and every
 tolerance is a named module constant: no public callable takes a ``tol``.
 Registers are named by one convention, the plain sequence of factor
 dimensions.  The covariance check is exact, so nothing but the shot sampler
-takes a seed or a trial count.
+takes a seed or a trial count.  Every array a returned value holds is read-only
+(tensor_algebra.frozen), and every public value class holding arrays is checked so.
 """
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import os
@@ -17,8 +19,27 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import udisc
-from udisc.tensor_algebra import partial_trace, reorder_factors
+from udisc import (
+    antisym_projector,
+    antisym_projector_from_basis,
+    build_basis_vectors,
+    build_program,
+    build_universal,
+    core_decompose,
+    distribution_from_probs,
+    extremal_eigenvalues,
+    family_povm,
+    gram_closed_form,
+    gram_numeric,
+    outcome_distribution,
+    program_input,
+    sample,
+)
+from udisc.tensor_algebra import frozen, partial_trace, reorder_factors
 
 
 def _public_callables():
@@ -127,3 +148,90 @@ def test_every_private_helper_has_a_caller_in_the_package():
                 orphans.append(f"{module}: {name}")
     assert orphans == []
     assert "_weight_sectors" in {name for name, _ in _private_definitions(trees["antisym.py"])}
+
+
+# One value per function that returns a value holding arrays; each thunk first reads the
+# caches a value fills on use (Povm's dense elements and sector split, ProgramInput's vector).
+def _read(value, *attributes):
+    for attribute in attributes:
+        getattr(value, attribute)
+    return value
+
+
+_DENSITIES = [np.diag([0.5, 0.5, 0.0]), np.diag([0.0, 0.0, 1.0])]
+_VALUES = {
+    "antisym_projector": lambda: antisym_projector(3, 2),
+    "antisym_projector_from_basis": lambda: antisym_projector_from_basis(3, 2),
+    "distribution_from_probs": lambda: distribution_from_probs([0.5, 0.25, 0.25]),
+    "outcome_distribution": lambda: outcome_distribution(build_universal(3, 2), _orthonormal_input()),
+    "build_basis_vectors": lambda: build_basis_vectors(3, 2),
+    "gram_numeric": lambda: gram_numeric(build_basis_vectors(3, 2)),
+    "gram_closed_form": lambda: gram_closed_form(3, 2),
+    "extremal_eigenvalues": lambda: extremal_eigenvalues(gram_closed_form(3, 2)),
+    "core_decompose": lambda: core_decompose(_DENSITIES),
+    "build_program": lambda: build_program(core_decompose(_DENSITIES)),
+    "family_povm": lambda: _read(family_povm("universal", 3, 2), "elements", "_sector_split"),
+    "program_input": lambda: _read(_orthonormal_input(), "vector"),
+}
+
+
+def _orthonormal_input():
+    return program_input(np.eye(3, dtype=complex)[:2], 1)
+
+
+def _arrays(obj, where):
+    """(where, array) for every ndarray in obj, its attributes (fields and filled caches)
+    and the tuples inside them; a dict fails, as it cannot be made read-only."""
+    assert not isinstance(obj, dict), f"{where} is a dict"
+    if isinstance(obj, np.ndarray):
+        yield where, obj
+    elif isinstance(obj, tuple):
+        for k, item in enumerate(obj):
+            yield from _arrays(item, f"{where}[{k}]")
+    elif dataclasses.is_dataclass(obj):
+        for name, item in vars(obj).items():
+            yield from _arrays(item, f"{where}.{name}")
+
+
+@pytest.mark.parametrize("function", sorted(_VALUES))
+def test_every_array_a_returned_value_holds_is_read_only(function):
+    arrays = list(_arrays(_VALUES[function](), function))
+    assert arrays or function == "extremal_eigenvalues"
+    assert [where for where, a in arrays if a.flags.writeable] == []
+
+
+def test_every_value_class_holding_arrays_is_in_the_table():
+    """A public dataclass of udisc with a field annotated ndarray or dict is made by a
+    function of _VALUES, so a new value class cannot skip the read-only rule."""
+    covered = {type(make()) for make in _VALUES.values()}
+    holding = {obj for _, obj in _public_callables()
+               if dataclasses.is_dataclass(obj)
+               and any("ndarray" in str(f.type) or "dict" in str(f.type) for f in dataclasses.fields(obj))}
+    assert holding
+    assert holding <= covered, sorted(cls.__name__ for cls in holding - covered)
+
+
+def test_a_returned_projector_and_distribution_refuse_writes():
+    with pytest.raises(ValueError, match="read-only"):
+        antisym_projector(3, 2).matrix[0, 0] = 5.0
+    dist = outcome_distribution(build_universal(3, 2), _orthonormal_input())
+    with pytest.raises(ValueError, match="read-only"):
+        dist.probabilities[0] = 1.0
+    assert dist.probabilities.sum() == 1.0
+    assert sample(dist, 100000, 42).counts == (75035, 24965, 0)
+
+
+def test_frozen_shares_an_array_of_its_dtype_and_copies_anything_else_once():
+    a = np.arange(4, dtype=complex)
+    view = frozen(a, complex)
+    assert np.shares_memory(view, a) and not view.flags.writeable
+    a[0] = 7.0  # the caller's own name stays writable, and the view reads the change
+    assert a.flags.writeable and view[0] == 7.0
+    assert np.shares_memory(frozen(a), a)
+    real = np.arange(4.0)
+    for given in (real, real.tolist()):
+        copy = frozen(given, complex)
+        assert copy.dtype == complex and not copy.flags.writeable
+        assert not np.shares_memory(copy, real)
+        assert copy.base is not None and copy.base.base is None  # a view of one fresh array
+        assert np.array_equal(copy, real)
