@@ -7,9 +7,11 @@ levels and tuple entries are 1-based.
 The projector is built two independent ways.  antisym_projector writes its
 weight-sector entries (_weight_sectors, the one index the builders and
 checks share) from the sign identity ⟨x|Φ|y⟩ = S(x)·S(y)/n!, with S(x) the
-sign of the permutation that sorts x's levels; _sign_entries also gives
-the built POVM elements I_i ⊗ Φ_rest.  antisym_projector_from_basis sums
-the outer products of the increasing-tuple basis vectors.
+sign of the permutation that sorts x's levels.  antisym_projector_from_basis
+sums the outer products of the increasing-tuple basis vectors.  The index
+also maps each register permutation P_σ onto its entries
+(_WeightSectors.permutation_positions), from which a POVM element given by
+its coefficients Σ_σ a_σ P_σ takes its sector entries (discriminator).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .config import check_entries, check_tensor_square
+from .config import check_entries, check_factorial, check_tensor_square
 from .tensor_algebra import as_state_set, frozen, kron_chain, sorted_distinct
 
 # Largest deviation of a projector's trace from its rank C(m, n).
@@ -81,6 +83,15 @@ def all_permutations(n: int) -> list[Permutation]:
     return [Permutation(p) for p in itertools.permutations(range(1, n + 1))]
 
 
+@cache
+def _permutation_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(images, signs) of all_permutations(n), in its order: row σ holds σ(1), …, σ(n)
+    and its sign, by Permutation's rule (_sorting_signs); read-only, built once per n per
+    process.  The caller sizes n! first."""
+    images = np.array(list(itertools.permutations(range(1, n + 1))))
+    return frozen(images), frozen(_sorting_signs(images))
+
+
 def _digit_table(m: int, n: int) -> np.ndarray:
     """(m^n, n) table of the base-m digits of each index, first factor slowest."""
     idx = np.arange(m**n)
@@ -125,11 +136,15 @@ def antisym_basis_vector(tup: tuple[int, ...], m: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AntisymProjector:
-    """Projector onto the antisymmetric subspace of n registers of dimension m."""
+    """Projector onto the antisymmetric subspace of n registers of dimension m; the matrix
+    is read-only (tensor_algebra.frozen)."""
 
     m: int
     n: int
     matrix: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "matrix", frozen(self.matrix))
 
     @property
     def rank(self) -> int:
@@ -155,8 +170,9 @@ class _WeightSectors:
         holds one pair (x, x), so d[identity] is the operator's diagonal, x ascending.
 
     _position maps pairs to their place in same by three per-state arrays.
-    The checks' maps (transposed, permuted, lowered, traced) and the
-    block gathers of runs are built on first use and kept.
+    The checks' maps (transposed, permuted, lowered, traced), the block
+    gathers of runs and the map of the register permutations
+    (permutation_positions) are built on first use and kept.
     """
 
     def __init__(self, m: int, count: int):
@@ -217,6 +233,21 @@ class _WeightSectors:
         return frozen(np.where(inside, self._row[row] + self._local[col], len(self.same)))
 
     @cached_property
+    def permutation_positions(self) -> np.ndarray:
+        """(count!, m^count) positions in same of the pairs (P_σ y, y), σ running over
+        all_permutations(count) in order and y over the basis states, P_σ y holding on
+        register r the level y holds on register σ(r).  ⟨x|P_σ|y⟩ is 1 at these pairs
+        and 0 elsewhere, and P_σ keeps y's levels, so every pair is in a sector.  Sized
+        against the budget before it is formed; read-only."""
+        count, dim = self.digits.shape[1], len(self.digits)
+        check_factorial(count, dim, "register permutation map")
+        images = _permutation_table(count)[0] - 1
+        # P_σ y = Σ_r y_σ(r)·m^(count−1−r): weights[σ(r), σ] = m^(count−1−r)
+        weights = np.zeros((count, len(images)), dtype=np.int64)
+        weights[images.T, np.arange(len(images))] = self.m ** np.arange(count - 1, -1, -1)[:, None]
+        return self._position((self.digits @ weights).T, np.arange(dim))
+
+    @cached_property
     def transposed(self) -> np.ndarray:
         """Position in same of (y, x) for each pair (x, y) of same: d[transposed] is D^T's
         entries."""
@@ -272,26 +303,18 @@ def _weight_sectors(m: int, count: int) -> _WeightSectors:
     return _WeightSectors(m, count)
 
 
-def _sign_entries(m: int, count: int, own: int | None = None) -> np.ndarray:
-    """Entries on _weight_sectors(m, count).same of (1/k!)·Σ_σ sgn(σ)·σ on the k
-    registers other than own, tensored with I on register own (1-based;
-    None antisymmetrises all count registers).
+def _sign_entries(m: int, count: int) -> np.ndarray:
+    """Entries on _weight_sectors(m, count).same of Φ = (1/count!)·Σ_σ sgn(σ)·P_σ.
 
-    <x|P|y> = S(x)·S(y)/k! when x and y hold the same own level and the same
-    set of k distinct levels on the other registers (so share a sector),
-    and 0 otherwise.  S(x) is the sign of the permutation that sorts x's
-    levels there (_sorting_signs, Permutation's rule too), 0 when a level
-    repeats: the one σ taking y to x has sgn(σ) = S(x)·S(y).
-    Integers until the division keep −0.0 out.
+    <x|Φ|y> = S(x)·S(y)/count! when x and y hold the same set of count
+    distinct levels (so share a sector), and 0 otherwise.  S(x) is the sign
+    of the permutation that sorts x's levels (_sorting_signs, Permutation's
+    rule too), 0 when a level repeats: the one σ taking y to x has
+    sgn(σ) = S(x)·S(y).  Integers until the division keep −0.0 out.
     """
     index = _weight_sectors(m, count)
-    digits, rows, cols = index.digits, index.rows, index.cols
-    rest = digits if own is None else np.delete(digits, own - 1, axis=1)
-    sign = _sorting_signs(rest)
-    product = sign[rows] * sign[cols]
-    if own is not None:
-        product *= digits[rows, own - 1] == digits[cols, own - 1]
-    return product / math.factorial(rest.shape[1])
+    sign = _sorting_signs(index.digits)
+    return sign[index.rows] * sign[index.cols] / math.factorial(count)
 
 
 def antisym_projector(m: int, n: int) -> AntisymProjector:
@@ -307,7 +330,7 @@ def antisym_projector(m: int, n: int) -> AntisymProjector:
     trace = float(np.trace(p).real)
     if abs(trace - math.comb(m, n)) > TRACE_TOL:
         raise ArithmeticError(f"projector trace {trace!r} differs from C({m},{n})")
-    return AntisymProjector(m, n, frozen(p))
+    return AntisymProjector(m, n, p)
 
 
 def antisym_projector_from_basis(m: int, n: int) -> AntisymProjector:
@@ -317,4 +340,4 @@ def antisym_projector_from_basis(m: int, n: int) -> AntisymProjector:
     for tup in increasing_tuples(m, n):
         v = antisym_basis_vector(tup, m)
         acc += np.outer(v, v.conj())
-    return AntisymProjector(m, n, frozen(acc))
+    return AntisymProjector(m, n, acc)

@@ -9,9 +9,10 @@ semantic failure (verification fail, not discriminable), 2 for input
 errors, which print nothing to stdout.  ``main`` enters
 config.entry_cap(--cap) once.  The budget bounds
 every block an input file declares and the elements ``build`` writes.
-``build`` and ``verify`` form no dense element for a built family or a
-sector-row file (they work on weight-sector entries, and ``build`` writes
-them in io's sector-row layout); ``verify`` reads a dense file as its
+``build`` and ``verify`` form no dense element for a built family, a
+commutant file or a sector-row file (``build`` writes the permutation
+coefficients in io's commutant layout, and ``verify`` works on
+weight-sector entries); ``verify`` reads a dense file as its
 dense elements and checks them on the sector route when they are zero
 outside their weight sectors, with the same output.  prob, sample and
 mixed use the closed-form outcome probabilities of the built families and

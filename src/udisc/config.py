@@ -105,3 +105,18 @@ def check_tensor_square(m: int, k: int, what: str = "matrix") -> int:
     dim = m**k
     check_entries(dim * dim, f"{dim}x{dim} {what}")
     return dim
+
+
+def check_factorial(k: int, per: int, what: str) -> int:
+    """Return k!, after sizing per·k! entries against the budget (check_entries).
+
+    The product is refused as soon as a partial one is over budget, so k! is
+    never formed when it is far over, however large k is.
+    """
+    budget, total = resolve_cap(), per
+    for factor in range(2, k + 1):
+        total *= factor
+        if total > budget:
+            raise CapExceeded(f"{what} with at least {total} complex entries exceeds the cap of {budget}")
+    check_entries(total, what)
+    return total // per

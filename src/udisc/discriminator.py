@@ -16,10 +16,12 @@ refusal.  Its coefficient c, sector entries, product-input probabilities
 
 Every element the paper builds commutes with each collective unitary
 U^⊗(n+1), so it is zero outside its weight sectors (antisym._weight_sectors,
-the one index the builders, the checks and the POVM file codec read).  A
-built POVM, and one read_povm reads from a sector-row file, holds only
-its weight-sector entries d_k (Povm): the writer writes them, in the
-sector-row file layout (io), and every check reads them
+the one index the builders, the checks and the POVM file codec read).  It
+is a combination Σ_σ a_σ P_σ of the register permutations; a built POVM,
+and one read_povm reads from a commutant file, holds those coefficients,
+which the writer writes (io's commutant layout), and expands them once
+into its weight-sector entries d_k (_commutant_entries); one read from a
+sector-row file holds its d_k.  Every check reads them
 (verify_unambiguous, check_covariance), with the dense residuals bit for
 bit except the leakage and the reduction, whose sums run in another
 order; so do the outcome probabilities of a vector or a density.  Dense
@@ -47,8 +49,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .antisym import _sign_entries, _weight_sectors
-from .config import check_tensor_square
+from .antisym import _permutation_table, _sign_entries, _weight_sectors
+from .config import check_factorial, check_tensor_square
 from .errors import IndexOutOfRange, InvalidPovm, LayoutMismatch, NotHermitian, WrongRegime
 from .tensor_algebra import (
     all_finite,
@@ -144,17 +146,23 @@ FAMILIES = {
 class Povm:
     """Measurement {Π_0, Π_1, …, Π_n} on n+1 registers of dimension m.
 
-    A POVM is given in one of three forms:
+    A POVM is given in one of four forms:
     - explicit: its dense elements, with c = family = None;
     - built (family_povm and the build_* functions): its family, a row of
-      FAMILIES, and c = max(a, b) of that row's weights; its weight-sector
-      entries are formed on first use.  c is Π_i's largest eigenvalue only
-      when m > n or a = b: at m = n, Φ = 0, so trivial's Π_1..Π_n are 0
-      while its c is 1/n;
+      FAMILIES, and c = max(a, b) of that row's weights; its permutation
+      coefficients and weight-sector entries are formed on first use.  c is
+      Π_i's largest eigenvalue only when m > n or a = b: at m = n, Φ = 0, so
+      trivial's Π_1..Π_n are 0 while its c is 1/n;
     - sector: the weight-sector entries d_k of each element (sectors), zero
       outside them, in a sector-row file's order, as read_povm reads one (a
-      dense file is read as an explicit POVM).
-    A built or sector POVM is zero outside its weight sectors, and the checks,
+      dense file is read as an explicit POVM);
+    - commutant: the coefficient form, Π_i = Σ_σ a_σ P_σ for i = 1..n, one
+      vector of (n+1)! coefficients per element (coefficients, σ in
+      antisym.all_permutations(n+1) order), as read_povm reads a commutant
+      file; Π_0 is I − Σ_i Π_i.  A built POVM has this form too.
+    A built or commutant POVM takes its d_k from one expansion of its
+    coefficients (_commutant_entries).
+    A built, sector or commutant POVM is zero outside its weight sectors, and the checks,
     the writer and outcome_probabilities read its d_k; its dense elements are
     scattered from them only when something reads elements, under the
     dense-storage budget in force then (config.entry_cap).  Outcome
@@ -169,8 +177,9 @@ class Povm:
     Layout, size, regime and finiteness are checked here, so the checks, the
     writer and residuals read any Povm as it is: a family outside its regime
     raises WrongRegime, and m or n below 1, a wrong count or shape, or a NaN
-    or an infinity in the elements or sector entries raises InvalidPovm (a
-    built family is finite as made).  Hermiticity is residuals' to require.
+    or an infinity in the elements, sector entries or coefficients raises
+    InvalidPovm (a built family is finite as made); n·(n+1)! coefficients
+    are sized against the budget before (n+1)! is formed.  Hermiticity is residuals' to require.
     """
 
     m: int
@@ -180,10 +189,11 @@ class Povm:
     _elements: tuple[np.ndarray, ...] | None
     _entries: tuple[np.ndarray, ...] | None
 
-    def __init__(self, m: int, n: int, elements=None, *, family: str | None = None, sectors=None):
-        if sum(given is not None for given in (elements, family, sectors)) != 1:
+    def __init__(self, m: int, n: int, elements=None, *, family: str | None = None, sectors=None,
+                 coefficients=None):
+        if sum(given is not None for given in (elements, family, sectors, coefficients)) != 1:
             raise ValueError("a POVM is given by one of its dense elements, its weight-sector "
-                             "entries or a built family")
+                             "entries, its permutation coefficients or a built family")
         m, n = int(m), int(n)
         if family is not None:
             if family not in FAMILIES:
@@ -194,24 +204,32 @@ class Povm:
                 raise WrongRegime(FAMILIES[family].refusal.format(m=m, n=n))
         elif m < 1 or n < 1:
             raise InvalidPovm(f"m and n must be positive, got m={m}, n={n}")
-        arrays = None if family is not None else tuple(elements if sectors is None else sectors)
+        given = next((g for g in (elements, sectors, coefficients) if g is not None), None)
+        arrays = None if given is None else tuple(given)
         if arrays is not None:
-            if sectors is not None:
+            first = 0  # the index of the first element given
+            if elements is not None:
+                shape = (m ** (n + 1),) * 2
+            elif sectors is not None:
                 check_tensor_square(m, n + 1, "POVM element")
-            shape = (m ** (n + 1),) * 2 if sectors is None else (len(_weight_sectors(m, n + 1).same),)
-            if len(arrays) != n + 1:
-                raise InvalidPovm(f"expected {n + 1} elements, got {len(arrays)}")
+                shape = (len(_weight_sectors(m, n + 1).same),)
+            else:
+                first, shape = 1, (check_factorial(n + 1, n, "permutation coefficients"),)
+            if len(arrays) != n + 1 - first:
+                raise InvalidPovm(f"expected {n + 1 - first} elements, got {len(arrays)}")
             arrays = tuple(frozen(d, complex) for d in arrays)
-            for idx, d in enumerate(arrays):
+            for idx, d in enumerate(arrays, first):
                 if d.shape != shape:
                     raise InvalidPovm(f"element {idx} has shape {d.shape}, expected {shape}")
                 if not all_finite(d):
                     raise InvalidPovm(f"element {idx} holds a NaN or an infinity")
         c = None if family is None else max(FAMILIES[family].weights(n))
         fields = ("m", "n", "family", "c", "_elements", "_entries")
-        for name, value in zip(fields, (m, n, family, c, arrays if sectors is None else None,
+        for name, value in zip(fields, (m, n, family, c, arrays if elements is not None else None,
                                         arrays if sectors is not None else None)):
             object.__setattr__(self, name, value)
+        if coefficients is not None:  # in place of the cached property, which then never runs
+            object.__setattr__(self, "_coefficients", arrays)
 
     @property
     def elements(self) -> tuple[np.ndarray, ...]:
@@ -233,16 +251,26 @@ class Povm:
     @property
     def _explicit(self) -> bool:
         """Whether the POVM was given by its dense elements."""
-        return self.family is None and self._entries is None
+        return self.family is None and self._entries is None and self._coefficients is None
+
+    @cached_property
+    def _coefficients(self) -> tuple[np.ndarray, ...] | None:
+        """Π_1..Π_n's permutation coefficients a_σ (Π_i = Σ_σ a_σ P_σ, σ in
+        antisym.all_permutations(n+1) order), read-only: a built family's are formed here
+        from its FAMILIES row (_family_coefficients), a commutant POVM's were given (and
+        stored under this name, so this never runs for it); None for the other forms."""
+        return None if self.family is None else _family_coefficients(self.family, self.n)
 
     @cached_property
     def _sector_split(self) -> tuple[tuple[np.ndarray, bool], ...]:
         """Each element's weight-sector entries d_k (read-only) with whether it is zero
         outside its sectors, shared by residuals, _unitary_residual and _sectors.  A
-        built or sector POVM holds its d_k, all zero outside; an explicit one is
-        gathered once, with a nonzero count over each element."""
+        sector POVM holds its d_k; a built or commutant one expands its coefficients
+        (_commutant_entries), the one route from coefficients to d_k; all are zero
+        outside.  An explicit one is gathered once, with a nonzero count over each
+        element."""
         if not self._explicit:
-            entries = self._entries or _family_entries(self.family, self.m, self.n)
+            entries = self._entries or _commutant_entries(self.m, self.n, self._coefficients)
             return tuple((d, True) for d in entries)
         index = _weight_sectors(self.m, self.n + 1)
         return tuple(index.gather(e) for e in self.elements)
@@ -335,22 +363,60 @@ def _complement_entries(m: int, n: int) -> np.ndarray:
     return frozen(index.identity - _sign_entries(m, n), complex)
 
 
-def _family_entries(family: str, m: int, n: int) -> tuple[np.ndarray, ...]:
-    """Weight-sector entries (d_0, d_1, …, d_n) of a built family, read-only, each sized
-    as its dense element is against the budget.
+@cache
+def _family_coefficients(family: str, n: int) -> tuple[np.ndarray, ...]:
+    """Permutation coefficients of a built family's Π_1..Π_n, read-only, sized against the
+    budget first and built once per (family, n) per process.
 
-    Π_i = b·(I_i ⊗ Φ_rest) + (a−b)·Φ takes b times _sign_entries with own register i
-    plus a−b times _sign_entries on all n+1 registers, a weight of 0 contributing no
-    term (_Family): trivial's n elements (b = 0) are one shared array, and optimal's
-    and universal's (a = b) are b·(I_i ⊗ Φ_rest).  Π_0's entries are the identity's
-    less Σ_i Π_i's.  No entry is −0.0.
+    Φ on k registers is Σ_σ sgn(σ)·P_σ/k!, so Π_i = b·(I_i ⊗ Φ_rest) + (a−b)·Φ
+    (_Family) has a_σ = b·sgn(σ)/n! on the σ that fix register i, plus
+    (a−b)·sgn(σ)/(n+1)! on every σ.  Each is formed as b·(sgn(σ)/n!) +
+    (a−b)·(sgn(σ)/(n+1)!), the sign identity's products (antisym._sign_entries),
+    so the expansion gives its entries bit for bit.  trivial's n elements (b = 0)
+    are one shared array.
+    """
+    check_factorial(n + 1, n, "permutation coefficients")
+    a, b = FAMILIES[family].weights(n)
+    images, sign = _permutation_table(n + 1)
+    every = (a - b) * (sign / math.factorial(n + 1))
+    if not b:
+        return (frozen(every, complex),) * n
+    return tuple(frozen(b * (sign * (images[:, i - 1] == i) / math.factorial(n)) + every, complex)
+                 for i in range(1, n + 1))
+
+
+def _commutant_entries(m: int, n: int, coefficients) -> tuple[np.ndarray, ...]:
+    """Weight-sector entries (d_0, d_1, …, d_n), read-only, of the POVM whose Π_i
+    (i ≥ 1) is Σ_σ a_σ P_σ over its coefficients and whose Π_0 is I − Σ_i Π_i, as
+    the paper builds it.  Each is sized as its dense element is against the budget.
+
+    ⟨x|P_σ|y⟩ is 1 when x = P_σ y and 0 otherwise, so d[(x, y)] is Σ a_σ over the σ
+    with P_σ y = x (_WeightSectors.permutation_positions).  Coefficients v and −v
+    are taken together: for each distinct v up to sign, the σ holding v less those
+    holding −v are counted in integers per pair (two bincounts), then multiplied
+    by v once.  Terms that cancel, as the σ of both signs that take y to x when x
+    repeats a level do, give an exact +0.0, and one σ gives ±v: a built family's
+    entries are the sign identity's, b·S(x)·S(y)/n! (antisym._sign_entries),
+    bit for bit.  Π_0 is the identity's entries less Σ_i d_i.  Elements that
+    share one coefficient array share one entry array.
     """
     check_tensor_square(m, n + 1, "POVM element")
-    a, b = FAMILIES[family].weights(n)
-    shared = [(a - b) * _sign_entries(m, n + 1)] if a != b else []  # sum(shared, x) is x when empty
-    parts = ([frozen(sum(shared, b * _sign_entries(m, n + 1, own=i)), complex) for i in range(1, n + 1)]
-             if b else [frozen(*shared, complex)] * n)
-    return (frozen(_weight_sectors(m, n + 1).identity - sum(p.real for p in parts), complex), *parts)
+    index = _weight_sectors(m, n + 1)
+    positions, size = index.permutation_positions, len(index.same)
+    expanded = {}
+    for a in coefficients:
+        if id(a) in expanded:
+            continue
+        negative = (a.real < 0) | ((a.real == 0) & (a.imag < 0))
+        values, which = np.unique(np.where(negative, -a, a), return_inverse=True)
+        d = np.zeros(size, dtype=complex)
+        for j in np.flatnonzero(values):
+            held = which == j
+            d += values[j] * (np.bincount(positions[held & ~negative].ravel(), minlength=size)
+                              - np.bincount(positions[held & negative].ravel(), minlength=size))
+        expanded[id(a)] = frozen(d)
+    parts = [expanded[id(a)] for a in coefficients]
+    return (frozen(index.identity - sum(parts)), *parts)
 
 
 def _assemble(m: int, n: int, entries) -> tuple[np.ndarray, ...]:

@@ -34,17 +34,23 @@ class LabeledVectors:
     m: int
     n: int
     labels: tuple[Label, ...]
-    vectors: np.ndarray  # shape (len(labels), m**(n+1))
+    vectors: np.ndarray  # shape (len(labels), m**(n+1)), read-only
+
+    def __post_init__(self):
+        object.__setattr__(self, "vectors", frozen(self.vectors))
 
 
 @dataclass(frozen=True)
 class GramStructure:
-    """Gram matrix of the labeled basis vectors, in canonical (i, ς, k) order."""
+    """Gram matrix of the labeled basis vectors, in canonical (i, ς, k) order; read-only."""
 
     m: int
     n: int
     labels: tuple[Label, ...]
     matrix: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "matrix", frozen(self.matrix))
 
     def block_partition(self) -> dict[BlockKey, list[int]]:
         """Label indices grouped into Γ_ς blocks (k ∈ ς) and Λ_ξ blocks (k ∉ ς)."""
@@ -107,13 +113,13 @@ def build_basis_vectors(m: int, n: int) -> LabeledVectors:
         vecs[row] = reorder_factors(
             np.kron(eye[k - 1], phi[s]), dims, own_register_first(i, n + 1)
         )
-    return LabeledVectors(m=m, n=n, labels=tuple(labels), vectors=frozen(vecs))
+    return LabeledVectors(m=m, n=n, labels=tuple(labels), vectors=vecs)
 
 
 def gram_numeric(lv: LabeledVectors) -> GramStructure:
     """Gram matrix from explicit inner products, in label order."""
     g = lv.vectors.conj() @ lv.vectors.T
-    return GramStructure(m=lv.m, n=lv.n, labels=lv.labels, matrix=frozen(g))
+    return GramStructure(m=lv.m, n=lv.n, labels=lv.labels, matrix=g)
 
 
 def gram_closed_form(m: int, n: int) -> GramStructure:
@@ -132,7 +138,7 @@ def gram_closed_form(m: int, n: int) -> GramStructure:
     for (kind, key), idx in _block_partition(labels).items():
         rows = [(labels[a][0] - 1) * len(key) + key.index(labels[a][1]) for a in idx]
         g[np.ix_(idx, idx)] = blocks[kind][np.ix_(rows, rows)]
-    return GramStructure(m=m, n=n, labels=labels, matrix=frozen(g))
+    return GramStructure(m=m, n=n, labels=labels, matrix=g)
 
 
 def gamma_block_matrix(n: int) -> np.ndarray:

@@ -14,11 +14,17 @@ sector file     header ``povm-sectors m n k`` with k = n+1, then for each
                 x holding the pairs (x, y) for the y of x's weight sector,
                 in ascending y (the sector-row layout): the dense row with
                 the pairs outside the sector deleted
+commutant file  header ``povm-commutant m n k`` with k = n, then for each
+                element i = 1..n a line ``element i`` followed by (n+1)!
+                rows of one pair ``re im``, the coefficient a_σ of
+                Π_i = Σ_σ a_σ P_σ, σ in antisym.all_permutations(n+1)
+                order (the commutant layout); Π_0 = I − Σ_i Π_i has no block
 
-write_povm writes a built or sector POVM (discriminator.Povm) in the
-sector-row layout and an explicit one in the dense layout; read_povm reads
-a sector-row file into a sector POVM and a dense file into an explicit one,
-so writing what was read gives back the file's bytes in either layout.  The
+write_povm writes a built or commutant POVM (discriminator.Povm) in the
+commutant layout, a sector POVM in the sector-row layout and an explicit
+one in the dense layout; read_povm reads each layout back into the form
+it was written from, so writing what was read gives back the file's bytes
+in every layout.  The
 state and density writers refuse what their readers refuse, by the readers'
 checks and before the file is opened, and write what the readers repair as
 given; a Povm holds nothing read_povm refuses, as its constructor checks.
@@ -26,7 +32,8 @@ given; a Povm holds nothing read_povm refuses, as its constructor checks.
 All are a header and blocks of rows, written and read by one codec, for
 which row r of a block holds the numbers bounds[r] to bounds[r + 1]: a
 dense block's rows are all one width (_dense_bounds), a sector-row block's
-row x holds 2·|sector of x| numbers (_WeightSectors.row_bounds); reader
+row x holds 2·|sector of x| numbers (_WeightSectors.row_bounds), a
+commutant block's rows two numbers each; reader
 and writer take a POVM block's layout from one place (_povm_rows).  The
 writer takes each block's complex entries in file order, a dense matrix or
 a built or sector POVM's weight-sector entries d_k with no dense element,
@@ -62,6 +69,7 @@ holds n+1 arrays of |same| entries and about one chunk.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import stat
 from collections.abc import Iterator
@@ -70,7 +78,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from .antisym import _weight_sectors
-from .config import check_entries, check_tensor_square
+from .config import check_entries, check_factorial, check_tensor_square
 from .discriminator import Povm
 from .errors import FormatError
 from .tensor_algebra import NORM_TOL, all_finite, hermitize, max_abs, sorted_distinct
@@ -117,10 +125,14 @@ def _numbers(entries, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
 def _povm_rows(keyword: str, m: int, n: int) -> np.ndarray:
     """The row bounds of each block of a POVM file, shared by reader and writer: a dense
     block (``povm``) holds an element's rows, a sector-row block (``povm-sectors``) the
-    weight-sector entries d_k as they stand (_WeightSectors.row_bounds)."""
+    weight-sector entries d_k as they stand (_WeightSectors.row_bounds), and a
+    commutant block (``povm-commutant``) one coefficient a_σ per row, (n+1)! rows.
+    The caller has sized the block."""
     if keyword == "povm":
         dim = m ** (n + 1)
         return _dense_bounds(dim, dim)
+    if keyword == "povm-commutant":
+        return _dense_bounds(math.factorial(n + 1), 1)
     return _weight_sectors(m, n + 1).row_bounds
 
 
@@ -420,23 +432,30 @@ def write_povm(path, povm: Povm) -> None:
     """Write a POVM file of n+1 blocks.  Its layout and finiteness were checked when the
     Povm was made, so read_povm refuses nothing it writes, and nothing is checked here.
 
-    A built or sector POVM is written in the sector-row layout (header
-    ``povm-sectors``) from its weight-sector entries d_k as they stand, with
-    no dense element; its elements are sized against the budget first, as
-    the reader sizes them from the header.  An explicit POVM is written in
-    the dense layout (header ``povm``).  read_povm gives back each
-    representation, so write_povm(path, read_povm(path)) rewrites a file
-    written by write_povm byte for byte.  Library code that wants a dense
-    file of a built POVM writes Povm(m, n, elements=povm.elements).
+    A built or commutant POVM is written in the commutant layout (header
+    ``povm-commutant``, n blocks) from its permutation coefficients, with no
+    sector entry and no dense element; its elements are sized against the
+    budget first, as the reader sizes them from the header.  A sector POVM
+    is written in the sector-row layout (header ``povm-sectors``) from its
+    d_k as they stand, and an explicit one in the dense layout (header
+    ``povm``).  read_povm gives back each representation, so
+    write_povm(path, read_povm(path)) rewrites a file written by write_povm
+    byte for byte.  Library code that wants a sector-row or dense file of a
+    built POVM writes Povm(m, n, sectors=povm._sectors) or
+    Povm(m, n, elements=povm.elements).
     """
     m, n = povm.m, povm.n
+    first = 0  # the first element with a block
     if povm._explicit:
         keyword, blocks = "povm", povm.elements
+    elif povm._entries is not None:
+        keyword, blocks = "povm-sectors", povm._entries
     else:
-        keyword, blocks = "povm-sectors", povm._sectors  # sized against the budget
-    labels = [f"element {i}" for i in range(n + 1)]
+        check_tensor_square(m, n + 1, "POVM element")  # before a built family's coefficients
+        keyword, blocks, first = "povm-commutant", povm._coefficients, 1
+    labels = [f"element {i}" for i in range(first, n + 1)]
     bounds = _povm_rows(keyword, m, n)
-    _write_blocks(path, f"{keyword} {m} {n} {n + 1}", zip(labels, (_numbers(b, bounds) for b in blocks)))
+    _write_blocks(path, f"{keyword} {m} {n} {n + 1 - first}", zip(labels, (_numbers(b, bounds) for b in blocks)))
 
 
 def _refuse_non_finite(block, where: str, bounds, first: int = 0) -> None:
@@ -452,30 +471,41 @@ def _refuse_non_finite(block, where: str, bounds, first: int = 0) -> None:
 
 def read_povm(path) -> Povm:
     """Parse a POVM file: a dense file (header ``povm``) gives an explicit POVM, a
-    sector-row file (header ``povm-sectors``) a sector POVM (Povm, sectors=...).
+    sector-row file (header ``povm-sectors``) a sector POVM (Povm, sectors=...) and a
+    commutant file (header ``povm-commutant``) a commutant POVM (Povm, coefficients=...).
 
-    A header whose element count k is not n+1 is refused, and the element
+    A header whose block count k is not n+1 (n for a commutant file, whose
+    element 0 is the remainder and has no block) is refused, and the element
     size m^(n+1) x m^(n+1) is checked against the budget (after
-    config.check_tensor_square), before any row is read, in either layout.
-    Each block is read in row chunks (_scan_block).  A dense file holds n+1
-    dense elements, each within the budget; the checks still take the
-    sector route on them when they are zero outside their weight sectors
-    (Povm._sectors).  A sector-row block's numbers, viewed as complex, are
-    its sector entries d_k: the budget bounds an element that is never
-    formed, and the reader holds n+1 arrays of |same| complex entries, far
-    less than the budget allows.
+    config.check_tensor_square), before any row is read, in every layout; so
+    are a commutant file's n·(n+1)! coefficients, before (n+1)! is formed
+    (config.check_factorial).  Each block is read in row chunks
+    (_scan_block).  A dense file holds n+1 dense elements, each within the
+    budget; the checks still take the sector route on them when they are
+    zero outside their weight sectors (Povm._sectors).  A sector-row block's
+    numbers, viewed as complex, are its sector entries d_k, and a commutant
+    block's its coefficients: the budget bounds an element that is never
+    formed.
     """
-    with _blocks(path, ("povm", "povm-sectors"), 3, "POVM element") as (fh, keyword, (m, n, k)):
-        if k != n + 1:
-            raise FormatError(f"povm header declares {k} elements; a POVM on n={n} states has n+1 = {n + 1}")
+    keywords = ("povm", "povm-sectors", "povm-commutant")
+    with _blocks(path, keywords, 3, "POVM element") as (fh, keyword, (m, n, k)):
+        first = int(keyword == "povm-commutant")  # the first element with a block
+        if k != n + 1 - first:
+            expected = f"n = {n}, elements 1..n" if first else f"n+1 = {n + 1}"
+            raise FormatError(f"{path}: {keyword} header declares {k} elements; a POVM on n={n} states "
+                              f"has {expected}")
         check_tensor_square(m, n + 1, "POVM element")  # refused before m**(n+1) is formed
+        if first:
+            check_factorial(n + 1, n, "permutation coefficients")  # and before (n+1)!
         bounds = _povm_rows(keyword, m, n)
         blocks = []
-        for label in (f"element {i}" for i in range(k)):  # each block's entries in file order
+        for label in (f"element {i}" for i in range(first, n + 1)):  # each block's entries in file order
             line = _content_line(fh) or ""
             if line.split() != label.split():
                 raise FormatError(f"{path}: expected {label!r}, got {line!r}")
             blocks.append(_scan_block(fh, bounds, f"{path}: {label}").view(complex))
     if keyword == "povm":
         return Povm(m, n, elements=[b.reshape(len(bounds) - 1, -1) for b in blocks])
+    if first:
+        return Povm(m, n, coefficients=blocks)
     return Povm(m, n, sectors=blocks)

@@ -43,11 +43,17 @@ def require_density(rho) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CoreDecomposition:
-    """Per-state splits ρ_i = ρ̃_i + ρ̂_i plus the pooled remainder ρ̃_0 = Σ ρ̂_i."""
+    """Per-state splits ρ_i = ρ̃_i + ρ̂_i plus the pooled remainder ρ̃_0 = Σ ρ̂_i, as
+    read-only arrays (tensor_algebra.frozen)."""
 
     tildes: tuple[np.ndarray, ...]
     hats: tuple[np.ndarray, ...]
     tilde0: np.ndarray
+
+    def __post_init__(self):
+        for name in ("tildes", "hats"):
+            object.__setattr__(self, name, tuple(map(frozen, getattr(self, name))))
+        object.__setattr__(self, "tilde0", frozen(self.tilde0))
 
     @property
     def n(self) -> int:
@@ -125,11 +131,10 @@ def core_decompose(rhos) -> CoreDecomposition:
         scaled = supports[i][1]
         _, s, vh = np.linalg.svd((np.eye(dim) - b @ b.conj().T) @ scaled)
         a = scaled @ vh[_rank(s):].conj().T
-        hat = frozen(hermitize(a @ a.conj().T))
+        hat = hermitize(a @ a.conj().T)
         hats.append(hat)
-        tildes.append(frozen(hermitize(rho - hat)))
-    tilde0 = frozen(hermitize(sum(hats)))
-    return CoreDecomposition(tildes=tuple(tildes), hats=tuple(hats), tilde0=tilde0)
+        tildes.append(hermitize(rho - hat))
+    return CoreDecomposition(tildes=tuple(tildes), hats=tuple(hats), tilde0=hermitize(sum(hats)))
 
 
 @dataclass(frozen=True)
@@ -138,7 +143,7 @@ class MixedProgram:
 
     Part 0 carries ρ̃_0, parts 1..n the per-state cores; part i occupies the
     program registers listed in part_registers[i] (1-based, empty when the
-    core vanishes).
+    core vanishes).  Every array is read-only (tensor_algebra.frozen).
     """
 
     dim: int
@@ -147,6 +152,11 @@ class MixedProgram:
     part_registers: tuple[tuple[int, ...], ...]
     states: np.ndarray  # all N program states stacked in register order
     det_gram: float
+
+    def __post_init__(self):
+        for name in ("part_states", "part_weights"):
+            object.__setattr__(self, name, tuple(map(frozen, getattr(self, name))))
+        object.__setattr__(self, "states", frozen(self.states))
 
     @property
     def total(self) -> int:
@@ -170,8 +180,8 @@ def build_program(cores: CoreDecomposition) -> MixedProgram:
         w, v = np.linalg.eigh(hermitize(op))
         sel = w > PART_EIGENVALUE_TOL
         vecs = v[:, sel][:, ::-1].T  # descending weight order
-        part_states.append(frozen(vecs))
-        part_weights.append(frozen(w[sel][::-1]))
+        part_states.append(vecs)
+        part_weights.append(w[sel][::-1])
 
     all_states = np.vstack([p for p in part_states if p.size] or [np.zeros((0, cores.dim))])
     total = all_states.shape[0]
@@ -195,7 +205,7 @@ def build_program(cores: CoreDecomposition) -> MixedProgram:
         part_states=tuple(part_states),
         part_weights=tuple(part_weights),
         part_registers=tuple(registers),
-        states=frozen(all_states),
+        states=all_states,
         det_gram=det,
     )
 

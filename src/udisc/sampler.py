@@ -28,12 +28,46 @@ CHUNK_SHOTS = 2**16
 
 @dataclass(frozen=True)
 class OutcomeDistribution:
+    """Outcome labels and their probabilities, a read-only float array.  What
+    distribution_from_probs never makes is refused here too: a label count other than
+    the outcome count, a NaN or an infinity, a negative entry, or a sum more than
+    RESIDUAL_TOL from 1 (ValueError)."""
+
     labels: tuple[str, ...]
     probabilities: np.ndarray
+
+    def __post_init__(self):
+        p = frozen(self.probabilities, float)
+        if p.ndim != 1:
+            raise ValueError(f"probabilities of shape {p.shape}, expected one per outcome")
+        object.__setattr__(self, "labels", tuple(self.labels))
+        object.__setattr__(self, "probabilities", p)
+        _refuse_entries(p, self.labels, 0.0)
+        _unit_residual(p)
 
     @property
     def size(self) -> int:
         return len(self.labels)
+
+
+def _refuse_entries(p: np.ndarray, labels: tuple, floor: float) -> None:
+    """Refuse a label count other than len(p), a NaN or an infinity (naming its outcome)
+    and an entry below −floor (ValueError)."""
+    if len(labels) != len(p):
+        raise ValueError(f"{len(labels)} labels for {len(p)} probabilities")
+    if not np.isfinite(p).all():
+        k = int(np.argmin(np.isfinite(p)))
+        raise ValueError(f"probability of outcome {k} is {float(p[k])}, not finite")
+    if np.any(p < -floor):
+        raise ValueError(f"probability {float(p.min())} below the clamping tolerance")
+
+
+def _unit_residual(p: np.ndarray) -> float:
+    """1 − Σp, refused (ValueError) when it exceeds RESIDUAL_TOL in magnitude."""
+    residual = 1.0 - float(p.sum())
+    if abs(residual) > RESIDUAL_TOL:
+        raise ValueError(f"probabilities sum to {float(p.sum())}, residual exceeds tolerance")
+    return residual
 
 
 def distribution_from_probs(probs, labels=None) -> OutcomeDistribution:
@@ -41,21 +75,12 @@ def distribution_from_probs(probs, labels=None) -> OutcomeDistribution:
     count), clamp tiny negatives to zero, fold the unit-sum residual into outcome 0."""
     p = np.asarray(probs, dtype=float).copy()
     labels = tuple(str(k) for k in range(len(p))) if labels is None else tuple(labels)
-    if len(labels) != len(p):
-        raise ValueError(f"{len(labels)} labels for {len(p)} probabilities")
-    if not np.isfinite(p).all():
-        k = int(np.argmin(np.isfinite(p)))
-        raise ValueError(f"probability of outcome {k} is {float(p[k])}, not finite")
-    if np.any(p < -CLAMP_TOL):
-        raise ValueError(f"probability {float(p.min())} below the clamping tolerance")
+    _refuse_entries(p, labels, CLAMP_TOL)
     p[p < 0] = 0.0
-    residual = 1.0 - float(p.sum())
-    if abs(residual) > RESIDUAL_TOL:
-        raise ValueError(f"probabilities sum to {float(p.sum())}, residual exceeds tolerance")
-    p[0] += residual
+    p[0] += _unit_residual(p)
     if p[0] < 0:
         p[0] = 0.0
-    return OutcomeDistribution(labels=labels, probabilities=frozen(p))
+    return OutcomeDistribution(labels=labels, probabilities=p)
 
 
 def outcome_distribution(povm: Povm, inp) -> OutcomeDistribution:

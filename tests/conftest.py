@@ -4,9 +4,18 @@ from functools import reduce
 
 import numpy as np
 
-from udisc.antisym import TRACE_TOL, AntisymProjector, Permutation, _digit_table, all_permutations
+from udisc.antisym import (
+    TRACE_TOL,
+    AntisymProjector,
+    Permutation,
+    _digit_table,
+    _sign_entries,
+    _sorting_signs,
+    _weight_sectors,
+    all_permutations,
+)
 from udisc.config import NULL_TOL, SUPPORT_TOL, check_tensor_square
-from udisc.discriminator import family_povm
+from udisc.discriminator import FAMILIES, family_povm
 from udisc.errors import LayoutMismatch
 from udisc.gram_spectra import gamma_block_matrix, lambda_block_matrix
 from udisc.mixed_states import CoreDecomposition, require_density
@@ -167,6 +176,32 @@ def element_spectra(family, m, n):
     pi0 = np.concatenate([1.0 - c * gram, np.ones(dim - len(gram))])
     outcome = np.concatenate([np.zeros(dim - rank), np.full(rank, c)])
     return [np.sort(pi0)] + [outcome] * n
+
+
+# Oracle for a built family's sector entries: the sign identity on the registers other
+# than i, which gave the built entries before their permutation coefficients did.
+
+
+def sign_entries_own(m, count, own):
+    """Entries on _weight_sectors(m, count).same of I_own ⊗ Φ_rest, Φ_rest = (1/k!)·Σ_σ sgn(σ)·σ
+    on the k = count − 1 registers other than own (1-based): S(x)·S(y)/k! when x and y hold
+    the same own level and the same set of k distinct levels on the others, else 0, S the
+    sign of the permutation that sorts those levels (0 when one repeats)."""
+    index = _weight_sectors(m, count)
+    sign = _sorting_signs(np.delete(index.digits, own - 1, axis=1))
+    product = sign[index.rows] * sign[index.cols]
+    product *= index.digits[index.rows, own - 1] == index.digits[index.cols, own - 1]
+    return product / math.factorial(count - 1)
+
+
+def sign_route_entries(family, m, n):
+    """(d_0, …, d_n) of a built family by the sign identity: Π_i = b·(I_i ⊗ Φ_rest) + (a−b)·Φ,
+    a weight of 0 contributing no term, and Π_0 = I − Σ_i Π_i."""
+    a, b = FAMILIES[family].weights(n)
+    shared = [(a - b) * _sign_entries(m, n + 1)] if a != b else []  # sum(shared, x) is x when empty
+    parts = [sum(shared, b * sign_entries_own(m, n + 1, i)) for i in range(1, n + 1)] if b else shared * n
+    parts = [np.asarray(d, dtype=complex) for d in parts]
+    return [np.asarray(_weight_sectors(m, n + 1).identity - sum(d.real for d in parts), dtype=complex), *parts]
 
 
 # Oracle for the sector-row POVM layout of udisc.io.

@@ -39,6 +39,11 @@ from udisc import (
     program_input,
     sample,
 )
+from udisc.antisym import AntisymProjector
+from udisc.discriminator import Povm, ProgramInput
+from udisc.gram_spectra import GramStructure, LabeledVectors
+from udisc.mixed_states import CoreDecomposition, MixedProgram
+from udisc.sampler import OutcomeDistribution
 from udisc.tensor_algebra import frozen, partial_trace, reorder_factors
 
 
@@ -170,7 +175,7 @@ _VALUES = {
     "extremal_eigenvalues": lambda: extremal_eigenvalues(gram_closed_form(3, 2)),
     "core_decompose": lambda: core_decompose(_DENSITIES),
     "build_program": lambda: build_program(core_decompose(_DENSITIES)),
-    "family_povm": lambda: _read(family_povm("universal", 3, 2), "elements", "_sector_split"),
+    "family_povm": lambda: _read(family_povm("universal", 3, 2), "elements", "_sector_split", "_coefficients"),
     "program_input": lambda: _read(_orthonormal_input(), "vector"),
 }
 
@@ -209,6 +214,35 @@ def test_every_value_class_holding_arrays_is_in_the_table():
                and any("ndarray" in str(f.type) or "dict" in str(f.type) for f in dataclasses.fields(obj))}
     assert holding
     assert holding <= covered, sorted(cls.__name__ for cls in holding - covered)
+
+
+# One value per value class holding arrays, made directly from writable arrays.
+_DIRECT = {
+    "AntisymProjector": lambda: AntisymProjector(2, 2, np.eye(4)),
+    "OutcomeDistribution": lambda: OutcomeDistribution(("0", "1"), np.array([0.5, 0.5])),
+    "LabeledVectors": lambda: LabeledVectors(2, 1, ((1, 1, (1,)),), np.ones((1, 4))),
+    "GramStructure": lambda: GramStructure(2, 1, ((1, 1, (1,)),), np.ones((1, 1))),
+    "CoreDecomposition": lambda: CoreDecomposition((np.eye(2) / 2,) * 2, (np.zeros((2, 2)),) * 2, np.zeros((2, 2))),
+    "MixedProgram": lambda: MixedProgram(2, (np.zeros((0, 2)), np.eye(2)[:1]), (np.zeros(0), np.ones(1)),
+                                         ((), (1,)), np.eye(2)[:1], 1.0),
+    "ProgramInput": lambda: ProgramInput(np.eye(3)[:2], 1),
+    "Povm": lambda: Povm(3, 2, coefficients=[np.zeros(6), np.zeros(6)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DIRECT))
+def test_a_value_made_directly_holds_read_only_arrays(name):
+    value = _DIRECT[name]()
+    arrays = list(_arrays(value, name))
+    assert arrays
+    assert [where for where, a in arrays if a.flags.writeable] == []
+
+
+def test_every_value_class_holding_arrays_freezes_them_itself():
+    holding = {obj for _, obj in _public_callables()
+               if dataclasses.is_dataclass(obj)
+               and any("ndarray" in str(f.type) for f in dataclasses.fields(obj))}
+    assert holding <= {type(make()) for make in _DIRECT.values()}
 
 
 def test_a_returned_projector_and_distribution_refuse_writes():

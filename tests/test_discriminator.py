@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import permutation_operator, rand_independent_states, rand_states
+from conftest import permutation_operator, rand_independent_states, rand_states, sign_entries_own, sign_route_entries
 from udisc.antisym import Permutation, _WeightSectors, _sign_entries, _weight_sectors, all_permutations
 from udisc.discriminator import (
     FAMILIES,
@@ -393,7 +393,7 @@ class TestFamilyTable:
     @staticmethod
     def weighted(m, n, a, b):
         """Sector POVM with Π_i = b·(I_i ⊗ Φ_rest) + (a − b)·Φ and Π_0 = I − Σ_i Π_i."""
-        parts = [b * _sign_entries(m, n + 1, own=i) + (a - b) * _sign_entries(m, n + 1) for i in range(1, n + 1)]
+        parts = [b * sign_entries_own(m, n + 1, i) + (a - b) * _sign_entries(m, n + 1) for i in range(1, n + 1)]
         return Povm(m, n, sectors=[_weight_sectors(m, n + 1).identity - sum(parts), *parts])
 
     @pytest.mark.parametrize("m,n", [(4, 2), (4, 3), (5, 2), (5, 3), (6, 3)])
@@ -689,10 +689,120 @@ class TestCovariance:
     (lambda: Povm(-2, 1, elements=[np.eye(4)] * 2), InvalidPovm, r"^m and n must be positive, got m=-2, n=1$"),
     (lambda: Povm(0, 2, sectors=[np.zeros(1)] * 3), InvalidPovm, r"^m and n must be positive, got m=0, n=2$"),
     (lambda: Povm(2, -1, sectors=[]), InvalidPovm, r"^m and n must be positive, got m=2, n=-1$"),
+    # the commutant form holds Π_1..Π_n, (n+1)! coefficients each; Π_0 is the remainder
+    (lambda: Povm(3, 2, coefficients=[np.zeros(6)] * 3), InvalidPovm, r"^expected 2 elements, got 3$"),
+    (lambda: Povm(3, 2, coefficients=[np.zeros(6), np.zeros(5)]), InvalidPovm,
+     r"^element 2 has shape \(5,\), expected \(6,\)$"),
+    (lambda: Povm(3, 2, coefficients=[np.zeros(6), np.full(6, np.nan)]), InvalidPovm,
+     r"^element 2 holds a NaN or an infinity$"),
+    (lambda: Povm(1, 10**6, coefficients=[]), CapExceeded,
+     r"^permutation coefficients with at least \d+ complex entries exceeds the cap of \d+$"),
+    (lambda: Povm(3, 2, coefficients=[np.zeros(6)] * 2, family="universal"), ValueError,
+     r"^a POVM is given by one of its dense elements"),
 ], ids=["sector-count", "unknown-family", "one-state", "trivial-m<n", "input-shape", "input-rank",
         "success-factor-family", "povm-unknown-family", "povm-optimal-m!=n", "povm-universal-m<=n",
         "povm-trivial-one-state", "povm-count", "povm-shape", "povm-n=0", "povm-m<0", "povm-sector-m=0",
-        "povm-sector-n<0"])
+        "povm-sector-n<0", "commutant-count", "commutant-shape", "commutant-nan", "commutant-huge-n",
+        "two-forms"])
 def test_refusals_name_the_defect(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+# (m, n) of the expansion's dense-oracle comparison, m < n+1 among them.
+EXPANSION_SIZES = [(3, 2), (2, 3), (4, 3), (3, 4)]
+# The golden build triples, then (trivial,3,3) and (optimal,2,2).
+SIGN_ROUTE_TRIPLES = [("universal", 3, 2), ("optimal", 3, 3), ("universal", 5, 2), ("universal", 4, 3),
+                      ("trivial", 4, 3), ("optimal", 4, 4), ("universal", 8, 3), ("trivial", 3, 3),
+                      ("optimal", 2, 2)]
+
+
+def dense_commutant(m, count, coefficients):
+    """Σ_σ a_σ P_σ over all_permutations(count), P_σ formed from the digit table: column y
+    holds a 1 at the state whose register r holds y's level on register σ(r)."""
+    digits = np.stack(np.unravel_index(np.arange(m**count), (m,) * count), axis=1)
+    powers = m ** np.arange(count - 1, -1, -1)
+    out = np.zeros((m**count,) * 2, dtype=complex)
+    for sigma, a in zip(all_permutations(count), coefficients, strict=True):
+        out[digits[:, np.array(sigma.images) - 1] @ powers, np.arange(m**count)] += a
+    return out
+
+
+class TestCommutantForm:
+    """Π_i = Σ_σ a_σ P_σ for i ≥ 1 and Π_0 = I − Σ_i Π_i: the one expansion from coefficients
+    to sector entries, for built and commutant POVMs alike."""
+
+    @pytest.mark.parametrize("m,n", EXPANSION_SIZES)
+    def test_expansion_matches_the_dense_oracle(self, m, n):
+        """Random complex, non-Hermitian coefficients, dyadic so that both sums are exact:
+        any difference is an entry put at a wrong pair."""
+        rng = np.random.default_rng(101 + 10 * m + n)
+        size = math.factorial(n + 1)
+        coefficients = [(rng.integers(-64, 65, size) + 1j * rng.integers(-64, 65, size)) / 64 for _ in range(n)]
+        povm = Povm(m, n, coefficients=coefficients)
+        dense = [dense_commutant(m, n + 1, a) for a in coefficients]
+        expected = [np.eye(m ** (n + 1)) - sum(dense), *dense]
+        for got, want in zip(povm.elements, expected, strict=True):
+            assert max_abs(got - want) <= 1e-15
+        assert not all(np.array_equal(e, e.conj().T) for e in povm.elements[1:])
+
+    def test_permutation_operator_convention(self):
+        """P_σ maps φ_1 ⊗ … ⊗ φ_N to φ_σ(1) ⊗ … ⊗ φ_σ(N), as wedge and Permutation read σ."""
+        rng = np.random.default_rng(7)
+        states = rand_states(3, 2, rng)
+        for k, sigma in enumerate(all_permutations(3)):
+            a = np.zeros(6)
+            a[k] = 1.0
+            p = dense_commutant(2, 3, a)
+            assert max_abs(p @ kron_chain(list(states)) - kron_chain([states[i - 1] for i in sigma.images])) <= 1e-15
+            assert max_abs(p - permutation_operator(sigma, 2)) == 0.0
+
+    @pytest.mark.parametrize("family,m,n", SIGN_ROUTE_TRIPLES)
+    def test_built_entries_are_the_sign_route_bit_for_bit(self, family, m, n):
+        for got, want in zip(family_povm(family, m, n)._sectors, sign_route_entries(family, m, n), strict=True):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("family,m,n", SIGN_ROUTE_TRIPLES)
+    def test_a_file_read_commutant_povm_takes_the_same_expansion(self, family, m, n, tmp_path):
+        built = family_povm(family, m, n)
+        path = tmp_path / "c.povm"
+        write_povm(path, built)
+        read = read_povm(path)
+        assert read.family is None and not read._explicit
+        for a, b in zip(read._coefficients, built._coefficients, strict=True):
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
+        for a, b in zip(read._sectors, built._sectors, strict=True):
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+    @pytest.mark.parametrize("family,m,n", [("universal", 3, 2), ("trivial", 4, 3), ("optimal", 3, 3)])
+    def test_writing_a_built_povm_forms_no_sector_entry(self, family, m, n, tmp_path):
+        povm = family_povm(family, m, n)
+        write_povm(tmp_path / "b.povm", povm)
+        assert "_sector_split" not in povm.__dict__ and povm._elements is None
+        read = read_povm(tmp_path / "b.povm")
+        write_povm(tmp_path / "again.povm", read)
+        assert "_sector_split" not in read.__dict__
+
+    def test_product_probabilities_form_no_coefficients(self):
+        povm = family_povm("universal", 4, 3)
+        states = rand_independent_states(3, 4, np.random.default_rng(3))
+        outcome_probabilities(povm, program_input(states, 2))
+        success_prob_operational(povm, states, 1)
+        assert "_coefficients" not in povm.__dict__ and "_sector_split" not in povm.__dict__
+
+    def test_coefficients_are_built_once_and_shared_read_only(self):
+        a = family_povm("trivial", 4, 3)._coefficients
+        assert a is family_povm("trivial", 5, 3)._coefficients
+        assert a[0] is a[1] is a[2] and not a[0].flags.writeable
+        u = family_povm("universal", 4, 3)._coefficients
+        assert len({id(x) for x in u}) == 3 and not any(x.flags.writeable for x in u)
+
+    def test_cancelling_coefficients_give_exact_zeros(self):
+        """Coefficients that cancel give +0.0 where a running sum would not: each distinct
+        value is counted in integers against its negative, then multiplied once."""
+        a = np.array([0.1, 0.2, -0.1, -0.2, 0.3, -0.3])
+        assert sum(a.tolist()) != 0.0  # 0.1 + 0.2 rounds up, and the rest leaves 2.8e-17
+        d = Povm(2, 2, coefficients=[a, a])._sectors[1]
+        index = _weight_sectors(2, 3)
+        at = int(np.flatnonzero((index.rows == 0) & (index.cols == 0))[0])  # |000><000|: every σ
+        assert d[at : at + 1].view(np.int64).tolist() == [0, 0]

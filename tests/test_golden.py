@@ -1,7 +1,8 @@
 """Golden outputs: the reproducibility contracts pinned to fixed values.
 
-Only platform-stable outputs are pinned.  A built file comes from integer
-signs, one division and 17-digit formatting; sampled counts come from the
+Only platform-stable outputs are pinned.  A built file holds each element's
+permutation coefficients, from integer signs, two divisions and 17-digit
+formatting; sampled counts come from the
 PCG64 stream, identical on every platform; a rewritten file is the file read.
 No eigenvalue, determinant or BLAS-product bits are pinned: psd_min_<k>
 comes from an eigen-solve and leakage_<i> from batched block products, so
@@ -26,25 +27,25 @@ from udisc.sampler import distribution_from_probs, sample
 # (family, m, n): SHA-256 of the `udisc build` file, and the verify --format kv keys that
 # print exactly 0 other than psd_min_<k> and leakage_<i>.
 BUILD = {
-    ("universal", 3, 2): ("752750b424b113d641f1a32f5d26b8ceced6ce46718273330d046c849ed2d568",
+    ("universal", 3, 2): ("8220f80d62d1056ac018a17b7e2a081c116cb625373b8d5ced909908e0b7177a",
                           {"completeness_residual", "unitary_residual", "permutation_residual",
                            "reduction_residual", "reduction_spread"}),
-    ("optimal", 3, 3): ("b9ef160bf33b2a805f023584185fbd7ffaa8b2412c605a00384df48f28b31568",
+    ("optimal", 3, 3): ("7d7ebbf2c83ab4fc639f3b033189e2341a2c3a89d35dfd70cec8957a3e14b6cb",
                         {"completeness_residual", "unitary_residual", "permutation_residual",
                          "reduction_residual", "reduction_spread"}),
-    ("universal", 5, 2): ("a6a2e23cba661652dc5eff8b18994639241659544395f4ff45e064307f935193",
+    ("universal", 5, 2): ("1e860454f91047e7ebbb8db6ac9395d132aee0d39894bb257c6f8f6295d808ff",
                           {"completeness_residual", "unitary_residual", "permutation_residual",
                            "reduction_residual", "reduction_spread"}),
-    ("universal", 4, 3): ("a8bc5c4130501e56a19b8d276c061fadf95521251de50f659894ed924dbae479",
+    ("universal", 4, 3): ("5dd6060512d60e8f4f1ea6ceb35ec75cd1c166f0f0ca2f775af54e39a0c1f26e",
                           {"completeness_residual", "permutation_residual", "reduction_residual",
                            "reduction_spread"}),
-    ("trivial", 4, 3): ("3747fa15c847415f5dbfb4a63a00b28b192b6f162aec8495a412f69ab1cf8f24",
+    ("trivial", 4, 3): ("0e86be395c4ea3a8a8da7b62ec1240deff833d26fd0495eeda2ba3d0369eb90e",
                         {"unitary_residual", "permutation_residual", "reduction_residual",
                          "reduction_spread"}),
-    ("optimal", 4, 4): ("665629dcd076a61a913dbd9c2358d9e4d3ceb68e1e8f5e2293637f1cdcba2b2b",
+    ("optimal", 4, 4): ("7de16dbc7779d6ce36a0e73435d33465a9750ed2bcde243da0f1fd457ce95718",
                         {"completeness_residual", "unitary_residual", "permutation_residual",
                          "reduction_residual", "reduction_spread"}),
-    ("universal", 8, 3): ("04b1c606e2e7d8195d6724740ededc8b06f2ef32c7a96c11e232a526ee8db239",
+    ("universal", 8, 3): ("d27d704b29fb5342a3b446db79a16ea18e25c839bc148ddba3b6eba117baf94e",
                           {"completeness_residual", "permutation_residual", "reduction_residual",
                            "reduction_spread"}),
 }
@@ -92,6 +93,22 @@ def test_rewriting_a_sector_file_gives_it_back(built, tmp_path):
     _, path = built
     write_povm(tmp_path / "again.povm", read_povm(path))
     assert (tmp_path / "again.povm").read_bytes() == path.read_bytes()
+    povm = read_povm(path)
+    write_povm(tmp_path / "sector.povm", Povm(povm.m, povm.n, sectors=povm._sectors))
+    write_povm(tmp_path / "again.povm", read_povm(tmp_path / "sector.povm"))
+    assert (tmp_path / "again.povm").read_bytes() == (tmp_path / "sector.povm").read_bytes()
+
+
+def test_verify_prints_the_same_bytes_on_the_build_file_and_its_sector_row_rewrite(built, tmp_path):
+    """The commutant file build writes and the sector-row file of its entries, which build
+    wrote before, verify to the same bytes: one set of d_k, expanded or read."""
+    _, path = built
+    povm = read_povm(path)
+    assert path.read_text().split("\n", 1)[0] == f"povm-commutant {povm.m} {povm.n} {povm.n}"
+    sector = tmp_path / "sector.povm"
+    write_povm(sector, Povm(povm.m, povm.n, sectors=povm._sectors))
+    assert sector.read_text().startswith("povm-sectors ")
+    assert cli("verify", str(path), "--format", "kv") == cli("verify", str(sector), "--format", "kv")
 
 
 @pytest.mark.parametrize("family, m, n", [("universal", 3, 2), ("optimal", 3, 3), ("universal", 5, 2)])

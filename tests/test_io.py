@@ -27,14 +27,17 @@ from udisc.errors import CapExceeded, FormatError, InvalidPovm, WrongRegime
 from udisc.io import read_density, read_povm, read_states, write_density, write_povm, write_states
 from udisc.tensor_algebra import max_abs
 
-# The two POVM file layouts: "dense" rows of m^(n+1) pairs, "sector" rows of the row's weight sector.
+# The two POVM file layouts of sector entries: "dense" rows of m^(n+1) pairs, "sector" rows of
+# the row's weight sector.  A built POVM itself is written in the commutant layout.
 LAYOUTS = ["dense", "sector"]
 
 
 def in_layout(layout, povm):
     """What write_povm writes in the named layout: povm's explicit dense copy for "dense",
-    a built or sector POVM itself for "sector"."""
-    return Povm(povm.m, povm.n, elements=povm.elements) if layout == "dense" else povm
+    its sector form for "sector"."""
+    if layout == "dense":
+        return Povm(povm.m, povm.n, elements=povm.elements)
+    return Povm(povm.m, povm.n, sectors=povm._sectors)
 
 
 class TestStateFiles:
@@ -735,7 +738,7 @@ class TestSectorRoute:
     @pytest.mark.parametrize("element,row", [(0, 0), (-1, -1), (1, 5)])
     def test_sector_rows_with_an_edited_token_match_loadtxt(self, tmp_path, family, m, n, element, row):
         path = tmp_path / "built.povm"
-        write_povm(path, family_povm(family, m, n))
+        write_povm(path, in_layout("sector", family_povm(family, m, n)))
         for got, expected in zip(read_povm(path).elements, loadtxt_elements(path), strict=True):
             assert same_bits(got, expected)
         element, row = element % (n + 1), row % m ** (n + 1)
@@ -764,7 +767,7 @@ class TestSectorRoute:
     @pytest.mark.parametrize("value", ["-0", "-0.0", "0.0", "+0"])
     def test_signed_zero_in_a_sector_row_file_keeps_its_sign(self, tmp_path, value):
         path = tmp_path / "built.povm"
-        write_povm(path, family_povm("universal", 3, 2))
+        write_povm(path, in_layout("sector", family_povm("universal", 3, 2)))
         built = path.read_bytes()
         row, column = with_sector_token(path, 2, 26, value)
         povm = read_povm(path)
@@ -851,7 +854,7 @@ class TestWritersRefuseNonFinite:
         naming the element, so write_povm never sees them."""
         built = build_universal(3, 2)
         path = tmp_path / "u32.povm"
-        write_povm(path, built)
+        write_povm(path, in_layout("sector", built))
         with_sector_token(path, 1, row, "nan")
         with pytest.raises(FormatError, match=f"element 1 row {row + 1} holds a non-finite number$"):
             read_povm(path)
@@ -914,7 +917,8 @@ def test_writers_write_as_given_what_the_reader_repairs(tmp_path, write, read, b
     (read_density, "rho x\n", "header fields must be integers"),
     (read_density, "rho 1\n1 0\n1 0\n", "content after the last density matrix row"),
     (read_povm, "rho 2\n1 0 0 0\n0 0 1 0\n",
-     "expected header 'povm <int> <int> <int>' or 'povm-sectors <int> <int> <int>'"),
+     "expected header 'povm <int> <int> <int>' or 'povm-sectors <int> <int> <int>' or "
+     "'povm-commutant <int> <int> <int>'"),
     (read_povm, "povm 1 1 2\nelem 0\n1 0\n", "expected 'element 0', got 'elem 0'"),
     # a built (universal, 3, 2) file in the named layout, then a row too many
     (read_povm, ("dense", "0 0\n"), "content after the last POVM element row"),
@@ -955,7 +959,8 @@ def test_no_povm_the_writer_takes_has_a_header_the_reader_refuses(tmp_path):
         path = tmp_path / f"{name}.povm"
         write_povm(path, povm)
         header = path.read_text().split("\n", 1)[0].split()
-        assert [int(v) for v in header[1:]] == [m, n, n + 1] and m >= 1 and n >= 1
+        blocks = n if povm.family is not None else n + 1  # a built POVM's element 0 has no block
+        assert [int(v) for v in header[1:]] == [m, n, blocks] and m >= 1 and n >= 1
         again = read_povm(path)
         assert (again.m, again.n, again._explicit) == (m, n, povm._explicit)
         written.add(name.split("-")[0])
@@ -996,3 +1001,109 @@ class TestSectorRowFiles:
         with pytest.raises(FormatError, match="expected header 'povm <int> <int> <int>' or "
                                               "'povm-sectors <int> <int> <int>'"):
             read_povm(path)
+
+
+class TestCommutantFiles:
+    """The layout udisc build writes: header ``povm-commutant m n n``, then blocks element 1
+    to element n of (n+1)! rows ``re im``, σ in all_permutations(n+1) order; element 0 is
+    I − Σ_i Π_i and has no block."""
+
+    def test_layout(self, tmp_path):
+        path = tmp_path / "u32.povm"
+        write_povm(path, build_universal(3, 2))
+        lines = path.read_text().split("\n")
+        assert lines[0] == "povm-commutant 3 2 2"
+        assert [lines.index("element 1"), lines.index("element 2"), len(lines)] == [1, 8, 16]
+        # Π_1 = (I ⊗ Φ_rest)/2: +1/4 on the identity, −1/4 on the swap (2 3), which fix register 1
+        assert lines[2:8] == ["0.25 0", "-0.25 0", "0 0", "0 0", "0 0", "0 0"]
+
+    def test_random_coefficients_round_trip_bit_for_bit(self, tmp_path):
+        rng = np.random.default_rng(12)
+        coefficients = [rng.standard_normal(24) + 1j * rng.standard_normal(24) for _ in range(3)]
+        coefficients[1][[0, 5]] = [complex(-0.0, 5e-324), complex(0.0, -0.0)]
+        path = tmp_path / "r.povm"
+        write_povm(path, Povm(4, 3, coefficients=coefficients))
+        read = read_povm(path)
+        for got, given in zip(read._coefficients, coefficients, strict=True):
+            assert same_bits(got, given)
+        write_povm(tmp_path / "again.povm", read)
+        assert (tmp_path / "again.povm").read_bytes() == path.read_bytes()
+
+    @staticmethod
+    def _edited(tmp_path, edit):
+        path = tmp_path / "u43.povm"
+        write_povm(path, family_povm("universal", 4, 3))
+        lines = path.read_text().split("\n")
+        edit(lines)
+        path.write_text("\n".join(lines))
+        return path
+
+    def test_wrong_block_count_is_refused(self, tmp_path):
+        path = tmp_path / "k.povm"
+        path.write_text("povm-commutant 3 2 3\nelement 1\n1 0\n")
+        with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}: povm-commutant header declares 3 "
+                                              r"elements; a POVM on n=2 states has n = 2, elements 1\.\.n$"):
+            read_povm(path)
+        path = self._edited(tmp_path, lambda lines: lines.__delitem__(slice(lines.index("element 3"), -1)))
+        with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}: expected 'element 3', got ''$"):
+            read_povm(path)
+        path = self._edited(tmp_path, lambda lines: lines.insert(-1, "element 4"))
+        with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}: content after the last POVM element row$"):
+            read_povm(path)
+
+    def test_wrong_row_count_names_the_block_and_row(self, tmp_path):
+        path = self._edited(tmp_path, lambda lines: lines.__delitem__(lines.index("element 3") - 1))
+        with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}: element 2 row 24 contains a "
+                                              r"non-numeric token$"):
+            read_povm(path)  # element 2's row 24 is read from the line "element 3"
+        path = self._edited(tmp_path, lambda lines: lines.__delitem__(-2))
+        with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}: element 3 row 24 needs 1 complex "
+                                              r"pairs \(2 numbers\), got 0$"):
+            read_povm(path)
+        path = self._edited(tmp_path, lambda lines: lines.__setitem__(3, lines[3] + " 0"))
+        with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}: element 1 row 2 needs 1 complex "
+                                              r"pairs \(2 numbers\), got 3$"):
+            read_povm(path)
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_a_non_finite_coefficient_names_the_block_and_row(self, tmp_path, token):
+        def edit(lines):
+            at = lines.index("element 2") + 3
+            lines[at] = f"0 {token}"
+        path = self._edited(tmp_path, edit)
+        with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}: element 2 row 3 holds a "
+                                              r"non-finite number$"):
+            read_povm(path)
+
+    def test_oversized_header_is_refused_before_the_factorial_is_formed(self, tmp_path):
+        path = tmp_path / "huge.povm"
+        path.write_text("povm-commutant 1 1000000 1000000\nelement 1\n0 0\n")
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded, match=rf"^permutation coefficients with at least \d+ complex entries "
+                                              rf"exceeds the cap of {DEFAULT_ENTRY_CAP}$"):
+            read_povm(path)
+        assert time.perf_counter() - start < 1.0
+
+    def test_element_size_is_checked_against_the_budget(self, tmp_path):
+        path = tmp_path / "u32.povm"
+        write_povm(path, build_universal(3, 2))
+        with entry_cap(728), pytest.raises(CapExceeded, match="27x27 POVM element"):
+            read_povm(path)
+        with entry_cap(728), pytest.raises(CapExceeded, match="27x27 POVM element"):
+            write_povm(tmp_path / "again.povm", build_universal(3, 2))
+
+    def test_a_hand_edited_file_reads_to_the_same_bits(self, tmp_path):
+        """A tab, a comment line inside a block and CRLF line ends take the row-by-row reader."""
+        built = family_povm("optimal", 3, 3)
+        path = tmp_path / "o33.povm"
+        write_povm(path, built)
+        lines = path.read_text().split("\n")
+        at = lines.index("element 2") + 3
+        lines[at] = lines[at].replace(" ", "\t", 1)
+        lines.insert(at, "# edited by hand")
+        edited = tmp_path / "edited.povm"
+        edited.write_bytes("\r\n".join(lines).encode())
+        for a, b in zip(read_povm(edited)._coefficients, read_povm(path)._coefficients, strict=True):
+            assert same_bits(a, b)
+        for a, b in zip(read_povm(edited)._sectors, built._sectors, strict=True):
+            assert same_bits(a, b)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from conftest import rand_independent_states
 from udisc.discriminator import build_optimal_equal, build_universal, program_input
 from udisc.errors import LayoutMismatch
-from udisc.sampler import CHUNK_SHOTS, distribution_from_probs, outcome_distribution, sample
+from udisc.sampler import CHUNK_SHOTS, OutcomeDistribution, distribution_from_probs, outcome_distribution, sample
 
 
 class TestDistribution:
@@ -160,3 +160,31 @@ class TestEndToEndFrequencies:
             for k in range(1, n + 1):
                 if k != j:
                     assert record.counts[k] == 0
+
+
+class TestDirectDistribution:
+    """An OutcomeDistribution made directly obeys what distribution_from_probs makes."""
+
+    def test_a_sum_off_one_is_refused(self):
+        with pytest.raises(ValueError, match=r"^probabilities sum to 1\.25, residual exceeds tolerance$"):
+            OutcomeDistribution(("0", "1", "2"), np.array([0.5, 0.5, 0.25]))
+
+    @pytest.mark.parametrize("probs, labels, message", [
+        ([0.5, np.nan, 0.5], ("0", "1", "2"), r"^probability of outcome 1 is nan, not finite$"),
+        ([1.5, -0.5], ("0", "1"), r"^probability -0\.5 below the clamping tolerance$"),
+        ([-1e-13, 1.0 + 1e-13], ("0", "1"), r"^probability -1e-13 below the clamping tolerance$"),
+        ([0.5, 0.5], ("0",), r"^1 labels for 2 probabilities$"),
+        ([[0.5, 0.5]], ("0",), r"^probabilities of shape \(1, 2\), expected one per outcome$"),
+    ])
+    def test_what_the_maker_never_makes_is_refused(self, probs, labels, message):
+        with pytest.raises(ValueError, match=message):
+            OutcomeDistribution(labels, np.array(probs))
+
+    def test_the_array_is_frozen_and_sampling_is_unchanged(self):
+        given = np.array([0.75, 0.25, 0.0])
+        dist = OutcomeDistribution(["0", "1", "2"], given)
+        assert dist.labels == ("0", "1", "2") and not dist.probabilities.flags.writeable
+        assert given.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            dist.probabilities[0] = 1.0
+        assert sample(dist, 100000, 42).counts == sample(distribution_from_probs(given), 100000, 42).counts

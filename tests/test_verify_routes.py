@@ -894,17 +894,20 @@ def test_sector_route_allocates_less_than_one_element(family, m, n):
 
 
 def built_file(tmp_path, family, m, n, layout="sector"):
-    """The file udisc build writes (the sector-row layout), or for layout "dense" its POVM
-    written again explicitly, as Povm(m, n, elements=...)."""
+    """The file udisc build writes (the commutant layout) for layout "commutant", or its POVM
+    written again as a sector-row file ("sector", Povm(m, n, sectors=...)) or a dense one
+    ("dense", Povm(m, n, elements=...))."""
     path = tmp_path / f"{family}_{m}_{n}.povm"
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["build", "--m", str(m), "--n", str(n), "--family", family, "--out", str(path)]) == 0
+    if layout == "sector":
+        write_povm(path, Povm(m=m, n=n, sectors=read_povm(path)._sectors))
     if layout == "dense":
         write_povm(path, Povm(m=m, n=n, elements=read_povm(path).elements))
     return path
 
 
-@pytest.mark.parametrize("layout", ["dense", "sector"])
+@pytest.mark.parametrize("layout", ["dense", "sector", "commutant"])
 @pytest.mark.parametrize("family,m,n", CASES)
 def test_routes_agree_on_built_files(family, m, n, layout, tmp_path):
     povm = read_povm(built_file(tmp_path, family, m, n, layout))
