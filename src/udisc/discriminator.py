@@ -161,9 +161,9 @@ class Povm:
       antisym.all_permutations(n+1) order), as read_povm reads a commutant
       file; Π_0 is I − Σ_i Π_i.  A built POVM has this form too.
     A built or commutant POVM takes its d_k from one expansion of its
-    coefficients (_commutant_entries).
-    A built, sector or commutant POVM is zero outside its weight sectors, and the checks,
-    the writer and outcome_probabilities read its d_k; its dense elements are
+    coefficients (_commutant_entries).  A built, sector or commutant POVM
+    is zero outside its weight sectors; the checks and outcome_probabilities
+    read its d_k, and the writer its coefficients or d_k.  Its dense elements are
     scattered from them only when something reads elements, under the
     dense-storage budget in force then (config.entry_cap).  Outcome
     probabilities of product inputs of a built POVM need neither
@@ -179,7 +179,8 @@ class Povm:
     raises WrongRegime, and m or n below 1, a wrong count or shape, or a NaN
     or an infinity in the elements, sector entries or coefficients raises
     InvalidPovm (a built family is finite as made); n·(n+1)! coefficients
-    are sized against the budget before (n+1)! is formed.  Hermiticity is residuals' to require.
+    are sized against the budget before (n+1)! is formed.  Hermiticity is
+    residuals' to require.
     """
 
     m: int

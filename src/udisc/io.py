@@ -455,7 +455,7 @@ def write_povm(path, povm: Povm) -> None:
         keyword, blocks, first = "povm-commutant", povm._coefficients, 1
     labels = [f"element {i}" for i in range(first, n + 1)]
     bounds = _povm_rows(keyword, m, n)
-    _write_blocks(path, f"{keyword} {m} {n} {n + 1 - first}", zip(labels, (_numbers(b, bounds) for b in blocks)))
+    _write_blocks(path, f"{keyword} {m} {n} {len(labels)}", zip(labels, (_numbers(b, bounds) for b in blocks)))
 
 
 def _refuse_non_finite(block, where: str, bounds, first: int = 0) -> None:
