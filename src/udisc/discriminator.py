@@ -108,7 +108,7 @@ class _Family(NamedTuple):
     zero there and has largest eigenvalue (n+1)/n, the Γ block's
     (gram_spectra), on the rest.  When m = n, Φ = 0 and a is free: optimal
     takes a = b, which keeps one term.  A weight of 0 contributes no term
-    (_family_entries, product_probabilities).
+    (_family_coefficients, product_probabilities).
 
     Twirling reduces the worst case to these points.  For g = (U, σ) in
     U(m) × S_n let W_g = U^⊗(n+1)·P_σ, where P_σ permutes the program
@@ -484,8 +484,8 @@ def product_probabilities(povm: Povm, factors) -> np.ndarray:
     matrix of the n+1 factors and G₋ᵢ that of the other n.  A weight of 0
     contributes no term, and det(G) is taken only when m > n: Φ = 0 on fewer
     than n+1 levels.  Outcome 0 takes the rest of ‖v‖².  No operator is
-    formed, so no cap applies.  An explicit or sector POVM, which has no built
-    family, is refused.
+    formed, so no cap applies.  An explicit, sector or commutant POVM, which
+    has no built family, is refused.
     """
     if povm.family is None:
         raise ValueError("a POVM with no built family has no closed-form outcome probabilities")

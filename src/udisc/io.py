@@ -33,11 +33,11 @@ All are a header and blocks of rows, written and read by one codec, for
 which row r of a block holds the numbers bounds[r] to bounds[r + 1]: a
 dense block's rows are all one width (_dense_bounds), a sector-row block's
 row x holds 2·|sector of x| numbers (_WeightSectors.row_bounds), a
-commutant block's rows two numbers each; reader
-and writer take a POVM block's layout from one place (_povm_rows).  The
-writer takes each block's complex entries in file order, a dense matrix or
-a built or sector POVM's weight-sector entries d_k with no dense element,
-as the positions and bit patterns of their nonzero doubles (_numbers), and
+commutant block's rows two numbers each; reader and writer take a POVM
+file's blocks, which elements have one and their layout, from one place
+(_povm_rows).  The writer takes each block's complex entries in file
+order, a dense matrix, a sector POVM's weight-sector entries d_k or a built
+or commutant POVM's coefficients, with no dense element, as the positions and bit patterns of their nonzero doubles (_numbers), and
 turns its rows into text in chunks of at most WRITE_CHUNK numbers, each
 distinct double formatted once with "%.17g" and +0.0 written "0"
 (_block_text): beyond the nonzero doubles, its temporary memory is one
@@ -122,18 +122,22 @@ def _numbers(entries, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     return bounds, at, bits[at]
 
 
-def _povm_rows(keyword: str, m: int, n: int) -> np.ndarray:
-    """The row bounds of each block of a POVM file, shared by reader and writer: a dense
-    block (``povm``) holds an element's rows, a sector-row block (``povm-sectors``) the
-    weight-sector entries d_k as they stand (_WeightSectors.row_bounds), and a
-    commutant block (``povm-commutant``) one coefficient a_σ per row, (n+1)! rows.
-    The caller has sized the block."""
-    if keyword == "povm":
-        dim = m ** (n + 1)
-        return _dense_bounds(dim, dim)
+def _povm_rows(keyword: str, m: int, n: int) -> tuple[range, np.ndarray]:
+    """The elements a POVM file holds a block for and the row bounds of each block, shared
+    by reader and writer: a dense block (``povm``) holds an element's rows, a sector-row
+    block (``povm-sectors``) the weight-sector entries d_k as they stand
+    (_WeightSectors.row_bounds), and a commutant block (``povm-commutant``) one
+    coefficient a_σ per row, (n+1)! rows.  Dense and sector-row files hold elements
+    0..n; a commutant file holds 1..n, as element 0 is the remainder I − Σ_i Π_i.
+    The m^(n+1) x m^(n+1) element is sized against the budget first
+    (config.check_tensor_square), and a commutant file's n·(n+1)! coefficients
+    before (n+1)! is formed (config.check_factorial)."""
+    dim = check_tensor_square(m, n + 1, "POVM element")
     if keyword == "povm-commutant":
-        return _dense_bounds(math.factorial(n + 1), 1)
-    return _weight_sectors(m, n + 1).row_bounds
+        return range(1, n + 1), _dense_bounds(check_factorial(n + 1, n, "permutation coefficients"), 1)
+    if keyword == "povm":
+        return range(n + 1), _dense_bounds(dim, dim)
+    return range(n + 1), _weight_sectors(m, n + 1).row_bounds
 
 
 def _chunks(bounds: np.ndarray) -> Iterator[tuple[int, int]]:
@@ -429,13 +433,14 @@ def _repaired_density(rho: np.ndarray, path) -> np.ndarray:
 
 
 def write_povm(path, povm: Povm) -> None:
-    """Write a POVM file of n+1 blocks.  Its layout and finiteness were checked when the
-    Povm was made, so read_povm refuses nothing it writes, and nothing is checked here.
+    """Write a POVM file.  Its layout and finiteness were checked when the Povm was made,
+    and its elements are sized against the budget in force here as the reader sizes them
+    from the header (_povm_rows), so read_povm refuses nothing it writes.
 
     A built or commutant POVM is written in the commutant layout (header
     ``povm-commutant``, n blocks) from its permutation coefficients, with no
-    sector entry and no dense element; its elements are sized against the
-    budget first, as the reader sizes them from the header.  A sector POVM
+    sector entry and no dense element, sized before a built family's
+    coefficients are formed.  A sector POVM
     is written in the sector-row layout (header ``povm-sectors``) from its
     d_k as they stand, and an explicit one in the dense layout (header
     ``povm``).  read_povm gives back each representation, so
@@ -444,18 +449,14 @@ def write_povm(path, povm: Povm) -> None:
     built POVM writes Povm(m, n, sectors=povm._sectors) or
     Povm(m, n, elements=povm.elements).
     """
-    m, n = povm.m, povm.n
-    first = 0  # the first element with a block
-    if povm._explicit:
-        keyword, blocks = "povm", povm.elements
-    elif povm._entries is not None:
-        keyword, blocks = "povm-sectors", povm._entries
+    keyword = "povm" if povm._explicit else "povm-commutant" if povm._entries is None else "povm-sectors"
+    elements, bounds = _povm_rows(keyword, povm.m, povm.n)  # before a built family's coefficients
+    if keyword == "povm-commutant":
+        blocks = povm._coefficients
     else:
-        check_tensor_square(m, n + 1, "POVM element")  # before a built family's coefficients
-        keyword, blocks, first = "povm-commutant", povm._coefficients, 1
-    labels = [f"element {i}" for i in range(first, n + 1)]
-    bounds = _povm_rows(keyword, m, n)
-    _write_blocks(path, f"{keyword} {m} {n} {len(labels)}", zip(labels, (_numbers(b, bounds) for b in blocks)))
+        blocks = povm.elements if povm._explicit else povm._entries
+    _write_blocks(path, f"{keyword} {povm.m} {povm.n} {len(elements)}",
+                  ((f"element {i}", _numbers(b, bounds)) for i, b in zip(elements, blocks)))
 
 
 def _refuse_non_finite(block, where: str, bounds, first: int = 0) -> None:
@@ -474,12 +475,12 @@ def read_povm(path) -> Povm:
     sector-row file (header ``povm-sectors``) a sector POVM (Povm, sectors=...) and a
     commutant file (header ``povm-commutant``) a commutant POVM (Povm, coefficients=...).
 
-    A header whose block count k is not n+1 (n for a commutant file, whose
-    element 0 is the remainder and has no block) is refused, and the element
-    size m^(n+1) x m^(n+1) is checked against the budget (after
-    config.check_tensor_square), before any row is read, in every layout; so
-    are a commutant file's n·(n+1)! coefficients, before (n+1)! is formed
-    (config.check_factorial).  Each block is read in row chunks
+    The element size m^(n+1) x m^(n+1) is checked against the budget (after
+    config.check_tensor_square), and so are a commutant file's n·(n+1)!
+    coefficients, before (n+1)! is formed (config.check_factorial); then a
+    header whose block count k is not n+1 (n for a commutant file, whose
+    element 0 is the remainder and has no block) is refused (_povm_rows), all
+    before any row is read, in every layout.  Each block is read in row chunks
     (_scan_block).  A dense file holds n+1 dense elements, each within the
     budget; the checks still take the sector route on them when they are
     zero outside their weight sectors (Povm._sectors).  A sector-row block's
@@ -489,23 +490,19 @@ def read_povm(path) -> Povm:
     """
     keywords = ("povm", "povm-sectors", "povm-commutant")
     with _blocks(path, keywords, 3, "POVM element") as (fh, keyword, (m, n, k)):
-        first = int(keyword == "povm-commutant")  # the first element with a block
-        if k != n + 1 - first:
-            expected = f"n = {n}, elements 1..n" if first else f"n+1 = {n + 1}"
-            raise FormatError(f"{path}: {keyword} header declares {k} elements; a POVM on n={n} states "
-                              f"has {expected}")
-        check_tensor_square(m, n + 1, "POVM element")  # refused before m**(n+1) is formed
-        if first:
-            check_factorial(n + 1, n, "permutation coefficients")  # and before (n+1)!
-        bounds = _povm_rows(keyword, m, n)
+        elements, bounds = _povm_rows(keyword, m, n)
+        if k != len(elements):
+            raise FormatError(f"{path}: {keyword} header declares {k} elements; a POVM on n={n} states has "
+                              f"n+1 = {n + 1} elements, and a {keyword} file holds {len(elements)} of them, "
+                              f"element {elements[0]} to element {n}")
         blocks = []
-        for label in (f"element {i}" for i in range(first, n + 1)):  # each block's entries in file order
+        for label in (f"element {i}" for i in elements):  # each block's entries in file order
             line = _content_line(fh) or ""
             if line.split() != label.split():
                 raise FormatError(f"{path}: expected {label!r}, got {line!r}")
             blocks.append(_scan_block(fh, bounds, f"{path}: {label}").view(complex))
     if keyword == "povm":
         return Povm(m, n, elements=[b.reshape(len(bounds) - 1, -1) for b in blocks])
-    if first:
+    if keyword == "povm-commutant":
         return Povm(m, n, coefficients=blocks)
     return Povm(m, n, sectors=blocks)

@@ -29,9 +29,9 @@ CHUNK_SHOTS = 2**16
 @dataclass(frozen=True)
 class OutcomeDistribution:
     """Outcome labels and their probabilities, a read-only float array.  What
-    distribution_from_probs never makes is refused here too: a label count other than
-    the outcome count, a NaN or an infinity, a negative entry, or a sum more than
-    RESIDUAL_TOL from 1 (ValueError)."""
+    distribution_from_probs never makes is refused here (ValueError): a label count
+    other than the outcome count, a NaN or an infinity, a negative entry, or a sum
+    more than RESIDUAL_TOL from 1."""
 
     labels: tuple[str, ...]
     probabilities: np.ndarray
@@ -42,44 +42,40 @@ class OutcomeDistribution:
             raise ValueError(f"probabilities of shape {p.shape}, expected one per outcome")
         object.__setattr__(self, "labels", tuple(self.labels))
         object.__setattr__(self, "probabilities", p)
-        _refuse_entries(p, self.labels, 0.0)
-        _unit_residual(p)
+        if len(self.labels) != len(p):
+            raise ValueError(f"{len(self.labels)} labels for {len(p)} probabilities")
+        _refuse_non_finite(p)
+        if np.any(p < 0):
+            raise ValueError(f"negative probability {float(p.min())}")
+        if abs(1.0 - float(p.sum())) > RESIDUAL_TOL:
+            raise ValueError(f"probabilities sum to {float(p.sum())}, residual exceeds tolerance")
 
     @property
     def size(self) -> int:
         return len(self.labels)
 
 
-def _refuse_entries(p: np.ndarray, labels: tuple, floor: float) -> None:
-    """Refuse a label count other than len(p), a NaN or an infinity (naming its outcome)
-    and an entry below −floor (ValueError)."""
-    if len(labels) != len(p):
-        raise ValueError(f"{len(labels)} labels for {len(p)} probabilities")
+def _refuse_non_finite(p: np.ndarray) -> None:
+    """Refuse a NaN or an infinity, naming its outcome (ValueError)."""
     if not np.isfinite(p).all():
         k = int(np.argmin(np.isfinite(p)))
         raise ValueError(f"probability of outcome {k} is {float(p[k])}, not finite")
-    if np.any(p < -floor):
-        raise ValueError(f"probability {float(p.min())} below the clamping tolerance")
-
-
-def _unit_residual(p: np.ndarray) -> float:
-    """1 − Σp, refused (ValueError) when it exceeds RESIDUAL_TOL in magnitude."""
-    residual = 1.0 - float(p.sum())
-    if abs(residual) > RESIDUAL_TOL:
-        raise ValueError(f"probabilities sum to {float(p.sum())}, residual exceeds tolerance")
-    return residual
 
 
 def distribution_from_probs(probs, labels=None) -> OutcomeDistribution:
-    """Validate (a NaN or an infinity is refused naming its outcome, and labels of another
-    count), clamp tiny negatives to zero, fold the unit-sum residual into outcome 0."""
+    """Clamp negatives down to −CLAMP_TOL to zero and fold the unit-sum residual, when
+    within RESIDUAL_TOL, into outcome 0.  A NaN or an infinity (named by its outcome)
+    and a lower entry are refused first; the rest is OutcomeDistribution's to refuse:
+    labels of another count and a sum off 1."""
     p = np.asarray(probs, dtype=float).copy()
     labels = tuple(str(k) for k in range(len(p))) if labels is None else tuple(labels)
-    _refuse_entries(p, labels, CLAMP_TOL)
+    _refuse_non_finite(p)  # before outcome 0 takes the residual
+    if np.any(p < -CLAMP_TOL):
+        raise ValueError(f"probability {float(p.min())} below the clamping tolerance")
     p[p < 0] = 0.0
-    p[0] += _unit_residual(p)
-    if p[0] < 0:
-        p[0] = 0.0
+    residual = 1.0 - float(p.sum())
+    if abs(residual) <= RESIDUAL_TOL:
+        p[0] = max(p[0] + residual, 0.0)
     return OutcomeDistribution(labels=labels, probabilities=p)
 
 

@@ -1042,7 +1042,13 @@ class TestCommutantFiles:
         path = tmp_path / "k.povm"
         path.write_text("povm-commutant 3 2 3\nelement 1\n1 0\n")
         with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}: povm-commutant header declares 3 "
-                                              r"elements; a POVM on n=2 states has n = 2, elements 1\.\.n$"):
+                                              r"elements; a POVM on n=2 states has n\+1 = 3 elements, and a "
+                                              r"povm-commutant file holds 2 of them, element 1 to element 2$"):
+            read_povm(path)
+        path.write_text("povm-sectors 3 2 2\nelement 0\n1 0\n")  # the other layouts hold element 0 too
+        with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}: povm-sectors header declares 2 "
+                                              r"elements; a POVM on n=2 states has n\+1 = 3 elements, and a "
+                                              r"povm-sectors file holds 3 of them, element 0 to element 2$"):
             read_povm(path)
         path = self._edited(tmp_path, lambda lines: lines.__delitem__(slice(lines.index("element 3"), -1)))
         with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}: expected 'element 3', got ''$"):

@@ -171,8 +171,8 @@ class TestDirectDistribution:
 
     @pytest.mark.parametrize("probs, labels, message", [
         ([0.5, np.nan, 0.5], ("0", "1", "2"), r"^probability of outcome 1 is nan, not finite$"),
-        ([1.5, -0.5], ("0", "1"), r"^probability -0\.5 below the clamping tolerance$"),
-        ([-1e-13, 1.0 + 1e-13], ("0", "1"), r"^probability -1e-13 below the clamping tolerance$"),
+        ([1.5, -0.5], ("0", "1"), r"^negative probability -0\.5$"),
+        ([-1e-13, 1.0 + 1e-13], ("0", "1"), r"^negative probability -1e-13$"),  # the maker clamps it
         ([0.5, 0.5], ("0",), r"^1 labels for 2 probabilities$"),
         ([[0.5, 0.5]], ("0",), r"^probabilities of shape \(1, 2\), expected one per outcome$"),
     ])
