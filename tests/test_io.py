@@ -1095,8 +1095,12 @@ class TestCommutantFiles:
         write_povm(path, build_universal(3, 2))
         with entry_cap(728), pytest.raises(CapExceeded, match="27x27 POVM element"):
             read_povm(path)
-        with entry_cap(728), pytest.raises(CapExceeded, match="27x27 POVM element"):
-            write_povm(tmp_path / "again.povm", build_universal(3, 2))
+        built = build_universal(3, 2)
+        # every layout is sized as the reader sizes its header, so none is written that it refuses
+        for form in (built, Povm(3, 2, sectors=built._sectors), Povm(3, 2, elements=built.elements)):
+            with entry_cap(728), pytest.raises(CapExceeded, match="27x27 POVM element"):
+                write_povm(tmp_path / "again.povm", form)
+            assert not (tmp_path / "again.povm").exists()
 
     def test_a_hand_edited_file_reads_to_the_same_bits(self, tmp_path):
         """A tab, a comment line inside a block and CRLF line ends take the row-by-row reader."""
