@@ -50,11 +50,10 @@ last block, and sizes every block against the dense-storage budget
 (config.entry_cap) before any row is read; a POVM header's m^(n+1) is
 refused before it is formed when it is far over
 (config.check_tensor_square).  A POVM block is read in chunks of at most
-WRITE_CHUNK numbers (_scan_block): a chunk in the writer's layout is
-scanned as bytes with numpy (_scan_chunk), and any other chunk (tabs, a
-comment line inside the block, a bad token), like a state or density
-block, is read row by row with float() (_scan_rows), which accepts
-float()'s spellings ("1_0").  A bad token, a wrong count or a NaN or an
+WRITE_CHUNK numbers (_scan_block).  Every block, state, density or POVM,
+is read row by row with float() (_scan_rows), which takes tabs, runs of
+whitespace, comment and blank lines inside a block and float()'s
+spellings ("1_0").  A bad token, a wrong count or a NaN or an
 infinity is refused naming the file, the block and the row.  Each block's
 numbers go into one array in the file's order.
 
@@ -234,12 +233,10 @@ def _scan_rows(block: list[str], out: np.ndarray, bounds: np.ndarray, where: str
     _refuse_non_finite(out.view(complex), where, bounds, first)
 
 
-def _content(fh, count: int, text: str | None = None) -> list[str]:
+def _content(fh, count: int) -> list[str]:
     """The next count lines of fh that are neither blank nor a comment, stripped (fewer at
-    the end of the file): those of text, the count lines a chunk took, topped up."""
-    if text is None:
-        text = "".join(itertools.islice(fh, count))
-    block = [s for s in map(str.strip, text.split("\n")) if s and not s.startswith("#")]
+    the end of the file)."""
+    block = [s for s in map(str.strip, itertools.islice(fh, count)) if s and not s.startswith("#")]
     while len(block) < count and (line := _content_line(fh)) is not None:
         block.append(line)
     return block
@@ -260,80 +257,15 @@ def _scan_block(fh, bounds: np.ndarray, where: str) -> np.ndarray:
     (re, im) pairs bit for bit, -0.0 included.
 
     A chunk holds at most WRITE_CHUNK numbers (at least one row), as the
-    writer's do: its lines, after a newline, are joined and encoded into one
-    bytes object.  A chunk in the writer's layout is parsed by _scan_chunk,
-    whose tokens other than "0" are put at their places.  Any other chunk
-    (other whitespace, a comment or blank line, a wrong token count, a token
-    float() refuses) has its comment and blank lines dropped, is topped up
-    to its row count from the content lines that follow, and goes to
-    _scan_rows, which writes its numbers in place or names a bad row.
+    writer's do: its content lines (_content) go to _scan_rows, which writes
+    its numbers in place with float() or names a bad row, so the reader's
+    temporary memory is one chunk's lines, whatever the block size.
     """
-    numbers = np.zeros(bounds[-1])
+    numbers = np.empty(bounds[-1])
     for first, stop in _chunks(bounds):
         rows = bounds[first:stop + 1] - bounds[first]
-        chunk = numbers[bounds[first]:bounds[stop]]
-        buf = "".join(itertools.chain("\n", itertools.islice(fh, stop - first))).encode()
-        parsed = _scan_chunk(buf, rows)
-        if parsed is None:
-            _scan_rows(_content(fh, stop - first, buf.decode()), chunk, rows, where, first)
-        else:
-            tokens, values = parsed
-            chunk[tokens] = values
+        _scan_rows(_content(fh, stop - first), numbers[bounds[first]:bounds[stop]], rows, where, first)
     return numbers
-
-
-def _scan_chunk(buf: bytes, bounds: np.ndarray):
-    """Parse buf, a newline and then a chunk's lines, if it is in the writer's layout:
-    (tokens, values) of the tokens other than "0", else None.
-
-    The bytes are taken as a uint8 view, with no copy; spaces and newlines
-    are the separators.  The writer's layout is one line per row, row r of
-    bounds[r + 1] − bounds[r] tokens, one space between two tokens and a
-    newline after the last: there are len(bounds) newlines, the last byte
-    is one, and no separator follows another.  A token that is the one byte
-    "0" (a "0" between separators) is +0.0 and is left out.  The other
-    tokens are found by their bounds, the separators before and after them
-    (one result per such token), so the work beyond a few passes over the
-    bytes follows those tokens only.  Every token before a separator at p is
-    one "0" byte or one of the other tokens, each with its separator, so
-    (p − their bytes)/2 + their count tokens lie before p: that numbers
-    token k as (begin_k − Σ_{j<k} (length_j + 1))/2 + k, and the newline
-    ending row r must follow exactly bounds[r + 1] tokens.  Each distinct
-    other token is parsed once by float() on its bytes, which gives what
-    float() gives _scan_rows on its text, or refuses it.  Returns None when
-    the chunk is in another layout, or float() refuses a token or gives a
-    NaN or an infinity.
-    """
-    u = np.frombuffer(buf, np.uint8)
-    sep = u == ord("\n")
-    lines = sep.nonzero()[0]
-    if len(lines) != len(bounds) or lines[-1] != len(u) - 1:
-        return None
-    sep |= u == ord(" ")
-    if (sep[1:] & sep[:-1]).any():
-        return None
-    lone = u[1:-1] == ord("0")  # at p: byte p + 1 is the token "0"
-    lone &= sep[:-2]
-    lone &= sep[2:]
-    begin = (sep[:-2] > lone).nonzero()[0]  # the separator before each other token
-    after = (sep[2:] > lone).nonzero()[0] + 2  # and the one after it
-    del sep, lone
-    units = np.zeros(len(begin) + 1, dtype=np.int64)  # bytes of the other tokens before each
-    np.cumsum(after - begin, out=units[1:])
-    ahead = begin.searchsorted(lines)
-    if ((lines - units[ahead]) // 2 + ahead != bounds).any():
-        return None  # a row of another length
-    keys = [buf[a:b] for a, b in zip((begin + 1).tolist(), after.tolist())]
-    vocabulary = dict.fromkeys(keys)
-    try:
-        for key in vocabulary:
-            vocabulary[key] = float(key)
-    except ValueError:
-        return None
-    values = np.fromiter(map(vocabulary.__getitem__, keys), np.float64, len(keys))
-    if not np.isfinite(values).all():
-        return None  # _scan_rows names the row
-    return (begin - units[:-1]) // 2 + np.arange(len(begin)), values
 
 
 # ---------------------------------------------------------------------------

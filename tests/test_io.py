@@ -1,3 +1,4 @@
+import io
 import itertools
 import re
 import time
@@ -305,9 +306,9 @@ class TestInternedWriter:
     @example(block=(np.array([0, 2, 4, 10, 12, 16]), np.array(SPECIAL_BITS + [0])), chunk=3)
     @example(block=(np.array([0, 2, 4, 6]), np.array([0, 0, -0x8000000000000000, 1, 0, 0])), chunk=1)
     def test_ragged_rows_match_the_oracle_and_read_back(self, tmp_path_factory, block, chunk):
-        """Rows of differing widths: _block_text writes the oracle's bytes, and _scan_chunk
-        reads every chunk of finite doubles back bit for bit and leaves a chunk with a NaN
-        or an infinity to the row scan."""
+        """Rows of differing widths: _block_text writes the oracle's bytes, and _scan_block
+        reads every chunk of finite doubles back bit for bit and refuses a chunk with a NaN
+        or an infinity, naming its row."""
         bounds, bits = block
         folder = tmp_path_factory.mktemp("ragged")
         at = np.flatnonzero(bits)
@@ -320,15 +321,15 @@ class TestInternedWriter:
                 assert [udisc_io._content_line(fh), udisc_io._content_line(fh)] == ["head 1", "block a"]
                 for first, stop in udisc_io._chunks(bounds):
                     assert stop - first == 1 or bounds[stop] - bounds[first] <= chunk
-                    buf = "".join(itertools.chain("\n", itertools.islice(fh, stop - first))).encode()
-                    parsed = udisc_io._scan_chunk(buf, bounds[first:stop + 1] - bounds[first])
+                    chunk_bounds = bounds[first:stop + 1] - bounds[first]
                     written = bits[bounds[first]:bounds[stop]]
-                    if not np.isfinite(written.view(np.float64)).all():
-                        assert parsed is None
+                    finite = np.isfinite(written.view(np.float64))
+                    if not finite.all():
+                        row = np.searchsorted(chunk_bounds, np.argmin(finite), "right")
+                        with pytest.raises(FormatError, match=f"^chunk row {row} holds a non-finite number$"):
+                            udisc_io._scan_block(fh, chunk_bounds, "chunk")
                         continue
-                    tokens, values = parsed
-                    got = np.zeros(len(written))
-                    got[tokens] = values
+                    got = udisc_io._scan_block(fh, chunk_bounds, "chunk")
                     assert np.array_equal(got.view(np.int64), written)
                 assert udisc_io._content_line(fh) is None
 
@@ -474,8 +475,7 @@ class TestPovmScanner:
         ("universal", 4, 3, 1 << 16), ("trivial", 4, 3, 1 << 16), ("optimal", 4, 4, 1 << 12),
         ("random", 4, 2, 1 << 16),  # standard-normal entries: no "0" token
     ])
-    def test_writer_layout_is_read_without_the_row_scan(self, tmp_path, monkeypatch, family, m, n, chunk,
-                                                        layout):
+    def test_writer_layout_reads_the_loadtxt_bits(self, tmp_path, monkeypatch, family, m, n, chunk, layout):
         if family == "random":
             rng = np.random.default_rng(12)
             if layout == "dense":
@@ -489,31 +489,36 @@ class TestPovmScanner:
         path = tmp_path / "w.povm"
         write_povm(path, povm)
         monkeypatch.setattr(udisc_io, "WRITE_CHUNK", chunk)
-        monkeypatch.setattr(udisc_io, "_scan_rows", mock.Mock(side_effect=AssertionError("row scan taken")))
         for got, expected in zip(read_povm(path).elements, loadtxt_elements(path), strict=True):
             assert same_bits(got, expected)
 
-    @pytest.mark.parametrize("text,bounds", [
-        (b"\n0 1 0 1\n1 0 1 0\n5", [0, 4, 8]),  # content after the last separator
-        (b"\n0 1 0 1\n1 0 1\n", [0, 4, 8]),  # the last row one token short
-        (b"\n0 1 0\n1 1 0 1 0\n", [0, 4, 8]),  # a row end one token early, made up in the next row
-        (b"\n0 1\n0 1\n1 0 1 0\n", [0, 4, 8]),  # a newline in place of a space
-        (b"\n0 1 0 1\n1  0 1\n", [0, 4, 8]),  # an empty token
-        (b"\n0 1 0 1\n1 0\n", [0, 2, 8]),  # ragged rows swapped: the widths of another layout
-        (b"\n0 1\n1 0 1 0 1 0\n", [0, 2, 6]),  # the second row one pair long
-        (b"\n0 1\n", [0, 2, 4]),  # a row missing
+    @pytest.mark.parametrize("text,bounds,expected", [
+        ("\n0 1 0 1\n1 0 1 0\n5", [0, 4, 8], [0, 1, 0, 1, 1, 0, 1, 0]),  # content after the last row
+        ("# label\n0 1 0 1\n1 0 1 0\n", [0, 4, 8], [0, 1, 0, 1, 1, 0, 1, 0]),  # a comment line first
+        ("\n0 1\n1 0 1 0 0 2\n0 0\n", [0, 2, 8, 10], [0, 1, 1, 0, 1, 0, 0, 2, 0, 0]),  # ragged rows
+        ("\n0 1 0 1\n1 0 1\n", [0, 4, 8],  # the last row one token short
+         r"row 2 needs 2 complex pairs \(4 numbers\), got 3"),
+        ("\n0 1 0\n1 1 0 1 0\n", [0, 4, 8],  # a row end one token early, made up in the next row
+         r"row 1 needs 2 complex pairs \(4 numbers\), got 3"),
+        ("\n0 1\n0 1\n1 0 1 0\n", [0, 4, 8],  # a newline in place of a space
+         r"row 1 needs 2 complex pairs \(4 numbers\), got 2"),
+        ("\n0 1 0 1\n1  0 1\n", [0, 4, 8],  # an empty token
+         r"row 2 needs 2 complex pairs \(4 numbers\), got 3"),
+        ("\n0 1 0 1\n1 0\n", [0, 2, 8],  # ragged rows swapped: the widths of another layout
+         r"row 1 needs 1 complex pairs \(2 numbers\), got 4"),
+        ("\n0 1\n1 0 1 0 1 0\n", [0, 2, 6],  # the second row one pair long
+         r"row 2 needs 2 complex pairs \(4 numbers\), got 6"),
+        ("\n0 1\n", [0, 2, 4], r"row 2 needs 1 complex pairs \(2 numbers\), got 0"),  # a row missing
     ])
-    def test_chunks_off_the_writer_layout_are_left_to_the_row_scan(self, text, bounds):
-        assert udisc_io._scan_chunk(text, np.array(bounds)) is None
-        good = b"# label\n0 1 0 1\n1 0 1 0\n"
-        tokens, values = udisc_io._scan_chunk(good[good.index(b"\n"):], np.array([0, 4, 8]))
-        out = np.zeros(8)
-        out[tokens] = values
-        assert np.array_equal(out.reshape(2, 4), [[0, 1, 0, 1], [1, 0, 1, 0]])
-        assert tokens.tolist() == [1, 3, 4, 6]  # the "0" tokens are left out
-        ragged = b"\n0 1\n1 0 1 0 0 2\n0 0\n"
-        tokens, values = udisc_io._scan_chunk(ragged, np.array([0, 2, 8, 10]))
-        assert tokens.tolist() == [1, 2, 4, 7] and values.tolist() == [1, 1, 1, 2]
+    def test_blocks_read_their_rows_or_name_the_bad_one(self, text, bounds, expected):
+        fh = io.StringIO(text)
+        if isinstance(expected, str):
+            with pytest.raises(FormatError, match=f"^block {expected}$"):
+                udisc_io._scan_block(fh, np.array(bounds), "block")
+        else:
+            assert udisc_io._scan_block(fh, np.array(bounds), "block").tolist() == expected
+            # content after the last row is left for _blocks to refuse
+            assert udisc_io._content_line(fh) == (text.rsplit("\n", 1)[1] or None)
 
     @staticmethod
     def _edit(lines, edit):
@@ -562,18 +567,12 @@ class TestPovmScanner:
         else:
             path.write_text("\n".join(self._edit(lines, edit)) + "\n")
         monkeypatch.setattr(udisc_io, "WRITE_CHUNK", chunk)
-        row_scan = mock.Mock(wraps=udisc_io._scan_rows)
-        monkeypatch.setattr(udisc_io, "_scan_rows", row_scan)
         loaded = read_povm(path)
         assert loaded._explicit == (layout == "dense")  # the header word picks the representation
         assert loaded._explicit or loaded._elements is None
         assert loaded._sectors is not None  # no off-sector mass, on either layout
         for got, want in zip(loaded.elements, povm.elements, strict=True):
             assert same_bits(got, want)
-        if edit in ("crlf", "cr"):
-            assert not row_scan.called
-        elif edit != "spellings":
-            assert row_scan.called
 
     # universal (3,2): row 11 is |101>, of the sector {011, 101, 110}; row 12 is |102>, of a
     # sector of 6; row 27 is |222>, a sector of its own
@@ -1103,7 +1102,7 @@ class TestCommutantFiles:
             assert not (tmp_path / "again.povm").exists()
 
     def test_a_hand_edited_file_reads_to_the_same_bits(self, tmp_path):
-        """A tab, a comment line inside a block and CRLF line ends take the row-by-row reader."""
+        """A tab, a comment line inside a block and CRLF line ends leave the numbers read."""
         built = family_povm("optimal", 3, 3)
         path = tmp_path / "o33.povm"
         write_povm(path, built)
